@@ -8,10 +8,12 @@
 //! A unit test pins the committed bytes to this generator's output, so
 //! editing [`hybridcast_testkit::trace_corpus::smoke_case`] (or the
 //! seed/length constants) requires re-running this and committing the
-//! result.
+//! result. The golden daemon-replay books (`smoke.books*.json`) are
+//! rewritten too; a diff there means `replay_daemon`'s output moved.
 
 use hybridcast_testkit::trace_corpus::{
-    committed_trace_dir, smoke_case, synthesize_trace, write_trace, SMOKE_RECORDS, SMOKE_SEED,
+    committed_trace_dir, golden_books_cases, golden_books_json, smoke_case, synthesize_trace,
+    write_trace, SMOKE_RECORDS, SMOKE_SEED,
 };
 
 fn main() {
@@ -27,4 +29,9 @@ fn main() {
         hct.display(),
         trace.records.len()
     );
+    for (file, case) in golden_books_cases() {
+        let books = golden_books_json(&case, &trace);
+        std::fs::write(dir.join(file), books + "\n").expect("write golden books");
+        println!("wrote {}", dir.join(file).display());
+    }
 }

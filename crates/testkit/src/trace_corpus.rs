@@ -243,6 +243,46 @@ pub const SMOKE_SEED: u64 = 0x5ca1_ab1e;
 /// Number of records in the committed smoke trace.
 pub const SMOKE_RECORDS: u32 = 1_000;
 
+/// The golden daemon-replay books committed next to `traces/smoke.hct`:
+/// `(file name, replay case)` — the smoke case as committed, and the same
+/// case with a contended uplink over two pattern-aware channels (the
+/// override path: every record re-routes through the two-channel plan).
+/// The committed strings pin `replay_daemon`'s serialized output
+/// byte-for-byte, so a change to the channel core that moves any book
+/// shows up as a diff in a data file.
+pub fn golden_books_cases() -> [(&'static str, TraceCase); 2] {
+    use hybridcast_core::config::{AssignmentStrategy, ChannelLayout};
+    use hybridcast_core::uplink::UplinkConfig;
+    let base = smoke_case();
+    let uplink_c2 = TraceCase {
+        hybrid: HybridConfig {
+            uplink: Some(UplinkConfig {
+                slot_time: 0.1,
+                success_prob: 0.7,
+                max_attempts: 2,
+                backoff_slots: 1.0,
+            }),
+            channels: ChannelLayout::Sharded {
+                channels: 2,
+                assignment: AssignmentStrategy::PatternAware,
+            },
+            ..base.hybrid.clone()
+        },
+        ..base.clone()
+    };
+    [
+        ("smoke.books.json", base),
+        ("smoke.books.uplink-c2.json", uplink_c2),
+    ]
+}
+
+/// The serialized daemon-replay books of `trace` under `case` — the exact
+/// string a golden file holds.
+pub fn golden_books_json(case: &TraceCase, trace: &Trace) -> String {
+    let books = replay_daemon(&case.scenario.build(), &case.hybrid, case.unit_millis, trace);
+    serde_json::to_string(&books).expect("books serialize")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,5 +351,20 @@ mod tests {
         let sidecar =
             fs::read_to_string(committed_trace_dir().join("smoke.json")).expect("sidecar");
         assert_eq!(sidecar, case.to_json(), "sidecar matches smoke_case()");
+    }
+
+    #[test]
+    fn committed_smoke_books_are_golden() {
+        let trace = Trace::read(&committed_trace_dir().join("smoke.hct")).expect("smoke trace");
+        for (file, case) in golden_books_cases() {
+            let committed = fs::read_to_string(committed_trace_dir().join(file)).expect(file);
+            assert_eq!(
+                committed.trim_end(),
+                golden_books_json(&case, &trace),
+                "traces/{file} must stay string-identical to `replay_daemon` \
+                 (regenerate with the `regen_trace_corpus` example only for an \
+                 intended change)"
+            );
+        }
     }
 }
