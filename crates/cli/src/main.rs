@@ -50,7 +50,9 @@ USAGE:
                                           a structural trace/config mismatch
                                           (catalog, classes, channels,
                                           unit_millis) is a hard error unless
-                                          --allow-mismatch is passed
+                                          --allow-mismatch is passed (items
+                                          then fold in via modulo, classes
+                                          clamp to the last class)
     hybridcast whatif --trace <path> [--config <serve.json>]
                       [--cutoffs K1,K2,..] [--channels C1,C2,..]
                       [--assignments range,hash,pattern_aware]
@@ -398,7 +400,8 @@ fn run_trace_replay_cmd(mut args: Vec<String>) -> Result<(), String> {
             return Err(format!(
                 "structural mismatch between trace and replay config:\n  {}\n\
                  pass --allow-mismatch to replay anyway (out-of-range items fold \
-                 back in via modulo; re-routed records are counted in the books)",
+                 back in via modulo, out-of-range classes clamp to the last class; \
+                 re-routed and remapped records are counted in the books)",
                 structural.join("\n  ")
             ));
         }
@@ -422,11 +425,11 @@ fn run_trace_replay_cmd(mut args: Vec<String>) -> Result<(), String> {
     match mode.as_str() {
         "daemon" => {
             let books = replay_daemon(&scenario, &config.hybrid, trace.meta.unit_millis, &trace);
-            if books.rerouted > 0 || books.remapped_items > 0 {
+            if books.rerouted > 0 || books.remapped_items > 0 || books.remapped_classes > 0 {
                 eprintln!(
-                    "replay re-routed {} record(s) and remapped {} out-of-catalog item(s) \
-                     through the replay config's plan",
-                    books.rerouted, books.remapped_items
+                    "replay re-routed {} record(s), remapped {} out-of-catalog item(s) and \
+                     clamped {} out-of-range class(es) through the replay config's plan",
+                    books.rerouted, books.remapped_items, books.remapped_classes
                 );
             }
             println!(

@@ -131,40 +131,59 @@ pub struct ReplayBooks {
     /// Records whose item id exceeded the replay catalog and was folded
     /// back in via `item % catalog_len` (override replays only).
     pub remapped_items: u64,
+    /// Records whose class byte exceeded the replay class table and was
+    /// clamped to the last (lowest-priority) class (override replays only).
+    pub remapped_classes: u64,
     /// Per-channel books, channel order.
     pub per_channel: Vec<ChannelBook>,
     /// Per-class books, class order.
     pub per_class: Vec<ClassBook>,
 }
 
-/// Re-routing statistics for replaying `trace` under a (possibly
-/// overridden) channel plan: every record is mapped into the replay
-/// catalog (`item % catalog_len` when out of range) and routed to
+/// Re-mapping statistics for replaying `trace` under a (possibly
+/// overridden) config: every record is mapped into the replay catalog
+/// (`item % catalog_len` when out of range) and class table (clamped to
+/// the last, lowest-priority class when out of range), then routed to
 /// `plan.channel_of(item)` — the same routing the daemon applies at
-/// ingest — rather than trusting the recorded channel byte, which may
-/// reference channels the override no longer has.
+/// ingest — rather than trusting the recorded bytes, which may reference
+/// items, classes or channels the override no longer has.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct RouteStats {
     /// Records routed to a different channel than recorded.
     pub rerouted: u64,
     /// Records with `item >= catalog_len`, folded back via modulo.
     pub remapped_items: u64,
+    /// Records with `class >= num_classes`, clamped to the last class.
+    pub remapped_classes: u64,
 }
 
-/// Maps one recorded request into the replay config's catalog and plan:
-/// returns the record with `item` folded into `0..catalog_len` and
-/// `channel` re-derived from `plan`, updating `stats`.
-fn route_record(
-    rec: &TraceRecord,
-    catalog_len: u32,
-    plan: &ChannelPlan,
-    stats: &mut RouteStats,
-) -> TraceRecord {
+/// Maps one recorded request into `scenario`'s id spaces — the one place
+/// a trace's item and class bytes are validated before either replay mode
+/// indexes with them: `item` folds into `0..catalog_len`, `class` clamps
+/// to the last (lowest-priority) class; both are counted in `stats`.
+fn map_record(rec: &TraceRecord, scenario: &Scenario, stats: &mut RouteStats) -> TraceRecord {
     let mut r = *rec;
+    let catalog_len = scenario.catalog.len() as u32;
     if catalog_len > 0 && r.item >= catalog_len {
         r.item %= catalog_len;
         stats.remapped_items += 1;
     }
+    let last_class = scenario.classes.len().saturating_sub(1) as u8;
+    if r.class > last_class {
+        r.class = last_class;
+        stats.remapped_classes += 1;
+    }
+    r
+}
+
+/// [`map_record`], then `channel` re-derived from `plan`.
+fn route_record(
+    rec: &TraceRecord,
+    scenario: &Scenario,
+    plan: &ChannelPlan,
+    stats: &mut RouteStats,
+) -> TraceRecord {
+    let mut r = map_record(rec, scenario, stats);
     let channel = plan.channel_of(ItemId(r.item));
     if channel != r.channel as u32 {
         stats.rerouted += 1;
@@ -244,23 +263,23 @@ pub fn replay_simulator(
 }
 
 /// The trace's requests in global arrival order, mapped into `scenario`'s
-/// catalog (out-of-range items folded back via `item % catalog_len`) —
+/// catalog and class table (out-of-range items fold back via
+/// `item % catalog_len`, out-of-range classes clamp to the last class) —
 /// the request stream sim-mode replay and the what-if harness drive. The
 /// simulator routes items through its own channel plan, so the recorded
 /// channel byte is irrelevant here.
 pub fn replay_requests(scenario: &Scenario, trace: &Trace) -> Vec<Request> {
-    let catalog_len = scenario.catalog.len() as u32;
+    let mut stats = RouteStats::default();
     trace
         .sorted_by_arrival()
         .into_iter()
-        .map(|r| Request {
-            arrival: SimTime::new(r.arrival),
-            item: ItemId(if catalog_len > 0 {
-                r.item % catalog_len
-            } else {
-                r.item
-            }),
-            class: ClassId(r.class),
+        .map(|rec| {
+            let r = map_record(&rec, scenario, &mut stats);
+            Request {
+                arrival: SimTime::new(r.arrival),
+                item: ItemId(r.item),
+                class: ClassId(r.class),
+            }
         })
         .collect()
 }
@@ -268,10 +287,10 @@ pub fn replay_requests(scenario: &Scenario, trace: &Trace) -> Vec<Request> {
 /// Computes the [`RouteStats`] replaying `trace` under `plan` would
 /// incur, without running the replay — the what-if report's per-point
 /// re-route accounting.
-pub fn route_stats(trace: &Trace, catalog_len: u32, plan: &ChannelPlan) -> RouteStats {
+pub fn route_stats(trace: &Trace, scenario: &Scenario, plan: &ChannelPlan) -> RouteStats {
     let mut stats = RouteStats::default();
     for rec in &trace.records {
-        route_record(rec, catalog_len, plan, &mut stats);
+        route_record(rec, scenario, plan, &mut stats);
     }
     stats
 }
@@ -317,11 +336,10 @@ pub fn replay_daemon(
     // recorded channel byte: identical when replaying under the recording
     // config (the daemon routed by plan too), and the well-defined
     // re-route when an override changed the channel count or catalog.
-    let catalog_len = scenario.catalog.len() as u32;
     let mut stats = RouteStats::default();
     let mut grouped: Vec<Vec<TraceRecord>> = vec![Vec::new(); schedulers.len()];
     for rec in &trace.records {
-        let routed = route_record(rec, catalog_len, &plan, &mut stats);
+        let routed = route_record(rec, scenario, &plan, &mut stats);
         grouped[routed.channel as usize].push(routed);
     }
     let mut per_channel = Vec::new();
@@ -359,6 +377,7 @@ pub fn replay_daemon(
         uplink_lost: 0,
         rerouted: stats.rerouted,
         remapped_items: stats.remapped_items,
+        remapped_classes: stats.remapped_classes,
         per_channel,
         per_class: per_class
             .iter()
@@ -822,6 +841,7 @@ mod tests {
         let books = replay_daemon(&scenario, &hybrid, 1.0, &trace);
         assert_eq!(books.rerouted, 0);
         assert_eq!(books.remapped_items, 0);
+        assert_eq!(books.remapped_classes, 0);
     }
 
     #[test]
@@ -863,6 +883,40 @@ mod tests {
         let report = replay_simulator(&scenario, &HybridConfig::default(), &params, &trace);
         let generated: u64 = report.per_class.iter().map(|c| c.generated).sum();
         assert_eq!(generated, 100, "sim replay ingests every remapped record");
+    }
+
+    /// A well-formed trace recorded under 5 classes, replayed under the
+    /// 3-class scenario: class bytes 3 and 4 must clamp, not index.
+    fn five_class_trace() -> Trace {
+        let mut trace = synthetic_trace(1, 120);
+        trace.meta.num_classes = 5;
+        for (i, rec) in trace.records.iter_mut().enumerate() {
+            rec.class = (i % 5) as u8;
+        }
+        trace
+    }
+
+    #[test]
+    fn out_of_range_class_is_clamped_in_daemon_mode() {
+        let books = replay_daemon(
+            &scenario(),
+            &HybridConfig::default(),
+            1.0,
+            &five_class_trace(),
+        );
+        assert_eq!(books.remapped_classes, 48, "classes 3 and 4 of every 5");
+        assert_eq!(books.accepted, 120, "clamped records are replayed");
+        assert_eq!(books.per_class[2].accepted, 24 + 48, "folded onto Class-C");
+        assert!(books.conservation_ok, "{books:?}");
+    }
+
+    #[test]
+    fn out_of_range_class_is_clamped_in_sim_mode() {
+        let trace = five_class_trace();
+        let params = sim_params_for(&trace);
+        let report = replay_simulator(&scenario(), &HybridConfig::default(), &params, &trace);
+        let generated: Vec<u64> = report.per_class.iter().map(|c| c.generated).collect();
+        assert_eq!(generated, vec![24, 24, 24 + 48]);
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //! class count disagrees with the replay scenario (item/class ids
 //! would be silently reinterpreted) unless the caller passes
 //! `allow_mismatch`, in which case out-of-range items are folded back
-//! in (`item % catalog_len`) and the per-point [`RouteStats`] report
-//! how many records were remapped and re-routed. Channel-count and
+//! in (`item % catalog_len`), out-of-range classes clamp to the last
+//! class, and the per-point [`RouteStats`] report how many records were
+//! remapped and re-routed. Channel-count and
 //! cutoff differences are not errors here — they are the override grid
 //! itself — but each point's books still state how many records moved
 //! channels relative to the recording.
@@ -375,7 +376,7 @@ pub fn evaluate_point(
         )
     };
     let plan = ChannelPlan::build(&scenario.catalog, channels, assignment);
-    let route = route_stats(trace, scenario.catalog.len() as u32, &plan);
+    let route = route_stats(trace, scenario, &plan);
     let per_class: Vec<ClassOutcome> = report
         .per_class
         .iter()

@@ -279,7 +279,12 @@ pub fn golden_books_cases() -> [(&'static str, TraceCase); 2] {
 /// The serialized daemon-replay books of `trace` under `case` — the exact
 /// string a golden file holds.
 pub fn golden_books_json(case: &TraceCase, trace: &Trace) -> String {
-    let books = replay_daemon(&case.scenario.build(), &case.hybrid, case.unit_millis, trace);
+    let books = replay_daemon(
+        &case.scenario.build(),
+        &case.hybrid,
+        case.unit_millis,
+        trace,
+    );
     serde_json::to_string(&books).expect("books serialize")
 }
 
