@@ -1,0 +1,809 @@
+//! The per-channel request state machine, written once.
+//!
+//! A [`HybridScheduler`] decides *what airs next*; a [`ChannelCore`] wraps
+//! one and owns everything about *who is waiting for it*: the live-request
+//! table, push and pull waiters, the deadline and uplink-delivery heaps,
+//! the in-flight transmission with the batch it will satisfy, and the
+//! books. It is **time-passive** — it never reads a clock. A driver tells
+//! it what time it is:
+//!
+//! * `hybridcastd` (`T = (seq, Conn)`, `S = WindowRecorder`) calls
+//!   [`advance`](ChannelCore::advance) / [`dispatch`](ChannelCore::dispatch)
+//!   with wall-clock readings whenever it wakes, then
+//!   [`ingest`](ChannelCore::ingest)s what the rings hold;
+//! * trace replay (`T = ()`, `S = NullSink`) steps virtual time from one
+//!   [`next_due`](ChannelCore::next_due) to the next, so nothing ever
+//!   fires late.
+//!
+//! Both run the same transitions in the same order, so a replay's books
+//! can differ from the live run's only because the *times* the driver
+//! reported differ — never because the state machine does.
+//!
+//! Every request leaves exactly once, as a [`Resolution`] handed to the
+//! caller's outbox closure; every telemetry event leaves through the
+//! [`Sink`]. Outbox, tag and sink are type parameters: the tick has no
+//! `dyn`, no lock and no per-request allocation of its own.
+//!
+//! One deliberate asymmetry with the simulator: a request that times out
+//! while queued leaves its aggregated entry in the pull queue (the queue
+//! has no per-requester removal), so the scheduler may still air the
+//! item. The stale requester is skipped at completion.
+
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::ops::AddAssign;
+
+use hybridcast_sim::stats::Welford;
+use hybridcast_sim::time::SimTime;
+use hybridcast_telemetry::{emit, ServiceKind, Sink, TelemetryEvent};
+use hybridcast_workload::catalog::ItemId;
+use hybridcast_workload::classes::ClassId;
+use hybridcast_workload::requests::Request;
+
+use crate::hybrid::{Disposition, HybridScheduler, Transmission};
+use crate::metrics::TxKind;
+use crate::uplink::{UplinkChannel, UplinkOutcome};
+
+/// How a request left the channel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// Delivered by the cyclic broadcast.
+    ServedPush,
+    /// Delivered by an on-demand pull transmission.
+    ServedPull,
+    /// Rejected: bandwidth admission, or still live when the driver called
+    /// [`ChannelCore::shed_remaining`].
+    Shed,
+    /// Its deadline passed before service.
+    TimedOut,
+    /// Lost on the contended uplink.
+    UplinkLost,
+}
+
+/// One request's final answer, handed to the driver's outbox.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Resolution<T> {
+    /// Whatever the driver attached at ingest (reply address, or nothing).
+    pub tag: T,
+    /// The requested item.
+    pub item: ItemId,
+    /// How the request left.
+    pub outcome: Outcome,
+    /// Ingest → decision, in broadcast units (0 for an uplink loss).
+    pub wait: f64,
+}
+
+/// The six conservation counters: `accepted = answered()` once nothing is
+/// live.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Requests that entered.
+    pub accepted: u64,
+    /// Served off the broadcast schedule.
+    pub served_push: u64,
+    /// Served by pull transmissions.
+    pub served_pull: u64,
+    /// Explicit rejections.
+    pub shed: u64,
+    /// Deadline expiries.
+    pub timed_out: u64,
+    /// Uplink losses.
+    pub uplink_lost: u64,
+}
+
+impl Tally {
+    /// Served over both channels.
+    pub fn served(&self) -> u64 {
+        self.served_push + self.served_pull
+    }
+
+    /// Requests that got a final answer.
+    pub fn answered(&self) -> u64 {
+        self.served() + self.shed + self.timed_out + self.uplink_lost
+    }
+
+    /// The conservation identity for a drained channel.
+    pub fn conserves(&self) -> bool {
+        self.accepted == self.answered()
+    }
+
+    fn count(&mut self, outcome: Outcome) {
+        *match outcome {
+            Outcome::ServedPush => &mut self.served_push,
+            Outcome::ServedPull => &mut self.served_pull,
+            Outcome::Shed => &mut self.shed,
+            Outcome::TimedOut => &mut self.timed_out,
+            Outcome::UplinkLost => &mut self.uplink_lost,
+        } += 1;
+    }
+}
+
+impl AddAssign for Tally {
+    fn add_assign(&mut self, o: Tally) {
+        self.accepted += o.accepted;
+        self.served_push += o.served_push;
+        self.served_pull += o.served_pull;
+        self.shed += o.shed;
+        self.timed_out += o.timed_out;
+        self.uplink_lost += o.uplink_lost;
+    }
+}
+
+/// One class's books on one channel.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ClassBooks {
+    /// The class's conservation counters.
+    pub tally: Tally,
+    /// Wait of served requests, in broadcast units.
+    pub wait: Welford,
+    /// Plain sum of the same waits. Replay books report `sum / served`,
+    /// whose low bits differ from Welford's running mean; keeping the sum
+    /// leaves both the daemon summary and the replay books bit-stable.
+    pub wait_sum: f64,
+}
+
+/// A channel's complete accounting; `+=` merges channels.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Books {
+    /// All classes. Exceeds the per-class sum by the class-less front-end
+    /// rejections (see [`ChannelCore::refuse`]).
+    pub total: Tally,
+    /// Push transmissions aired.
+    pub push_tx: u64,
+    /// Pull transmissions aired.
+    pub pull_tx: u64,
+    /// Per class, class order.
+    pub per_class: Vec<ClassBooks>,
+}
+
+impl Books {
+    /// Empty books for `num_classes` classes.
+    pub fn new(num_classes: usize) -> Books {
+        Books {
+            total: Tally::default(),
+            push_tx: 0,
+            pull_tx: 0,
+            per_class: vec![ClassBooks::default(); num_classes],
+        }
+    }
+}
+
+impl AddAssign<&Books> for Books {
+    fn add_assign(&mut self, o: &Books) {
+        self.total += o.total;
+        self.push_tx += o.push_tx;
+        self.pull_tx += o.pull_tx;
+        for (dst, src) in self.per_class.iter_mut().zip(&o.per_class) {
+            dst.tally += src.tally;
+            dst.wait.merge(&src.wait);
+            dst.wait_sum += src.wait_sum;
+        }
+    }
+}
+
+/// A request the channel still owes an answer.
+struct LiveReq<T> {
+    tag: T,
+    item: ItemId,
+    class: ClassId,
+    /// Raw ingest stamp: prices the wait, never clamped.
+    ingest: SimTime,
+}
+
+struct Inflight {
+    tx: Transmission,
+    /// Pull: the waiter ids snapshotted at dispatch (the same batch the
+    /// scheduler removed from its queue). Push: empty.
+    batch: Vec<u64>,
+}
+
+type DueHeap = BinaryHeap<Reverse<(SimTime, u64)>>;
+
+/// One broadcast channel's request state machine (see the module docs).
+pub struct ChannelCore<T, S: Sink> {
+    scheduler: HybridScheduler,
+    uplink: Option<UplinkChannel>,
+    sink: S,
+    live: HashMap<u64, LiveReq<T>>,
+    next_id: u64,
+    /// `(id, scheduler_arrival)` of requests waiting for a push-set item.
+    push_waiters: Vec<(u64, SimTime)>,
+    /// Pull waiters per item; drained wholesale at dispatch, never
+    /// iterated (so map order cannot leak into the books).
+    pull_waiters: HashMap<ItemId, Vec<u64>>,
+    timeouts: DueHeap,
+    /// Requests in flight on the uplink.
+    deliveries: DueHeap,
+    inflight: Option<Inflight>,
+    /// Monotone high-water mark of scheduler/sink time. Ingest stamps are
+    /// taken upstream and due events fire at their (possibly already
+    /// past) due times, so raw stamps can trail events already processed;
+    /// the scheduler and time-weighted gauges need non-decreasing time,
+    /// so every such time is clamped up through the cursor. It advances
+    /// whether or not the sink is enabled — otherwise the sink would
+    /// change what the scheduler sees.
+    cursor: SimTime,
+    books: Books,
+}
+
+impl<T, S: Sink> ChannelCore<T, S> {
+    /// A core around one channel's scheduler. `uplink` is this channel's
+    /// own contended back channel (its RNG lane is the caller's choice).
+    pub fn new(
+        scheduler: HybridScheduler,
+        uplink: Option<UplinkChannel>,
+        num_classes: usize,
+        sink: S,
+    ) -> Self {
+        ChannelCore {
+            scheduler,
+            uplink,
+            sink,
+            live: HashMap::new(),
+            next_id: 0,
+            push_waiters: Vec::new(),
+            pull_waiters: HashMap::new(),
+            timeouts: BinaryHeap::new(),
+            deliveries: BinaryHeap::new(),
+            inflight: None,
+            cursor: SimTime::ZERO,
+            books: Books::new(num_classes),
+        }
+    }
+
+    /// The books so far.
+    pub fn books(&self) -> &Books {
+        &self.books
+    }
+
+    /// Requests still owed an answer.
+    pub fn live(&self) -> usize {
+        self.live.len()
+    }
+
+    /// The wrapped scheduler (queue depth, cutoff).
+    pub fn scheduler(&self) -> &HybridScheduler {
+        &self.scheduler
+    }
+
+    /// The sink, for drivers that drain it mid-run.
+    pub fn sink_mut(&mut self) -> &mut S {
+        &mut self.sink
+    }
+
+    /// Ends the run: the books, the sink, and `now` clamped through the
+    /// cursor (the sink's closing time).
+    pub fn into_parts(mut self, now: SimTime) -> (Books, S, SimTime) {
+        let end = self.tick(now);
+        (self.books, self.sink, end)
+    }
+
+    /// Advances the cursor and returns the clamped time.
+    fn tick(&mut self, t: SimTime) -> SimTime {
+        if t > self.cursor {
+            self.cursor = t;
+        }
+        self.cursor
+    }
+
+    fn gauge(&mut self, now: SimTime) {
+        let time = self.tick(now);
+        emit(&mut self.sink, || TelemetryEvent::QueueGauge {
+            time,
+            items: self.scheduler.queue().len() as u32,
+            requests: self.scheduler.queue().total_requests() as u32,
+        });
+    }
+
+    /// Books `req`'s exit and hands it to the outbox.
+    fn resolve(
+        &mut self,
+        req: LiveReq<T>,
+        outcome: Outcome,
+        wait: f64,
+        out: &mut impl FnMut(Resolution<T>),
+    ) {
+        let class = &mut self.books.per_class[req.class.index()];
+        self.books.total.count(outcome);
+        class.tally.count(outcome);
+        if matches!(outcome, Outcome::ServedPush | Outcome::ServedPull) {
+            class.wait.push(wait);
+            class.wait_sum += wait;
+        }
+        out(Resolution {
+            tag: req.tag,
+            item: req.item,
+            outcome,
+            wait,
+        });
+    }
+
+    /// Accepts one request stamped `stamp`, due (if ever) at `deadline`.
+    /// It contends for the uplink first when there is one; a loss resolves
+    /// immediately.
+    pub fn ingest(
+        &mut self,
+        tag: T,
+        item: ItemId,
+        class: ClassId,
+        stamp: SimTime,
+        deadline: Option<SimTime>,
+        mut out: impl FnMut(Resolution<T>),
+    ) {
+        self.books.total.accepted += 1;
+        self.books.per_class[class.index()].tally.accepted += 1;
+        let time = self.tick(stamp);
+        emit(&mut self.sink, || TelemetryEvent::RequestArrival {
+            time,
+            item,
+            class,
+        });
+        let id = self.next_id;
+        self.next_id += 1;
+        if let Some(due) = deadline {
+            self.timeouts.push(Reverse((due, id)));
+        }
+        let req = LiveReq {
+            tag,
+            item,
+            class,
+            ingest: stamp,
+        };
+        match self.uplink.as_mut().map(|up| up.transmit(class)) {
+            Some(UplinkOutcome::Lost) => {
+                emit(&mut self.sink, || TelemetryEvent::UplinkLoss {
+                    time,
+                    item,
+                    class,
+                });
+                self.resolve(req, Outcome::UplinkLost, 0.0, &mut out);
+            }
+            Some(UplinkOutcome::Delivered(latency)) => {
+                self.live.insert(id, req);
+                self.deliveries.push(Reverse((stamp + latency, id)));
+            }
+            None => {
+                self.live.insert(id, req);
+                self.route(id, stamp);
+            }
+        }
+    }
+
+    /// Books a request the driver's front end already answered `Shed`
+    /// (ring overflow, malformed frame) so the channel's books and
+    /// telemetry still see the arrival. A malformed frame has no class.
+    pub fn refuse(&mut self, stamp: SimTime, request: Option<(ItemId, ClassId)>) {
+        self.books.total.accepted += 1;
+        self.books.total.shed += 1;
+        if let Some((item, class)) = request {
+            let tally = &mut self.books.per_class[class.index()].tally;
+            tally.accepted += 1;
+            tally.shed += 1;
+            let time = self.tick(stamp);
+            emit(&mut self.sink, || TelemetryEvent::RequestArrival {
+                time,
+                item,
+                class,
+            });
+            emit(&mut self.sink, || TelemetryEvent::RequestBlocked {
+                time,
+                item,
+                class,
+            });
+        }
+    }
+
+    /// Hands a live request to the scheduler at `arrival` (clamped through
+    /// the cursor; the raw ingest stamp still prices its wait) and files
+    /// it under the transmission kind that will serve it.
+    fn route(&mut self, id: u64, arrival: SimTime) {
+        let arrival = self.tick(arrival);
+        let req = &self.live[&id];
+        let (item, class) = (req.item, req.class);
+        match self.scheduler.on_request(&Request {
+            arrival,
+            item,
+            class,
+        }) {
+            Disposition::PushIgnored => self.push_waiters.push((id, arrival)),
+            Disposition::Queued => {
+                self.pull_waiters.entry(item).or_default().push(id);
+                self.gauge(arrival);
+            }
+        }
+    }
+
+    /// Earliest instant anything is due: the in-flight completion, a
+    /// deadline, or an uplink delivery.
+    pub fn next_due(&self) -> Option<SimTime> {
+        let head = |heap: &DueHeap| heap.peek().map(|Reverse((due, _))| *due);
+        let completion = self.inflight.as_ref().map(|i| i.tx.completes_at());
+        [completion, head(&self.timeouts), head(&self.deliveries)]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// Fires everything due at or before `now`: uplink deliveries, then
+    /// deadlines, then the in-flight completion. A late `now` is fine —
+    /// each event is processed at its own due time, clamped through the
+    /// cursor.
+    pub fn advance(&mut self, now: SimTime, mut out: impl FnMut(Resolution<T>)) {
+        while let Some(&Reverse((due, id))) = self.deliveries.peek() {
+            if due > now {
+                break;
+            }
+            self.deliveries.pop();
+            let Some(req) = self.live.get(&id) else {
+                continue; // timed out while on the uplink
+            };
+            let (item, class, ingest) = (req.item, req.class, req.ingest);
+            let time = self.tick(due);
+            emit(&mut self.sink, || TelemetryEvent::UplinkDelivered {
+                time,
+                item,
+                class,
+                latency: due - ingest,
+            });
+            self.route(id, due);
+        }
+        while let Some(&Reverse((due, id))) = self.timeouts.peek() {
+            if due > now {
+                break;
+            }
+            self.timeouts.pop();
+            if let Some(req) = self.live.remove(&id) {
+                let wait = due.since(req.ingest).as_f64();
+                self.resolve(req, Outcome::TimedOut, wait, &mut out);
+            }
+        }
+        if matches!(&self.inflight, Some(inf) if now.reached(inf.tx.completes_at())) {
+            self.complete(&mut out);
+        }
+    }
+
+    /// Starts the next transmission at `now` if the downlink is idle and
+    /// anyone is waiting; queue entries the bandwidth check rejects on the
+    /// way are shed.
+    pub fn dispatch(&mut self, now: SimTime, mut out: impl FnMut(Resolution<T>)) {
+        let demand = !self.scheduler.queue().is_empty() || !self.push_waiters.is_empty();
+        if self.inflight.is_some() || !demand {
+            return;
+        }
+        let now = self.tick(now);
+        let (tx, dropped) = self.scheduler.next_transmission(now);
+        for entry in dropped {
+            for id in self.pull_waiters.remove(&entry.item).unwrap_or_default() {
+                self.shed(id, now, &mut out);
+            }
+            self.scheduler.recycle(entry);
+        }
+        if let Some(tx) = tx {
+            let batch = match tx.kind {
+                TxKind::Pull => self.pull_waiters.remove(&tx.item).unwrap_or_default(),
+                TxKind::Push => Vec::new(),
+            };
+            self.gauge(now);
+            self.inflight = Some(Inflight { tx, batch });
+        }
+    }
+
+    /// Sheds every request still live, lowest id first — the driver's
+    /// drain budget ran out.
+    pub fn shed_remaining(&mut self, now: SimTime, mut out: impl FnMut(Resolution<T>)) {
+        let mut ids: Vec<u64> = self.live.keys().copied().collect();
+        ids.sort_unstable();
+        for id in ids {
+            self.shed(id, now, &mut out);
+        }
+        self.push_waiters.clear();
+        self.pull_waiters.clear();
+    }
+
+    fn shed(&mut self, id: u64, now: SimTime, out: &mut impl FnMut(Resolution<T>)) {
+        let Some(req) = self.live.remove(&id) else {
+            return; // already timed out
+        };
+        let (item, class) = (req.item, req.class);
+        let time = self.tick(now);
+        emit(&mut self.sink, || TelemetryEvent::RequestBlocked {
+            time,
+            item,
+            class,
+        });
+        let wait = now.since(req.ingest).as_f64();
+        self.resolve(req, Outcome::Shed, wait, out);
+    }
+
+    fn complete(&mut self, out: &mut impl FnMut(Resolution<T>)) {
+        let Some(inf) = self.inflight.take() else {
+            return;
+        };
+        let at = inf.tx.completes_at();
+        let (item, kind, start, duration) =
+            (inf.tx.item, inf.tx.kind, inf.tx.start, inf.tx.duration);
+        let entry = self.scheduler.complete_transmission(inf.tx);
+        let time = self.tick(at);
+        match kind {
+            TxKind::Push => {
+                self.books.push_tx += 1;
+                emit(&mut self.sink, || TelemetryEvent::PushTx {
+                    time,
+                    item,
+                    duration,
+                });
+                // Waiters who tuned in before this slot started are done;
+                // later ones catch the item's next broadcast. Answered ids
+                // (timed out, shed) drop out here.
+                let mut waiters = std::mem::take(&mut self.push_waiters);
+                waiters.retain(|&(id, arrival)| {
+                    let Some(req) = self.live.get(&id) else {
+                        return false;
+                    };
+                    let satisfied = req.item == item && arrival <= start;
+                    if satisfied {
+                        self.serve(id, at, ServiceKind::Push, out);
+                    }
+                    !satisfied
+                });
+                self.push_waiters = waiters;
+            }
+            TxKind::Pull => {
+                self.books.pull_tx += 1;
+                let entry = entry.expect("pull transmissions carry their batch");
+                emit(&mut self.sink, || TelemetryEvent::PullTx {
+                    time,
+                    item,
+                    duration,
+                    requests: entry.count() as u32,
+                    class: entry.dominant_class().unwrap_or(ClassId(0)),
+                });
+                for id in inf.batch {
+                    self.serve(id, at, ServiceKind::Pull, out);
+                }
+                self.scheduler.recycle(entry);
+                self.gauge(at);
+            }
+        }
+    }
+
+    fn serve(
+        &mut self,
+        id: u64,
+        at: SimTime,
+        kind: ServiceKind,
+        out: &mut impl FnMut(Resolution<T>),
+    ) {
+        let Some(req) = self.live.remove(&id) else {
+            return; // timed out before the transmission landed
+        };
+        let (item, class, arrival) = (req.item, req.class, req.ingest);
+        let time = self.tick(at);
+        emit(&mut self.sink, || TelemetryEvent::RequestServed {
+            time,
+            item,
+            class,
+            kind,
+            arrival,
+        });
+        let outcome = match kind {
+            ServiceKind::Push => Outcome::ServedPush,
+            ServiceKind::Pull => Outcome::ServedPull,
+        };
+        self.resolve(req, outcome, at.since(arrival).as_f64(), out);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::HybridConfig;
+    use crate::pull::PullPolicyKind;
+    use crate::uplink::UplinkConfig;
+    use hybridcast_sim::time::SimDuration;
+    use hybridcast_telemetry::{NullSink, VecSink};
+    use hybridcast_workload::scenario::ScenarioConfig;
+
+    const REQUESTS: u64 = 600;
+
+    /// A core over the paper's catalog (K = 30, so items below 30 are
+    /// pushed and the rest pulled) with a lossy uplink. RxW scores by
+    /// waiting time, so the times the core reports to the scheduler steer
+    /// the books.
+    fn core<T, S: Sink>(sink: S) -> ChannelCore<T, S> {
+        let scenario = ScenarioConfig::icpp2005(0.6).with_seed(7).build();
+        let config = HybridConfig {
+            cutoff: 30,
+            pull: PullPolicyKind::Rxw,
+            ..HybridConfig::default()
+        };
+        let scheduler = HybridScheduler::new(
+            scenario.catalog.clone(),
+            scenario.classes.clone(),
+            &config,
+            &scenario.factory,
+        );
+        let uplink = UplinkChannel::new(
+            UplinkConfig {
+                slot_time: 0.1,
+                success_prob: 0.7,
+                max_attempts: 2,
+                backoff_slots: 1.0,
+            },
+            scenario.factory.stream(7),
+            scenario.classes.len(),
+        );
+        ChannelCore::new(scheduler, Some(uplink), scenario.classes.len(), sink)
+    }
+
+    /// Request `i` of the script: mixed push/pull items, cycling classes,
+    /// a 40-unit deadline on every 4th.
+    fn ingest<T, S: Sink>(
+        core: &mut ChannelCore<T, S>,
+        i: u64,
+        tag: T,
+        out: &mut impl FnMut(Resolution<T>),
+    ) {
+        let stamp = SimTime::new(i as f64 * 0.37);
+        let deadline = i.is_multiple_of(4).then(|| stamp + SimDuration::new(40.0));
+        let (item, class) = (ItemId((i * 13 % 100) as u32), ClassId((i % 3) as u8));
+        core.ingest(tag, item, class, stamp, deadline, out);
+    }
+
+    /// The virtual-time driver: every event fires exactly when due; after
+    /// the last arrival only `drain` more events run, so some requests are
+    /// left for `shed_remaining`.
+    fn drive<T, S: Sink>(
+        core: &mut ChannelCore<T, S>,
+        tag: impl Fn(u64) -> T,
+        drain: usize,
+        mut out: impl FnMut(Resolution<T>),
+    ) {
+        let mut now = SimTime::ZERO;
+        for i in 0..REQUESTS {
+            now = SimTime::new(i as f64 * 0.37);
+            while let Some(due) = core.next_due().filter(|&due| due <= now) {
+                core.advance(due, &mut out);
+                core.dispatch(due, &mut out);
+            }
+            ingest(core, i, tag(i), &mut out);
+            core.dispatch(now, &mut out);
+        }
+        for _ in 0..drain {
+            let Some(due) = core.next_due() else { break };
+            core.advance(due, &mut out);
+            core.dispatch(due, &mut out);
+            now = now.max(due);
+        }
+        core.shed_remaining(now, &mut out);
+    }
+
+    fn count(events: &[TelemetryEvent], pick: impl Fn(&TelemetryEvent) -> bool) -> u64 {
+        events.iter().filter(|e| pick(e)).count() as u64
+    }
+
+    #[test]
+    fn both_instantiations_keep_the_same_books() {
+        let mut tagged: ChannelCore<u64, VecSink> = core(VecSink::new());
+        let mut replies: Vec<Resolution<u64>> = Vec::new();
+        drive(&mut tagged, |i| i, 20, |r| replies.push(r));
+        let mut bare: ChannelCore<(), NullSink> = core(NullSink);
+        drive(&mut bare, |_| (), 20, |_| {});
+        assert_eq!(tagged.books(), bare.books(), "tag and sink never steer");
+
+        let books = tagged.books().clone();
+        assert_eq!(books.total.accepted, REQUESTS);
+        assert!(books.total.conserves() && tagged.live() == 0, "{books:?}");
+        for (name, n) in [
+            ("served_push", books.total.served_push),
+            ("served_pull", books.total.served_pull),
+            ("shed", books.total.shed),
+            ("timed_out", books.total.timed_out),
+            ("uplink_lost", books.total.uplink_lost),
+        ] {
+            assert!(n > 0, "the script exercises {name}: {books:?}");
+        }
+        let mut per_class = Tally::default();
+        for class in &books.per_class {
+            per_class += class.tally;
+            assert_eq!(class.wait.count(), class.tally.served());
+        }
+        assert_eq!(per_class, books.total);
+
+        // Every accepted request resolved exactly once, and the outbox saw
+        // what the books say.
+        let mut tags: Vec<u64> = replies.iter().map(|r| r.tag).collect();
+        tags.sort_unstable();
+        assert_eq!(tags, (0..REQUESTS).collect::<Vec<_>>());
+        let mut seen = Tally {
+            accepted: REQUESTS,
+            ..Tally::default()
+        };
+        for r in &replies {
+            seen.count(r.outcome);
+        }
+        assert_eq!(seen, books.total);
+
+        // The sink saw the same run.
+        let (_, sink, _) = tagged.into_parts(SimTime::ZERO);
+        let events = sink.events();
+        use TelemetryEvent as E;
+        assert_eq!(
+            count(events, |e| matches!(e, E::RequestArrival { .. })),
+            REQUESTS
+        );
+        assert_eq!(
+            count(events, |e| matches!(e, E::RequestServed { .. })),
+            books.total.served()
+        );
+        assert_eq!(
+            count(events, |e| matches!(e, E::RequestBlocked { .. })),
+            books.total.shed
+        );
+        assert_eq!(
+            count(events, |e| matches!(e, E::UplinkLoss { .. })),
+            books.total.uplink_lost
+        );
+        assert_eq!(
+            count(events, |e| matches!(e, E::PushTx { .. })),
+            books.push_tx
+        );
+        assert_eq!(
+            count(events, |e| matches!(e, E::PullTx { .. })),
+            books.pull_tx
+        );
+    }
+
+    /// The wall-clock shape no virtual-time driver reaches: the core is
+    /// only told the time every 25 units (the daemon's poll cap), so
+    /// deliveries, deadlines and completions all fire late and ingest
+    /// stamps trail the cursor. Returns the last time reported.
+    fn drive_late<T, S: Sink>(
+        core: &mut ChannelCore<T, S>,
+        tag: impl Fn(u64) -> T,
+        mut out: impl FnMut(Resolution<T>),
+    ) -> SimTime {
+        let mut next = 0;
+        let mut now = SimTime::ZERO;
+        for tick in 1..400 {
+            now = SimTime::new(tick as f64 * 25.0);
+            core.advance(now, &mut out);
+            core.dispatch(now, &mut out);
+            while next < REQUESTS && next as f64 * 0.37 <= now.as_f64() {
+                ingest(core, next, tag(next), &mut out);
+                next += 1;
+            }
+            if next == REQUESTS && core.live() == 0 {
+                break;
+            }
+        }
+        core.shed_remaining(now, &mut out);
+        now
+    }
+
+    #[test]
+    fn late_ticks_conserve_and_keep_time_monotone() {
+        let mut core: ChannelCore<u64, VecSink> = core(VecSink::new());
+        let mut resolved = 0u64;
+        let now = drive_late(&mut core, |i| i, |_| resolved += 1);
+        let books = core.books().clone();
+        assert_eq!(books.total.accepted, REQUESTS);
+        assert!(books.total.conserves() && core.live() == 0, "{books:?}");
+        assert_eq!(resolved, REQUESTS, "exactly one resolution each");
+        assert!(books.total.served() > 0 && books.total.timed_out > 0);
+
+        // The cursor moves the same with the sink off: a disabled sink
+        // must not change what the scheduler sees.
+        let mut bare: ChannelCore<(), NullSink> = self::core(NullSink);
+        drive_late(&mut bare, |_| (), |_| {});
+        assert_eq!(&books, bare.books());
+
+        let (_, sink, end) = core.into_parts(now);
+        let times: Vec<SimTime> = sink.events().iter().map(|e| e.time()).collect();
+        assert!(
+            times.windows(2).all(|w| w[0] <= w[1]),
+            "scheduler/sink time never runs backwards"
+        );
+        assert!(times.last().is_some_and(|&t| t <= end));
+    }
+}

@@ -15,6 +15,9 @@
 //! * [`bandwidth`] — per-class bandwidth partitions with Poisson demands
 //!   and blocking;
 //! * [`hybrid`] — the Fig. 1 dispatch loop tying it all together;
+//! * [`channel`] — the per-channel request state machine around it (live
+//!   requests, waiters, deadlines, uplink deliveries, books), driven by
+//!   the daemon's wall clock and by trace replay's virtual time alike;
 //! * [`sim_driver`] — the event-driven end-to-end simulation;
 //! * [`adaptive`] — the online cutoff controller: hysteresis-banded hill
 //!   climbing on measured windowed cost, with per-class SLO rescue;
@@ -56,6 +59,7 @@
 
 pub mod adaptive;
 pub mod bandwidth;
+pub mod channel;
 pub mod churn;
 pub mod clock;
 pub mod config;

@@ -27,18 +27,16 @@
 //! only `HashMap` (pull waiters) is drained via the scheduler's own
 //! item-keyed batches, never iterated.
 
-use std::collections::{BinaryHeap, HashMap};
-
 use serde::Serialize;
 
+use hybridcast_core::channel::{Books, ChannelCore};
 use hybridcast_core::config::HybridConfig;
-use hybridcast_core::hybrid::{Disposition, HybridScheduler, Transmission};
 use hybridcast_core::metrics::SimReport;
-use hybridcast_core::metrics::TxKind;
 use hybridcast_core::sharded::{ChannelPlan, ShardedScheduler};
 use hybridcast_core::sim_driver::{simulate_with_source, SimParams};
-use hybridcast_core::uplink::{UplinkChannel, UplinkOutcome};
+use hybridcast_core::uplink::UplinkChannel;
 use hybridcast_sim::time::{SimDuration, SimTime};
+use hybridcast_telemetry::NullSink;
 use hybridcast_workload::catalog::ItemId;
 use hybridcast_workload::classes::ClassId;
 use hybridcast_workload::requests::{ReplaySource, Request};
@@ -343,7 +341,7 @@ pub fn replay_daemon(
         grouped[routed.channel as usize].push(routed);
     }
     let mut per_channel = Vec::new();
-    let mut per_class: Vec<ClassAcc> = class_names.iter().map(|_| ClassAcc::default()).collect();
+    let mut total = Books::new(class_names.len());
     for (c, scheduler) in schedulers.into_iter().enumerate() {
         let uplink = hybrid.uplink.map(|cfg| {
             UplinkChannel::new(
@@ -352,413 +350,101 @@ pub fn replay_daemon(
                 class_names.len(),
             )
         });
-        let mut core = MiniCore::new(
-            scheduler,
-            uplink,
-            unit_millis,
-            class_names.len(),
-            scenario.catalog.len(),
-        );
-        core.replay(&grouped[c]);
-        per_channel.push(core.channel_book(c as u32));
-        for (dst, src) in per_class.iter_mut().zip(&core.per_class) {
-            dst.merge(src);
-        }
+        let mut core = ChannelCore::new(scheduler, uplink, class_names.len(), NullSink);
+        replay_channel(&mut core, &grouped[c], unit_millis, scenario.catalog.len());
+        let books = core.books();
+        per_channel.push(ChannelBook {
+            channel: c as u32,
+            accepted: books.total.accepted,
+            served_push: books.total.served_push,
+            served_pull: books.total.served_pull,
+            shed: books.total.shed,
+            timed_out: books.total.timed_out,
+            uplink_lost: books.total.uplink_lost,
+            push_tx: books.push_tx,
+            pull_tx: books.pull_tx,
+            conservation_ok: books.total.conserves() && core.live() == 0,
+        });
+        total += books;
     }
-    let mut books = ReplayBooks {
+    ReplayBooks {
         records: trace.records.len() as u64,
         channels: per_channel.len() as u32,
-        conservation_ok: true,
-        accepted: 0,
-        served_push: 0,
-        served_pull: 0,
-        shed: 0,
-        timed_out: 0,
-        uplink_lost: 0,
+        conservation_ok: total.total.conserves() && per_channel.iter().all(|ch| ch.conservation_ok),
+        accepted: total.total.accepted,
+        served_push: total.total.served_push,
+        served_pull: total.total.served_pull,
+        shed: total.total.shed,
+        timed_out: total.total.timed_out,
+        uplink_lost: total.total.uplink_lost,
         rerouted: stats.rerouted,
         remapped_items: stats.remapped_items,
         remapped_classes: stats.remapped_classes,
         per_channel,
-        per_class: per_class
+        per_class: total
+            .per_class
             .iter()
-            .zip(&class_names)
-            .map(|(a, name)| a.book(name))
+            .zip(class_names)
+            .map(|(class, name)| ClassBook {
+                name,
+                accepted: class.tally.accepted,
+                served_push: class.tally.served_push,
+                served_pull: class.tally.served_pull,
+                shed: class.tally.shed,
+                timed_out: class.tally.timed_out,
+                uplink_lost: class.tally.uplink_lost,
+                wait_mean_units: (class.tally.served() > 0)
+                    .then(|| class.wait_sum / class.tally.served() as f64),
+            })
             .collect(),
-    };
-    for ch in &books.per_channel {
-        books.accepted += ch.accepted;
-        books.served_push += ch.served_push;
-        books.served_pull += ch.served_pull;
-        books.shed += ch.shed;
-        books.timed_out += ch.timed_out;
-        books.uplink_lost += ch.uplink_lost;
-        books.conservation_ok &= ch.conservation_ok;
-    }
-    books.conservation_ok &= books.accepted
-        == books.served_push + books.served_pull + books.shed + books.timed_out + books.uplink_lost;
-    books
-}
-
-#[derive(Default, Clone)]
-struct ClassAcc {
-    accepted: u64,
-    served_push: u64,
-    served_pull: u64,
-    shed: u64,
-    timed_out: u64,
-    uplink_lost: u64,
-    wait_sum: f64,
-}
-
-impl ClassAcc {
-    fn merge(&mut self, other: &ClassAcc) {
-        self.accepted += other.accepted;
-        self.served_push += other.served_push;
-        self.served_pull += other.served_pull;
-        self.shed += other.shed;
-        self.timed_out += other.timed_out;
-        self.uplink_lost += other.uplink_lost;
-        self.wait_sum += other.wait_sum;
-    }
-
-    fn book(&self, name: &str) -> ClassBook {
-        let served = self.served_push + self.served_pull;
-        ClassBook {
-            name: name.to_string(),
-            accepted: self.accepted,
-            served_push: self.served_push,
-            served_pull: self.served_pull,
-            shed: self.shed,
-            timed_out: self.timed_out,
-            uplink_lost: self.uplink_lost,
-            wait_mean_units: (served > 0).then(|| self.wait_sum / served as f64),
-        }
     }
 }
 
-struct LiveReq {
-    item: ItemId,
-    class: ClassId,
-    ingest: SimTime,
-}
-
-struct Inflight {
-    tx: Transmission,
-    batch: Vec<u64>,
-}
-
-/// One channel's virtual-time core: the daemon's `Core` minus sockets,
-/// wall clock, and telemetry.
-struct MiniCore {
-    scheduler: HybridScheduler,
-    uplink: Option<UplinkChannel>,
+/// The virtual-time driver: one channel's records through its
+/// [`ChannelCore`], every due event fired exactly when due. Nobody reads
+/// the resolutions — the books are the output.
+fn replay_channel(
+    core: &mut ChannelCore<(), NullSink>,
+    records: &[TraceRecord],
     unit_millis: f64,
     catalog_len: usize,
-    live: HashMap<u64, LiveReq>,
-    next_id: u64,
-    push_waiters: Vec<(u64, SimTime)>,
-    pull_waiters: HashMap<ItemId, Vec<u64>>,
-    timeouts: BinaryHeap<std::cmp::Reverse<(SimTime, u64)>>,
-    deliveries: BinaryHeap<std::cmp::Reverse<(SimTime, u64)>>,
-    inflight: Option<Inflight>,
-    /// Monotone virtual-time cursor (the daemon's ingest stamps can trail
-    /// already-processed events; the same clamp keeps scheduler time
-    /// non-decreasing here).
-    cursor: SimTime,
-    accepted: u64,
-    shed: u64,
-    timed_out: u64,
-    uplink_lost: u64,
-    served_push: u64,
-    served_pull: u64,
-    push_tx: u64,
-    pull_tx: u64,
-    per_class: Vec<ClassAcc>,
-}
-
-impl MiniCore {
-    fn new(
-        scheduler: HybridScheduler,
-        uplink: Option<UplinkChannel>,
-        unit_millis: f64,
-        num_classes: usize,
-        catalog_len: usize,
-    ) -> MiniCore {
-        MiniCore {
-            scheduler,
-            uplink,
-            unit_millis,
-            catalog_len,
-            live: HashMap::new(),
-            next_id: 0,
-            push_waiters: Vec::new(),
-            pull_waiters: HashMap::new(),
-            timeouts: BinaryHeap::new(),
-            deliveries: BinaryHeap::new(),
-            inflight: None,
-            cursor: SimTime::ZERO,
-            accepted: 0,
-            shed: 0,
-            timed_out: 0,
-            uplink_lost: 0,
-            served_push: 0,
-            served_pull: 0,
-            push_tx: 0,
-            pull_tx: 0,
-            per_class: (0..num_classes).map(|_| ClassAcc::default()).collect(),
-        }
+) {
+    // Fires what is due at `due`, then offers the downlink.
+    fn fire(core: &mut ChannelCore<(), NullSink>, due: SimTime) {
+        core.advance(due, |_| {});
+        core.dispatch(due, |_| {});
     }
-
-    fn replay(&mut self, records: &[crate::trace::TraceRecord]) {
-        for rec in records {
-            let t = SimTime::new(rec.arrival);
-            self.advance_to(t);
-            self.ingest(rec);
-            self.maybe_dispatch(self.cursor);
+    let mut now = SimTime::ZERO;
+    for rec in records {
+        let t = SimTime::new(rec.arrival);
+        while let Some(due) = core.next_due().filter(|&due| due <= t) {
+            fire(core, due);
         }
-        // End of trace: keep the schedule running until every live request
-        // resolves, bounded deterministically (see DRAIN_CYCLES).
-        let mut budget = self.live.len() * 2 + self.catalog_len * DRAIN_CYCLES + 64;
-        while !self.live.is_empty() && budget > 0 {
-            let Some(te) = self.next_event() else { break };
-            self.step(te);
-            self.maybe_dispatch(self.cursor);
-            budget -= 1;
-        }
-        // Whatever is left could never be served under this config: shed
-        // it, exactly like the daemon's drain-budget expiry.
-        let leftovers: Vec<u64> = {
-            let mut ids: Vec<u64> = self.live.keys().copied().collect();
-            ids.sort_unstable();
-            ids
-        };
-        for id in leftovers {
-            if let Some(req) = self.live.remove(&id) {
-                self.shed += 1;
-                self.per_class[req.class.index()].shed += 1;
-            }
-        }
-        self.push_waiters.clear();
-        self.pull_waiters.clear();
-    }
-
-    fn tick(&mut self, t: SimTime) -> SimTime {
-        if t > self.cursor {
-            self.cursor = t;
-        }
-        self.cursor
-    }
-
-    fn next_event(&self) -> Option<SimTime> {
-        let mut next: Option<SimTime> = self.inflight.as_ref().map(|i| i.tx.completes_at());
-        if let Some(std::cmp::Reverse((due, _))) = self.timeouts.peek() {
-            next = Some(next.map_or(*due, |w| w.min(*due)));
-        }
-        if let Some(std::cmp::Reverse((due, _))) = self.deliveries.peek() {
-            next = Some(next.map_or(*due, |w| w.min(*due)));
-        }
-        next
-    }
-
-    fn advance_to(&mut self, t: SimTime) {
-        while let Some(te) = self.next_event() {
-            if te > t {
-                break;
-            }
-            self.step(te);
-            self.maybe_dispatch(self.cursor);
-        }
-    }
-
-    /// Fires everything due at `te` in the daemon's per-tick order:
-    /// deliveries, timeouts, completion.
-    fn step(&mut self, te: SimTime) {
-        self.tick(te);
-        self.fire_deliveries(te);
-        self.fire_timeouts(te);
-        self.maybe_complete(te);
-    }
-
-    fn ingest(&mut self, rec: &crate::trace::TraceRecord) {
-        self.accepted += 1;
-        self.per_class[rec.class as usize].accepted += 1;
-        let ingest = SimTime::new(rec.arrival);
-        let id = self.next_id;
-        self.next_id += 1;
-        if rec.deadline_ms > 0 {
-            let due = ingest + SimDuration::new(rec.deadline_ms as f64 / self.unit_millis);
-            self.timeouts.push(std::cmp::Reverse((due, id)));
-        }
-        self.live.insert(
-            id,
-            LiveReq {
-                item: ItemId(rec.item),
-                class: ClassId(rec.class),
-                ingest,
-            },
+        let deadline = (rec.deadline_ms > 0)
+            .then(|| t + SimDuration::new(rec.deadline_ms as f64 / unit_millis));
+        core.ingest(
+            (),
+            ItemId(rec.item),
+            ClassId(rec.class),
+            t,
+            deadline,
+            |_| {},
         );
-        match &mut self.uplink {
-            Some(up) => match up.transmit(ClassId(rec.class)) {
-                UplinkOutcome::Lost => {
-                    let req = self.live.remove(&id).expect("just inserted");
-                    self.uplink_lost += 1;
-                    self.per_class[req.class.index()].uplink_lost += 1;
-                }
-                UplinkOutcome::Delivered(latency) => {
-                    self.deliveries
-                        .push(std::cmp::Reverse((ingest + latency, id)));
-                }
-            },
-            None => self.route(id, ingest),
-        }
+        core.dispatch(t, |_| {});
+        now = now.max(t);
     }
-
-    fn route(&mut self, id: u64, arrival: SimTime) {
-        let arrival = self.tick(arrival);
-        let req = &self.live[&id];
-        let (item, class) = (req.item, req.class);
-        match self.scheduler.on_request(&Request {
-            arrival,
-            item,
-            class,
-        }) {
-            Disposition::PushIgnored => self.push_waiters.push((id, arrival)),
-            Disposition::Queued => self.pull_waiters.entry(item).or_default().push(id),
-        }
+    // End of trace: keep the schedule running until every live request
+    // resolves, bounded deterministically (see DRAIN_CYCLES); what is left
+    // could never be served under this config and is shed, exactly like
+    // the daemon's drain-budget expiry.
+    let mut budget = core.live() * 2 + catalog_len * DRAIN_CYCLES + 64;
+    while core.live() > 0 && budget > 0 {
+        let Some(due) = core.next_due() else { break };
+        fire(core, due);
+        now = now.max(due);
+        budget -= 1;
     }
-
-    fn fire_deliveries(&mut self, now: SimTime) {
-        while let Some(std::cmp::Reverse((due, id))) = self.deliveries.peek().copied() {
-            if due > now {
-                break;
-            }
-            self.deliveries.pop();
-            if !self.live.contains_key(&id) {
-                continue; // timed out while on the uplink
-            }
-            self.route(id, due);
-        }
-    }
-
-    fn fire_timeouts(&mut self, now: SimTime) {
-        while let Some(std::cmp::Reverse((due, id))) = self.timeouts.peek().copied() {
-            if due > now {
-                break;
-            }
-            self.timeouts.pop();
-            let Some(req) = self.live.remove(&id) else {
-                continue;
-            };
-            self.timed_out += 1;
-            self.per_class[req.class.index()].timed_out += 1;
-        }
-    }
-
-    fn maybe_dispatch(&mut self, now: SimTime) {
-        if self.inflight.is_some() {
-            return;
-        }
-        let demand = !self.scheduler.queue().is_empty() || !self.push_waiters.is_empty();
-        if !demand {
-            return;
-        }
-        let (tx, dropped) = self.scheduler.next_transmission(now);
-        for entry in dropped {
-            let ids = self.pull_waiters.remove(&entry.item).unwrap_or_default();
-            for id in ids {
-                if let Some(req) = self.live.remove(&id) {
-                    self.shed += 1;
-                    self.per_class[req.class.index()].shed += 1;
-                }
-            }
-            self.scheduler.recycle(entry);
-        }
-        if let Some(tx) = tx {
-            let batch = if tx.kind == TxKind::Pull {
-                self.pull_waiters.remove(&tx.item).unwrap_or_default()
-            } else {
-                Vec::new()
-            };
-            self.inflight = Some(Inflight { tx, batch });
-        }
-    }
-
-    fn maybe_complete(&mut self, now: SimTime) {
-        let done = match &self.inflight {
-            Some(inf) => now.reached(inf.tx.completes_at()),
-            None => return,
-        };
-        if !done {
-            return;
-        }
-        let inf = self.inflight.take().expect("checked above");
-        let at = inf.tx.completes_at();
-        let (item, kind, start) = (inf.tx.item, inf.tx.kind, inf.tx.start);
-        let entry = self.scheduler.complete_transmission(inf.tx);
-        match kind {
-            TxKind::Push => {
-                self.push_tx += 1;
-                let waiters = std::mem::take(&mut self.push_waiters);
-                for (id, arrival) in waiters {
-                    let satisfied = match self.live.get(&id) {
-                        Some(req) => req.item == item && arrival <= start,
-                        None => continue,
-                    };
-                    if satisfied {
-                        self.serve_one(id, at, TxKind::Push);
-                    } else {
-                        self.push_waiters.push((id, arrival));
-                    }
-                }
-            }
-            TxKind::Pull => {
-                self.pull_tx += 1;
-                let entry = entry.expect("pull transmissions carry their batch");
-                for id in inf.batch {
-                    if self.live.contains_key(&id) {
-                        self.serve_one(id, at, TxKind::Pull);
-                    }
-                }
-                self.scheduler.recycle(entry);
-            }
-        }
-    }
-
-    fn serve_one(&mut self, id: u64, at: SimTime, kind: TxKind) {
-        let Some(req) = self.live.remove(&id) else {
-            return;
-        };
-        let wait = at.since(req.ingest).as_f64();
-        let acc = &mut self.per_class[req.class.index()];
-        match kind {
-            TxKind::Push => {
-                self.served_push += 1;
-                acc.served_push += 1;
-            }
-            TxKind::Pull => {
-                self.served_pull += 1;
-                acc.served_pull += 1;
-            }
-        }
-        acc.wait_sum += wait;
-    }
-
-    fn channel_book(&self, channel: u32) -> ChannelBook {
-        let answered =
-            self.served_push + self.served_pull + self.shed + self.timed_out + self.uplink_lost;
-        ChannelBook {
-            channel,
-            accepted: self.accepted,
-            served_push: self.served_push,
-            served_pull: self.served_pull,
-            shed: self.shed,
-            timed_out: self.timed_out,
-            uplink_lost: self.uplink_lost,
-            push_tx: self.push_tx,
-            pull_tx: self.pull_tx,
-            conservation_ok: answered == self.accepted && self.live.is_empty(),
-        }
-    }
+    core.shed_remaining(now, |_| {});
 }
 
 #[cfg(test)]

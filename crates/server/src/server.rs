@@ -44,7 +44,6 @@
 //! The stale requester is skipped at completion — it already got its
 //! `TimedOut` reply — costing only that item's airtime.
 
-use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,30 +54,23 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
+use hybridcast_core::channel::{Books, ChannelCore, Outcome, Resolution};
 use hybridcast_core::clock::{Clock, WallClock};
-use hybridcast_core::hybrid::{Disposition, HybridScheduler, Transmission};
-use hybridcast_core::metrics::TxKind;
-use hybridcast_core::queue::PendingItem;
+use hybridcast_core::hybrid::HybridScheduler;
 use hybridcast_core::shard::{ring as shard_ring, Doorbell, ShardConsumer, ShardSet};
 use hybridcast_core::sharded::ShardedScheduler;
-use hybridcast_core::uplink::{UplinkChannel, UplinkOutcome};
+use hybridcast_core::uplink::UplinkChannel;
 use hybridcast_ops::trace::VERSION as TRACE_VERSION;
 use hybridcast_ops::{
     config_hash, hex64, plan_digest, ChannelSnapshot, OpsHub, OpsServer, TraceBuffer, TraceMeta,
     TraceRecord, TraceSink,
 };
-use hybridcast_sim::stats::{SummaryStats, Welford};
-use hybridcast_sim::time::{SimDuration, SimTime};
-use hybridcast_telemetry::{
-    ServiceKind, Sink, TelemetryConfig, TelemetryEvent, WindowRecorder, WindowStats,
-};
-use hybridcast_workload::catalog::ItemId;
-use hybridcast_workload::classes::ClassId;
+use hybridcast_sim::stats::SummaryStats;
+use hybridcast_sim::time::SimDuration;
+use hybridcast_telemetry::{TelemetryConfig, WindowRecorder, WindowStats};
 
 use crate::config::ServeConfig;
-use crate::event_loop::{
-    run_loop, shed_reply, Bounds, Conn, Ingress, Ledger, LoopCtx, LoopShared, Notice,
-};
+use crate::event_loop::{run_loop, Bounds, Conn, Ingress, Ledger, LoopCtx, LoopShared, Notice};
 use crate::frame::{ReplyFrame, ReplyStatus};
 
 /// The uplink channel's RNG stream id — the same lane the simulator uses
@@ -511,86 +503,53 @@ fn finish(
     out: Option<SharedOut>,
     class_names: &[String],
 ) -> io::Result<ServeSummary> {
-    let mut per_class: Vec<PerClass> = class_names
-        .iter()
-        .map(|_| PerClass {
-            accepted: 0,
-            served_push: 0,
-            served_pull: 0,
-            shed: 0,
-            timed_out: 0,
-            uplink_lost: 0,
-            wait: Welford::new(),
-        })
-        .collect();
+    let mut total = Books::new(class_names.len());
     let mut per_channel = Vec::with_capacity(sealed.len());
-    let mut all_ok = true;
-    let (mut accepted, mut served_push, mut served_pull) = (0u64, 0u64, 0u64);
-    let (mut shed, mut timed_out, mut uplink_lost) = (0u64, 0u64, 0u64);
-    let (mut push_tx, mut pull_tx) = (0u64, 0u64);
     for s in &sealed {
-        let c = &s.counters;
-        let answered = c.served_push + c.served_pull + c.shed + c.timed_out + c.uplink_lost;
-        let ok = answered == c.accepted && s.live_empty;
-        all_ok &= ok;
+        let t = &s.books.total;
         per_channel.push(ChannelCounters {
             channel: s.channel,
-            accepted: c.accepted,
-            served_push: c.served_push,
-            served_pull: c.served_pull,
-            shed: c.shed,
-            timed_out: c.timed_out,
-            uplink_lost: c.uplink_lost,
-            push_tx: c.push_tx,
-            pull_tx: c.pull_tx,
-            conservation_ok: ok,
+            accepted: t.accepted,
+            served_push: t.served_push,
+            served_pull: t.served_pull,
+            shed: t.shed,
+            timed_out: t.timed_out,
+            uplink_lost: t.uplink_lost,
+            push_tx: s.books.push_tx,
+            pull_tx: s.books.pull_tx,
+            conservation_ok: t.conserves() && s.live_empty,
         });
-        accepted += c.accepted;
-        served_push += c.served_push;
-        served_pull += c.served_pull;
-        shed += c.shed;
-        timed_out += c.timed_out;
-        uplink_lost += c.uplink_lost;
-        push_tx += c.push_tx;
-        pull_tx += c.pull_tx;
-        for (dst, src) in per_class.iter_mut().zip(&s.per_class) {
-            dst.accepted += src.accepted;
-            dst.served_push += src.served_push;
-            dst.served_pull += src.served_pull;
-            dst.shed += src.shed;
-            dst.timed_out += src.timed_out;
-            dst.uplink_lost += src.uplink_lost;
-            dst.wait.merge(&src.wait);
-        }
+        total += &s.books;
     }
     let summary = ServeSummary {
-        accepted,
-        served_push,
-        served_pull,
-        shed,
-        timed_out,
-        uplink_lost,
-        push_tx,
-        pull_tx,
+        accepted: total.total.accepted,
+        served_push: total.total.served_push,
+        served_pull: total.total.served_pull,
+        shed: total.total.shed,
+        timed_out: total.total.timed_out,
+        uplink_lost: total.total.uplink_lost,
+        push_tx: total.push_tx,
+        pull_tx: total.pull_tx,
         accept_errors: ledger.accept_errors.load(Ordering::Relaxed),
         stalled_conns: ledger.stalled_conns.load(Ordering::Relaxed),
         backlog_mismatches: ledger.backlog_mismatches.load(Ordering::Relaxed),
         wall_seconds: elapsed.as_secs_f64(),
-        conservation_ok: all_ok,
+        conservation_ok: per_channel.iter().all(|ch| ch.conservation_ok),
         channels: sealed.len() as u32,
         per_channel,
-        per_class: per_class
+        per_class: total
+            .per_class
             .iter()
             .zip(class_names)
-            .map(|(p, name)| ClassCounters {
+            .map(|(class, name)| ClassCounters {
                 name: name.clone(),
-                accepted: p.accepted,
-                served_push: p.served_push,
-                served_pull: p.served_pull,
-                shed: p.shed,
-                timed_out: p.timed_out,
-                uplink_lost: p.uplink_lost,
-                wait_units: p.wait.summary(),
+                accepted: class.tally.accepted,
+                served_push: class.tally.served_push,
+                served_pull: class.tally.served_pull,
+                shed: class.tally.shed,
+                timed_out: class.tally.timed_out,
+                uplink_lost: class.tally.uplink_lost,
+                wait_units: class.wait.summary(),
             })
             .collect(),
     };
@@ -610,43 +569,6 @@ fn finish(
 // Scheduler core
 // ---------------------------------------------------------------------------
 
-/// A request the scheduler still owes a reply.
-struct LiveReq {
-    seq: u64,
-    item: ItemId,
-    class: ClassId,
-    ingest: SimTime,
-    conn: Conn,
-}
-
-struct Inflight {
-    tx: Transmission,
-    /// Pull: the waiter ids snapshotted at dispatch (the same batch the
-    /// scheduler removed from its queue). Push: empty.
-    batch: Vec<u64>,
-}
-
-struct Counters {
-    accepted: u64,
-    shed: u64,
-    timed_out: u64,
-    uplink_lost: u64,
-    served_push: u64,
-    served_pull: u64,
-    push_tx: u64,
-    pull_tx: u64,
-}
-
-struct PerClass {
-    accepted: u64,
-    served_push: u64,
-    served_pull: u64,
-    shed: u64,
-    timed_out: u64,
-    uplink_lost: u64,
-    wait: Welford,
-}
-
 /// The shared JSONL telemetry writer (one file, all channel cores).
 type SharedOut = Arc<Mutex<BufWriter<std::fs::File>>>;
 
@@ -654,44 +576,25 @@ type SharedOut = Arc<Mutex<BufWriter<std::fs::File>>>;
 /// for the global merge.
 struct SealedCore {
     channel: u32,
-    counters: Counters,
-    per_class: Vec<PerClass>,
+    books: Books,
     live_empty: bool,
 }
 
+/// The wall-clock driver of one channel's [`ChannelCore`]: it owns what is
+/// the daemon's alone — the clock, front-end notices, default-deadline
+/// resolution, trace recording, JSONL/hub publishing — and turns each
+/// [`Resolution`] into a [`ReplyFrame`] on the request's connection.
 struct Core {
     /// This core's broadcast-channel index.
     channel: u32,
-    scheduler: HybridScheduler,
-    uplink: Option<UplinkChannel>,
+    /// The request state machine; a request's tag is its `(seq, conn)`
+    /// reply address.
+    core: ChannelCore<(u64, Conn), WindowRecorder>,
     clock: WallClock,
     unit_millis: f64,
     default_deadline_ms: u32,
     /// Front-end shed notices; only channel 0's core holds the receiver.
     notices: Option<Receiver<Notice>>,
-
-    live: HashMap<u64, LiveReq>,
-    next_id: u64,
-    /// `(id, scheduler_arrival)` of requests waiting for a push-set item.
-    push_waiters: Vec<(u64, SimTime)>,
-    /// Pull waiters per item; drained wholesale at dispatch (the snapshot
-    /// matches the batch the scheduler removed).
-    pull_waiters: HashMap<ItemId, Vec<u64>>,
-    /// Deadline heap: earliest due first.
-    timeouts: BinaryHeap<std::cmp::Reverse<(SimTime, u64)>>,
-    /// Uplink-delivery heap: requests in flight on the back channel.
-    deliveries: BinaryHeap<std::cmp::Reverse<(SimTime, u64)>>,
-    inflight: Option<Inflight>,
-
-    /// Monotone high-water mark for recorder timestamps. Ingest times are
-    /// stamped on loop threads and deadline/delivery events fire at
-    /// their (already past) due times, so raw timestamps can trail events
-    /// the recorder has already seen by a few milliseconds. Time-weighted
-    /// gauges require non-decreasing time, so every recorded event is
-    /// clamped up through this cursor; wait/latency figures still use the
-    /// raw stamps.
-    cursor: SimTime,
-    recorder: WindowRecorder,
     out: Option<SharedOut>,
     /// Live-stats hub (when the ops endpoint is enabled).
     hub: Option<Arc<OpsHub>>,
@@ -702,38 +605,26 @@ struct Core {
     last_window: Option<WindowStats>,
     /// Accepted-request trace recorder (when trace recording is enabled).
     trace: Option<TraceBuffer>,
-    counters: Counters,
-    per_class: Vec<PerClass>,
 }
 
-/// Builds and publishes one core's [`ChannelSnapshot`] (free function so
-/// `seal` can call it after the recorder has been consumed).
-fn publish_snapshot(
-    hub: &OpsHub,
-    channel: u32,
-    counters: &Counters,
-    live: usize,
-    scheduler: &HybridScheduler,
-    last_window: &Option<WindowStats>,
-) {
-    hub.publish(
-        channel,
-        ChannelSnapshot {
-            accepted: counters.accepted,
-            served_push: counters.served_push,
-            served_pull: counters.served_pull,
-            shed: counters.shed,
-            timed_out: counters.timed_out,
-            uplink_lost: counters.uplink_lost,
-            push_tx: counters.push_tx,
-            pull_tx: counters.pull_tx,
-            live: live as u64,
-            queue_items: scheduler.queue().len() as u32,
-            queue_requests: scheduler.queue().total_requests() as u32,
-            cutoff_k: scheduler.cutoff() as u32,
-            last_window: last_window.clone(),
-        },
-    );
+/// The outbox: encodes one resolution as the reply frame on its
+/// connection (`wait` arrives in broadcast units).
+fn reply(unit_millis: f64) -> impl FnMut(Resolution<(u64, Conn)>) {
+    move |r| {
+        let (seq, conn) = r.tag;
+        conn.send(&ReplyFrame {
+            seq,
+            status: match r.outcome {
+                Outcome::ServedPush => ReplyStatus::ServedPush,
+                Outcome::ServedPull => ReplyStatus::ServedPull,
+                Outcome::Shed => ReplyStatus::Shed,
+                Outcome::TimedOut => ReplyStatus::TimedOut,
+                Outcome::UplinkLost => ReplyStatus::UplinkLost,
+            },
+            item: r.item.0,
+            wait_ms: r.wait * unit_millis,
+        });
+    }
 }
 
 /// One JSONL line tagging a serializable payload with its kind and the
@@ -786,47 +677,16 @@ impl Core {
         });
         Core {
             channel,
-            scheduler,
-            uplink,
+            core: ChannelCore::new(scheduler, uplink, num_classes, recorder),
             clock,
             unit_millis: config.serve.unit_millis,
             default_deadline_ms: config.serve.default_deadline_ms,
             notices: None,
-            live: HashMap::new(),
-            next_id: 0,
-            push_waiters: Vec::new(),
-            pull_waiters: HashMap::new(),
-            timeouts: BinaryHeap::new(),
-            deliveries: BinaryHeap::new(),
-            inflight: None,
-            cursor: SimTime::ZERO,
-            recorder,
             out,
             hub,
             last_pub: Instant::now(),
             last_window: None,
             trace,
-            counters: Counters {
-                accepted: 0,
-                shed: 0,
-                timed_out: 0,
-                uplink_lost: 0,
-                served_push: 0,
-                served_pull: 0,
-                push_tx: 0,
-                pull_tx: 0,
-            },
-            per_class: (0..num_classes)
-                .map(|_| PerClass {
-                    accepted: 0,
-                    served_push: 0,
-                    served_pull: 0,
-                    shed: 0,
-                    timed_out: 0,
-                    uplink_lost: 0,
-                    wait: Welford::new(),
-                })
-                .collect(),
         }
     }
 
@@ -841,19 +701,17 @@ impl Core {
         loops: &[Arc<LoopShared>],
         stop: &AtomicBool,
     ) {
+        let mut reply = reply(self.unit_millis);
         loop {
             self.drain_notices();
-            let now = self.clock.now();
-            self.fire_deliveries(now);
-            self.fire_timeouts(now);
-            self.maybe_complete(now);
+            self.core.advance(self.clock.now(), &mut reply);
             if stop.load(Ordering::SeqCst) {
                 for l in loops {
                     l.kick();
                 }
                 return;
             }
-            self.maybe_dispatch(self.clock.now());
+            self.core.dispatch(self.clock.now(), &mut reply);
             self.stream_windows();
 
             let drained = shards.drain(DRAIN_BUDGET, |ing| self.ingest(ing));
@@ -862,7 +720,8 @@ impl Core {
             }
             if drained == 0 {
                 let wait = self
-                    .next_wake()
+                    .core
+                    .next_due()
                     .map(|t| self.clock.wall_until(t))
                     .unwrap_or(POLL)
                     .min(POLL);
@@ -881,23 +740,22 @@ impl Core {
         loops: &[Arc<LoopShared>],
         budget: Duration,
     ) {
+        let mut reply = reply(self.unit_millis);
         let deadline = Instant::now() + budget;
         loop {
             shards.drain(usize::MAX, |ing| self.ingest(ing));
             self.drain_notices();
-            let now = self.clock.now();
-            self.fire_deliveries(now);
-            self.fire_timeouts(now);
-            self.maybe_complete(now);
+            self.core.advance(self.clock.now(), &mut reply);
             for l in loops {
                 l.kick();
             }
-            if self.live.is_empty() || Instant::now() >= deadline {
+            if self.core.live() == 0 || Instant::now() >= deadline {
                 break;
             }
-            self.maybe_dispatch(self.clock.now());
+            self.core.dispatch(self.clock.now(), &mut reply);
             let wait = self
-                .next_wake()
+                .core
+                .next_due()
                 .map(|t| self.clock.wall_until(t))
                 .unwrap_or(Duration::from_millis(1))
                 .min(Duration::from_millis(5))
@@ -910,16 +768,7 @@ impl Core {
         shards.drain(usize::MAX, |ing| self.ingest(ing));
         self.drain_notices();
         // Out of budget (or nothing left): shed the remainder.
-        let now = self.clock.now();
-        let leftovers: Vec<u64> = self.live.keys().copied().collect();
-        for id in leftovers {
-            if let Some(req) = self.live.remove(&id) {
-                self.record_shed_events(now, req.item, req.class);
-                self.reply_shed_now(req.seq, req.item, req.class, req.ingest, req.conn);
-            }
-        }
-        self.push_waiters.clear();
-        self.pull_waiters.clear();
+        self.core.shed_remaining(self.clock.now(), &mut reply);
         for l in loops {
             l.kick();
         }
@@ -929,73 +778,42 @@ impl Core {
     /// the shared writer) and hands back its books for the global merge.
     fn seal(mut self) -> SealedCore {
         self.stream_windows();
-        let end = self.tick(self.clock.now());
-        let channel = self.channel;
-        let tail = self.recorder.finish(end);
+        let mut snapshot = self.snapshot();
+        let live_empty = self.core.live() == 0;
+        let (books, recorder, end) = self.core.into_parts(self.clock.now());
+        let tail = recorder.finish(end);
         if let Some(out) = &self.out {
             let mut w = out.lock().expect("jsonl writer lock");
             for stats in &tail.windows {
-                let _ = writeln!(w, "{}", jsonl_line("window", channel, "stats", stats));
+                let _ = writeln!(w, "{}", jsonl_line("window", self.channel, "stats", stats));
             }
         }
         // Final hub refresh (with the closed partial tail window) and
-        // trace-buffer flush before the books are handed back. (The
-        // recorder was consumed above, so the snapshot is published via
-        // field borrows, not `self.publish`.)
-        if let Some(last) = tail.windows.last() {
-            self.last_window = Some(last.clone());
-        }
+        // trace-buffer flush before the books are handed back.
         if let Some(hub) = &self.hub {
-            publish_snapshot(
-                hub,
-                self.channel,
-                &self.counters,
-                self.live.len(),
-                &self.scheduler,
-                &self.last_window,
-            );
+            if let Some(last) = tail.windows.last() {
+                snapshot.last_window = Some(last.clone());
+            }
+            hub.publish(self.channel, snapshot);
         }
         if let Some(trace) = &mut self.trace {
             trace.finish();
         }
         SealedCore {
-            channel,
-            counters: self.counters,
-            per_class: self.per_class,
-            live_empty: self.live.is_empty(),
+            channel: self.channel,
+            books,
+            live_empty,
         }
     }
 
-    // -- ingest & routing ---------------------------------------------------
-
-    /// Advances the event cursor and returns the clamped timestamp.
-    fn tick(&mut self, t: SimTime) -> SimTime {
-        if t > self.cursor {
-            self.cursor = t;
-        }
-        self.cursor
-    }
-
+    /// Resolves the effective deadline, records the request, and hands it
+    /// to the channel core.
     fn ingest(&mut self, ing: Ingress) {
-        self.counters.accepted += 1;
-        self.per_class[ing.class.index()].accepted += 1;
-        let time = self.tick(ing.ingest);
-        self.recorder.record(&TelemetryEvent::RequestArrival {
-            time,
-            item: ing.item,
-            class: ing.class,
-        });
-        let id = self.next_id;
-        self.next_id += 1;
         let deadline_ms = if ing.deadline_ms > 0 {
             ing.deadline_ms
         } else {
             self.default_deadline_ms
         };
-        if deadline_ms > 0 {
-            let due = ing.ingest + SimDuration::new(deadline_ms as f64 / self.unit_millis);
-            self.timeouts.push(std::cmp::Reverse((due, id)));
-        }
         // Record the scheduler-ingested stream (raw stamp, effective
         // deadline) — front-end sheds never reach a core and are not
         // traced; replay reproduces the scheduler's books, not the
@@ -1009,313 +827,33 @@ impl Core {
                 deadline_ms,
             });
         }
-        self.live.insert(
-            id,
-            LiveReq {
-                seq: ing.seq,
-                item: ing.item,
-                class: ing.class,
-                ingest: ing.ingest,
-                conn: ing.conn,
-            },
+        let deadline = (deadline_ms > 0)
+            .then(|| ing.ingest + SimDuration::new(deadline_ms as f64 / self.unit_millis));
+        self.core.ingest(
+            (ing.seq, ing.conn),
+            ing.item,
+            ing.class,
+            ing.ingest,
+            deadline,
+            reply(self.unit_millis),
         );
-        match &mut self.uplink {
-            Some(up) => match up.transmit(ing.class) {
-                UplinkOutcome::Lost => {
-                    let req = self.live.remove(&id).expect("just inserted");
-                    let time = self.tick(req.ingest);
-                    self.recorder.record(&TelemetryEvent::UplinkLoss {
-                        time,
-                        item: req.item,
-                        class: req.class,
-                    });
-                    self.counters.uplink_lost += 1;
-                    self.per_class[req.class.index()].uplink_lost += 1;
-                    req.conn.send(&ReplyFrame {
-                        seq: req.seq,
-                        status: ReplyStatus::UplinkLost,
-                        item: req.item.0,
-                        wait_ms: 0.0,
-                    });
-                }
-                UplinkOutcome::Delivered(latency) => {
-                    self.deliveries
-                        .push(std::cmp::Reverse((ing.ingest + latency, id)));
-                }
-            },
-            None => self.route(id, ing.ingest),
-        }
-    }
-
-    /// Hands a live request to the scheduler at `arrival` and files it
-    /// under the channel that will serve it. The scheduler (like the
-    /// recorder) requires non-decreasing times, so the arrival it sees is
-    /// clamped through the event cursor; the raw ingest stamp in
-    /// [`LiveReq`] still prices the reply's `wait_ms`.
-    fn route(&mut self, id: u64, arrival: SimTime) {
-        let arrival = self.tick(arrival);
-        let req = &self.live[&id];
-        let (item, class) = (req.item, req.class);
-        let disposition = self
-            .scheduler
-            .on_request(&hybridcast_workload::requests::Request {
-                arrival,
-                item,
-                class,
-            });
-        match disposition {
-            Disposition::PushIgnored => self.push_waiters.push((id, arrival)),
-            Disposition::Queued => {
-                self.pull_waiters.entry(item).or_default().push(id);
-                self.gauge(arrival);
-            }
-        }
-    }
-
-    fn gauge(&mut self, now: SimTime) {
-        let time = self.tick(now);
-        self.recorder.record(&TelemetryEvent::QueueGauge {
-            time,
-            items: self.scheduler.queue().len() as u32,
-            requests: self.scheduler.queue().total_requests() as u32,
-        });
-    }
-
-    // -- heaps --------------------------------------------------------------
-
-    fn fire_deliveries(&mut self, now: SimTime) {
-        while let Some(std::cmp::Reverse((due, id))) = self.deliveries.peek().copied() {
-            if due > now {
-                break;
-            }
-            self.deliveries.pop();
-            if !self.live.contains_key(&id) {
-                continue; // timed out while on the uplink
-            }
-            let (item, class, ingest) = {
-                let req = &self.live[&id];
-                (req.item, req.class, req.ingest)
-            };
-            let time = self.tick(due);
-            self.recorder.record(&TelemetryEvent::UplinkDelivered {
-                time,
-                item,
-                class,
-                latency: due - ingest,
-            });
-            self.route(id, due);
-        }
-    }
-
-    fn fire_timeouts(&mut self, now: SimTime) {
-        while let Some(std::cmp::Reverse((due, id))) = self.timeouts.peek().copied() {
-            if due > now {
-                break;
-            }
-            self.timeouts.pop();
-            let Some(req) = self.live.remove(&id) else {
-                continue; // already answered
-            };
-            self.counters.timed_out += 1;
-            self.per_class[req.class.index()].timed_out += 1;
-            req.conn.send(&ReplyFrame {
-                seq: req.seq,
-                status: ReplyStatus::TimedOut,
-                item: req.item.0,
-                wait_ms: due.since(req.ingest).as_f64() * self.unit_millis,
-            });
-            // The aggregated queue entry (if any) stays; its eventual
-            // transmission skips this id — see the module docs.
-        }
-    }
-
-    // -- dispatch & completion ---------------------------------------------
-
-    fn maybe_dispatch(&mut self, now: SimTime) {
-        if self.inflight.is_some() {
-            return;
-        }
-        let demand = !self.scheduler.queue().is_empty() || !self.push_waiters.is_empty();
-        if !demand {
-            return;
-        }
-        let (tx, dropped) = self.scheduler.next_transmission(now);
-        for entry in dropped {
-            self.shed_entry(entry, now);
-        }
-        if let Some(tx) = tx {
-            let batch = if tx.kind == TxKind::Pull {
-                self.pull_waiters.remove(&tx.item).unwrap_or_default()
-            } else {
-                Vec::new()
-            };
-            self.gauge(now);
-            self.inflight = Some(Inflight { tx, batch });
-        }
-    }
-
-    fn maybe_complete(&mut self, now: SimTime) {
-        let done = match &self.inflight {
-            Some(inf) => now.reached(inf.tx.completes_at()),
-            None => return,
-        };
-        if !done {
-            return;
-        }
-        let inf = self.inflight.take().expect("checked above");
-        let at = inf.tx.completes_at();
-        let (item, kind, start, duration) =
-            (inf.tx.item, inf.tx.kind, inf.tx.start, inf.tx.duration);
-        let entry = self.scheduler.complete_transmission(inf.tx);
-        match kind {
-            TxKind::Push => {
-                self.counters.push_tx += 1;
-                let time = self.tick(at);
-                self.recorder.record(&TelemetryEvent::PushTx {
-                    time,
-                    item,
-                    duration,
-                });
-                // Waiters who tuned in before this slot started are done;
-                // later ones catch the item's next broadcast.
-                let waiters = std::mem::take(&mut self.push_waiters);
-                for (id, arrival) in waiters {
-                    let satisfied = match self.live.get(&id) {
-                        Some(req) => req.item == item && arrival <= start,
-                        None => continue, // timed out / shed
-                    };
-                    if satisfied {
-                        self.serve_one(id, at, ServiceKind::Push);
-                    } else {
-                        self.push_waiters.push((id, arrival));
-                    }
-                }
-            }
-            TxKind::Pull => {
-                self.counters.pull_tx += 1;
-                let entry = entry.expect("pull transmissions carry their batch");
-                let time = self.tick(at);
-                self.recorder.record(&TelemetryEvent::PullTx {
-                    time,
-                    item,
-                    duration,
-                    requests: entry.count() as u32,
-                    class: entry.dominant_class().unwrap_or(ClassId(0)),
-                });
-                for id in inf.batch {
-                    if self.live.contains_key(&id) {
-                        self.serve_one(id, at, ServiceKind::Pull);
-                    }
-                }
-                self.scheduler.recycle(entry);
-                self.gauge(at);
-            }
-        }
-    }
-
-    fn serve_one(&mut self, id: u64, at: SimTime, kind: ServiceKind) {
-        let Some(req) = self.live.remove(&id) else {
-            return;
-        };
-        let wait_units = at.since(req.ingest).as_f64();
-        let status = match kind {
-            ServiceKind::Push => {
-                self.counters.served_push += 1;
-                self.per_class[req.class.index()].served_push += 1;
-                ReplyStatus::ServedPush
-            }
-            ServiceKind::Pull => {
-                self.counters.served_pull += 1;
-                self.per_class[req.class.index()].served_pull += 1;
-                ReplyStatus::ServedPull
-            }
-        };
-        self.per_class[req.class.index()].wait.push(wait_units);
-        let time = self.tick(at);
-        self.recorder.record(&TelemetryEvent::RequestServed {
-            time,
-            item: req.item,
-            class: req.class,
-            kind,
-            arrival: req.ingest,
-        });
-        req.conn.send(&ReplyFrame {
-            seq: req.seq,
-            status,
-            item: req.item.0,
-            wait_ms: wait_units * self.unit_millis,
-        });
-    }
-
-    /// Sheds an admission-dropped queue entry: every waiter of that item
-    /// gets an explicit `Shed` reply.
-    fn shed_entry(&mut self, entry: PendingItem, now: SimTime) {
-        let ids = self.pull_waiters.remove(&entry.item).unwrap_or_default();
-        for id in ids {
-            if let Some(req) = self.live.remove(&id) {
-                let time = self.tick(now);
-                self.recorder.record(&TelemetryEvent::RequestBlocked {
-                    time,
-                    item: req.item,
-                    class: req.class,
-                });
-                self.reply_shed_now(req.seq, req.item, req.class, req.ingest, req.conn);
-            }
-        }
-        self.scheduler.recycle(entry);
-    }
-
-    fn reply_shed_now(
-        &mut self,
-        seq: u64,
-        item: ItemId,
-        class: ClassId,
-        ingest: SimTime,
-        conn: Conn,
-    ) {
-        self.counters.shed += 1;
-        self.per_class[class.index()].shed += 1;
-        let wait_ms = self.clock.now().since(ingest).as_f64().max(0.0) * self.unit_millis;
-        conn.send(&shed_reply(seq, item.0, wait_ms));
-    }
-
-    /// Records arrival+blocked telemetry for a request answered outside
-    /// the normal serve path (drain stragglers, leftovers).
-    fn record_shed_events(&mut self, time: SimTime, item: ItemId, class: ClassId) {
-        let time = self.tick(time);
-        self.recorder
-            .record(&TelemetryEvent::RequestArrival { time, item, class });
-        self.recorder
-            .record(&TelemetryEvent::RequestBlocked { time, item, class });
     }
 
     fn drain_notices(&mut self) {
-        // Take the receiver so the loop can mutate counters; only channel
-        // 0's core holds one.
-        let Some(notices) = self.notices.take() else {
+        // Only channel 0's core holds a receiver.
+        let Some(notices) = &self.notices else {
             return;
         };
         while let Ok(n) = notices.try_recv() {
-            self.counters.accepted += 1;
-            self.counters.shed += 1;
-            if let (Some(class), Some(item)) = (n.class, n.item) {
-                self.per_class[class.index()].accepted += 1;
-                self.per_class[class.index()].shed += 1;
-                let time = self.tick(n.ingest);
-                self.recorder
-                    .record(&TelemetryEvent::RequestArrival { time, item, class });
-                self.recorder
-                    .record(&TelemetryEvent::RequestBlocked { time, item, class });
-            }
+            self.core.refuse(n.ingest, n.item.zip(n.class));
         }
-        self.notices = Some(notices);
     }
 
     fn stream_windows(&mut self) {
         if self.out.is_none() && self.hub.is_none() {
             return;
         }
-        let closed = self.recorder.drain_closed();
+        let closed = self.core.sink_mut().drain_closed();
         if !closed.is_empty() {
             self.last_window = closed.last().cloned();
             let channel = self.channel;
@@ -1339,8 +877,29 @@ impl Core {
         self.publish(!closed.is_empty());
     }
 
+    /// This core's books and queue state as the hub publishes them.
+    fn snapshot(&self) -> ChannelSnapshot {
+        let books = self.core.books();
+        let queue = self.core.scheduler().queue();
+        ChannelSnapshot {
+            accepted: books.total.accepted,
+            served_push: books.total.served_push,
+            served_pull: books.total.served_pull,
+            shed: books.total.shed,
+            timed_out: books.total.timed_out,
+            uplink_lost: books.total.uplink_lost,
+            push_tx: books.push_tx,
+            pull_tx: books.pull_tx,
+            live: self.core.live() as u64,
+            queue_items: queue.len() as u32,
+            queue_requests: queue.total_requests() as u32,
+            cutoff_k: self.core.scheduler().cutoff() as u32,
+            last_window: self.last_window.clone(),
+        }
+    }
+
     /// Publishes this core's snapshot to the ops hub: immediately when
-    /// `force` (a window just closed, or seal), otherwise at most every
+    /// `force` (a window just closed), otherwise at most every
     /// [`PUBLISH_EVERY`].
     fn publish(&mut self, force: bool) {
         let Some(hub) = &self.hub else {
@@ -1350,26 +909,6 @@ impl Core {
             return;
         }
         self.last_pub = Instant::now();
-        publish_snapshot(
-            hub,
-            self.channel,
-            &self.counters,
-            self.live.len(),
-            &self.scheduler,
-            &self.last_window,
-        );
-    }
-
-    /// Earliest instant anything is due: the in-flight completion, a
-    /// deadline, or an uplink delivery.
-    fn next_wake(&self) -> Option<SimTime> {
-        let mut wake: Option<SimTime> = self.inflight.as_ref().map(|i| i.tx.completes_at());
-        if let Some(std::cmp::Reverse((due, _))) = self.timeouts.peek() {
-            wake = Some(wake.map_or(*due, |w| w.min(*due)));
-        }
-        if let Some(std::cmp::Reverse((due, _))) = self.deliveries.peek() {
-            wake = Some(wake.map_or(*due, |w| w.min(*due)));
-        }
-        wake
+        hub.publish(self.channel, self.snapshot());
     }
 }
