@@ -33,16 +33,21 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::ops::AddAssign;
 
+use serde::Serialize;
+
 use hybridcast_sim::stats::Welford;
 use hybridcast_sim::time::SimTime;
 use hybridcast_telemetry::{emit, ServiceKind, Sink, TelemetryEvent};
 use hybridcast_workload::catalog::ItemId;
 use hybridcast_workload::classes::ClassId;
 use hybridcast_workload::requests::Request;
+use hybridcast_workload::scenario::Scenario;
 
+use crate::config::HybridConfig;
 use crate::hybrid::{Disposition, HybridScheduler, Transmission};
 use crate::metrics::TxKind;
-use crate::uplink::{UplinkChannel, UplinkOutcome};
+use crate::sharded::{ChannelPlan, ShardedScheduler};
+use crate::uplink::{UplinkChannel, UplinkOutcome, UPLINK_STREAM};
 
 /// How a request left the channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +66,7 @@ pub enum Outcome {
 }
 
 /// One request's final answer, handed to the driver's outbox.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct Resolution<T> {
     /// Whatever the driver attached at ingest (reply address, or nothing).
     pub tag: T,
@@ -166,6 +171,52 @@ impl Books {
             per_class: vec![ClassBooks::default(); num_classes],
         }
     }
+
+    /// The channel's line in a summary. `drained` is whether the core has
+    /// nothing live left — a channel conserves only once it has.
+    pub fn counters(&self, channel: u32, drained: bool) -> ChannelCounters {
+        ChannelCounters {
+            channel,
+            accepted: self.total.accepted,
+            served_push: self.total.served_push,
+            served_pull: self.total.served_pull,
+            shed: self.total.shed,
+            timed_out: self.total.timed_out,
+            uplink_lost: self.total.uplink_lost,
+            push_tx: self.push_tx,
+            pull_tx: self.pull_tx,
+            conservation_ok: drained && self.total.conserves(),
+        }
+    }
+}
+
+/// One channel's books as the daemon summary and the replay books print
+/// them (flat: the vendored serde has no `flatten`). In the daemon,
+/// front-end sheds (ring overflow, malformed frames) are accounted on
+/// channel 0.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct ChannelCounters {
+    /// Channel index.
+    pub channel: u32,
+    /// Requests this channel's core ingested.
+    pub accepted: u64,
+    /// Served off this channel's broadcast schedule.
+    pub served_push: u64,
+    /// Served by this channel's pull transmissions.
+    pub served_pull: u64,
+    /// Explicit rejections.
+    pub shed: u64,
+    /// Deadline expiries.
+    pub timed_out: u64,
+    /// Uplink losses.
+    pub uplink_lost: u64,
+    /// Push transmissions aired on this channel.
+    pub push_tx: u64,
+    /// Pull transmissions aired on this channel.
+    pub pull_tx: u64,
+    /// Every request this channel accepted was answered exactly once *by
+    /// this channel*.
+    pub conservation_ok: bool,
 }
 
 impl AddAssign<&Books> for Books {
@@ -199,6 +250,45 @@ struct Inflight {
 
 type DueHeap = BinaryHeap<Reverse<(SimTime, u64)>>;
 
+/// One core per broadcast channel of `hybrid`'s layout (a single one
+/// outside the sharded layout), each over its own scheduler shard — built
+/// exactly like the simulator's — and its own uplink lane, plus the plan
+/// that routes items to them. `sink` makes each channel's sink.
+pub fn channel_cores<T, S: Sink>(
+    scenario: &Scenario,
+    hybrid: &HybridConfig,
+    mut sink: impl FnMut() -> S,
+) -> (Vec<ChannelCore<T, S>>, ChannelPlan) {
+    let num_classes = scenario.classes.len();
+    let sharded = ShardedScheduler::new(
+        scenario.catalog.clone(),
+        scenario.classes.clone(),
+        hybrid,
+        &scenario.factory,
+    );
+    let (schedulers, plan) = sharded.into_parts();
+    let cores = schedulers
+        .into_iter()
+        .zip(UPLINK_STREAM..)
+        .map(|(scheduler, lane)| ChannelCore {
+            scheduler,
+            uplink: hybrid
+                .uplink
+                .map(|cfg| UplinkChannel::new(cfg, scenario.factory.stream(lane), num_classes)),
+            sink: sink(),
+            live: HashMap::new(),
+            next_id: 0,
+            push_waiters: Vec::new(),
+            pull_waiters: HashMap::new(),
+            timeouts: BinaryHeap::new(),
+            deliveries: BinaryHeap::new(),
+            inflight: None,
+            cursor: SimTime::ZERO,
+            books: Books::new(num_classes),
+        });
+    (cores.collect(), plan)
+}
+
 /// One broadcast channel's request state machine (see the module docs).
 pub struct ChannelCore<T, S: Sink> {
     scheduler: HybridScheduler,
@@ -227,30 +317,6 @@ pub struct ChannelCore<T, S: Sink> {
 }
 
 impl<T, S: Sink> ChannelCore<T, S> {
-    /// A core around one channel's scheduler. `uplink` is this channel's
-    /// own contended back channel (its RNG lane is the caller's choice).
-    pub fn new(
-        scheduler: HybridScheduler,
-        uplink: Option<UplinkChannel>,
-        num_classes: usize,
-        sink: S,
-    ) -> Self {
-        ChannelCore {
-            scheduler,
-            uplink,
-            sink,
-            live: HashMap::new(),
-            next_id: 0,
-            push_waiters: Vec::new(),
-            pull_waiters: HashMap::new(),
-            timeouts: BinaryHeap::new(),
-            deliveries: BinaryHeap::new(),
-            inflight: None,
-            cursor: SimTime::ZERO,
-            books: Books::new(num_classes),
-        }
-    }
-
     /// The books so far.
     pub fn books(&self) -> &Books {
         &self.books
@@ -364,7 +430,7 @@ impl<T, S: Sink> ChannelCore<T, S> {
             }
             None => {
                 self.live.insert(id, req);
-                self.route(id, stamp);
+                self.route(id, item, class, stamp);
             }
         }
     }
@@ -396,10 +462,8 @@ impl<T, S: Sink> ChannelCore<T, S> {
     /// Hands a live request to the scheduler at `arrival` (clamped through
     /// the cursor; the raw ingest stamp still prices its wait) and files
     /// it under the transmission kind that will serve it.
-    fn route(&mut self, id: u64, arrival: SimTime) {
+    fn route(&mut self, id: u64, item: ItemId, class: ClassId, arrival: SimTime) {
         let arrival = self.tick(arrival);
-        let req = &self.live[&id];
-        let (item, class) = (req.item, req.class);
         match self.scheduler.on_request(&Request {
             arrival,
             item,
@@ -445,7 +509,7 @@ impl<T, S: Sink> ChannelCore<T, S> {
                 class,
                 latency: due - ingest,
             });
-            self.route(id, due);
+            self.route(id, item, class, due);
         }
         while let Some(&Reverse((due, id))) = self.timeouts.peek() {
             if due > now {
@@ -610,30 +674,21 @@ mod tests {
     /// pushed and the rest pulled) with a lossy uplink. RxW scores by
     /// waiting time, so the times the core reports to the scheduler steer
     /// the books.
-    fn core<T, S: Sink>(sink: S) -> ChannelCore<T, S> {
+    fn core<T, S: Sink>(sink: impl FnMut() -> S) -> ChannelCore<T, S> {
         let scenario = ScenarioConfig::icpp2005(0.6).with_seed(7).build();
         let config = HybridConfig {
             cutoff: 30,
             pull: PullPolicyKind::Rxw,
-            ..HybridConfig::default()
-        };
-        let scheduler = HybridScheduler::new(
-            scenario.catalog.clone(),
-            scenario.classes.clone(),
-            &config,
-            &scenario.factory,
-        );
-        let uplink = UplinkChannel::new(
-            UplinkConfig {
+            uplink: Some(UplinkConfig {
                 slot_time: 0.1,
                 success_prob: 0.7,
                 max_attempts: 2,
                 backoff_slots: 1.0,
-            },
-            scenario.factory.stream(7),
-            scenario.classes.len(),
-        );
-        ChannelCore::new(scheduler, Some(uplink), scenario.classes.len(), sink)
+            }),
+            ..HybridConfig::default()
+        };
+        let (mut cores, _) = channel_cores(&scenario, &config, sink);
+        cores.pop().expect("one channel")
     }
 
     /// Request `i` of the script: mixed push/pull items, cycling classes,
@@ -684,10 +739,10 @@ mod tests {
 
     #[test]
     fn both_instantiations_keep_the_same_books() {
-        let mut tagged: ChannelCore<u64, VecSink> = core(VecSink::new());
+        let mut tagged: ChannelCore<u64, VecSink> = core(VecSink::new);
         let mut replies: Vec<Resolution<u64>> = Vec::new();
         drive(&mut tagged, |i| i, 20, |r| replies.push(r));
-        let mut bare: ChannelCore<(), NullSink> = core(NullSink);
+        let mut bare: ChannelCore<(), NullSink> = core(|| NullSink);
         drive(&mut bare, |_| (), 20, |_| {});
         assert_eq!(tagged.books(), bare.books(), "tag and sink never steer");
 
@@ -783,7 +838,7 @@ mod tests {
 
     #[test]
     fn late_ticks_conserve_and_keep_time_monotone() {
-        let mut core: ChannelCore<u64, VecSink> = core(VecSink::new());
+        let mut core: ChannelCore<u64, VecSink> = core(VecSink::new);
         let mut resolved = 0u64;
         let now = drive_late(&mut core, |i| i, |_| resolved += 1);
         let books = core.books().clone();
@@ -794,7 +849,7 @@ mod tests {
 
         // The cursor moves the same with the sink off: a disabled sink
         // must not change what the scheduler sees.
-        let mut bare: ChannelCore<(), NullSink> = self::core(NullSink);
+        let mut bare: ChannelCore<(), NullSink> = self::core(|| NullSink);
         drive_late(&mut bare, |_| (), |_| {});
         assert_eq!(&books, bare.books());
 

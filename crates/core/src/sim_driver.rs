@@ -34,7 +34,7 @@ use crate::hybrid::Transmission;
 use crate::metrics::{MetricsCollector, SimReport, TxKind};
 use crate::pull::{PullPolicy, PullPolicyKind};
 use crate::sharded::ShardedScheduler;
-use crate::uplink::{UplinkChannel, UplinkOutcome};
+use crate::uplink::{UplinkChannel, UplinkOutcome, UPLINK_STREAM};
 use hybridcast_analysis::hybrid_model::HybridDelayModel;
 use hybridcast_telemetry::{
     emit, FeedbackWindow, NullSink, ServiceKind, Sink, TelemetryConfig, TelemetryEvent, TimeSeries,
@@ -373,9 +373,6 @@ struct AdaptiveState {
     controller: Option<CutoffController>,
     feedback: FeedbackWindow,
 }
-
-/// RNG stream id for uplink contention draws.
-const UPLINK_STREAM: u64 = 7;
 
 /// Boots the downlink at t = 0: the interleaved channel (or, in the split
 /// layout, the dedicated broadcast channel; in the sharded layout, every

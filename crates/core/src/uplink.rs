@@ -28,6 +28,12 @@ use hybridcast_sim::stats::Welford;
 use hybridcast_sim::time::SimDuration;
 use hybridcast_workload::classes::ClassId;
 
+/// RNG stream id for uplink contention draws. The simulator draws from
+/// this lane and channel `c` of a multi-channel host from `UPLINK_STREAM +
+/// c`, so a serve, a replay of its trace and a sim run over one seed see
+/// the same loss/latency sequence.
+pub const UPLINK_STREAM: u64 = 7;
+
 /// Back-channel parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct UplinkConfig {

@@ -6,35 +6,35 @@
 //!   [`ReplaySource`] driving `simulate_with_source` — the recorded
 //!   arrivals replace the Poisson generator, everything else (scheduler,
 //!   bandwidth, uplink, metrics) is the standard simulator.
-//! * **Daemon replay** ([`replay_daemon`]): re-executes the daemon's
-//!   scheduling discipline — per-channel cores, deadline timeouts, the
-//!   contended uplink with the daemon's per-channel RNG lanes, push-waiter
-//!   and pull-batch bookkeeping — in *virtual time*. Arrivals happen at
-//!   their recorded stamps, transmissions complete exactly at
-//!   `start + duration`, and deadlines fire exactly when due, so the books
+//! * **Daemon replay** ([`replay_daemon`]): drives the daemon's own
+//!   per-channel state machine —
+//!   [`ChannelCore`], the type `hybridcastd` runs — in *virtual time*:
+//!   arrivals happen at their recorded stamps and every due event
+//!   (delivery, deadline, completion) fires exactly when due. The books
 //!   are a deterministic function of the trace: replaying the same trace
-//!   twice is bit-identical (CI asserts this). The wall-clock run itself
-//!   is *not* the determinism baseline — its tick times depend on OS
-//!   scheduling — which is precisely why the trace, not the run, is the
-//!   reproducible artifact.
+//!   twice is bit-identical (CI asserts this). They can still differ from
+//!   the live run's, for one reason only: the daemon reports wall-clock
+//!   tick *times* that depend on OS scheduling, so its events fire a
+//!   little late. The state machine cannot differ — it is the same code —
+//!   which is why the trace, not the run, is the reproducible artifact.
 //!
 //! Determinism argument for the daemon replay: each channel's records are
 //! replayed in recorded order, which is the order the daemon's core
-//! ingested them — so the uplink RNG (stream `7 + channel`, same lane as
-//! the daemon) sees the identical draw sequence, and every heap is keyed
-//! by `(time, id)` with ids assigned in that same ingest order. No wall
-//! clock, no thread interleaving, no iteration over unordered maps: the
-//! only `HashMap` (pull waiters) is drained via the scheduler's own
-//! item-keyed batches, never iterated.
+//! ingested them — so the uplink RNG (`UPLINK_STREAM + channel`, assigned
+//! by the shared `channel_cores` constructor) sees the identical draw
+//! sequence, and the core's heaps are keyed by `(time, id)` with ids
+//! assigned in that same ingest order. The driver below reads no clock and
+//! spawns no thread, and the core never iterates an unordered map: pull
+//! waiters leave via the scheduler's own item-keyed batches, and the final
+//! shed sorts ids first.
 
 use serde::Serialize;
 
-use hybridcast_core::channel::{Books, ChannelCore};
+use hybridcast_core::channel::{channel_cores, Books, ChannelCore, ChannelCounters};
 use hybridcast_core::config::HybridConfig;
 use hybridcast_core::metrics::SimReport;
-use hybridcast_core::sharded::{ChannelPlan, ShardedScheduler};
+use hybridcast_core::sharded::ChannelPlan;
 use hybridcast_core::sim_driver::{simulate_with_source, SimParams};
-use hybridcast_core::uplink::UplinkChannel;
 use hybridcast_sim::time::{SimDuration, SimTime};
 use hybridcast_telemetry::NullSink;
 use hybridcast_workload::catalog::ItemId;
@@ -43,10 +43,6 @@ use hybridcast_workload::requests::{ReplaySource, Request};
 use hybridcast_workload::scenario::Scenario;
 
 use crate::trace::{Trace, TraceRecord};
-
-/// The uplink RNG stream id — must match the daemon's and the simulator's
-/// lane so a replay draws the same loss/latency sequence.
-const UPLINK_STREAM: u64 = 7;
 
 /// After the last recorded arrival, a channel may air at most
 /// `catalog × this + live × 2` further transmissions before the remainder
@@ -74,31 +70,6 @@ pub struct ClassBook {
     pub uplink_lost: u64,
     /// Mean served wait in broadcast units (`None` when nothing served).
     pub wait_mean_units: Option<f64>,
-}
-
-/// Per-channel replay books.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ChannelBook {
-    /// Channel index.
-    pub channel: u32,
-    /// Records ingested by this channel.
-    pub accepted: u64,
-    /// Served off the broadcast schedule.
-    pub served_push: u64,
-    /// Served by pull transmissions.
-    pub served_pull: u64,
-    /// Shed (admission drops + end-of-trace drain).
-    pub shed: u64,
-    /// Deadline expiries.
-    pub timed_out: u64,
-    /// Uplink losses.
-    pub uplink_lost: u64,
-    /// Push transmissions aired.
-    pub push_tx: u64,
-    /// Pull transmissions aired.
-    pub pull_tx: u64,
-    /// `accepted == served + shed + timed_out + uplink_lost`.
-    pub conservation_ok: bool,
 }
 
 /// The replayed run's complete accounting.
@@ -133,7 +104,7 @@ pub struct ReplayBooks {
     /// clamped to the last (lowest-priority) class (override replays only).
     pub remapped_classes: u64,
     /// Per-channel books, channel order.
-    pub per_channel: Vec<ChannelBook>,
+    pub per_channel: Vec<ChannelCounters>,
     /// Per-class books, class order.
     pub per_class: Vec<ClassBook>,
 }
@@ -318,54 +289,23 @@ pub fn replay_daemon(
     unit_millis: f64,
     trace: &Trace,
 ) -> ReplayBooks {
-    let sharded = ShardedScheduler::new(
-        scenario.catalog.clone(),
-        scenario.classes.clone(),
-        hybrid,
-        &scenario.factory,
-    );
-    let (schedulers, plan) = sharded.into_parts();
-    let class_names: Vec<String> = scenario
-        .classes
-        .iter()
-        .map(|(_, c)| c.name.clone())
-        .collect();
+    let (cores, plan) = channel_cores(scenario, hybrid, || NullSink);
     // Route every record through *this* config's plan rather than the
     // recorded channel byte: identical when replaying under the recording
     // config (the daemon routed by plan too), and the well-defined
     // re-route when an override changed the channel count or catalog.
     let mut stats = RouteStats::default();
-    let mut grouped: Vec<Vec<TraceRecord>> = vec![Vec::new(); schedulers.len()];
+    let mut grouped: Vec<Vec<TraceRecord>> = vec![Vec::new(); cores.len()];
     for rec in &trace.records {
         let routed = route_record(rec, scenario, &plan, &mut stats);
         grouped[routed.channel as usize].push(routed);
     }
     let mut per_channel = Vec::new();
-    let mut total = Books::new(class_names.len());
-    for (c, scheduler) in schedulers.into_iter().enumerate() {
-        let uplink = hybrid.uplink.map(|cfg| {
-            UplinkChannel::new(
-                cfg,
-                scenario.factory.stream(UPLINK_STREAM + c as u64),
-                class_names.len(),
-            )
-        });
-        let mut core = ChannelCore::new(scheduler, uplink, class_names.len(), NullSink);
+    let mut total = Books::new(scenario.classes.len());
+    for (c, mut core) in cores.into_iter().enumerate() {
         replay_channel(&mut core, &grouped[c], unit_millis, scenario.catalog.len());
-        let books = core.books();
-        per_channel.push(ChannelBook {
-            channel: c as u32,
-            accepted: books.total.accepted,
-            served_push: books.total.served_push,
-            served_pull: books.total.served_pull,
-            shed: books.total.shed,
-            timed_out: books.total.timed_out,
-            uplink_lost: books.total.uplink_lost,
-            push_tx: books.push_tx,
-            pull_tx: books.pull_tx,
-            conservation_ok: books.total.conserves() && core.live() == 0,
-        });
-        total += books;
+        per_channel.push(core.books().counters(c as u32, core.live() == 0));
+        total += core.books();
     }
     ReplayBooks {
         records: trace.records.len() as u64,
@@ -384,9 +324,9 @@ pub fn replay_daemon(
         per_class: total
             .per_class
             .iter()
-            .zip(class_names)
-            .map(|(class, name)| ClassBook {
-                name,
+            .zip(scenario.classes.iter())
+            .map(|(class, (_, spec))| ClassBook {
+                name: spec.name.clone(),
                 accepted: class.tally.accepted,
                 served_push: class.tally.served_push,
                 served_pull: class.tally.served_pull,

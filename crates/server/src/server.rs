@@ -19,16 +19,14 @@
 //!   reply itself (the scheduler never sees the frame) and posts a notice
 //!   so the counters and telemetry still see the arrival. No accepted
 //!   frame is ever silently dropped.
-//! * **The scheduler thread** owns the entire scheduling state — the
-//!   [`HybridScheduler`], the optional contended uplink, deadline and
-//!   uplink-delivery heaps, and the live-request table. It alternates
-//!   push/pull dispatch exactly like the simulator, but against a
-//!   [`WallClock`]: a transmission of `L` broadcast units occupies the
-//!   downlink for `L × unit_millis` wall milliseconds. It drains the
-//!   shard rings round-robin, enqueues replies into per-connection
-//!   outbound queues, and rings each loop's waker **once per tick** —
-//!   an idle daemon parks on the [`Doorbell`] instead of broadcasting to
-//!   nobody.
+//! * **The scheduler thread** (one per broadcast channel) drives a
+//!   [`ChannelCore`] — the request state machine trace replay also runs —
+//!   against a [`WallClock`]: a transmission of `L` broadcast units
+//!   occupies the downlink for `L × unit_millis` wall milliseconds. It
+//!   drains the shard rings round-robin, turns each resolution into a
+//!   reply on its connection's outbound queue, and rings each loop's
+//!   waker **once per tick** — an idle daemon parks on the [`Doorbell`]
+//!   instead of broadcasting to nobody.
 //! * **Graceful shutdown** (SIGTERM/ctrl-c via [`crate::signal`], the
 //!   in-band shutdown frame, or [`ServerHandle::shutdown`]): stop
 //!   accepting and reading, keep draining queued pull work for at most
@@ -37,12 +35,6 @@
 //!
 //! Conservation is a hard invariant checked at exit and recorded in the
 //! summary: `accepted = served + shed + timed_out + uplink_lost`.
-//!
-//! One deliberate asymmetry with the simulator: a request that *times out*
-//! while queued leaves its aggregated entry in the pull queue (the queue
-//! has no per-requester removal), so the scheduler may still air the item.
-//! The stale requester is skipped at completion — it already got its
-//! `TimedOut` reply — costing only that item's airtime.
 
 use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -54,12 +46,11 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
-use hybridcast_core::channel::{Books, ChannelCore, Outcome, Resolution};
+use hybridcast_core::channel::{
+    channel_cores, Books, ChannelCore, ChannelCounters, Outcome, Resolution,
+};
 use hybridcast_core::clock::{Clock, WallClock};
-use hybridcast_core::hybrid::HybridScheduler;
 use hybridcast_core::shard::{ring as shard_ring, Doorbell, ShardConsumer, ShardSet};
-use hybridcast_core::sharded::ShardedScheduler;
-use hybridcast_core::uplink::UplinkChannel;
 use hybridcast_ops::trace::VERSION as TRACE_VERSION;
 use hybridcast_ops::{
     config_hash, hex64, plan_digest, ChannelSnapshot, OpsHub, OpsServer, TraceBuffer, TraceMeta,
@@ -72,10 +63,6 @@ use hybridcast_telemetry::{TelemetryConfig, WindowRecorder, WindowStats};
 use crate::config::ServeConfig;
 use crate::event_loop::{run_loop, Bounds, Conn, Ingress, Ledger, LoopCtx, LoopShared, Notice};
 use crate::frame::{ReplyFrame, ReplyStatus};
-
-/// The uplink channel's RNG stream id — the same lane the simulator uses
-/// (`sim_driver`), so a serve and a sim run over one seed draw identically.
-const UPLINK_STREAM: u64 = 7;
 
 /// The scheduler's maximum doorbell park (also bounds wake latency for
 /// time-driven work when no ingress arrives).
@@ -113,35 +100,6 @@ pub struct ClassCounters {
     pub uplink_lost: u64,
     /// Server-side wait of served requests, in broadcast units.
     pub wait_units: SummaryStats,
-}
-
-/// Per-broadcast-channel serving counters (one entry per shard; a single
-/// entry outside the sharded layout). Front-end sheds (ring overflow,
-/// malformed frames) are accounted on channel 0, which drains the notice
-/// queue.
-#[derive(Debug, Clone, Serialize)]
-pub struct ChannelCounters {
-    /// Channel index.
-    pub channel: u32,
-    /// Frames this channel's core ingested (plus, on channel 0, notices).
-    pub accepted: u64,
-    /// Served by this channel's broadcast schedule.
-    pub served_push: u64,
-    /// Served by this channel's pull transmissions.
-    pub served_pull: u64,
-    /// Explicit rejections.
-    pub shed: u64,
-    /// Deadline expiries.
-    pub timed_out: u64,
-    /// Uplink losses.
-    pub uplink_lost: u64,
-    /// Push transmissions aired on this channel.
-    pub push_tx: u64,
-    /// Pull transmissions aired on this channel.
-    pub pull_tx: u64,
-    /// Per-channel conservation: every frame this channel accepted was
-    /// answered exactly once *by this channel*.
-    pub conservation_ok: bool,
 }
 
 /// End-of-run accounting, also written as the JSONL summary line.
@@ -301,17 +259,17 @@ fn run(
     let (notice_tx, notice_rx) = channel::<Notice>();
     listener.set_nonblocking(true)?;
 
-    // The sharded scheduler is built exactly like the simulator's, then
-    // split into its per-channel sub-schedulers — one core thread each.
+    // One channel core per scheduler shard — one core thread each.
     // Outside the sharded layout this is a single shard and the topology
     // collapses to the classic N-loops-one-scheduler shape.
-    let sharded = ShardedScheduler::new(
-        scenario.catalog.clone(),
-        scenario.classes.clone(),
-        &config.hybrid,
-        &scenario.factory,
-    );
-    let (schedulers, plan) = sharded.into_parts();
+    let (channel_cores, plan) = channel_cores(&scenario, &config.hybrid, || {
+        WindowRecorder::new(
+            TelemetryConfig::new(config.serve.telemetry_window),
+            &scenario.classes,
+            &scenario.catalog,
+            config.hybrid.cutoff,
+        )
+    });
     let channels = plan.channels() as usize;
     let class_names: Vec<String> = scenario
         .classes
@@ -425,29 +383,24 @@ fn run(
     };
 
     let drain_budget = Duration::from_millis(config.serve.drain_timeout_ms);
-    let mut cores: Vec<Core> = schedulers
-        .into_iter()
-        .enumerate()
-        .map(|(c, scheduler)| {
-            Core::new(
-                &config,
-                c as u32,
-                scheduler,
-                &scenario,
-                clock.clone(),
-                out.clone(),
-                hub.clone(),
-                trace_sink.clone().map(TraceBuffer::new),
-            )
-        })
-        .collect();
     // Channel 0's core drains the notice queue (front-end sheds).
-    if let Some(first) = cores.first_mut() {
-        first.notices = Some(notice_rx);
-    }
+    let mut notice_rx = Some(notice_rx);
+    let cores = channel_cores.into_iter().zip(0u32..).map(|(core, c)| Core {
+        channel: c,
+        core,
+        clock: clock.clone(),
+        unit_millis: config.serve.unit_millis,
+        default_deadline_ms: config.serve.default_deadline_ms,
+        notices: notice_rx.take(),
+        out: out.clone(),
+        hub: hub.clone(),
+        last_pub: Instant::now(),
+        last_window: None,
+        trace: trace_sink.clone().map(TraceBuffer::new),
+    });
 
     // Channels 1.. run on their own threads; channel 0 on this one.
-    let mut core_iter = cores.into_iter().zip(columns);
+    let mut core_iter = cores.zip(columns);
     let (mut core0, consumers0) = core_iter.next().expect("at least one channel");
     let mut handles = Vec::new();
     for (c, (mut core, consumers)) in core_iter.enumerate() {
@@ -506,19 +459,7 @@ fn finish(
     let mut total = Books::new(class_names.len());
     let mut per_channel = Vec::with_capacity(sealed.len());
     for s in &sealed {
-        let t = &s.books.total;
-        per_channel.push(ChannelCounters {
-            channel: s.channel,
-            accepted: t.accepted,
-            served_push: t.served_push,
-            served_pull: t.served_pull,
-            shed: t.shed,
-            timed_out: t.timed_out,
-            uplink_lost: t.uplink_lost,
-            push_tx: s.books.push_tx,
-            pull_tx: s.books.pull_tx,
-            conservation_ok: t.conserves() && s.live_empty,
-        });
+        per_channel.push(s.books.counters(s.channel, s.live_empty));
         total += &s.books;
     }
     let summary = ServeSummary {
@@ -648,48 +589,6 @@ fn jsonl_line(kind: &str, channel: u32, field: &str, payload: &impl Serialize) -
 }
 
 impl Core {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        config: &ServeConfig,
-        channel: u32,
-        scheduler: HybridScheduler,
-        scenario: &hybridcast_workload::scenario::Scenario,
-        clock: WallClock,
-        out: Option<SharedOut>,
-        hub: Option<Arc<OpsHub>>,
-        trace: Option<TraceBuffer>,
-    ) -> Core {
-        let num_classes = scenario.classes.len();
-        let recorder = WindowRecorder::new(
-            TelemetryConfig::new(config.serve.telemetry_window),
-            &scenario.classes,
-            &scenario.catalog,
-            config.hybrid.cutoff,
-        );
-        // Channel 0 keeps the single-channel daemon's exact uplink stream;
-        // later channels draw from their own lanes.
-        let uplink = config.hybrid.uplink.map(|cfg| {
-            UplinkChannel::new(
-                cfg,
-                scenario.factory.stream(UPLINK_STREAM + channel as u64),
-                num_classes,
-            )
-        });
-        Core {
-            channel,
-            core: ChannelCore::new(scheduler, uplink, num_classes, recorder),
-            clock,
-            unit_millis: config.serve.unit_millis,
-            default_deadline_ms: config.serve.default_deadline_ms,
-            notices: None,
-            out,
-            hub,
-            last_pub: Instant::now(),
-            last_window: None,
-            trace,
-        }
-    }
-
     /// The steady-state loop: wake for ingress (doorbell), due
     /// deliveries/timeouts, and transmission completions; dispatch
     /// whenever the downlink is idle and demand exists. Reply kicks are

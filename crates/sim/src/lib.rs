@@ -13,8 +13,7 @@
 //! * [`stats`] — Welford moments, histograms, time-weighted averages and
 //!   batch means;
 //! * [`quantile`] — the P² streaming quantile estimator (tail latencies in
-//!   O(1) memory);
-//! * [`trace`] — a bounded debugging trace.
+//!   O(1) memory).
 //!
 //! Nothing here knows about broadcast scheduling; it is a small, reusable
 //! DES toolkit.
@@ -72,7 +71,6 @@ pub mod quantile;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 /// One-stop imports for simulation authors.
 pub mod prelude {
@@ -85,6 +83,4 @@ pub mod prelude {
         mser_truncation, BatchMeans, Histogram, SummaryStats, TimeWeighted, Welford,
     };
     pub use crate::time::{SimDuration, SimTime};
-    #[allow(deprecated)]
-    pub use crate::trace::Trace;
 }

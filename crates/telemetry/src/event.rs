@@ -28,8 +28,8 @@ impl fmt::Display for ServiceKind {
 ///
 /// Every variant carries the simulation time it happened at; most carry the
 /// item and service class concerned. The enum is `Copy`, so recording an
-/// event never allocates — formatting (for the legacy `Trace` adapter) is
-/// done lazily by the sink that wants strings.
+/// event never allocates — formatting is done lazily by whoever wants
+/// strings.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TelemetryEvent {
     /// A client request entered the system.
@@ -172,8 +172,7 @@ impl TelemetryEvent {
 }
 
 impl fmt::Display for TelemetryEvent {
-    /// Human-readable one-liner (used by the legacy `Trace` adapter). The
-    /// timestamp is *not* included: `Trace` prefixes its own `[t=...]`.
+    /// Human-readable one-liner. The timestamp is *not* included.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             TelemetryEvent::RequestArrival { item, class, .. } => {

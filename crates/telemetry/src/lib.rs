@@ -6,13 +6,11 @@
 //! 1. **Events** ([`TelemetryEvent`]): a closed enum of everything observable
 //!    in a run — arrivals, deliveries, blocks, broadcast/pull transmissions,
 //!    cutoff moves, uplink losses, churn departures, queue gauges. Each
-//!    carries the simulation time plus the item/class it concerns, replacing
-//!    the old `format!`-based string tracing.
+//!    carries the simulation time plus the item/class it concerns.
 //! 2. **Sinks** ([`Sink`]): where events go. [`NullSink`] advertises
 //!    `enabled() == false`, so instrumentation guarded by [`emit`]
-//!    monomorphizes to nothing. [`VecSink`] captures events for tests, and
-//!    the deprecated `sim::trace::Trace` ring buffer is kept alive as a
-//!    formatting adapter.
+//!    monomorphizes to nothing. [`VecSink`] captures events for tests and
+//!    [`Tee`] fans one stream out to two sinks.
 //! 3. **Windows** ([`WindowRecorder`]): a sink that buckets events into
 //!    fixed-width [`SimTime`](hybridcast_sim::time::SimTime) windows,
 //!    producing a per-class [`TimeSeries`] (delay mean/p50/p95/max, stretch,

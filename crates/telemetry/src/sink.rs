@@ -122,21 +122,6 @@ impl<A: Sink, B: Sink> Sink for Tee<A, B> {
     }
 }
 
-/// Back-compat adapter: the legacy string ring buffer accepts typed events
-/// by formatting them, so debug workflows built on `Trace::dump()` keep
-/// working. A `Trace::disabled()` buffer reports `enabled() == false` and
-/// skips formatting entirely.
-#[allow(deprecated)]
-impl Sink for hybridcast_sim::trace::Trace {
-    fn enabled(&self) -> bool {
-        self.is_enabled()
-    }
-
-    fn record(&mut self, event: &TelemetryEvent) {
-        hybridcast_sim::trace::Trace::record_with(self, event.time(), || event.to_string());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,23 +183,5 @@ mod tests {
         assert!(half.enabled());
         emit(&mut half, || arrival(4.0));
         assert_eq!(half.b.events().len(), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn trace_adapter_formats_events_into_the_ring_buffer() {
-        use hybridcast_sim::trace::Trace;
-        let mut trace = Trace::new(8);
-        emit(&mut trace, || arrival(1.0));
-        let dump = trace.dump();
-        assert!(
-            dump.contains("[t=1.0000] arrival item=3 class=1"),
-            "unexpected dump: {dump}"
-        );
-
-        let mut off = Trace::disabled();
-        assert!(!Sink::enabled(&off));
-        emit(&mut off, || arrival(2.0));
-        assert!(off.is_empty());
     }
 }
