@@ -4,7 +4,9 @@
 //! changing the generator or the config schema; corpus entries are
 //! ordinary [`hybridcast_testkit::FuzzCase`] JSON, so hand-editing is
 //! fine too. Every entry must pass the oracles — `corpus_replay` in the
-//! test suite enforces that.
+//! test suite enforces that. Also rewrites the golden simulator runs
+//! under `corpus/golden/`; a diff there means the simulator's output
+//! moved.
 
 use std::fs;
 use std::path::Path;
@@ -12,13 +14,70 @@ use std::path::Path;
 use hybridcast_core::prelude::{
     AdaptiveConfig, ControllerConfig, FaultSpec, HybridConfig, PlantedControllerBugs, SloConfig,
 };
+use hybridcast_testkit::corpus::{
+    golden_churn_cases, golden_churn_json, golden_dir, golden_run_json,
+};
 use hybridcast_testkit::{generate_case, run_case, FuzzCase};
 use hybridcast_workload::nonstationary::NonstationaryConfig;
+use hybridcast_workload::requests::DriftConfig;
 use hybridcast_workload::scenario::ScenarioConfig;
+
+/// `corpus/retune/`: four adaptive runs under popularity drift, golden
+/// only (not part of the oracle replay corpus) — the retune ledger for
+/// both decision sources (model argmin, measured-feedback controller)
+/// with the push set re-ranked and not. The corpus proper has no
+/// re-ranking case, and re-ranking is where the two sources have to agree
+/// on the order they cut the push set from.
+fn retune_cases() -> Vec<(String, FuzzCase)> {
+    let mut cases = Vec::new();
+    for (source, controller) in [
+        ("model", None),
+        (
+            "controller",
+            Some(ControllerConfig {
+                step: 10,
+                ..ControllerConfig::default()
+            }),
+        ),
+    ] {
+        for rerank in [false, true] {
+            let stem = format!(
+                "retune-{source}-{}",
+                if rerank { "rerank" } else { "prefix" }
+            );
+            let case = FuzzCase {
+                seed: 0,
+                scenario: ScenarioConfig {
+                    drift: Some(DriftConfig {
+                        period: 1_000.0,
+                        shift: 10,
+                    }),
+                    ..ScenarioConfig::icpp2005(1.0)
+                },
+                hybrid: HybridConfig::paper(40, 0.25),
+                horizon: 6_000.0,
+                adaptive: Some(AdaptiveConfig {
+                    period: 400.0,
+                    candidate_ks: (10..=90).step_by(10).collect(),
+                    smoothing: 0.5,
+                    rerank,
+                    controller: controller.clone(),
+                }),
+                faults: Vec::new(),
+            };
+            cases.push((stem, case));
+        }
+    }
+    cases
+}
 
 fn main() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
-    fs::create_dir_all(&dir).expect("create corpus dir");
+    let golden = golden_dir();
+    let retune = dir.join("retune");
+    for d in [&golden, &retune] {
+        fs::create_dir_all(d).expect("create corpus dirs");
+    }
 
     let mut entries: Vec<(&str, FuzzCase)> = vec![
         (
@@ -172,8 +231,24 @@ fn main() {
         } else {
             format!("{name}.json")
         };
-        let path = dir.join(file);
+        let path = dir.join(&file);
         fs::write(&path, case.to_json()).expect("write corpus entry");
+        println!("wrote {}", path.display());
+        let path = golden.join(&file);
+        fs::write(&path, golden_run_json(&case) + "\n").expect("write golden run");
+        println!("wrote {}", path.display());
+    }
+    for (stem, case) in retune_cases() {
+        let path = retune.join(format!("{stem}.json"));
+        fs::write(&path, case.to_json()).expect("write retune case");
+        println!("wrote {}", path.display());
+        let path = golden.join(format!("{stem}.json"));
+        fs::write(&path, golden_run_json(&case) + "\n").expect("write golden run");
+        println!("wrote {}", path.display());
+    }
+    for (stem, hybrid, churn) in golden_churn_cases() {
+        let path = golden.join(format!("{stem}.json"));
+        fs::write(&path, golden_churn_json(&hybrid, &churn) + "\n").expect("write golden run");
         println!("wrote {}", path.display());
     }
 }

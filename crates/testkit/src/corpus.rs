@@ -11,6 +11,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use hybridcast_core::bandwidth::BandwidthConfig;
+use hybridcast_core::churn::{simulate_with_churn, ChurnConfig};
+use hybridcast_core::prelude::{simulate_harness, HybridConfig, NullSink, SimParams};
+use hybridcast_workload::scenario::ScenarioConfig;
+
 use crate::case::FuzzCase;
 use crate::generate::generate_case;
 use crate::oracle::{run_case, CaseOutcome};
@@ -126,6 +131,86 @@ pub fn replay_corpus(dir: &Path) -> Result<Vec<(String, CaseOutcome)>, String> {
         .collect())
 }
 
+/// The golden simulator runs committed under `corpus/golden/`: the full
+/// serialized result of every corpus case, of the four drifting adaptive
+/// cases under `corpus/retune/` (both retune decision sources, push set
+/// re-ranked and not — the corpus proper has no re-ranking case) and of
+/// a handful of churn runs.
+/// The corpus itself stores pass/fail verdicts only; these pin the
+/// simulator's *numbers*, so a driver refactor that shifts any counter,
+/// delay moment or retune decision shows up as a file diff.
+pub fn golden_dir() -> PathBuf {
+    committed_corpus_dir().join("golden")
+}
+
+/// The full result of running `case` with the queue audit on — report,
+/// horizon census, retune ledger, final cutoff and audit trail — as the
+/// exact string a golden file holds.
+pub fn golden_run_json(case: &FuzzCase) -> String {
+    let out = simulate_harness(
+        &case.scenario.build(),
+        &case.hybrid,
+        &case.params(),
+        case.adaptive.as_ref(),
+        &case.faults,
+        None,
+        &mut NullSink,
+    );
+    let value = serde_json::json!({
+        "report": out.report,
+        "census": out.census,
+        "retunes": out.retunes,
+        "final_k": out.final_k,
+        "queue_audit": out.queue_audit,
+    });
+    serde_json::to_string_pretty(&value).expect("run serializes")
+}
+
+/// The churn runs pinned next to the corpus goldens, as
+/// `(file stem, scheduler config, churn config)`: the paper scenario at
+/// α ∈ {0, 0.75} with push delays observed and not, plus one
+/// bandwidth-starved run so the blocked-request penalty path is covered.
+/// Tolerances sit inside the achieved delays so clients do depart.
+pub fn golden_churn_cases() -> Vec<(String, HybridConfig, ChurnConfig)> {
+    let churn = |observe_push| ChurnConfig {
+        tolerance: vec![90.0, 105.0, 130.0],
+        observe_push,
+        ..ChurnConfig::default()
+    };
+    let mut cases = Vec::new();
+    for (alpha, tag) in [(0.0, "000"), (0.75, "075")] {
+        for observe_push in [false, true] {
+            let stem = format!(
+                "churn-alpha{tag}{}",
+                if observe_push { "-observe-push" } else { "" }
+            );
+            cases.push((stem, HybridConfig::paper(40, alpha), churn(observe_push)));
+        }
+    }
+    cases.push((
+        "churn-blocking".to_string(),
+        HybridConfig {
+            bandwidth: BandwidthConfig::per_class(3.0, 3.0),
+            ..HybridConfig::paper(40, 0.5)
+        },
+        churn(false),
+    ));
+    cases
+}
+
+/// The serialized [`hybridcast_core::churn::ChurnReport`] of one golden
+/// churn run over `ScenarioConfig::icpp2005(0.6)`.
+pub fn golden_churn_json(hybrid: &HybridConfig, churn: &ChurnConfig) -> String {
+    let params = SimParams {
+        horizon: 6_000.0,
+        warmup: 0.0,
+        replication: 0,
+    };
+    let scenario = ScenarioConfig::icpp2005(0.6).build();
+    let report = simulate_with_churn(&scenario, hybrid, &params, churn);
+    serde_json::to_string_pretty(&report).expect("report serializes")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,5 +237,34 @@ mod tests {
     fn missing_corpus_dir_is_an_error_not_a_panic() {
         let err = load_corpus(Path::new("/nonexistent/corpus")).unwrap_err();
         assert!(err.contains("cannot read corpus dir"), "{err}");
+    }
+
+    /// String equality against `corpus/golden/`; regenerate with
+    /// `cargo run -p hybridcast-testkit --example gen_corpus` only for an
+    /// intended change to the simulator's output, and read the diff.
+    #[test]
+    fn committed_simulator_runs_are_golden() {
+        let read = |stem: &str| {
+            let path = golden_dir().join(format!("{stem}.json"));
+            fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+        };
+        let corpus = committed_corpus_dir();
+        let cases = load_corpus(&corpus).expect("committed corpus loads");
+        let retunes = load_corpus(&corpus.join("retune")).expect("retune cases load");
+        assert_eq!((cases.len(), retunes.len()), (10, 4));
+        for (name, case) in cases.iter().chain(&retunes) {
+            assert_eq!(
+                golden_run_json(case),
+                read(name).trim_end(),
+                "{name} drifted from its golden run"
+            );
+        }
+        for (stem, hybrid, churn) in golden_churn_cases() {
+            assert_eq!(
+                golden_churn_json(&hybrid, &churn),
+                read(&stem).trim_end(),
+                "{stem} drifted from its golden run"
+            );
+        }
     }
 }
