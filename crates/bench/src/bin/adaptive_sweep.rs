@@ -46,9 +46,8 @@ use std::sync::Arc;
 
 use hybridcast_bench::results_dir;
 use hybridcast_core::prelude::{
-    simulate_adaptive_with_source, simulate_harness, simulate_with_source, AdaptiveConfig,
-    ControllerConfig, FaultSpec, HybridConfig, NullSink, PlantedControllerBugs, SimParams,
-    SimReport, SloConfig,
+    AdaptiveConfig, ControllerConfig, FaultSpec, HybridConfig, NullSink, PlantedControllerBugs,
+    SimParams, SimReport, Simulation, SloConfig,
 };
 use hybridcast_ops::trace::{Trace, TraceBuffer, TraceMeta, TraceRecord, TraceSink, VERSION};
 use hybridcast_sim::time::SimTime;
@@ -172,7 +171,11 @@ fn static_score(
     params: &SimParams,
     faults: &[FaultSpec],
 ) -> f64 {
-    score(&simulate_harness(scenario, hybrid, params, None, faults, None, &mut NullSink).report)
+    let run = Simulation {
+        faults,
+        ..Simulation::new(scenario, hybrid, params)
+    };
+    score(&run.run(&mut NullSink).report)
 }
 
 /// Offline grid search minimizing the backlog-aware score on a stationary
@@ -259,15 +262,11 @@ fn main() {
 
         // Controller: starts at the static K and must earn every move.
         let adaptive = adaptive_config();
-        let out = simulate_harness(
-            &scenario,
-            &hybrid,
-            &run_params,
-            Some(&adaptive),
-            &[],
-            None,
-            &mut NullSink,
-        );
+        let out = Simulation {
+            adaptive: Some(&adaptive),
+            ..Simulation::new(&scenario, &hybrid, &run_params)
+        }
+        .run(&mut NullSink);
         let controller_cost = score(&out.report);
 
         let regret = controller_cost / oracle_cost;
@@ -345,14 +344,15 @@ fn main() {
         ..trace_cfg.clone()
     };
     let replay_scenario = replay_cfg.build();
-    let replay_score = |k: usize| {
-        score(&simulate_with_source(
-            &replay_scenario,
-            &HybridConfig::paper(k, alpha),
-            &run_params,
-            Box::new(ReplaySource::new(requests.clone())),
-        ))
+    let replay = |hybrid: &HybridConfig, adaptive: Option<&AdaptiveConfig>| {
+        Simulation {
+            source: Some(Box::new(ReplaySource::new(requests.clone()))),
+            adaptive,
+            ..Simulation::new(&replay_scenario, hybrid, &run_params)
+        }
+        .run(&mut NullSink)
     };
+    let replay_score = |k: usize| score(&replay(&HybridConfig::paper(k, alpha), None).report);
     let coarse: Vec<usize> = vec![0, 5, 10, 15, 25, 50, 100];
     let (mut best_trace_k, mut best_trace_cost) = (0usize, f64::INFINITY);
     for &k in &coarse {
@@ -376,13 +376,7 @@ fn main() {
     .0;
     let trace_hybrid = HybridConfig::paper(trace_static_k, alpha);
     let trace_static_cost = replay_score(trace_static_k);
-    let trace_out = simulate_adaptive_with_source(
-        &replay_scenario,
-        &trace_hybrid,
-        &run_params,
-        &adaptive_config(),
-        Box::new(ReplaySource::new(requests.clone())),
-    );
+    let trace_out = replay(&trace_hybrid, Some(&adaptive_config()));
     let trace_controller_cost = score(&trace_out.report);
     let trace_regret = trace_controller_cost / best_trace_cost;
     let trace_beats = trace_controller_cost < trace_static_cost;

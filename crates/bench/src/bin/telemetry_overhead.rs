@@ -5,29 +5,28 @@
 //! cargo run --release -p hybridcast-bench --bin telemetry_overhead [-- quick]
 //! ```
 //!
-//! Three variants of the *same seeded run*:
+//! Two variants of the *same seeded run*:
 //!
-//! * **off** — `simulate` (the `NullSink` path, what every experiment
-//!   binary executes);
-//! * **null** — `simulate_with_sink(&mut NullSink)`, pinning down that the
-//!   generic sink plumbing itself monomorphizes to nothing;
+//! * **off** — `simulate`, i.e. `Simulation::run(&mut NullSink)`: every
+//!   guarded emission monomorphizes away (what every experiment binary
+//!   executes);
 //! * **windowed** — `simulate_telemetry` with the full per-class windowed
 //!   recorder (counters, gauges, two P² estimators per class per window).
 //!
-//! Acceptance gates (checked in-process, non-zero exit on failure):
-//! `null ≤ 1.02 × off` and `windowed ≤ 1.10 × off`, each taken on the
-//! minimum wall time over the repetitions (minimum is the standard robust
-//! estimator against scheduler noise). The run also re-checks the
-//! observational guarantee: all three variants must return bit-identical
-//! reports. Results land in `results/BENCH_telemetry.json`.
+//! Acceptance gate (checked in-process, non-zero exit on failure):
+//! `windowed ≤ 1.10 × off`, taken on the minimum wall time over the
+//! repetitions (minimum is the standard robust estimator against
+//! scheduler noise). The run also re-checks the observational guarantee:
+//! both variants must return bit-identical reports. Results land in
+//! `results/BENCH_telemetry.json`.
 
 use std::time::Instant;
 
 use hybridcast_bench::results_dir;
 use hybridcast_core::config::HybridConfig;
 use hybridcast_core::metrics::SimReport;
-use hybridcast_core::sim_driver::{simulate, simulate_telemetry, simulate_with_sink, SimParams};
-use hybridcast_telemetry::{NullSink, TelemetryConfig};
+use hybridcast_core::sim_driver::{simulate, simulate_telemetry, SimParams};
+use hybridcast_telemetry::TelemetryConfig;
 use hybridcast_workload::scenario::{Scenario, ScenarioConfig};
 use serde_json::json;
 
@@ -58,45 +57,32 @@ fn main() {
     };
     let telemetry = TelemetryConfig::new(100.0);
 
-    // One untimed warm-up, then interleaved rounds (off, null, windowed)
+    // One untimed warm-up, then interleaved rounds (off, windowed)
     // with the per-variant minimum: slow drift of the host (frequency
     // scaling, noisy neighbours) hits all variants alike instead of
     // whichever happened to run last.
     let _ = simulate(&scenario, &cfg, &params);
-    let (mut t_off, mut t_null, mut t_win) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    let (mut r_off, mut r_null, mut r_win) = (None, None, None);
+    let (mut t_off, mut t_win) = (f64::INFINITY, f64::INFINITY);
+    let (mut r_off, mut r_win) = (None, None);
     for _ in 0..reps {
         let (t, r) = timed(|| simulate(&scenario, &cfg, &params));
         t_off = t_off.min(t);
         r_off = Some(r);
-        let (t, r) = timed(|| simulate_with_sink(&scenario, &cfg, &params, &mut NullSink));
-        t_null = t_null.min(t);
-        r_null = Some(r);
         let (t, r) = timed(|| simulate_telemetry(&scenario, &cfg, &params, telemetry).0);
         t_win = t_win.min(t);
         r_win = Some(r);
     }
-    let (r_off, r_null, r_win) = (r_off.unwrap(), r_null.unwrap(), r_win.unwrap());
-
-    assert_eq!(r_off, r_null, "NullSink plumbing changed the report");
     assert_eq!(r_off, r_win, "windowed recording changed the report");
 
-    let null_ratio = t_null / t_off;
     let win_ratio = t_win / t_off;
-    let pass_null = null_ratio <= 1.02;
     let pass_win = win_ratio <= 1.10;
 
     println!("# BENCH_telemetry — instrumentation overhead on D=10k\n");
     println!("| variant | min wall s | vs off |");
     println!("|---------|-----------|--------|");
     println!("| off (simulate) | {t_off:.4} | 1.000 |");
-    println!("| null sink | {t_null:.4} | {null_ratio:.3} |");
     println!("| windowed recorder | {t_win:.4} | {win_ratio:.3} |");
     println!();
-    println!(
-        "acceptance: null <= 1.02x off: {}",
-        if pass_null { "PASS" } else { "FAIL" }
-    );
     println!(
         "acceptance: windowed <= 1.10x off: {}",
         if pass_win { "PASS" } else { "FAIL" }
@@ -111,13 +97,10 @@ fn main() {
         "quick": quick,
         "window": telemetry.window,
         "off_s": t_off,
-        "null_sink_s": t_null,
         "windowed_s": t_win,
-        "null_ratio": null_ratio,
         "windowed_ratio": win_ratio,
-        "gate_null_max": 1.02,
         "gate_windowed_max": 1.10,
-        "pass": pass_null && pass_win,
+        "pass": pass_win,
     });
     let dir = results_dir();
     let path = dir.join("BENCH_telemetry.json");
@@ -127,7 +110,7 @@ fn main() {
         Ok(()) => eprintln!("[saved {}]", path.display()),
         Err(e) => eprintln!("[warn: could not persist results: {e}]"),
     }
-    if !(pass_null && pass_win) {
+    if !pass_win {
         std::process::exit(1);
     }
 }

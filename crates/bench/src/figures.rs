@@ -350,7 +350,8 @@ pub fn blocking_vs_bandwidth(shares_a: &[f64], k: usize, scale: &RunScale) -> Fi
 /// cutoff (K = 10) is compared with the best and worst static cutoffs on
 /// the same grid.
 pub fn adaptive_vs_static(thetas: &[f64], alpha: f64, scale: &RunScale) -> FigureData {
-    use hybridcast_core::sim_driver::{simulate_adaptive, SimParams};
+    use hybridcast_core::sim_driver::{SimParams, Simulation};
+    use hybridcast_telemetry::NullSink;
     let ks = default_ks();
     let mut adaptive_cost = Vec::new();
     let mut static_best = Vec::new();
@@ -370,12 +371,11 @@ pub fn adaptive_vs_static(thetas: &[f64], alpha: f64, scale: &RunScale) -> Figur
             rerank: false,
             controller: None,
         };
-        let out = simulate_adaptive(
-            &scenario,
-            &HybridConfig::paper(10, alpha),
-            &params,
-            &adaptive,
-        );
+        let out = Simulation {
+            adaptive: Some(&adaptive),
+            ..Simulation::new(&scenario, &HybridConfig::paper(10, alpha), &params)
+        }
+        .run(&mut NullSink);
         adaptive_cost.push(out.report.total_prioritized_cost);
         final_ks.push(out.final_k as f64);
         let costs: Vec<f64> = ks
@@ -418,7 +418,8 @@ pub fn adaptive_vs_static(thetas: &[f64], alpha: f64, scale: &RunScale) -> Figur
 /// stale; the K-only controller helps a little, the re-ranking controller
 /// tracks the hot set. X is the drift shift per epoch.
 pub fn drift_tracking(shifts: &[usize], scale: &RunScale) -> FigureData {
-    use hybridcast_core::sim_driver::{simulate, simulate_adaptive, SimParams};
+    use hybridcast_core::sim_driver::{simulate, SimParams, Simulation};
+    use hybridcast_telemetry::NullSink;
     use hybridcast_workload::requests::DriftConfig;
     let mut static_cost = Vec::new();
     let mut k_only_cost = Vec::new();
@@ -439,27 +440,21 @@ pub fn drift_tracking(shifts: &[usize], scale: &RunScale) -> FigureData {
             replication: 0,
         };
         static_cost.push(simulate(&scenario, &cfg, &params).total_prioritized_cost);
-        let base_adaptive = AdaptiveConfig {
-            period: 400.0,
-            candidate_ks: default_ks(),
-            smoothing: 0.5,
-            rerank: false,
-            controller: None,
-        };
-        k_only_cost.push(
-            simulate_adaptive(&scenario, &cfg, &params, &base_adaptive)
-                .report
-                .total_prioritized_cost,
-        );
-        let rerank = AdaptiveConfig {
-            rerank: true,
-            ..base_adaptive
-        };
-        rerank_cost.push(
-            simulate_adaptive(&scenario, &cfg, &params, &rerank)
-                .report
-                .total_prioritized_cost,
-        );
+        for (rerank, costs) in [(false, &mut k_only_cost), (true, &mut rerank_cost)] {
+            let adaptive = AdaptiveConfig {
+                period: 400.0,
+                candidate_ks: default_ks(),
+                smoothing: 0.5,
+                rerank,
+                controller: None,
+            };
+            let run = Simulation {
+                adaptive: Some(&adaptive),
+                ..Simulation::new(&scenario, &cfg, &params)
+            }
+            .run(&mut NullSink);
+            costs.push(run.report.total_prioritized_cost);
+        }
     }
     let xs: Vec<f64> = shifts.iter().map(|&s| s as f64).collect();
     FigureData {
@@ -556,8 +551,9 @@ pub fn uplink_stress(probs: &[f64], k: usize, scale: &RunScale) -> FigureData {
 /// priority-weighted retention (revenue proxy) as the importance blend α
 /// moves from pure priority (0) to priority-blind stretch (1).
 pub fn churn_vs_alpha(alphas: &[f64], k: usize, scale: &RunScale) -> FigureData {
-    use hybridcast_core::churn::{simulate_with_churn, ChurnConfig};
-    use hybridcast_core::sim_driver::SimParams;
+    use hybridcast_core::churn::{ChurnConfig, ChurnReport};
+    use hybridcast_core::sim_driver::{SimParams, Simulation};
+    use hybridcast_telemetry::NullSink;
     let scenario = scenario_for(0.6, 5.0).build();
     let churn_cfg = ChurnConfig::default();
     let params = SimParams {
@@ -565,15 +561,15 @@ pub fn churn_vs_alpha(alphas: &[f64], k: usize, scale: &RunScale) -> FigureData 
         warmup: 0.0, // churn is a transient process; measure from t = 0
         replication: 0,
     };
-    let results: Vec<_> = alphas
+    let results: Vec<ChurnReport> = alphas
         .iter()
         .map(|&alpha| {
-            simulate_with_churn(
-                &scenario,
-                &HybridConfig::paper(k, alpha),
-                &params,
-                &churn_cfg,
-            )
+            Simulation {
+                churn: Some(&churn_cfg),
+                ..Simulation::new(&scenario, &HybridConfig::paper(k, alpha), &params)
+            }
+            .run(&mut NullSink)
+            .into()
         })
         .collect();
     let xs: Vec<f64> = alphas.to_vec();

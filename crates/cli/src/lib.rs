@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use hybridcast_analysis::hybrid_model::{HybridDelayModel, ModelDelays};
 use hybridcast_core::adaptive::ControllerConfig;
-use hybridcast_core::churn::{simulate_with_churn, ChurnConfig, ChurnReport};
+use hybridcast_core::churn::{ChurnConfig, ChurnReport};
 use hybridcast_core::config::HybridConfig;
 use hybridcast_core::cutoff::{CutoffOptimizer, CutoffSweep, Objective};
 use hybridcast_core::experiment::run_replicated_with_telemetry;
@@ -29,9 +29,9 @@ use hybridcast_core::experiment::{run_replicated, ReplicatedReport};
 use hybridcast_core::metrics::SimReport;
 use hybridcast_core::pull::PullPolicyKind;
 use hybridcast_core::sim_driver::{
-    simulate, simulate_adaptive, simulate_telemetry, AdaptiveConfig, AdaptiveReport, SimParams,
+    simulate, simulate_telemetry, AdaptiveConfig, AdaptiveReport, SimParams, Simulation,
 };
-use hybridcast_telemetry::{AggregatedSeries, TelemetryConfig, TimeSeries};
+use hybridcast_telemetry::{AggregatedSeries, NullSink, TelemetryConfig, TimeSeries};
 use hybridcast_workload::scenario::ScenarioConfig;
 
 /// The complete, serializable description of one experiment.
@@ -152,6 +152,22 @@ impl ExperimentConfig {
             adaptive.controller = Some(ControllerConfig::default());
         }
     }
+
+    /// The typed preconditions of the run a subcommand is about to start
+    /// ([`Simulation::validate`]): the static run, with the `adaptive`
+    /// block or the `churn` model on top when the subcommand uses it.
+    pub fn validate_run(&self, adaptive: bool, churn: bool) -> Result<(), String> {
+        let scenario = self.scenario.build();
+        let adaptive = adaptive.then(|| self.adaptive.clone().unwrap_or_default());
+        let churn = churn.then(|| self.churn.clone().unwrap_or_default());
+        Simulation {
+            adaptive: adaptive.as_ref(),
+            churn: churn.as_ref(),
+            ..Simulation::new(&scenario, &self.hybrid, &self.params)
+        }
+        .validate()
+        .map_err(|e| format!("invalid config: {e}"))
+    }
 }
 
 /// `simulate`: one static run.
@@ -164,14 +180,24 @@ pub fn run_simulate(cfg: &ExperimentConfig) -> SimReport {
 pub fn run_adaptive(cfg: &ExperimentConfig) -> AdaptiveReport {
     let scenario = cfg.scenario.build();
     let adaptive = cfg.adaptive.clone().unwrap_or_default();
-    simulate_adaptive(&scenario, &cfg.hybrid, &cfg.params, &adaptive)
+    Simulation {
+        adaptive: Some(&adaptive),
+        ..Simulation::new(&scenario, &cfg.hybrid, &cfg.params)
+    }
+    .run(&mut NullSink)
+    .into()
 }
 
 /// `churn`: one run with the finite-population churn model attached.
 pub fn run_churn(cfg: &ExperimentConfig) -> ChurnReport {
     let scenario = cfg.scenario.build();
     let churn = cfg.churn.clone().unwrap_or_default();
-    simulate_with_churn(&scenario, &cfg.hybrid, &cfg.params, &churn)
+    Simulation {
+        churn: Some(&churn),
+        ..Simulation::new(&scenario, &cfg.hybrid, &cfg.params)
+    }
+    .run(&mut NullSink)
+    .into()
 }
 
 /// `simulate --telemetry`: one instrumented run returning the report plus
@@ -185,9 +211,7 @@ pub fn run_simulate_telemetry(cfg: &ExperimentConfig) -> (SimReport, TimeSeries)
 /// `simulate --replications N --telemetry`: replicated runs with
 /// per-replication series reduced into a window-aligned aggregate with
 /// 95% CIs.
-pub fn run_simulate_replicated_telemetry(
-    cfg: &ExperimentConfig,
-) -> (ReplicatedReport, AggregatedSeries) {
+pub fn run_replications_telemetry(cfg: &ExperimentConfig) -> (ReplicatedReport, AggregatedSeries) {
     let scenario = cfg.scenario.build();
     let telemetry = cfg.telemetry_config().unwrap_or_default();
     run_replicated_with_telemetry(
@@ -216,7 +240,7 @@ pub fn run_optimize_telemetry(cfg: &ExperimentConfig) -> (CutoffSweep, TimeSerie
 
 /// `simulate --replications N`: `N` independent replications fanned
 /// across threads, reduced into a CI-aggregated report.
-pub fn run_simulate_replicated(cfg: &ExperimentConfig) -> ReplicatedReport {
+pub fn run_replications(cfg: &ExperimentConfig) -> ReplicatedReport {
     let scenario = cfg.scenario.build();
     run_replicated(
         &scenario,
@@ -569,7 +593,7 @@ mod tests {
     fn replicated_simulate_reports_cis() {
         let mut cfg = quick_cfg();
         cfg.replications = Some(3);
-        let rep = run_simulate_replicated(&cfg);
+        let rep = run_replications(&cfg);
         assert_eq!(rep.replications, 3);
         let text = summarize_replicated(&rep);
         assert!(text.contains("Class-A"));
@@ -582,7 +606,7 @@ mod tests {
     fn replications_default_to_one() {
         let cfg = quick_cfg();
         assert_eq!(cfg.effective_replications(), 1);
-        let rep = run_simulate_replicated(&cfg);
+        let rep = run_replications(&cfg);
         assert_eq!(rep.replications, 1);
         // single replication mean equals the plain simulate() mean
         let single = run_simulate(&cfg);
@@ -669,8 +693,8 @@ mod tests {
         let mut cfg = quick_cfg();
         cfg.replications = Some(3);
         cfg.telemetry = Some(200.0);
-        let plain = run_simulate_replicated(&cfg);
-        let (report, series) = run_simulate_replicated_telemetry(&cfg);
+        let plain = run_replications(&cfg);
+        let (report, series) = run_replications_telemetry(&cfg);
         assert_eq!(report, plain, "telemetry must not perturb the report");
         assert_eq!(series.replications, 3);
         assert!(!series.windows.is_empty());

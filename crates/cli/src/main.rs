@@ -6,8 +6,8 @@ use std::process::ExitCode;
 
 use hybridcast_cli::{
     export_aggregated_series, export_fuzz_failure, export_series, run_adaptive, run_churn,
-    run_fuzz, run_model, run_optimize, run_optimize_telemetry, run_replay, run_simulate,
-    run_simulate_replicated, run_simulate_replicated_telemetry, run_simulate_telemetry, summarize,
+    run_fuzz, run_model, run_optimize, run_optimize_telemetry, run_replay, run_replications,
+    run_replications_telemetry, run_simulate, run_simulate_telemetry, summarize,
     summarize_replicated, ExperimentConfig,
 };
 use hybridcast_telemetry::DEFAULT_WINDOW;
@@ -32,15 +32,11 @@ USAGE:
                                           results/fuzz-failure.json
     hybridcast fuzz --replay <dir|file>   replay corpus case(s) under the
                                           same oracles
-    hybridcast serve [--config <serve.json>] [--addr <host:port>]
-                     [--results <path|->] [--ops-addr <host:port|->]
-                     [--trace <path|->] [--init-config]
-                                          run the wall-clock TCP daemon until
+    hybridcast serve [OPTIONS]            run the wall-clock TCP daemon until
                                           SIGTERM/SIGINT, then drain and print
-                                          the run summary as JSON; --ops-addr
-                                          serves /healthz /stats /config over
-                                          HTTP, --trace records the accepted
-                                          stream as a binary HCT1 trace
+                                          the run summary as JSON (the
+                                          `hybridcastd` command line; `--help`
+                                          lists the options)
     hybridcast replay --trace <path> [--config <serve.json>]
                       [--mode daemon|sim] [--allow-mismatch]
                                           re-drive the scheduler from a
@@ -68,12 +64,11 @@ USAGE:
     hybridcast stats [--addr <host:port>] [--path /stats]
                                           GET a running daemon's ops endpoint
                                           and print the JSON body
-    hybridcast loadgen [--addr <host:port>] [--rps N] [--conns N] [--secs N]
-                       [--seed S] [--items N] [--theta X]
-                       [--deadline-ms N] [--grace-ms N]
-                                          open-loop Poisson/Zipf traffic against
+    hybridcast loadgen [OPTIONS]          open-loop Poisson/Zipf traffic against
                                           a running daemon; prints per-class
-                                          RTT quantiles as JSON
+                                          RTT quantiles as JSON (the `loadgen`
+                                          command line; `--help` lists the
+                                          options)
 
 OPTIONS:
     --adaptive            retune the cutoff online from windowed telemetry
@@ -95,6 +90,14 @@ OPTIONS:
 
 Use `-` as the config path to read from stdin.
 ";
+
+/// Pretty-prints a report as JSON on stdout.
+fn print_json<T: serde::Serialize>(value: &T) {
+    println!(
+        "{}",
+        serde_json::to_string_pretty(value).expect("reports serialize")
+    );
+}
 
 fn load_config(path: &str) -> Result<ExperimentConfig, String> {
     let text = if path == "-" {
@@ -251,20 +254,14 @@ fn run_fuzz_cmd(mut args: Vec<String>) -> Result<(), String> {
         Some(failure) => {
             let path = export_fuzz_failure(failure)?;
             eprintln!("[minimized failing config saved to {}]", path.display());
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&report).expect("report serializes")
-            );
+            print_json(&report);
             Err(format!(
                 "fuzzing found a failure at seed {} after {} case(s)",
                 failure.seed, report.cases_run
             ))
         }
         None => {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&report).expect("report serializes")
-            );
+            print_json(&report);
             eprintln!(
                 "{} case(s) fuzzed clean{}",
                 report.cases_run,
@@ -276,81 +273,6 @@ fn run_fuzz_cmd(mut args: Vec<String>) -> Result<(), String> {
             );
             Ok(())
         }
-    }
-}
-
-/// The `serve` subcommand: the wall-clock daemon, in-process.
-fn run_serve_cmd(mut args: Vec<String>) -> Result<(), String> {
-    use hybridcast_server::{serve, signal, ServeConfig};
-
-    if args.iter().any(|a| a == "--init-config") {
-        println!("{}", ServeConfig::default().to_json());
-        return Ok(());
-    }
-    let config_path = take_value::<String>(&mut args, "--config")?;
-    let addr = take_value::<String>(&mut args, "--addr")?;
-    let results = take_value::<String>(&mut args, "--results")?;
-    let ops_addr = take_value::<String>(&mut args, "--ops-addr")?;
-    let trace = take_value::<String>(&mut args, "--trace")?;
-    let channels = take_channels(&mut args)?;
-    if !args.is_empty() {
-        return Err(format!("unexpected arguments: {args:?}"));
-    }
-    let mut config = match &config_path {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            ServeConfig::from_json(&text).map_err(|e| format!("{path}: {e}"))?
-        }
-        None => ServeConfig::default(),
-    };
-    if let Some(addr) = addr {
-        config.serve.addr = addr;
-    }
-    if let Some(layout) = channels {
-        config.hybrid.channels = layout;
-    }
-    match results.as_deref() {
-        Some("-") => config.serve.results_path = None,
-        Some(path) => config.serve.results_path = Some(path.to_string()),
-        None => {}
-    }
-    match ops_addr.as_deref() {
-        Some("-") => config.serve.ops_addr = None,
-        Some(a) => config.serve.ops_addr = Some(a.to_string()),
-        None => {}
-    }
-    match trace.as_deref() {
-        Some("-") => config.serve.trace_path = None,
-        Some(path) => config.serve.trace_path = Some(path.to_string()),
-        None => {}
-    }
-
-    // Bridge POSIX signals onto the serve loop's shutdown flag.
-    signal::install();
-    let shutdown = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    {
-        let shutdown = std::sync::Arc::clone(&shutdown);
-        std::thread::spawn(move || loop {
-            if signal::requested() {
-                shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        });
-    }
-    eprintln!(
-        "hybridcast serve: listening on {} (1 broadcast unit = {} ms)",
-        config.serve.addr, config.serve.unit_millis
-    );
-    let summary = serve(config, shutdown).map_err(|e| format!("serve: {e}"))?;
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&summary).expect("summary serializes")
-    );
-    if summary.conservation_ok {
-        Ok(())
-    } else {
-        Err("conservation violated: some accepted frames went unanswered".to_string())
     }
 }
 
@@ -432,10 +354,7 @@ fn run_trace_replay_cmd(mut args: Vec<String>) -> Result<(), String> {
                     books.rerouted, books.remapped_items, books.remapped_classes
                 );
             }
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&books).expect("books serialize")
-            );
+            print_json(&books);
             if books.conservation_ok {
                 Ok(())
             } else {
@@ -445,10 +364,7 @@ fn run_trace_replay_cmd(mut args: Vec<String>) -> Result<(), String> {
         "sim" => {
             let params = sim_params_for(&trace);
             let report = replay_simulator(&scenario, &config.hybrid, &params, &trace);
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&report).expect("report serializes")
-            );
+            print_json(&report);
             Ok(())
         }
         other => Err(format!("--mode must be `daemon` or `sim`, got `{other}`")),
@@ -579,63 +495,16 @@ fn run_stats_cmd(mut args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// The `loadgen` subcommand: open-loop traffic against a running daemon.
-fn run_loadgen_cmd(mut args: Vec<String>) -> Result<(), String> {
-    use hybridcast_server::{run_loadgen, LoadgenConfig};
-
-    let mut cfg = LoadgenConfig::default();
-    if let Some(v) = take_value(&mut args, "--addr")? {
-        cfg.addr = v;
-    }
-    if let Some(v) = take_value(&mut args, "--rps")? {
-        cfg.rps = v;
-    }
-    if let Some(v) = take_value(&mut args, "--conns")? {
-        cfg.connections = v;
-    }
-    if let Some(v) = take_value(&mut args, "--secs")? {
-        cfg.duration_secs = v;
-    }
-    if let Some(v) = take_value(&mut args, "--seed")? {
-        cfg.seed = v;
-    }
-    if let Some(v) = take_value(&mut args, "--items")? {
-        cfg.num_items = v;
-    }
-    if let Some(v) = take_value(&mut args, "--theta")? {
-        cfg.zipf_theta = v;
-    }
-    if let Some(v) = take_value(&mut args, "--deadline-ms")? {
-        cfg.deadline_ms = v;
-    }
-    if let Some(v) = take_value(&mut args, "--grace-ms")? {
-        cfg.grace_ms = v;
-    }
-    if !args.is_empty() {
-        return Err(format!("unexpected arguments: {args:?}"));
-    }
-    let report = run_loadgen(&cfg).map_err(|e| format!("loadgen: {e}"))?;
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&report).expect("report serializes")
-    );
-    if report.unanswered == 0 {
-        Ok(())
-    } else {
-        Err(format!("{} requests went unanswered", report.unanswered))
-    }
-}
-
 fn run() -> Result<(), String> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("fuzz") {
         return run_fuzz_cmd(args.split_off(1));
     }
     if args.first().map(String::as_str) == Some("serve") {
-        return run_serve_cmd(args.split_off(1));
+        return hybridcast_server::daemon_main("hybridcast serve", args.split_off(1));
     }
     if args.first().map(String::as_str) == Some("loadgen") {
-        return run_loadgen_cmd(args.split_off(1));
+        return hybridcast_server::loadgen_main("hybridcast loadgen", args.split_off(1));
     }
     if args.first().map(String::as_str) == Some("replay") {
         return run_trace_replay_cmd(args.split_off(1));
@@ -671,6 +540,13 @@ fn run() -> Result<(), String> {
     if adaptive {
         cfg.enable_controller();
     }
+    if matches!(
+        cmd,
+        "simulate" | "adaptive" | "churn" | "optimize" | "summary" | "dashboard"
+    ) {
+        let adaptive_run = cmd == "adaptive" || (cmd == "simulate" && adaptive);
+        cfg.validate_run(adaptive_run, cmd == "churn")?;
+    }
     match cmd {
         "simulate" | "adaptive" if adaptive => {
             let out = run_adaptive(&cfg);
@@ -679,70 +555,34 @@ fn run() -> Result<(), String> {
                 out.retunes.len(),
                 out.final_k
             );
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&out).expect("report serializes")
-            );
+            print_json(&out);
         }
         "simulate" if cfg.telemetry.is_some() => {
             if cfg.effective_replications() > 1 {
-                let (report, series) = run_simulate_replicated_telemetry(&cfg);
+                let (report, series) = run_replications_telemetry(&cfg);
                 let (jsonl, svg) = export_aggregated_series("telemetry", "simulate", &series)?;
                 eprintln!("[saved {} and {}]", jsonl.display(), svg.display());
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&report).expect("report serializes")
-                );
+                print_json(&report);
             } else {
                 let (report, series) = run_simulate_telemetry(&cfg);
                 let (jsonl, svg) = export_series("telemetry", "simulate", &series)?;
                 eprintln!("[saved {} and {}]", jsonl.display(), svg.display());
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&report).expect("report serializes")
-                );
+                print_json(&report);
             }
         }
-        "simulate" => {
-            if cfg.effective_replications() > 1 {
-                let report = run_simulate_replicated(&cfg);
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&report).expect("report serializes")
-                );
-            } else {
-                let report = run_simulate(&cfg);
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&report).expect("report serializes")
-                );
-            }
-        }
-        "adaptive" => {
-            let out = run_adaptive(&cfg);
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&out).expect("report serializes")
-            );
-        }
-        "optimize" if cfg.telemetry.is_some() => {
-            let (sweep, series) = run_optimize_telemetry(&cfg);
-            let (jsonl, svg) = export_series("telemetry_optimize", "optimize (best K)", &series)?;
-            eprintln!("[saved {} and {}]", jsonl.display(), svg.display());
-            eprintln!(
-                "optimal K = {} (objective {:.3} ±{:.3}, R = {})",
-                sweep.best_k(),
-                sweep.best().objective,
-                sweep.best().objective_ci95,
-                sweep.replications
-            );
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&sweep).expect("sweep serializes")
-            );
-        }
+        "simulate" if cfg.effective_replications() > 1 => print_json(&run_replications(&cfg)),
+        "simulate" => print_json(&run_simulate(&cfg)),
+        "adaptive" => print_json(&run_adaptive(&cfg)),
         "optimize" => {
-            let sweep = run_optimize(&cfg);
+            let sweep = if cfg.telemetry.is_some() {
+                let (sweep, series) = run_optimize_telemetry(&cfg);
+                let (jsonl, svg) =
+                    export_series("telemetry_optimize", "optimize (best K)", &series)?;
+                eprintln!("[saved {} and {}]", jsonl.display(), svg.display());
+                sweep
+            } else {
+                run_optimize(&cfg)
+            };
             eprintln!(
                 "optimal K = {} (objective {:.3} ±{:.3}, R = {})",
                 sweep.best_k(),
@@ -750,10 +590,7 @@ fn run() -> Result<(), String> {
                 sweep.best().objective_ci95,
                 sweep.replications
             );
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&sweep).expect("sweep serializes")
-            );
+            print_json(&sweep);
         }
         "churn" => {
             let out = run_churn(&cfg);
@@ -762,18 +599,9 @@ fn run() -> Result<(), String> {
                 100.0 * out.weighted_retention,
                 out.departures
             );
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&out).expect("report serializes")
-            );
+            print_json(&out);
         }
-        "model" => {
-            let delays = run_model(&cfg);
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&delays).expect("delays serialize")
-            );
-        }
+        "model" => print_json(&run_model(&cfg)),
         "dashboard" => {
             if cfg.telemetry.is_none() {
                 cfg.telemetry = Some(DEFAULT_WINDOW);
@@ -785,7 +613,7 @@ fn run() -> Result<(), String> {
         }
         "summary" => {
             if cfg.effective_replications() > 1 {
-                let report = run_simulate_replicated(&cfg);
+                let report = run_replications(&cfg);
                 print!("{}", summarize_replicated(&report));
             } else {
                 let report = run_simulate(&cfg);

@@ -228,6 +228,38 @@ fn malformed_config_is_rejected_cleanly() {
     assert!(stderr.contains("invalid config"));
 }
 
+/// Run preconditions are typed errors, not panics 2 000 units into the run:
+/// the starter `candidate_ks` reach 90, past a 50-item catalog.
+#[test]
+fn candidate_cutoffs_beyond_the_catalog_are_an_invalid_config() {
+    let mut cfg: serde_json::Value = serde_json::from_str(&quick_config()).unwrap();
+    cfg["scenario"]["num_items"] = 50.into();
+    cfg["hybrid"]["cutoff"] = 20.into();
+    let (ok, stdout, stderr) = run_with_stdin(&["adaptive", "-"], &cfg.to_string());
+    assert!(!ok);
+    assert!(stdout.is_empty(), "stdout: {stdout}");
+    assert!(
+        stderr.contains("invalid config: candidate cutoff 90 exceeds catalog size 50"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
+fn warmup_past_the_horizon_is_an_invalid_config() {
+    let mut cfg: serde_json::Value = serde_json::from_str(&quick_config()).unwrap();
+    cfg["params"]["warmup"] = 1_500.0.into();
+    for cmd in ["simulate", "summary", "churn", "optimize", "dashboard"] {
+        let (ok, _, stderr) = run_with_stdin(&[cmd, "-"], &cfg.to_string());
+        assert!(!ok, "{cmd}");
+        assert!(
+            stderr.contains("invalid config: horizon 1500 must exceed warmup 1500"),
+            "{cmd}: stderr: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{cmd}: stderr: {stderr}");
+    }
+}
+
 #[test]
 fn unknown_config_key_is_rejected_with_its_name() {
     let mut cfg: serde_json::Value = serde_json::from_str(&quick_config()).unwrap();

@@ -13,6 +13,16 @@
 //! demand (the Poisson stream is thinned by attribution: requests drawn
 //! for a fully-churned class are lost demand).
 //!
+//! The model has no event loop of its own. It is optional state on the
+//! simulation driver ([`Simulation::churn`](crate::sim_driver::Simulation)),
+//! like the adaptive controller and the uplink: the driver tells it which
+//! client each request belongs to and what became of the request, so a
+//! churn run is an ordinary run — contended uplink, nonstationary
+//! scenarios, injected uplink/surge/departure faults, the horizon census
+//! and the queue audit all apply. What it does not combine with is a
+//! moving cutoff (no adaptive block, no forced-cutoff fault) or more than
+//! the paper's one interleaved channel; `Simulation::validate` says so.
+//!
 //! The headline output is the **priority-weighted retention**
 //! `Σ_c q_c·alive_c / Σ_c q_c·total_c` — a revenue proxy that makes the
 //! paper's "reducing their churn-rate \[increases\] profit of the service
@@ -20,19 +30,17 @@
 
 use serde::{Deserialize, Serialize};
 
-use hybridcast_sim::engine::Engine;
-use hybridcast_sim::rng::RngFactory;
+use hybridcast_sim::rng::{RngFactory, Xoshiro256};
 use hybridcast_sim::time::SimTime;
-use hybridcast_telemetry::{emit, NullSink, ServiceKind, Sink, TelemetryEvent};
-use hybridcast_workload::classes::ClassId;
+use hybridcast_telemetry::{emit, Sink, TelemetryEvent};
+use hybridcast_workload::catalog::ItemId;
+use hybridcast_workload::classes::{ClassId, ClassSet};
 use hybridcast_workload::clients::{ClientId, ClientPool};
-use hybridcast_workload::requests::RequestGenerator;
 use hybridcast_workload::scenario::Scenario;
 
-use crate::config::HybridConfig;
-use crate::hybrid::{Disposition, HybridScheduler, Transmission};
-use crate::metrics::{MetricsCollector, SimReport, TxKind};
-use crate::sim_driver::SimParams;
+use crate::metrics::{SimReport, TxKind};
+use crate::queue::PendingItem;
+use crate::sim_driver::{ensure, SimRun};
 
 /// RNG stream id for client attribution (disjoint from
 /// `hybridcast_sim::rng::streams`).
@@ -73,6 +81,23 @@ impl Default for ChurnConfig {
     }
 }
 
+impl ChurnConfig {
+    /// The config's own preconditions, for a scenario with `num_classes`
+    /// service classes.
+    pub(crate) fn validate(&self, num_classes: usize) -> Result<(), String> {
+        let given = self.tolerance.len();
+        ensure(
+            given == num_classes,
+            format_args!("need one tolerance per class ({given} given, {num_classes} classes)"),
+        )?;
+        ensure(
+            self.ema_alpha > 0.0 && self.ema_alpha <= 1.0,
+            "ema_alpha must lie in (0, 1]",
+        )?;
+        ensure(self.blocked_penalty >= 1.0, "penalty must be ≥ 1")
+    }
+}
+
 /// Result of a churn run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChurnReport {
@@ -90,36 +115,136 @@ pub struct ChurnReport {
     pub lost_demand: u64,
 }
 
-#[derive(Debug)]
-enum Event {
-    Arrival,
-    Complete(Transmission),
+/// What the churn model adds to a run's outcome; [`ChurnReport`] is this
+/// next to the run's [`SimReport`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChurnOutcome {
+    /// Fraction of each class that churned by the horizon.
+    pub churn_per_class: Vec<f64>,
+    /// Alive subscribers per class at the horizon.
+    pub alive_per_class: Vec<usize>,
+    /// `Σ_c q_c·alive_c / Σ_c q_c·total_c`.
+    pub weighted_retention: f64,
+    /// Total departures.
+    pub departures: u64,
+    /// Requests lost because their class had fully churned.
+    pub lost_demand: u64,
 }
 
-struct ChurnDriver<'s, S: Sink> {
-    scheduler: HybridScheduler,
-    metrics: MetricsCollector,
-    gen: RequestGenerator,
-    pool: ClientPool,
+impl From<SimRun> for ChurnReport {
+    /// # Panics
+    /// Panics if the run had no churn model attached.
+    fn from(run: SimRun) -> Self {
+        let churn = run.churn.expect("the run had no churn model attached");
+        ChurnReport {
+            report: run.report,
+            churn_per_class: churn.churn_per_class,
+            alive_per_class: churn.alive_per_class,
+            weighted_retention: churn.weighted_retention,
+            departures: churn.departures,
+            lost_demand: churn.lost_demand,
+        }
+    }
+}
+
+/// The client id carried by requests of a run without the churn model.
+pub(crate) const NO_CLIENT: ClientId = ClientId(u32::MAX);
+
+/// The churn model's per-run state: optional state on the simulation
+/// driver, like the adaptive controller and the uplink. The driver tells
+/// it which client each request belongs to and what happened to the
+/// request; it keeps the pool, the dissatisfaction EMAs and the tallies.
+pub(crate) struct ChurnState {
     cfg: ChurnConfig,
-    client_rng: hybridcast_sim::rng::Xoshiro256,
-    /// Push waiting room: `(arrival, class, client)` per push item.
-    push_waiters: Vec<Vec<(SimTime, ClassId, ClientId)>>,
+    pool: ClientPool,
+    rng: Xoshiro256,
     /// Client ids of queued pull requests, per item, in insertion order
-    /// (parallel to the queue's `requesters` vector).
+    /// (parallel to the queue entry's `requesters`).
     pull_clients: Vec<Vec<ClientId>>,
-    /// Clients of the pull batch currently on the air (single server ⇒ at
-    /// most one batch in flight). Snapshotted at dispatch, consumed at
-    /// completion — requests arriving mid-transmission start a fresh list.
-    in_flight_clients: Vec<ClientId>,
-    server_busy: bool,
+    /// Clients of the pull batch on the air (one channel ⇒ at most one
+    /// batch). Moved here at dispatch — the queue entry is removed at
+    /// selection, so requests arriving mid-transmission start a fresh
+    /// per-item list.
+    in_flight: Vec<ClientId>,
     departures: u64,
     lost_demand: u64,
-    sink: &'s mut S,
 }
 
-impl<S: Sink> ChurnDriver<'_, S> {
-    fn observe_delay(&mut self, now: SimTime, client: ClientId, class: ClassId, delay: f64) {
+impl ChurnState {
+    pub(crate) fn new(cfg: &ChurnConfig, scenario: &Scenario, factory: &RngFactory) -> Self {
+        ChurnState {
+            cfg: cfg.clone(),
+            pool: ClientPool::new(&scenario.classes, cfg.total_clients),
+            rng: factory.stream(CLIENT_STREAM),
+            pull_clients: vec![Vec::new(); scenario.catalog.len()],
+            in_flight: Vec::new(),
+            departures: 0,
+            lost_demand: 0,
+        }
+    }
+
+    /// Attributes a drawn request to a living subscriber of its class. A
+    /// fully-churned class generates nothing: the draw is lost demand and
+    /// never becomes an arrival.
+    pub(crate) fn attribute(&mut self, class: ClassId) -> Option<ClientId> {
+        let client = self.pool.sample_alive(class, &mut self.rng);
+        if client.is_none() {
+            self.lost_demand += 1;
+        }
+        client
+    }
+
+    /// `client`'s request for `item` entered the pull queue.
+    pub(crate) fn queued(&mut self, item: ItemId, client: ClientId) {
+        self.pull_clients[item.index()].push(client);
+    }
+
+    /// A pull transmission of `item` serving `batch` requests went on air.
+    pub(crate) fn on_air(&mut self, item: ItemId, batch: usize) {
+        self.in_flight = std::mem::take(&mut self.pull_clients[item.index()]);
+        debug_assert_eq!(self.in_flight.len(), batch);
+    }
+
+    /// The client behind the `i`-th request of the batch on the air.
+    pub(crate) fn in_flight(&self, i: usize) -> ClientId {
+        self.in_flight[i]
+    }
+
+    /// `client` was served after `delay`. Broadcast waits feed the EMA only
+    /// with `observe_push` on.
+    pub(crate) fn served<S: Sink>(
+        &mut self,
+        sink: &mut S,
+        now: SimTime,
+        kind: TxKind,
+        client: ClientId,
+        class: ClassId,
+        delay: f64,
+    ) {
+        if kind == TxKind::Pull || self.cfg.observe_push {
+            self.sample(sink, now, client, class, delay);
+        }
+    }
+
+    /// Admission control dropped `entry`: every requester takes the
+    /// blocked-request penalty sample.
+    pub(crate) fn blocked<S: Sink>(&mut self, sink: &mut S, now: SimTime, entry: &PendingItem) {
+        let clients = std::mem::take(&mut self.pull_clients[entry.item.index()]);
+        debug_assert_eq!(clients.len(), entry.requesters.len());
+        for (&(_, class), client) in entry.requesters.iter().zip(clients) {
+            let penalty = self.cfg.blocked_penalty * self.cfg.tolerance[class.index()];
+            self.sample(sink, now, client, class, penalty);
+        }
+    }
+
+    fn sample<S: Sink>(
+        &mut self,
+        sink: &mut S,
+        now: SimTime,
+        client: ClientId,
+        class: ClassId,
+        delay: f64,
+    ) {
         let ema = self.pool.record_delay(client, delay, self.cfg.ema_alpha);
         let c = self.pool.client(client);
         if !c.departed
@@ -128,7 +253,7 @@ impl<S: Sink> ChurnDriver<'_, S> {
         {
             self.pool.depart(client);
             self.departures += 1;
-            emit(self.sink, || TelemetryEvent::ChurnEvent {
+            emit(sink, || TelemetryEvent::ChurnEvent {
                 time: now,
                 class,
                 client: client.0,
@@ -136,262 +261,31 @@ impl<S: Sink> ChurnDriver<'_, S> {
         }
     }
 
-    fn record_queue(&mut self, now: SimTime) {
-        let items = self.scheduler.queue().len();
-        let requests = self.scheduler.queue().total_requests();
-        self.metrics.queue_changed(now, items, requests);
-        emit(self.sink, || TelemetryEvent::QueueGauge {
-            time: now,
-            items: items as u32,
-            requests: requests as u32,
-        });
-    }
-
-    fn dispatch(&mut self, eng: &mut Engine<Event>, now: SimTime) {
-        let (tx, dropped) = self.scheduler.next_transmission(now);
-        for entry in dropped {
-            self.metrics.record_blocked_item();
-            let clients = std::mem::take(&mut self.pull_clients[entry.item.index()]);
-            debug_assert_eq!(clients.len(), entry.requesters.len());
-            for (&(arrival, class), client) in entry.requesters.iter().zip(clients) {
-                self.metrics.record_blocked(class, arrival);
-                emit(self.sink, || TelemetryEvent::RequestBlocked {
-                    time: now,
-                    item: entry.item,
-                    class,
-                });
-                let penalty = self.cfg.blocked_penalty * self.cfg.tolerance[class.index()];
-                self.observe_delay(now, client, class, penalty);
-            }
-            self.scheduler.recycle(entry);
+    pub(crate) fn outcome(self, classes: &ClassSet) -> ChurnOutcome {
+        let churn_per_class = classes.ids().map(|c| self.pool.churn_rate(c)).collect();
+        let alive_per_class: Vec<usize> =
+            classes.ids().map(|c| self.pool.alive_in_class(c)).collect();
+        let (mut num, mut den) = (0.0, 0.0);
+        for (id, class) in classes.iter() {
+            num += class.priority * alive_per_class[id.index()] as f64;
+            den += class.priority * self.pool.total_in_class(id) as f64;
         }
-        self.record_queue(now);
-        match tx {
-            Some(tx) => {
-                if tx.kind == TxKind::Pull {
-                    // Snapshot the batch's clients now: the queue entry was
-                    // removed at selection, so the per-item list is exactly
-                    // this batch (later arrivals start a fresh list).
-                    self.in_flight_clients =
-                        std::mem::take(&mut self.pull_clients[tx.item.index()]);
-                    debug_assert_eq!(
-                        self.in_flight_clients.len(),
-                        tx.served.as_ref().map(|b| b.count()).unwrap_or(0)
-                    );
-                }
-                self.metrics.on_transmission(tx.kind);
-                eng.schedule_at(tx.completes_at(), Event::Complete(tx));
-                self.server_busy = true;
-            }
-            None => self.server_busy = false,
+        ChurnOutcome {
+            churn_per_class,
+            alive_per_class,
+            weighted_retention: num / den,
+            departures: self.departures,
+            lost_demand: self.lost_demand,
         }
-    }
-
-    fn handle(&mut self, eng: &mut Engine<Event>, ev: Event) {
-        let now = eng.now();
-        match ev {
-            Event::Arrival => {
-                let req = self.gen.next_request();
-                // Attribute the request to a living subscriber of the
-                // drawn class; fully-churned classes generate nothing.
-                match self.pool.sample_alive(req.class, &mut self.client_rng) {
-                    Some(client) => {
-                        self.metrics.on_request(req.class, req.arrival);
-                        emit(self.sink, || TelemetryEvent::RequestArrival {
-                            time: req.arrival,
-                            item: req.item,
-                            class: req.class,
-                        });
-                        match self.scheduler.on_request(&req) {
-                            Disposition::PushIgnored => {
-                                self.push_waiters[req.item.index()].push((
-                                    req.arrival,
-                                    req.class,
-                                    client,
-                                ));
-                            }
-                            Disposition::Queued => {
-                                self.pull_clients[req.item.index()].push(client);
-                                self.record_queue(now);
-                            }
-                        }
-                        if !self.server_busy {
-                            self.dispatch(eng, now);
-                        }
-                    }
-                    None => {
-                        self.lost_demand += 1;
-                    }
-                }
-                eng.schedule_at(self.gen.peek_time(), Event::Arrival);
-            }
-            Event::Complete(tx) => {
-                let start = tx.start;
-                let duration = tx.duration;
-                match tx.kind {
-                    TxKind::Push => {
-                        let item = tx.item;
-                        emit(self.sink, || TelemetryEvent::PushTx {
-                            time: now,
-                            item,
-                            duration,
-                        });
-                        let waiters = std::mem::take(&mut self.push_waiters[item.index()]);
-                        let mut kept = Vec::new();
-                        for (arrival, class, client) in waiters {
-                            if arrival <= start {
-                                let delay = (now - arrival).as_f64();
-                                self.metrics
-                                    .record_served(class, TxKind::Push, arrival, now);
-                                emit(self.sink, || TelemetryEvent::RequestServed {
-                                    time: now,
-                                    item,
-                                    class,
-                                    kind: ServiceKind::Push,
-                                    arrival,
-                                });
-                                if self.cfg.observe_push {
-                                    self.observe_delay(now, client, class, delay);
-                                }
-                            } else {
-                                kept.push((arrival, class, client));
-                            }
-                        }
-                        self.push_waiters[item.index()] = kept;
-                    }
-                    TxKind::Pull => {
-                        let item = tx.item;
-                        if let Some(batch) = self.scheduler.complete_transmission(tx) {
-                            let clients = std::mem::take(&mut self.in_flight_clients);
-                            debug_assert_eq!(clients.len(), batch.requesters.len());
-                            for (&(arrival, class), client) in batch.requesters.iter().zip(clients)
-                            {
-                                let delay = (now - arrival).as_f64();
-                                self.metrics
-                                    .record_served(class, TxKind::Pull, arrival, now);
-                                emit(self.sink, || TelemetryEvent::RequestServed {
-                                    time: now,
-                                    item,
-                                    class,
-                                    kind: ServiceKind::Pull,
-                                    arrival,
-                                });
-                                self.observe_delay(now, client, class, delay);
-                            }
-                            emit(self.sink, || TelemetryEvent::PullTx {
-                                time: now,
-                                item,
-                                duration,
-                                requests: batch.count() as u32,
-                                class: batch.dominant_class().unwrap_or(ClassId(0)),
-                            });
-                            self.scheduler.recycle(batch);
-                        }
-                        self.dispatch(eng, now);
-                        return;
-                    }
-                }
-                self.dispatch(eng, now);
-            }
-        }
-    }
-}
-
-/// Runs one simulation with the churn model attached.
-///
-/// # Panics
-/// Panics if `churn.tolerance` does not have one entry per class or other
-/// parameters are invalid.
-pub fn simulate_with_churn(
-    scenario: &Scenario,
-    hybrid: &HybridConfig,
-    params: &SimParams,
-    churn: &ChurnConfig,
-) -> ChurnReport {
-    simulate_with_churn_sink(scenario, hybrid, params, churn, &mut NullSink)
-}
-
-/// [`simulate_with_churn`] with telemetry delivered to `sink` — departures
-/// show up as [`TelemetryEvent::ChurnEvent`].
-pub fn simulate_with_churn_sink<S: Sink>(
-    scenario: &Scenario,
-    hybrid: &HybridConfig,
-    params: &SimParams,
-    churn: &ChurnConfig,
-    sink: &mut S,
-) -> ChurnReport {
-    assert_eq!(
-        churn.tolerance.len(),
-        scenario.classes.len(),
-        "need one tolerance per class"
-    );
-    assert_eq!(
-        hybrid.channels,
-        crate::config::ChannelLayout::Interleaved,
-        "the churn driver models the paper's single interleaved channel"
-    );
-    assert!(
-        churn.ema_alpha > 0.0 && churn.ema_alpha <= 1.0,
-        "ema_alpha must lie in (0, 1]"
-    );
-    assert!(churn.blocked_penalty >= 1.0, "penalty must be ≥ 1");
-    let factory: RngFactory = scenario.factory.replication(params.replication);
-    let scheduler = HybridScheduler::new(
-        scenario.catalog.clone(),
-        scenario.classes.clone(),
-        hybrid,
-        &factory,
-    );
-    let gen = scenario.request_stream_replication(params.replication);
-    let num_items = scenario.catalog.len();
-    let mut driver = ChurnDriver {
-        scheduler,
-        metrics: MetricsCollector::new(scenario.classes.len(), SimTime::new(params.warmup)),
-        gen,
-        pool: ClientPool::new(&scenario.classes, churn.total_clients),
-        cfg: churn.clone(),
-        client_rng: factory.stream(CLIENT_STREAM),
-        push_waiters: vec![Vec::new(); num_items],
-        pull_clients: vec![Vec::new(); num_items],
-        in_flight_clients: Vec::new(),
-        server_busy: false,
-        departures: 0,
-        lost_demand: 0,
-        sink,
-    };
-
-    let mut engine: Engine<Event> = Engine::new();
-    engine.schedule_at(driver.gen.peek_time(), Event::Arrival);
-    driver.dispatch(&mut engine, SimTime::ZERO);
-    let horizon = SimTime::new(params.horizon);
-    engine.run_until(horizon, |eng, ev| driver.handle(eng, ev));
-
-    let report = driver.metrics.report(&scenario.classes, horizon);
-    let n_classes = scenario.classes.len();
-    let churn_per_class: Vec<f64> = (0..n_classes)
-        .map(|c| driver.pool.churn_rate(ClassId(c as u8)))
-        .collect();
-    let alive_per_class: Vec<usize> = (0..n_classes)
-        .map(|c| driver.pool.alive_in_class(ClassId(c as u8)))
-        .collect();
-    let (mut num, mut den) = (0.0, 0.0);
-    for (id, class) in scenario.classes.iter() {
-        num += class.priority * alive_per_class[id.index()] as f64;
-        den += class.priority * driver.pool.total_in_class(id) as f64;
-    }
-    ChurnReport {
-        report,
-        churn_per_class,
-        alive_per_class,
-        weighted_retention: num / den,
-        departures: driver.departures,
-        lost_demand: driver.lost_demand,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HybridConfig;
+    use crate::sim_driver::{SimParams, Simulation};
+    use hybridcast_telemetry::NullSink;
     use hybridcast_workload::scenario::ScenarioConfig;
 
     fn run(alpha: f64, tolerance: Vec<f64>) -> ChurnReport {
@@ -405,16 +299,17 @@ mod tests {
             tolerance,
             ..ChurnConfig::default()
         };
-        simulate_with_churn(
-            &scenario,
-            &cfg,
-            &SimParams {
-                horizon,
-                warmup: 0.0,
-                replication: 0,
-            },
-            &churn,
-        )
+        let params = SimParams {
+            horizon,
+            warmup: 0.0,
+            replication: 0,
+        };
+        Simulation {
+            churn: Some(&churn),
+            ..Simulation::new(&scenario, &cfg, &params)
+        }
+        .run(&mut NullSink)
+        .into()
     }
 
     #[test]
@@ -477,6 +372,54 @@ mod tests {
         let a = run(0.5, vec![90.0, 105.0, 130.0]);
         let b = run(0.5, vec![90.0, 105.0, 130.0]);
         assert_eq!(a, b);
+    }
+
+    /// What the churn driver of old could not check: with the model riding
+    /// on the one event loop, the horizon census and the queue audit cover
+    /// churn runs too. Lost demand is never an arrival, so the books close
+    /// without it.
+    #[test]
+    fn books_close_at_the_horizon_and_the_queue_audit_is_empty() {
+        use crate::bandwidth::BandwidthConfig;
+        use crate::sim_driver::FaultSpec;
+        let scenario = ScenarioConfig::icpp2005(0.6).build();
+        // Starved admission control: requests get blocked, the penalty
+        // samples drive whole classes out, and their demand is lost.
+        let cfg = HybridConfig {
+            bandwidth: BandwidthConfig::per_class(3.0, 3.0),
+            ..HybridConfig::paper(40, 0.5)
+        };
+        let churn = ChurnConfig {
+            tolerance: vec![90.0, 105.0, 130.0],
+            ..ChurnConfig::default()
+        };
+        let params = SimParams {
+            horizon: 3_000.0,
+            warmup: 0.0,
+            replication: 0,
+        };
+        let faults = [FaultSpec::MassDeparture {
+            time: 200.0,
+            fraction: 0.5,
+        }];
+        let out = Simulation {
+            churn: Some(&churn),
+            faults: &faults,
+            audit_queue: true,
+            ..Simulation::new(&scenario, &cfg, &params)
+        }
+        .run(&mut NullSink);
+        assert!(out.queue_audit.is_empty(), "{:?}", out.queue_audit);
+        assert!(out.report.total_blocked() > 0);
+        assert!(out.census.departed.iter().sum::<u64>() > 0);
+        assert!(out.churn.as_ref().unwrap().lost_demand > 0);
+        for (c, pc) in out.report.per_class.iter().enumerate() {
+            assert_eq!(
+                pc.generated,
+                pc.served + pc.blocked + out.census.per_class(c),
+                "class {c}: arrivals vs served + blocked + pending + departed"
+            );
+        }
     }
 
     #[test]

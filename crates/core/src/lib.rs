@@ -18,7 +18,10 @@
 //! * [`channel`] — the per-channel request state machine around it (live
 //!   requests, waiters, deadlines, uplink deliveries, books), driven by
 //!   the daemon's wall clock and by trace replay's virtual time alike;
-//! * [`sim_driver`] — the event-driven end-to-end simulation;
+//! * [`sim_driver`] — the event-driven end-to-end simulation: one
+//!   [`Simulation`](sim_driver::Simulation) value describes a run (replayed
+//!   source, adaptive cutoff, faults, churn are fields on it), one event
+//!   loop executes it;
 //! * [`adaptive`] — the online cutoff controller: hysteresis-banded hill
 //!   climbing on measured windowed cost, with per-class SLO rescue;
 //! * [`clock`] — the sim-time/wall-time seam the serving daemon drives the
@@ -34,7 +37,8 @@
 //! * [`experiment`] — the replication engine: independent seeded
 //!   replications fanned across threads, reduced into CI-carrying reports;
 //! * [`churn`] — the finite-population churn model behind the paper's
-//!   motivation (dissatisfied clients leave; premium departures cost most).
+//!   motivation (dissatisfied clients leave; premium departures cost
+//!   most), carried by the simulation driver as optional state.
 //!
 //! ## Quickstart
 //!
@@ -81,9 +85,7 @@ pub mod prelude {
         ControllerConfig, ControllerDecision, CutoffController, PlantedControllerBugs, SloConfig,
     };
     pub use crate::bandwidth::{BandwidthConfig, BandwidthManager, BandwidthPolicy, Grant};
-    pub use crate::churn::{
-        simulate_with_churn, simulate_with_churn_sink, ChurnConfig, ChurnReport,
-    };
+    pub use crate::churn::{ChurnConfig, ChurnReport};
     pub use crate::clock::{Clock, ManualClock, WallClock};
     pub use crate::config::{AssignmentStrategy, ChannelLayout, HybridConfig};
     pub use crate::cutoff::{CutoffOptimizer, CutoffPoint, CutoffSweep, Objective};
@@ -98,10 +100,8 @@ pub mod prelude {
     pub use crate::queue::{PendingItem, PullQueue};
     pub use crate::sharded::{ChannelPlan, ShardedScheduler};
     pub use crate::sim_driver::{
-        simulate, simulate_adaptive, simulate_adaptive_telemetry, simulate_adaptive_with_sink,
-        simulate_adaptive_with_source, simulate_harness, simulate_replicated, simulate_telemetry,
-        simulate_with_sink, simulate_with_source, AdaptiveConfig, AdaptiveReport, FaultSpec,
-        HarnessReport, PendingCensus, RetuneRecord, SimParams,
+        simulate, simulate_telemetry, AdaptiveConfig, AdaptiveReport, FaultSpec, PendingCensus,
+        RetuneRecord, SimParams, SimRun, Simulation,
     };
     pub use crate::uplink::{UplinkChannel, UplinkConfig, UplinkOutcome};
     pub use hybridcast_telemetry::{

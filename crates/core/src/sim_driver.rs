@@ -19,6 +19,13 @@
 //!
 //! Delay = request arrival → completion of the satisfying transmission,
 //! i.e. the paper's *access time*.
+//!
+//! [`Simulation`] is the one way in: a plain value naming the scenario, the
+//! scheduler and the run length, plus the optional axes (replayed source,
+//! adaptive cutoff, faults, planted policy, queue audit, churn). One
+//! `Driver` handles the one `Engine<Event>`; the optional machinery is
+//! `Option` state on it. [`simulate`] and [`simulate_telemetry`] are
+//! shorthands for the plain run.
 
 use serde::{Deserialize, Serialize};
 
@@ -29,6 +36,7 @@ use hybridcast_workload::requests::RequestSource;
 use hybridcast_workload::scenario::Scenario;
 
 use crate::adaptive::{ControllerConfig, CutoffController};
+use crate::churn::{ChurnConfig, ChurnOutcome, ChurnState, NO_CLIENT};
 use crate::config::{ChannelLayout, HybridConfig};
 use crate::hybrid::Transmission;
 use crate::metrics::{MetricsCollector, SimReport, TxKind};
@@ -41,6 +49,7 @@ use hybridcast_telemetry::{
     WindowRecorder,
 };
 use hybridcast_workload::catalog::ItemId;
+use hybridcast_workload::clients::ClientId;
 use hybridcast_workload::requests::Request;
 use hybridcast_workload::requests::{SurgeSource, SurgeWindow};
 
@@ -89,8 +98,9 @@ enum Event {
     /// The next request (already staged in the generator) arrives.
     Arrival,
     /// A pull request finishes crossing the contended uplink and reaches
-    /// the server (the `Request` keeps its original arrival time).
-    Deliver(Request),
+    /// the server (the `Request` keeps its original arrival time; the
+    /// client is [`NO_CLIENT`] without the churn model).
+    Deliver(Request, ClientId),
     /// A downlink transmission finishes on the given channel (always 0
     /// outside the sharded layout).
     Complete(u32, Transmission),
@@ -101,7 +111,7 @@ enum Event {
 }
 
 /// One mid-run perturbation injected by the simulation-testing harness
-/// (see [`simulate_harness`]). Faults model environmental stress — the
+/// (see [`Simulation::faults`]). Faults model environmental stress — the
 /// scheduler is expected to keep every accounting invariant and degrade
 /// gracefully, never panic.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -149,50 +159,49 @@ pub enum FaultSpec {
     },
 }
 
+/// `Err(what)` unless `ok` — one precondition of [`Simulation::validate`].
+pub(crate) fn ensure(ok: bool, what: impl std::fmt::Display) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(what.to_string())
+    }
+}
+
 impl FaultSpec {
-    fn validate(&self) {
-        let finite_time = |t: f64| t.is_finite() && t >= 0.0;
+    fn validate(&self) -> Result<(), String> {
+        let instant = |t: f64, what| ensure(t.is_finite() && t >= 0.0, what);
+        let span = |d: f64, what| ensure(d.is_finite() && d > 0.0, what);
         match *self {
             FaultSpec::UplinkBurst {
                 start,
                 duration,
                 success_prob,
             } => {
-                assert!(finite_time(start), "uplink burst start must be ≥ 0");
-                assert!(
-                    duration.is_finite() && duration > 0.0,
-                    "uplink burst duration must be positive"
-                );
-                assert!(
+                instant(start, "uplink burst start must be ≥ 0")?;
+                span(duration, "uplink burst duration must be positive")?;
+                ensure(
                     success_prob > 0.0 && success_prob <= 1.0,
-                    "degraded success probability must lie in (0, 1]"
-                );
+                    "degraded success probability must lie in (0, 1]",
+                )
             }
             FaultSpec::ArrivalSurge {
                 start,
                 duration,
                 factor,
             } => {
-                assert!(finite_time(start), "surge start must be ≥ 0");
-                assert!(
-                    duration.is_finite() && duration > 0.0,
-                    "surge duration must be positive"
-                );
-                assert!(
-                    factor > 0.0 && factor.is_finite(),
-                    "surge factor must be positive and finite"
-                );
+                instant(start, "surge start must be ≥ 0")?;
+                span(duration, "surge duration must be positive")?;
+                span(factor, "surge factor must be positive and finite")
             }
             FaultSpec::MassDeparture { time, fraction } => {
-                assert!(finite_time(time), "departure time must be ≥ 0");
-                assert!(
+                instant(time, "departure time must be ≥ 0")?;
+                ensure(
                     (0.0..=1.0).contains(&fraction),
-                    "departure fraction must lie in [0, 1]"
-                );
+                    "departure fraction must lie in [0, 1]",
+                )
             }
-            FaultSpec::ForceCutoff { time, .. } => {
-                assert!(finite_time(time), "cutoff-force time must be ≥ 0");
-            }
+            FaultSpec::ForceCutoff { time, .. } => instant(time, "cutoff-force time must be ≥ 0"),
         }
     }
 }
@@ -262,10 +271,12 @@ impl PendingCensus {
     }
 }
 
-/// Everything [`simulate_harness`] returns: the ordinary report plus the
-/// horizon census and the queue shadow-recount audit trail.
+/// Everything one [`Simulation::run`] produces: the ordinary report plus
+/// the horizon census, the retune ledger and the queue shadow-recount
+/// audit trail. [`AdaptiveReport`] and [`crate::churn::ChurnReport`] are
+/// the serialized slices of it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct HarnessReport {
+pub struct SimRun {
     /// The standard per-class/system report.
     pub report: SimReport,
     /// Where every still-pending request was parked at the horizon.
@@ -276,8 +287,10 @@ pub struct HarnessReport {
     pub final_k: usize,
     /// Discrepancies found by [`crate::queue::PullQueue::verify_shadow`]
     /// at audit points (fault applications, retunes, horizon). Empty on a
-    /// healthy run.
+    /// healthy run, and always empty without [`Simulation::audit_queue`].
     pub queue_audit: Vec<String>,
+    /// Who left (churn runs only).
+    pub churn: Option<ChurnOutcome>,
 }
 
 /// Configuration of the paper's periodic cutoff re-optimization ("the
@@ -362,6 +375,16 @@ pub struct AdaptiveReport {
     pub final_k: usize,
 }
 
+impl From<SimRun> for AdaptiveReport {
+    fn from(run: SimRun) -> Self {
+        AdaptiveReport {
+            report: run.report,
+            retunes: run.retunes,
+            final_k: run.final_k,
+        }
+    }
+}
+
 struct AdaptiveState {
     config: AdaptiveConfig,
     /// Importance blend of the configured pull policy (feeds the model).
@@ -372,22 +395,6 @@ struct AdaptiveState {
     /// control loop and its per-window measurement seam.
     controller: Option<CutoffController>,
     feedback: FeedbackWindow,
-}
-
-/// Boots the downlink at t = 0: the interleaved channel (or, in the split
-/// layout, the dedicated broadcast channel; in the sharded layout, every
-/// channel) starts transmitting immediately; pull channels wait for
-/// demand.
-fn start_channels<S: Sink>(driver: &mut Driver<'_, S>, engine: &mut Engine<Event>) {
-    match driver.layout {
-        ChannelLayout::Interleaved => driver.dispatch(engine, SimTime::ZERO, 0),
-        ChannelLayout::Split { .. } => driver.dispatch_push_channel(engine, SimTime::ZERO),
-        ChannelLayout::Sharded { .. } => {
-            for c in 0..driver.scheduler.channels() {
-                driver.dispatch(engine, SimTime::ZERO, c);
-            }
-        }
-    }
 }
 
 fn policy_alpha(kind: &PullPolicyKind) -> f64 {
@@ -404,6 +411,8 @@ fn policy_alpha(kind: &PullPolicyKind) -> f64 {
 #[derive(Debug, Clone, Copy)]
 struct PushWaiter {
     arrival: SimTime,
+    /// [`NO_CLIENT`] without the churn model.
+    client: ClientId,
     class: ClassId,
     /// Sharded layout, single-tuner clients: the client's tuner was on
     /// another channel when it arrived, so it misses the first broadcast
@@ -411,6 +420,9 @@ struct PushWaiter {
     /// outside the sharded layout.
     mistuned: bool,
 }
+
+// One waiter per parked request: the client id rides in what was padding.
+const _: () = assert!(std::mem::size_of::<PushWaiter>() == 16);
 
 struct Driver<'s, S: Sink> {
     scheduler: ShardedScheduler,
@@ -426,8 +438,11 @@ struct Driver<'s, S: Sink> {
     adaptive: Option<AdaptiveState>,
     /// Present when the back-channel contention model is enabled.
     uplink: Option<UplinkChannel>,
-    /// Downlink organization.
-    layout: ChannelLayout,
+    /// Present when the finite-population churn model is attached.
+    churn: Option<ChurnState>,
+    /// Split layout: a dedicated broadcast channel plus a pool of pull
+    /// channels, instead of push/pull-alternating channel timelines.
+    split: bool,
     /// Split layout only: pull channels currently idle.
     idle_pull_channels: u32,
     /// Scratch buffer for per-class counts of dropped entries.
@@ -504,27 +519,30 @@ impl<S: Sink> Driver<'_, S> {
                     });
                 }
             }
+            if let Some(churn) = &mut self.churn {
+                churn.blocked(self.sink, now, &entry);
+            }
             self.scheduler.recycle(channel, entry);
         }
     }
 
-    /// The channel an arriving request's item is served on (always 0
-    /// outside the sharded layout).
+    /// The channel an arriving request's item is served on (a one-channel
+    /// plan routes everything to 0).
     fn channel_for(&self, item: ItemId) -> u32 {
-        match self.layout {
-            ChannelLayout::Sharded { .. } => self.scheduler.plan().channel_of(item),
-            _ => 0,
-        }
+        self.scheduler.plan().channel_of(item)
     }
 
     /// Interleaved/sharded: one push/pull-alternating channel timeline.
     fn dispatch(&mut self, eng: &mut Engine<Event>, now: SimTime, channel: u32) {
-        debug_assert!(!matches!(self.layout, ChannelLayout::Split { .. }));
+        debug_assert!(!self.split);
         let (tx, dropped) = self.scheduler.next_transmission(channel, now);
         self.record_dropped(dropped, now, channel);
         self.record_queue(now);
         match tx {
             Some(tx) => {
+                if let (Some(churn), Some(batch)) = (&mut self.churn, &tx.served) {
+                    churn.on_air(tx.item, batch.count());
+                }
                 self.metrics.on_transmission(tx.kind);
                 eng.schedule_at(tx.completes_at(), Event::Complete(channel, tx));
                 self.channel_busy[channel as usize] = true;
@@ -565,21 +583,106 @@ impl<S: Sink> Driver<'_, S> {
     /// Work became available on `channel`: start whatever transmitters the
     /// layout allows.
     fn kick(&mut self, eng: &mut Engine<Event>, now: SimTime, channel: u32) {
-        match self.layout {
-            ChannelLayout::Interleaved | ChannelLayout::Sharded { .. } => {
-                if !self.channel_busy[channel as usize] {
-                    self.dispatch(eng, now, channel);
+        if self.split {
+            while self.idle_pull_channels > 0 && !self.scheduler.shard(0).queue().is_empty() {
+                let before = self.idle_pull_channels;
+                self.dispatch_pull_channel(eng, now);
+                if self.idle_pull_channels == before {
+                    break; // everything admissible was blocked/dropped
                 }
             }
-            ChannelLayout::Split { .. } => {
-                while self.idle_pull_channels > 0 && !self.scheduler.shard(0).queue().is_empty() {
-                    let before = self.idle_pull_channels;
-                    self.dispatch_pull_channel(eng, now);
-                    if self.idle_pull_channels == before {
-                        break; // everything admissible was blocked/dropped
-                    }
+        } else if !self.channel_busy[channel as usize] {
+            self.dispatch(eng, now, channel);
+        }
+    }
+
+    /// One request enters the system: a broadcast listener parks in its
+    /// item's waiting room, a pull request crosses the uplink (when one is
+    /// modeled) and joins the queue.
+    fn admit(&mut self, eng: &mut Engine<Event>, now: SimTime, req: Request, client: ClientId) {
+        if let Some(state) = &mut self.adaptive {
+            state.window_counts[req.item.index()] += 1;
+            state.feedback.note_arrival(req.class.index());
+        }
+        self.metrics.on_request(req.class, req.arrival);
+        emit(self.sink, || TelemetryEvent::RequestArrival {
+            time: now,
+            item: req.item,
+            class: req.class,
+        });
+        if self.scheduler.is_push_item(req.item) {
+            // Push requests never need the uplink: the client just
+            // keeps listening and catches the cyclic broadcast.
+            // Single-tuner model: the client's tuner cycles
+            // deterministically over the channels; landing off the
+            // item's home channel costs one missed broadcast (a
+            // conflict). Degenerates to "never mistuned" at C = 1.
+            let home = self.channel_for(req.item);
+            let tuned = (self.tuner_counter % self.scheduler.channels() as u64) as u32;
+            self.tuner_counter += 1;
+            self.push_waiters[req.item.index()].push(PushWaiter {
+                arrival: req.arrival,
+                client,
+                class: req.class,
+                mistuned: tuned != home,
+            });
+            self.kick(eng, now, home);
+            return;
+        }
+        match &mut self.uplink {
+            Some(channel) => match channel.transmit(req.class) {
+                UplinkOutcome::Delivered(latency) => {
+                    self.metrics
+                        .record_uplink_delivered(req.class, latency.as_f64());
+                    emit(self.sink, || TelemetryEvent::UplinkDelivered {
+                        time: now,
+                        item: req.item,
+                        class: req.class,
+                        latency,
+                    });
+                    eng.schedule_in(latency, Event::Deliver(req, client));
                 }
-            }
+                UplinkOutcome::Lost => {
+                    self.metrics.record_uplink_lost(req.class);
+                    emit(self.sink, || TelemetryEvent::UplinkLoss {
+                        time: now,
+                        item: req.item,
+                        class: req.class,
+                    });
+                }
+            },
+            None => self.deliver(eng, now, &req, client),
+        }
+    }
+
+    /// Books one satisfied request: the adaptive window, the metrics, the
+    /// telemetry stream and (under churn) the client's dissatisfaction.
+    fn served(
+        &mut self,
+        now: SimTime,
+        item: ItemId,
+        kind: TxKind,
+        arrival: SimTime,
+        class: ClassId,
+        client: ClientId,
+    ) {
+        let delay = (now - arrival).as_f64();
+        if let Some(state) = &mut self.adaptive {
+            state.feedback.note_served(class.index(), delay);
+        }
+        self.metrics.record_served(class, kind, arrival, now);
+        emit(self.sink, || TelemetryEvent::RequestServed {
+            time: now,
+            item,
+            class,
+            kind: match kind {
+                TxKind::Push => ServiceKind::Push,
+                TxKind::Pull => ServiceKind::Pull,
+            },
+            arrival,
+        });
+        if let Some(churn) = &mut self.churn {
+            churn.served(self.sink, now, kind, client, class, delay);
         }
     }
 
@@ -589,63 +692,20 @@ impl<S: Sink> Driver<'_, S> {
             Event::Arrival => {
                 let req = self.gen.next_request();
                 debug_assert_eq!(req.arrival, now);
-                if let Some(state) = &mut self.adaptive {
-                    state.window_counts[req.item.index()] += 1;
-                    state.feedback.note_arrival(req.class.index());
-                }
-                self.metrics.on_request(req.class, req.arrival);
-                emit(self.sink, || TelemetryEvent::RequestArrival {
-                    time: now,
-                    item: req.item,
-                    class: req.class,
-                });
-                if self.scheduler.is_push_item(req.item) {
-                    // Push requests never need the uplink: the client just
-                    // keeps listening and catches the cyclic broadcast.
-                    // Single-tuner model: the client's tuner cycles
-                    // deterministically over the channels; landing off the
-                    // item's home channel costs one missed broadcast (a
-                    // conflict). Degenerates to "never mistuned" at C = 1.
-                    let home = self.channel_for(req.item);
-                    let tuned = (self.tuner_counter % self.scheduler.channels() as u64) as u32;
-                    self.tuner_counter += 1;
-                    self.push_waiters[req.item.index()].push(PushWaiter {
-                        arrival: req.arrival,
-                        class: req.class,
-                        mistuned: tuned != home,
-                    });
-                    self.kick(eng, now, home);
-                } else {
-                    match &mut self.uplink {
-                        Some(channel) => match channel.transmit(req.class) {
-                            UplinkOutcome::Delivered(latency) => {
-                                self.metrics
-                                    .record_uplink_delivered(req.class, latency.as_f64());
-                                emit(self.sink, || TelemetryEvent::UplinkDelivered {
-                                    time: now,
-                                    item: req.item,
-                                    class: req.class,
-                                    latency,
-                                });
-                                eng.schedule_in(latency, Event::Deliver(req));
-                            }
-                            UplinkOutcome::Lost => {
-                                self.metrics.record_uplink_lost(req.class);
-                                emit(self.sink, || TelemetryEvent::UplinkLoss {
-                                    time: now,
-                                    item: req.item,
-                                    class: req.class,
-                                });
-                            }
-                        },
-                        None => self.deliver(eng, now, &req),
-                    }
+                // Under churn the draw belongs to a living subscriber of
+                // its class, or (fully-churned class) to nobody.
+                let client = match &mut self.churn {
+                    Some(churn) => churn.attribute(req.class),
+                    None => Some(NO_CLIENT),
+                };
+                if let Some(client) = client {
+                    self.admit(eng, now, req, client);
                 }
                 if let Some(t) = self.gen.peek() {
                     eng.schedule_at(t, Event::Arrival);
                 }
             }
-            Event::Deliver(req) => {
+            Event::Deliver(req, client) => {
                 // The cutoff may have moved while the request was in
                 // flight; a now-push item just parks as a listener. (By
                 // delivery time the client has already looked up its
@@ -653,11 +713,12 @@ impl<S: Sink> Driver<'_, S> {
                 if self.scheduler.is_push_item(req.item) {
                     self.push_waiters[req.item.index()].push(PushWaiter {
                         arrival: req.arrival,
+                        client,
                         class: req.class,
                         mistuned: false,
                     });
                 } else {
-                    self.deliver(eng, now, &req);
+                    self.deliver(eng, now, &req, client);
                 }
             }
             Event::Complete(channel, tx) => {
@@ -673,60 +734,33 @@ impl<S: Sink> Driver<'_, S> {
                             duration,
                         });
                         // satisfy waiters who arrived before the slot began
-                        let waiters = &mut self.push_waiters[item.index()];
-                        let mut kept = Vec::new();
-                        let mut conflicts = 0u64;
-                        let mut served = 0u64;
-                        for w in waiters.drain(..) {
-                            if w.arrival > start {
-                                kept.push(w);
-                            } else if w.mistuned {
+                        let mut waiters = std::mem::take(&mut self.push_waiters[item.index()]);
+                        let parked = waiters.len();
+                        let mut conflicts = 0;
+                        waiters.retain_mut(|w| {
+                            if w.arrival <= start && w.mistuned {
                                 // The tuner was elsewhere: this broadcast
                                 // is missed, the next one is catchable.
                                 conflicts += 1;
-                                kept.push(PushWaiter {
-                                    mistuned: false,
-                                    ..w
-                                });
-                            } else {
-                                served += 1;
-                                if let Some(state) = &mut self.adaptive {
-                                    state
-                                        .feedback
-                                        .note_served(w.class.index(), (now - w.arrival).as_f64());
-                                }
-                                self.metrics
-                                    .record_served(w.class, TxKind::Push, w.arrival, now);
-                                emit(self.sink, || TelemetryEvent::RequestServed {
-                                    time: now,
-                                    item,
-                                    class: w.class,
-                                    kind: ServiceKind::Push,
-                                    arrival: w.arrival,
-                                });
+                                w.mistuned = false;
+                            } else if w.arrival <= start {
+                                self.served(now, item, TxKind::Push, w.arrival, w.class, w.client);
+                                return false;
                             }
-                        }
-                        *waiters = kept;
+                            true
+                        });
                         self.conflicts += conflicts;
-                        self.push_served_raw += served;
+                        self.push_served_raw += (parked - waiters.len()) as u64;
+                        self.push_waiters[item.index()] = waiters;
                     }
                     TxKind::Pull => {
                         if let Some(batch) = self.scheduler.complete_transmission(channel, tx) {
-                            for &(arrival, class) in &batch.requesters {
-                                if let Some(state) = &mut self.adaptive {
-                                    state
-                                        .feedback
-                                        .note_served(class.index(), (now - arrival).as_f64());
-                                }
-                                self.metrics
-                                    .record_served(class, TxKind::Pull, arrival, now);
-                                emit(self.sink, || TelemetryEvent::RequestServed {
-                                    time: now,
-                                    item,
-                                    class,
-                                    kind: ServiceKind::Pull,
-                                    arrival,
-                                });
+                            for (i, &(arrival, class)) in batch.requesters.iter().enumerate() {
+                                let client = match &self.churn {
+                                    Some(churn) => churn.in_flight(i),
+                                    None => NO_CLIENT,
+                                };
+                                self.served(now, item, TxKind::Pull, arrival, class, client);
                             }
                             emit(self.sink, || TelemetryEvent::PullTx {
                                 time: now,
@@ -737,23 +771,19 @@ impl<S: Sink> Driver<'_, S> {
                             });
                             self.scheduler.recycle(channel, batch);
                         }
-                        match self.layout {
-                            ChannelLayout::Interleaved | ChannelLayout::Sharded { .. } => {
-                                self.dispatch(eng, now, channel)
-                            }
-                            ChannelLayout::Split { .. } => {
-                                self.idle_pull_channels += 1;
-                                self.kick(eng, now, 0);
-                            }
+                        if self.split {
+                            self.idle_pull_channels += 1;
+                            self.kick(eng, now, 0);
+                        } else {
+                            self.dispatch(eng, now, channel);
                         }
                         return;
                     }
                 }
-                match self.layout {
-                    ChannelLayout::Interleaved | ChannelLayout::Sharded { .. } => {
-                        self.dispatch(eng, now, channel)
-                    }
-                    ChannelLayout::Split { .. } => self.dispatch_push_channel(eng, now),
+                if self.split {
+                    self.dispatch_push_channel(eng, now);
+                } else {
+                    self.dispatch(eng, now, channel);
                 }
             }
             Event::Retune => {
@@ -788,17 +818,12 @@ impl<S: Sink> Driver<'_, S> {
             }
             FaultAction::MassDeparture(fraction) => {
                 // Oldest listeners leave first (they have waited longest).
-                let sharded = matches!(self.layout, ChannelLayout::Sharded { .. });
                 for (idx, waiters) in self.push_waiters.iter_mut().enumerate() {
                     let leaving = (waiters.len() as f64 * fraction).floor() as usize;
                     if leaving == 0 {
                         continue;
                     }
-                    let channel = if sharded {
-                        self.scheduler.plan().channel_of(ItemId(idx as u32))
-                    } else {
-                        0
-                    };
+                    let channel = self.scheduler.plan().channel_of(ItemId(idx as u32));
                     for w in waiters.drain(..leaving) {
                         self.departed[w.class.index()] += 1;
                         self.departed_by_channel[channel as usize] += 1;
@@ -835,157 +860,106 @@ impl<S: Sink> Driver<'_, S> {
     /// Hands a (delivered) pull request to the scheduler. The request may
     /// carry an arrival time in the past (uplink latency), so the queue
     /// statistics are stamped at `now`.
-    fn deliver(&mut self, eng: &mut Engine<Event>, now: SimTime, req: &Request) {
+    fn deliver(&mut self, eng: &mut Engine<Event>, now: SimTime, req: &Request, client: ClientId) {
         debug_assert!(!self.scheduler.is_push_item(req.item));
         self.scheduler.requeue_waiter(req, now);
+        if let Some(churn) = &mut self.churn {
+            churn.queued(req.item, client);
+        }
         self.record_queue(now);
         self.kick(eng, now, self.channel_for(req.item));
     }
 
-    /// Executes one periodic re-optimization: estimate popularity and load
-    /// over the last window, pick the model-optimal cutoff among the
-    /// candidates, and migrate server state across the new boundary.
+    /// Executes one periodic re-optimization: seal the window, decide the
+    /// next cutoff, and migrate server state across the new boundary. The
+    /// decision comes from the measured-feedback [`CutoffController`] when
+    /// one is configured, otherwise from the analytic model's argmin over
+    /// the candidate grid on the window's popularity and load estimates;
+    /// everything around it — push-set order, ledger, window reset,
+    /// migration, audit — is the same either way.
     fn retune(&mut self, now: SimTime) {
-        if self
-            .adaptive
-            .as_ref()
-            .is_some_and(|s| s.controller.is_some())
-        {
-            self.retune_measured(now);
-            return;
-        }
+        let from_k = self.scheduler.cutoff();
         let Some(state) = &mut self.adaptive else {
             return;
         };
-        let total: u64 = state.window_counts.iter().sum();
-        if total == 0 {
-            return; // nothing observed; keep the incumbent cutoff
+        let counts = &state.window_counts;
+        let total: u64 = counts.iter().sum();
+        // Push-set order: the static rank order, or (re-ranking mode) the
+        // items by windowed popularity, ties to the lower rank.
+        let mut order: Vec<usize> = (0..counts.len()).collect();
+        if state.config.rerank {
+            order.sort_by(|&a, &b| counts[b].cmp(&counts[a]).then(a.cmp(&b)));
         }
-        let d = state.window_counts.len() as f64;
-        let smoothed_total = total as f64 + state.config.smoothing * d;
-        let probs: Vec<f64> = state
-            .window_counts
-            .iter()
-            .map(|&c| (c as f64 + state.config.smoothing) / smoothed_total)
-            .collect();
-        let lambda_est = total as f64 / state.config.period;
-        let lengths: Vec<u32> = self
-            .scheduler
-            .catalog()
-            .items()
-            .iter()
-            .map(|it| it.length)
-            .collect();
-        let classes = self.scheduler.classes().clone();
-        let alpha = state.alpha;
-        // Candidate ordering: the static rank order, or (re-ranking mode)
-        // the items sorted by estimated popularity.
-        let rerank = state.config.rerank;
-        let order: Vec<usize> = if rerank {
-            let mut idx: Vec<usize> = (0..probs.len()).collect();
-            idx.sort_by(|&a, &b| {
-                probs[b]
-                    .partial_cmp(&probs[a])
-                    .expect("finite")
-                    .then(a.cmp(&b))
-            });
-            idx
-        } else {
-            (0..probs.len()).collect()
-        };
-        let ordered_probs: Vec<f64> = order.iter().map(|&i| probs[i]).collect();
-        let ordered_lengths: Vec<u32> = order.iter().map(|&i| lengths[i]).collect();
-        let best_k = state
-            .config
-            .candidate_ks
-            .iter()
-            .map(|&k| {
-                let cost = HybridDelayModel::from_parts(
-                    ordered_probs.clone(),
-                    ordered_lengths.clone(),
-                    &classes,
-                    lambda_est,
-                    k,
-                )
-                .with_alpha(alpha)
-                .delays()
-                .total_prioritized_cost;
-                (k, cost)
-            })
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are finite"))
-            .map(|(k, _)| k)
-            .expect("candidate grid is non-empty");
-        let from_k = self.scheduler.cutoff();
-        state.retunes.push(RetuneRecord {
-            time: now.as_f64(),
-            from_k,
-            to_k: best_k,
-            estimated_lambda: lambda_est,
-            measured_cost: None,
-            window_arrivals: total,
-            slo_rescue: false,
-            held: best_k == from_k,
-        });
-        for c in &mut state.window_counts {
-            *c = 0;
-        }
-        state.feedback.take();
-        let target: Vec<ItemId> = order[..best_k].iter().map(|&i| ItemId(i as u32)).collect();
-        self.apply_push_target(&target, now);
-        self.audit_now(now);
-    }
-
-    /// The measured-feedback twin of [`retune`](Self::retune): seals the
-    /// window, asks the [`CutoffController`] for the next cutoff, records
-    /// the full decision, and applies the move through the same migration
-    /// ledger as every other cutoff change.
-    fn retune_measured(&mut self, now: SimTime) {
-        let from_k = self.scheduler.cutoff();
-        let catalog_len = self.scheduler.catalog().len();
-        let state = self
-            .adaptive
-            .as_mut()
-            .expect("measured retune needs adaptive state");
         let snapshot = state.feedback.take();
-        let decision = state
-            .controller
-            .as_mut()
-            .expect("checked by retune")
-            .decide(from_k, snapshot, catalog_len);
-        state.retunes.push(RetuneRecord {
-            time: now.as_f64(),
-            from_k,
-            to_k: decision.target_k,
-            estimated_lambda: decision.window_arrivals as f64 / state.config.period,
-            measured_cost: decision.measured_cost,
-            window_arrivals: decision.window_arrivals,
-            slo_rescue: decision.slo_rescue,
-            held: decision.held,
-        });
-        // Membership: under re-ranking the push set is the top-`K` items by
-        // windowed popularity (same estimate the model path uses); otherwise
-        // the static rank prefix.
-        let order: Vec<usize> = if state.config.rerank {
-            let counts = &state.window_counts;
-            if counts.iter().all(|&c| c == 0) {
-                (0..catalog_len).collect()
-            } else {
-                let mut idx: Vec<usize> = (0..counts.len()).collect();
-                idx.sort_by(|&a, &b| counts[b].cmp(&counts[a]).then(a.cmp(&b)));
-                idx
+        let (record, shares) = match &mut state.controller {
+            Some(controller) => {
+                let decision = controller.decide(from_k, snapshot, counts.len());
+                let record = RetuneRecord {
+                    time: now.as_f64(),
+                    from_k,
+                    to_k: decision.target_k,
+                    estimated_lambda: decision.window_arrivals as f64 / state.config.period,
+                    measured_cost: decision.measured_cost,
+                    window_arrivals: decision.window_arrivals,
+                    slo_rescue: decision.slo_rescue,
+                    held: decision.held,
+                };
+                (record, decision.shares)
             }
-        } else {
-            (0..catalog_len).collect()
+            None => {
+                if total == 0 {
+                    return; // nothing observed; keep the incumbent cutoff
+                }
+                let smoothing = state.config.smoothing;
+                let smoothed_total = total as f64 + smoothing * counts.len() as f64;
+                let probs: Vec<f64> = order
+                    .iter()
+                    .map(|&i| (counts[i] as f64 + smoothing) / smoothed_total)
+                    .collect();
+                let catalog = self.scheduler.catalog().items();
+                let lengths: Vec<u32> = order.iter().map(|&i| catalog[i].length).collect();
+                let lambda_est = total as f64 / state.config.period;
+                let best_k = state
+                    .config
+                    .candidate_ks
+                    .iter()
+                    .map(|&k| {
+                        let cost = HybridDelayModel::from_parts(
+                            probs.clone(),
+                            lengths.clone(),
+                            self.scheduler.classes(),
+                            lambda_est,
+                            k,
+                        )
+                        .with_alpha(state.alpha)
+                        .delays()
+                        .total_prioritized_cost;
+                        (k, cost)
+                    })
+                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are finite"))
+                    .map(|(k, _)| k)
+                    .expect("candidate grid is non-empty");
+                let record = RetuneRecord {
+                    time: now.as_f64(),
+                    from_k,
+                    to_k: best_k,
+                    estimated_lambda: lambda_est,
+                    measured_cost: None,
+                    window_arrivals: total,
+                    slo_rescue: false,
+                    held: best_k == from_k,
+                };
+                (record, None)
+            }
         };
-        for c in &mut state.window_counts {
-            *c = 0;
-        }
-        let target: Vec<ItemId> = order[..decision.target_k]
+        state.retunes.push(record);
+        state.window_counts.fill(0);
+        let target: Vec<ItemId> = order[..record.to_k]
             .iter()
             .map(|&i| ItemId(i as u32))
             .collect();
         self.apply_push_target(&target, now);
-        if let Some(shares) = &decision.shares {
+        if let Some(shares) = &shares {
             self.scheduler.rebalance_bandwidth(shares);
         }
         self.audit_now(now);
@@ -1014,6 +988,7 @@ impl<S: Sink> Driver<'_, S> {
             self.push_waiters[entry.item.index()].extend(entry.requesters.iter().map(
                 |&(arrival, class)| PushWaiter {
                     arrival,
+                    client: NO_CLIENT,
                     class,
                     mistuned: false,
                 },
@@ -1039,409 +1014,369 @@ impl<S: Sink> Driver<'_, S> {
     }
 }
 
-/// Everything a single run produces, before the public wrappers slice it.
-struct RunOutcome {
-    report: SimReport,
-    retunes: Vec<RetuneRecord>,
-    final_k: usize,
-    census: PendingCensus,
-    audit: Vec<String>,
+/// One simulator run, fully described: the workload, the scheduler, the
+/// run length, and the optional machinery layered on the one event loop.
+/// Build it with [`Simulation::new`] and struct-update syntax, then
+/// [`run`](Simulation::run) it:
+///
+/// ```
+/// # use hybridcast_core::prelude::*;
+/// # use hybridcast_workload::scenario::ScenarioConfig;
+/// let scenario = ScenarioConfig::icpp2005(0.6).build();
+/// let hybrid = HybridConfig::paper(40, 0.5);
+/// let adaptive = AdaptiveConfig::default();
+/// let run = Simulation {
+///     adaptive: Some(&adaptive),
+///     ..Simulation::new(&scenario, &hybrid, &SimParams::quick())
+/// }
+/// .run(&mut NullSink);
+/// assert_eq!(run.report.per_class.len(), 3);
+/// ```
+///
+/// Static, replayed, adaptive, instrumented, fault-injected, churn and
+/// plain runs share the exact same machinery; telemetry differs only in
+/// the `S: Sink` monomorphization.
+pub struct Simulation<'a> {
+    /// Workload: catalog, classes, arrival process, seed.
+    pub scenario: &'a Scenario,
+    /// Scheduler: cutoff, policies, bandwidth, uplink, layout.
+    pub hybrid: &'a HybridConfig,
+    /// Run length and replication index.
+    pub params: &'a SimParams,
+    /// The request stream, when it is not the scenario's own for
+    /// `params.replication` — e.g. a recorded
+    /// [`hybridcast_workload::requests::ReplaySource`] trace.
+    pub source: Option<Box<dyn RequestSource>>,
+    /// Periodic cutoff re-optimization: every `period` broadcast units the
+    /// server re-decides `K` (model argmin, or the measured-feedback
+    /// controller when `controller` is set) and migrates queued requests
+    /// and broadcast waiters across the boundary.
+    pub adaptive: Option<&'a AdaptiveConfig>,
+    /// Injected faults, applied on top of whichever mode runs.
+    pub faults: &'a [FaultSpec],
+    /// Pull-policy override (the testkit plants "mutant" policies the
+    /// invariant oracles must catch); single channel only.
+    pub policy: Option<Box<dyn PullPolicy>>,
+    /// Shadow-recount the pull queue's aggregates at every fault
+    /// application, retune, and at the horizon ([`SimRun::queue_audit`]).
+    pub audit_queue: bool,
+    /// The finite-population churn model ([`crate::churn`]): requests
+    /// belong to subscribers who leave once dissatisfied. One interleaved
+    /// channel, no cutoff moves.
+    pub churn: Option<&'a ChurnConfig>,
 }
 
-/// The one place a run is assembled and executed: every public `simulate*`
-/// entry point delegates here, so static, replayed, adaptive, instrumented,
-/// fault-injected and plain runs share the exact same machinery (telemetry
-/// differs only in the `S: Sink` monomorphization).
-#[allow(clippy::too_many_arguments)]
-fn run<S: Sink>(
-    scenario: &Scenario,
-    hybrid: &HybridConfig,
-    params: &SimParams,
-    source: Box<dyn RequestSource>,
-    adaptive: Option<&AdaptiveConfig>,
-    faults: &[FaultSpec],
-    policy: Option<Box<dyn PullPolicy>>,
-    audit_queue: bool,
-    sink: &mut S,
-) -> RunOutcome {
-    assert!(
-        params.horizon > params.warmup,
-        "horizon {} must exceed warmup {}",
-        params.horizon,
-        params.warmup
-    );
-    if let Some(adaptive) = adaptive {
-        assert!(adaptive.period > 0.0, "retune period must be positive");
-        assert!(
-            !adaptive.candidate_ks.is_empty(),
-            "need at least one candidate cutoff"
-        );
-    }
-    for fault in faults {
-        fault.validate();
-    }
-    // Arrival surges act on the request stream itself: wrap the source once
-    // with every surge window instead of touching the event loop.
-    let surge_windows: Vec<SurgeWindow> = faults
-        .iter()
-        .filter_map(|f| match *f {
-            FaultSpec::ArrivalSurge {
-                start,
-                duration,
-                factor,
-            } => Some(SurgeWindow {
-                start,
-                end: start + duration,
-                factor,
-            }),
-            _ => None,
-        })
-        .collect();
-    let source: Box<dyn RequestSource> = if surge_windows.is_empty() {
-        source
-    } else {
-        Box::new(SurgeSource::new(source, surge_windows))
-    };
-    let shard_count = hybrid.channels.shard_count();
-    if shard_count > 1 {
-        assert!(
-            adaptive.is_none(),
-            "adaptive cutoff control requires a single channel"
-        );
-        assert!(
-            !faults
-                .iter()
-                .any(|f| matches!(f, FaultSpec::ForceCutoff { .. })),
-            "forced cutoff moves require a single channel"
-        );
-    }
-    let factory = scenario.factory.replication(params.replication);
-    let scheduler = match policy {
-        Some(policy) => ShardedScheduler::with_policy(
-            scenario.catalog.clone(),
-            scenario.classes.clone(),
+impl<'a> Simulation<'a> {
+    /// The plain static run of `hybrid` over `scenario`.
+    pub fn new(scenario: &'a Scenario, hybrid: &'a HybridConfig, params: &'a SimParams) -> Self {
+        Simulation {
+            scenario,
             hybrid,
-            &factory,
-            policy,
-        ),
-        None => ShardedScheduler::new(
-            scenario.catalog.clone(),
-            scenario.classes.clone(),
-            hybrid,
-            &factory,
-        ),
-    };
-    let num_items = scenario.catalog.len();
-    let num_classes = scenario.classes.len();
-    let mut driver = Driver {
-        scheduler,
-        metrics: MetricsCollector::new(num_classes, SimTime::new(params.warmup)),
-        gen: source,
-        push_waiters: vec![Vec::new(); num_items],
-        channel_busy: vec![false; shard_count as usize],
-        adaptive: adaptive.map(|cfg| AdaptiveState {
-            controller: cfg.controller.as_ref().map(|ctrl| {
-                let weights: Vec<f64> = scenario
-                    .classes
-                    .ids()
-                    .map(|id| scenario.classes.priority(id))
-                    .collect();
-                CutoffController::new(ctrl.clone(), weights, cfg.period)
-            }),
-            feedback: FeedbackWindow::new(num_classes),
-            config: cfg.clone(),
-            alpha: policy_alpha(&hybrid.pull),
-            window_counts: vec![0; num_items],
-            retunes: Vec::new(),
-        }),
-        uplink: hybrid
-            .uplink
-            .map(|cfg| UplinkChannel::new(cfg, factory.stream(UPLINK_STREAM), num_classes)),
-        layout: hybrid.channels,
-        idle_pull_channels: match hybrid.channels {
-            ChannelLayout::Interleaved | ChannelLayout::Sharded { .. } => 0,
-            ChannelLayout::Split { pull_channels } => {
-                assert!(pull_channels >= 1, "split layout needs ≥ 1 pull channel");
-                pull_channels
-            }
-        },
-        class_counts_buf: Vec::new(),
-        base_uplink_prob: hybrid.uplink.map(|cfg| cfg.success_prob),
-        departed: vec![0; num_classes],
-        departed_by_channel: vec![0; shard_count as usize],
-        tuner_counter: 0,
-        conflicts: 0,
-        push_served_raw: 0,
-        audit: Vec::new(),
-        audit_queue,
-        sink,
-    };
-
-    let mut engine: Engine<Event> = Engine::new();
-    if let Some(t) = driver.gen.peek() {
-        engine.schedule_at(t, Event::Arrival);
-    }
-    if let Some(adaptive) = adaptive {
-        engine.schedule_at(SimTime::new(adaptive.period), Event::Retune);
-    }
-    for fault in faults {
-        match *fault {
-            FaultSpec::UplinkBurst {
-                start,
-                duration,
-                success_prob,
-            } => {
-                engine.schedule_at(
-                    SimTime::new(start),
-                    Event::Fault(FaultAction::SetUplink(success_prob)),
-                );
-                engine.schedule_at(
-                    SimTime::new(start + duration),
-                    Event::Fault(FaultAction::RestoreUplink),
-                );
-            }
-            FaultSpec::ArrivalSurge { .. } => {} // folded into the source above
-            FaultSpec::MassDeparture { time, fraction } => {
-                engine.schedule_at(
-                    SimTime::new(time),
-                    Event::Fault(FaultAction::MassDeparture(fraction)),
-                );
-            }
-            FaultSpec::ForceCutoff { time, k } => {
-                engine.schedule_at(
-                    SimTime::new(time),
-                    Event::Fault(FaultAction::ForceCutoff(k)),
-                );
-            }
+            params,
+            source: None,
+            adaptive: None,
+            faults: &[],
+            policy: None,
+            audit_queue: false,
+            churn: None,
         }
     }
-    // The broadcast starts immediately (unless in pure-pull mode, where the
-    // server waits for the first request).
-    start_channels(&mut driver, &mut engine);
 
-    let horizon = SimTime::new(params.horizon);
-    engine.run_until(horizon, |eng, ev| driver.handle(eng, ev));
-    driver.audit_now(horizon);
+    /// Every precondition of [`run`](Simulation::run), as a typed error
+    /// instead of a mid-run panic. Front ends taking configs from outside
+    /// the program call this first.
+    pub fn validate(&self) -> Result<(), String> {
+        let SimParams {
+            horizon, warmup, ..
+        } = *self.params;
+        ensure(
+            horizon > warmup,
+            format_args!("horizon {horizon} must exceed warmup {warmup}"),
+        )?;
+        let (cutoff, catalog_len) = (self.hybrid.cutoff, self.scenario.catalog.len());
+        ensure(
+            cutoff <= catalog_len,
+            format_args!("cutoff {cutoff} exceeds catalog size {catalog_len}"),
+        )?;
+        let cutoff_faults = self
+            .faults
+            .iter()
+            .any(|f| matches!(f, FaultSpec::ForceCutoff { .. }));
+        if let Some(adaptive) = self.adaptive {
+            ensure(adaptive.period > 0.0, "retune period must be positive")?;
+            ensure(
+                !adaptive.candidate_ks.is_empty(),
+                "need at least one candidate cutoff",
+            )?;
+            // The controller path never reads the candidate grid.
+            let k = adaptive.candidate_ks.iter().max().copied().unwrap_or(0);
+            ensure(
+                adaptive.controller.is_some() || k <= catalog_len,
+                format_args!("candidate cutoff {k} exceeds catalog size {catalog_len}"),
+            )?;
+        }
+        for fault in self.faults {
+            fault.validate()?;
+        }
+        if self.hybrid.channels.shard_count() > 1 {
+            ensure(
+                self.adaptive.is_none(),
+                "adaptive cutoff control requires a single channel",
+            )?;
+            ensure(
+                !cutoff_faults,
+                "forced cutoff moves require a single channel",
+            )?;
+            ensure(
+                self.policy.is_none(),
+                "a custom pull policy requires a single channel",
+            )?;
+        }
+        ensure(
+            self.hybrid.channels != ChannelLayout::Split { pull_channels: 0 },
+            "split layout needs ≥ 1 pull channel",
+        )?;
+        if let Some(churn) = self.churn {
+            churn.validate(self.scenario.classes.len())?;
+            ensure(
+                self.hybrid.channels == ChannelLayout::Interleaved,
+                "the churn model runs on the paper's single interleaved channel",
+            )?;
+            ensure(
+                self.adaptive.is_none() && !cutoff_faults,
+                "the churn model requires a static cutoff",
+            )?;
+        }
+        Ok(())
+    }
 
-    // Horizon census: park every still-outstanding request somewhere so the
-    // conservation identity closes exactly (see [`PendingCensus`]), with a
-    // per-channel marginal so it also closes channel by channel.
-    let mut census = PendingCensus::new(num_classes, shard_count as usize);
-    for (_, ev) in engine.drain_pending() {
-        match ev {
-            Event::Deliver(req) => {
-                census.uplink_in_flight[req.class.index()] += 1;
-                census.per_channel[driver.channel_for(req.item) as usize] += 1;
-            }
-            Event::Complete(channel, tx) => {
-                if let Some(batch) = &tx.served {
-                    for &(_, class) in &batch.requesters {
-                        census.in_service[class.index()] += 1;
-                        census.per_channel[channel as usize] += 1;
-                    }
+    /// Runs the simulation to `params.horizon`, delivering telemetry to
+    /// `sink`. With `&mut NullSink` this compiles to exactly the
+    /// uninstrumented run; recording is purely observational either way
+    /// (bit-identical reports, property-tested).
+    ///
+    /// # Panics
+    /// Panics with [`validate`](Simulation::validate)'s message when a
+    /// precondition does not hold.
+    pub fn run<S: Sink>(self, sink: &mut S) -> SimRun {
+        if let Err(what) = self.validate() {
+            panic!("{what}");
+        }
+        let (scenario, hybrid, params) = (self.scenario, self.hybrid, self.params);
+        let (adaptive, faults) = (self.adaptive, self.faults);
+        let source = self
+            .source
+            .unwrap_or_else(|| scenario.request_source_replication(params.replication));
+        // Arrival surges act on the request stream itself: wrap the source
+        // once with every surge window instead of touching the event loop.
+        let surge_windows: Vec<SurgeWindow> = faults
+            .iter()
+            .filter_map(|f| match *f {
+                FaultSpec::ArrivalSurge {
+                    start,
+                    duration,
+                    factor,
+                } => Some(SurgeWindow {
+                    start,
+                    end: start + duration,
+                    factor,
+                }),
+                _ => None,
+            })
+            .collect();
+        let source: Box<dyn RequestSource> = if surge_windows.is_empty() {
+            source
+        } else {
+            Box::new(SurgeSource::new(source, surge_windows))
+        };
+        let shard_count = hybrid.channels.shard_count();
+        let factory = scenario.factory.replication(params.replication);
+        let scheduler = match self.policy {
+            Some(policy) => ShardedScheduler::with_policy(
+                scenario.catalog.clone(),
+                scenario.classes.clone(),
+                hybrid,
+                &factory,
+                policy,
+            ),
+            None => ShardedScheduler::new(
+                scenario.catalog.clone(),
+                scenario.classes.clone(),
+                hybrid,
+                &factory,
+            ),
+        };
+        let num_items = scenario.catalog.len();
+        let num_classes = scenario.classes.len();
+        let idle_pull_channels = match hybrid.channels {
+            ChannelLayout::Split { pull_channels } => pull_channels,
+            _ => 0,
+        };
+        let mut driver = Driver {
+            scheduler,
+            metrics: MetricsCollector::new(num_classes, SimTime::new(params.warmup)),
+            gen: source,
+            push_waiters: vec![Vec::new(); num_items],
+            channel_busy: vec![false; shard_count as usize],
+            adaptive: adaptive.map(|cfg| AdaptiveState {
+                controller: cfg.controller.as_ref().map(|ctrl| {
+                    let weights: Vec<f64> = scenario
+                        .classes
+                        .ids()
+                        .map(|id| scenario.classes.priority(id))
+                        .collect();
+                    CutoffController::new(ctrl.clone(), weights, cfg.period)
+                }),
+                feedback: FeedbackWindow::new(num_classes),
+                config: cfg.clone(),
+                alpha: policy_alpha(&hybrid.pull),
+                window_counts: vec![0; num_items],
+                retunes: Vec::new(),
+            }),
+            uplink: hybrid
+                .uplink
+                .map(|cfg| UplinkChannel::new(cfg, factory.stream(UPLINK_STREAM), num_classes)),
+            churn: self
+                .churn
+                .map(|cfg| ChurnState::new(cfg, scenario, &factory)),
+            split: matches!(hybrid.channels, ChannelLayout::Split { .. }),
+            idle_pull_channels,
+            class_counts_buf: Vec::new(),
+            base_uplink_prob: hybrid.uplink.map(|cfg| cfg.success_prob),
+            departed: vec![0; num_classes],
+            departed_by_channel: vec![0; shard_count as usize],
+            tuner_counter: 0,
+            conflicts: 0,
+            push_served_raw: 0,
+            audit: Vec::new(),
+            audit_queue: self.audit_queue,
+            sink,
+        };
+
+        let mut engine: Engine<Event> = Engine::new();
+        if let Some(t) = driver.gen.peek() {
+            engine.schedule_at(t, Event::Arrival);
+        }
+        if let Some(adaptive) = adaptive {
+            engine.schedule_at(SimTime::new(adaptive.period), Event::Retune);
+        }
+        for fault in faults {
+            match *fault {
+                FaultSpec::UplinkBurst {
+                    start,
+                    duration,
+                    success_prob,
+                } => {
+                    engine.schedule_at(
+                        SimTime::new(start),
+                        Event::Fault(FaultAction::SetUplink(success_prob)),
+                    );
+                    engine.schedule_at(
+                        SimTime::new(start + duration),
+                        Event::Fault(FaultAction::RestoreUplink),
+                    );
+                }
+                FaultSpec::ArrivalSurge { .. } => {} // folded into the source above
+                FaultSpec::MassDeparture { time, fraction } => {
+                    engine.schedule_at(
+                        SimTime::new(time),
+                        Event::Fault(FaultAction::MassDeparture(fraction)),
+                    );
+                }
+                FaultSpec::ForceCutoff { time, k } => {
+                    engine.schedule_at(
+                        SimTime::new(time),
+                        Event::Fault(FaultAction::ForceCutoff(k)),
+                    );
                 }
             }
-            _ => {}
         }
-    }
-    for (idx, waiters) in driver.push_waiters.iter().enumerate() {
-        let channel = driver.channel_for(ItemId(idx as u32));
-        for w in waiters {
-            census.waiting_push[w.class.index()] += 1;
-            census.per_channel[channel as usize] += 1;
-        }
-    }
-    for (channel, shard) in driver.scheduler.shards().enumerate() {
-        for entry in shard.queue().iter() {
-            for &(_, class) in &entry.requesters {
-                census.queued[class.index()] += 1;
-                census.per_channel[channel] += 1;
+        // The downlink boots at t = 0: every push/pull-alternating channel
+        // (or, in the split layout, the dedicated broadcast channel) starts
+        // transmitting immediately; in pure-pull mode the server waits for
+        // the first request, as split pull channels always do.
+        if driver.split {
+            driver.dispatch_push_channel(&mut engine, SimTime::ZERO);
+        } else {
+            for c in 0..shard_count {
+                driver.dispatch(&mut engine, SimTime::ZERO, c);
             }
         }
-    }
-    census.departed = driver.departed.clone();
-    for (channel, &n) in driver.departed_by_channel.iter().enumerate() {
-        census.per_channel[channel] += n;
-    }
 
-    let mut report = driver.metrics.report(&scenario.classes, horizon);
-    report.channels = shard_count;
-    report.conflicts = driver.conflicts;
-    report.conflict_rate = if driver.conflicts > 0 {
-        driver.conflicts as f64 / (driver.conflicts + driver.push_served_raw) as f64
-    } else {
-        0.0
-    };
-    let final_k = driver.scheduler.cutoff();
-    let retunes = driver.adaptive.map(|s| s.retunes).unwrap_or_default();
-    RunOutcome {
-        report,
-        retunes,
-        final_k,
-        census,
-        audit: driver.audit,
+        let horizon = SimTime::new(params.horizon);
+        engine.run_until(horizon, |eng, ev| driver.handle(eng, ev));
+        driver.audit_now(horizon);
+
+        // Horizon census: park every still-outstanding request somewhere so
+        // the conservation identity closes exactly (see [`PendingCensus`]),
+        // with a per-channel marginal so it also closes channel by channel.
+        let mut census = PendingCensus::new(num_classes, shard_count as usize);
+        for (_, ev) in engine.drain_pending() {
+            match ev {
+                Event::Deliver(req, _) => {
+                    census.uplink_in_flight[req.class.index()] += 1;
+                    census.per_channel[driver.channel_for(req.item) as usize] += 1;
+                }
+                Event::Complete(channel, tx) => {
+                    if let Some(batch) = &tx.served {
+                        for &(_, class) in &batch.requesters {
+                            census.in_service[class.index()] += 1;
+                            census.per_channel[channel as usize] += 1;
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        for (idx, waiters) in driver.push_waiters.iter().enumerate() {
+            let channel = driver.channel_for(ItemId(idx as u32));
+            for w in waiters {
+                census.waiting_push[w.class.index()] += 1;
+                census.per_channel[channel as usize] += 1;
+            }
+        }
+        for (channel, shard) in driver.scheduler.shards().enumerate() {
+            for entry in shard.queue().iter() {
+                for &(_, class) in &entry.requesters {
+                    census.queued[class.index()] += 1;
+                    census.per_channel[channel] += 1;
+                }
+            }
+        }
+        census.departed = driver.departed.clone();
+        for (channel, &n) in driver.departed_by_channel.iter().enumerate() {
+            census.per_channel[channel] += n;
+        }
+
+        let mut report = driver.metrics.report(&scenario.classes, horizon);
+        report.channels = shard_count;
+        report.conflicts = driver.conflicts;
+        report.conflict_rate = if driver.conflicts > 0 {
+            driver.conflicts as f64 / (driver.conflicts + driver.push_served_raw) as f64
+        } else {
+            0.0
+        };
+        SimRun {
+            report,
+            census,
+            retunes: driver.adaptive.map(|s| s.retunes).unwrap_or_default(),
+            final_k: driver.scheduler.cutoff(),
+            queue_audit: driver.audit,
+            churn: driver.churn.map(|c| c.outcome(&scenario.classes)),
+        }
     }
 }
 
-/// Runs one full simulation of `hybrid` over `scenario` and returns the
-/// measured report.
+/// Shorthand for the plain static run: [`Simulation::new`] run without
+/// telemetry, returning just the report.
 pub fn simulate(scenario: &Scenario, hybrid: &HybridConfig, params: &SimParams) -> SimReport {
-    simulate_with_sink(scenario, hybrid, params, &mut NullSink)
+    Simulation::new(scenario, hybrid, params)
+        .run(&mut NullSink)
+        .report
 }
 
-/// [`simulate`] with telemetry delivered to `sink`. With `&mut NullSink`
-/// this compiles to exactly the uninstrumented run; recording is purely
-/// observational either way (bit-identical reports, property-tested).
-pub fn simulate_with_sink<S: Sink>(
-    scenario: &Scenario,
-    hybrid: &HybridConfig,
-    params: &SimParams,
-    sink: &mut S,
-) -> SimReport {
-    let source = scenario.request_source_replication(params.replication);
-    run(
-        scenario,
-        hybrid,
-        params,
-        source,
-        None,
-        &[],
-        None,
-        false,
-        sink,
-    )
-    .report
-}
-
-/// Runs one simulation driven by an arbitrary [`RequestSource`] — e.g. a
-/// recorded [`hybridcast_workload::requests::ReplaySource`] trace instead
-/// of the live Poisson generator. Everything else (scheduler, bandwidth,
-/// uplink, metrics) behaves exactly as in [`simulate`].
-pub fn simulate_with_source(
-    scenario: &Scenario,
-    hybrid: &HybridConfig,
-    params: &SimParams,
-    source: Box<dyn RequestSource>,
-) -> SimReport {
-    run(
-        scenario,
-        hybrid,
-        params,
-        source,
-        None,
-        &[],
-        None,
-        false,
-        &mut NullSink,
-    )
-    .report
-}
-
-/// [`simulate_adaptive`] driven by an arbitrary [`RequestSource`] — e.g. a
-/// recorded trace replayed through the online cutoff controller, which is
-/// how the `adaptive_sweep` bench scores the controller on captured
-/// nonstationary traffic.
-pub fn simulate_adaptive_with_source(
-    scenario: &Scenario,
-    hybrid: &HybridConfig,
-    params: &SimParams,
-    adaptive: &AdaptiveConfig,
-    source: Box<dyn RequestSource>,
-) -> AdaptiveReport {
-    let out = run(
-        scenario,
-        hybrid,
-        params,
-        source,
-        Some(adaptive),
-        &[],
-        None,
-        false,
-        &mut NullSink,
-    );
-    AdaptiveReport {
-        report: out.report,
-        retunes: out.retunes,
-        final_k: out.final_k,
-    }
-}
-
-/// Runs one simulation with the paper's periodic cutoff re-optimization
-/// enabled: every `adaptive.period` broadcast units the server re-estimates
-/// item popularity and the aggregate rate from the last window, asks the
-/// analytic model for the cost-optimal cutoff among the candidates, and
-/// moves `K` — migrating queued requests and broadcast waiters across the
-/// boundary.
-pub fn simulate_adaptive(
-    scenario: &Scenario,
-    hybrid: &HybridConfig,
-    params: &SimParams,
-    adaptive: &AdaptiveConfig,
-) -> AdaptiveReport {
-    simulate_adaptive_with_sink(scenario, hybrid, params, adaptive, &mut NullSink)
-}
-
-/// [`simulate_adaptive`] with telemetry delivered to `sink` (cutoff moves
-/// show up as [`TelemetryEvent::CutoffChange`]).
-pub fn simulate_adaptive_with_sink<S: Sink>(
-    scenario: &Scenario,
-    hybrid: &HybridConfig,
-    params: &SimParams,
-    adaptive: &AdaptiveConfig,
-    sink: &mut S,
-) -> AdaptiveReport {
-    let source = scenario.request_source_replication(params.replication);
-    let out = run(
-        scenario,
-        hybrid,
-        params,
-        source,
-        Some(adaptive),
-        &[],
-        None,
-        false,
-        sink,
-    );
-    AdaptiveReport {
-        report: out.report,
-        retunes: out.retunes,
-        final_k: out.final_k,
-    }
-}
-
-/// The simulation-testing harness entry point: one run with optional fault
-/// injection, an optional pull-policy override (used to plant "mutant"
-/// policies the invariant oracles must catch), queue shadow-recount
-/// auditing always on, and the horizon [`PendingCensus`] that lets a
-/// conservation oracle balance the books exactly.
-///
-/// `adaptive` enables the periodic cutoff controller exactly as in
-/// [`simulate_adaptive`]; faults are applied on top of whichever mode runs.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_harness<S: Sink>(
-    scenario: &Scenario,
-    hybrid: &HybridConfig,
-    params: &SimParams,
-    adaptive: Option<&AdaptiveConfig>,
-    faults: &[FaultSpec],
-    policy: Option<Box<dyn PullPolicy>>,
-    sink: &mut S,
-) -> HarnessReport {
-    let source = scenario.request_source_replication(params.replication);
-    let out = run(
-        scenario, hybrid, params, source, adaptive, faults, policy, true, sink,
-    );
-    HarnessReport {
-        report: out.report,
-        census: out.census,
-        retunes: out.retunes,
-        final_k: out.final_k,
-        queue_audit: out.audit,
-    }
-}
-
-/// Runs one simulation with the windowed recorder attached and returns the
-/// report together with the per-class QoS [`TimeSeries`].
+/// [`simulate`] with the windowed recorder attached: the report together
+/// with the per-class QoS [`TimeSeries`].
 pub fn simulate_telemetry(
     scenario: &Scenario,
     hybrid: &HybridConfig,
@@ -1454,52 +1389,51 @@ pub fn simulate_telemetry(
         &scenario.catalog,
         hybrid.cutoff,
     );
-    let report = simulate_with_sink(scenario, hybrid, params, &mut recorder);
+    let report = Simulation::new(scenario, hybrid, params)
+        .run(&mut recorder)
+        .report;
     let series = recorder.finish(SimTime::new(params.horizon));
     (report, series)
-}
-
-/// Adaptive twin of [`simulate_telemetry`].
-pub fn simulate_adaptive_telemetry(
-    scenario: &Scenario,
-    hybrid: &HybridConfig,
-    params: &SimParams,
-    adaptive: &AdaptiveConfig,
-    telemetry: TelemetryConfig,
-) -> (AdaptiveReport, TimeSeries) {
-    let mut recorder = WindowRecorder::new(
-        telemetry,
-        &scenario.classes,
-        &scenario.catalog,
-        hybrid.cutoff,
-    );
-    let report = simulate_adaptive_with_sink(scenario, hybrid, params, adaptive, &mut recorder);
-    let series = recorder.finish(SimTime::new(params.horizon));
-    (report, series)
-}
-
-/// Runs `replications` independent simulations (in parallel, fanned across
-/// the thread pool by [`crate::experiment::replicate`]) and returns all
-/// reports in replication order. Replication `i` runs with index
-/// `params.replication + i`.
-pub fn simulate_replicated(
-    scenario: &Scenario,
-    hybrid: &HybridConfig,
-    params: &SimParams,
-    replications: u64,
-) -> Vec<SimReport> {
-    crate::experiment::replicate(scenario, hybrid, params, replications)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hybridcast_workload::requests::ReplaySource;
     use hybridcast_workload::scenario::ScenarioConfig;
 
     fn run(k: usize, alpha: f64) -> SimReport {
         let scenario = ScenarioConfig::icpp2005(0.6).build();
         let cfg = HybridConfig::paper(k, alpha);
         simulate(&scenario, &cfg, &SimParams::quick())
+    }
+
+    fn adaptive_run(
+        scenario: &Scenario,
+        hybrid: &HybridConfig,
+        params: &SimParams,
+        adaptive: &AdaptiveConfig,
+    ) -> AdaptiveReport {
+        Simulation {
+            adaptive: Some(adaptive),
+            ..Simulation::new(scenario, hybrid, params)
+        }
+        .run(&mut NullSink)
+        .into()
+    }
+
+    fn replayed_run(
+        scenario: &Scenario,
+        hybrid: &HybridConfig,
+        params: &SimParams,
+        trace: Vec<Request>,
+    ) -> SimReport {
+        Simulation {
+            source: Some(Box::new(ReplaySource::new(trace))),
+            ..Simulation::new(scenario, hybrid, params)
+        }
+        .run(&mut NullSink)
+        .report
     }
 
     #[test]
@@ -1620,7 +1554,7 @@ mod tests {
             rerank: false,
             controller: None,
         };
-        let out = simulate_adaptive(&scenario, &cfg, &SimParams::quick(), &adaptive);
+        let out = adaptive_run(&scenario, &cfg, &SimParams::quick(), &adaptive);
         assert!(!out.retunes.is_empty(), "controller must fire");
         assert_ne!(out.final_k, 5, "bad initial cutoff must be abandoned");
         // the trajectory settles: the last two decisions agree
@@ -1645,7 +1579,7 @@ mod tests {
             rerank: false,
             controller: None,
         };
-        let out = simulate_adaptive(&scenario, &cfg, &SimParams::quick(), &adaptive);
+        let out = adaptive_run(&scenario, &cfg, &SimParams::quick(), &adaptive);
         assert!(out.final_k <= 60);
         let served = out.report.total_served();
         assert!(served > 1_000, "served only {served}");
@@ -1692,8 +1626,8 @@ mod tests {
             rerank: false,
             controller: None,
         };
-        let k_only = simulate_adaptive(&scenario, &cfg, &params, &base);
-        let rerank_run = simulate_adaptive(
+        let k_only = adaptive_run(&scenario, &cfg, &params, &base);
+        let rerank_run = adaptive_run(
             &scenario,
             &cfg,
             &params,
@@ -1731,7 +1665,7 @@ mod tests {
             }),
             ..AdaptiveConfig::default()
         };
-        let out = simulate_adaptive(&scenario, &cfg, &SimParams::quick(), &adaptive);
+        let out = adaptive_run(&scenario, &cfg, &SimParams::quick(), &adaptive);
         assert!(out.retunes.len() >= 10, "one decision per window");
         assert!(
             out.final_k > 5,
@@ -1777,7 +1711,7 @@ mod tests {
             }),
             ..AdaptiveConfig::default()
         };
-        let out = simulate_adaptive(&scenario, &cfg, &SimParams::quick(), &adaptive);
+        let out = adaptive_run(&scenario, &cfg, &SimParams::quick(), &adaptive);
         for r in &out.retunes {
             assert!(
                 (20..=45).contains(&r.to_k),
@@ -1805,8 +1739,8 @@ mod tests {
             rerank: true,
             ..adaptive_prefix.clone()
         };
-        let a = simulate_adaptive(&scenario, &cfg, &params, &adaptive_prefix);
-        let b = simulate_adaptive(&scenario, &cfg, &params, &adaptive_rerank);
+        let a = adaptive_run(&scenario, &cfg, &params, &adaptive_prefix);
+        let b = adaptive_run(&scenario, &cfg, &params, &adaptive_rerank);
         // Without drift the estimated ranking ≈ the true ranking, so the
         // two controllers land in the same cost neighbourhood.
         let ratio = b.report.total_prioritized_cost / a.report.total_prioritized_cost;
@@ -1980,7 +1914,6 @@ mod tests {
 
     #[test]
     fn trace_replay_reproduces_the_live_run_exactly() {
-        use hybridcast_workload::requests::ReplaySource;
         let scenario = ScenarioConfig::icpp2005(0.6).build();
         let cfg = HybridConfig::paper(40, 0.5);
         let params = SimParams::quick();
@@ -1993,34 +1926,116 @@ mod tests {
             &scenario.factory.replication(params.replication),
         );
         let trace = gen.take_until(SimTime::new(params.horizon));
-        let replay = ReplaySource::new(trace);
-        let replayed = simulate_with_source(&scenario, &cfg, &params, Box::new(replay));
+        let replayed = replayed_run(&scenario, &cfg, &params, trace);
         assert_eq!(replayed, live);
     }
 
     #[test]
     fn finite_trace_drains_and_server_idles_gracefully() {
-        use hybridcast_workload::requests::ReplaySource;
         let scenario = ScenarioConfig::icpp2005(0.6).build();
         // pure pull so the server can actually go idle after the trace ends
         let cfg = HybridConfig::paper(0, 0.5);
         let mut gen = scenario.request_stream();
         let trace = gen.take_until(SimTime::new(500.0));
         let n = trace.len() as u64;
-        let replay = ReplaySource::new(trace);
         let params = SimParams {
             horizon: 5_000.0,
             warmup: 0.0,
             replication: 0,
         };
-        let r = simulate_with_source(&scenario, &cfg, &params, Box::new(replay));
+        let r = replayed_run(&scenario, &cfg, &params, trace);
         // every traced request is eventually served (no new demand arrives)
         assert_eq!(r.total_served(), n);
     }
 
-    fn harness(cfg: &HybridConfig, params: &SimParams, faults: &[FaultSpec]) -> HarnessReport {
+    #[test]
+    fn validate_names_the_broken_precondition() {
+        let scenario = ScenarioConfig {
+            num_items: 50,
+            ..ScenarioConfig::icpp2005(0.6)
+        }
+        .build();
+        let cfg = HybridConfig::paper(20, 0.5);
+        let params = SimParams::quick();
+        let base = || Simulation::new(&scenario, &cfg, &params);
+        assert_eq!(base().validate(), Ok(()));
+
+        // The starter grid reaches K = 90 on a 50-item catalog: the model
+        // path would panic at the first retune, 2 000 units in.
+        let grid = AdaptiveConfig::default();
+        let err = Simulation {
+            adaptive: Some(&grid),
+            ..base()
+        }
+        .validate()
+        .unwrap_err();
+        assert_eq!(err, "candidate cutoff 90 exceeds catalog size 50");
+        // ...while the controller path never reads the grid.
+        let controlled = AdaptiveConfig {
+            controller: Some(ControllerConfig::default()),
+            ..AdaptiveConfig::default()
+        };
+        let armed = Simulation {
+            adaptive: Some(&controlled),
+            ..base()
+        };
+        assert_eq!(armed.validate(), Ok(()));
+
+        let late = SimParams {
+            warmup: params.horizon,
+            ..params
+        };
+        let err = Simulation::new(&scenario, &cfg, &late)
+            .validate()
+            .unwrap_err();
+        assert_eq!(err, "horizon 4000 must exceed warmup 4000");
+
+        let deep = HybridConfig::paper(51, 0.5);
+        let err = Simulation::new(&scenario, &deep, &params)
+            .validate()
+            .unwrap_err();
+        assert_eq!(err, "cutoff 51 exceeds catalog size 50");
+
+        let faults = [FaultSpec::ForceCutoff { time: -1.0, k: 3 }];
+        let err = Simulation {
+            faults: &faults,
+            ..base()
+        }
+        .validate()
+        .unwrap_err();
+        assert_eq!(err, "cutoff-force time must be ≥ 0");
+
+        // Churn keeps the cutoff where it is.
+        let churn = ChurnConfig::default();
+        let err = Simulation {
+            churn: Some(&churn),
+            adaptive: Some(&controlled),
+            ..base()
+        }
+        .validate()
+        .unwrap_err();
+        assert_eq!(err, "the churn model requires a static cutoff");
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon 100 must exceed warmup 500")]
+    fn run_panics_with_the_validation_message() {
         let scenario = ScenarioConfig::icpp2005(0.6).build();
-        simulate_harness(&scenario, cfg, params, None, faults, None, &mut NullSink)
+        let params = SimParams {
+            horizon: 100.0,
+            ..SimParams::quick()
+        };
+        simulate(&scenario, &HybridConfig::paper(40, 0.5), &params);
+    }
+
+    fn harness(cfg: &HybridConfig, params: &SimParams, faults: &[FaultSpec]) -> SimRun {
+        let scenario = ScenarioConfig::icpp2005(0.6).build();
+        Simulation {
+            faults,
+            audit_queue: true,
+            ..Simulation::new(&scenario, cfg, params)
+        }
+        .run(&mut NullSink)
     }
 
     fn no_warmup() -> SimParams {
@@ -2033,7 +2048,7 @@ mod tests {
 
     /// Per-class books must balance exactly:
     /// generated = served + blocked + uplink_lost + still-pending.
-    fn assert_conserved(out: &HarnessReport) {
+    fn assert_conserved(out: &SimRun) {
         for (c, pc) in out.report.per_class.iter().enumerate() {
             let lost = out.report.uplink_lost[c];
             assert_eq!(
@@ -2093,7 +2108,7 @@ mod tests {
                 success_prob: 0.05,
             }],
         );
-        let lost = |r: &HarnessReport| r.report.uplink_lost.iter().sum::<u64>();
+        let lost = |r: &SimRun| r.report.uplink_lost.iter().sum::<u64>();
         assert!(
             lost(&burst) > lost(&calm) * 2,
             "burst {} vs calm {}",
@@ -2148,7 +2163,7 @@ mod tests {
                 factor: 3.0,
             }],
         );
-        let gen = |r: &HarnessReport| r.report.per_class.iter().map(|c| c.generated).sum::<u64>();
+        let gen = |r: &SimRun| r.report.per_class.iter().map(|c| c.generated).sum::<u64>();
         assert!(
             gen(&surged) as f64 > gen(&calm) as f64 * 1.3,
             "surged {} vs calm {}",
@@ -2178,7 +2193,7 @@ mod tests {
     fn replicated_runs_differ_but_agree_statistically() {
         let scenario = ScenarioConfig::icpp2005(0.6).build();
         let cfg = HybridConfig::paper(40, 0.5);
-        let reports = simulate_replicated(&scenario, &cfg, &SimParams::quick(), 3);
+        let reports = crate::experiment::replicate(&scenario, &cfg, &SimParams::quick(), 3);
         assert_eq!(reports.len(), 3);
         let means: Vec<f64> = reports.iter().map(|r| r.overall_delay.mean).collect();
         assert_ne!(means[0], means[1]);

@@ -7,14 +7,14 @@
 
 use proptest::prelude::*;
 
-use hybridcast_core::churn::{simulate_with_churn, simulate_with_churn_sink, ChurnConfig};
+use hybridcast_core::churn::ChurnConfig;
 use hybridcast_core::config::HybridConfig;
 use hybridcast_core::sim_driver::{
-    simulate, simulate_adaptive, simulate_adaptive_telemetry, simulate_telemetry,
-    simulate_with_sink, AdaptiveConfig, SimParams,
+    simulate, simulate_telemetry, AdaptiveConfig, SimParams, Simulation,
 };
 use hybridcast_core::uplink::UplinkConfig;
-use hybridcast_telemetry::{TelemetryConfig, VecSink, WindowRecorder};
+use hybridcast_sim::time::SimTime;
+use hybridcast_telemetry::{NullSink, TelemetryConfig, TelemetryEvent, VecSink, WindowRecorder};
 use hybridcast_workload::scenario::ScenarioConfig;
 
 proptest! {
@@ -55,7 +55,9 @@ proptest! {
         };
 
         let baseline = simulate(&scenario, &cfg, &params);
-        let via_vec = simulate_with_sink(&scenario, &cfg, &params, &mut VecSink::default());
+        let via_vec = Simulation::new(&scenario, &cfg, &params)
+            .run(&mut VecSink::default())
+            .report;
         prop_assert_eq!(&baseline, &via_vec, "VecSink perturbed the run");
         let (via_recorder, series) =
             simulate_telemetry(&scenario, &cfg, &params, TelemetryConfig::new(window));
@@ -87,15 +89,19 @@ fn adaptive_reports_are_bit_identical_with_telemetry() {
         replication: 0,
     };
     let adaptive = AdaptiveConfig::default();
-    let baseline = simulate_adaptive(&scenario, &cfg, &params, &adaptive);
-    let (instrumented, series) = simulate_adaptive_telemetry(
-        &scenario,
-        &cfg,
-        &params,
-        &adaptive,
+    let run = || Simulation {
+        adaptive: Some(&adaptive),
+        ..Simulation::new(&scenario, &cfg, &params)
+    };
+    let baseline = run().run(&mut NullSink);
+    let mut recorder = WindowRecorder::new(
         TelemetryConfig::new(500.0),
+        &scenario.classes,
+        &scenario.catalog,
+        cfg.cutoff,
     );
-    assert_eq!(baseline, instrumented);
+    assert_eq!(baseline, run().run(&mut recorder));
+    let series = recorder.finish(SimTime::new(params.horizon));
     // Every retune the controller performed shows up as a CutoffChange.
     let moves = baseline
         .retunes
@@ -119,17 +125,40 @@ fn churn_reports_are_bit_identical_with_telemetry() {
         tolerance: vec![90.0, 105.0, 130.0],
         ..ChurnConfig::default()
     };
-    let baseline = simulate_with_churn(&scenario, &cfg, &params, &churn);
+    let run = || Simulation {
+        churn: Some(&churn),
+        ..Simulation::new(&scenario, &cfg, &params)
+    };
+    let baseline = run().run(&mut NullSink);
+    let departures = baseline.churn.as_ref().expect("churn was on").departures;
+    assert!(departures > 0, "the tolerances must bite");
+
+    let mut events = VecSink::default();
+    assert_eq!(
+        baseline,
+        run().run(&mut events),
+        "VecSink perturbed the run"
+    );
+    let churn_events = events
+        .events()
+        .iter()
+        .filter(|e| matches!(e, TelemetryEvent::ChurnEvent { .. }))
+        .count() as u64;
+    assert_eq!(churn_events, departures);
+
     let mut recorder = WindowRecorder::new(
         TelemetryConfig::new(500.0),
         &scenario.classes,
         &scenario.catalog,
         cfg.cutoff,
     );
-    let instrumented = simulate_with_churn_sink(&scenario, &cfg, &params, &churn, &mut recorder);
-    assert_eq!(baseline, instrumented);
-    let series = recorder.finish(hybridcast_sim::time::SimTime::new(params.horizon));
+    assert_eq!(
+        baseline,
+        run().run(&mut recorder),
+        "WindowRecorder perturbed the run"
+    );
+    let series = recorder.finish(SimTime::new(params.horizon));
     // Departures stream through the event layer, window by window.
     let recorded: u64 = series.windows.iter().map(|w| w.churn_departures).sum();
-    assert_eq!(recorded, baseline.departures);
+    assert_eq!(recorded, departures);
 }

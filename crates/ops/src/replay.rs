@@ -3,7 +3,7 @@
 //! Two replay targets, both pure functions of `(config, trace)`:
 //!
 //! * **Simulator replay** ([`replay_simulator`]): the trace becomes a
-//!   [`ReplaySource`] driving `simulate_with_source` — the recorded
+//!   [`ReplaySource`] set as [`Simulation::source`] — the recorded
 //!   arrivals replace the Poisson generator, everything else (scheduler,
 //!   bandwidth, uplink, metrics) is the standard simulator.
 //! * **Daemon replay** ([`replay_daemon`]): drives the daemon's own
@@ -34,7 +34,7 @@ use hybridcast_core::channel::{channel_cores, Books, ChannelCore, ChannelCounter
 use hybridcast_core::config::HybridConfig;
 use hybridcast_core::metrics::SimReport;
 use hybridcast_core::sharded::ChannelPlan;
-use hybridcast_core::sim_driver::{simulate_with_source, SimParams};
+use hybridcast_core::sim_driver::{SimParams, Simulation};
 use hybridcast_sim::time::{SimDuration, SimTime};
 use hybridcast_telemetry::NullSink;
 use hybridcast_workload::catalog::ItemId;
@@ -223,12 +223,14 @@ pub fn replay_simulator(
     params: &SimParams,
     trace: &Trace,
 ) -> SimReport {
-    simulate_with_source(
-        scenario,
-        hybrid,
-        params,
-        Box::new(ReplaySource::new(replay_requests(scenario, trace))),
-    )
+    Simulation {
+        source: Some(Box::new(ReplaySource::new(replay_requests(
+            scenario, trace,
+        )))),
+        ..Simulation::new(scenario, hybrid, params)
+    }
+    .run(&mut NullSink)
+    .report
 }
 
 /// The trace's requests in global arrival order, mapped into `scenario`'s

@@ -48,14 +48,14 @@ use hybridcast_core::adaptive::ControllerConfig;
 use hybridcast_core::config::{AssignmentStrategy, ChannelLayout, HybridConfig};
 use hybridcast_core::metrics::SimReport;
 use hybridcast_core::sharded::{ChannelPlan, PlanPrice};
-use hybridcast_core::sim_driver::{simulate_adaptive_with_source, AdaptiveConfig};
+use hybridcast_core::sim_driver::{AdaptiveConfig, Simulation};
+use hybridcast_telemetry::NullSink;
 use hybridcast_workload::requests::ReplaySource;
 use hybridcast_workload::scenario::Scenario;
 
 use crate::digest::{fnv1a64, hex64};
 use crate::replay::{
-    replay_requests, replay_simulator, route_stats, sim_params_for, structural_mismatches,
-    RouteStats,
+    replay_requests, route_stats, sim_params_for, structural_mismatches, RouteStats,
 };
 use crate::trace::Trace;
 
@@ -355,26 +355,18 @@ pub fn evaluate_point(
         ));
     }
     let params = sim_params_for(trace);
-    let (report, final_k, retunes) = if spec.adaptive {
-        let out = simulate_adaptive_with_source(
-            scenario,
-            &hybrid,
-            &params,
-            &whatif_adaptive_config(scenario),
-            Box::new(ReplaySource::new(replay_requests(scenario, trace))),
-        );
-        (
-            out.report,
-            Some(out.final_k),
-            Some(out.retunes.len() as u64),
-        )
-    } else {
-        (
-            replay_simulator(scenario, &hybrid, &params, trace),
-            None,
-            None,
-        )
-    };
+    let adaptive = spec.adaptive.then(|| whatif_adaptive_config(scenario));
+    let out = Simulation {
+        source: Some(Box::new(ReplaySource::new(replay_requests(
+            scenario, trace,
+        )))),
+        adaptive: adaptive.as_ref(),
+        ..Simulation::new(scenario, &hybrid, &params)
+    }
+    .run(&mut NullSink);
+    let final_k = spec.adaptive.then_some(out.final_k);
+    let retunes = spec.adaptive.then_some(out.retunes.len() as u64);
+    let report = out.report;
     let plan = ChannelPlan::build(&scenario.catalog, channels, assignment);
     let route = route_stats(trace, scenario, &plan);
     let per_class: Vec<ClassOutcome> = report

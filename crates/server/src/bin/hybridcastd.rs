@@ -1,155 +1,12 @@
 //! The serving daemon. `hybridcastd --help` for usage.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
-
-use hybridcast_server::{serve, signal, ServeConfig};
-
-const USAGE: &str = "hybridcastd — wall-clock hybrid push/pull broadcast daemon
-
-USAGE:
-    hybridcastd [OPTIONS]
-
-OPTIONS:
-    --config <path>     JSON ServeConfig (default: built-in defaults)
-    --init-config       Print the default config as JSON and exit
-    --addr <host:port>  Override the listen address
-    --results <path>    Override the telemetry JSONL path ('-' disables)
-    --channels <C>      Shard the catalog across C broadcast channels
-                        (pattern-aware assignment, one scheduler thread
-                        per channel)
-    --ops-addr <h:p>    Serve /healthz, /stats, /config over HTTP on this
-                        address ('-' disables)
-    --trace <path>      Record the accepted-request stream as a binary
-                        HCT1 trace for later `hybridcast replay`
-                        ('-' disables)
-    --help              This text
-
-Runs until SIGTERM/SIGINT (or an in-band shutdown frame), then drains
-queued work, sheds the rest with explicit replies, flushes telemetry,
-prints the run summary as JSON on stdout, and exits 0.";
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let mut config_path: Option<String> = None;
-    let mut addr: Option<String> = None;
-    let mut results: Option<String> = None;
-    let mut channels: Option<String> = None;
-    let mut ops_addr: Option<String> = None;
-    let mut trace: Option<String> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            "--init-config" => {
-                println!("{}", ServeConfig::default().to_json());
-                return ExitCode::SUCCESS;
-            }
-            "--config" => config_path = args.next(),
-            "--addr" => addr = args.next(),
-            "--results" => results = args.next(),
-            "--channels" => channels = args.next(),
-            "--ops-addr" => ops_addr = args.next(),
-            "--trace" => trace = args.next(),
-            other => {
-                eprintln!("unknown argument: {other}\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let mut config = match &config_path {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => match ServeConfig::from_json(&text) {
-                Ok(cfg) => cfg,
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => ServeConfig::default(),
-    };
-    if let Some(addr) = addr {
-        config.serve.addr = addr;
-    }
-    match results.as_deref() {
-        Some("-") => config.serve.results_path = None,
-        Some(path) => config.serve.results_path = Some(path.to_string()),
-        None => {}
-    }
-    match ops_addr.as_deref() {
-        Some("-") => config.serve.ops_addr = None,
-        Some(addr) => config.serve.ops_addr = Some(addr.to_string()),
-        None => {}
-    }
-    match trace.as_deref() {
-        Some("-") => config.serve.trace_path = None,
-        Some(path) => config.serve.trace_path = Some(path.to_string()),
-        None => {}
-    }
-    if let Some(raw) = channels {
-        let parsed: Result<u32, _> = raw.parse();
-        match parsed {
-            Ok(c) if c >= 1 => {
-                config.hybrid.channels = hybridcast_core::config::ChannelLayout::Sharded {
-                    channels: c,
-                    assignment: hybridcast_core::config::AssignmentStrategy::PatternAware,
-                };
-            }
-            _ => {
-                eprintln!("--channels needs a positive integer, got {raw:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Err(e) = config.validate() {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    // Bridge POSIX signals onto the serve loop's shutdown flag.
-    signal::install();
-    let shutdown = Arc::new(AtomicBool::new(false));
-    {
-        let shutdown = Arc::clone(&shutdown);
-        thread::spawn(move || loop {
-            if signal::requested() {
-                shutdown.store(true, Ordering::SeqCst);
-                return;
-            }
-            thread::sleep(Duration::from_millis(50));
-        });
-    }
-
-    eprintln!(
-        "hybridcastd listening on {} (1 broadcast unit = {} ms)",
-        config.serve.addr, config.serve.unit_millis
-    );
-    match serve(config, shutdown) {
-        Ok(summary) => {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&summary).expect("summary serializes")
-            );
-            if summary.conservation_ok {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("conservation violated: some accepted frames went unanswered");
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("hybridcastd: {e}");
+    match hybridcast_server::daemon_main("hybridcastd", std::env::args().skip(1)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("{msg}");
             ExitCode::FAILURE
         }
     }

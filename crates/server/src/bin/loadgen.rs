@@ -2,83 +2,11 @@
 
 use std::process::ExitCode;
 
-use hybridcast_server::loadgen::{run_loadgen, LoadgenConfig};
-
-const USAGE: &str = "loadgen — open-loop Poisson/Zipf traffic for hybridcastd
-
-USAGE:
-    loadgen [OPTIONS]
-
-OPTIONS:
-    --addr <host:port>   Daemon address (default 127.0.0.1:4650)
-    --rps <n>            Aggregate request rate per second (default 1000)
-    --conns <n>          Concurrent connections (default 4)
-    --secs <n>           Send-window length in seconds (default 5)
-    --seed <n>           Master seed (default 0xC0FFEE)
-    --items <n>          Catalog size for the item law (default 100)
-    --theta <x>          Zipf skew of the item law (default 0.6)
-    --deadline-ms <n>    Per-request deadline (0 = server default)
-    --grace-ms <n>       Post-window wait for stragglers (default 2000)
-    --help               This text
-
-Prints the report (per-class RTT quantiles, status breakdown) as JSON.";
-
-fn parse<T: std::str::FromStr>(name: &str, v: Option<String>) -> Result<T, String> {
-    v.ok_or_else(|| format!("{name} needs a value"))?
-        .parse()
-        .map_err(|_| format!("{name}: invalid value"))
-}
-
 fn main() -> ExitCode {
-    let mut cfg = LoadgenConfig::default();
-    let mut args = std::env::args().skip(1);
-    let parsed = (|| -> Result<bool, String> {
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--help" | "-h" => return Ok(false),
-                "--addr" => cfg.addr = parse("--addr", args.next())?,
-                "--rps" => cfg.rps = parse("--rps", args.next())?,
-                "--conns" => cfg.connections = parse("--conns", args.next())?,
-                "--secs" => cfg.duration_secs = parse("--secs", args.next())?,
-                "--seed" => cfg.seed = parse("--seed", args.next())?,
-                "--items" => cfg.num_items = parse("--items", args.next())?,
-                "--theta" => cfg.zipf_theta = parse("--theta", args.next())?,
-                "--deadline-ms" => cfg.deadline_ms = parse("--deadline-ms", args.next())?,
-                "--grace-ms" => cfg.grace_ms = parse("--grace-ms", args.next())?,
-                other => return Err(format!("unknown argument: {other}")),
-            }
-        }
-        Ok(true)
-    })();
-    match parsed {
-        Ok(false) => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-        Ok(true) => {}
-    }
-
-    match run_loadgen(&cfg) {
-        Ok(report) => {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&report).expect("report serializes")
-            );
-            // The generator succeeded if the daemon answered everything it
-            // accepted within the grace window.
-            if report.unanswered == 0 {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("{} requests went unanswered", report.unanswered);
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("loadgen: {e}");
+    match hybridcast_server::loadgen_main("loadgen", std::env::args().skip(1)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("{msg}");
             ExitCode::FAILURE
         }
     }

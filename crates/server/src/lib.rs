@@ -20,7 +20,10 @@
 //! * [`loadgen`] — an open-loop Poisson/Zipf traffic generator
 //!   (epoll-multiplexed, streaming P² quantiles past 4096 samples/class);
 //! * [`signal`] — SIGTERM/SIGINT → shutdown flag (with [`poll`], one of
-//!   the crate's two unsafe islands).
+//!   the crate's two unsafe islands);
+//! * [`cli`] — the daemon's and the load generator's command lines, shared
+//!   by the two binaries and the `hybridcast serve` / `loadgen`
+//!   subcommands.
 //!
 //! The hard invariant, checked at exit and recorded in the summary:
 //! **`accepted = served + shed + timed_out + uplink_lost`** — every frame
@@ -29,6 +32,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod cli;
 pub mod config;
 mod event_loop;
 pub mod frame;
@@ -39,6 +43,7 @@ pub mod server;
 #[allow(unsafe_code)]
 pub mod signal;
 
+pub use cli::{daemon_main, loadgen_main};
 pub use config::{ServeConfig, ServeParams};
 pub use frame::{ReplyFrame, ReplyStatus, RequestFrame};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};

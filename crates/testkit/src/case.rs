@@ -2,8 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use hybridcast_core::prelude::{AdaptiveConfig, FaultSpec, HybridConfig, SimParams};
-use hybridcast_workload::scenario::ScenarioConfig;
+use hybridcast_core::prelude::{AdaptiveConfig, FaultSpec, HybridConfig, SimParams, Simulation};
+use hybridcast_workload::scenario::{Scenario, ScenarioConfig};
 
 /// One fuzzed scenario: everything needed to reproduce a run bit-for-bit.
 ///
@@ -39,6 +39,21 @@ impl FuzzCase {
             horizon: self.horizon,
             warmup: 0.0,
             replication: 0,
+        }
+    }
+
+    /// The harness run this case describes — adaptive block, faults and
+    /// the queue audit on — over its built `scenario` and its `params`.
+    pub fn simulation<'a>(
+        &'a self,
+        scenario: &'a Scenario,
+        params: &'a SimParams,
+    ) -> Simulation<'a> {
+        Simulation {
+            adaptive: self.adaptive.as_ref(),
+            faults: &self.faults,
+            audit_queue: true,
+            ..Simulation::new(scenario, &self.hybrid, params)
         }
     }
 

@@ -12,8 +12,9 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use hybridcast_core::bandwidth::BandwidthConfig;
-use hybridcast_core::churn::{simulate_with_churn, ChurnConfig};
-use hybridcast_core::prelude::{simulate_harness, HybridConfig, NullSink, SimParams};
+use hybridcast_core::prelude::{
+    ChurnConfig, ChurnReport, HybridConfig, NullSink, SimParams, Simulation,
+};
 use hybridcast_workload::scenario::ScenarioConfig;
 
 use crate::case::FuzzCase;
@@ -147,15 +148,8 @@ pub fn golden_dir() -> PathBuf {
 /// horizon census, retune ledger, final cutoff and audit trail — as the
 /// exact string a golden file holds.
 pub fn golden_run_json(case: &FuzzCase) -> String {
-    let out = simulate_harness(
-        &case.scenario.build(),
-        &case.hybrid,
-        &case.params(),
-        case.adaptive.as_ref(),
-        &case.faults,
-        None,
-        &mut NullSink,
-    );
+    let (scenario, params) = (case.scenario.build(), case.params());
+    let out = case.simulation(&scenario, &params).run(&mut NullSink);
     let value = serde_json::json!({
         "report": out.report,
         "census": out.census,
@@ -198,7 +192,7 @@ pub fn golden_churn_cases() -> Vec<(String, HybridConfig, ChurnConfig)> {
     cases
 }
 
-/// The serialized [`hybridcast_core::churn::ChurnReport`] of one golden
+/// The serialized [`ChurnReport`] of one golden
 /// churn run over `ScenarioConfig::icpp2005(0.6)`.
 pub fn golden_churn_json(hybrid: &HybridConfig, churn: &ChurnConfig) -> String {
     let params = SimParams {
@@ -207,7 +201,12 @@ pub fn golden_churn_json(hybrid: &HybridConfig, churn: &ChurnConfig) -> String {
         replication: 0,
     };
     let scenario = ScenarioConfig::icpp2005(0.6).build();
-    let report = simulate_with_churn(&scenario, hybrid, &params, churn);
+    let report: ChurnReport = Simulation {
+        churn: Some(churn),
+        ..Simulation::new(&scenario, hybrid, &params)
+    }
+    .run(&mut NullSink)
+    .into();
     serde_json::to_string_pretty(&report).expect("report serializes")
 }
 

@@ -15,7 +15,7 @@
 //!    period K.
 //! 6. **Queue aggregate consistency** — the driver shadow-recounts
 //!    `Q_i`/`R_i` from raw queue entries at audit points; any discrepancy
-//!    lands in [`HarnessReport::queue_audit`] and is merged here.
+//!    lands in [`SimRun::queue_audit`] and is merged here.
 //! 7. **Channel accounting** — reconstructing every pull transmission's
 //!    occupancy interval from `PullTx { time, duration }`, the number of
 //!    concurrent pulls never exceeds the layout's pull capacity (1 for
@@ -57,8 +57,8 @@
 
 use hybridcast_core::bandwidth::BandwidthConfig;
 use hybridcast_core::prelude::{
-    simulate_harness, ChannelLayout, ChannelPlan, HarnessReport, HybridConfig, NullSink,
-    PullPolicy, SimParams, Sink, TelemetryEvent,
+    simulate, ChannelLayout, ChannelPlan, HybridConfig, NullSink, PullPolicy, SimParams, SimRun,
+    Simulation, Sink, TelemetryEvent,
 };
 use hybridcast_core::push::PushKind;
 use hybridcast_workload::catalog::ItemId;
@@ -147,7 +147,7 @@ impl OracleSink {
     ///     within a bounded factor of the best static point. Gated to
     ///     clean, measurable single-channel runs so the yardstick is
     ///     apples-to-apples.
-    fn check_regret(&mut self, case: &FuzzCase, out: &HarnessReport) {
+    fn check_regret(&mut self, case: &FuzzCase, out: &SimRun) {
         let Some(adaptive) = &case.adaptive else {
             return;
         };
@@ -187,17 +187,9 @@ impl OracleSink {
                 cutoff: k,
                 ..case.hybrid.clone()
             };
-            let r = simulate_harness(
-                &scenario,
-                &hybrid,
-                &case.params(),
-                None,
-                &[],
-                None,
-                &mut NullSink,
-            );
-            if r.report.total_prioritized_cost < best {
-                best = r.report.total_prioritized_cost;
+            let cost = simulate(&scenario, &hybrid, &case.params()).total_prioritized_cost;
+            if cost < best {
+                best = cost;
                 best_k = k;
             }
         }
@@ -212,7 +204,7 @@ impl OracleSink {
 
     /// 11. Telemetry freshness (every retune decided on *this* window's
     ///     arrivals) plus the service-frequency SLO under stable load.
-    fn check_freshness_and_slo(&mut self, case: &FuzzCase, out: &HarnessReport) {
+    fn check_freshness_and_slo(&mut self, case: &FuzzCase, out: &SimRun) {
         let Some(adaptive) = &case.adaptive else {
             return;
         };
@@ -258,7 +250,7 @@ impl OracleSink {
     }
 
     /// 12. Band and hysteresis discipline over the retune trajectory.
-    fn check_band_discipline(&mut self, case: &FuzzCase, out: &HarnessReport) {
+    fn check_band_discipline(&mut self, case: &FuzzCase, out: &SimRun) {
         let Some(ctrl) = case.adaptive.as_ref().and_then(|a| a.controller.as_ref()) else {
             return;
         };
@@ -345,7 +337,7 @@ impl OracleSink {
 
     /// Settles the cross-cutting invariants against the finished run and
     /// returns every violation found (empty = the run is clean).
-    pub fn finalize(mut self, case: &FuzzCase, out: &HarnessReport) -> Vec<String> {
+    pub fn finalize(mut self, case: &FuzzCase, out: &SimRun) -> Vec<String> {
         // 3. Conservation: the books must balance per class, exactly.
         for c in 0..self.num_classes {
             let pending = out.census.per_class(c);
@@ -564,15 +556,12 @@ pub fn run_case_with_policy(
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let scenario = case.scenario.build();
         let mut oracle = OracleSink::new(scenario.classes.len());
-        let out = simulate_harness(
-            &scenario,
-            &case.hybrid,
-            &case.params(),
-            case.adaptive.as_ref(),
-            &case.faults,
-            policy(),
-            &mut oracle,
-        );
+        let params = case.params();
+        let out = Simulation {
+            policy: policy(),
+            ..case.simulation(&scenario, &params)
+        }
+        .run(&mut oracle);
         oracle.finalize(case, &out)
     }));
     match result {
@@ -624,17 +613,15 @@ pub fn check_dominance(
     let lowest = scenario.classes.len() - 1;
     let mut diffs = Vec::with_capacity(replications as usize);
     for r in 0..replications {
-        let out = simulate_harness(
-            &scenario,
-            hybrid,
-            &params.with_replication(r),
-            None,
-            &[],
-            policy(),
-            &mut NullSink,
-        );
-        let a = out.report.per_class[0].pull_delay.mean;
-        let c = out.report.per_class[lowest].pull_delay.mean;
+        let params = params.with_replication(r);
+        let report = Simulation {
+            policy: policy(),
+            ..Simulation::new(&scenario, hybrid, &params)
+        }
+        .run(&mut NullSink)
+        .report;
+        let a = report.per_class[0].pull_delay.mean;
+        let c = report.per_class[lowest].pull_delay.mean;
         diffs.push(c - a); // positive = dominance respected
     }
     let n = diffs.len() as f64;

@@ -6,8 +6,8 @@
 use hybridcast_core::bandwidth::BandwidthConfig;
 use hybridcast_core::config::AssignmentStrategy;
 use hybridcast_core::prelude::{
-    simulate_harness, AdaptiveConfig, ChannelLayout, ControllerConfig, CutoffOptimizer,
-    HybridConfig, NullSink, Objective, PlantedControllerBugs, SimParams,
+    AdaptiveConfig, ChannelLayout, ControllerConfig, CutoffOptimizer, HybridConfig, NullSink,
+    Objective, PlantedControllerBugs, SimParams, Simulation,
 };
 use hybridcast_core::uplink::UplinkConfig;
 use hybridcast_testkit::{
@@ -39,15 +39,8 @@ fn violations_under(case: &FuzzCase, mutation: Mutation) -> Vec<String> {
     let scenario = case.scenario.build();
     let classes = scenario.classes.len();
     let mut sink = MutatingSink::new(OracleSink::new(classes), mutation, classes);
-    let out = simulate_harness(
-        &scenario,
-        &case.hybrid,
-        &case.params(),
-        case.adaptive.as_ref(),
-        &case.faults,
-        None,
-        &mut sink,
-    );
+    let params = case.params();
+    let out = case.simulation(&scenario, &params).run(&mut sink);
     sink.into_inner().finalize(case, &out)
 }
 
@@ -233,15 +226,8 @@ fn controller_converges_to_the_offline_optimum_band() {
         .sweep(&scenario, &case.hybrid, (0..=100).step_by(step));
     let best_k = sweep.best_k();
     for replication in 0..3u64 {
-        let out = simulate_harness(
-            &scenario,
-            &case.hybrid,
-            &params.with_replication(replication),
-            case.adaptive.as_ref(),
-            &[],
-            None,
-            &mut NullSink,
-        );
+        let params = params.with_replication(replication);
+        let out = case.simulation(&scenario, &params).run(&mut NullSink);
         assert!(
             out.queue_audit.is_empty(),
             "replication {replication}: books unbalanced at a retune: {:?}",
@@ -302,22 +288,15 @@ fn committed_corpus_replays_bit_identically() {
 
 /// Runs `case` with the channel layout swapped to `channels`, returning
 /// the full harness report (census, retunes, audit trail and all).
-fn run_with_layout(
-    case: &FuzzCase,
-    channels: ChannelLayout,
-) -> hybridcast_core::prelude::HarnessReport {
-    let scenario = case.scenario.build();
+fn run_with_layout(case: &FuzzCase, channels: ChannelLayout) -> hybridcast_core::prelude::SimRun {
+    let (scenario, params) = (case.scenario.build(), case.params());
     let mut hybrid = case.hybrid.clone();
     hybrid.channels = channels;
-    simulate_harness(
-        &scenario,
-        &hybrid,
-        &case.params(),
-        case.adaptive.as_ref(),
-        &case.faults,
-        None,
-        &mut NullSink,
-    )
+    Simulation {
+        hybrid: &hybrid,
+        ..case.simulation(&scenario, &params)
+    }
+    .run(&mut NullSink)
 }
 
 #[test]

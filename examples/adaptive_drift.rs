@@ -46,7 +46,15 @@ fn main() {
         rerank: false,
         controller: None,
     };
-    let k_only = simulate_adaptive(&scenario, &cfg, &params, &base);
+    let adaptive_run = |adaptive: &AdaptiveConfig| -> AdaptiveReport {
+        Simulation {
+            adaptive: Some(adaptive),
+            ..Simulation::new(&scenario, &cfg, &params)
+        }
+        .run(&mut NullSink)
+        .into()
+    };
+    let k_only = adaptive_run(&base);
     println!(
         "adaptive K only        : total cost {:8.2}, final K = {}, {} retunes",
         k_only.report.total_prioritized_cost,
@@ -58,7 +66,7 @@ fn main() {
         rerank: true,
         ..base
     };
-    let tracked = simulate_adaptive(&scenario, &cfg, &params, &rerank);
+    let tracked = adaptive_run(&rerank);
     println!(
         "adaptive re-ranking    : total cost {:8.2}, final K = {}, {} retunes",
         tracked.report.total_prioritized_cost,

@@ -10,7 +10,6 @@
 //! cargo run --release --example churn_revenue
 //! ```
 
-use hybridcast::core::churn::{simulate_with_churn, ChurnConfig};
 use hybridcast::prelude::*;
 
 fn main() {
@@ -34,7 +33,12 @@ fn main() {
     let mut retentions = Vec::new();
     for &alpha in &[0.0, 0.25, 0.5, 0.75, 1.0] {
         let config = HybridConfig::paper(40, alpha);
-        let r = simulate_with_churn(&scenario, &config, &params, &churn_cfg);
+        let r: ChurnReport = Simulation {
+            churn: Some(&churn_cfg),
+            ..Simulation::new(&scenario, &config, &params)
+        }
+        .run(&mut NullSink)
+        .into();
         println!(
             "{:>6.2} {:>9} {:>9} {:>9} {:>12} {:>11.1}%",
             alpha,

@@ -40,12 +40,15 @@ fn main() {
     // 3. Replay equals live, bit for bit.
     let cfg = HybridConfig::paper(40, 0.25);
     let live = simulate(&scenario, &cfg, &params);
-    let replayed = simulate_with_source(
-        &scenario,
-        &cfg,
-        &params,
-        Box::new(ReplaySource::new(reloaded.clone())),
-    );
+    let replay = |cfg: &HybridConfig| {
+        Simulation {
+            source: Some(Box::new(ReplaySource::new(reloaded.clone()))),
+            ..Simulation::new(&scenario, cfg, &params)
+        }
+        .run(&mut NullSink)
+        .report
+    };
+    let replayed = replay(&cfg);
     assert_eq!(replayed, live);
     println!(
         "replay == live: overall delay {:.2} bu, {} served",
@@ -60,12 +63,7 @@ fn main() {
         ("rxw             ", PullPolicyKind::Rxw),
         ("fcfs            ", PullPolicyKind::Fcfs),
     ] {
-        let r = simulate_with_source(
-            &scenario,
-            &cfg.with_pull(pull),
-            &params,
-            Box::new(ReplaySource::new(reloaded.clone())),
-        );
+        let r = replay(&cfg.with_pull(pull));
         println!(
             "  {label}  total cost {:8.2}  Class-A pull delay {:6.2} bu",
             r.total_prioritized_cost, r.per_class[0].pull_delay.mean

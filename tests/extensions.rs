@@ -2,8 +2,35 @@
 //! re-ranking, drift, trace replay and tail percentiles — exercised
 //! through the public facade.
 
-use hybridcast::core::churn::{simulate_with_churn, ChurnConfig};
 use hybridcast::prelude::*;
+
+fn churn_run(
+    scenario: &Scenario,
+    hybrid: &HybridConfig,
+    params: &SimParams,
+    churn: &ChurnConfig,
+) -> ChurnReport {
+    Simulation {
+        churn: Some(churn),
+        ..Simulation::new(scenario, hybrid, params)
+    }
+    .run(&mut NullSink)
+    .into()
+}
+
+fn adaptive_run(
+    scenario: &Scenario,
+    hybrid: &HybridConfig,
+    params: &SimParams,
+    adaptive: &AdaptiveConfig,
+) -> AdaptiveReport {
+    Simulation {
+        adaptive: Some(adaptive),
+        ..Simulation::new(scenario, hybrid, params)
+    }
+    .run(&mut NullSink)
+    .into()
+}
 
 #[test]
 fn tail_percentiles_are_reported_and_ordered() {
@@ -42,7 +69,7 @@ fn churn_end_to_end_and_revenue_ordering() {
         replication: 0,
     };
     let run = |alpha: f64| {
-        simulate_with_churn(
+        churn_run(
             &scenario,
             &HybridConfig::paper(40, alpha),
             &params,
@@ -86,7 +113,7 @@ fn churn_end_to_end_and_revenue_ordering() {
 #[test]
 fn churn_report_serializes() {
     let scenario = ScenarioConfig::icpp2005(0.6).build();
-    let r = simulate_with_churn(
+    let r = churn_run(
         &scenario,
         &HybridConfig::paper(40, 0.25),
         &SimParams {
@@ -97,7 +124,7 @@ fn churn_report_serializes() {
         &ChurnConfig::default(),
     );
     let js = serde_json::to_string(&r).unwrap();
-    let back: hybridcast::core::churn::ChurnReport = serde_json::from_str(&js).unwrap();
+    let back: ChurnReport = serde_json::from_str(&js).unwrap();
     assert_eq!(back, r);
 }
 
@@ -137,7 +164,7 @@ fn adaptive_controller_via_facade() {
         rerank: false,
         controller: None,
     };
-    let out = simulate_adaptive(
+    let out = adaptive_run(
         &scenario,
         &HybridConfig::paper(80, 0.25),
         &SimParams::quick(),
@@ -187,7 +214,7 @@ fn drift_degrades_static_but_not_rerank() {
         rerank: true,
         controller: None,
     };
-    let tracked = simulate_adaptive(&drifting, &cfg, &params, &rerank)
+    let tracked = adaptive_run(&drifting, &cfg, &params, &rerank)
         .report
         .total_prioritized_cost;
     assert!(
@@ -209,8 +236,12 @@ fn replayed_trace_is_bit_identical_via_facade() {
         &scenario.factory.replication(0),
     );
     let trace = gen.take_until(hybridcast::sim::time::SimTime::new(params.horizon));
-    let replayed =
-        simulate_with_source(&scenario, &cfg, &params, Box::new(ReplaySource::new(trace)));
+    let replayed = Simulation {
+        source: Some(Box::new(ReplaySource::new(trace))),
+        ..Simulation::new(&scenario, &cfg, &params)
+    }
+    .run(&mut NullSink)
+    .report;
     assert_eq!(replayed, live);
 }
 

@@ -162,12 +162,11 @@ fn adaptive_with_single_candidate_never_moves() {
         rerank: false,
         controller: None,
     };
-    let out = simulate_adaptive(
-        &scenario,
-        &HybridConfig::paper(40, 0.5),
-        &tiny_params(),
-        &adaptive,
-    );
+    let out = Simulation {
+        adaptive: Some(&adaptive),
+        ..Simulation::new(&scenario, &HybridConfig::paper(40, 0.5), &tiny_params())
+    }
+    .run(&mut NullSink);
     assert!(out.retunes.iter().all(|r| r.from_k == 40 && r.to_k == 40));
     assert_eq!(out.final_k, 40);
 }
