@@ -27,7 +27,6 @@ use hybridcast_core::cutoff::{CutoffOptimizer, CutoffSweep, Objective};
 use hybridcast_core::experiment::run_replicated_with_telemetry;
 use hybridcast_core::experiment::{run_replicated, ReplicatedReport};
 use hybridcast_core::metrics::SimReport;
-use hybridcast_core::pull::PullPolicyKind;
 use hybridcast_core::sim_driver::{
     simulate, simulate_telemetry, AdaptiveConfig, AdaptiveReport, SimParams, Simulation,
 };
@@ -263,12 +262,7 @@ pub fn run_optimize(cfg: &ExperimentConfig) -> CutoffSweep {
 /// `model`: analytic per-class delays at every grid cutoff (no simulation).
 pub fn run_model(cfg: &ExperimentConfig) -> Vec<ModelDelays> {
     let scenario = cfg.scenario.build();
-    let alpha = match cfg.hybrid.pull {
-        PullPolicyKind::Importance { alpha, .. }
-        | PullPolicyKind::ImportanceExpected { alpha, .. } => alpha,
-        PullPolicyKind::Priority => 0.0,
-        _ => 1.0,
-    };
+    let alpha = cfg.hybrid.pull.blend_alpha();
     cfg.ks()
         .into_iter()
         .map(|k| {

@@ -13,15 +13,13 @@
 //! demand (the Poisson stream is thinned by attribution: requests drawn
 //! for a fully-churned class are lost demand).
 //!
-//! The model has no event loop of its own. It is optional state on the
-//! simulation driver ([`Simulation::churn`](crate::sim_driver::Simulation)),
-//! like the adaptive controller and the uplink: the driver tells it which
-//! client each request belongs to and what became of the request, so a
-//! churn run is an ordinary run — contended uplink, nonstationary
-//! scenarios, injected uplink/surge/departure faults, the horizon census
-//! and the queue audit all apply. What it does not combine with is a
-//! moving cutoff (no adaptive block, no forced-cutoff fault) or more than
-//! the paper's one interleaved channel; `Simulation::validate` says so.
+//! The model is optional state on the simulation driver
+//! ([`Simulation::churn`](crate::sim_driver::Simulation)), like the
+//! adaptive controller and the uplink, so a churn run is an ordinary run:
+//! contended uplink, nonstationary scenarios, uplink/surge/departure
+//! faults, the horizon census and the queue audit all apply. It needs a
+//! static cutoff and the paper's one interleaved channel
+//! (`Simulation::validate` says so).
 //!
 //! The headline output is the **priority-weighted retention**
 //! `Σ_c q_c·alive_c / Σ_c q_c·total_c` — a revenue proxy that makes the

@@ -186,6 +186,18 @@ impl PullPolicyKind {
         }
     }
 
+    /// The importance blend `α` the analytic model should assume for this
+    /// policy: pure priority is `α = 0`, the priority-blind baselines
+    /// behave like the `α = 1` limit.
+    pub fn blend_alpha(&self) -> f64 {
+        match *self {
+            PullPolicyKind::Importance { alpha, .. }
+            | PullPolicyKind::ImportanceExpected { alpha, .. } => alpha,
+            PullPolicyKind::Priority => 0.0,
+            _ => 1.0,
+        }
+    }
+
     /// All baseline kinds, for shoot-out experiments.
     pub fn baselines() -> Vec<PullPolicyKind> {
         vec![

@@ -20,17 +20,15 @@
 //! Delay = request arrival → completion of the satisfying transmission,
 //! i.e. the paper's *access time*.
 //!
-//! [`Simulation`] is the one way in: a plain value naming the scenario, the
-//! scheduler and the run length, plus the optional axes (replayed source,
-//! adaptive cutoff, faults, planted policy, queue audit, churn). One
-//! `Driver` handles the one `Engine<Event>`; the optional machinery is
-//! `Option` state on it. [`simulate`] and [`simulate_telemetry`] are
-//! shorthands for the plain run.
+//! [`Simulation`] is the one way in and one `Driver` handles the one
+//! `Engine<Event>`: adaptive cutoff, uplink and churn are `Option` state on
+//! it. [`simulate`] and [`simulate_telemetry`] are shorthands for the plain
+//! run.
 
 use serde::{Deserialize, Serialize};
 
 use hybridcast_sim::engine::Engine;
-use hybridcast_sim::time::SimTime;
+use hybridcast_sim::time::{SimDuration, SimTime};
 use hybridcast_workload::classes::ClassId;
 use hybridcast_workload::requests::RequestSource;
 use hybridcast_workload::scenario::Scenario;
@@ -40,7 +38,7 @@ use crate::churn::{ChurnConfig, ChurnOutcome, ChurnState, NO_CLIENT};
 use crate::config::{ChannelLayout, HybridConfig};
 use crate::hybrid::Transmission;
 use crate::metrics::{MetricsCollector, SimReport, TxKind};
-use crate::pull::{PullPolicy, PullPolicyKind};
+use crate::pull::PullPolicy;
 use crate::sharded::ShardedScheduler;
 use crate::uplink::{UplinkChannel, UplinkOutcome, UPLINK_STREAM};
 use hybridcast_analysis::hybrid_model::HybridDelayModel;
@@ -397,16 +395,6 @@ struct AdaptiveState {
     feedback: FeedbackWindow,
 }
 
-fn policy_alpha(kind: &PullPolicyKind) -> f64 {
-    match kind {
-        PullPolicyKind::Importance { alpha, .. }
-        | PullPolicyKind::ImportanceExpected { alpha, .. } => *alpha,
-        PullPolicyKind::Priority => 0.0,
-        // priority-blind baselines behave like the α = 1 limit
-        _ => 1.0,
-    }
-}
-
 /// One client parked in a push item's waiting room.
 #[derive(Debug, Clone, Copy)]
 struct PushWaiter {
@@ -738,16 +726,18 @@ impl<S: Sink> Driver<'_, S> {
                         let parked = waiters.len();
                         let mut conflicts = 0;
                         waiters.retain_mut(|w| {
-                            if w.arrival <= start && w.mistuned {
+                            if w.arrival > start {
+                                return true;
+                            }
+                            if w.mistuned {
                                 // The tuner was elsewhere: this broadcast
                                 // is missed, the next one is catchable.
                                 conflicts += 1;
                                 w.mistuned = false;
-                            } else if w.arrival <= start {
-                                self.served(now, item, TxKind::Push, w.arrival, w.class, w.client);
-                                return false;
+                                return true;
                             }
-                            true
+                            self.served(now, item, TxKind::Push, w.arrival, w.class, w.client);
+                            false
                         });
                         self.conflicts += conflicts;
                         self.push_served_raw += (parked - waiters.len()) as u64;
@@ -786,19 +776,7 @@ impl<S: Sink> Driver<'_, S> {
                     self.dispatch(eng, now, channel);
                 }
             }
-            Event::Retune => {
-                self.retune(now);
-                let period = self
-                    .adaptive
-                    .as_ref()
-                    .expect("Retune events only fire in adaptive mode")
-                    .config
-                    .period;
-                eng.schedule_in(
-                    hybridcast_sim::time::SimDuration::new(period),
-                    Event::Retune,
-                );
-            }
+            Event::Retune => self.retune(eng, now),
             Event::Fault(action) => self.apply_fault(eng, now, action),
         }
     }
@@ -870,18 +848,19 @@ impl<S: Sink> Driver<'_, S> {
         self.kick(eng, now, self.channel_for(req.item));
     }
 
-    /// Executes one periodic re-optimization: seal the window, decide the
-    /// next cutoff, and migrate server state across the new boundary. The
+    /// Executes one periodic re-optimization (and arms the next): seal the
+    /// window, decide the cutoff, migrate server state across the boundary. The
     /// decision comes from the measured-feedback [`CutoffController`] when
     /// one is configured, otherwise from the analytic model's argmin over
     /// the candidate grid on the window's popularity and load estimates;
     /// everything around it — push-set order, ledger, window reset,
     /// migration, audit — is the same either way.
-    fn retune(&mut self, now: SimTime) {
+    fn retune(&mut self, eng: &mut Engine<Event>, now: SimTime) {
         let from_k = self.scheduler.cutoff();
         let Some(state) = &mut self.adaptive else {
             return;
         };
+        eng.schedule_in(SimDuration::new(state.config.period), Event::Retune);
         let counts = &state.window_counts;
         let total: u64 = counts.iter().sum();
         // Push-set order: the static rank order, or (re-ranking mode) the
@@ -1032,10 +1011,6 @@ impl<S: Sink> Driver<'_, S> {
 /// .run(&mut NullSink);
 /// assert_eq!(run.report.per_class.len(), 3);
 /// ```
-///
-/// Static, replayed, adaptive, instrumented, fault-injected, churn and
-/// plain runs share the exact same machinery; telemetry differs only in
-/// the `S: Sink` monomorphization.
 pub struct Simulation<'a> {
     /// Workload: catalog, classes, arrival process, seed.
     pub scenario: &'a Scenario,
@@ -1229,7 +1204,7 @@ impl<'a> Simulation<'a> {
                 }),
                 feedback: FeedbackWindow::new(num_classes),
                 config: cfg.clone(),
-                alpha: policy_alpha(&hybrid.pull),
+                alpha: hybrid.pull.blend_alpha(),
                 window_counts: vec![0; num_items],
                 retunes: Vec::new(),
             }),
