@@ -480,12 +480,6 @@ impl HybridDelayModel {
         }
     }
 
-    /// Eq. 19 with the paper's literal push term (½) and the rotation pull
-    /// aggregate.
-    pub fn expected_access_time_paper_form(&self) -> f64 {
-        self.push_wait_paper() + self.rotation_request_wait() * self.pull_mass()
-    }
-
     /// Scans `ks` and returns `(K*, cost at K*)` minimizing the total
     /// prioritized cost.
     pub fn optimal_cutoff(

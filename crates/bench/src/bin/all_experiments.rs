@@ -1,6 +1,10 @@
-//! Runs the complete experiment suite — every paper figure plus every
-//! ablation — and persists JSON/CSV under `results/`. This is the binary
-//! that produced the numbers recorded in EXPERIMENTS.md.
+//! The one figure runner: the complete experiment suite — every paper
+//! figure plus every ablation — persisted as JSON/CSV/SVG under
+//! `results/`. This is the binary that produced the numbers recorded in
+//! EXPERIMENTS.md; its output is byte-deterministic and CI checks it
+//! against the committed files. Other parameter sweeps go through the
+//! `hybridcast` CLI config or the public [`hybridcast_bench::figures`]
+//! functions.
 //!
 //! ```text
 //! cargo run --release -p hybridcast-bench --bin all_experiments -- \
@@ -16,8 +20,7 @@ use hybridcast_bench::scale::RunScale;
 use hybridcast_bench::{emit, util};
 
 fn main() {
-    let args = util::Args::parse();
-    let scale = args.scale(RunScale::full());
+    let scale = util::scale_from_args(RunScale::full());
     let ks = default_ks();
     let t0 = std::time::Instant::now();
 

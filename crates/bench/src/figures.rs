@@ -908,4 +908,37 @@ mod tests {
         assert_eq!(fig.series[0].x.len(), 8); // 6 baselines + 2 importance forms
         assert!(fig.notes.contains("0=Fcfs"));
     }
+
+    /// The seven figure functions the tests above do not reach, at the
+    /// preset `all_experiments --scale quick` runs them with.
+    #[test]
+    fn remaining_figures_produce_their_series_on_two_point_grids() {
+        let scale = RunScale::quick();
+        let figs = [
+            (
+                adaptive_vs_static(&[0.6, 1.4], 0.25, &scale),
+                "adapt-cutoff",
+                4,
+            ),
+            (drift_tracking(&[0, 30], &scale), "adapt-drift", 3),
+            (churn_vs_alpha(&[0.0, 1.0], 40, &scale), "churn", 4),
+            (uplink_stress(&[0.5, 1.0], 40, &scale), "uplink", 3),
+            (stretch_ablation(0.6, 40, &scale), "abl-stretch", 2),
+            (push_ablation(0.6, &[20, 60], &scale), "abl-push", 3),
+            (channel_ablation(&[20, 60], &scale), "abl-channels", 6),
+        ];
+        for (fig, id, series) in &figs {
+            assert_eq!(fig.id, *id);
+            assert_eq!(fig.series.len(), *series, "{id}");
+            for s in &fig.series {
+                assert!(!s.y.is_empty(), "{id}/{}", s.label);
+                assert!(
+                    s.y.iter().all(|y| y.is_finite()),
+                    "{id}/{}: {:?}",
+                    s.label,
+                    s.y
+                );
+            }
+        }
+    }
 }

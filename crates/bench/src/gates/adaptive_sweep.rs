@@ -2,7 +2,7 @@
 //! nonstationary workload families and on a replayed `HCT1` trace.
 //!
 //! ```text
-//! cargo run --release -p hybridcast-bench --bin adaptive_sweep [-- quick]
+//! cargo run --release -p hybridcast-bench --bin bench -- adaptive_sweep [quick]
 //! ```
 //!
 //! For each nonstationary scenario the bench prices three agents on the
@@ -44,7 +44,6 @@
 
 use std::sync::Arc;
 
-use hybridcast_bench::results_dir;
 use hybridcast_core::prelude::{
     AdaptiveConfig, ControllerConfig, FaultSpec, HybridConfig, NullSink, PlantedControllerBugs,
     SimParams, SimReport, Simulation, SloConfig,
@@ -57,6 +56,8 @@ use hybridcast_workload::nonstationary::NonstationaryConfig;
 use hybridcast_workload::requests::{ReplaySource, Request};
 use hybridcast_workload::scenario::{Scenario, ScenarioConfig};
 use serde_json::json;
+
+use crate::report::{Host, Needs, Report};
 
 /// Regret acceptance bound: controller within this factor of the
 /// clairvoyant per-regime oracle.
@@ -196,33 +197,29 @@ fn offline_best_k(
         .expect("grid is non-empty")
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "quick" || a == "--quick");
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let horizon = if quick { 4_000.0 } else { 12_000.0 };
+/// Runs the gate.
+pub fn run(host: &Host) -> Report {
+    let horizon = host.pick(4_000.0, 12_000.0);
     let run_params = SimParams {
         horizon,
         warmup: 0.0,
         replication: 0,
     };
     let offline_params = SimParams {
-        horizon: if quick { 2_000.0 } else { 4_000.0 },
+        horizon: host.pick(2_000.0, 4_000.0),
         warmup: 0.0,
         replication: 0,
     };
     // Fine resolution at small K where the cost landscape lives, coarse
     // above (pushing the cold tail is monotonically worse).
-    let grid: Vec<usize> = if quick {
-        vec![0, 5, 10, 20, 40, 70, 100]
-    } else {
-        vec![0, 2, 5, 8, 10, 15, 20, 30, 50, 75, 100]
-    };
+    let grid: Vec<usize> = host.pick(
+        vec![0, 5, 10, 20, 40, 70, 100],
+        vec![0, 2, 5, 8, 10, 15, 20, 30, 50, 75, 100],
+    );
     let alpha = 0.5;
 
     println!(
-        "# BENCH_adaptive — online cutoff controller vs offline per-regime optimum (cores = {cores})\n"
+        "# BENCH_adaptive — online cutoff controller vs offline per-regime optimum ({host})\n"
     );
     println!("| scenario | static K* | oracle Ks | static cost | controller cost | oracle cost | regret | final K |");
     println!("|----------|-----------|-----------|-------------|-----------------|-------------|--------|---------|");
@@ -390,75 +387,51 @@ fn main() {
     );
     let _ = std::fs::remove_file(&path);
 
-    let gate_enforced = !quick && cores >= 2;
-    let pass_regret = worst_regret <= REGRET_BOUND;
-    println!();
-    if gate_enforced {
-        println!(
-            "acceptance: controller beats static on every nonstationary scenario: {}",
-            if all_beat_static { "PASS" } else { "FAIL" }
-        );
-        println!(
-            "acceptance: regret <= {REGRET_BOUND} vs per-regime oracle: {} (worst {worst_regret:.3})",
-            if pass_regret { "PASS" } else { "FAIL" }
-        );
-    } else {
-        let why = if quick {
-            "quick mode".to_string()
-        } else {
-            format!("single-core host, {cores} core(s)")
-        };
-        println!(
-            "acceptance: controller beats static: SKIPPED ({why}; measured {})",
-            if all_beat_static { "yes" } else { "NO" }
-        );
-        println!(
-            "acceptance: regret <= {REGRET_BOUND}: SKIPPED ({why}; worst measured {worst_regret:.3})"
-        );
-    }
-
-    let doc = json!({
-        "bench": "adaptive",
-        "quick": quick,
-        "host": { "cores": cores },
-        "params": {
-            "horizon": horizon,
-            "period": PERIOD,
-            "grid": grid,
-            "score": "backlog-aware prioritized cost (pending charged one period)",
-            "controller": { "step": 5, "hysteresis": 0.05, "band": [0, 100], "rerank": true },
-        },
-        "scenarios": rows,
-        "trace": {
-            "records": trace.records.len(),
-            "static_k": trace_static_k,
-            "static_cost": trace_static_cost,
-            "controller_cost": trace_controller_cost,
-            "controller_final_k": trace_out.final_k,
-            "best_static_k": best_trace_k,
-            "best_static_cost": best_trace_cost,
-            "regret": trace_regret,
-            "beats_static": trace_beats,
-        },
-        "acceptance": {
-            "beats_static": all_beat_static,
-            "worst_regret": worst_regret,
-            "regret_bound": REGRET_BOUND,
-            "gate_enforced": gate_enforced,
-            "gate_pass": if gate_enforced { Some(all_beat_static && pass_regret) } else { None },
-        },
-    });
-    let dir = results_dir();
-    let out_path = dir.join("BENCH_adaptive.json");
-    match std::fs::create_dir_all(&dir)
-        .and_then(|_| std::fs::write(&out_path, serde_json::to_string_pretty(&doc).unwrap()))
-    {
-        Ok(()) => eprintln!("[saved {}]", out_path.display()),
-        Err(e) => eprintln!("[warn: could not persist results: {e}]"),
-    }
-    if gate_enforced && !(all_beat_static && pass_regret) {
-        std::process::exit(1);
-    }
+    let mut report = Report::new(
+        "adaptive",
+        host,
+        json!({
+            "params": {
+                "horizon": horizon,
+                "period": PERIOD,
+                "grid": grid,
+                "score": "backlog-aware prioritized cost (pending charged one period)",
+                "controller": { "step": 5, "hysteresis": 0.05, "band": [0, 100], "rerank": true },
+            },
+            "scenarios": rows,
+            "trace": {
+                "records": trace.records.len(),
+                "static_k": trace_static_k,
+                "static_cost": trace_static_cost,
+                "controller_cost": trace_controller_cost,
+                "controller_final_k": trace_out.final_k,
+                "best_static_k": best_trace_k,
+                "best_static_cost": best_trace_cost,
+                "regret": trace_regret,
+                "beats_static": trace_beats,
+            },
+            "acceptance": {
+                "beats_static": all_beat_static,
+                "worst_regret": worst_regret,
+                "regret_bound": REGRET_BOUND,
+            },
+        }),
+    );
+    report.gate(
+        Needs::full(2),
+        "controller beats static on every nonstationary scenario",
+        true,
+        all_beat_static,
+        all_beat_static,
+    );
+    report.gate(
+        Needs::full(2),
+        &format!("regret <= {REGRET_BOUND} vs per-regime oracle"),
+        REGRET_BOUND,
+        worst_regret,
+        worst_regret <= REGRET_BOUND,
+    );
+    report
 }
 
 /// Drains the scenario's replication-0 request stream to `horizon` into a

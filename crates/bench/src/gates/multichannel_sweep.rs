@@ -2,7 +2,7 @@
 //! the catalog is partitioned across `C ∈ {1, 2, 4, 8}` channels.
 //!
 //! ```text
-//! cargo run --release -p hybridcast-bench --bin multichannel_sweep [-- quick]
+//! cargo run --release -p hybridcast-bench --bin bench -- multichannel_sweep [quick]
 //! ```
 //!
 //! Two independent measurements per channel count:
@@ -30,17 +30,16 @@
 //!
 //! Results land in `results/BENCH_multichannel.json`.
 
-use hybridcast_bench::results_dir;
-use hybridcast_bench::scale::RunScale;
 use hybridcast_core::config::{AssignmentStrategy, ChannelLayout, HybridConfig};
 use hybridcast_core::metrics::SimReport;
-use hybridcast_core::pull::PullPolicyKind;
 use hybridcast_core::sharded::ChannelPlan;
 use hybridcast_core::sim_driver::simulate;
-use hybridcast_server::loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
-use hybridcast_server::{ServeConfig, ServeSummary, ServerHandle};
 use hybridcast_workload::scenario::ScenarioConfig;
 use serde_json::json;
+
+use crate::ladder::{self, Run, Setup};
+use crate::report::{Host, Needs, Report};
+use crate::scale::RunScale;
 
 const CHANNEL_COUNTS: [u32; 4] = [1, 2, 4, 8];
 const STRATEGIES: [AssignmentStrategy; 3] = [
@@ -95,72 +94,7 @@ fn sim_sweep(scale: &RunScale) -> Vec<SimCell> {
     cells
 }
 
-/// One daemon throughput run at a fixed target rate.
-struct ServeRun {
-    target_rps: f64,
-    report: LoadgenReport,
-    summary: ServeSummary,
-    sustained: bool,
-}
-
-fn serve_config(channels: u32, cores: usize) -> ServeConfig {
-    let mut cfg = ServeConfig::default();
-    cfg.serve.addr = "127.0.0.1:0".into();
-    cfg.serve.results_path = None;
-    cfg.serve.unit_millis = 0.2;
-    cfg.serve.ingress_capacity = 16_384;
-    cfg.serve.loop_threads = if cores >= 8 { 2 } else { 1 };
-    cfg.serve.drain_timeout_ms = 10_000;
-    cfg.hybrid = HybridConfig {
-        cutoff: 40,
-        pull: PullPolicyKind::importance(0.5),
-        channels: ChannelLayout::Sharded {
-            channels,
-            assignment: AssignmentStrategy::PatternAware,
-        },
-        ..HybridConfig::default()
-    };
-    cfg
-}
-
-fn serve_ladder(channels: u32, targets: &[f64], duration: f64, cores: usize) -> Vec<ServeRun> {
-    let mut runs = Vec::new();
-    for &rps in targets {
-        let server = ServerHandle::start(serve_config(channels, cores)).expect("server starts");
-        let report = run_loadgen(&LoadgenConfig {
-            addr: server.addr().to_string(),
-            rps,
-            connections: 8,
-            duration_secs: duration,
-            seed: 0xC0DE,
-            num_items: 100,
-            zipf_theta: 0.6,
-            class_shares: vec![2.0 / 11.0, 3.0 / 11.0, 6.0 / 11.0],
-            deadline_ms: 0,
-            grace_ms: 10_000,
-        })
-        .expect("loadgen runs");
-        server.shutdown();
-        let summary = server.join().expect("clean shutdown");
-        let sustained = report.unanswered == 0 && report.achieved_rps >= 0.9 * rps;
-        runs.push(ServeRun {
-            target_rps: rps,
-            report,
-            summary,
-            sustained,
-        });
-    }
-    runs
-}
-
-fn sustained_rps(runs: &[ServeRun]) -> f64 {
-    runs.iter()
-        .filter(|r| r.sustained)
-        .map(|r| r.target_rps)
-        .fold(0.0f64, f64::max)
-}
-
-fn serve_runs_json(runs: &[ServeRun]) -> Vec<serde_json::Value> {
+fn serve_runs_json(runs: &[Run]) -> Vec<serde_json::Value> {
     runs.iter()
         .map(|run| {
             json!({
@@ -179,23 +113,12 @@ fn serve_runs_json(runs: &[ServeRun]) -> Vec<serde_json::Value> {
         .collect()
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "quick" || a == "--quick");
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let scale = if quick {
-        RunScale::quick()
-    } else {
-        RunScale::full()
-    };
+/// Runs the gate.
+pub fn run(host: &Host) -> Report {
+    let scale = host.pick(RunScale::quick(), RunScale::full());
 
     println!("# multichannel_sweep — sharded broadcast across C channels\n");
-    println!(
-        "mode: {}, cores: {cores}, horizon: {} units\n",
-        if quick { "quick" } else { "full" },
-        scale.horizon
-    );
+    println!("{host}, horizon: {} units\n", scale.horizon);
 
     // ── 1. Simulation: delay, conflicts, KSY gap ─────────────────────
     let cells = sim_sweep(&scale);
@@ -246,17 +169,27 @@ fn main() {
     }
 
     // ── 2. Daemon throughput: C=1 vs C=4 ─────────────────────────────
-    let (targets, duration): (&[f64], f64) = if quick {
-        (&[10_000.0, 20_000.0, 40_000.0], 1.5)
-    } else {
-        (&[20_000.0, 40_000.0, 80_000.0, 120_000.0], 3.0)
-    };
+    let (targets, duration): (&[f64], f64) = host.pick(
+        (&[10_000.0, 20_000.0, 40_000.0], 1.5),
+        (&[20_000.0, 40_000.0, 80_000.0, 120_000.0], 3.0),
+    );
     println!("\n## serving throughput (pattern-aware assignment)\n");
     println!("| C | target rps | achieved rps | unanswered | conserved | sustained |");
     println!("|---|---|---|---|---|---|");
     let mut ladders = Vec::new();
     for &channels in &[1u32, 4] {
-        let runs = serve_ladder(channels, targets, duration, cores);
+        let setup = Setup {
+            loop_threads: if host.cores >= 8 { 2 } else { 1 },
+            channels: ChannelLayout::Sharded {
+                channels,
+                assignment: AssignmentStrategy::PatternAware,
+            },
+            trace_path: None,
+            connections: 8,
+            seed: 0xC0DE,
+            duration_secs: duration,
+        };
+        let runs = ladder::climb(&setup, targets);
         for run in &runs {
             println!(
                 "| {channels} | {:.0} | {:.0} | {} | {} | {} |",
@@ -269,8 +202,8 @@ fn main() {
         }
         ladders.push((channels, runs));
     }
-    let single = sustained_rps(&ladders[0].1);
-    let sharded = sustained_rps(&ladders[1].1);
+    let single = ladder::sustained_rps(&ladders[0].1);
+    let sharded = ladder::sustained_rps(&ladders[1].1);
     let speedup = if single > 0.0 { sharded / single } else { 0.0 };
     println!("\nsustained: C=1 {single:.0} req/s, C=4 {sharded:.0} req/s ({speedup:.2}x)");
 
@@ -278,22 +211,7 @@ fn main() {
         .iter()
         .flat_map(|(_, runs)| runs.iter())
         .all(|r| r.summary.conservation_ok);
-    let gate_active = cores >= 4;
-    let skip_note = "gate needs >= 4 cores: four scheduler shards can't run in parallel on fewer";
-    let pass = !gate_active || (speedup >= 2.0 && every_conserved && pattern_beats_naive);
-    if gate_active {
-        println!(
-            "acceptance: C=4 sustains >= 2x C=1 with conservation: {}",
-            if pass { "PASS" } else { "FAIL" }
-        );
-    } else {
-        println!("acceptance: SKIPPED on a {cores}-core host — {skip_note}");
-    }
-
     let doc = json!({
-        "bench": "multichannel",
-        "mode": if quick { "quick" } else { "full" },
-        "cores": cores,
         "horizon": scale.horizon,
         "simulation": cells.iter().map(|cell| json!({
             "channels": cell.channels,
@@ -316,25 +234,21 @@ fn main() {
             "ladders": ladders.iter().map(|(channels, runs)| json!({
                 "channels": channels,
                 "runs": serve_runs_json(runs),
-                "sustained_rps": sustained_rps(runs),
+                "sustained_rps": ladder::sustained_rps(runs),
             })).collect::<Vec<_>>(),
             "single_shard_rps": single,
             "four_shard_rps": sharded,
             "speedup": speedup,
         },
-        "gate_active": gate_active,
-        "gate_skip_note": if gate_active { serde_json::Value::Null } else { json!(skip_note) },
-        "pass": pass,
     });
-    let dir = results_dir();
-    let path = dir.join("BENCH_multichannel.json");
-    match std::fs::create_dir_all(&dir)
-        .and_then(|_| std::fs::write(&path, serde_json::to_string_pretty(&doc).unwrap()))
-    {
-        Ok(()) => eprintln!("[saved {}]", path.display()),
-        Err(e) => eprintln!("[warn: could not persist results: {e}]"),
-    }
-    if !pass {
-        std::process::exit(1);
-    }
+    let mut report = Report::new("multichannel", host, doc);
+    // Four scheduler shards can't run in parallel on fewer than four cores.
+    report.gate(
+        Needs::cores(4),
+        "C=4 sustains >= 2x C=1 with conservation",
+        2.0,
+        speedup,
+        speedup >= 2.0 && every_conserved && pattern_beats_naive,
+    );
+    report
 }

@@ -4,7 +4,7 @@
 //! in-process.
 //!
 //! ```text
-//! cargo run --release -p hybridcast-bench --bin replication_sweep [-- quick]
+//! cargo run --release -p hybridcast-bench --bin bench -- replication_sweep [quick]
 //! ```
 //!
 //! Writes `results/BENCH_experiments.json`:
@@ -15,13 +15,12 @@
 //!   collect + fixed-order reduce);
 //! * `sweep` — serial vs parallel grid sweep over `K ∈ {10, …, 90}` on the
 //!   icpp2005 scenario: wall-clock, speedup, `best_k` agreement;
-//! * `host.cores` — the speedup acceptance gate (≥ 4× at `R = 8`) is only
-//!   enforced where the hardware can express it (≥ 4 cores); a single-core
-//!   host records its honest ≈1× and reports the gate as skipped.
+//! * the speedup acceptance gate (≥ 4× at `R = 8`) is only enforced where
+//!   the hardware can express it (full mode, ≥ 4 cores); a smaller host
+//!   records its honest ≈1× and reports the gate as skipped.
 
 use std::time::Instant;
 
-use hybridcast_bench::results_dir;
 use hybridcast_core::config::HybridConfig;
 use hybridcast_core::cutoff::{CutoffOptimizer, Objective};
 use hybridcast_core::experiment::{run_replicated, run_replicated_serial};
@@ -29,28 +28,20 @@ use hybridcast_core::sim_driver::SimParams;
 use hybridcast_workload::scenario::ScenarioConfig;
 use serde_json::json;
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "quick" || a == "--quick");
-    let params = if quick {
-        SimParams {
-            horizon: 2_500.0,
-            warmup: 300.0,
-            replication: 0,
-        }
-    } else {
-        SimParams {
-            horizon: 12_000.0,
-            warmup: 1_500.0,
-            replication: 0,
-        }
+use crate::report::{Host, Needs, Report};
+
+/// Runs the gate.
+pub fn run(host: &Host) -> Report {
+    let (horizon, warmup) = host.pick((2_500.0, 300.0), (12_000.0, 1_500.0));
+    let params = SimParams {
+        horizon,
+        warmup,
+        replication: 0,
     };
     let scenario = ScenarioConfig::icpp2005(0.6).build();
     let cfg = HybridConfig::paper(40, 0.5);
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
 
-    println!("# BENCH_experiments — parallel replication & sweep engine (cores = {cores})\n");
+    println!("# BENCH_experiments — parallel replication & sweep engine ({host})\n");
     println!("## run_replicated: parallel fan-out vs sequential fold\n");
     println!("| R | serial ms | parallel ms | speedup | bit-identical |");
     println!("|---|-----------|-------------|---------|---------------|");
@@ -111,65 +102,49 @@ fn main() {
         if sweep_identical { "yes" } else { "NO" }
     );
 
-    let gate_enforced = !quick && cores >= 4;
-    let pass_speedup = speedup_r8 >= 4.0;
-    println!();
-    println!(
-        "acceptance: parallel reduction bit-identical to sequential fold: {}",
-        if all_identical { "PASS" } else { "FAIL" }
+    let mut report = Report::new(
+        "experiments",
+        host,
+        json!({
+            "workload": "icpp2005(theta=0.6), paper(K=40, alpha=0.5)",
+            "params": { "horizon": params.horizon, "warmup": params.warmup },
+            "replication_rows": replication_rows,
+            "sweep": {
+                "ks": ks,
+                "serial_ms": sweep_serial_ms,
+                "parallel_ms": sweep_parallel_ms,
+                "speedup": sweep_speedup,
+                "best_k_parallel": parallel_sweep.best_k(),
+                "best_k_serial": serial_sweep.best_k(),
+                "bit_identical": sweep_identical,
+            },
+            "acceptance": {
+                "bit_identical_reduction": all_identical,
+                "best_k_agrees": sweep_identical,
+                "speedup_r8": speedup_r8,
+            },
+        }),
     );
-    println!(
-        "acceptance: parallel sweep best_k == serial best_k: {}",
-        if sweep_identical { "PASS" } else { "FAIL" }
+    report.gate(
+        Needs::NOTHING,
+        "parallel reduction bit-identical to sequential fold",
+        true,
+        all_identical,
+        all_identical,
     );
-    if gate_enforced {
-        println!(
-            "acceptance: >=4x speedup at R=8 on {cores} cores: {}",
-            if pass_speedup { "PASS" } else { "FAIL" }
-        );
-    } else {
-        println!(
-            "acceptance: >=4x speedup at R=8: SKIPPED ({}; measured {speedup_r8:.2}x)",
-            if quick {
-                "quick mode".to_string()
-            } else {
-                format!("single-threaded host, {cores} core(s)")
-            }
-        );
-    }
-
-    let doc = json!({
-        "bench": "experiments",
-        "workload": "icpp2005(theta=0.6), paper(K=40, alpha=0.5)",
-        "params": { "horizon": params.horizon, "warmup": params.warmup },
-        "host": { "cores": cores },
-        "replication_rows": replication_rows,
-        "sweep": {
-            "ks": ks,
-            "serial_ms": sweep_serial_ms,
-            "parallel_ms": sweep_parallel_ms,
-            "speedup": sweep_speedup,
-            "best_k_parallel": parallel_sweep.best_k(),
-            "best_k_serial": serial_sweep.best_k(),
-            "bit_identical": sweep_identical,
-        },
-        "acceptance": {
-            "bit_identical_reduction": all_identical,
-            "best_k_agrees": sweep_identical,
-            "speedup_r8": speedup_r8,
-            "speedup_gate_enforced": gate_enforced,
-            "speedup_gate_pass": if gate_enforced { Some(pass_speedup) } else { None },
-        },
-    });
-    let dir = results_dir();
-    let path = dir.join("BENCH_experiments.json");
-    match std::fs::create_dir_all(&dir)
-        .and_then(|_| std::fs::write(&path, serde_json::to_string_pretty(&doc).unwrap()))
-    {
-        Ok(()) => eprintln!("[saved {}]", path.display()),
-        Err(e) => eprintln!("[warn: could not persist results: {e}]"),
-    }
-    if !all_identical || !sweep_identical || (gate_enforced && !pass_speedup) {
-        std::process::exit(1);
-    }
+    report.gate(
+        Needs::NOTHING,
+        "parallel sweep best_k == serial best_k",
+        true,
+        sweep_identical,
+        sweep_identical,
+    );
+    report.gate(
+        Needs::full(4),
+        ">=4x speedup at R=8",
+        4.0,
+        speedup_r8,
+        speedup_r8 >= 4.0,
+    );
+    report
 }

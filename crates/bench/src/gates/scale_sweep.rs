@@ -2,7 +2,7 @@
 //! index at catalog sizes `D ∈ {100, 10_000, 100_000, 1_000_000}`.
 //!
 //! ```text
-//! cargo run --release -p hybridcast-bench --bin scale_sweep [-- quick]
+//! cargo run --release -p hybridcast-bench --bin bench -- scale_sweep [quick]
 //! ```
 //!
 //! Each variant runs a steady-state churn loop on its own queue — select
@@ -15,7 +15,6 @@
 
 use std::time::Instant;
 
-use hybridcast_bench::results_dir;
 use hybridcast_core::pull::{IndexContext, PullContext, PullPolicy, PullPolicyKind};
 use hybridcast_core::queue::PullQueue;
 use hybridcast_sim::rng::{streams, RngFactory};
@@ -26,6 +25,8 @@ use hybridcast_workload::lengths::LengthModel;
 use hybridcast_workload::popularity::PopularityModel;
 use hybridcast_workload::requests::Request;
 use serde_json::json;
+
+use crate::report::{Host, Needs, Report};
 
 fn catalog(d: usize) -> Catalog {
     let f = RngFactory::new(42);
@@ -114,13 +115,9 @@ fn run_indexed(
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "quick" || a == "--quick");
-    let sizes: &[usize] = if quick {
-        &[100, 10_000]
-    } else {
-        &[100, 10_000, 100_000, 1_000_000]
-    };
+/// Runs the gate.
+pub fn run(host: &Host) -> Report {
+    let sizes: &[usize] = host.pick(&[100, 10_000], &[100, 10_000, 100_000, 1_000_000]);
     let classes = ClassSet::paper_default();
     let policy = PullPolicyKind::importance(0.5).build();
 
@@ -129,7 +126,7 @@ fn main() {
     println!("|---|-----------|---------------|---------|");
 
     let mut rows = Vec::new();
-    let mut pass_10x = true;
+    let mut speedup_100k = None;
     let mut pass_small = true;
     for &d in sizes {
         let cat = catalog(d);
@@ -165,8 +162,8 @@ fn main() {
         };
         let speedup = scan_ns / indexed_ns;
         println!("| {d} | {scan_ns:.1} | {indexed_ns:.1} | {speedup:.1}x |");
-        if d == 100_000 && speedup < 10.0 {
-            pass_10x = false;
+        if d == 100_000 {
+            speedup_100k = Some(speedup);
         }
         if d == 100 && indexed_ns > scan_ns {
             pass_small = false;
@@ -182,33 +179,29 @@ fn main() {
         }));
     }
 
-    println!();
-    if !quick {
-        println!(
-            "acceptance: >=10x at D=100_000: {}",
-            if pass_10x { "PASS" } else { "FAIL" }
-        );
-    }
-    println!(
-        "acceptance: indexed <= scan at D=100: {}",
-        if pass_small { "PASS" } else { "FAIL" }
+    let mut report = Report::new(
+        "pull_select",
+        host,
+        json!({
+            "policy": "importance(alpha=0.5, exponent=2)",
+            "workload": "steady-state churn, every item active, zipf(0.6) catalog",
+            "rows": rows,
+        }),
     );
-
-    let doc = json!({
-        "bench": "pull_select",
-        "policy": "importance(alpha=0.5, exponent=2)",
-        "workload": "steady-state churn, every item active, zipf(0.6) catalog",
-        "rows": rows,
-    });
-    let dir = results_dir();
-    let path = dir.join("BENCH_pull_select.json");
-    match std::fs::create_dir_all(&dir)
-        .and_then(|_| std::fs::write(&path, serde_json::to_string_pretty(&doc).unwrap()))
-    {
-        Ok(()) => eprintln!("[saved {}]", path.display()),
-        Err(e) => eprintln!("[warn: could not persist results: {e}]"),
-    }
-    if !(pass_10x && pass_small) {
-        std::process::exit(1);
-    }
+    // Quick mode stops at D = 10_000, so there is no row to judge.
+    report.gate(
+        Needs::full(1),
+        ">=10x at D=100_000",
+        10.0,
+        json!(speedup_100k),
+        speedup_100k.is_some_and(|s| s >= 10.0),
+    );
+    report.gate(
+        Needs::NOTHING,
+        "indexed <= scan at D=100",
+        true,
+        pass_small,
+        pass_small,
+    );
+    report
 }

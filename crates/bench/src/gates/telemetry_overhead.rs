@@ -2,7 +2,7 @@
 //! hot path, measured end-to-end on the `D = 10_000` scale scenario.
 //!
 //! ```text
-//! cargo run --release -p hybridcast-bench --bin telemetry_overhead [-- quick]
+//! cargo run --release -p hybridcast-bench --bin bench -- telemetry_overhead [quick]
 //! ```
 //!
 //! Two variants of the *same seeded run*:
@@ -22,13 +22,14 @@
 
 use std::time::Instant;
 
-use hybridcast_bench::results_dir;
 use hybridcast_core::config::HybridConfig;
 use hybridcast_core::metrics::SimReport;
 use hybridcast_core::sim_driver::{simulate, simulate_telemetry, SimParams};
 use hybridcast_telemetry::TelemetryConfig;
 use hybridcast_workload::scenario::{Scenario, ScenarioConfig};
 use serde_json::json;
+
+use crate::report::{Host, Needs, Report};
 
 /// One timed invocation: wall seconds plus the report for identity checks.
 fn timed<F: FnOnce() -> SimReport>(f: F) -> (f64, SimReport) {
@@ -37,9 +38,9 @@ fn timed<F: FnOnce() -> SimReport>(f: F) -> (f64, SimReport) {
     (start.elapsed().as_secs_f64(), r)
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "quick" || a == "--quick");
-    let (horizon, reps) = if quick { (2_500.0, 10) } else { (8_000.0, 20) };
+/// Runs the gate.
+pub fn run(host: &Host) -> Report {
+    let (horizon, reps) = host.pick((2_500.0, 10), (8_000.0, 20));
 
     // The scale_sweep scenario: D = 10k catalog under proportionally
     // scaled demand, cutoff covering the popular head.
@@ -75,42 +76,34 @@ fn main() {
     assert_eq!(r_off, r_win, "windowed recording changed the report");
 
     let win_ratio = t_win / t_off;
-    let pass_win = win_ratio <= 1.10;
 
     println!("# BENCH_telemetry — instrumentation overhead on D=10k\n");
     println!("| variant | min wall s | vs off |");
     println!("|---------|-----------|--------|");
     println!("| off (simulate) | {t_off:.4} | 1.000 |");
     println!("| windowed recorder | {t_win:.4} | {win_ratio:.3} |");
-    println!();
-    println!(
-        "acceptance: windowed <= 1.10x off: {}",
-        if pass_win { "PASS" } else { "FAIL" }
-    );
     println!("reports bit-identical across variants: PASS");
 
-    let doc = json!({
-        "bench": "telemetry_overhead",
-        "scenario": "zipf(0.6), D=10_000, lambda=40, K=500",
-        "horizon": horizon,
-        "repetitions": reps,
-        "quick": quick,
-        "window": telemetry.window,
-        "off_s": t_off,
-        "windowed_s": t_win,
-        "windowed_ratio": win_ratio,
-        "gate_windowed_max": 1.10,
-        "pass": pass_win,
-    });
-    let dir = results_dir();
-    let path = dir.join("BENCH_telemetry.json");
-    match std::fs::create_dir_all(&dir)
-        .and_then(|_| std::fs::write(&path, serde_json::to_string_pretty(&doc).unwrap()))
-    {
-        Ok(()) => eprintln!("[saved {}]", path.display()),
-        Err(e) => eprintln!("[warn: could not persist results: {e}]"),
-    }
-    if !pass_win {
-        std::process::exit(1);
-    }
+    let mut report = Report::new(
+        "telemetry",
+        host,
+        json!({
+            "scenario": "zipf(0.6), D=10_000, lambda=40, K=500",
+            "horizon": horizon,
+            "repetitions": reps,
+            "window": telemetry.window,
+            "off_s": t_off,
+            "windowed_s": t_win,
+            "windowed_ratio": win_ratio,
+            "gate_windowed_max": 1.10,
+        }),
+    );
+    report.gate(
+        Needs::NOTHING,
+        "windowed <= 1.10x off",
+        1.10,
+        win_ratio,
+        win_ratio <= 1.10,
+    );
+    report
 }

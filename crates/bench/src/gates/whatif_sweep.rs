@@ -2,7 +2,7 @@
 //! out over rayon, gated on the determinism contract.
 //!
 //! ```text
-//! cargo run --release -p hybridcast-bench --bin whatif_sweep [-- quick]
+//! cargo run --release -p hybridcast-bench --bin bench -- whatif_sweep [quick]
 //! ```
 //!
 //! A deterministic synthetic `HCT1` trace (seeded SplitMix64 arrivals,
@@ -26,13 +26,14 @@
 
 use std::time::Instant;
 
-use hybridcast_bench::results_dir;
 use hybridcast_core::config::{AssignmentStrategy, HybridConfig};
 use hybridcast_ops::trace::{Trace, TraceMeta, TraceRecord, VERSION};
 use hybridcast_ops::whatif::{evaluate_point, run_whatif, WhatIfGrid};
 use hybridcast_workload::scenario::{Scenario, ScenarioConfig};
 use rayon::prelude::*;
 use serde_json::json;
+
+use crate::report::{Host, Needs, Report};
 
 /// Deterministic synthetic trace: SplitMix64 inter-arrivals quantized to
 /// 1/1024 units, squared-uniform item skew, cycling classes, a deadline
@@ -79,23 +80,17 @@ fn synthesize(scenario: &Scenario, seed: u64, n: u32) -> Trace {
     }
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "quick" || a == "--quick");
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let records: u32 = if quick { 800 } else { 4_000 };
+/// Runs the gate.
+pub fn run(host: &Host) -> Report {
+    let cores = host.cores;
+    let records: u32 = host.pick(800, 4_000);
 
     let scenario = ScenarioConfig::icpp2005(0.6).with_seed(7).build();
     let base = HybridConfig::paper(40, 0.5);
     let trace = synthesize(&scenario, 0xc0ffee, records);
 
     let grid = WhatIfGrid {
-        cutoffs: if quick {
-            vec![20, 40]
-        } else {
-            vec![10, 20, 30, 40, 60]
-        },
+        cutoffs: host.pick(vec![20, 40], vec![10, 20, 30, 40, 60]),
         channels: vec![1, 2],
         assignments: vec![
             AssignmentStrategy::Range,
@@ -162,41 +157,32 @@ fn main() {
         "serial {serial_ms:.1} ms, parallel {parallel_ms:.1} ms ({speedup:.2}x on {cores} cores)"
     );
     println!("recommendation: {} (cost {:.3})", winner.label, winner.cost);
-    println!();
-    for (name, pass) in [
+
+    let mut report = Report::new(
+        "whatif",
+        host,
+        json!({
+            "workload": "icpp2005(theta=0.6) seed 7, base paper(K=40, alpha=0.5)",
+            "trace": { "records": records, "seed": "0xc0ffee" },
+            "grid": &grid,
+            "timing": { "serial_ms": serial_ms, "parallel_ms": parallel_ms, "speedup": speedup },
+            "recommendation": winner,
+            "ranking": first.ranking,
+            "acceptance": {
+                "replay_twice_identical": replay_twice_identical,
+                "parallel_identical": parallel_identical,
+                "oracle_identical": oracle_identical,
+            },
+        }),
+    );
+    // The determinism gates are the contract — enforced even in quick
+    // mode and on single-core hosts (they do not depend on speedup).
+    for (name, identical) in [
         ("replay-twice string-equal books", replay_twice_identical),
         ("parallel grid bit-identical to serial", parallel_identical),
         ("recommendation re-replays bit-for-bit", oracle_identical),
     ] {
-        println!("acceptance: {name}: {}", if pass { "PASS" } else { "FAIL" });
+        report.gate(Needs::NOTHING, name, true, identical, identical);
     }
-
-    let doc = json!({
-        "bench": "whatif",
-        "workload": "icpp2005(theta=0.6) seed 7, base paper(K=40, alpha=0.5)",
-        "trace": { "records": records, "seed": "0xc0ffee" },
-        "grid": &grid,
-        "host": { "cores": cores },
-        "timing": { "serial_ms": serial_ms, "parallel_ms": parallel_ms, "speedup": speedup },
-        "recommendation": winner,
-        "ranking": first.ranking,
-        "acceptance": {
-            "replay_twice_identical": replay_twice_identical,
-            "parallel_identical": parallel_identical,
-            "oracle_identical": oracle_identical,
-        },
-    });
-    let dir = results_dir();
-    let path = dir.join("BENCH_whatif.json");
-    match std::fs::create_dir_all(&dir)
-        .and_then(|_| std::fs::write(&path, serde_json::to_string_pretty(&doc).unwrap()))
-    {
-        Ok(()) => eprintln!("[saved {}]", path.display()),
-        Err(e) => eprintln!("[warn: could not persist results: {e}]"),
-    }
-    // The determinism gates are the contract — enforced even in quick
-    // mode and on single-core hosts (they do not depend on speedup).
-    if !replay_twice_identical || !parallel_identical || !oracle_identical {
-        std::process::exit(1);
-    }
+    report
 }

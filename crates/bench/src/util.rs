@@ -1,148 +1,74 @@
-//! A deliberately tiny `--flag value` argument parser for the experiment
-//! binaries (no external CLI dependency needed for `--theta 0.6 --scale
-//! quick` style invocations).
-
-use std::collections::HashMap;
+//! The figure runner's one flag: `--scale full|quick`.
 
 use crate::scale::RunScale;
 
-/// Parsed `--key value` pairs from `std::env::args`.
-#[derive(Debug, Clone, Default)]
-pub struct Args {
-    map: HashMap<String, String>,
+/// The `--scale` preset on the process command line, or `default`.
+///
+/// # Panics
+/// Panics (with a usage hint) on anything else — `all_experiments` takes
+/// no other argument.
+pub fn scale_from_args(default: RunScale) -> RunScale {
+    parse_scale(std::env::args().skip(1), default)
 }
 
-impl Args {
-    /// Parses the process arguments. Every flag must be `--name value`.
-    ///
-    /// # Panics
-    /// Panics (with a usage hint) on a malformed command line — these are
-    /// developer-facing experiment tools.
-    pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+/// [`scale_from_args`] over an explicit argument list (testable).
+pub fn parse_scale(args: impl IntoIterator<Item = String>, default: RunScale) -> RunScale {
+    let mut scale = default;
+    let mut it = args.into_iter();
+    while let Some(flag) = it.next() {
+        assert!(
+            flag == "--scale",
+            "expected --scale full|quick, got `{flag}`"
+        );
+        let value = it.next().expect("flag --scale needs a value");
+        scale = RunScale::from_flag(&value)
+            .unwrap_or_else(|| panic!("--scale must be `full` or `quick`, got `{value}`"));
     }
-
-    /// Parses from an explicit iterator (testable).
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
-        let mut map = HashMap::new();
-        let mut it = args.into_iter();
-        while let Some(flag) = it.next() {
-            let name = flag
-                .strip_prefix("--")
-                .unwrap_or_else(|| panic!("expected --flag, got `{flag}`"));
-            let value = it
-                .next()
-                .unwrap_or_else(|| panic!("flag --{name} needs a value"));
-            map.insert(name.to_string(), value);
-        }
-        Args { map }
-    }
-
-    /// The raw value of `--name`, if present.
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.map.get(name).map(String::as_str)
-    }
-
-    /// A comma-separated `f64` list, or `default` when absent.
-    pub fn f64_list(&self, name: &str, default: &[f64]) -> Vec<f64> {
-        match self.get(name) {
-            Some(s) => s
-                .split(',')
-                .map(|t| {
-                    t.trim()
-                        .parse()
-                        .unwrap_or_else(|_| panic!("--{name}: `{t}` is not a number"))
-                })
-                .collect(),
-            None => default.to_vec(),
-        }
-    }
-
-    /// A comma-separated `usize` list, or `default` when absent.
-    pub fn usize_list(&self, name: &str, default: &[usize]) -> Vec<usize> {
-        match self.get(name) {
-            Some(s) => s
-                .split(',')
-                .map(|t| {
-                    t.trim()
-                        .parse()
-                        .unwrap_or_else(|_| panic!("--{name}: `{t}` is not an integer"))
-                })
-                .collect(),
-            None => default.to_vec(),
-        }
-    }
-
-    /// A single `usize`, or `default` when absent.
-    pub fn usize_or(&self, name: &str, default: usize) -> usize {
-        match self.get(name) {
-            Some(s) => s
-                .parse()
-                .unwrap_or_else(|_| panic!("--{name}: `{s}` is not an integer")),
-            None => default,
-        }
-    }
-
-    /// A single `f64`, or `default` when absent.
-    pub fn f64_or(&self, name: &str, default: f64) -> f64 {
-        match self.get(name) {
-            Some(s) => s
-                .parse()
-                .unwrap_or_else(|_| panic!("--{name}: `{s}` is not a number")),
-            None => default,
-        }
-    }
-
-    /// The `--scale full|quick` preset, or `default` when absent.
-    pub fn scale(&self, default: RunScale) -> RunScale {
-        match self.get("scale") {
-            Some(s) => RunScale::from_flag(s)
-                .unwrap_or_else(|| panic!("--scale must be `full` or `quick`, got `{s}`")),
-            None => default,
-        }
-    }
+    scale
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn args(s: &[&str]) -> Args {
-        Args::parse_from(s.iter().map(|x| x.to_string()))
+    fn parse(s: &[&str]) -> RunScale {
+        parse_scale(s.iter().map(|x| x.to_string()), RunScale::quick())
     }
 
     #[test]
     fn parses_flag_pairs() {
-        let a = args(&["--theta", "0.6,1.0", "--k", "40"]);
-        assert_eq!(a.f64_list("theta", &[]), vec![0.6, 1.0]);
-        assert_eq!(a.usize_or("k", 10), 40);
-        assert_eq!(a.usize_or("missing", 10), 10);
+        assert_eq!(parse(&["--scale", "quick"]), RunScale::quick());
+        assert_eq!(
+            parse(&["--scale", "quick", "--scale", "full"]),
+            RunScale::full()
+        );
     }
 
     #[test]
     fn defaults_kick_in() {
-        let a = args(&[]);
-        assert_eq!(a.f64_list("theta", &[0.2]), vec![0.2]);
-        assert_eq!(a.scale(RunScale::quick()), RunScale::quick());
-        assert_eq!(a.f64_or("alpha", 0.5), 0.5);
+        assert_eq!(parse(&[]), RunScale::quick());
     }
 
     #[test]
     fn scale_flag() {
-        let a = args(&["--scale", "full"]);
-        assert_eq!(a.scale(RunScale::quick()), RunScale::full());
+        assert_eq!(parse(&["--scale", "full"]), RunScale::full());
     }
 
     #[test]
     #[should_panic(expected = "needs a value")]
     fn dangling_flag_panics() {
-        let _ = args(&["--theta"]);
+        let _ = parse(&["--scale"]);
     }
 
     #[test]
-    #[should_panic(expected = "not a number")]
-    fn garbage_number_panics() {
-        let a = args(&["--theta", "abc"]);
-        let _ = a.f64_list("theta", &[]);
+    #[should_panic(expected = "must be `full` or `quick`")]
+    fn unknown_scale_panics() {
+        let _ = parse(&["--scale", "huge"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "expected --scale")]
+    fn any_other_flag_panics() {
+        let _ = parse(&["--theta", "0.6"]);
     }
 }

@@ -469,6 +469,31 @@ mod tests {
     }
 
     #[test]
+    fn high_surrogate_followed_by_a_non_surrogate_is_an_error_not_a_panic() {
+        let err = ExperimentConfig::from_json(r#"{"\ud800\u0041": 1}"#).unwrap_err();
+        assert!(err.contains("surrogate"), "{err}");
+        // A well-formed pair still decodes.
+        let ok: String = serde_json::from_str(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(ok, "\u{1F600}");
+    }
+
+    #[test]
+    fn parse_time_is_linear_in_document_size() {
+        let mut doc = String::from("[");
+        for i in 0..20_000 {
+            doc.push_str(&format!("{{\"name\":\"item-{i:05}\",\"w\":0.5}},"));
+        }
+        doc.push_str("null]");
+        let start = std::time::Instant::now();
+        let value: serde_json::Value = serde_json::from_str(&doc).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(value.as_array().map(Vec::len), Some(20_001));
+        assert_eq!(value[19_999]["name"].as_str(), Some("item-19999"));
+        // The per-character re-validation this replaces took minutes here.
+        assert!(elapsed.as_secs_f64() < 1.0, "parse took {elapsed:?}");
+    }
+
+    #[test]
     fn unknown_top_level_key_is_rejected_with_its_name() {
         let mut value: serde_json::Value =
             serde_json::from_str(&ExperimentConfig::default().to_json()).unwrap();

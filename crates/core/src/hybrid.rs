@@ -167,24 +167,6 @@ impl HybridScheduler {
         }
     }
 
-    /// Moves the cutoff to `new_k` at time `now` — the paper's periodic
-    /// re-optimization. Rebuilds the push schedule over the new prefix and
-    /// returns the queued entries whose items just joined the push set
-    /// (their requesters should be parked as broadcast waiters by the
-    /// caller; items that *left* the push set have no server-side state).
-    ///
-    /// # Panics
-    /// Panics if `new_k` exceeds the catalog size.
-    pub fn set_cutoff(&mut self, new_k: usize, now: SimTime) -> Vec<PendingItem> {
-        assert!(
-            new_k <= self.catalog.len(),
-            "cutoff {new_k} exceeds catalog size {}",
-            self.catalog.len()
-        );
-        let items: Vec<ItemId> = (0..new_k as u32).map(ItemId).collect();
-        self.set_push_set(&items, now)
-    }
-
     /// Replaces the push set with an arbitrary item list (hottest first) —
     /// the "dynamically computes the data access probabilities" extension:
     /// a re-ranking controller pushes the *estimated* top items, which need

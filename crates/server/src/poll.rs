@@ -53,7 +53,6 @@ pub const ERR_ENFILE: i32 = 23;
 
 const SOL_SOCKET: c_int = 1;
 const SO_RCVBUF: c_int = 8;
-const SO_SNDBUF: c_int = 7;
 
 /// The kernel's `struct epoll_event`. Packed on x86-64 (kernel uapi uses
 /// `__attribute__((packed))` there), naturally aligned elsewhere.
@@ -134,11 +133,6 @@ fn set_sock_int(fd: RawFd, optname: c_int, value: c_int) -> io::Result<()> {
 /// Tests use a tiny receive buffer to force real short writes on the peer.
 pub fn set_recv_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
     set_sock_int(fd, SO_RCVBUF, bytes.min(c_int::MAX as usize) as c_int)
-}
-
-/// Shrinks (or grows) a socket's kernel send buffer (`SO_SNDBUF`).
-pub fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
-    set_sock_int(fd, SO_SNDBUF, bytes.min(c_int::MAX as usize) as c_int)
 }
 
 /// Largest iovec batch one [`writev_fd`] call submits. Linux's `IOV_MAX`

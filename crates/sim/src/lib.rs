@@ -10,8 +10,8 @@
 //!   reproducible experiments with common random numbers;
 //! * [`dist`] — Zipf (alias-method), exponential, Poisson, and general
 //!   discrete sampling;
-//! * [`stats`] — Welford moments, histograms, time-weighted averages and
-//!   batch means;
+//! * [`stats`] — Welford moments, time-weighted averages and MSER
+//!   warm-up truncation;
 //! * [`quantile`] — the P² streaming quantile estimator (tail latencies in
 //!   O(1) memory).
 //!
@@ -79,8 +79,6 @@ pub mod prelude {
     pub use crate::event::EventQueue;
     pub use crate::quantile::P2Quantile;
     pub use crate::rng::{streams as rng_streams, RngFactory, Xoshiro256};
-    pub use crate::stats::{
-        mser_truncation, BatchMeans, Histogram, SummaryStats, TimeWeighted, Welford,
-    };
+    pub use crate::stats::{mser_truncation, SummaryStats, TimeWeighted, Welford};
     pub use crate::time::{SimDuration, SimTime};
 }

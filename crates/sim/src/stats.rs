@@ -2,11 +2,8 @@
 //!
 //! * [`Welford`] — numerically stable running mean/variance (one pass, O(1)
 //!   memory), the workhorse for per-class delay measurements.
-//! * [`Histogram`] — fixed-bin counts for delay distributions.
 //! * [`TimeWeighted`] — time-average of a piecewise-constant signal (queue
 //!   lengths, busy indicators); this is what Little's-law checks need.
-//! * [`BatchMeans`] — batch-means variance estimation for steady-state
-//!   confidence intervals on correlated time series.
 //! * [`SummaryStats`] — a serializable snapshot for reports.
 
 use serde::{Deserialize, Serialize};
@@ -206,92 +203,6 @@ pub struct SummaryStats {
     pub max: f64,
 }
 
-/// Fixed-width binned histogram over `[lo, hi)` with under/overflow bins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics unless `lo < hi` and `bins > 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi, "histogram needs lo < hi (got [{lo}, {hi}))");
-        assert!(bins > 0, "histogram needs at least one bin");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.total += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.counts.len() as f64) as usize;
-            let idx = idx.min(self.counts.len() - 1);
-            self.counts[idx] += 1;
-        }
-    }
-
-    /// Per-bin counts (excludes under/overflow).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Observations below `lo`.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above `hi`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded, including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Approximate quantile `q ∈ [0,1]` by linear walk over bins; `None`
-    /// when empty. Under/overflow mass is attributed to the boundary bins.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.total == 0 {
-            return None;
-        }
-        let target = (q * self.total as f64).ceil().max(1.0) as u64;
-        let mut cum = self.underflow;
-        if cum >= target {
-            return Some(self.lo);
-        }
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return Some(self.lo + width * (i as f64 + 1.0));
-            }
-        }
-        Some(self.hi)
-    }
-}
-
 /// Time-average of a piecewise-constant signal, e.g. a queue length.
 ///
 /// Feed it `(time, new_value)` transitions in non-decreasing time order;
@@ -363,58 +274,6 @@ impl TimeWeighted {
         }
         let area = self.area + self.last_v * (now - self.last_t).as_f64();
         Some(area / span)
-    }
-}
-
-/// Batch-means estimator: splits a correlated series into fixed-size batches
-/// and treats batch means as approximately independent observations.
-#[derive(Debug, Clone)]
-pub struct BatchMeans {
-    batch_size: u64,
-    current_sum: f64,
-    current_n: u64,
-    batches: Welford,
-}
-
-impl BatchMeans {
-    /// Batches of `batch_size` observations each.
-    ///
-    /// # Panics
-    /// Panics if `batch_size == 0`.
-    pub fn new(batch_size: u64) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        BatchMeans {
-            batch_size,
-            current_sum: 0.0,
-            current_n: 0,
-            batches: Welford::new(),
-        }
-    }
-
-    /// Folds one observation in.
-    pub fn push(&mut self, x: f64) {
-        self.current_sum += x;
-        self.current_n += 1;
-        if self.current_n == self.batch_size {
-            self.batches.push(self.current_sum / self.batch_size as f64);
-            self.current_sum = 0.0;
-            self.current_n = 0;
-        }
-    }
-
-    /// Number of complete batches.
-    pub fn batch_count(&self) -> u64 {
-        self.batches.count()
-    }
-
-    /// Mean of batch means (≈ overall mean, ignoring the ragged tail).
-    pub fn mean(&self) -> f64 {
-        self.batches.mean()
-    }
-
-    /// 95% CI half-width on the mean using batch means as iid observations.
-    pub fn ci95_halfwidth(&self) -> f64 {
-        self.batches.ci95_halfwidth()
     }
 }
 
@@ -617,40 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_basic_binning() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.record(i as f64 + 0.5);
-        }
-        assert_eq!(h.counts(), &[1u64; 10][..]);
-        h.record(-1.0);
-        h.record(10.0);
-        h.record(11.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 13);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..100 {
-            h.record(i as f64 + 0.5);
-        }
-        let median = h.quantile(0.5).unwrap();
-        assert!((median - 50.0).abs() <= 1.0, "median ≈ {median}");
-        let p99 = h.quantile(0.99).unwrap();
-        assert!((98.0..=100.0).contains(&p99), "p99 ≈ {p99}");
-        assert_eq!(h.quantile(0.0).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn histogram_empty_quantile_is_none() {
-        let h = Histogram::new(0.0, 1.0, 4);
-        assert_eq!(h.quantile(0.5), None);
-    }
-
-    #[test]
     fn time_weighted_constant_signal() {
         let tw = TimeWeighted::new(SimTime::ZERO, 3.0);
         assert_eq!(tw.time_average(SimTime::new(10.0)), Some(3.0));
@@ -681,26 +506,6 @@ mod tests {
     fn time_weighted_no_elapsed_time() {
         let tw = TimeWeighted::new(SimTime::new(5.0), 1.0);
         assert_eq!(tw.time_average(SimTime::new(5.0)), None);
-    }
-
-    #[test]
-    fn batch_means_reduces_to_mean() {
-        let mut bm = BatchMeans::new(10);
-        for i in 0..100 {
-            bm.push(i as f64);
-        }
-        assert_eq!(bm.batch_count(), 10);
-        assert!((bm.mean() - 49.5).abs() < 1e-12);
-        assert!(bm.ci95_halfwidth() > 0.0);
-    }
-
-    #[test]
-    fn batch_means_ignores_ragged_tail() {
-        let mut bm = BatchMeans::new(10);
-        for _ in 0..25 {
-            bm.push(1.0);
-        }
-        assert_eq!(bm.batch_count(), 2);
     }
 
     #[test]

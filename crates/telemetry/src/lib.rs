@@ -1,7 +1,7 @@
 //! Typed telemetry for the hybrid broadcast scheduler.
 //!
 //! Three layers, designed so that the hot path pays nothing when telemetry is
-//! off (see DESIGN.md §10 and `benches/../telemetry_overhead`):
+//! off (see DESIGN.md §10 and `bench telemetry_overhead`):
 //!
 //! 1. **Events** ([`TelemetryEvent`]): a closed enum of everything observable
 //!    in a run — arrivals, deliveries, blocks, broadcast/pull transmissions,
@@ -9,8 +9,7 @@
 //!    carries the simulation time plus the item/class it concerns.
 //! 2. **Sinks** ([`Sink`]): where events go. [`NullSink`] advertises
 //!    `enabled() == false`, so instrumentation guarded by [`emit`]
-//!    monomorphizes to nothing. [`VecSink`] captures events for tests and
-//!    [`Tee`] fans one stream out to two sinks.
+//!    monomorphizes to nothing. [`VecSink`] captures events for tests.
 //! 3. **Windows** ([`WindowRecorder`]): a sink that buckets events into
 //!    fixed-width [`SimTime`](hybridcast_sim::time::SimTime) windows,
 //!    producing a per-class [`TimeSeries`] (delay mean/p50/p95/max, stretch,
@@ -34,7 +33,7 @@ pub mod window;
 pub use aggregate::{AggregatedClassWindow, AggregatedSeries, AggregatedWindow};
 pub use event::{ServiceKind, TelemetryEvent};
 pub use feedback::{FeedbackSnapshot, FeedbackWindow};
-pub use sink::{emit, NullSink, Sink, Tee, VecSink};
+pub use sink::{emit, NullSink, Sink, VecSink};
 pub use window::{
     ClassWindow, TelemetryConfig, TimeSeries, WindowRecorder, WindowStats, DEFAULT_WINDOW,
 };

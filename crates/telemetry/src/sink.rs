@@ -80,48 +80,6 @@ impl Sink for VecSink {
     }
 }
 
-/// Fans one event stream out to two sinks — e.g. a
-/// [`WindowRecorder`](crate::window::WindowRecorder) *and* an invariant
-/// oracle in the same run. Build nested `Tee`s for more than two.
-///
-/// `enabled()` is the OR of the children, and each child only receives
-/// events while it is itself enabled, so a disabled half costs one branch,
-/// not a record call.
-#[derive(Debug, Clone, Default)]
-pub struct Tee<A, B> {
-    /// First destination.
-    pub a: A,
-    /// Second destination.
-    pub b: B,
-}
-
-impl<A: Sink, B: Sink> Tee<A, B> {
-    /// Fans out to `a` and `b`.
-    pub fn new(a: A, b: B) -> Self {
-        Tee { a, b }
-    }
-
-    /// Consumes the tee, returning both sinks.
-    pub fn into_parts(self) -> (A, B) {
-        (self.a, self.b)
-    }
-}
-
-impl<A: Sink, B: Sink> Sink for Tee<A, B> {
-    fn enabled(&self) -> bool {
-        self.a.enabled() || self.b.enabled()
-    }
-
-    fn record(&mut self, event: &TelemetryEvent) {
-        if self.a.enabled() {
-            self.a.record(event);
-        }
-        if self.b.enabled() {
-            self.b.record(event);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,32 +114,5 @@ mod tests {
         emit(&mut sink, || arrival(2.0));
         let times: Vec<f64> = sink.events().iter().map(|e| e.time().as_f64()).collect();
         assert_eq!(times, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn tee_duplicates_the_stream_and_ors_enablement() {
-        let mut tee = Tee::new(VecSink::new(), VecSink::new());
-        assert!(tee.enabled());
-        emit(&mut tee, || arrival(1.0));
-        emit(&mut tee, || arrival(2.0));
-        let (a, b) = tee.into_parts();
-        assert_eq!(a.events(), b.events());
-        assert_eq!(a.events().len(), 2);
-
-        // A fully disabled tee skips event construction entirely.
-        let mut off = Tee::new(NullSink, NullSink);
-        assert!(!off.enabled());
-        let mut built = false;
-        emit(&mut off, || {
-            built = true;
-            arrival(3.0)
-        });
-        assert!(!built);
-
-        // A half-enabled tee records on the live side only.
-        let mut half = Tee::new(NullSink, VecSink::new());
-        assert!(half.enabled());
-        emit(&mut half, || arrival(4.0));
-        assert_eq!(half.b.events().len(), 1);
     }
 }

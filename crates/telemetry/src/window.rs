@@ -470,11 +470,6 @@ impl WindowRecorder {
         &self.classes
     }
 
-    /// The configured window width.
-    pub fn window_width(&self) -> f64 {
-        self.window
-    }
-
     /// Takes every window closed so far, leaving the in-progress one
     /// accumulating — the live-streaming hook: a long-running server
     /// drains closed windows periodically and appends them to a JSONL

@@ -11,7 +11,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use hybridcast_sim::rng::Xoshiro256;
 use rand::Rng;
 
 use crate::classes::{ClassId, ClassSet};
@@ -117,11 +116,6 @@ impl ClientPool {
         &self.clients[id.index()]
     }
 
-    /// Mutable access to a client record (used by the churn model).
-    pub fn client_mut(&mut self, id: ClientId) -> &mut Client {
-        &mut self.clients[id.index()]
-    }
-
     /// Alive clients in `class`.
     pub fn alive_in_class(&self, class: ClassId) -> usize {
         self.alive[class.index()]
@@ -203,15 +197,6 @@ impl ClientPool {
     pub fn classes(&self) -> usize {
         self.by_class.len()
     }
-}
-
-/// Convenience: sample an alive client with a dedicated stream.
-pub fn sample_alive_with(
-    pool: &ClientPool,
-    class: ClassId,
-    rng: &mut Xoshiro256,
-) -> Option<ClientId> {
-    pool.sample_alive(class, rng)
 }
 
 #[cfg(test)]
