@@ -16,9 +16,11 @@
 //! Acceptance gate (checked in-process, non-zero exit on failure):
 //! `windowed ≤ 1.10 × off`, taken on the minimum wall time over the
 //! repetitions (minimum is the standard robust estimator against
-//! scheduler noise). The run also re-checks the observational guarantee:
-//! both variants must return bit-identical reports. Results land in
-//! `results/BENCH_telemetry.json`.
+//! scheduler noise); when one variant's repetitions spread wider than the
+//! 10% margin the verdict is `skipped (unresolvable …)` instead
+//! ([`Report::ratio_gate`]). The run also re-checks the observational
+//! guarantee: both variants must return bit-identical reports. Results
+//! land in `results/BENCH_telemetry.json`.
 
 use std::time::Instant;
 
@@ -29,7 +31,7 @@ use hybridcast_telemetry::TelemetryConfig;
 use hybridcast_workload::scenario::{Scenario, ScenarioConfig};
 use serde_json::json;
 
-use crate::report::{Host, Needs, Report};
+use crate::report::{min_of, Host, Needs, Report};
 
 /// One timed invocation: wall seconds plus the report for identity checks.
 fn timed<F: FnOnce() -> SimReport>(f: F) -> (f64, SimReport) {
@@ -63,18 +65,19 @@ pub fn run(host: &Host) -> Report {
     // scaling, noisy neighbours) hits all variants alike instead of
     // whichever happened to run last.
     let _ = simulate(&scenario, &cfg, &params);
-    let (mut t_off, mut t_win) = (f64::INFINITY, f64::INFINITY);
+    let (mut off_runs, mut win_runs) = (Vec::new(), Vec::new());
     let (mut r_off, mut r_win) = (None, None);
     for _ in 0..reps {
         let (t, r) = timed(|| simulate(&scenario, &cfg, &params));
-        t_off = t_off.min(t);
+        off_runs.push(t);
         r_off = Some(r);
         let (t, r) = timed(|| simulate_telemetry(&scenario, &cfg, &params, telemetry).0);
-        t_win = t_win.min(t);
+        win_runs.push(t);
         r_win = Some(r);
     }
     assert_eq!(r_off, r_win, "windowed recording changed the report");
 
+    let (t_off, t_win) = (min_of(&off_runs), min_of(&win_runs));
     let win_ratio = t_win / t_off;
 
     println!("# BENCH_telemetry — instrumentation overhead on D=10k\n");
@@ -92,18 +95,21 @@ pub fn run(host: &Host) -> Report {
             "horizon": horizon,
             "repetitions": reps,
             "window": telemetry.window,
+            "off_runs_s": off_runs,
+            "windowed_runs_s": win_runs,
             "off_s": t_off,
             "windowed_s": t_win,
             "windowed_ratio": win_ratio,
             "gate_windowed_max": 1.10,
         }),
     );
-    report.gate(
+    report.ratio_gate(
         Needs::NOTHING,
         "windowed <= 1.10x off",
         1.10,
         win_ratio,
         win_ratio <= 1.10,
+        [&off_runs, &win_runs],
     );
     report
 }

@@ -5,8 +5,9 @@
 //! Every gate under [`crate::gates`] is a `fn(&Host) -> Report`. It never
 //! looks at the command line or the machine itself: [`main`] is the only
 //! reader of `quick` and of `available_parallelism`, and [`Report::gate`]
-//! is the only place where "needs ≥ N cores" or "full
-//! mode only" turns into a verdict. `results/BENCH_<bench>.json` is
+//! and its timed-ratio form [`Report::ratio_gate`] are the only place
+//! where "needs ≥ N cores", "full mode only" or "the runs are too noisy
+//! to resolve this margin" turns into a verdict. `results/BENCH_<bench>.json` is
 //!
 //! ```text
 //! {bench, mode, host: {cores},
@@ -80,6 +81,12 @@ impl Needs {
     }
 }
 
+/// The fastest of a variant's timed runs — what a min-of-runs ratio gate
+/// compares (`INFINITY` for no runs).
+pub fn min_of(runs: &[f64]) -> f64 {
+    runs.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
 /// What one `bench <gate>` run produced.
 #[derive(Debug, Clone)]
 pub struct Report {
@@ -117,13 +124,57 @@ impl Report {
         measured: impl Into<Value>,
         met: bool,
     ) {
+        self.record(needs, None, name, threshold.into(), measured.into(), met);
+    }
+
+    /// A gate on the min-of-runs ratio of two timed variants, given every
+    /// run's value per variant. A ratio cannot be told from `threshold`
+    /// when runs of the *same* variant differ by more than the margin
+    /// `threshold − 1` allows between variants, so such a run is `skipped`
+    /// as `unresolvable` — neither a pass nor a fail — with `measured`
+    /// still recorded.
+    pub fn ratio_gate(
+        &mut self,
+        needs: Needs,
+        name: &str,
+        threshold: f64,
+        measured: f64,
+        met: bool,
+        variants: [&[f64]; 2],
+    ) {
+        let spread = variants
+            .iter()
+            .map(|runs| runs.iter().copied().fold(f64::NEG_INFINITY, f64::max) / min_of(runs) - 1.0)
+            .fold(0.0, f64::max);
+        let margin = threshold - 1.0;
+        let noise = (spread > margin).then(|| {
+            format!(
+                "unresolvable: same-variant spread {:.1}% exceeds the {:.1}% margin",
+                spread * 100.0,
+                margin * 100.0
+            )
+        });
+        self.record(needs, noise, name, threshold.into(), measured.into(), met);
+    }
+
+    /// The one place a gate becomes `pass | fail | skipped(reason)`: the
+    /// host's reason first, then the measurement's own (`noise`).
+    fn record(
+        &mut self,
+        needs: Needs,
+        noise: Option<String>,
+        name: &str,
+        threshold: Value,
+        measured: Value,
+        met: bool,
+    ) {
         let Host { quick, cores } = self.host;
         let reason = if needs.full_only && quick {
             Some("quick mode".to_string())
         } else if cores < needs.cores {
             Some(format!("needs >= {} cores, host has {cores}", needs.cores))
         } else {
-            None
+            noise
         };
         let verdict = match (&reason, met) {
             (Some(_), _) => "skipped",
@@ -131,7 +182,6 @@ impl Report {
             (None, false) => "fail",
         };
         self.failed |= verdict == "fail";
-        let (threshold, measured) = (threshold.into(), measured.into());
         let why = reason.as_ref().map_or(String::new(), |r| format!("{r}; "));
         if self.gates.is_empty() {
             println!();
@@ -265,6 +315,59 @@ mod tests {
         assert_eq!(doc["gates"][0]["verdict"].as_str(), Some("skipped"));
         assert_eq!(doc["gates"][0]["reason"].as_str(), Some("quick mode"));
         assert_eq!(r.exit_code(), 0);
+    }
+
+    /// A 1.05x gate over two variants' runs, ratio and `met` as the gates
+    /// compute them.
+    fn overhead_report(off: &[f64], on: &[f64]) -> Report {
+        let host = Host {
+            quick: false,
+            cores: 2,
+        };
+        let mut r = Report::new("demo", &host, json!({}));
+        let ratio = min_of(on) / min_of(off);
+        r.ratio_gate(
+            Needs::cores(2),
+            "overhead <= 1.05x",
+            1.05,
+            ratio,
+            ratio <= 1.05,
+            [off, on],
+        );
+        r
+    }
+
+    #[test]
+    fn a_ratio_gate_inside_its_margin_is_judged_by_met() {
+        // Same-variant spreads of 3% and 4% resolve a 5% margin.
+        let pass = overhead_report(&[10.0, 10.3, 10.1], &[10.2, 10.6, 10.4]);
+        assert_eq!(pass.to_json()["gates"][0]["verdict"].as_str(), Some("pass"));
+        assert!(pass.to_json()["gates"][0]["reason"].is_null());
+        let fail = overhead_report(&[10.0, 10.3, 10.1], &[11.0, 11.4, 11.2]);
+        assert_eq!(fail.to_json()["gates"][0]["verdict"].as_str(), Some("fail"));
+        assert_eq!(fail.exit_code(), 1);
+    }
+
+    #[test]
+    fn a_ratio_gate_noisier_than_its_margin_is_unresolvable_not_a_verdict() {
+        // The shape of the committed 0.83x "pass": recording-off runs 43%
+        // apart cannot resolve a 5% margin, whichever way the ratio falls.
+        for on in [[10.59, 13.38, 11.0], [20.0, 20.5, 20.2]] {
+            let r = overhead_report(&[18.17, 13.38, 12.71], &on);
+            let gate = &r.to_json()["gates"][0];
+            assert_eq!(gate["verdict"].as_str(), Some("skipped"));
+            assert_eq!(
+                gate["reason"].as_str(),
+                Some("unresolvable: same-variant spread 43.0% exceeds the 5.0% margin")
+            );
+            assert_eq!(gate["measured"].as_f64(), Some(on[0] / 12.71));
+            assert_eq!(r.exit_code(), 0);
+            assert_eq!(r.to_json()["pass"].as_bool(), Some(true));
+        }
+        // Either variant's spread counts.
+        let r = overhead_report(&[10.0, 10.1], &[10.0, 11.0]);
+        let reason = r.to_json()["gates"][0]["reason"].clone();
+        assert!(reason.as_str().unwrap().starts_with("unresolvable"));
     }
 
     #[test]

@@ -24,7 +24,7 @@ impl RunScale {
         }
     }
 
-    /// Smoke scale for `cargo bench` figure targets and tests.
+    /// Smoke scale for `all_experiments --scale quick` and tests.
     pub fn quick() -> Self {
         RunScale {
             horizon: 2_500.0,

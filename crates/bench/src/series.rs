@@ -26,24 +26,6 @@ impl Series {
             y,
         }
     }
-
-    /// The y value at the smallest y (argmin), as `(x, y)`.
-    pub fn min_point(&self) -> Option<(f64, f64)> {
-        self.x
-            .iter()
-            .zip(&self.y)
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-            .map(|(&x, &y)| (x, y))
-    }
-
-    /// Mean of the y values.
-    pub fn mean_y(&self) -> f64 {
-        if self.y.is_empty() {
-            0.0
-        } else {
-            self.y.iter().sum::<f64>() / self.y.len() as f64
-        }
-    }
 }
 
 /// One reproduced figure: metadata plus its curves.
@@ -155,13 +137,6 @@ mod tests {
             ],
             notes: "note".into(),
         }
-    }
-
-    #[test]
-    fn min_point_and_mean() {
-        let s = Series::new("A", vec![1.0, 2.0, 3.0], vec![5.0, 2.0, 4.0]);
-        assert_eq!(s.min_point(), Some((2.0, 2.0)));
-        assert!((s.mean_y() - 11.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -11,20 +11,10 @@
 //! * the **serving daemon** (`hybridcast-server`) advances `SimTime` from
 //!   a [`WallClock`], which maps real elapsed time onto the broadcast-unit
 //!   axis at a configured `unit_millis` exchange rate.
-//!
-//! [`Clock`] names the seam so wall-clock components can be written
-//! against either source; [`ManualClock`] is the deterministic test stand.
 
-use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use hybridcast_sim::time::SimTime;
-
-/// A monotone source of the current instant on the broadcast-unit axis.
-pub trait Clock {
-    /// The current time, in broadcast units.
-    fn now(&self) -> SimTime;
-}
 
 /// Maps the host's monotonic clock onto the broadcast-unit axis.
 ///
@@ -54,58 +44,17 @@ impl WallClock {
         }
     }
 
-    /// Wall milliseconds per broadcast unit.
-    pub fn unit_millis(&self) -> f64 {
-        self.unit_millis
-    }
-
-    /// Converts a span of broadcast units to wall time.
-    pub fn to_wall(&self, units: f64) -> Duration {
-        Duration::from_secs_f64((units * self.unit_millis / 1e3).max(0.0))
+    /// The current time, in broadcast units.
+    pub fn now(&self) -> SimTime {
+        let elapsed_ms = self.epoch.elapsed().as_secs_f64() * 1e3;
+        SimTime::new(elapsed_ms / self.unit_millis)
     }
 
     /// How long to wait (wall time) until broadcast instant `t`;
     /// `Duration::ZERO` when `t` is already in the past.
     pub fn wall_until(&self, t: SimTime) -> Duration {
         let remaining = t.as_f64() - self.now().as_f64();
-        self.to_wall(remaining)
-    }
-}
-
-impl Clock for WallClock {
-    fn now(&self) -> SimTime {
-        let elapsed_ms = self.epoch.elapsed().as_secs_f64() * 1e3;
-        SimTime::new(elapsed_ms / self.unit_millis)
-    }
-}
-
-/// A hand-cranked clock for deterministic tests of wall-clock components.
-#[derive(Debug, Clone, Default)]
-pub struct ManualClock {
-    t: Cell<f64>,
-}
-
-impl ManualClock {
-    /// A clock stopped at time 0.
-    pub fn new() -> Self {
-        ManualClock { t: Cell::new(0.0) }
-    }
-
-    /// Moves the clock to `t` (must not go backwards).
-    pub fn set(&self, t: f64) {
-        assert!(t >= self.t.get(), "clock must be monotone");
-        self.t.set(t);
-    }
-
-    /// Advances the clock by `dt` broadcast units.
-    pub fn advance(&self, dt: f64) {
-        self.set(self.t.get() + dt);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now(&self) -> SimTime {
-        SimTime::new(self.t.get())
+        Duration::from_secs_f64((remaining * self.unit_millis / 1e3).max(0.0))
     }
 }
 
@@ -130,23 +79,5 @@ mod tests {
         assert_eq!(clock.wall_until(SimTime::ZERO), Duration::ZERO);
         let ahead = SimTime::new(clock.now().as_f64() + 1000.0);
         assert!(clock.wall_until(ahead) > Duration::from_millis(500));
-    }
-
-    #[test]
-    fn manual_clock_is_deterministic() {
-        let clock = ManualClock::new();
-        assert_eq!(clock.now(), SimTime::ZERO);
-        clock.advance(2.5);
-        assert_eq!(clock.now(), SimTime::new(2.5));
-        clock.set(4.0);
-        assert_eq!(clock.now(), SimTime::new(4.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "monotone")]
-    fn manual_clock_rejects_backward_moves() {
-        let clock = ManualClock::new();
-        clock.set(3.0);
-        clock.set(2.0);
     }
 }

@@ -86,7 +86,7 @@ pub mod prelude {
     };
     pub use crate::bandwidth::{BandwidthConfig, BandwidthManager, BandwidthPolicy, Grant};
     pub use crate::churn::{ChurnConfig, ChurnReport};
-    pub use crate::clock::{Clock, ManualClock, WallClock};
+    pub use crate::clock::WallClock;
     pub use crate::config::{AssignmentStrategy, ChannelLayout, HybridConfig};
     pub use crate::cutoff::{CutoffOptimizer, CutoffPoint, CutoffSweep, Objective};
     pub use crate::experiment::{

@@ -202,11 +202,6 @@ impl UplinkChannel {
         self.latency.mean()
     }
 
-    /// Latency accumulator for delivered requests of `class`.
-    pub fn latency_for(&self, class: ClassId) -> &Welford {
-        &self.latency_per_class[class.index()]
-    }
-
     /// Mean uplink latency of delivered requests of `class`.
     pub fn mean_latency_for(&self, class: ClassId) -> f64 {
         self.latency_per_class[class.index()].mean()
@@ -356,7 +351,7 @@ mod tests {
         assert_eq!(ch.delivered_per_class().len(), 2);
         assert!(ch.delivered_for(ClassId(0)) > 5_000);
         assert_eq!(
-            ch.latency_for(ClassId(0)).count() + ch.latency_for(ClassId(1)).count(),
+            ch.latency_per_class.iter().map(Welford::count).sum::<u64>(),
             ch.delivered()
         );
         // Same channel, same parameters: the two class means agree loosely.

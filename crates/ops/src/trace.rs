@@ -378,16 +378,6 @@ impl Trace {
         recs.sort_by(|a, b| a.arrival.partial_cmp(&b.arrival).expect("finite stamps"));
         recs
     }
-
-    /// This channel's records in recorded (ingest) order — the daemon
-    /// replay ordering.
-    pub fn channel_records(&self, channel: u32) -> Vec<TraceRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.channel as u32 == channel)
-            .copied()
-            .collect()
-    }
 }
 
 /// Reads a u32 LE length prefix at `off`, returning `(payload_len,
@@ -469,7 +459,6 @@ mod tests {
         let trace = Trace::read(&path).expect("parse");
         assert_eq!(trace.meta, meta());
         assert_eq!(trace.records, records);
-        assert_eq!(trace.channel_records(1).len(), 1);
     }
 
     #[test]

@@ -19,8 +19,6 @@ use hybridcast_workload::scenario::ScenarioConfig;
 pub struct ServeParams {
     /// TCP listen address. `127.0.0.1:0` picks an ephemeral port (tests).
     pub addr: String,
-    /// Optional Unix-socket path to listen on in addition to TCP.
-    pub unix_socket: Option<String>,
     /// Wall milliseconds per broadcast unit: a length-`L` item occupies the
     /// downlink for `L × unit_millis` ms of real time.
     pub unit_millis: f64,
@@ -59,7 +57,6 @@ impl Default for ServeParams {
     fn default() -> Self {
         ServeParams {
             addr: "127.0.0.1:4650".into(),
-            unix_socket: None,
             unit_millis: 1.0,
             ingress_capacity: 8192,
             loop_threads: 2,
@@ -173,7 +170,6 @@ impl ServeConfig {
     pub fn identity_json(&self) -> String {
         let mut id = self.clone();
         id.serve.addr = ServeParams::default().addr;
-        id.serve.unix_socket = None;
         id.serve.results_path = None;
         id.serve.ops_addr = None;
         id.serve.trace_path = None;
@@ -191,6 +187,22 @@ mod tests {
         cfg.validate().unwrap();
         let back = ServeConfig::from_json(&cfg.to_json()).unwrap();
         assert_eq!(back, cfg);
+    }
+
+    #[test]
+    fn the_removed_unix_socket_key_is_gone_and_harmless_in_old_files() {
+        let cfg = ServeConfig::default();
+        assert!(!cfg.to_json().contains("unix_socket"));
+        assert!(!cfg.identity_json().contains("unix_socket"));
+        // A config file written before the knob was removed still loads:
+        // `ServeParams` ignores keys it does not know.
+        let old = cfg.to_json().replacen(
+            "\"serve\": {",
+            "\"serve\": {\"unix_socket\": \"/tmp/hc.sock\",",
+            1,
+        );
+        assert!(old.contains("unix_socket"));
+        assert_eq!(ServeConfig::from_json(&old).unwrap(), cfg);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use hybridcast_core::clock::{Clock, WallClock};
+use hybridcast_core::clock::WallClock;
 use hybridcast_core::shard::{Doorbell, ShardProducer};
 use hybridcast_sim::time::SimTime;
 use hybridcast_workload::catalog::ItemId;

@@ -3,8 +3,8 @@
 //! Everything below `crates/core` is *time-passive*: the scheduler takes
 //! `now` as an argument and never reads a clock. The simulator drives it
 //! from an event heap; this crate drives the identical code from a
-//! [`WallClock`](hybridcast_core::clock::WallClock) behind a TCP (and
-//! Unix-socket-shaped) front end:
+//! [`WallClock`](hybridcast_core::clock::WallClock) behind a TCP front
+//! end:
 //!
 //! * [`frame`] — the tiny length-prefixed wire protocol, including the
 //!   batched [`FrameBatch`](frame::FrameBatch) decoder the event loops run;

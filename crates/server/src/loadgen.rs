@@ -14,11 +14,10 @@
 //! regardless of how connections land on workers.
 //!
 //! Replies are matched to send timestamps by the echoed `seq` and
-//! recorded as per-class round-trip latencies. Quantiles are exact order
-//! statistics up to 4096 samples per class; past that the accumulator
-//! switches to streaming P² estimators (p50/p95 via [`P2Dual`], p99 via
-//! [`P2Quantile`]), replaying the exact prefix — a million-reply run
-//! costs O(1) memory per class instead of a gigabyte of samples.
+//! recorded as per-class round-trip latencies. Quantiles come from a
+//! [`Percentiles`] per class: exact order statistics below 4096 samples,
+//! streaming P² estimators from there — a million-reply run costs O(1)
+//! memory per class instead of a gigabyte of samples.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -31,7 +30,7 @@ use std::time::{Duration, Instant};
 use serde::Serialize;
 
 use hybridcast_sim::dist::{Discrete, Exponential, Zipf};
-use hybridcast_sim::quantile::{P2Dual, P2Quantile};
+use hybridcast_sim::quantile::Percentiles;
 use hybridcast_sim::rng::{RngFactory, Xoshiro256};
 
 use crate::frame::{Frame, FrameBatch, ReplyStatus, RequestFrame};
@@ -41,10 +40,6 @@ use crate::poll::{Epoll, EpollEvent, EPOLLIN, EPOLLOUT};
 const GAP_STREAM: u64 = 0x10_000;
 const ITEM_STREAM: u64 = 0x20_000;
 const CLASS_STREAM: u64 = 0x30_000;
-
-/// Per-class sample count at which RTT accumulation switches from exact
-/// order statistics to streaming P² estimators.
-const EXACT_LIMIT: usize = 4096;
 
 /// Most worker threads the generator spawns; connections are multiplexed.
 const MAX_WORKERS: usize = 4;
@@ -142,8 +137,9 @@ pub struct ClassLoadReport {
     pub rtt_ms: LatencyQuantiles,
 }
 
-/// Latency quantiles: exact order statistics up to [`EXACT_LIMIT`]
-/// samples, streaming P² estimates beyond.
+/// Latency quantiles: exact order statistics below
+/// [`EXACT_CAP`](hybridcast_sim::quantile::EXACT_CAP) samples, streaming
+/// P² estimates from there.
 ///
 /// Quantiles are `Option` because they can legitimately be unknown: an
 /// empty sample has no order statistics, and the P² estimators need at
@@ -174,85 +170,37 @@ pub fn fmt_quantile_ms(q: Option<f64>) -> String {
     }
 }
 
-impl LatencyQuantiles {
-    fn from_samples(mut xs: Vec<f64>) -> Self {
-        if xs.is_empty() {
-            return LatencyQuantiles::default();
-        }
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let n = xs.len();
-        let q = |p: f64| xs[((p * n as f64).ceil() as usize).clamp(1, n) - 1];
-        LatencyQuantiles {
-            count: n as u64,
-            mean: xs.iter().sum::<f64>() / n as f64,
-            p50: Some(q(0.50)),
-            p95: Some(q(0.95)),
-            p99: Some(q(0.99)),
-            max: xs[n - 1],
-        }
-    }
-}
-
-/// Per-class RTT accumulator: exact to [`EXACT_LIMIT`], then P².
+/// Per-class RTT accumulator: count/sum/max here, quantiles from the
+/// shared exact-then-P² [`Percentiles`].
+#[derive(Default)]
 struct RttAccum {
-    exact: Vec<f64>,
-    /// `(p50/p95 dual, p99)` — engaged once the exact buffer overflows,
-    /// seeded by replaying the buffered prefix.
-    p2: Option<(P2Dual, P2Quantile)>,
+    quantiles: Percentiles,
     count: u64,
     sum: f64,
     max: f64,
 }
 
 impl RttAccum {
-    fn new() -> Self {
-        RttAccum {
-            exact: Vec::new(),
-            p2: None,
-            count: 0,
-            sum: 0.0,
-            max: 0.0,
-        }
-    }
-
     fn push(&mut self, x: f64) {
         self.count += 1;
         self.sum += x;
         if x > self.max {
             self.max = x;
         }
-        if let Some((dual, p99)) = &mut self.p2 {
-            dual.push(x);
-            p99.push(x);
-            return;
-        }
-        self.exact.push(x);
-        if self.exact.len() > EXACT_LIMIT {
-            let mut dual = P2Dual::new(0.50, 0.95);
-            let mut p99 = P2Quantile::new(0.99);
-            for &v in &self.exact {
-                dual.push(v);
-                p99.push(v);
-            }
-            self.exact = Vec::new();
-            self.p2 = Some((dual, p99));
-        }
+        self.quantiles.push(x);
     }
 
     fn quantiles(self) -> LatencyQuantiles {
-        match self.p2 {
-            None => LatencyQuantiles::from_samples(self.exact),
-            // An estimator that has not converged reports `None`, not a
-            // made-up 0.0 (the old `unwrap_or(0.0)` masked short runs as
-            // zero-latency ones).
-            Some((dual, p99)) => LatencyQuantiles {
-                count: self.count,
-                mean: self.sum / self.count.max(1) as f64,
-                p50: dual.estimate_lo(),
-                p95: dual.estimate_hi(),
-                p99: p99.estimate(),
-                max: self.max,
-            },
+        // An estimator with nothing to estimate reports `None`, never a
+        // made-up 0.0 that reads like a measured zero-latency run.
+        let [p50, p95, p99] = self.quantiles.estimates();
+        LatencyQuantiles {
+            count: self.count,
+            mean: self.sum / self.count.max(1) as f64,
+            p50,
+            p95,
+            p99,
+            max: self.max,
         }
     }
 }
@@ -322,7 +270,7 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
     let ncls = cfg.class_shares.len();
     let tally = Arc::new(Mutex::new(Tally {
         by_status: vec![[0u64; 5]; ncls],
-        rtt: (0..ncls).map(|_| RttAccum::new()).collect(),
+        rtt: (0..ncls).map(|_| RttAccum::default()).collect(),
     }));
     let nworkers = cfg.connections.min(MAX_WORKERS);
     let start = Instant::now();
@@ -370,7 +318,7 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
                 timed_out: s[3],
                 uplink_lost: s[4],
                 unanswered: per_class_sent[c].saturating_sub(answered),
-                rtt_ms: std::mem::replace(&mut rtts[c], RttAccum::new()).quantiles(),
+                rtt_ms: std::mem::take(&mut rtts[c]).quantiles(),
             }
         })
         .collect();
@@ -655,7 +603,13 @@ mod tests {
 
     #[test]
     fn quantiles_are_exact_order_statistics() {
-        let q = LatencyQuantiles::from_samples((1..=100).map(|i| i as f64).collect());
+        let mut acc = RttAccum::default();
+        // Fed out of order: the exact path selects, it does not assume
+        // sorted input.
+        for i in (1..=100).rev() {
+            acc.push(i as f64);
+        }
+        let q = acc.quantiles();
         assert_eq!(q.count, 100);
         assert_eq!(q.p50, Some(50.0));
         assert_eq!(q.p95, Some(95.0));
@@ -666,7 +620,7 @@ mod tests {
 
     #[test]
     fn empty_sample_reports_unknown_quantiles_not_zeros() {
-        let q = LatencyQuantiles::from_samples(Vec::new());
+        let q = RttAccum::default().quantiles();
         assert_eq!(q.count, 0);
         assert_eq!(q.max, 0.0);
         assert_eq!(q.p50, None);
@@ -697,7 +651,7 @@ mod tests {
 
     #[test]
     fn accumulator_is_exact_below_the_limit() {
-        let mut acc = RttAccum::new();
+        let mut acc = RttAccum::default();
         for i in 1..=100 {
             acc.push(i as f64);
         }
@@ -710,7 +664,7 @@ mod tests {
 
     #[test]
     fn accumulator_switches_to_p2_and_stays_close() {
-        let mut acc = RttAccum::new();
+        let mut acc = RttAccum::default();
         // Deterministic shuffle of 1..=20000 via an LCG permutation.
         let n = 20_000u64;
         let mut x = 1u64;
@@ -718,7 +672,6 @@ mod tests {
             x = (x * 48271) % 0x7fff_ffff;
             acc.push((x % n + 1) as f64);
         }
-        assert!(acc.p2.is_some(), "past the limit the estimators engage");
         let q = acc.quantiles();
         assert_eq!(q.count, n);
         // P² tolerance: a few percent on a well-behaved sample.
@@ -736,13 +689,13 @@ mod tests {
     fn unfed_p2_reports_none_not_zero() {
         // An engaged-but-unfed estimator has no estimate. The old
         // `unwrap_or(0.0)` turned this into a reported zero-millisecond
-        // quantile; it must surface as `None` instead. (Direct
-        // construction — the accumulator itself only engages P² past
-        // EXACT_LIMIT samples.)
-        let mut acc = RttAccum::new();
-        acc.p2 = Some((P2Dual::new(0.50, 0.95), P2Quantile::new(0.99)));
+        // quantile; it must surface as `None` instead. (P² drops
+        // non-finite samples, so a buffer of them engages it unfed.)
+        let mut acc = RttAccum::default();
+        for _ in 0..hybridcast_sim::quantile::EXACT_CAP {
+            acc.push(f64::NAN);
+        }
         let q = acc.quantiles();
-        assert_eq!(q.count, 0);
         assert_eq!(q.p50, None);
         assert_eq!(q.p95, None);
         assert_eq!(q.p99, None);

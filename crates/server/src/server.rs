@@ -49,7 +49,7 @@ use serde::Serialize;
 use hybridcast_core::channel::{
     channel_cores, Books, ChannelCore, ChannelCounters, Outcome, Resolution,
 };
-use hybridcast_core::clock::{Clock, WallClock};
+use hybridcast_core::clock::WallClock;
 use hybridcast_core::shard::{ring as shard_ring, Doorbell, ShardConsumer, ShardSet};
 use hybridcast_ops::trace::VERSION as TRACE_VERSION;
 use hybridcast_ops::{

@@ -201,12 +201,6 @@ impl Discrete {
         self.probs.is_empty()
     }
 
-    /// Expected value treating outcome `i` as the number `values[i]`.
-    pub fn mean_of(&self, values: &[f64]) -> f64 {
-        assert_eq!(values.len(), self.probs.len());
-        self.probs.iter().zip(values).map(|(p, v)| p * v).sum()
-    }
-
     /// Draws an outcome index.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
@@ -412,14 +406,6 @@ mod tests {
         let tail = z.mass(3..10);
         assert!((head + tail - 1.0).abs() < 1e-9);
         assert!(head > 0.3); // the head carries the bulk under skew
-    }
-
-    #[test]
-    fn discrete_mean_of() {
-        let d = Discrete::new(&[1.0, 1.0, 2.0]);
-        let mean = d.mean_of(&[0.0, 1.0, 2.0]);
-        // probs are 0.25, 0.25, 0.5 → mean = 0.25 + 1.0 = 1.25
-        assert!((mean - 1.25).abs() < 1e-12);
     }
 
     #[test]

@@ -38,8 +38,6 @@ pub enum StopReason {
     QueueEmpty,
     /// The next event lies beyond the configured horizon.
     HorizonReached,
-    /// The event-count budget was exhausted.
-    BudgetExhausted,
 }
 
 /// Summary of one `run` invocation.
@@ -138,7 +136,7 @@ impl<E> Engine<E> {
     where
         H: FnMut(&mut Engine<E>, E),
     {
-        self.run_bounded(None, None, &mut handler)
+        self.run_bounded(None, &mut handler)
     }
 
     /// Runs until the queue drains or the clock would pass `horizon`.
@@ -149,33 +147,15 @@ impl<E> Engine<E> {
     where
         H: FnMut(&mut Engine<E>, E),
     {
-        self.run_bounded(Some(horizon), None, &mut handler)
+        self.run_bounded(Some(horizon), &mut handler)
     }
 
-    /// Runs until the queue drains or `budget` events have been delivered.
-    pub fn run_events<H>(&mut self, budget: u64, mut handler: H) -> RunStats
-    where
-        H: FnMut(&mut Engine<E>, E),
-    {
-        self.run_bounded(None, Some(budget), &mut handler)
-    }
-
-    fn run_bounded<H>(
-        &mut self,
-        horizon: Option<SimTime>,
-        budget: Option<u64>,
-        handler: &mut H,
-    ) -> RunStats
+    fn run_bounded<H>(&mut self, horizon: Option<SimTime>, handler: &mut H) -> RunStats
     where
         H: FnMut(&mut Engine<E>, E),
     {
         let mut delivered = 0u64;
         let stop = loop {
-            if let Some(b) = budget {
-                if delivered >= b {
-                    break StopReason::BudgetExhausted;
-                }
-            }
             if let Some(h) = horizon {
                 match self.queue.peek_time() {
                     Some(t) if t > h => break StopReason::HorizonReached,
@@ -202,11 +182,6 @@ impl<E> Engine<E> {
             end_time: self.now,
             stop,
         }
-    }
-
-    /// Drops every pending event; the clock is untouched.
-    pub fn clear_pending(&mut self) {
-        self.queue.clear();
     }
 
     /// Removes and returns every pending event in timestamp order without
@@ -290,18 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn event_budget_is_respected() {
-        let mut eng = Engine::new();
-        for i in 0..100 {
-            eng.schedule_at(SimTime::new(i as f64), Ev::Tick(i));
-        }
-        let stats = eng.run_events(30, |_, _| {});
-        assert_eq!(stats.events_processed, 30);
-        assert_eq!(stats.stop, StopReason::BudgetExhausted);
-        assert_eq!(eng.pending(), 70);
-    }
-
-    #[test]
     #[should_panic(expected = "past")]
     fn scheduling_into_the_past_panics() {
         let mut eng = Engine::new();
@@ -346,15 +309,5 @@ mod tests {
         // the clock and the processed counter are untouched
         assert_eq!(eng.now(), SimTime::new(2.0));
         assert_eq!(eng.events_processed(), 2);
-    }
-
-    #[test]
-    fn clear_pending_empties_queue() {
-        let mut eng: Engine<Ev> = Engine::new();
-        eng.schedule_at(SimTime::new(1.0), Ev::Tick(1));
-        eng.clear_pending();
-        assert_eq!(eng.pending(), 0);
-        let stats = eng.run(|_, _| {});
-        assert_eq!(stats.events_processed, 0);
     }
 }

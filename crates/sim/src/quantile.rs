@@ -5,7 +5,8 @@
 //! whose heights approximate the quantile's position via piecewise-
 //! parabolic interpolation. Accurate to a few percent for unimodal delay
 //! distributions — exactly what per-class p95/p99 reporting needs without
-//! storing millions of samples.
+//! storing millions of samples. [`Percentiles`] is the accumulator the
+//! recorders use: exact while a stream is short, P² once it is not.
 
 use serde::{Deserialize, Serialize};
 
@@ -82,13 +83,18 @@ fn linear<const N: usize>(h: &[f64; N], p: &[i64; N], i: usize, s: f64) -> f64 {
     h[i] + s * (h[j] - h[i]) / (p[j] - p[i]) as f64
 }
 
+/// Zero-based index of the ceil-rank `q`-quantile among `n ≥ 1` sorted
+/// samples — the one exact-order-statistic convention of this module.
+fn ceil_rank(q: f64, n: usize) -> usize {
+    ((q * n as f64).ceil() as usize).clamp(1, n) - 1
+}
+
 /// Exact ceil-rank order statistic of the first `n` seeded heights, used
 /// by both estimators before their markers are live.
 fn exact_prefix<const N: usize>(heights: &[f64; N], n: usize, q: f64) -> f64 {
     let mut v: Vec<f64> = heights[..n].to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-    v[rank - 1]
+    v[ceil_rank(q, n)]
 }
 
 /// P² estimator for one quantile `q ∈ (0, 1)`.
@@ -134,11 +140,6 @@ impl P2Quantile {
             increments: [q / 2.0, q, (1.0 + q) / 2.0],
             count: 0,
         }
-    }
-
-    /// The tracked quantile parameter.
-    pub fn q(&self) -> f64 {
-        self.q
     }
 
     /// Observations folded in so far.
@@ -246,11 +247,6 @@ impl P2Dual {
         }
     }
 
-    /// The tracked quantile pair.
-    pub fn quantiles(&self) -> (f64, f64) {
-        (self.q_lo, self.q_hi)
-    }
-
     /// Observations folded in so far.
     pub fn count(&self) -> u64 {
         self.count
@@ -308,6 +304,86 @@ impl P2Dual {
     /// samples or fewer, falls back to the exact order statistic.
     pub fn estimate_hi(&self) -> Option<f64> {
         self.estimate_at(4, self.q_hi)
+    }
+}
+
+/// Samples a [`Percentiles`] holds exactly before it starts streaming.
+pub const EXACT_CAP: usize = 4096;
+
+/// p50/p95/p99 of one sample stream: *exact* ceil-rank order statistics
+/// while fewer than [`EXACT_CAP`] samples have arrived (an O(n) selection
+/// per read), streaming P² estimates from then on — the buffered prefix
+/// is replayed into a [`P2Dual`] (p50/p95) and a [`P2Quantile`] (p99) and
+/// the remainder streams through them, so memory stays bounded however
+/// long the stream runs.
+///
+/// Buffering first is also the cheaper path: selection is ~3× cheaper per
+/// sample than P² marker updates, and the one-off replay runs the
+/// estimators' branch-heavy inner loop hot in one tight batch instead of
+/// interleaved with the caller's code. `default()` is the empty stream.
+#[derive(Debug, Clone, Default)]
+pub struct Percentiles {
+    exact: Vec<f64>,
+    p2: Option<(P2Dual, P2Quantile)>,
+}
+
+impl Percentiles {
+    /// Forgets every sample, keeping the exact buffer's capacity.
+    pub fn clear(&mut self) {
+        self.exact.clear();
+        self.p2 = None;
+    }
+
+    /// Folds one finite sample in.
+    ///
+    /// `#[inline]`: sits on the per-completion path of the telemetry
+    /// recorder, invoked cross-crate.
+    #[inline]
+    pub fn push(&mut self, x: f64) {
+        if let Some((dual, p99)) = &mut self.p2 {
+            dual.push(x);
+            p99.push(x);
+        } else {
+            self.exact.push(x);
+            if self.exact.len() >= EXACT_CAP {
+                self.engage_p2();
+            }
+        }
+    }
+
+    /// Replays the buffer into fresh streaming estimators (once per
+    /// stream; outlined to keep `push` small).
+    #[inline(never)]
+    fn engage_p2(&mut self) {
+        let mut dual = P2Dual::new(0.5, 0.95);
+        let mut p99 = P2Quantile::new(0.99);
+        for &x in &self.exact {
+            dual.push(x);
+            p99.push(x);
+        }
+        self.exact.clear();
+        self.p2 = Some((dual, p99));
+    }
+
+    /// `[p50, p95, p99]`; each `None` while there is nothing to estimate
+    /// it from.
+    pub fn estimates(&self) -> [Option<f64>; 3] {
+        if let Some((dual, p99)) = &self.p2 {
+            return [dual.estimate_lo(), dual.estimate_hi(), p99.estimate()];
+        }
+        let n = self.exact.len();
+        if n == 0 {
+            return [None; 3];
+        }
+        // Selecting the p99 rank first lets the lower ranks select
+        // within ever smaller prefixes.
+        let (i50, i95, i99) = (ceil_rank(0.5, n), ceil_rank(0.95, n), ceil_rank(0.99, n));
+        let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("finite");
+        let mut scratch = self.exact.clone();
+        let p99 = *scratch.select_nth_unstable_by(i99, cmp).1;
+        let p95 = *scratch[..=i99].select_nth_unstable_by(i95, cmp).1;
+        let p50 = *scratch[..=i95].select_nth_unstable_by(i50, cmp).1;
+        [Some(p50), Some(p95), Some(p99)]
     }
 }
 

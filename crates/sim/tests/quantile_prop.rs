@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 
-use hybridcast_sim::quantile::P2Quantile;
+use hybridcast_sim::quantile::{P2Quantile, Percentiles, EXACT_CAP};
 use hybridcast_sim::rng::Xoshiro256;
 
 /// Exact quantile under the same ceil-rank convention `estimate()` uses
@@ -90,6 +90,67 @@ proptest! {
         }
         prop_assert_eq!(p.estimate(), Some(exact_quantile(xs, q)));
     }
+
+    /// Below its cap the exact-then-P² accumulator *is* the sort-based
+    /// ceil-rank order statistic, for any inputs in any order.
+    #[test]
+    fn percentiles_below_the_cap_equal_the_sorted_oracle(
+        xs in proptest::collection::vec(-1e6f64..1e6, 1..600),
+    ) {
+        let mut acc = Percentiles::default();
+        for &x in &xs {
+            acc.push(x);
+        }
+        let want = [0.5, 0.95, 0.99].map(|q| Some(exact_quantile(xs.clone(), q)));
+        prop_assert_eq!(acc.estimates(), want);
+    }
+}
+
+#[test]
+fn percentiles_are_unknown_when_empty_and_again_after_clear() {
+    let mut acc = Percentiles::default();
+    assert_eq!(acc.estimates(), [None; 3]);
+    acc.push(3.0);
+    assert_eq!(acc.estimates(), [Some(3.0); 3]);
+    acc.clear();
+    assert_eq!(acc.estimates(), [None; 3]);
+}
+
+/// One pinned stream across the exact→streaming switch. The expected
+/// values were printed by the telemetry recorder's per-class accumulator
+/// *before* the logic moved into `Percentiles` (same samples, same order),
+/// so equality here is the bit-identity of that move: exact at 4095
+/// samples, P² replayed from the buffer at the 4096th.
+#[test]
+fn percentiles_match_the_recorder_they_were_lifted_from() {
+    let mut rng = Xoshiro256::new(0x5EED);
+    let xs: Vec<f64> = (0..10_000)
+        .map(|_| rng.next_f64())
+        .map(|u| u * u * 100.0)
+        .collect();
+    let exact = [25.756825992370068, 89.5451816486157, 97.95457571080311];
+    let mut acc = Percentiles::default();
+    let mut n = 0;
+    for (upto, want) in [
+        (EXACT_CAP - 1, exact),
+        (
+            EXACT_CAP,
+            [25.653422272791982, 89.35522662853042, 97.8881317428179],
+        ),
+        (
+            xs.len(),
+            [25.07607668731213, 89.70446382399783, 98.00091461377042],
+        ),
+    ] {
+        xs[n..upto].iter().for_each(|&x| acc.push(x));
+        n = upto;
+        assert_eq!(acc.estimates(), want.map(Some), "after {n} samples");
+    }
+    let prefix = &xs[..EXACT_CAP - 1];
+    assert_eq!(
+        [0.5, 0.95, 0.99].map(|q| exact_quantile(prefix.to_vec(), q)),
+        exact
+    );
 }
 
 #[test]

@@ -162,11 +162,6 @@ impl AggregatedSeries {
         }
         out
     }
-
-    /// Writes [`Self::to_jsonl`] to `path`.
-    pub fn write_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
-    }
 }
 
 #[cfg(test)]

@@ -6,9 +6,9 @@
 //! containing its timestamp; gauges (queue depth, push-set size K) are
 //! integrated piecewise-constantly inside each window, so their per-window
 //! mean is exact regardless of how bursty the updates are. Delay
-//! quantiles are exact order statistics for windows with up to 4096
-//! completions per class; hotter windows engage a fresh extended-P²
-//! estimator, so memory stays bounded and a window's p50/p95 always
+//! quantiles are exact order statistics for windows with fewer than 4096
+//! completions per class; hotter windows engage fresh P² estimators
+//! ([`Percentiles`]), so memory stays bounded and a window's p50/p95 always
 //! reflects only completions inside it.
 //!
 //! Unlike `MetricsCollector`, the recorder applies **no warm-up gating**:
@@ -16,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use hybridcast_sim::quantile::{P2Dual, P2Quantile};
+use hybridcast_sim::quantile::Percentiles;
 use hybridcast_sim::time::SimTime;
 use hybridcast_workload::catalog::Catalog;
 use hybridcast_workload::classes::ClassSet;
@@ -100,48 +100,13 @@ impl GaugeTrack {
     }
 }
 
-/// Delay samples per class per window held exactly before the streaming
-/// estimator takes over: windows at or below the cap report *exact*
-/// ceil-rank order statistics from the buffer (an O(n) selection at window
-/// close); beyond it, the buffered prefix is replayed into a [`P2Dual`]
-/// and the remainder streams through it, so memory stays bounded no matter
-/// how hot a window gets.
-const EXACT_DELAY_CAP: usize = 4096;
-
-/// Exact ceil-rank (p50, p95, p99) of `delays` via three partial
-/// selections — the same convention as `P2Dual`'s small-stream fallback.
-/// Selecting the p99 rank first lets the lower ranks select within ever
-/// smaller prefixes.
-#[allow(clippy::type_complexity)]
-fn exact_quantiles(delays: &[f64]) -> (Option<f64>, Option<f64>, Option<f64>) {
-    let n = delays.len();
-    if n == 0 {
-        return (None, None, None);
-    }
-    let mut scratch = delays.to_vec();
-    let i99 = ((0.99 * n as f64).ceil() as usize).clamp(1, n) - 1;
-    let i95 = ((0.95 * n as f64).ceil() as usize).clamp(1, n) - 1;
-    let i50 = ((0.5 * n as f64).ceil() as usize).clamp(1, n) - 1;
-    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("finite");
-    let (_, p99, _) = scratch.select_nth_unstable_by(i99, cmp);
-    let p99 = *p99;
-    let (_, p95, _) = scratch[..=i99].select_nth_unstable_by(i95, cmp);
-    let p95 = *p95;
-    let (_, p50, _) = scratch[..=i95].select_nth_unstable_by(i50, cmp);
-    (Some(*p50), Some(p95), Some(p99))
-}
-
 /// Per-class accumulators for the current window.
 ///
 /// Delay/stretch means use plain sums rather than `Welford` accumulators:
 /// only the mean and max are reported per window, and the slimmer update
 /// keeps the per-completion cost inside the overhead budget
-/// (`BENCH_telemetry`). Delay quantiles buffer samples up to
-/// [`EXACT_DELAY_CAP`] (exact selection at close) before engaging the
-/// streaming P² estimator — selection is ~3× cheaper per sample than P²
-/// marker updates and exact, and the rare overflow path replays the buffer
-/// into the estimator in one tight batch so its branch-heavy inner loop
-/// runs hot instead of interleaving with simulator code.
+/// (`BENCH_telemetry`). Delay quantiles come from a [`Percentiles`]:
+/// exact selection at window close below its cap, P² beyond.
 #[derive(Debug, Clone)]
 struct ClassAccum {
     arrivals: u64,
@@ -154,9 +119,7 @@ struct ClassAccum {
     uplink_latency_sum: f64,
     delay_sum: f64,
     delay_max: f64,
-    delays: Vec<f64>,
-    delay_q: Option<P2Dual>,
-    delay_q99: Option<P2Quantile>,
+    delays: Percentiles,
     stretch_sum: f64,
 }
 
@@ -173,9 +136,7 @@ impl ClassAccum {
             uplink_latency_sum: 0.0,
             delay_sum: 0.0,
             delay_max: f64::NEG_INFINITY,
-            delays: Vec::new(),
-            delay_q: None,
-            delay_q99: None,
+            delays: Percentiles::default(),
             stretch_sum: 0.0,
         }
     }
@@ -184,52 +145,15 @@ impl ClassAccum {
     fn reset(&mut self) {
         let mut delays = std::mem::take(&mut self.delays);
         delays.clear();
-        *self = ClassAccum::new();
-        self.delays = delays;
-    }
-
-    /// Folds one completion delay in (see [`EXACT_DELAY_CAP`]).
-    #[inline]
-    fn push_delay(&mut self, delay: f64) {
-        if let Some(q) = &mut self.delay_q {
-            q.push(delay);
-            self.delay_q99
-                .as_mut()
-                .expect("engaged together")
-                .push(delay);
-        } else {
-            self.delays.push(delay);
-            if self.delays.len() >= EXACT_DELAY_CAP {
-                self.engage_p2();
-            }
-        }
-    }
-
-    /// Replays the buffered delays into a fresh streaming estimator (the
-    /// rare hot-window overflow; outlined to keep `push_delay` small).
-    #[inline(never)]
-    fn engage_p2(&mut self) {
-        let mut q = P2Dual::new(0.5, 0.95);
-        let mut q99 = P2Quantile::new(0.99);
-        for &d in &self.delays {
-            q.push(d);
-            q99.push(d);
-        }
-        self.delays.clear();
-        self.delay_q = Some(q);
-        self.delay_q99 = Some(q99);
+        *self = ClassAccum {
+            delays,
+            ..ClassAccum::new()
+        };
     }
 
     fn snapshot(&self, width: f64) -> ClassWindow {
         let n = self.served;
-        let (p50, p95, p99) = match &self.delay_q {
-            Some(q) => (
-                q.estimate_lo(),
-                q.estimate_hi(),
-                self.delay_q99.as_ref().and_then(|q| q.estimate()),
-            ),
-            None => exact_quantiles(&self.delays),
-        };
+        let [p50, p95, p99] = self.delays.estimates();
         ClassWindow {
             arrivals: self.arrivals,
             served: self.served,
@@ -286,11 +210,11 @@ pub struct ClassWindow {
     pub uplink_latency_mean: Option<f64>,
     /// Mean access delay of completions in the window.
     pub delay_mean: Option<f64>,
-    /// Median access delay (exact up to 4096 completions, P² beyond).
+    /// Median access delay (exact below 4096 completions, P² from there).
     pub delay_p50: Option<f64>,
-    /// 95th-percentile access delay (exact up to 4096 completions, P² beyond).
+    /// 95th-percentile access delay (exact below 4096 completions, P² from there).
     pub delay_p95: Option<f64>,
-    /// 99th-percentile access delay (exact up to 4096 completions, P² beyond;
+    /// 99th-percentile access delay (exact below 4096 completions, P² from there;
     /// `None` for series recorded before the field existed).
     #[serde(default)]
     pub delay_p99: Option<f64>,
@@ -363,11 +287,6 @@ impl TimeSeries {
             out.push('\n');
         }
         out
-    }
-
-    /// Writes [`Self::to_jsonl`] to `path`.
-    pub fn write_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
     }
 }
 
@@ -529,7 +448,7 @@ impl Sink for WindowRecorder {
                 if delay > acc.delay_max {
                     acc.delay_max = delay;
                 }
-                acc.push_delay(delay);
+                acc.delays.push(delay);
                 let len = self.lengths[item.0 as usize] as f64;
                 acc.stretch_sum += delay / len.max(1.0);
             }
