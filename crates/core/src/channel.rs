@@ -2,10 +2,10 @@
 //!
 //! A [`HybridScheduler`] decides *what airs next*; a [`ChannelCore`] wraps
 //! one and owns everything about *who is waiting for it*: the live-request
-//! table, push and pull waiters, the deadline and uplink-delivery heaps,
-//! the in-flight transmission with the batch it will satisfy, and the
-//! books. It is **time-passive** — it never reads a clock. A driver tells
-//! it what time it is:
+//! slab, one push-waiter and one pull-waiter list per catalog item, the
+//! deadline and uplink-delivery heaps, the in-flight transmission with
+//! the batch it will satisfy, and the books. It is **time-passive** — it
+//! never reads a clock. A driver tells it what time it is:
 //!
 //! * `hybridcastd` (`T = (seq, Conn)`, `S = WindowRecorder`) calls
 //!   [`advance`](ChannelCore::advance) / [`dispatch`](ChannelCore::dispatch)
@@ -24,13 +24,19 @@
 //! [`Sink`]. Outbox, tag and sink are type parameters: the tick has no
 //! `dyn`, no lock and no per-request allocation of its own.
 //!
+//! Cost model: one broadcast answers every request outstanding for *that
+//! item*, so a transmission costs O(requests it answers) — it walks the
+//! aired item's waiter list and nobody else's — and every per-request
+//! step (file, look up, answer) is an index into a dense table: O(1), no
+//! hashing.
+//!
 //! One deliberate asymmetry with the simulator: a request that times out
 //! while queued leaves its aggregated entry in the pull queue (the queue
 //! has no per-requester removal), so the scheduler may still air the
 //! item. The stale requester is skipped at completion.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::ops::AddAssign;
 
 use serde::Serialize;
@@ -234,21 +240,106 @@ impl AddAssign<&Books> for Books {
 
 /// A request the channel still owes an answer.
 struct LiveReq<T> {
+    /// The ingest counter that filled this slot (see [`Handle`]).
+    id: u64,
     tag: T,
     item: ItemId,
     class: ClassId,
     /// Raw ingest stamp: prices the wait, never clamped.
     ingest: SimTime,
+    /// Filed in `push_waiters`, so counted in `live_push`.
+    push: bool,
+}
+
+/// A live request's address in the slab. `id` is the monotone ingest
+/// counter: it is what the heaps break ties on and what the final shed
+/// sorts by (both must follow ingest order for a replay to repeat), and it
+/// is the guard that makes a reused `slot` reject a handle to the request
+/// that held it before. `id` is unique, so `slot` never decides an order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Handle {
+    id: u64,
+    slot: u32,
+}
+
+/// The live-request table: a slab whose freed slots are reused, so filing,
+/// finding and answering a request are each one index.
+struct Slab<T> {
+    slots: Vec<Option<LiveReq<T>>>,
+    free: Vec<u32>,
+    next_id: u64,
+}
+
+impl<T> Slab<T> {
+    fn new() -> Slab<T> {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+            next_id: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// Files a request under the next ingest id.
+    fn insert(&mut self, tag: T, item: ItemId, class: ClassId, ingest: SimTime) -> Handle {
+        let id = self.next_id;
+        self.next_id += 1;
+        let req = LiveReq {
+            id,
+            tag,
+            item,
+            class,
+            ingest,
+            push: false,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(req);
+                slot
+            }
+            None => {
+                self.slots.push(Some(req));
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 live requests")
+            }
+        };
+        Handle { id, slot }
+    }
+
+    /// The request `handle` was issued for, if it is still live.
+    fn get_mut(&mut self, handle: Handle) -> Option<&mut LiveReq<T>> {
+        self.slots[handle.slot as usize]
+            .as_mut()
+            .filter(|req| req.id == handle.id)
+    }
+
+    fn remove(&mut self, handle: Handle) -> Option<LiveReq<T>> {
+        self.get_mut(handle)?;
+        self.free.push(handle.slot);
+        self.slots[handle.slot as usize].take()
+    }
+
+    /// Every live request's handle, lowest id first.
+    fn handles(&self) -> Vec<Handle> {
+        let mut handles: Vec<Handle> = (0u32..)
+            .zip(&self.slots)
+            .filter_map(|(slot, req)| req.as_ref().map(|req| Handle { id: req.id, slot }))
+            .collect();
+        handles.sort_unstable();
+        handles
+    }
 }
 
 struct Inflight {
     tx: Transmission,
-    /// Pull: the waiter ids snapshotted at dispatch (the same batch the
+    /// Pull: the item's waiter list taken at dispatch (the same batch the
     /// scheduler removed from its queue). Push: empty.
-    batch: Vec<u64>,
+    batch: Vec<Handle>,
 }
 
-type DueHeap = BinaryHeap<Reverse<(SimTime, u64)>>;
+type DueHeap = BinaryHeap<Reverse<(SimTime, Handle)>>;
 
 /// One core per broadcast channel of `hybrid`'s layout (a single one
 /// outside the sharded layout), each over its own scheduler shard — built
@@ -260,6 +351,7 @@ pub fn channel_cores<T, S: Sink>(
     mut sink: impl FnMut() -> S,
 ) -> (Vec<ChannelCore<T, S>>, ChannelPlan) {
     let num_classes = scenario.classes.len();
+    let num_items = scenario.catalog.len();
     let sharded = ShardedScheduler::new(
         scenario.catalog.clone(),
         scenario.classes.clone(),
@@ -276,10 +368,11 @@ pub fn channel_cores<T, S: Sink>(
                 .uplink
                 .map(|cfg| UplinkChannel::new(cfg, scenario.factory.stream(lane), num_classes)),
             sink: sink(),
-            live: HashMap::new(),
-            next_id: 0,
-            push_waiters: Vec::new(),
-            pull_waiters: HashMap::new(),
+            live: Slab::new(),
+            push_waiters: vec![Vec::new(); num_items],
+            live_push: 0,
+            pull_waiters: vec![Vec::new(); num_items],
+            spare: Vec::new(),
             timeouts: BinaryHeap::new(),
             deliveries: BinaryHeap::new(),
             inflight: None,
@@ -294,13 +387,22 @@ pub struct ChannelCore<T, S: Sink> {
     scheduler: HybridScheduler,
     uplink: Option<UplinkChannel>,
     sink: S,
-    live: HashMap<u64, LiveReq<T>>,
-    next_id: u64,
-    /// `(id, scheduler_arrival)` of requests waiting for a push-set item.
-    push_waiters: Vec<(u64, SimTime)>,
-    /// Pull waiters per item; drained wholesale at dispatch, never
-    /// iterated (so map order cannot leak into the books).
-    pull_waiters: HashMap<ItemId, Vec<u64>>,
+    live: Slab<T>,
+    /// Per catalog item, in filing order: `(handle, scheduler_arrival)` of
+    /// the requests waiting for its next broadcast. A waiter answered some
+    /// other way (timed out, shed) keeps its entry until the item airs.
+    push_waiters: Vec<Vec<(Handle, SimTime)>>,
+    /// Live requests filed in `push_waiters` — exact, unlike the lists'
+    /// lengths: the push half of `dispatch`'s demand test.
+    live_push: usize,
+    /// Per catalog item, in filing order: the requesters behind its
+    /// pull-queue entry. Taken whole when the scheduler takes the entry
+    /// (dispatch or admission drop), so an item's list is the batch.
+    pull_waiters: Vec<Vec<Handle>>,
+    /// Emptied batch vectors, reused by the next item whose list has no
+    /// buffer; there are never more than the peak number of items waited
+    /// on at once.
+    spare: Vec<Vec<Handle>>,
     timeouts: DueHeap,
     /// Requests in flight on the uplink.
     deliveries: DueHeap,
@@ -369,6 +471,9 @@ impl<T, S: Sink> ChannelCore<T, S> {
         wait: f64,
         out: &mut impl FnMut(Resolution<T>),
     ) {
+        if req.push {
+            self.live_push -= 1;
+        }
         let class = &mut self.books.per_class[req.class.index()];
         self.books.total.count(outcome);
         class.tally.count(outcome);
@@ -404,17 +509,10 @@ impl<T, S: Sink> ChannelCore<T, S> {
             item,
             class,
         });
-        let id = self.next_id;
-        self.next_id += 1;
+        let handle = self.live.insert(tag, item, class, stamp);
         if let Some(due) = deadline {
-            self.timeouts.push(Reverse((due, id)));
+            self.timeouts.push(Reverse((due, handle)));
         }
-        let req = LiveReq {
-            tag,
-            item,
-            class,
-            ingest: stamp,
-        };
         match self.uplink.as_mut().map(|up| up.transmit(class)) {
             Some(UplinkOutcome::Lost) => {
                 emit(&mut self.sink, || TelemetryEvent::UplinkLoss {
@@ -422,16 +520,13 @@ impl<T, S: Sink> ChannelCore<T, S> {
                     item,
                     class,
                 });
+                let req = self.live.remove(handle).expect("just inserted");
                 self.resolve(req, Outcome::UplinkLost, 0.0, &mut out);
             }
             Some(UplinkOutcome::Delivered(latency)) => {
-                self.live.insert(id, req);
-                self.deliveries.push(Reverse((stamp + latency, id)));
+                self.deliveries.push(Reverse((stamp + latency, handle)));
             }
-            None => {
-                self.live.insert(id, req);
-                self.route(id, item, class, stamp);
-            }
+            None => self.route(handle, item, class, stamp),
         }
     }
 
@@ -462,16 +557,24 @@ impl<T, S: Sink> ChannelCore<T, S> {
     /// Hands a live request to the scheduler at `arrival` (clamped through
     /// the cursor; the raw ingest stamp still prices its wait) and files
     /// it under the transmission kind that will serve it.
-    fn route(&mut self, id: u64, item: ItemId, class: ClassId, arrival: SimTime) {
+    fn route(&mut self, handle: Handle, item: ItemId, class: ClassId, arrival: SimTime) {
         let arrival = self.tick(arrival);
         match self.scheduler.on_request(&Request {
             arrival,
             item,
             class,
         }) {
-            Disposition::PushIgnored => self.push_waiters.push((id, arrival)),
+            Disposition::PushIgnored => {
+                self.live.get_mut(handle).expect("routed while live").push = true;
+                self.live_push += 1;
+                self.push_waiters[item.index()].push((handle, arrival));
+            }
             Disposition::Queued => {
-                self.pull_waiters.entry(item).or_default().push(id);
+                let waiters = &mut self.pull_waiters[item.index()];
+                if waiters.capacity() == 0 {
+                    *waiters = self.spare.pop().unwrap_or_default();
+                }
+                waiters.push(handle);
                 self.gauge(arrival);
             }
         }
@@ -491,14 +594,15 @@ impl<T, S: Sink> ChannelCore<T, S> {
     /// Fires everything due at or before `now`: uplink deliveries, then
     /// deadlines, then the in-flight completion. A late `now` is fine —
     /// each event is processed at its own due time, clamped through the
-    /// cursor.
-    pub fn advance(&mut self, now: SimTime, mut out: impl FnMut(Resolution<T>)) {
-        while let Some(&Reverse((due, id))) = self.deliveries.peek() {
+    /// cursor. Returns the due stamp of the completion it fired, if any,
+    /// so a wall-clock driver can see how late it ran.
+    pub fn advance(&mut self, now: SimTime, mut out: impl FnMut(Resolution<T>)) -> Option<SimTime> {
+        while let Some(&Reverse((due, handle))) = self.deliveries.peek() {
             if due > now {
                 break;
             }
             self.deliveries.pop();
-            let Some(req) = self.live.get(&id) else {
+            let Some(req) = self.live.get_mut(handle) else {
                 continue; // timed out while on the uplink
             };
             let (item, class, ingest) = (req.item, req.class, req.ingest);
@@ -509,42 +613,46 @@ impl<T, S: Sink> ChannelCore<T, S> {
                 class,
                 latency: due - ingest,
             });
-            self.route(id, item, class, due);
+            self.route(handle, item, class, due);
         }
-        while let Some(&Reverse((due, id))) = self.timeouts.peek() {
+        while let Some(&Reverse((due, handle))) = self.timeouts.peek() {
             if due > now {
                 break;
             }
             self.timeouts.pop();
-            if let Some(req) = self.live.remove(&id) {
+            if let Some(req) = self.live.remove(handle) {
                 let wait = due.since(req.ingest).as_f64();
                 self.resolve(req, Outcome::TimedOut, wait, &mut out);
             }
         }
-        if matches!(&self.inflight, Some(inf) if now.reached(inf.tx.completes_at())) {
+        let due = self.inflight.as_ref()?.tx.completes_at();
+        now.reached(due).then(|| {
             self.complete(&mut out);
-        }
+            due
+        })
     }
 
     /// Starts the next transmission at `now` if the downlink is idle and
     /// anyone is waiting; queue entries the bandwidth check rejects on the
     /// way are shed.
     pub fn dispatch(&mut self, now: SimTime, mut out: impl FnMut(Resolution<T>)) {
-        let demand = !self.scheduler.queue().is_empty() || !self.push_waiters.is_empty();
+        let demand = !self.scheduler.queue().is_empty() || self.live_push > 0;
         if self.inflight.is_some() || !demand {
             return;
         }
         let now = self.tick(now);
         let (tx, dropped) = self.scheduler.next_transmission(now);
         for entry in dropped {
-            for id in self.pull_waiters.remove(&entry.item).unwrap_or_default() {
-                self.shed(id, now, &mut out);
+            let mut batch = std::mem::take(&mut self.pull_waiters[entry.item.index()]);
+            for handle in batch.drain(..) {
+                self.shed(handle, now, &mut out);
             }
+            self.spare.push(batch);
             self.scheduler.recycle(entry);
         }
         if let Some(tx) = tx {
             let batch = match tx.kind {
-                TxKind::Pull => self.pull_waiters.remove(&tx.item).unwrap_or_default(),
+                TxKind::Pull => std::mem::take(&mut self.pull_waiters[tx.item.index()]),
                 TxKind::Push => Vec::new(),
             };
             self.gauge(now);
@@ -555,17 +663,15 @@ impl<T, S: Sink> ChannelCore<T, S> {
     /// Sheds every request still live, lowest id first — the driver's
     /// drain budget ran out.
     pub fn shed_remaining(&mut self, now: SimTime, mut out: impl FnMut(Resolution<T>)) {
-        let mut ids: Vec<u64> = self.live.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            self.shed(id, now, &mut out);
+        for handle in self.live.handles() {
+            self.shed(handle, now, &mut out);
         }
-        self.push_waiters.clear();
-        self.pull_waiters.clear();
+        self.push_waiters.iter_mut().for_each(Vec::clear);
+        self.pull_waiters.iter_mut().for_each(Vec::clear);
     }
 
-    fn shed(&mut self, id: u64, now: SimTime, out: &mut impl FnMut(Resolution<T>)) {
-        let Some(req) = self.live.remove(&id) else {
+    fn shed(&mut self, handle: Handle, now: SimTime, out: &mut impl FnMut(Resolution<T>)) {
+        let Some(req) = self.live.remove(handle) else {
             return; // already timed out
         };
         let (item, class) = (req.item, req.class);
@@ -596,21 +702,18 @@ impl<T, S: Sink> ChannelCore<T, S> {
                     item,
                     duration,
                 });
-                // Waiters who tuned in before this slot started are done;
-                // later ones catch the item's next broadcast. Answered ids
-                // (timed out, shed) drop out here.
-                let mut waiters = std::mem::take(&mut self.push_waiters);
-                waiters.retain(|&(id, arrival)| {
-                    let Some(req) = self.live.get(&id) else {
-                        return false;
-                    };
-                    let satisfied = req.item == item && arrival <= start;
-                    if satisfied {
-                        self.serve(id, at, ServiceKind::Push, out);
+                // The item's waiters who tuned in before this slot started
+                // are done; later ones catch its next broadcast. Entries
+                // answered some other way (timed out, shed) drop out here.
+                let mut waiters = std::mem::take(&mut self.push_waiters[item.index()]);
+                waiters.retain(|&(handle, arrival)| {
+                    if arrival > start {
+                        return self.live.get_mut(handle).is_some();
                     }
-                    !satisfied
+                    self.serve(handle, at, ServiceKind::Push, out);
+                    false
                 });
-                self.push_waiters = waiters;
+                self.push_waiters[item.index()] = waiters;
             }
             TxKind::Pull => {
                 self.books.pull_tx += 1;
@@ -622,9 +725,11 @@ impl<T, S: Sink> ChannelCore<T, S> {
                     requests: entry.count() as u32,
                     class: entry.dominant_class().unwrap_or(ClassId(0)),
                 });
-                for id in inf.batch {
-                    self.serve(id, at, ServiceKind::Pull, out);
+                let mut batch = inf.batch;
+                for handle in batch.drain(..) {
+                    self.serve(handle, at, ServiceKind::Pull, out);
                 }
+                self.spare.push(batch);
                 self.scheduler.recycle(entry);
                 self.gauge(at);
             }
@@ -633,12 +738,12 @@ impl<T, S: Sink> ChannelCore<T, S> {
 
     fn serve(
         &mut self,
-        id: u64,
+        handle: Handle,
         at: SimTime,
         kind: ServiceKind,
         out: &mut impl FnMut(Resolution<T>),
     ) {
-        let Some(req) = self.live.remove(&id) else {
+        let Some(req) = self.live.remove(handle) else {
             return; // timed out before the transmission landed
         };
         let (item, class, arrival) = (req.item, req.class, req.ingest);
@@ -670,14 +775,51 @@ mod tests {
 
     const REQUESTS: u64 = 600;
 
-    /// A core over the paper's catalog (K = 30, so items below 30 are
-    /// pushed and the rest pulled) with a lossy uplink. RxW scores by
-    /// waiting time, so the times the core reports to the scheduler steer
-    /// the books.
-    fn core<T, S: Sink>(sink: impl FnMut() -> S) -> ChannelCore<T, S> {
+    /// A request script: `n` requests `gap` units apart over mixed
+    /// push/pull items and cycling classes, every `deadline_every`-th due
+    /// `deadline` units after it arrives.
+    struct Script {
+        n: u64,
+        gap: f64,
+        deadline_every: u64,
+        deadline: f64,
+    }
+
+    /// The script the books tests read.
+    const BASE: Script = Script {
+        n: REQUESTS,
+        gap: 0.37,
+        deadline_every: 4,
+        deadline: 40.0,
+    };
+
+    /// Eight times the arrival rate with a short deadline on every other
+    /// request: the live table turns over many times, so slab slots are
+    /// reused hundreds of times.
+    const CHURN: Script = Script {
+        n: 5_000,
+        gap: 0.37 / 8.0,
+        deadline_every: 2,
+        deadline: 3.0,
+    };
+
+    /// A single-channel core over the paper's catalog at K = 30 (items
+    /// below 30 are pushed, the rest pulled).
+    fn core_of<T, S: Sink>(config: HybridConfig, sink: impl FnMut() -> S) -> ChannelCore<T, S> {
         let scenario = ScenarioConfig::icpp2005(0.6).with_seed(7).build();
         let config = HybridConfig {
             cutoff: 30,
+            ..config
+        };
+        let (mut cores, _) = channel_cores(&scenario, &config, sink);
+        cores.pop().expect("one channel")
+    }
+
+    /// [`core_of`] with a lossy uplink and RxW, which scores by waiting
+    /// time, so the times the core reports to the scheduler steer the
+    /// books.
+    fn core<T, S: Sink>(sink: impl FnMut() -> S) -> ChannelCore<T, S> {
+        let config = HybridConfig {
             pull: PullPolicyKind::Rxw,
             uplink: Some(UplinkConfig {
                 slot_time: 0.1,
@@ -687,22 +829,35 @@ mod tests {
             }),
             ..HybridConfig::default()
         };
-        let (mut cores, _) = channel_cores(&scenario, &config, sink);
-        cores.pop().expect("one channel")
+        core_of(config, sink)
     }
 
-    /// Request `i` of the script: mixed push/pull items, cycling classes,
-    /// a 40-unit deadline on every 4th.
+    /// Request `i` of `script`.
     fn ingest<T, S: Sink>(
         core: &mut ChannelCore<T, S>,
+        script: &Script,
         i: u64,
         tag: T,
         out: &mut impl FnMut(Resolution<T>),
     ) {
-        let stamp = SimTime::new(i as f64 * 0.37);
-        let deadline = i.is_multiple_of(4).then(|| stamp + SimDuration::new(40.0));
+        let stamp = SimTime::new(i as f64 * script.gap);
+        let deadline = i
+            .is_multiple_of(script.deadline_every)
+            .then(|| stamp + SimDuration::new(script.deadline));
         let (item, class) = (ItemId((i * 13 % 100) as u32), ClassId((i % 3) as u8));
         core.ingest(tag, item, class, stamp, deadline, out);
+    }
+
+    /// Fires due events in order until `until` (inclusive).
+    fn run_until<T, S: Sink>(
+        core: &mut ChannelCore<T, S>,
+        until: SimTime,
+        out: &mut impl FnMut(Resolution<T>),
+    ) {
+        while let Some(due) = core.next_due().filter(|&due| due <= until) {
+            core.advance(due, &mut *out);
+            core.dispatch(due, &mut *out);
+        }
     }
 
     /// The virtual-time driver: every event fires exactly when due; after
@@ -710,18 +865,16 @@ mod tests {
     /// left for `shed_remaining`.
     fn drive<T, S: Sink>(
         core: &mut ChannelCore<T, S>,
+        script: &Script,
         tag: impl Fn(u64) -> T,
         drain: usize,
         mut out: impl FnMut(Resolution<T>),
     ) {
         let mut now = SimTime::ZERO;
-        for i in 0..REQUESTS {
-            now = SimTime::new(i as f64 * 0.37);
-            while let Some(due) = core.next_due().filter(|&due| due <= now) {
-                core.advance(due, &mut out);
-                core.dispatch(due, &mut out);
-            }
-            ingest(core, i, tag(i), &mut out);
+        for i in 0..script.n {
+            now = SimTime::new(i as f64 * script.gap);
+            run_until(core, now, &mut out);
+            ingest(core, script, i, tag(i), &mut out);
             core.dispatch(now, &mut out);
         }
         for _ in 0..drain {
@@ -741,9 +894,9 @@ mod tests {
     fn both_instantiations_keep_the_same_books() {
         let mut tagged: ChannelCore<u64, VecSink> = core(VecSink::new);
         let mut replies: Vec<Resolution<u64>> = Vec::new();
-        drive(&mut tagged, |i| i, 20, |r| replies.push(r));
+        drive(&mut tagged, &BASE, |i| i, 20, |r| replies.push(r));
         let mut bare: ChannelCore<(), NullSink> = core(|| NullSink);
-        drive(&mut bare, |_| (), 20, |_| {});
+        drive(&mut bare, &BASE, |_| (), 20, |_| {});
         assert_eq!(tagged.books(), bare.books(), "tag and sink never steer");
 
         let books = tagged.books().clone();
@@ -824,8 +977,8 @@ mod tests {
             now = SimTime::new(tick as f64 * 25.0);
             core.advance(now, &mut out);
             core.dispatch(now, &mut out);
-            while next < REQUESTS && next as f64 * 0.37 <= now.as_f64() {
-                ingest(core, next, tag(next), &mut out);
+            while next < REQUESTS && next as f64 * BASE.gap <= now.as_f64() {
+                ingest(core, &BASE, next, tag(next), &mut out);
                 next += 1;
             }
             if next == REQUESTS && core.live() == 0 {
@@ -860,5 +1013,128 @@ mod tests {
             "scheduler/sink time never runs backwards"
         );
         assert!(times.last().is_some_and(|&t| t <= end));
+    }
+
+    /// FNV-1a over `(tag, outcome, wait bits)` of every resolution in
+    /// emission order: the reply stream, not just the books it sums to.
+    struct ReplyDigest(u64);
+
+    impl ReplyDigest {
+        fn new() -> ReplyDigest {
+            ReplyDigest(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn fold(&mut self, r: &Resolution<u64>) {
+            for word in [r.tag, r.outcome as u64, r.wait.to_bits()] {
+                for byte in word.to_le_bytes() {
+                    self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+    }
+
+    /// Whoever is answered, in what order and after what wait must not
+    /// depend on how the request table is stored: these digests were
+    /// recorded at the commit before it became a slab with per-item waiter
+    /// lists, when it was two hash maps and one flat push-waiter list.
+    #[test]
+    fn reply_streams_match_the_recorded_digests() {
+        fn digest_of(run: impl FnOnce(&mut dyn FnMut(Resolution<u64>))) -> u64 {
+            let mut digest = ReplyDigest::new();
+            run(&mut |r| digest.fold(&r));
+            digest.0
+        }
+        let lossy = digest_of(|out| drive(&mut core(|| NullSink), &BASE, |i| i, 20, out));
+        let late = digest_of(|out| {
+            drive_late(&mut core(|| NullSink), |i| i, out);
+        });
+        let mut churn: ChannelCore<u64, NullSink> = core_of(HybridConfig::default(), || NullSink);
+        let churned = digest_of(|out| drive(&mut churn, &CHURN, |i| i, usize::MAX, out));
+        assert_eq!(
+            [lossy, late, churned].map(|d| format!("{d:016x}")),
+            ["c82562e3946eefa9", "15acca59731b9c41", "1654aaa8f6ceaf52"],
+            "virtual-time, late-tick and churn scripts"
+        );
+        let books = churn.books();
+        assert!(books.total.conserves() && churn.live() == 0, "{books:?}");
+        assert!(
+            books.total.timed_out > 500 && books.total.served() > 500,
+            "slots turn over both ways: {books:?}"
+        );
+    }
+
+    #[test]
+    fn a_reused_slot_rejects_a_stale_handle() {
+        let mut core: ChannelCore<&'static str, NullSink> =
+            core_of(HybridConfig::default(), || NullSink);
+        let mut replies: Vec<(&'static str, Outcome, f64)> = Vec::new();
+        let mut out = |r: Resolution<&'static str>| replies.push((r.tag, r.outcome, r.wait));
+        let (item, class) = (ItemId(0), ClassId(0));
+        let at = SimTime::new;
+
+        // `old` tunes in as item 0 goes on the air and gives up half-way
+        // through the slot, leaving its waiter entry behind.
+        let slot = core.scheduler().catalog().length(item) as f64;
+        core.ingest("old", item, class, at(0.0), Some(at(slot * 0.5)), &mut out);
+        core.dispatch(at(0.0), &mut out);
+        assert_eq!(core.next_due(), Some(at(slot * 0.5)));
+        run_until(&mut core, at(slot * 0.5), &mut out);
+        assert_eq!(core.live(), 0);
+
+        // `new` takes over the freed slot while item 0 is still airing. The
+        // stale entry (tuned in before the slot started) must not serve it
+        // off a broadcast it missed the start of.
+        core.ingest("new", item, class, at(slot * 0.75), None, &mut out);
+        assert_eq!(core.live.slots.len(), 1, "one slot, used twice");
+        run_until(&mut core, at(slot), &mut out);
+        assert_eq!(core.books().push_tx, 1);
+        assert_eq!(core.live(), 1, "`new` waits for the next broadcast");
+
+        while let Some(due) = core.next_due() {
+            run_until(&mut core, due, &mut out);
+        }
+        assert_eq!(
+            replies[0],
+            ("old", Outcome::TimedOut, slot * 0.5),
+            "{replies:?}"
+        );
+        assert!(
+            matches!(replies[1], ("new", Outcome::ServedPush, wait) if wait > slot),
+            "{replies:?}"
+        );
+        assert_eq!(replies.len(), 2, "one answer each: {replies:?}");
+        let books = core.books();
+        assert!(books.total.conserves() && core.live() == 0, "{books:?}");
+    }
+
+    #[test]
+    fn a_timed_out_push_waiter_is_not_demand() {
+        let mut core: ChannelCore<(), NullSink> = core_of(HybridConfig::default(), || NullSink);
+        let at = SimTime::new;
+        // A pull request alone: the cycle's push slot airs first, then the
+        // pull transmission that answers it.
+        core.ingest((), ItemId(50), ClassId(0), at(0.0), None, |_| {});
+        core.dispatch(at(0.0), |_| {});
+        let pull_start = core.next_due().expect("push slot on the air");
+        run_until(&mut core, pull_start, &mut |_| {});
+        let pull_end = core.next_due().expect("pull transmission on the air");
+        let books = core.books();
+        assert_eq!((books.push_tx, books.pull_tx, core.live()), (1, 0, 1));
+
+        // A push waiter files behind the pull transmission and gives up
+        // before it lands.
+        let mid = |f: f64| at(pull_start.as_f64() + (pull_end.as_f64() - pull_start.as_f64()) * f);
+        core.ingest((), ItemId(7), ClassId(1), mid(0.25), Some(mid(0.5)), |_| {});
+        run_until(&mut core, pull_end, &mut |_| {});
+
+        let books = core.books();
+        assert_eq!((books.total.timed_out, books.total.served_pull), (1, 1));
+        assert_eq!(core.live(), 0);
+        assert_eq!(
+            core.next_due(),
+            None,
+            "nobody is waiting: the downlink idles"
+        );
+        assert_eq!(books.push_tx, 1, "no push slot aired to nobody");
     }
 }

@@ -13,6 +13,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
+use hybridcast_sim::stats::SummaryStats;
 use hybridcast_telemetry::WindowStats;
 
 use crate::digest::hex64;
@@ -45,6 +46,10 @@ pub struct ChannelSnapshot {
     pub queue_requests: u32,
     /// The scheduler's current cutoff K.
     pub cutoff_k: u32,
+    /// How late this channel's transmissions have completed so far, in
+    /// wall milliseconds (wake-up instant minus due stamp, one sample per
+    /// transmission): is the daemon keeping its broadcast pace?
+    pub slot_late_ms: SummaryStats,
     /// Latest *closed* telemetry window (None until the first window
     /// closes) — the windowed per-class QoS series `/stats` serves.
     pub last_window: Option<WindowStats>,

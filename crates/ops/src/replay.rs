@@ -24,9 +24,9 @@
 //! by the shared `channel_cores` constructor) sees the identical draw
 //! sequence, and the core's heaps are keyed by `(time, id)` with ids
 //! assigned in that same ingest order. The driver below reads no clock and
-//! spawns no thread, and the core never iterates an unordered map: pull
-//! waiters leave via the scheduler's own item-keyed batches, and the final
-//! shed sorts ids first.
+//! spawns no thread, and the core holds no unordered map: waiters sit in
+//! per-item lists in filing order and leave with their item's
+//! transmission, and the final shed sorts by id first.
 
 use serde::Serialize;
 

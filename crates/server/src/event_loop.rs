@@ -58,8 +58,10 @@ use crate::poll::{
 const REPLY_LEN: usize = 26;
 /// Read-side scratch buffer per loop.
 const READ_CHUNK: usize = 64 * 1024;
-/// Idle epoll timeout (matches the scheduler's poll cadence).
-const POLL: Duration = Duration::from_millis(25);
+/// Longest park of either kind of thread — an event loop in `epoll_wait`,
+/// a scheduler core on its doorbell — and so the bound on wake latency for
+/// time-driven work when nothing arrives.
+pub(crate) const POLL: Duration = Duration::from_millis(25);
 /// First sleep after an fd-exhaustion accept failure; doubles per repeat.
 const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
 /// Backoff ceiling.
@@ -371,6 +373,7 @@ pub(crate) fn run_loop(ctx: LoopCtx) {
     let mut rearm_at: Option<Instant> = None;
     let mut backoff = ACCEPT_BACKOFF_MIN;
     let mut done_since: Option<Instant> = None;
+    let mut pushed = vec![false; ctx.doorbells.len()];
 
     loop {
         let mut timeout = POLL;
@@ -383,7 +386,7 @@ pub(crate) fn run_loop(ctx: LoopCtx) {
         let n = epoll.wait(&mut events, Some(timeout)).unwrap_or(0);
 
         let shutting = ctx.shutdown.load(Ordering::SeqCst);
-        let mut pushed = vec![false; ctx.doorbells.len()];
+        pushed.fill(false);
         for &ev in &events[..n] {
             match ev.cookie() {
                 WAKER_COOKIE => ctx.shared.waker.drain(),

@@ -2,13 +2,14 @@
 //!
 //! The event-driven front end needs exactly four kernel facilities the
 //! standard library does not expose: an epoll instance, an eventfd waker,
-//! vectored writes, and raw-fd close. In the same spirit as
+//! vectored writes, and raw-fd close; the scheduler cores add a fifth, a
+//! per-thread timer slack ([`tighten_timer_slack`]). In the same spirit as
 //! [`crate::signal`] (the workspace vendors no `libc` crate), the shim
 //! declares the C entry points directly — every constant used is stable
 //! Linux ABI on the x86-64/aarch64 targets this builds and runs on. This
 //! module and [`crate::signal`] are the only unsafe islands in the
 //! workspace; everything above them is safe Rust over [`Epoll`],
-//! [`EventFd`], and [`writev_fd`].
+//! [`EventFd`], [`writev_fd`] and [`tighten_timer_slack`].
 //!
 //! Why no async runtime: the daemon needs readiness notification for a
 //! few thousand sockets feeding one scheduler thread — a single
@@ -53,6 +54,7 @@ pub const ERR_ENFILE: i32 = 23;
 
 const SOL_SOCKET: c_int = 1;
 const SO_RCVBUF: c_int = 8;
+const PR_SET_TIMERSLACK: c_int = 29;
 
 /// The kernel's `struct epoll_event`. Packed on x86-64 (kernel uapi uses
 /// `__attribute__((packed))` there), naturally aligned elsewhere.
@@ -109,6 +111,21 @@ extern "C" {
         optval: *const c_int,
         optlen: c_uint,
     ) -> c_int;
+    fn prctl(option: c_int, ...) -> c_int;
+}
+
+/// Asks the kernel to expire the calling thread's timed waits on time
+/// (`PR_SET_TIMERSLACK`, 1 ns). By default it may defer each by up to 50 µs
+/// to coalesce wake-ups — a seventh of a 0.35 ms broadcast slot, paid by
+/// every transmission a scheduler core parks on. Best effort: a kernel
+/// that refuses leaves the default slack in place.
+pub fn tighten_timer_slack() {
+    // SAFETY: this option takes one `unsigned long` by value (`usize` on
+    // the LP64 targets this builds for), reads and writes no user memory,
+    // and changes nothing but the calling thread's own slack.
+    unsafe {
+        prctl(PR_SET_TIMERSLACK, 1usize);
+    }
 }
 
 fn set_sock_int(fd: RawFd, optname: c_int, value: c_int) -> io::Result<()> {

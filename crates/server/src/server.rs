@@ -56,17 +56,16 @@ use hybridcast_ops::{
     config_hash, hex64, plan_digest, ChannelSnapshot, OpsHub, OpsServer, TraceBuffer, TraceMeta,
     TraceRecord, TraceSink,
 };
-use hybridcast_sim::stats::SummaryStats;
+use hybridcast_sim::stats::{SummaryStats, Welford};
 use hybridcast_sim::time::SimDuration;
 use hybridcast_telemetry::{TelemetryConfig, WindowRecorder, WindowStats};
 
 use crate::config::ServeConfig;
-use crate::event_loop::{run_loop, Bounds, Conn, Ingress, Ledger, LoopCtx, LoopShared, Notice};
+use crate::event_loop::{
+    run_loop, Bounds, Conn, Ingress, Ledger, LoopCtx, LoopShared, Notice, POLL,
+};
 use crate::frame::{ReplyFrame, ReplyStatus};
-
-/// The scheduler's maximum doorbell park (also bounds wake latency for
-/// time-driven work when no ingress arrives).
-const POLL: Duration = Duration::from_millis(25);
+use crate::poll::tighten_timer_slack;
 
 /// Ring items ingested per scheduler tick before time-driven work
 /// (completions, deadlines) gets another look.
@@ -133,6 +132,12 @@ pub struct ServeSummary {
     pub backlog_mismatches: u64,
     /// Wall seconds from first bind to summary.
     pub wall_seconds: f64,
+    /// How late each transmission's completion fired, in wall
+    /// milliseconds: the wake-up instant minus the slot's due stamp, one
+    /// sample per transmission, all channels merged. The daemon keeps
+    /// about `mean slot ÷ (mean slot + mean lateness)` of its nominal
+    /// broadcast pace.
+    pub slot_late_ms: SummaryStats,
     /// `accepted == served + shed + timed_out + uplink_lost` — every
     /// accepted frame was answered exactly once — and the same identity
     /// holds on every individual channel.
@@ -397,6 +402,7 @@ fn run(
         last_pub: Instant::now(),
         last_window: None,
         trace: trace_sink.clone().map(TraceBuffer::new),
+        slot_late_ms: Welford::new(),
     });
 
     // Channels 1.. run on their own threads; channel 0 on this one.
@@ -457,10 +463,12 @@ fn finish(
     class_names: &[String],
 ) -> io::Result<ServeSummary> {
     let mut total = Books::new(class_names.len());
+    let mut slot_late_ms = Welford::new();
     let mut per_channel = Vec::with_capacity(sealed.len());
     for s in &sealed {
         per_channel.push(s.books.counters(s.channel, s.live_empty));
         total += &s.books;
+        slot_late_ms.merge(&s.slot_late_ms);
     }
     let summary = ServeSummary {
         accepted: total.total.accepted,
@@ -475,6 +483,7 @@ fn finish(
         stalled_conns: ledger.stalled_conns.load(Ordering::Relaxed),
         backlog_mismatches: ledger.backlog_mismatches.load(Ordering::Relaxed),
         wall_seconds: elapsed.as_secs_f64(),
+        slot_late_ms: slot_late_ms.summary(),
         conservation_ok: per_channel.iter().all(|ch| ch.conservation_ok),
         channels: sealed.len() as u32,
         per_channel,
@@ -519,6 +528,7 @@ struct SealedCore {
     channel: u32,
     books: Books,
     live_empty: bool,
+    slot_late_ms: Welford,
 }
 
 /// The wall-clock driver of one channel's [`ChannelCore`]: it owns what is
@@ -546,6 +556,9 @@ struct Core {
     last_window: Option<WindowStats>,
     /// Accepted-request trace recorder (when trace recording is enabled).
     trace: Option<TraceBuffer>,
+    /// Completion lateness per transmission (see
+    /// [`ServeSummary::slot_late_ms`]).
+    slot_late_ms: Welford,
 }
 
 /// The outbox: encodes one resolution as the reply frame on its
@@ -600,10 +613,11 @@ impl Core {
         loops: &[Arc<LoopShared>],
         stop: &AtomicBool,
     ) {
+        tighten_timer_slack();
         let mut reply = reply(self.unit_millis);
         loop {
             self.drain_notices();
-            self.core.advance(self.clock.now(), &mut reply);
+            self.advance(&mut reply);
             if stop.load(Ordering::SeqCst) {
                 for l in loops {
                     l.kick();
@@ -644,7 +658,7 @@ impl Core {
         loop {
             shards.drain(usize::MAX, |ing| self.ingest(ing));
             self.drain_notices();
-            self.core.advance(self.clock.now(), &mut reply);
+            self.advance(&mut reply);
             for l in loops {
                 l.kick();
             }
@@ -670,6 +684,16 @@ impl Core {
         self.core.shed_remaining(self.clock.now(), &mut reply);
         for l in loops {
             l.kick();
+        }
+    }
+
+    /// Fires what is due now and books how late the completion ran, if
+    /// one fired.
+    fn advance(&mut self, reply: &mut impl FnMut(Resolution<(u64, Conn)>)) {
+        let now = self.clock.now();
+        if let Some(due) = self.core.advance(now, reply) {
+            self.slot_late_ms
+                .push(now.since(due).as_f64() * self.unit_millis);
         }
     }
 
@@ -702,6 +726,7 @@ impl Core {
             channel: self.channel,
             books,
             live_empty,
+            slot_late_ms: self.slot_late_ms,
         }
     }
 
@@ -793,6 +818,7 @@ impl Core {
             queue_items: queue.len() as u32,
             queue_requests: queue.total_requests() as u32,
             cutoff_k: self.core.scheduler().cutoff() as u32,
+            slot_late_ms: self.slot_late_ms.summary(),
             last_window: self.last_window.clone(),
         }
     }

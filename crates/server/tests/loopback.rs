@@ -376,6 +376,12 @@ fn sharded_daemon_conserves_per_channel_and_globally() {
         accepted_sum += ch.accepted;
     }
     assert_eq!(accepted_sum, summary.accepted);
+    // One lateness sample per transmission, merged over both channels.
+    assert!(summary.push_tx > 0 && summary.pull_tx > 0);
+    assert_eq!(
+        summary.slot_late_ms.count,
+        summary.push_tx + summary.pull_tx
+    );
 
     // Window lines carry a channel tag; both channels stream telemetry.
     let text = std::fs::read_to_string(&results).expect("results written");
@@ -388,6 +394,49 @@ fn sharded_daemon_conserves_per_channel_and_globally() {
         assert!(w["channel"].as_u64().unwrap_or(99) < 2);
     }
     let _ = std::fs::remove_file(&results);
+}
+
+/// Requests one push slot answers come back in the order they went in:
+/// three requests for item 1, filed while item 0 is on the air, are all
+/// served by item 1's next slot and reach the connection as seq 0, 1, 2.
+#[test]
+fn push_replies_within_a_slot_keep_ingest_order() {
+    let mut cfg = base_config();
+    cfg.serve.unit_millis = 25.0; // item 0 stays on the air for >= 25 ms
+    let server = ServerHandle::start(cfg).expect("server starts");
+    let (mut stream, reader) = client(server.addr());
+
+    send(&mut stream, 100, 0, 0); // starts the cycle at item 0
+    thread::sleep(Duration::from_millis(5));
+    let mut trio = Vec::new();
+    for seq in 0..3u64 {
+        let frame = RequestFrame {
+            seq,
+            class: (2 - seq) as u8, // priority order reversed: it must not matter
+            item: 1,
+            deadline_ms: 0,
+        };
+        trio.extend_from_slice(&frame.encode());
+    }
+    stream.write_all(&trio).expect("send trio");
+    thread::sleep(Duration::from_millis(600));
+    server.shutdown();
+    let summary = server.join().expect("clean shutdown");
+    let replies = reader.join().expect("reader");
+
+    let trio: Vec<&ReplyFrame> = replies.iter().filter(|r| r.item == 1).collect();
+    assert_eq!(
+        trio.iter().map(|r| r.seq).collect::<Vec<_>>(),
+        [0, 1, 2],
+        "{replies:?}"
+    );
+    assert!(trio.iter().all(|r| r.status == ReplyStatus::ServedPush));
+    assert_eq!(replies.len(), 4);
+    assert_eq!(
+        summary.push_tx, 2,
+        "item 0's slot, then one slot for the trio"
+    );
+    assert!(summary.conservation_ok, "conservation: {summary:?}");
 }
 
 /// The wire-level sanity check used by docs/examples: a request round

@@ -278,6 +278,7 @@ fn ops_endpoint_serves_live_json_and_rejects_garbage() {
     let per_channel = stats["per_channel"].as_array().expect("per_channel");
     assert_eq!(per_channel.len(), 1);
     assert!(per_channel[0]["cutoff_k"].as_u64().is_some());
+    assert!(per_channel[0]["slot_late_ms"]["count"].as_u64().is_some());
 
     // /config round-trips as a parseable ServeConfig.
     let (status, body) = http_get(ops, "/config");
