@@ -20,11 +20,13 @@
 //!
 //! All three agents (and the offline sweeps that pick the yardstick Ks)
 //! are scored on the same **backlog-aware prioritized cost** the
-//! controller itself steers on — the whole-run analogue of
+//! controller itself steers on ([`backlog_aware_cost`], the what-if
+//! tool's) — the whole-run analogue of
 //! `FeedbackSnapshot::prioritized_cost`: per class,
 //! `w_c · (delay_sum_c + pending_c · period) / generated_c`, where
 //! `pending_c` counts every request that arrived but was never served
-//! (still queued, blocked, or stranded at the horizon). The repo's plain
+//! (still queued, blocked, or stranded at the horizon) and `period` is
+//! the controller's retune window, [`STARVATION_PERIOD`]. The repo's plain
 //! served-only cost would reward a saturated pull queue for the few
 //! requests that *do* complete — exactly the survivorship bias the
 //! controller exists to avoid — so it is not a meaningful yardstick for
@@ -42,13 +44,12 @@
 //! `quick` or single-core run records the honest measurements and reports
 //! the gate as skipped.
 
-use std::sync::Arc;
-
 use hybridcast_core::prelude::{
     AdaptiveConfig, ControllerConfig, FaultSpec, HybridConfig, NullSink, PlantedControllerBugs,
-    SimParams, SimReport, Simulation, SloConfig,
+    SimParams, Simulation, SloConfig,
 };
-use hybridcast_ops::trace::{Trace, TraceBuffer, TraceMeta, TraceRecord, TraceSink, VERSION};
+use hybridcast_ops::trace::{Trace, TraceMeta, TraceRecord, VERSION};
+use hybridcast_ops::whatif::{backlog_aware_cost, STARVATION_PERIOD};
 use hybridcast_sim::time::SimTime;
 use hybridcast_workload::catalog::ItemId;
 use hybridcast_workload::classes::ClassId;
@@ -62,30 +63,6 @@ use crate::report::{Host, Needs, Report};
 /// Regret acceptance bound: controller within this factor of the
 /// clairvoyant per-regime oracle.
 const REGRET_BOUND: f64 = 1.25;
-
-/// Controller retune window, also the starvation penalty per never-served
-/// request in the bench score (the controller's own yardstick: "at least
-/// one full window of waiting, still counting").
-const PERIOD: f64 = 250.0;
-
-/// Whole-run analogue of `FeedbackSnapshot::prioritized_cost`: per class
-/// `w_c · (delay_sum_c + pending_c · PERIOD) / generated_c`, where
-/// `pending` is everything that arrived but was never served. Identical
-/// arrival streams make these directly comparable across agents.
-fn score(report: &SimReport) -> f64 {
-    report
-        .per_class
-        .iter()
-        .map(|c| {
-            if c.generated == 0 {
-                return 0.0;
-            }
-            let delay_sum = c.delay.mean * c.served as f64;
-            let pending = c.generated.saturating_sub(c.served) as f64;
-            c.priority * (delay_sum + pending * PERIOD) / c.generated as f64
-        })
-        .sum()
-}
 
 /// One named nonstationary benchmark scenario.
 struct Spec {
@@ -143,7 +120,7 @@ fn specs(horizon: f64) -> Vec<Spec> {
 /// re-ranking, over the full catalog band.
 fn adaptive_config() -> AdaptiveConfig {
     AdaptiveConfig {
-        period: PERIOD,
+        period: STARVATION_PERIOD,
         candidate_ks: vec![0], // unused on the controller path
         smoothing: 0.5,
         rerank: true,
@@ -176,7 +153,7 @@ fn static_score(
         faults,
         ..Simulation::new(scenario, hybrid, params)
     };
-    score(&run.run(&mut NullSink).report)
+    backlog_aware_cost(&run.run(&mut NullSink).report)
 }
 
 /// Offline grid search minimizing the backlog-aware score on a stationary
@@ -264,7 +241,7 @@ pub fn run(host: &Host) -> Report {
             ..Simulation::new(&scenario, &hybrid, &run_params)
         }
         .run(&mut NullSink);
-        let controller_cost = score(&out.report);
+        let controller_cost = backlog_aware_cost(&out.report);
 
         let regret = controller_cost / oracle_cost;
         let beats = controller_cost < static_cost;
@@ -323,7 +300,7 @@ pub fn run(host: &Host) -> Report {
     };
     let trace = record_trace(&trace_cfg, horizon);
     let path = std::env::temp_dir().join("hybridcast_adaptive_sweep.hct");
-    write_trace(&path, &trace);
+    trace.write(&path).expect("trace write must succeed");
     let trace = Trace::read(&path).expect("read back the recorded trace");
     let requests: Vec<Request> = trace
         .sorted_by_arrival()
@@ -349,7 +326,8 @@ pub fn run(host: &Host) -> Report {
         }
         .run(&mut NullSink)
     };
-    let replay_score = |k: usize| score(&replay(&HybridConfig::paper(k, alpha), None).report);
+    let replay_score =
+        |k: usize| backlog_aware_cost(&replay(&HybridConfig::paper(k, alpha), None).report);
     let coarse: Vec<usize> = vec![0, 5, 10, 15, 25, 50, 100];
     let (mut best_trace_k, mut best_trace_cost) = (0usize, f64::INFINITY);
     for &k in &coarse {
@@ -374,7 +352,7 @@ pub fn run(host: &Host) -> Report {
     let trace_hybrid = HybridConfig::paper(trace_static_k, alpha);
     let trace_static_cost = replay_score(trace_static_k);
     let trace_out = replay(&trace_hybrid, Some(&adaptive_config()));
-    let trace_controller_cost = score(&trace_out.report);
+    let trace_controller_cost = backlog_aware_cost(&trace_out.report);
     let trace_regret = trace_controller_cost / best_trace_cost;
     let trace_beats = trace_controller_cost < trace_static_cost;
     all_beat_static &= trace_beats;
@@ -393,7 +371,7 @@ pub fn run(host: &Host) -> Report {
         json!({
             "params": {
                 "horizon": horizon,
-                "period": PERIOD,
+                "period": STARVATION_PERIOD,
                 "grid": grid,
                 "score": "backlog-aware prioritized cost (pending charged one period)",
                 "controller": { "step": 5, "hysteresis": 0.05, "band": [0, 100], "rerank": true },
@@ -467,15 +445,4 @@ fn record_trace(cfg: &ScenarioConfig, horizon: f64) -> Trace {
         },
         records,
     }
-}
-
-/// Writes `trace` in the binary `HCT1` format via the ops writer stack.
-fn write_trace(path: &std::path::Path, trace: &Trace) {
-    let sink = TraceSink::create(path, &trace.meta).expect("create trace file");
-    let mut buf = TraceBuffer::new(Arc::clone(&sink));
-    for rec in &trace.records {
-        buf.push(rec);
-    }
-    buf.finish();
-    assert!(!buf.failed(), "trace write must succeed");
 }

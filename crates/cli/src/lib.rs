@@ -116,7 +116,25 @@ impl ExperimentConfig {
                 }
             }
         }
-        serde_json::from_value(value).map_err(|e| format!("invalid config: {e}"))
+        let cfg: ExperimentConfig =
+            serde_json::from_value(value).map_err(|e| format!("invalid config: {e}"))?;
+        cfg.validate_values()
+            .map_err(|e| format!("invalid config: {e}"))?;
+        Ok(cfg)
+    }
+
+    /// Every value inside the range the code that consumes it requires —
+    /// a typed error naming the field here, where the config enters,
+    /// instead of that code's panic mid-run.
+    fn validate_values(&self) -> Result<(), String> {
+        self.scenario.validate(true)?;
+        self.hybrid.validate()?;
+        if let Some(window) = self.telemetry {
+            TelemetryConfig { window }
+                .validate()
+                .map_err(|e| format!("telemetry: {e}"))?;
+        }
+        Ok(())
     }
 
     /// Renders the config as pretty JSON.

@@ -25,6 +25,15 @@ fn run_with_stdin(args: &[&str], stdin: &str) -> (bool, String, String) {
 }
 
 fn run_with_stdin_env(args: &[&str], stdin: &str, env: &[(&str, &str)]) -> (bool, String, String) {
+    let out = output_with_stdin(args, stdin, env);
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+fn output_with_stdin(args: &[&str], stdin: &str, env: &[(&str, &str)]) -> std::process::Output {
     let mut child = bin()
         .args(args)
         .envs(env.iter().copied())
@@ -40,12 +49,7 @@ fn run_with_stdin_env(args: &[&str], stdin: &str, env: &[(&str, &str)]) -> (bool
         .as_mut()
         .expect("stdin piped")
         .write_all(stdin.as_bytes());
-    let out = child.wait_with_output().expect("binary exits");
-    (
-        out.status.success(),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
+    child.wait_with_output().expect("binary exits")
 }
 
 #[test]
@@ -257,6 +261,153 @@ fn warmup_past_the_horizon_is_an_invalid_config() {
             "{cmd}: stderr: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{cmd}: stderr: {stderr}");
+    }
+}
+
+/// Every config value is checked where the config enters: a value outside
+/// the range its consumer requires is exit 1 with the field named, never
+/// that consumer's panic (exit 101) somewhere into the run.
+#[test]
+fn out_of_range_config_values_are_typed_errors_naming_the_field() {
+    use serde_json::json;
+    let uplink = |field: &str, value: serde_json::Value| {
+        let mut u = json!({"slot_time": 0.05, "success_prob": 0.5, "max_attempts": 3, "backoff_slots": 1.0});
+        u[field] = value;
+        u
+    };
+    // (path to the value, the value, what the error must name)
+    let table: Vec<(&[&str], serde_json::Value, &[&str])> = vec![
+        (
+            &["scenario", "num_items"],
+            json!(0),
+            &["scenario.num_items"],
+        ),
+        (
+            &["scenario", "arrival_rate"],
+            json!(0.0),
+            &["scenario.arrival_rate"],
+        ),
+        (
+            &["scenario", "arrival_rate"],
+            json!(-1.0),
+            &["scenario.arrival_rate"],
+        ),
+        (
+            &["scenario", "popularity", "theta"],
+            json!(-5.0),
+            &["scenario.popularity", "skew"],
+        ),
+        (
+            &["scenario", "classes", "classes"],
+            json!([]),
+            &["scenario.classes"],
+        ),
+        (
+            &["scenario", "classes", "classes", "*", "population_share"],
+            json!(0.0),
+            &["scenario.classes", "population shares"],
+        ),
+        (
+            &["scenario", "classes", "classes", "*", "priority"],
+            json!(1.0),
+            &["scenario.classes", "priority"],
+        ),
+        (
+            &["scenario", "lengths", "min"],
+            json!(0),
+            &["scenario.lengths", "minimum length"],
+        ),
+        (
+            &["scenario", "lengths", "min"],
+            json!(9),
+            &["scenario.lengths", "max ≥ min"],
+        ),
+        (
+            &["scenario", "lengths", "mean"],
+            json!(50.0),
+            &["scenario.lengths", "mean"],
+        ),
+        (
+            &["scenario", "batch_mean"],
+            json!(0.5),
+            &["scenario.batch_mean"],
+        ),
+        (
+            &["scenario", "drift"],
+            json!({"period": 0.0, "shift": 5}),
+            &["scenario.drift", "period"],
+        ),
+        (
+            &["hybrid", "pull", "alpha"],
+            json!(7.0),
+            &["hybrid.pull", "alpha"],
+        ),
+        (
+            &["hybrid", "pull", "exponent"],
+            json!(-1.0),
+            &["hybrid.pull", "exponent"],
+        ),
+        (
+            &["hybrid", "bandwidth", "total_capacity"],
+            json!(-1.0),
+            &["hybrid.bandwidth", "total capacity"],
+        ),
+        (
+            &["hybrid", "bandwidth", "mean_demand"],
+            json!(0.0),
+            &["hybrid.bandwidth", "mean demand"],
+        ),
+        (
+            &["hybrid", "uplink"],
+            uplink("success_prob", json!(0.0)),
+            &["hybrid.uplink", "success probability"],
+        ),
+        (
+            &["hybrid", "uplink"],
+            uplink("slot_time", json!(0.0)),
+            &["hybrid.uplink", "slot time"],
+        ),
+        (
+            &["hybrid", "uplink"],
+            uplink("max_attempts", json!(0)),
+            &["hybrid.uplink", "attempt"],
+        ),
+        (
+            &["hybrid", "channels"],
+            json!({"kind": "sharded", "channels": 300}),
+            &["hybrid.channels", "300"],
+        ),
+        (&["telemetry"], json!(0.0), &["telemetry"]),
+    ];
+    let base: serde_json::Value = serde_json::from_str(&quick_config()).unwrap();
+    for (path, value, names) in table {
+        let mut cfg = base.clone();
+        set_at(&mut cfg, path, &value);
+        let out = output_with_stdin(&["summary", "-"], &cfg.to_string(), &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let what = format!("{} = {value}: stderr: {stderr}", path.join("."));
+        assert_eq!(out.status.code(), Some(1), "{what}");
+        assert!(stderr.contains("invalid config: "), "{what}");
+        assert!(names.iter().all(|n| stderr.contains(n)), "{what}");
+        assert!(!stderr.contains("panicked"), "{what}");
+        assert!(out.stdout.is_empty(), "{what}");
+    }
+}
+
+/// Sets `value` at `path` inside `cfg`; a `*` step applies the rest of the
+/// path to every element of an array.
+fn set_at(cfg: &mut serde_json::Value, path: &[&str], value: &serde_json::Value) {
+    match path {
+        [] => *cfg = value.clone(),
+        ["*", rest @ ..] => {
+            let serde_json::Value::Array(elements) = cfg else {
+                panic!("`*` needs an array, found {cfg}");
+            };
+            for element in elements {
+                set_at(element, rest, value);
+            }
+        }
+        [key, rest @ ..] => set_at(&mut cfg[*key], rest, value),
     }
 }
 

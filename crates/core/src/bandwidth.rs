@@ -25,6 +25,7 @@
 use serde::{Deserialize, Serialize};
 
 use hybridcast_sim::dist::PoissonCount;
+use hybridcast_sim::ensure;
 use hybridcast_sim::rng::Xoshiro256;
 use hybridcast_workload::classes::{ClassId, ClassSet};
 
@@ -64,6 +65,21 @@ impl Default for BandwidthConfig {
 }
 
 impl BandwidthConfig {
+    /// What [`BandwidthManager::new`] requires, as a typed error.
+    pub fn validate(&self) -> Result<(), String> {
+        ensure(
+            self.total_capacity > 0.0 && self.total_capacity.is_finite(),
+            format_args!(
+                "total capacity must be positive (got {})",
+                self.total_capacity
+            ),
+        )?;
+        ensure(
+            self.mean_demand >= 1.0 && self.mean_demand.is_finite(),
+            format_args!("mean demand must be at least 1 (got {})", self.mean_demand),
+        )
+    }
+
     /// The paper's blocking setup: per-class partitions.
     pub fn per_class(total_capacity: f64, mean_demand: f64) -> Self {
         BandwidthConfig {
@@ -116,16 +132,7 @@ impl BandwidthManager {
     /// # Panics
     /// Panics if `total_capacity` is not positive or `mean_demand < 1`.
     pub fn new(config: &BandwidthConfig, classes: &ClassSet, rng: Xoshiro256) -> Self {
-        assert!(
-            config.total_capacity > 0.0 && config.total_capacity.is_finite(),
-            "total capacity must be positive (got {})",
-            config.total_capacity
-        );
-        assert!(
-            config.mean_demand >= 1.0 && config.mean_demand.is_finite(),
-            "mean demand must be at least 1 (got {})",
-            config.mean_demand
-        );
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         let n = classes.len();
         let capacity = match config.policy {
             BandwidthPolicy::PerClass => classes

@@ -28,6 +28,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use hybridcast_sim::ensure;
 use hybridcast_sim::rng::{RngFactory, Xoshiro256};
 use hybridcast_sim::time::SimTime;
 use hybridcast_telemetry::{emit, Sink, TelemetryEvent};
@@ -38,7 +39,7 @@ use hybridcast_workload::scenario::Scenario;
 
 use crate::metrics::{SimReport, TxKind};
 use crate::queue::PendingItem;
-use crate::sim_driver::{ensure, SimRun};
+use crate::sim_driver::SimRun;
 
 /// RNG stream id for client attribution (disjoint from
 /// `hybridcast_sim::rng::streams`).

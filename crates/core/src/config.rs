@@ -5,6 +5,7 @@ use serde::{Deserialize, Serialize};
 use crate::bandwidth::BandwidthConfig;
 use crate::pull::PullPolicyKind;
 use crate::push::PushKind;
+use crate::sharded::ChannelPlan;
 use crate::uplink::UplinkConfig;
 
 /// How items are mapped onto the channels of a
@@ -116,6 +117,25 @@ impl Default for HybridConfig {
 }
 
 impl HybridConfig {
+    /// Every range a value of this config must lie in, as a typed error
+    /// that names the field — for a config that arrives from outside the
+    /// program. Each condition is its consumer's own check (the consumers
+    /// panic with the same text). Conditions that involve the catalog
+    /// (`cutoff ≤ D`) belong to the run:
+    /// [`Simulation::validate`](crate::sim_driver::Simulation::validate).
+    pub fn validate(&self) -> Result<(), String> {
+        let field = |name: &'static str| move |e: String| format!("hybrid.{name}: {e}");
+        self.pull.validate().map_err(field("pull"))?;
+        self.bandwidth.validate().map_err(field("bandwidth"))?;
+        if let Some(uplink) = &self.uplink {
+            uplink.validate().map_err(field("uplink"))?;
+        }
+        if let ChannelLayout::Sharded { channels, .. } = self.channels {
+            ChannelPlan::validate_channels(channels).map_err(field("channels"))?;
+        }
+        Ok(())
+    }
+
     /// The paper's setup at cutoff `k` and importance blend `alpha`.
     pub fn paper(k: usize, alpha: f64) -> Self {
         HybridConfig {

@@ -23,8 +23,10 @@
 //! (what a real server knows), [`ImportanceFactor::eq6`] with the online
 //! estimate of `E[L_pull]` carried in [`PullContext::mean_queue_len`].
 
+use hybridcast_sim::ensure;
 use hybridcast_workload::catalog::Catalog;
 
+use crate::pull::stretch::StretchOptimal;
 use crate::pull::{IndexContext, PullContext, PullPolicy};
 use crate::queue::PendingItem;
 
@@ -62,15 +64,17 @@ impl ImportanceFactor {
         Self::validated(alpha, exponent, Form::Expected)
     }
 
-    fn validated(alpha: f64, exponent: f64, form: Form) -> Self {
-        assert!(
+    /// What both forms require of their parameters, as a typed error.
+    pub fn validate(alpha: f64, exponent: f64) -> Result<(), String> {
+        ensure(
             (0.0..=1.0).contains(&alpha),
-            "alpha must lie in [0, 1] (got {alpha})"
-        );
-        assert!(
-            exponent > 0.0 && exponent.is_finite(),
-            "stretch exponent must be positive and finite (got {exponent})"
-        );
+            format_args!("alpha must lie in [0, 1] (got {alpha})"),
+        )?;
+        StretchOptimal::validate(exponent)
+    }
+
+    fn validated(alpha: f64, exponent: f64, form: Form) -> Self {
+        Self::validate(alpha, exponent).unwrap_or_else(|e| panic!("{e}"));
         ImportanceFactor {
             alpha,
             exponent,

@@ -166,6 +166,19 @@ impl PullPolicyKind {
         }
     }
 
+    /// Whether [`build`](Self::build) accepts the parameters, as a typed
+    /// error (the policies' constructors panic with the same text).
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            PullPolicyKind::Stretch { exponent } => stretch::StretchOptimal::validate(exponent),
+            PullPolicyKind::Importance { alpha, exponent }
+            | PullPolicyKind::ImportanceExpected { alpha, exponent } => {
+                importance::ImportanceFactor::validate(alpha, exponent)
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Instantiates the policy.
     pub fn build(&self) -> Box<dyn PullPolicy> {
         match *self {

@@ -6,6 +6,8 @@
 //! itself, one because *stretch* normalizes response time by service time).
 //! The exponent is exposed for the ABL-STRETCH ablation (`R/L` vs `R/L²`).
 
+use hybridcast_sim::ensure;
+
 use crate::pull::{IndexContext, PullContext, PullPolicy};
 use crate::queue::PendingItem;
 
@@ -21,11 +23,16 @@ impl StretchOptimal {
     /// # Panics
     /// Panics unless `exponent` is finite and positive.
     pub fn new(exponent: f64) -> Self {
-        assert!(
-            exponent > 0.0 && exponent.is_finite(),
-            "stretch exponent must be positive and finite (got {exponent})"
-        );
+        Self::validate(exponent).unwrap_or_else(|e| panic!("{e}"));
         StretchOptimal { exponent }
+    }
+
+    /// What a stretch exponent must satisfy, as a typed error.
+    pub fn validate(exponent: f64) -> Result<(), String> {
+        ensure(
+            exponent > 0.0 && exponent.is_finite(),
+            format_args!("stretch exponent must be positive and finite (got {exponent})"),
+        )
     }
 
     /// The length exponent in use.

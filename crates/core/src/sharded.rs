@@ -27,6 +27,7 @@
 
 use hybridcast_analysis::ksy;
 pub use hybridcast_analysis::ksy::PlanPrice;
+use hybridcast_sim::ensure;
 use hybridcast_sim::rng::RngFactory;
 use hybridcast_sim::time::SimTime;
 use hybridcast_workload::catalog::{Catalog, ItemId};
@@ -56,14 +57,22 @@ pub struct ChannelPlan {
 }
 
 impl ChannelPlan {
+    /// The channel counts [`build`](Self::build) accepts, as a typed
+    /// error.
+    pub fn validate_channels(channels: u32) -> Result<(), String> {
+        ensure(
+            (1..=256).contains(&channels),
+            format_args!("sharded channel count must be in 1..=256, got {channels}"),
+        )
+    }
+
     /// Builds the plan for `catalog` over `channels` channels.
     ///
     /// # Panics
     /// Panics if `channels` is 0 or exceeds 256 (the per-item channel
     /// index is a `u8`).
     pub fn build(catalog: &Catalog, channels: u32, strategy: AssignmentStrategy) -> Self {
-        assert!(channels >= 1, "a downlink needs at least one channel");
-        assert!(channels <= 256, "at most 256 channels supported");
+        Self::validate_channels(channels).unwrap_or_else(|e| panic!("{e}"));
         let n = catalog.len();
         let weights: Vec<f64> = (0..n as u32)
             .map(|i| {

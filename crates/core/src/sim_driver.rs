@@ -28,6 +28,7 @@
 use serde::{Deserialize, Serialize};
 
 use hybridcast_sim::engine::Engine;
+use hybridcast_sim::ensure;
 use hybridcast_sim::time::{SimDuration, SimTime};
 use hybridcast_workload::classes::ClassId;
 use hybridcast_workload::requests::RequestSource;
@@ -155,15 +156,6 @@ pub enum FaultSpec {
         /// Forced cutoff.
         k: usize,
     },
-}
-
-/// `Err(what)` unless `ok` — one precondition of [`Simulation::validate`].
-pub(crate) fn ensure(ok: bool, what: impl std::fmt::Display) -> Result<(), String> {
-    if ok {
-        Ok(())
-    } else {
-        Err(what.to_string())
-    }
 }
 
 impl FaultSpec {

@@ -23,6 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use hybridcast_sim::ensure;
 use hybridcast_sim::rng::Xoshiro256;
 use hybridcast_sim::stats::Welford;
 use hybridcast_sim::time::SimDuration;
@@ -59,6 +60,25 @@ impl Default for UplinkConfig {
     }
 }
 
+impl UplinkConfig {
+    /// What [`UplinkChannel::new`] requires, as a typed error.
+    pub fn validate(&self) -> Result<(), String> {
+        ensure(
+            self.slot_time > 0.0 && self.slot_time.is_finite(),
+            "slot time must be positive",
+        )?;
+        ensure(
+            self.success_prob > 0.0 && self.success_prob <= 1.0,
+            "success probability must lie in (0, 1]",
+        )?;
+        ensure(self.max_attempts >= 1, "need at least one attempt")?;
+        ensure(
+            self.backoff_slots >= 0.0 && self.backoff_slots.is_finite(),
+            "backoff must be non-negative",
+        )
+    }
+}
+
 /// Outcome of pushing one request through the back-channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UplinkOutcome {
@@ -89,19 +109,7 @@ impl UplinkChannel {
     /// Panics on non-positive slot time, a success probability outside
     /// `(0, 1]`, or zero attempts.
     pub fn new(cfg: UplinkConfig, rng: Xoshiro256, num_classes: usize) -> Self {
-        assert!(
-            cfg.slot_time > 0.0 && cfg.slot_time.is_finite(),
-            "slot time must be positive"
-        );
-        assert!(
-            cfg.success_prob > 0.0 && cfg.success_prob <= 1.0,
-            "success probability must lie in (0, 1]"
-        );
-        assert!(cfg.max_attempts >= 1, "need at least one attempt");
-        assert!(
-            cfg.backoff_slots >= 0.0 && cfg.backoff_slots.is_finite(),
-            "backoff must be non-negative"
-        );
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         UplinkChannel {
             cfg,
             rng,

@@ -332,6 +332,23 @@ impl Trace {
         Trace::parse(&bytes)
     }
 
+    /// Writes the trace to `path` through the sink and buffer the daemon
+    /// records with, so the file is byte for byte what a recording of
+    /// these records would be and [`Trace::read`] returns `self`.
+    pub fn write(&self, path: &Path) -> Result<(), TraceError> {
+        let sink = TraceSink::create(path, &self.meta)?;
+        let mut buf = TraceBuffer::new(sink);
+        for rec in &self.records {
+            buf.push(rec);
+        }
+        buf.finish();
+        if buf.failed() {
+            // The buffer keeps serving past a write error and drops it.
+            return Err(io::Error::other(format!("write to {} failed", path.display())).into());
+        }
+        Ok(())
+    }
+
     /// Parses a trace from memory (see [`Trace::read`]).
     pub fn parse(bytes: &[u8]) -> Result<Trace, TraceError> {
         if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
@@ -421,12 +438,11 @@ mod tests {
 
     fn write_trace(dir: &Path, records: &[TraceRecord]) -> std::path::PathBuf {
         let path = dir.join("t.hct");
-        let sink = TraceSink::create(&path, &meta()).expect("create");
-        let mut buf = TraceBuffer::new(Arc::clone(&sink));
-        for r in records {
-            buf.push(r);
-        }
-        buf.finish();
+        let trace = Trace {
+            meta: meta(),
+            records: records.to_vec(),
+        };
+        trace.write(&path).expect("write");
         path
     }
 

@@ -11,6 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use hybridcast_core::config::{ChannelLayout, HybridConfig};
+use hybridcast_telemetry::TelemetryConfig;
 use hybridcast_workload::scenario::ScenarioConfig;
 
 /// Serving-side knobs.
@@ -76,8 +77,9 @@ impl Default for ServeParams {
 #[serde(default, deny_unknown_fields)]
 pub struct ServeConfig {
     /// Catalog/classes description. The arrival-process fields
-    /// (`arrival_rate`, `drift`, `batch_mean`) are ignored: the network
-    /// front end *is* the arrival process.
+    /// (`arrival_rate`, `drift`, `batch_mean`, `nonstationary`) are
+    /// neither read nor validated: the network front end *is* the arrival
+    /// process.
     pub scenario: ScenarioConfig,
     /// Scheduler configuration (cutoff, push/pull policies, bandwidth,
     /// optional uplink contention).
@@ -99,18 +101,23 @@ impl ServeConfig {
         if self.serve.ingress_capacity == 0 {
             problems.push("serve.ingress_capacity must be at least 1".into());
         }
-        if self.serve.loop_threads == 0 {
-            problems.push("serve.loop_threads must be at least 1".into());
+        // The upper bound is the loop index a reply address carries.
+        if !(1..=65_536).contains(&self.serve.loop_threads) {
+            problems.push(format!(
+                "serve.loop_threads must be in 1..=65536, got {}",
+                self.serve.loop_threads
+            ));
         }
         if self.serve.conn_outbound_kib == 0 {
             problems.push("serve.conn_outbound_kib must be at least 1".into());
         }
-        if !(self.serve.telemetry_window > 0.0 && self.serve.telemetry_window.is_finite()) {
-            problems.push(format!(
-                "serve.telemetry_window must be positive and finite, got {}",
-                self.serve.telemetry_window
-            ));
+        let window = self.serve.telemetry_window;
+        if let Err(e) = (TelemetryConfig { window }).validate() {
+            problems.push(format!("serve.telemetry_window: {e}"));
         }
+        // The arrival process is the clients': its fields are not read.
+        problems.extend(self.scenario.validate(false).err());
+        problems.extend(self.hybrid.validate().err());
         match self.hybrid.channels {
             ChannelLayout::Split { .. } => problems.push(
                 "hybrid.channels: the daemon serves the paper's single interleaved \
@@ -118,11 +125,7 @@ impl ServeConfig {
                     .into(),
             ),
             ChannelLayout::Sharded { channels, .. } => {
-                if channels == 0 || channels > 256 {
-                    problems.push(format!(
-                        "hybrid.channels: sharded channel count must be in 1..=256, got {channels}"
-                    ));
-                } else if channels as usize > self.scenario.num_items {
+                if channels as usize > self.scenario.num_items {
                     problems.push(format!(
                         "hybrid.channels: {channels} channels exceed the catalog size {}",
                         self.scenario.num_items
@@ -180,6 +183,7 @@ impl ServeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hybridcast_core::pull::PullPolicyKind;
 
     #[test]
     fn default_round_trips_and_validates() {
@@ -248,6 +252,118 @@ mod tests {
         assert!(err.contains("loop_threads"), "{err}");
         assert!(err.contains("conn_outbound_kib"), "{err}");
         assert!(err.contains("cutoff"), "{err}");
+    }
+
+    /// Scenario and scheduler values are checked as the config enters —
+    /// the daemon used to print "listening" and then die on the consumer's
+    /// `assert!` (or, with no classes, run and shed every request). Each
+    /// error names the field.
+    #[test]
+    fn out_of_range_scenario_and_scheduler_values_are_errors_naming_the_field() {
+        use hybridcast_core::config::AssignmentStrategy;
+        use hybridcast_core::uplink::UplinkConfig;
+        use hybridcast_workload::lengths::LengthModel;
+        use hybridcast_workload::popularity::PopularityModel;
+
+        type Break = fn(&mut ServeConfig);
+        let no_classes = |cfg: &mut ServeConfig| {
+            cfg.scenario.classes = serde_json::from_str(r#"{"classes": []}"#).unwrap();
+        };
+        let idle_classes = |cfg: &mut ServeConfig| {
+            cfg.scenario.classes = serde_json::from_str(
+                r#"{"classes": [
+                    {"name": "A", "priority": 2.0, "population_share": 0.0, "bandwidth_share": 0.5},
+                    {"name": "B", "priority": 1.0, "population_share": 0.0, "bandwidth_share": 0.5}
+                ]}"#,
+            )
+            .unwrap();
+        };
+        let table: [(Break, &[&str]); 15] = [
+            (|c| c.scenario.num_items = 0, &["scenario.num_items"]),
+            (
+                |c| c.scenario.popularity = PopularityModel::zipf(-5.0),
+                &["scenario.popularity", "skew"],
+            ),
+            (no_classes, &["scenario.classes", "at least one"]),
+            (idle_classes, &["scenario.classes", "population shares"]),
+            (
+                |c| c.scenario.lengths = LengthModel::Uniform { min: 0, max: 5 },
+                &["scenario.lengths", "minimum length"],
+            ),
+            (
+                |c| c.scenario.lengths = LengthModel::Uniform { min: 9, max: 5 },
+                &["scenario.lengths", "max ≥ min"],
+            ),
+            (
+                |c| c.hybrid.pull = PullPolicyKind::importance(7.0),
+                &["hybrid.pull", "alpha"],
+            ),
+            (
+                |c| {
+                    c.hybrid.pull = PullPolicyKind::Importance {
+                        alpha: 0.5,
+                        exponent: -1.0,
+                    }
+                },
+                &["hybrid.pull", "exponent"],
+            ),
+            (
+                |c| c.hybrid.bandwidth.total_capacity = -1.0,
+                &["hybrid.bandwidth", "total capacity"],
+            ),
+            (
+                |c| c.hybrid.uplink.as_mut().unwrap().success_prob = 0.0,
+                &["hybrid.uplink", "success probability"],
+            ),
+            (
+                |c| c.hybrid.uplink.as_mut().unwrap().slot_time = 0.0,
+                &["hybrid.uplink", "slot time"],
+            ),
+            (
+                |c| c.hybrid.uplink.as_mut().unwrap().max_attempts = 0,
+                &["hybrid.uplink", "attempt"],
+            ),
+            (
+                |c| {
+                    c.hybrid.channels = ChannelLayout::Sharded {
+                        channels: 300,
+                        assignment: AssignmentStrategy::PatternAware,
+                    }
+                },
+                &["hybrid.channels", "300"],
+            ),
+            (
+                |c| c.serve.telemetry_window = 0.0,
+                &["serve.telemetry_window"],
+            ),
+            (|c| c.serve.loop_threads = 70_000, &["serve.loop_threads"]),
+        ];
+        for (i, (breakage, names)) in table.iter().enumerate() {
+            let mut cfg = ServeConfig::default();
+            cfg.hybrid.uplink = Some(UplinkConfig::default());
+            cfg.validate().unwrap();
+            breakage(&mut cfg);
+            let err = ServeConfig::from_json(&cfg.to_json()).unwrap_err();
+            assert!(names.iter().all(|n| err.contains(n)), "case {i}: {err}");
+        }
+    }
+
+    /// The clients are the arrival process: the scenario's own is neither
+    /// read nor validated (a zero `arrival_rate` used to kill the daemon
+    /// after it printed "listening").
+    #[test]
+    fn the_arrival_process_fields_are_not_validated() {
+        use hybridcast_workload::requests::DriftConfig;
+        let mut cfg = ServeConfig::default();
+        cfg.scenario.arrival_rate = 0.0;
+        cfg.scenario.batch_mean = Some(0.5);
+        cfg.scenario.drift = Some(DriftConfig {
+            period: 0.0,
+            shift: 5,
+        });
+        cfg.validate().unwrap();
+        // … and a scenario that ignores them still builds.
+        assert_eq!(cfg.scenario.build().catalog.len(), cfg.scenario.num_items);
     }
 
     #[test]

@@ -16,28 +16,37 @@
 //!   complete frame in one pass, pushing validated requests into its shard
 //!   ring (a full ring is answered with an explicit `Shed` right here —
 //!   backpressure, never a silent drop);
-//! * **coalesces replies**: the scheduler enqueues encoded reply frames
-//!   into a bounded per-connection outbound queue and files the connection
-//!   into this loop's dirty list; the loop flushes each dirty connection
-//!   with one `writev(2)` per [`MAX_IOV`] replies, resuming short writes
-//!   from a byte offset and arming `EPOLLOUT` only while the socket
-//!   pushes back. A connection whose un-flushed queue exceeds
-//!   `conn_outbound_kib` is a *stalled reader*: it is killed, counted in
+//! * **coalesces replies**: a scheduler core collects a tick's encoded
+//!   replies in a batch per loop that it alone owns, and hands each
+//!   non-empty batch to that loop's mailbox ([`LoopShared::deliver`]) —
+//!   one lock and one eventfd write per tick per loop, however many
+//!   waiters a transmission answered. The loop empties its mailbox once
+//!   per pass, appends each reply to the bounded outbound queue inside its
+//!   own [`ConnState`], and flushes the connections it touched with one
+//!   `writev(2)` per [`MAX_IOV`] replies, resuming short writes from a
+//!   byte offset and arming `EPOLLOUT` only while the socket pushes back.
+//!   A connection whose un-flushed queue exceeds `conn_outbound_kib` is a
+//!   *stalled reader*: it is closed, counted in
 //!   [`Ledger::stalled_conns`], and its requests remain *answered* in the
-//!   conservation ledger (the daemon answered; the peer stopped
-//!   listening — the same "dead peer still counted" rule writes to a
-//!   closed socket have always had).
+//!   conservation ledger (the daemon answered; the peer stopped listening
+//!   — the same "dead peer still counted" rule writes to a closed socket
+//!   have always had).
 //!
-//! Wakeups are batched: the scheduler marks loops dirty as it enqueues
-//! replies and rings each loop's eventfd once per tick, so a pull
-//! transmission answering thousands of waiters costs one syscall per
-//! loop, not one per reply.
+//! **One owner.** A connection's socket, read buffer and outbound queue
+//! are fields of the loop-local [`ConnState`] and of nothing else: every
+//! other thread names the connection by its `Copy` [`ConnId`], and the
+//! mailbox mutex is the only lock between a loop and the rest of the
+//! daemon. Closing a connection is dropping its `ConnState` — the peer
+//! sees EOF there and then, however many of its requests the scheduler
+//! still holds. Their replies arrive for a serial the loop no longer
+//! knows and are dropped; serials are never reused, so a late reply
+//! cannot reach a newer connection.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
-use std::os::unix::io::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::os::unix::io::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -85,11 +94,33 @@ pub(crate) struct Ledger {
     pub accept_errors: AtomicU64,
     /// Connections killed for exceeding the outbound-queue bound.
     pub stalled_conns: AtomicU64,
-    /// Drain-phase disagreements between the O(1) backlogged-connection
-    /// counter and a fresh per-connection sweep. Must stay zero; the
-    /// writer-path tests assert it.
-    pub backlog_mismatches: AtomicU64,
 }
+
+/// The reply address of one connection, and its epoll cookie: the owning
+/// loop's index in the top 16 bits, that loop's never-reused serial in the
+/// low 48. `Copy`: a request carries it through the rings and the
+/// scheduler's live-request table without sharing anything with the loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ConnId(u64);
+
+impl ConnId {
+    /// `ServeConfig::validate` keeps `loop_threads` within the 16 bits, and
+    /// 2^48 connections on one loop are out of reach — so an id never
+    /// meets the two reserved cookies either.
+    fn new(loop_index: usize, serial: u64) -> ConnId {
+        debug_assert!(loop_index < 1 << 16 && serial < 1 << 48);
+        ConnId(((loop_index as u64) << 48) | serial)
+    }
+
+    /// Index of the loop that owns the connection.
+    pub(crate) fn loop_index(self) -> usize {
+        (self.0 >> 48) as usize
+    }
+}
+
+/// One encoded reply on its way from a scheduler core to the loop that
+/// owns its connection.
+pub(crate) type Reply = (ConnId, [u8; REPLY_LEN]);
 
 /// One validated request frame on its way to the scheduler.
 pub(crate) struct Ingress {
@@ -98,7 +129,7 @@ pub(crate) struct Ingress {
     pub class: ClassId,
     pub deadline_ms: u32,
     pub ingest: SimTime,
-    pub conn: Conn,
+    pub conn: ConnId,
 }
 
 /// A request the front end already answered (`Shed`) without the
@@ -128,183 +159,53 @@ pub(crate) fn shed_reply(seq: u64, item: u32, wait_ms: f64) -> ReplyFrame {
     }
 }
 
-/// The cross-thread face of one event loop: its waker, the hand-off inbox
-/// for freshly accepted connections, and the dirty list of connections
-/// with queued replies.
+/// What other threads leave for one loop: sockets loop 0 accepted on its
+/// behalf, and the replies scheduler cores resolved for its connections.
+#[derive(Default)]
+struct Mailbox {
+    streams: Vec<TcpStream>,
+    replies: Vec<Reply>,
+}
+
+/// The cross-thread face of one event loop: its waker and its mailbox —
+/// the only state a loop shares with any other thread.
 pub(crate) struct LoopShared {
     waker: EventFd,
-    inbox: Mutex<Vec<TcpStream>>,
-    dirty: Mutex<Vec<Conn>>,
-    dirty_flag: AtomicBool,
-    outbound_bound: usize,
-    ledger: Arc<Ledger>,
-    /// Number of this loop's connections with un-flushed outbound bytes.
-    /// Every transition happens under the owning connection's `out` lock
-    /// (see [`ConnShared::sync_backlog`]), so the count is exact — the
-    /// drain check reads this instead of sweeping one mutex per
-    /// connection per pass.
-    backlogged: AtomicI64,
+    mailbox: Mutex<Mailbox>,
 }
 
 impl LoopShared {
-    pub(crate) fn new(outbound_bound: usize, ledger: Arc<Ledger>) -> io::Result<LoopShared> {
+    pub(crate) fn new() -> io::Result<LoopShared> {
         Ok(LoopShared {
             waker: EventFd::new()?,
-            inbox: Mutex::new(Vec::new()),
-            dirty: Mutex::new(Vec::new()),
-            dirty_flag: AtomicBool::new(false),
-            outbound_bound,
-            ledger,
-            backlogged: AtomicI64::new(0),
+            mailbox: Mutex::new(Mailbox::default()),
         })
     }
 
-    /// Connections with queued outbound bytes (exact; see `backlogged`).
-    pub(crate) fn backlogged_conns(&self) -> i64 {
-        self.backlogged.load(Ordering::Acquire)
-    }
-
-    /// Rings the loop's waker iff replies were filed since the last kick —
-    /// the scheduler calls this once per tick per loop.
-    pub(crate) fn kick(&self) {
-        if self.dirty_flag.swap(false, Ordering::AcqRel) {
-            self.waker.ring();
+    /// Hands one scheduler core's batch of replies to the loop, in order,
+    /// and wakes it: one lock and one eventfd write however long the
+    /// batch. `batch` comes back empty; the loop and the cores swap
+    /// buffers through the mailbox, so once warm nothing allocates. The
+    /// scheduler calls this once per tick per loop.
+    pub(crate) fn deliver(&self, batch: &mut Vec<Reply>) {
+        if batch.is_empty() {
+            return;
         }
+        {
+            let mut mail = self.mailbox.lock().expect("mailbox lock");
+            if mail.replies.is_empty() {
+                std::mem::swap(&mut mail.replies, batch);
+            } else {
+                // Another core's batch is still waiting for the loop.
+                mail.replies.append(batch);
+            }
+        }
+        self.waker.ring();
     }
 
     /// Unconditional wake (shutdown/done transitions).
     pub(crate) fn wake(&self) {
         self.waker.ring();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Connections
-// ---------------------------------------------------------------------------
-
-/// Queued-but-unwritten replies for one connection.
-struct Outbound {
-    queue: VecDeque<[u8; REPLY_LEN]>,
-    /// Bytes of the front entry already written (short-write resumption).
-    offset: usize,
-    /// Total unwritten bytes across the queue.
-    bytes: usize,
-    /// `EPOLLOUT` currently armed.
-    want_write: bool,
-    /// This connection currently contributes +1 to the owner's
-    /// backlogged-connection counter.
-    counted: bool,
-    /// Set by `close_conn` under this lock: late sends racing the close
-    /// must not resurrect the counter (or the queue).
-    closed: bool,
-}
-
-/// The shared handle to one client connection. Cloned into every live
-/// request; the scheduler only ever calls [`Conn::send`].
-#[derive(Clone)]
-pub(crate) struct Conn(Arc<ConnShared>);
-
-struct ConnShared {
-    stream: TcpStream,
-    fd: RawFd,
-    id: u64,
-    owner: Arc<LoopShared>,
-    alive: AtomicBool,
-    /// `true` while the conn sits in its owner's dirty list.
-    queued: AtomicBool,
-    out: Mutex<Outbound>,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, id: u64, owner: Arc<LoopShared>) -> Conn {
-        let fd = stream.as_raw_fd();
-        Conn(Arc::new(ConnShared {
-            stream,
-            fd,
-            id,
-            owner,
-            alive: AtomicBool::new(true),
-            queued: AtomicBool::new(false),
-            out: Mutex::new(Outbound {
-                queue: VecDeque::new(),
-                offset: 0,
-                bytes: 0,
-                want_write: false,
-                counted: false,
-                closed: false,
-            }),
-        }))
-    }
-
-    /// Enqueues one reply for the owning loop to flush. A dead peer is a
-    /// no-op (the request is still *counted* as answered — we answered).
-    /// Exceeding the outbound bound marks the connection stalled: it is
-    /// killed and ledger-counted, and the loop closes it on its next pass.
-    pub(crate) fn send(&self, rep: &ReplyFrame) {
-        let inner = &*self.0;
-        if !inner.alive.load(Ordering::Acquire) {
-            return;
-        }
-        let stalled = {
-            let mut out = inner.out.lock().expect("outbound lock");
-            if out.closed {
-                return;
-            }
-            out.queue.push_back(rep.encode());
-            out.bytes += REPLY_LEN;
-            let stalled = if out.bytes > inner.owner.outbound_bound {
-                out.queue.clear();
-                out.bytes = 0;
-                out.offset = 0;
-                true
-            } else {
-                false
-            };
-            inner.sync_backlog(&mut out);
-            stalled
-        };
-        if stalled {
-            inner.alive.store(false, Ordering::Release);
-            inner
-                .owner
-                .ledger
-                .stalled_conns
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        // File into the dirty list either way: the loop must wake to
-        // flush — or, for a stalled conn, to close it.
-        self.file_dirty();
-    }
-
-    fn file_dirty(&self) {
-        if !self.0.queued.swap(true, Ordering::AcqRel) {
-            self.0
-                .owner
-                .dirty
-                .lock()
-                .expect("dirty lock")
-                .push(self.clone());
-            self.0.owner.dirty_flag.store(true, Ordering::Release);
-        }
-    }
-
-    fn has_outbound(&self) -> bool {
-        self.0.out.lock().expect("outbound lock").bytes > 0
-    }
-}
-
-impl ConnShared {
-    /// Re-syncs the owner's backlogged-connection counter with this
-    /// connection's `bytes > 0` state. Must be called with `out` held
-    /// after every change to `bytes` — the lock makes each connection's
-    /// ±1 contribution exact.
-    fn sync_backlog(&self, out: &mut Outbound) {
-        let backlogged = out.bytes > 0 && !out.closed;
-        if backlogged != out.counted {
-            out.counted = backlogged;
-            let delta = if backlogged { 1 } else { -1 };
-            self.owner.backlogged.fetch_add(delta, Ordering::AcqRel);
-        }
     }
 }
 
@@ -338,20 +239,49 @@ pub(crate) struct LoopCtx {
     pub shutdown: Arc<AtomicBool>,
     /// Drain-finished flag (final flush, then close everything).
     pub done: Arc<AtomicBool>,
+    /// The stall rule's bound: un-flushed reply bytes one connection may
+    /// hold (`conn_outbound_kib`).
+    pub outbound_bound: usize,
+    pub ledger: Arc<Ledger>,
     pub bounds: Bounds,
     pub clock: WallClock,
 }
 
-/// Per-connection loop-local state.
+/// One connection, whole: the loop that accepted it owns this value and
+/// nothing else refers to it. Dropping it closes the socket.
 struct ConnState {
-    conn: Conn,
+    id: ConnId,
+    stream: TcpStream,
     batch: FrameBatch,
     read_closed: bool,
+    /// Queued-but-unwritten replies.
+    queue: VecDeque<[u8; REPLY_LEN]>,
+    /// Bytes of the front entry already written (short-write resumption).
+    offset: usize,
+    /// `EPOLLOUT` currently armed.
+    want_write: bool,
+    /// Already in this pass's list of connections to flush.
+    listed: bool,
 }
 
-enum ReadOutcome {
-    Keep,
-    Close,
+impl ConnState {
+    fn new(id: ConnId, stream: TcpStream) -> ConnState {
+        ConnState {
+            id,
+            stream,
+            batch: FrameBatch::new(),
+            read_closed: false,
+            queue: VecDeque::new(),
+            offset: 0,
+            want_write: false,
+            listed: false,
+        }
+    }
+
+    /// Total unwritten bytes across the queue.
+    fn unflushed(&self) -> usize {
+        self.queue.len() * REPLY_LEN - self.offset
+    }
 }
 
 pub(crate) fn run_loop(ctx: LoopCtx) {
@@ -366,7 +296,7 @@ pub(crate) fn run_loop(ctx: LoopCtx) {
     }
 
     let mut conns: HashMap<u64, ConnState> = HashMap::new();
-    let mut next_id: u64 = 0;
+    let mut next_serial: u64 = 0;
     let mut next_peer: usize = 0;
     let mut events = [EpollEvent::zeroed(); 256];
     let mut chunk = vec![0u8; READ_CHUNK];
@@ -374,6 +304,10 @@ pub(crate) fn run_loop(ctx: LoopCtx) {
     let mut backoff = ACCEPT_BACKOFF_MIN;
     let mut done_since: Option<Instant> = None;
     let mut pushed = vec![false; ctx.doorbells.len()];
+    // This loop's side of the mailbox buffer swap (empty between passes).
+    let mut replies: Vec<Reply> = Vec::new();
+    // Connections that had a reply queued this pass, each listed once.
+    let mut touched: Vec<u64> = Vec::new();
 
     loop {
         let mut timeout = POLL;
@@ -386,6 +320,10 @@ pub(crate) fn run_loop(ctx: LoopCtx) {
         let n = epoll.wait(&mut events, Some(timeout)).unwrap_or(0);
 
         let shutting = ctx.shutdown.load(Ordering::SeqCst);
+        // Read before the mailbox is emptied below: the cores' last
+        // hand-overs happen before `done` is set, so a pass that sees it
+        // set has every reply there will ever be.
+        let done = ctx.done.load(Ordering::SeqCst);
         pushed.fill(false);
         for &ev in &events[..n] {
             match ev.cookie() {
@@ -396,7 +334,7 @@ pub(crate) fn run_loop(ctx: LoopCtx) {
                             &ctx,
                             &epoll,
                             &mut conns,
-                            &mut next_id,
+                            &mut next_serial,
                             &mut next_peer,
                             &mut listener_armed,
                             &mut rearm_at,
@@ -410,35 +348,35 @@ pub(crate) fn run_loop(ctx: LoopCtx) {
                         close_conn(&epoll, &mut conns, id);
                         continue;
                     }
-                    if ready & (EPOLLIN | EPOLLRDHUP) != 0 && !shutting {
-                        if let Some(state) = conns.get_mut(&id) {
-                            if let ReadOutcome::Close =
-                                read_pump(&ctx, state, &mut chunk, &mut pushed)
-                            {
-                                close_conn(&epoll, &mut conns, id);
-                                continue;
-                            }
-                        }
+                    // Closed earlier in this batch of events: nothing left.
+                    let Some(state) = conns.get_mut(&id) else {
+                        continue;
+                    };
+                    if ready & (EPOLLIN | EPOLLRDHUP) != 0
+                        && !shutting
+                        && !read_pump(&ctx, state, &mut chunk, &mut pushed, &mut touched)
+                    {
+                        close_conn(&epoll, &mut conns, id);
+                        continue;
                     }
-                    if ready & EPOLLOUT != 0 {
-                        if let Some(state) = conns.get(&id) {
-                            if !flush_conn(&epoll, &state.conn) {
-                                close_conn(&epoll, &mut conns, id);
-                            }
-                        }
+                    if ready & EPOLLOUT != 0 && !flush_conn(&epoll, state) {
+                        close_conn(&epoll, &mut conns, id);
                     }
                 }
             }
         }
 
-        // Adopt connections loop 0 handed over.
+        // Empty the mailbox: the one lock this loop takes per pass.
         let adopted: Vec<TcpStream> = {
-            let mut inbox = ctx.shared.inbox.lock().expect("inbox lock");
-            std::mem::take(&mut *inbox)
+            let mut mail = ctx.shared.mailbox.lock().expect("mailbox lock");
+            std::mem::swap(&mut mail.replies, &mut replies);
+            std::mem::take(&mut mail.streams)
         };
+        // Adopt connections loop 0 handed over.
         for stream in adopted {
-            register_conn(&ctx, &epoll, &mut conns, &mut next_id, stream);
+            register_conn(&ctx, &epoll, &mut conns, &mut next_serial, stream);
         }
+        queue_replies(&ctx, &epoll, &mut conns, &mut replies, &mut touched);
 
         // Re-arm the listener after an fd-exhaustion backoff.
         if let (Some(at), Some(l)) = (rearm_at, ctx.listener.as_ref()) {
@@ -452,7 +390,7 @@ pub(crate) fn run_loop(ctx: LoopCtx) {
                         &ctx,
                         &epoll,
                         &mut conns,
-                        &mut next_id,
+                        &mut next_serial,
                         &mut next_peer,
                         &mut listener_armed,
                         &mut rearm_at,
@@ -462,16 +400,13 @@ pub(crate) fn run_loop(ctx: LoopCtx) {
             }
         }
 
-        // Flush every connection the scheduler (or this loop) marked dirty.
-        let dirty: Vec<Conn> = {
-            let mut d = ctx.shared.dirty.lock().expect("dirty lock");
-            std::mem::take(&mut *d)
-        };
-        for conn in dirty {
-            // Reset before flushing: sends racing the flush re-file.
-            conn.0.queued.store(false, Ordering::Release);
-            if !flush_conn(&epoll, &conn) {
-                close_conn(&epoll, &mut conns, conn.0.id);
+        // Flush every connection this pass queued a reply on.
+        for id in touched.drain(..) {
+            if let Some(state) = conns.get_mut(&id) {
+                state.listed = false;
+                if !flush_conn(&epoll, state) {
+                    close_conn(&epoll, &mut conns, id);
+                }
             }
         }
 
@@ -481,24 +416,12 @@ pub(crate) fn run_loop(ctx: LoopCtx) {
             }
         }
 
-        if ctx.done.load(Ordering::SeqCst) {
+        if done {
             let since = *done_since.get_or_insert_with(Instant::now);
-            // O(1): the shared counter replaces the one-mutex-per-
-            // connection sweep the old drain check paid on every pass.
-            let pending = ctx.shared.backlogged_conns() > 0;
-            // The scheduler is quiescent once `done` is set, so a fresh
-            // sweep must agree with the counter; any divergence is
-            // ledger-counted and asserted zero by the writer-path tests.
-            let sweep = conns.values().any(|s| s.conn.has_outbound());
-            if pending != sweep {
-                ctx.shared
-                    .ledger
-                    .backlog_mismatches
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+            let pending = conns.values().any(|s| !s.queue.is_empty());
             if !pending || since.elapsed() >= FINAL_FLUSH_GRACE {
-                // Dropping the map closes every stream still owned solely
-                // by this loop — clients see EOF after their last reply.
+                // Dropping the map closes every stream — clients see EOF
+                // after their last reply.
                 return;
             }
         }
@@ -510,7 +433,7 @@ fn accept_burst(
     ctx: &LoopCtx,
     epoll: &Epoll,
     conns: &mut HashMap<u64, ConnState>,
-    next_id: &mut u64,
+    next_serial: &mut u64,
     next_peer: &mut usize,
     listener_armed: &mut bool,
     rearm_at: &mut Option<Instant>,
@@ -526,20 +449,19 @@ fn accept_burst(
                 let target = *next_peer % ctx.peers.len();
                 *next_peer = next_peer.wrapping_add(1);
                 if target == ctx.index {
-                    register_conn(ctx, epoll, conns, next_id, stream);
+                    register_conn(ctx, epoll, conns, next_serial, stream);
                 } else {
                     let peer = &ctx.peers[target];
-                    peer.inbox.lock().expect("inbox lock").push(stream);
+                    let mut mail = peer.mailbox.lock().expect("mailbox lock");
+                    mail.streams.push(stream);
+                    drop(mail);
                     peer.wake();
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => {
-                ctx.shared
-                    .ledger
-                    .accept_errors
-                    .fetch_add(1, Ordering::Relaxed);
+                ctx.ledger.accept_errors.fetch_add(1, Ordering::Relaxed);
                 if is_fd_exhaustion(&e) && *listener_armed {
                     // Bounded backoff instead of a hot spin: deregister,
                     // sleep (via the loop's timeout), re-arm.
@@ -558,46 +480,82 @@ fn register_conn(
     ctx: &LoopCtx,
     epoll: &Epoll,
     conns: &mut HashMap<u64, ConnState>,
-    next_id: &mut u64,
+    next_serial: &mut u64,
     stream: TcpStream,
 ) {
     let _ = stream.set_nodelay(true);
     if stream.set_nonblocking(true).is_err() {
         return;
     }
-    let id = *next_id;
-    *next_id += 1;
-    let conn = Conn::new(stream, id, Arc::clone(&ctx.shared));
+    let id = ConnId::new(ctx.index, *next_serial);
+    *next_serial += 1;
     if epoll
-        .add(conn.0.fd, EPOLLIN | EPOLLRDHUP | EPOLLET, id)
+        .add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP | EPOLLET, id.0)
         .is_err()
     {
         return;
     }
-    conns.insert(
-        id,
-        ConnState {
-            conn,
-            batch: FrameBatch::new(),
-            read_closed: false,
-        },
-    );
+    conns.insert(id.0, ConnState::new(id, stream));
+}
+
+/// Appends one reply to a connection's outbound queue and lists the
+/// connection for this pass's flush. Returns `false` when that trips the
+/// stall rule — the un-flushed queue exceeds the bound: the peer stopped
+/// reading, the stall is ledger-counted and the caller must close the
+/// connection (the request stays *answered*: the daemon answered).
+fn queue_reply(
+    ctx: &LoopCtx,
+    state: &mut ConnState,
+    reply: [u8; REPLY_LEN],
+    touched: &mut Vec<u64>,
+) -> bool {
+    state.queue.push_back(reply);
+    if state.unflushed() > ctx.outbound_bound {
+        ctx.ledger.stalled_conns.fetch_add(1, Ordering::Relaxed);
+        return false;
+    }
+    if !state.listed {
+        state.listed = true;
+        touched.push(state.id.0);
+    }
+    true
+}
+
+/// Moves one mailbox-load of scheduler replies, in order, onto their
+/// connections' outbound queues and leaves `replies` empty. A reply whose
+/// connection is gone is dropped — the scheduler already counted the
+/// request answered, and the serial belongs to no other connection.
+fn queue_replies(
+    ctx: &LoopCtx,
+    epoll: &Epoll,
+    conns: &mut HashMap<u64, ConnState>,
+    replies: &mut Vec<Reply>,
+    touched: &mut Vec<u64>,
+) {
+    for (conn, reply) in replies.drain(..) {
+        if let Some(state) = conns.get_mut(&conn.0) {
+            if !queue_reply(ctx, state, reply, touched) {
+                close_conn(epoll, conns, conn.0);
+            }
+        }
+    }
 }
 
 /// Edge-triggered read: drain the socket, then decode every complete
-/// frame in one pass.
+/// frame in one pass. Returns `false` when the connection must be closed.
 fn read_pump(
     ctx: &LoopCtx,
     state: &mut ConnState,
     chunk: &mut [u8],
     pushed: &mut [bool],
-) -> ReadOutcome {
+    touched: &mut Vec<u64>,
+) -> bool {
     if state.read_closed {
-        return ReadOutcome::Keep;
+        return true;
     }
     let mut saw_eof = false;
     loop {
-        match (&state.conn.0.stream).read(chunk) {
+        match (&state.stream).read(chunk) {
             Ok(0) => {
                 saw_eof = true;
                 break;
@@ -605,45 +563,49 @@ fn read_pump(
             Ok(n) => state.batch.extend(&chunk[..n]),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Close,
+            Err(_) => return false,
         }
     }
     loop {
         match state.batch.decode_next() {
             Ok(Some(Frame::Request(req))) => {
                 let ingest = ctx.clock.now();
-                if req.class >= ctx.bounds.num_classes || req.item >= ctx.bounds.num_items {
-                    // Out-of-range request: answered (shed), counted.
-                    state.conn.send(&shed_reply(req.seq, req.item, 0.0));
-                    let _ = ctx.notices.send(Notice {
-                        class: None,
-                        item: None,
-                        ingest,
-                    });
-                    pushed[0] = true; // notices drain on channel 0's core
-                    continue;
-                }
-                let channel = ctx.route[req.item as usize] as usize;
-                let ing = Ingress {
-                    seq: req.seq,
-                    item: ItemId(req.item),
-                    class: ClassId(req.class),
-                    deadline_ms: req.deadline_ms,
-                    ingest,
-                    conn: state.conn.clone(),
-                };
-                match ctx.rings[channel].push(ing) {
-                    Ok(()) => pushed[channel] = true,
-                    Err(ing) => {
-                        // Ring full: explicit shed, never silent delay.
-                        ing.conn.send(&shed_reply(ing.seq, ing.item.0, 0.0));
-                        let _ = ctx.notices.send(Notice {
-                            class: Some(ing.class),
-                            item: Some(ing.item),
-                            ingest: ing.ingest,
-                        });
-                        pushed[0] = true;
-                    }
+                let notice =
+                    if req.class >= ctx.bounds.num_classes || req.item >= ctx.bounds.num_items {
+                        // Out-of-range request: answered (shed), counted.
+                        Notice {
+                            class: None,
+                            item: None,
+                            ingest,
+                        }
+                    } else {
+                        let channel = ctx.route[req.item as usize] as usize;
+                        let ing = Ingress {
+                            seq: req.seq,
+                            item: ItemId(req.item),
+                            class: ClassId(req.class),
+                            deadline_ms: req.deadline_ms,
+                            ingest,
+                            conn: state.id,
+                        };
+                        match ctx.rings[channel].push(ing) {
+                            Ok(()) => {
+                                pushed[channel] = true;
+                                continue;
+                            }
+                            // Ring full: explicit shed, never silent delay.
+                            Err(ing) => Notice {
+                                class: Some(ing.class),
+                                item: Some(ing.item),
+                                ingest,
+                            },
+                        }
+                    };
+                let _ = ctx.notices.send(notice);
+                pushed[0] = true; // notices drain on channel 0's core
+                let reply = shed_reply(req.seq, req.item, 0.0).encode();
+                if !queue_reply(ctx, state, reply, touched) {
+                    return false;
                 }
             }
             Ok(Some(Frame::Shutdown)) => {
@@ -654,109 +616,85 @@ fn read_pump(
                 // Frames already buffered behind the shutdown marker are
                 // still decoded — they arrived before it on this stream.
             }
-            Ok(Some(Frame::Reply(_))) => return ReadOutcome::Close, // clients don't send replies
+            Ok(Some(Frame::Reply(_))) => return false, // clients don't send replies
             Ok(None) => break,
             Err(
                 DecodeError::BadLength(_) | DecodeError::BadOpcode(_) | DecodeError::BadBody(_),
             ) => {
-                return ReadOutcome::Close;
+                return false;
             }
         }
     }
     if saw_eof {
         if !state.batch.at_boundary() {
-            return ReadOutcome::Close; // truncated mid-frame
+            return false; // truncated mid-frame
         }
         // Half-close: the peer is done sending but may still be reading
         // replies; keep the write side until the daemon exits.
         state.read_closed = true;
     }
-    ReadOutcome::Keep
+    true
 }
 
 /// Flushes a connection's outbound queue with `writev`, resuming short
 /// writes and arming `EPOLLOUT` only while the socket pushes back.
 /// Returns `false` when the connection is dead and must be closed.
-fn flush_conn(epoll: &Epoll, conn: &Conn) -> bool {
-    let inner = &*conn.0;
-    if !inner.alive.load(Ordering::Acquire) {
-        return false;
-    }
-    let mut out = inner.out.lock().expect("outbound lock");
+fn flush_conn(epoll: &Epoll, state: &mut ConnState) -> bool {
+    let fd = state.stream.as_raw_fd();
     loop {
-        if out.queue.is_empty() {
-            out.offset = 0;
-            inner.sync_backlog(&mut out);
-            if out.want_write {
-                out.want_write = false;
-                let _ = epoll.modify(inner.fd, EPOLLIN | EPOLLRDHUP | EPOLLET, inner.id);
+        if state.queue.is_empty() {
+            state.offset = 0;
+            if state.want_write {
+                state.want_write = false;
+                let _ = epoll.modify(fd, EPOLLIN | EPOLLRDHUP | EPOLLET, state.id.0);
             }
             return true;
         }
         let wrote = {
-            let mut bufs: Vec<&[u8]> = Vec::with_capacity(out.queue.len().min(MAX_IOV));
-            for (i, entry) in out.queue.iter().take(MAX_IOV).enumerate() {
+            let mut bufs: Vec<&[u8]> = Vec::with_capacity(state.queue.len().min(MAX_IOV));
+            for (i, entry) in state.queue.iter().take(MAX_IOV).enumerate() {
                 bufs.push(if i == 0 {
-                    &entry[out.offset..]
+                    &entry[state.offset..]
                 } else {
                     &entry[..]
                 });
             }
-            writev_fd(inner.fd, &bufs)
+            writev_fd(fd, &bufs)
         };
         match wrote {
             Ok(0) => return true, // nothing accepted; wait for EPOLLOUT
             Ok(mut n) => {
-                out.bytes = out.bytes.saturating_sub(n);
-                inner.sync_backlog(&mut out);
                 while n > 0 {
-                    let remaining = REPLY_LEN - out.offset;
+                    let remaining = REPLY_LEN - state.offset;
                     if n >= remaining {
-                        out.queue.pop_front();
-                        out.offset = 0;
+                        state.queue.pop_front();
+                        state.offset = 0;
                         n -= remaining;
                     } else {
-                        out.offset += n;
+                        state.offset += n;
                         n = 0;
                     }
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if !out.want_write {
-                    out.want_write = true;
-                    let _ = epoll.modify(
-                        inner.fd,
-                        EPOLLIN | EPOLLRDHUP | EPOLLOUT | EPOLLET,
-                        inner.id,
-                    );
+                if !state.want_write {
+                    state.want_write = true;
+                    let _ = epoll.modify(fd, EPOLLIN | EPOLLRDHUP | EPOLLOUT | EPOLLET, state.id.0);
                 }
                 return true;
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                drop(out);
-                inner.alive.store(false, Ordering::Release);
-                return false;
-            }
+            Err(_) => return false,
         }
     }
 }
 
+/// Closes a connection there and then: deregisters it and drops its
+/// `ConnState`, socket included, so the peer sees EOF now — whatever
+/// requests of its the scheduler still holds resolve into dropped replies.
 fn close_conn(epoll: &Epoll, conns: &mut HashMap<u64, ConnState>, id: u64) {
     if let Some(state) = conns.remove(&id) {
-        let inner = &*state.conn.0;
-        inner.alive.store(false, Ordering::Release);
-        {
-            // Mark closed under the out lock so a send racing this close
-            // cannot re-enqueue or re-count the connection.
-            let mut out = inner.out.lock().expect("outbound lock");
-            out.closed = true;
-            out.queue.clear();
-            out.bytes = 0;
-            out.offset = 0;
-            inner.sync_backlog(&mut out);
-        }
-        let _ = epoll.delete(inner.fd);
+        let _ = epoll.delete(state.stream.as_raw_fd());
     }
 }
 
@@ -772,74 +710,148 @@ mod tests {
         (a, b)
     }
 
-    fn conn(id: u64, shared: &Arc<LoopShared>) -> (Conn, TcpStream) {
+    /// Registers one end of a socket pair as the loop's next connection;
+    /// returns its id and the client's end.
+    fn conn(
+        ctx: &LoopCtx,
+        epoll: &Epoll,
+        conns: &mut HashMap<u64, ConnState>,
+        next_serial: &mut u64,
+    ) -> (ConnId, TcpStream) {
         let (local, peer) = pair();
-        local.set_nonblocking(true).unwrap();
-        (Conn::new(local, id, Arc::clone(shared)), peer)
+        let id = ConnId::new(ctx.index, *next_serial);
+        register_conn(ctx, epoll, conns, next_serial, local);
+        assert!(conns.contains_key(&id.0));
+        (id, peer)
     }
 
-    fn sweep(conns: &[Conn]) -> bool {
-        conns.iter().any(|c| c.has_outbound())
-    }
-
-    /// The O(1) backlogged counter must agree with the per-connection
-    /// sweep after every transition: first enqueue, repeat enqueue, full
-    /// flush, stall-kill, close with queued bytes, and a send racing a
-    /// close.
-    #[test]
-    fn backlog_counter_matches_the_sweep_through_every_transition() {
-        let ledger = Arc::new(Ledger::default());
-        let shared = Arc::new(LoopShared::new(4 * REPLY_LEN, Arc::clone(&ledger)).unwrap());
-        let epoll = Epoll::new().unwrap();
-        let (a, _a_peer) = conn(0, &shared);
-        let (b, _b_peer) = conn(1, &shared);
-        let conns = [a.clone(), b.clone()];
-        let rep = shed_reply(1, 0, 0.0);
-
-        assert_eq!(shared.backlogged_conns(), 0);
-        assert!(!sweep(&conns));
-
-        // First enqueue counts the connection once; repeats don't.
-        a.send(&rep);
-        assert_eq!(shared.backlogged_conns(), 1);
-        a.send(&rep);
-        assert_eq!(shared.backlogged_conns(), 1);
-        b.send(&rep);
-        assert_eq!(shared.backlogged_conns(), 2);
-        assert_eq!(shared.backlogged_conns() > 0, sweep(&conns));
-
-        // A full flush decrements exactly once.
-        assert!(flush_conn(&epoll, &a));
-        assert_eq!(shared.backlogged_conns(), 1);
-        assert_eq!(shared.backlogged_conns() > 0, sweep(&conns));
-
-        // Blowing the outbound bound stall-kills: the cleared queue no
-        // longer counts as backlog.
-        for seq in 0..5 {
-            b.send(&shed_reply(seq, 0, 0.0));
-        }
-        assert_eq!(ledger.stalled_conns.load(Ordering::Relaxed), 1);
-        assert_eq!(shared.backlogged_conns(), 0);
-        assert!(!sweep(&conns));
-
-        // close_conn uncounts a connection that still had queued bytes,
-        // and a send racing the close cannot resurrect the count.
-        let (c, _c_peer) = conn(2, &shared);
-        let mut map = HashMap::new();
-        map.insert(
-            2u64,
-            ConnState {
-                conn: c.clone(),
-                batch: FrameBatch::new(),
-                read_closed: false,
+    /// A loop context with nothing behind it but the stall bound and the
+    /// ledger: no listener, no rings, an empty catalog.
+    fn ctx(outbound_bound: usize) -> LoopCtx {
+        let shared = Arc::new(LoopShared::new().unwrap());
+        LoopCtx {
+            index: 0,
+            peers: vec![Arc::clone(&shared)],
+            shared,
+            listener: None,
+            rings: Vec::new(),
+            route: Vec::new().into(),
+            notices: std::sync::mpsc::channel().0,
+            doorbells: Vec::new(),
+            shutdown: Arc::default(),
+            done: Arc::default(),
+            outbound_bound,
+            ledger: Arc::default(),
+            bounds: Bounds {
+                num_items: 0,
+                num_classes: 0,
             },
+            clock: WallClock::start(1.0),
+        }
+    }
+
+    fn reply(seq: u64) -> [u8; REPLY_LEN] {
+        shed_reply(seq, 0, 0.0).encode()
+    }
+
+    #[test]
+    fn conn_id_round_trips_its_loop_index() {
+        for (index, serial) in [(0, 0), (1, 7), (3, (1 << 48) - 1), (65_535, 42)] {
+            let id = ConnId::new(index, serial);
+            assert_eq!(id.loop_index(), index);
+            assert_eq!(id.0 & ((1 << 48) - 1), serial);
+            assert!(id.0 < WAKER_COOKIE, "never a reserved cookie");
+        }
+        assert_ne!(ConnId::new(0, 5), ConnId::new(1, 5));
+    }
+
+    /// Two hand-overs before the loop looks reach it as one ordered run,
+    /// and each leaves the core's batch empty for the next tick.
+    #[test]
+    fn deliver_keeps_reply_order_and_returns_an_empty_buffer() {
+        let shared = LoopShared::new().unwrap();
+        let id = ConnId::new(0, 0);
+
+        let mut batch: Vec<Reply> = Vec::new();
+        shared.deliver(&mut batch); // empty: no lock, no wake, no change
+        assert!(shared.mailbox.lock().unwrap().replies.is_empty());
+
+        batch.extend([(id, reply(0)), (id, reply(1))]);
+        shared.deliver(&mut batch);
+        assert!(batch.is_empty());
+        batch.push((id, reply(2)));
+        shared.deliver(&mut batch);
+        assert!(batch.is_empty());
+
+        // The loop's side of the swap: it takes everything, in order, and
+        // leaves its own (empty) buffer behind for the next hand-over.
+        let mut taken: Vec<Reply> = Vec::with_capacity(64);
+        std::mem::swap(&mut shared.mailbox.lock().unwrap().replies, &mut taken);
+        let want: Vec<Reply> = (0..3).map(|seq| (id, reply(seq))).collect();
+        assert_eq!(taken, want);
+        batch.push((id, reply(3)));
+        shared.deliver(&mut batch);
+        assert!(batch.is_empty());
+        assert!(batch.capacity() >= 64, "the loop's buffer came back");
+    }
+
+    /// The stall rule trips exactly where the shared outbound queue's did:
+    /// with room for four un-flushed replies, on the fifth. The connection
+    /// is closed there and then; what the batch still holds for it, and a
+    /// reply for a serial the loop never had, are dropped without touching
+    /// the connection next to it.
+    #[test]
+    fn stall_rule_trips_on_the_fifth_reply_and_late_replies_are_dropped() {
+        let bound = 4 * REPLY_LEN;
+        let ctx = ctx(bound);
+        let ledger = Arc::clone(&ctx.ledger);
+        let epoll = Epoll::new().unwrap();
+        let mut conns = HashMap::new();
+        let (mut touched, mut next_serial) = (Vec::new(), 0);
+        let (a, mut a_peer) = conn(&ctx, &epoll, &mut conns, &mut next_serial);
+        let (b, mut b_peer) = conn(&ctx, &epoll, &mut conns, &mut next_serial);
+        let gone = ConnId::new(ctx.index, next_serial);
+
+        let mut replies: Vec<Reply> = (0..4).map(|seq| (a, reply(seq))).collect();
+        replies.push((gone, reply(99)));
+        replies.push((b, reply(0)));
+        queue_replies(&ctx, &epoll, &mut conns, &mut replies, &mut touched);
+        assert!(replies.is_empty());
+        assert_eq!(ledger.stalled_conns.load(Ordering::Relaxed), 0);
+        assert_eq!(conns[&a.0].unflushed(), bound);
+        assert_eq!(conns[&b.0].queue, [reply(0)]);
+        assert_eq!(touched, [a.0, b.0], "each listed once, nothing for `gone`");
+
+        // The fifth un-flushed reply is one too many.
+        replies.extend([(a, reply(4)), (a, reply(5)), (b, reply(1))]);
+        queue_replies(&ctx, &epoll, &mut conns, &mut replies, &mut touched);
+        assert_eq!(ledger.stalled_conns.load(Ordering::Relaxed), 1);
+        assert!(!conns.contains_key(&a.0), "closed on the spot");
+        assert_eq!(conns[&b.0].queue, [reply(0), reply(1)]);
+        let mut buf = [0u8; 64];
+        assert_eq!(
+            a_peer.read(&mut buf).unwrap(),
+            0,
+            "a closed connection is closed"
         );
-        c.send(&rep);
-        assert_eq!(shared.backlogged_conns(), 1);
-        close_conn(&epoll, &mut map, 2);
-        assert_eq!(shared.backlogged_conns(), 0);
-        c.send(&rep);
-        assert_eq!(shared.backlogged_conns(), 0);
-        assert_eq!(ledger.backlog_mismatches.load(Ordering::Relaxed), 0);
+
+        // The pass's flush skips the closed connection and writes b's two
+        // replies, in order.
+        for id in touched.drain(..) {
+            if let Some(state) = conns.get_mut(&id) {
+                state.listed = false;
+                assert!(flush_conn(&epoll, state));
+            }
+        }
+        assert_eq!(conns[&b.0].unflushed(), 0);
+        b_peer.read_exact(&mut buf[..2 * REPLY_LEN]).unwrap();
+        assert_eq!(buf[..REPLY_LEN], reply(0));
+        assert_eq!(buf[REPLY_LEN..2 * REPLY_LEN], reply(1));
+
+        // A flushed queue has its whole bound again.
+        replies.extend((2..6).map(|seq| (b, reply(seq))));
+        queue_replies(&ctx, &epoll, &mut conns, &mut replies, &mut touched);
+        assert_eq!(ledger.stalled_conns.load(Ordering::Relaxed), 1);
+        assert_eq!(conns[&b.0].unflushed(), bound);
     }
 }

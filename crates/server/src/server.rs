@@ -7,26 +7,29 @@
 //!          ┌ event loop 0 ┐  per-shard SPSC rings   ┌───────────┐
 //! accept ─▶│ epoll, batch │ ───── ingress ────────▶ │ scheduler │
 //! (loop 0) │ decode,      │ ── notices (mpsc) ────▶ │  thread   │
-//!          │ writev flush │ ◀─ reply queues/kicks ──│           │
-//!          └ event loop N ┘                         └───────────┘
+//!          │ writev flush │ ◀─ mailbox: one reply ──│           │
+//!          └ event loop N ┘    batch per tick       └───────────┘
 //! ```
 //!
-//! * **Event loops** ([`crate::event_loop`]) own the sockets: nonblocking,
-//!   edge-triggered epoll, stateful per-connection read buffers feeding a
-//!   batched frame decoder, and `writev`-coalesced reply flushing. Each
-//!   loop is the single producer of one bounded ingress ring; a full ring
-//!   is *backpressure*: the loop immediately writes an explicit `Shed`
-//!   reply itself (the scheduler never sees the frame) and posts a notice
-//!   so the counters and telemetry still see the arrival. No accepted
-//!   frame is ever silently dropped.
+//! * **Event loops** ([`crate::event_loop`]) own the connections — socket,
+//!   read buffer, outbound reply queue — and nothing else touches them:
+//!   nonblocking, edge-triggered epoll, stateful per-connection read
+//!   buffers feeding a batched frame decoder, and `writev`-coalesced reply
+//!   flushing. Each loop is the single producer of one bounded ingress
+//!   ring; a full ring is *backpressure*: the loop immediately writes an
+//!   explicit `Shed` reply itself (the scheduler never sees the frame) and
+//!   posts a notice so the counters and telemetry still see the arrival.
+//!   No accepted frame is ever silently dropped.
 //! * **The scheduler thread** (one per broadcast channel) drives a
 //!   [`ChannelCore`] — the request state machine trace replay also runs —
 //!   against a [`WallClock`]: a transmission of `L` broadcast units
 //!   occupies the downlink for `L × unit_millis` wall milliseconds. It
-//!   drains the shard rings round-robin, turns each resolution into a
-//!   reply on its connection's outbound queue, and rings each loop's
-//!   waker **once per tick** — an idle daemon parks on the [`Doorbell`]
-//!   instead of broadcasting to nobody.
+//!   drains the shard rings round-robin and encodes each resolution into
+//!   an outbox it alone owns, one batch per loop, addressed by the
+//!   request's `Copy` [`ConnId`]; **once per tick** it hands each
+//!   non-empty batch to that loop's mailbox — one lock and one waker ring
+//!   per loop however many replies. An idle daemon parks on the
+//!   [`Doorbell`] instead of broadcasting to nobody.
 //! * **Graceful shutdown** (SIGTERM/ctrl-c via [`crate::signal`], the
 //!   in-band shutdown frame, or [`ServerHandle::shutdown`]): stop
 //!   accepting and reading, keep draining queued pull work for at most
@@ -62,7 +65,7 @@ use hybridcast_telemetry::{TelemetryConfig, WindowRecorder, WindowStats};
 
 use crate::config::ServeConfig;
 use crate::event_loop::{
-    run_loop, Bounds, Conn, Ingress, Ledger, LoopCtx, LoopShared, Notice, POLL,
+    run_loop, Bounds, ConnId, Ingress, Ledger, LoopCtx, LoopShared, Notice, Reply, POLL,
 };
 use crate::frame::{ReplyFrame, ReplyStatus};
 use crate::poll::tighten_timer_slack;
@@ -126,10 +129,6 @@ pub struct ServeSummary {
     /// Connections killed for exceeding the outbound reply bound (stalled
     /// readers). Their replies are still counted as answered.
     pub stalled_conns: u64,
-    /// Drain-phase disagreements between the O(1) backlogged-connection
-    /// counter and a per-connection sweep (must be zero; the writer-path
-    /// tests assert it).
-    pub backlog_mismatches: u64,
     /// Wall seconds from first bind to summary.
     pub wall_seconds: f64,
     /// How late each transmission's completion fired, in wall
@@ -291,10 +290,7 @@ fn run(
 
     let mut shareds: Vec<Arc<LoopShared>> = Vec::with_capacity(nloops);
     for _ in 0..nloops {
-        shareds.push(Arc::new(LoopShared::new(
-            outbound_bound,
-            Arc::clone(&ledger),
-        )?));
+        shareds.push(Arc::new(LoopShared::new()?));
     }
     // The ring matrix: each loop produces into one ring per channel;
     // channel c's core consumes column c across all loops.
@@ -320,6 +316,8 @@ fn run(
             doorbells: doorbells.clone(),
             shutdown: Arc::clone(&shutdown),
             done: Arc::clone(&done),
+            outbound_bound,
+            ledger: Arc::clone(&ledger),
             bounds,
             clock: clock.clone(),
         };
@@ -397,6 +395,7 @@ fn run(
         unit_millis: config.serve.unit_millis,
         default_deadline_ms: config.serve.default_deadline_ms,
         notices: notice_rx.take(),
+        outbox: vec![Vec::new(); nloops],
         out: out.clone(),
         hub: hub.clone(),
         last_pub: Instant::now(),
@@ -481,7 +480,6 @@ fn finish(
         pull_tx: total.pull_tx,
         accept_errors: ledger.accept_errors.load(Ordering::Relaxed),
         stalled_conns: ledger.stalled_conns.load(Ordering::Relaxed),
-        backlog_mismatches: ledger.backlog_mismatches.load(Ordering::Relaxed),
         wall_seconds: elapsed.as_secs_f64(),
         slot_late_ms: slot_late_ms.summary(),
         conservation_ok: per_channel.iter().all(|ch| ch.conservation_ok),
@@ -534,18 +532,23 @@ struct SealedCore {
 /// The wall-clock driver of one channel's [`ChannelCore`]: it owns what is
 /// the daemon's alone — the clock, front-end notices, default-deadline
 /// resolution, trace recording, JSONL/hub publishing — and turns each
-/// [`Resolution`] into a [`ReplyFrame`] on the request's connection.
+/// [`Resolution`] into a [`ReplyFrame`] for the loop that owns the
+/// request's connection.
 struct Core {
     /// This core's broadcast-channel index.
     channel: u32,
     /// The request state machine; a request's tag is its `(seq, conn)`
     /// reply address.
-    core: ChannelCore<(u64, Conn), WindowRecorder>,
+    core: ChannelCore<(u64, ConnId), WindowRecorder>,
     clock: WallClock,
     unit_millis: f64,
     default_deadline_ms: u32,
     /// Front-end shed notices; only channel 0's core holds the receiver.
     notices: Option<Receiver<Notice>>,
+    /// Replies resolved since the last hand-over, one batch per event
+    /// loop (indexed like the loops). The core's own: filling it takes no
+    /// lock.
+    outbox: Vec<Vec<Reply>>,
     out: Option<SharedOut>,
     /// Live-stats hub (when the ops endpoint is enabled).
     hub: Option<Arc<OpsHub>>,
@@ -561,12 +564,16 @@ struct Core {
     slot_late_ms: Welford,
 }
 
-/// The outbox: encodes one resolution as the reply frame on its
-/// connection (`wait` arrives in broadcast units).
-fn reply(unit_millis: f64) -> impl FnMut(Resolution<(u64, Conn)>) {
+/// The outbox: encodes one resolution as its reply frame and files it in
+/// the batch of the loop that owns the connection (`wait` arrives in
+/// broadcast units).
+fn reply(
+    unit_millis: f64,
+    outbox: &mut [Vec<Reply>],
+) -> impl FnMut(Resolution<(u64, ConnId)>) + '_ {
     move |r| {
         let (seq, conn) = r.tag;
-        conn.send(&ReplyFrame {
+        let frame = ReplyFrame {
             seq,
             status: match r.outcome {
                 Outcome::ServedPush => ReplyStatus::ServedPush,
@@ -577,7 +584,8 @@ fn reply(unit_millis: f64) -> impl FnMut(Resolution<(u64, Conn)>) {
             },
             item: r.item.0,
             wait_ms: r.wait * unit_millis,
-        });
+        };
+        outbox[conn.loop_index()].push((conn, frame.encode()));
     }
 }
 
@@ -604,8 +612,8 @@ fn jsonl_line(kind: &str, channel: u32, field: &str, payload: &impl Serialize) -
 impl Core {
     /// The steady-state loop: wake for ingress (doorbell), due
     /// deliveries/timeouts, and transmission completions; dispatch
-    /// whenever the downlink is idle and demand exists. Reply kicks are
-    /// batched: each loop's waker rings at most once per tick.
+    /// whenever the downlink is idle and demand exists. Replies are
+    /// batched: each loop gets at most one hand-over per tick.
     fn run(
         &mut self,
         shards: &mut ShardSet<Ingress>,
@@ -614,23 +622,19 @@ impl Core {
         stop: &AtomicBool,
     ) {
         tighten_timer_slack();
-        let mut reply = reply(self.unit_millis);
         loop {
             self.drain_notices();
-            self.advance(&mut reply);
+            self.advance();
             if stop.load(Ordering::SeqCst) {
-                for l in loops {
-                    l.kick();
-                }
+                self.hand_over(loops);
                 return;
             }
-            self.core.dispatch(self.clock.now(), &mut reply);
+            self.core
+                .dispatch(self.clock.now(), reply(self.unit_millis, &mut self.outbox));
             self.stream_windows();
 
             let drained = shards.drain(DRAIN_BUDGET, |ing| self.ingest(ing));
-            for l in loops {
-                l.kick();
-            }
+            self.hand_over(loops);
             if drained == 0 {
                 let wait = self
                     .core
@@ -653,19 +657,17 @@ impl Core {
         loops: &[Arc<LoopShared>],
         budget: Duration,
     ) {
-        let mut reply = reply(self.unit_millis);
         let deadline = Instant::now() + budget;
         loop {
             shards.drain(usize::MAX, |ing| self.ingest(ing));
             self.drain_notices();
-            self.advance(&mut reply);
-            for l in loops {
-                l.kick();
-            }
+            self.advance();
+            self.hand_over(loops);
             if self.core.live() == 0 || Instant::now() >= deadline {
                 break;
             }
-            self.core.dispatch(self.clock.now(), &mut reply);
+            self.core
+                .dispatch(self.clock.now(), reply(self.unit_millis, &mut self.outbox));
             let wait = self
                 .core
                 .next_due()
@@ -681,17 +683,27 @@ impl Core {
         shards.drain(usize::MAX, |ing| self.ingest(ing));
         self.drain_notices();
         // Out of budget (or nothing left): shed the remainder.
-        self.core.shed_remaining(self.clock.now(), &mut reply);
-        for l in loops {
-            l.kick();
+        self.core
+            .shed_remaining(self.clock.now(), reply(self.unit_millis, &mut self.outbox));
+        self.hand_over(loops);
+    }
+
+    /// Gives every loop the replies resolved for its connections since the
+    /// last hand-over: per loop with any, one mailbox lock and one wake.
+    fn hand_over(&mut self, loops: &[Arc<LoopShared>]) {
+        for (l, batch) in loops.iter().zip(&mut self.outbox) {
+            l.deliver(batch);
         }
     }
 
     /// Fires what is due now and books how late the completion ran, if
     /// one fired.
-    fn advance(&mut self, reply: &mut impl FnMut(Resolution<(u64, Conn)>)) {
+    fn advance(&mut self) {
         let now = self.clock.now();
-        if let Some(due) = self.core.advance(now, reply) {
+        let fired = self
+            .core
+            .advance(now, reply(self.unit_millis, &mut self.outbox));
+        if let Some(due) = fired {
             self.slot_late_ms
                 .push(now.since(due).as_f64() * self.unit_millis);
         }
@@ -759,7 +771,7 @@ impl Core {
             ing.class,
             ing.ingest,
             deadline,
-            reply(self.unit_millis),
+            reply(self.unit_millis, &mut self.outbox),
         );
     }
 

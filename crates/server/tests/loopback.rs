@@ -439,6 +439,101 @@ fn push_replies_within_a_slot_keep_ingest_order() {
     assert!(summary.conservation_ok, "conservation: {summary:?}");
 }
 
+/// A connection the daemon closes is closed: the peer sees EOF there and
+/// then, not when the last request it had outstanding resolves. The
+/// socket used to live as long as any request held a handle to it — here
+/// until both transmissions (≥ 2 s each) had aired, and forever for a
+/// request the schedule never serves.
+#[test]
+fn a_closed_connection_is_closed_with_requests_outstanding() {
+    use std::io::Read;
+    use std::time::Instant;
+    let mut cfg = base_config();
+    cfg.hybrid = HybridConfig {
+        cutoff: 0, // pure pull: nothing resolves before a transmission ends
+        pull: PullPolicyKind::importance(0.5),
+        ..HybridConfig::default()
+    };
+    cfg.serve.unit_millis = 2_000.0; // the shortest transmission takes 2 s
+    cfg.serve.drain_timeout_ms = 0; // shutdown sheds what is left at once
+    let server = ServerHandle::start(cfg).expect("server starts");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+
+    // Two requests for different pull items, then a length prefix no frame
+    // can have — one write, so the loop reads all three together.
+    let mut bytes = Vec::new();
+    for (seq, item) in [(0u64, 10u32), (1, 20)] {
+        let frame = RequestFrame {
+            seq,
+            class: 0,
+            item,
+            deadline_ms: 0,
+        };
+        bytes.extend_from_slice(&frame.encode());
+    }
+    bytes.extend_from_slice(&1_000_000u32.to_le_bytes());
+    let sent = Instant::now();
+    stream.write_all(&bytes).expect("send");
+
+    let mut buf = [0u8; 64];
+    let n = stream.read(&mut buf).expect("EOF, not a timeout");
+    assert_eq!(n, 0, "a protocol error closes the connection: no reply");
+    assert!(
+        sent.elapsed() < Duration::from_secs(1),
+        "EOF took {:?}: the first transmission cannot end before 2 s",
+        sent.elapsed()
+    );
+
+    server.shutdown();
+    let summary = server.join().expect("clean shutdown");
+    assert_eq!(summary.accepted, 2, "both requests preceded the bad frame");
+    assert!(summary.conservation_ok, "conservation: {summary:?}");
+    assert_eq!(summary.stalled_conns, 0);
+}
+
+/// A client that goes away with requests outstanding costs nothing: its
+/// replies find no connection and are dropped, every request still counts
+/// as answered, and a vanished peer is not a *stalled* one.
+#[test]
+fn client_disconnecting_with_requests_outstanding_conserves() {
+    let mut cfg = base_config();
+    cfg.hybrid = HybridConfig {
+        cutoff: 0,
+        pull: PullPolicyKind::importance(0.5),
+        ..HybridConfig::default()
+    };
+    cfg.serve.unit_millis = 20.0; // the backlog outlives the client
+    let server = ServerHandle::start(cfg).expect("server starts");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let total = 60u64;
+    for i in 0..total {
+        send(&mut stream, i, (i % 3) as u8, 10 + (i % 20) as u32);
+    }
+    drop(stream);
+    // A bystander on the other loop is served throughout.
+    let (mut other, reader) = client(server.addr());
+    send(&mut other, 1_000, 0, 5);
+    thread::sleep(Duration::from_millis(300));
+    server.shutdown();
+    let summary = server.join().expect("clean shutdown");
+    let replies = reader.join().expect("reader");
+
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    assert_eq!(replies[0].seq, 1_000);
+    assert_eq!(summary.accepted, total + 1);
+    assert!(summary.conservation_ok, "conservation: {summary:?}");
+    assert_eq!(
+        summary.served() + summary.shed + summary.timed_out + summary.uplink_lost,
+        summary.accepted,
+        "every request answered, listener or not: {summary:?}"
+    );
+    assert_eq!(summary.stalled_conns, 0, "gone is not stalled");
+}
+
 /// The wire-level sanity check used by docs/examples: a request round
 /// trip straight against a fresh daemon.
 #[test]

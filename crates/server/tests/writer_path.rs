@@ -124,10 +124,6 @@ fn slow_reader_short_writes_lose_nothing() {
     assert_eq!(summary.accepted, total);
     assert_eq!(summary.stalled_conns, 0, "a slow reader is not a stall");
     assert_eq!(summary.accept_errors, 0);
-    assert_eq!(
-        summary.backlog_mismatches, 0,
-        "backlogged-connection counter diverged from the sweep"
-    );
 }
 
 /// A reader that *never* drains past the per-connection outbound bound is
@@ -164,9 +160,5 @@ fn stalled_reader_is_shed_with_ledger_notice() {
         summary.served() + summary.shed + summary.timed_out + summary.uplink_lost,
         total,
         "dead peer's replies still counted: {summary:?}"
-    );
-    assert_eq!(
-        summary.backlog_mismatches, 0,
-        "backlogged-connection counter diverged from the sweep"
     );
 }

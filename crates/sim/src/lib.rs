@@ -72,6 +72,18 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
+/// `Err(what)` unless `ok`: one range check on a value from outside the
+/// program (a config file), written where the matching `assert!` used to
+/// be. `validate` methods chain these with `?`; the constructors that
+/// must not be handed a bad value call `validate` and panic with its text.
+pub fn ensure(ok: bool, what: impl std::fmt::Display) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(what.to_string())
+    }
+}
+
 /// One-stop imports for simulation authors.
 pub mod prelude {
     pub use crate::dist::{AliasTable, Discrete, Exponential, PoissonCount, Zipf};

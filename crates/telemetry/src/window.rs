@@ -16,6 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use hybridcast_sim::ensure;
 use hybridcast_sim::quantile::Percentiles;
 use hybridcast_sim::time::SimTime;
 use hybridcast_workload::catalog::Catalog;
@@ -36,13 +37,21 @@ pub struct TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// A validated config. Panics on a non-positive or non-finite width.
+    /// A validated config. Panics with [`validate`](Self::validate)'s
+    /// message on a non-positive or non-finite width.
     pub fn new(window: f64) -> Self {
-        assert!(
+        let config = TelemetryConfig { window };
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
+        config
+    }
+
+    /// What a window width must satisfy, as a typed error.
+    pub fn validate(&self) -> Result<(), String> {
+        let window = self.window;
+        ensure(
             window.is_finite() && window > 0.0,
-            "telemetry window must be positive and finite, got {window}"
-        );
-        TelemetryConfig { window }
+            format_args!("telemetry window must be positive and finite, got {window}"),
+        )
     }
 }
 

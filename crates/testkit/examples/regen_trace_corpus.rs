@@ -13,7 +13,7 @@
 
 use hybridcast_testkit::trace_corpus::{
     committed_trace_dir, golden_books_cases, golden_books_json, smoke_case, synthesize_trace,
-    write_trace, SMOKE_RECORDS, SMOKE_SEED,
+    SMOKE_RECORDS, SMOKE_SEED,
 };
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
     let case = smoke_case();
     let trace = synthesize_trace(&case, SMOKE_SEED, SMOKE_RECORDS);
     let hct = dir.join("smoke.hct");
-    write_trace(&hct, &trace).expect("write trace");
+    trace.write(&hct).expect("write trace");
     std::fs::write(dir.join("smoke.json"), case.to_json()).expect("write sidecar");
     println!(
         "wrote {} ({} records) and its sidecar",

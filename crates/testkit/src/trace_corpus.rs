@@ -18,12 +18,11 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use hybridcast_core::config::HybridConfig;
-use hybridcast_ops::trace::{Trace, TraceBuffer, TraceMeta, TraceRecord, TraceSink, VERSION};
+use hybridcast_ops::trace::{Trace, TraceMeta, TraceRecord, VERSION};
 use hybridcast_ops::{
     fnv1a64, plan_digest, replay_daemon, replay_simulator, sim_params_for, ReplayBooks,
 };
@@ -122,21 +121,6 @@ pub fn synthesize_trace(case: &TraceCase, seed: u64, n: u32) -> Trace {
         });
     }
     Trace { meta, records }
-}
-
-/// Writes `trace` to `path` in the binary `HCT1` format.
-pub fn write_trace(path: &Path, trace: &Trace) -> Result<(), String> {
-    let sink = TraceSink::create(path, &trace.meta)
-        .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-    let mut buf = TraceBuffer::new(Arc::clone(&sink));
-    for rec in &trace.records {
-        buf.push(rec);
-    }
-    buf.finish();
-    if buf.failed() {
-        return Err(format!("write failure on {}", path.display()));
-    }
-    Ok(())
 }
 
 /// Loads every `.hct`/`.json` pair under `dir` (sorted by name),
@@ -304,7 +288,7 @@ mod tests {
         let trace = synthesize_trace(&case, 11, 200);
         let dir = tmpdir("roundtrip");
         let path = dir.join("t.hct");
-        write_trace(&path, &trace).expect("write");
+        trace.write(&path).expect("write");
         let back = Trace::read(&path).expect("read");
         assert_eq!(back, trace);
     }
@@ -314,7 +298,7 @@ mod tests {
         let case = smoke_case();
         let dir = tmpdir("pairs");
         let trace = synthesize_trace(&case, 3, 150);
-        write_trace(&dir.join("a.hct"), &trace).expect("write");
+        trace.write(&dir.join("a.hct")).expect("write");
         fs::write(dir.join("a.json"), case.to_json()).expect("sidecar");
         let replayed = replay_trace_corpus(&dir).expect("replays");
         assert_eq!(replayed.len(), 1);
@@ -346,7 +330,7 @@ mod tests {
         let regen = synthesize_trace(&case, SMOKE_SEED, SMOKE_RECORDS);
         let dir = tmpdir("regen");
         let path = dir.join("smoke.hct");
-        write_trace(&path, &regen).expect("write");
+        regen.write(&path).expect("write");
         let regen_bytes = fs::read(&path).expect("regen bytes");
         assert_eq!(
             committed, regen_bytes,

@@ -189,7 +189,7 @@ fn controller_mutation_smoke_names_the_right_oracle() {
         "regret",
     );
     // Chasing noise needs noise to chase: the saturated channel's flat,
-    // backlogged landscape keeps the honest controller holding, so every
+    // backlog-heavy landscape keeps the honest controller holding, so every
     // sub-band move the bypass bug makes is unjustified.
     check(
         &with_planted(0.6, 5.0, |p| p.bypass_hysteresis = true),

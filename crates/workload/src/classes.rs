@@ -10,6 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 use hybridcast_sim::dist::Discrete;
+use hybridcast_sim::ensure;
 
 /// Identifier of a service class: 0 is the *highest* priority class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -60,48 +61,55 @@ impl ClassSet {
     /// Builds a class set.
     ///
     /// # Panics
-    /// Panics if empty, if priorities are not strictly decreasing, if
-    /// either share vector does not sum to ≈1, or any entry is invalid.
+    /// Panics with [`validate`](Self::validate)'s message if empty, if
+    /// priorities are not strictly decreasing, if either share vector does
+    /// not sum to ≈1, or any entry is invalid.
     pub fn new(classes: Vec<ServiceClass>) -> Self {
-        assert!(!classes.is_empty(), "need at least one service class");
-        assert!(
+        let set = ClassSet { classes };
+        set.validate().unwrap_or_else(|e| panic!("{e}"));
+        set
+    }
+
+    /// Everything [`new`](Self::new) requires, as a typed error — a set
+    /// read from a config file is deserialized field by field and has not
+    /// been through `new`.
+    pub fn validate(&self) -> Result<(), String> {
+        let classes = &self.classes;
+        ensure(!classes.is_empty(), "need at least one service class")?;
+        ensure(
             classes.len() <= 64,
-            "more than 64 service classes is unsupported"
-        );
+            "more than 64 service classes is unsupported",
+        )?;
         for (i, c) in classes.iter().enumerate() {
-            assert!(
+            ensure(
                 c.priority > 0.0 && c.priority.is_finite(),
-                "class {i} priority invalid: {}",
-                c.priority
-            );
-            assert!(
+                format_args!("class {i} priority invalid: {}", c.priority),
+            )?;
+            ensure(
                 (0.0..=1.0).contains(&c.population_share),
-                "class {i} population share invalid: {}",
-                c.population_share
-            );
-            assert!(
+                format_args!("class {i} population share invalid: {}", c.population_share),
+            )?;
+            ensure(
                 (0.0..=1.0).contains(&c.bandwidth_share),
-                "class {i} bandwidth share invalid: {}",
-                c.bandwidth_share
-            );
+                format_args!("class {i} bandwidth share invalid: {}", c.bandwidth_share),
+            )?;
         }
         for w in classes.windows(2) {
-            assert!(
+            ensure(
                 w[0].priority > w[1].priority,
-                "classes must be ordered by strictly decreasing priority"
-            );
+                "classes must be ordered by strictly decreasing priority",
+            )?;
         }
         let pop: f64 = classes.iter().map(|c| c.population_share).sum();
-        assert!(
+        ensure(
             (pop - 1.0).abs() < 1e-6,
-            "population shares must sum to 1 (got {pop})"
-        );
+            format_args!("population shares must sum to 1 (got {pop})"),
+        )?;
         let bw: f64 = classes.iter().map(|c| c.bandwidth_share).sum();
-        assert!(
+        ensure(
             (bw - 1.0).abs() < 1e-6,
-            "bandwidth shares must sum to 1 (got {bw})"
-        );
-        ClassSet { classes }
+            format_args!("bandwidth shares must sum to 1 (got {bw})"),
+        )
     }
 
     /// The paper's §5.1 defaults: three classes, priority weights 3::2::1,

@@ -10,6 +10,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use hybridcast_sim::dist::Discrete;
+use hybridcast_sim::ensure;
 
 /// How the integer lengths of catalog items are drawn.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -55,20 +56,40 @@ impl LengthModel {
         }
     }
 
+    /// Whether this model can draw lengths for `d` items: everything
+    /// [`generate`](Self::generate) requires, as a typed error.
+    pub fn validate(&self, d: usize) -> Result<(), String> {
+        ensure(d > 0, "catalog must contain at least one item")?;
+        match self {
+            LengthModel::Fixed { length } => ensure(*length >= 1, "length must be at least 1"),
+            LengthModel::Uniform { min, max } => Self::validate_range(*min, *max),
+            LengthModel::MeanTargeted { min, max, mean } => {
+                Self::validate_mean_targeted(*min, *max, *mean)
+            }
+            LengthModel::Custom { lengths } => {
+                ensure(
+                    lengths.len() == d,
+                    format_args!(
+                        "custom lengths need exactly {d} entries (got {})",
+                        lengths.len()
+                    ),
+                )?;
+                ensure(lengths.iter().all(|&l| l >= 1), "lengths must be ≥ 1")
+            }
+        }
+    }
+
     /// Draws lengths for `d` items.
     ///
     /// # Panics
-    /// Panics on invalid parameters (see variant docs) or, for `Custom`, a
-    /// length-vector size mismatch.
+    /// Panics with [`validate`](Self::validate)'s message on invalid
+    /// parameters (see variant docs) or, for `Custom`, a length-vector
+    /// size mismatch.
     pub fn generate<R: Rng + ?Sized>(&self, d: usize, rng: &mut R) -> Vec<u32> {
-        assert!(d > 0, "catalog must contain at least one item");
+        self.validate(d).unwrap_or_else(|e| panic!("{e}"));
         match self {
-            LengthModel::Fixed { length } => {
-                assert!(*length >= 1, "length must be at least 1");
-                vec![*length; d]
-            }
+            LengthModel::Fixed { length } => vec![*length; d],
             LengthModel::Uniform { min, max } => {
-                Self::validate_range(*min, *max);
                 (0..d).map(|_| rng.gen_range(*min..=*max)).collect()
             }
             LengthModel::MeanTargeted { min, max, mean } => {
@@ -76,16 +97,7 @@ impl LengthModel {
                 let dist = Discrete::new(&weights);
                 (0..d).map(|_| min + dist.sample(rng) as u32).collect()
             }
-            LengthModel::Custom { lengths } => {
-                assert_eq!(
-                    lengths.len(),
-                    d,
-                    "custom lengths need exactly {d} entries (got {})",
-                    lengths.len()
-                );
-                assert!(lengths.iter().all(|&l| l >= 1), "lengths must be ≥ 1");
-                lengths.clone()
-            }
+            LengthModel::Custom { lengths } => lengths.clone(),
         }
     }
 
@@ -102,12 +114,23 @@ impl LengthModel {
         }
     }
 
-    fn validate_range(min: u32, max: u32) {
-        assert!(min >= 1, "minimum length must be at least 1 (got {min})");
-        assert!(
+    fn validate_range(min: u32, max: u32) -> Result<(), String> {
+        ensure(
+            min >= 1,
+            format_args!("minimum length must be at least 1 (got {min})"),
+        )?;
+        ensure(
             max >= min,
-            "length range needs max ≥ min (got {min}..={max})"
-        );
+            format_args!("length range needs max ≥ min (got {min}..={max})"),
+        )
+    }
+
+    fn validate_mean_targeted(min: u32, max: u32, mean: f64) -> Result<(), String> {
+        Self::validate_range(min, max)?;
+        ensure(
+            mean >= min as f64 && mean <= max as f64,
+            format_args!("target mean {mean} outside [{min}, {max}]"),
+        )
     }
 
     /// Weights `w_k ∝ r^(k-min)` over `k ∈ min..=max` with the geometric
@@ -116,13 +139,9 @@ impl LengthModel {
     /// Exposed for tests and for the analytical models, which need the exact
     /// length pmf rather than samples.
     pub fn mean_targeted_weights(min: u32, max: u32, mean: f64) -> Vec<f64> {
-        Self::validate_range(min, max);
+        Self::validate_mean_targeted(min, max, mean).unwrap_or_else(|e| panic!("{e}"));
         let lo = min as f64;
         let hi = max as f64;
-        assert!(
-            mean >= lo && mean <= hi,
-            "target mean {mean} outside [{lo}, {hi}]"
-        );
         let n = (max - min + 1) as usize;
         if n == 1 {
             return vec![1.0];

@@ -38,6 +38,7 @@ use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 use hybridcast_sim::dist::Discrete;
+use hybridcast_sim::ensure;
 use hybridcast_sim::rng::{RngFactory, Xoshiro256};
 
 use crate::catalog::ItemId;
@@ -108,50 +109,48 @@ impl Regime {
 }
 
 impl NonstationaryConfig {
-    /// Checks structural validity, panicking with a diagnostic on the
-    /// first violated constraint (called from [`ScenarioConfig::build`]).
-    pub fn validate(&self) {
+    /// Checks structural validity: the first violated constraint, as a
+    /// typed error ([`wrap`](Self::wrap) panics with its text).
+    pub fn validate(&self) -> Result<(), String> {
         match *self {
             NonstationaryConfig::FlashCrowd {
                 start,
                 duration,
                 factor,
             } => {
-                assert!(
+                ensure(
                     start.is_finite() && start >= 0.0,
-                    "flash crowd start must be finite and non-negative, got {start}"
-                );
-                assert!(
+                    format_args!("flash crowd start must be finite and non-negative, got {start}"),
+                )?;
+                ensure(
                     duration.is_finite() && duration > 0.0,
-                    "flash crowd duration must be positive, got {duration}"
-                );
-                assert!(
+                    format_args!("flash crowd duration must be positive, got {duration}"),
+                )?;
+                ensure(
                     factor.is_finite() && factor > 0.0,
-                    "flash crowd factor must be positive and finite, got {factor}"
-                );
+                    format_args!("flash crowd factor must be positive and finite, got {factor}"),
+                )
             }
-            NonstationaryConfig::DiurnalRotation { period, .. } => {
-                assert!(
-                    period.is_finite() && period > 0.0,
-                    "rotation period must be positive, got {period}"
-                );
-            }
+            NonstationaryConfig::DiurnalRotation { period, .. } => ensure(
+                period.is_finite() && period > 0.0,
+                format_args!("rotation period must be positive, got {period}"),
+            ),
             NonstationaryConfig::ThetaSwitch { at, theta_after } => {
-                assert!(
+                ensure(
                     at.is_finite() && at >= 0.0,
-                    "theta switch time must be finite and non-negative, got {at}"
-                );
-                assert!(
+                    format_args!("theta switch time must be finite and non-negative, got {at}"),
+                )?;
+                ensure(
                     theta_after.is_finite() && theta_after >= 0.0,
-                    "post-switch theta must be finite and non-negative, got {theta_after}"
-                );
+                    format_args!(
+                        "post-switch theta must be finite and non-negative, got {theta_after}"
+                    ),
+                )
             }
-            NonstationaryConfig::Permutation { at } => {
-                assert!(
-                    at.is_finite() && at >= 0.0,
-                    "permutation switch time must be finite and non-negative, got {at}"
-                );
-            }
+            NonstationaryConfig::Permutation { at } => ensure(
+                at.is_finite() && at >= 0.0,
+                format_args!("permutation switch time must be finite and non-negative, got {at}"),
+            ),
         }
     }
 
@@ -267,7 +266,7 @@ impl NonstationaryConfig {
         base: &RngFactory,
         replication: &RngFactory,
     ) -> Box<dyn RequestSource> {
-        self.validate();
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
         assert!(num_items > 0, "catalog must contain at least one item");
         match *self {
             NonstationaryConfig::FlashCrowd {

@@ -6,6 +6,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use hybridcast_sim::ensure;
+
 /// How access probabilities are assigned to the `D` items of a catalog.
 ///
 /// Probabilities are always returned sorted non-increasing: index 0 is the
@@ -34,20 +36,50 @@ impl PopularityModel {
         PopularityModel::Zipf { theta }
     }
 
+    /// Whether this model describes a catalog of `d` items: everything
+    /// [`probabilities`](Self::probabilities) requires, as a typed error.
+    pub fn validate(&self, d: usize) -> Result<(), String> {
+        ensure(d > 0, "catalog must contain at least one item")?;
+        match self {
+            PopularityModel::Zipf { theta } => ensure(
+                *theta >= 0.0 && theta.is_finite(),
+                format_args!("Zipf skew must be finite and non-negative (got {theta})"),
+            ),
+            PopularityModel::Uniform => Ok(()),
+            PopularityModel::Custom { weights } => {
+                ensure(
+                    weights.len() == d,
+                    format_args!(
+                        "custom popularity needs exactly {d} weights (got {})",
+                        weights.len()
+                    ),
+                )?;
+                let total: f64 = weights.iter().sum();
+                ensure(
+                    total.is_finite() && total > 0.0,
+                    "custom weights must sum to a positive finite value",
+                )?;
+                weights.iter().enumerate().try_for_each(|(i, &w)| {
+                    ensure(
+                        w >= 0.0 && w.is_finite(),
+                        format_args!("weight[{i}] = {w} invalid"),
+                    )
+                })
+            }
+        }
+    }
+
     /// Access probabilities for a catalog of `d` items, sorted
     /// non-increasing and summing to 1.
     ///
     /// # Panics
-    /// Panics if `d == 0`, if a custom weight vector has the wrong length or
-    /// invalid entries, or if θ is negative/NaN.
+    /// Panics with [`validate`](Self::validate)'s message: if `d == 0`, if
+    /// a custom weight vector has the wrong length or invalid entries, or
+    /// if θ is negative/NaN.
     pub fn probabilities(&self, d: usize) -> Vec<f64> {
-        assert!(d > 0, "catalog must contain at least one item");
+        self.validate(d).unwrap_or_else(|e| panic!("{e}"));
         match self {
             PopularityModel::Zipf { theta } => {
-                assert!(
-                    *theta >= 0.0 && theta.is_finite(),
-                    "Zipf skew must be finite and non-negative (got {theta})"
-                );
                 let mut probs: Vec<f64> = (1..=d).map(|i| (i as f64).powf(-theta)).collect();
                 let norm: f64 = probs.iter().sum();
                 for p in &mut probs {
@@ -57,20 +89,7 @@ impl PopularityModel {
             }
             PopularityModel::Uniform => vec![1.0 / d as f64; d],
             PopularityModel::Custom { weights } => {
-                assert_eq!(
-                    weights.len(),
-                    d,
-                    "custom popularity needs exactly {d} weights (got {})",
-                    weights.len()
-                );
                 let total: f64 = weights.iter().sum();
-                assert!(
-                    total.is_finite() && total > 0.0,
-                    "custom weights must sum to a positive finite value"
-                );
-                for (i, &w) in weights.iter().enumerate() {
-                    assert!(w >= 0.0 && w.is_finite(), "weight[{i}] = {w} invalid");
-                }
                 let mut probs: Vec<f64> = weights.iter().map(|&w| w / total).collect();
                 probs.sort_by(|a, b| b.partial_cmp(a).expect("finite by validation"));
                 probs

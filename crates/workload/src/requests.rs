@@ -9,6 +9,7 @@
 //! numbers).
 
 use hybridcast_sim::dist::{Discrete, Exponential, PoissonCount};
+use hybridcast_sim::ensure;
 use hybridcast_sim::rng::{streams, RngFactory, Xoshiro256};
 use hybridcast_sim::time::{SimDuration, SimTime};
 
@@ -28,6 +29,16 @@ pub struct DriftConfig {
     pub period: f64,
     /// Ranks shifted per period.
     pub shift: usize,
+}
+
+impl DriftConfig {
+    /// What a drifting request stream requires, as a typed error.
+    pub fn validate(&self) -> Result<(), String> {
+        ensure(
+            self.period > 0.0 && self.period.is_finite(),
+            "drift period must be positive",
+        )
+    }
 }
 
 /// One client request for one item.
@@ -292,10 +303,7 @@ impl RequestGenerator {
     /// # Panics
     /// Panics unless `mean_batch > 1`.
     pub fn with_batching(mut self, mean_batch: f64) -> Self {
-        assert!(
-            mean_batch > 1.0 && mean_batch.is_finite(),
-            "mean batch size must exceed 1 (got {mean_batch})"
-        );
+        Self::validate_batch_mean(mean_batch).unwrap_or_else(|e| panic!("{e}"));
         // epoch rate = λ / B; gap sampler is re-scaled accordingly
         self.gap = Exponential::new(self.gap.rate() / mean_batch);
         // The pending gap was drawn at the old epoch rate; scaling it by B
@@ -308,13 +316,22 @@ impl RequestGenerator {
         self
     }
 
+    /// What [`with_batching`](Self::with_batching) requires of its mean
+    /// burst size, as a typed error.
+    pub fn validate_batch_mean(mean_batch: f64) -> Result<(), String> {
+        ensure(
+            mean_batch > 1.0 && mean_batch.is_finite(),
+            format_args!("mean batch size must exceed 1 (got {mean_batch})"),
+        )
+    }
+
     /// Enables popularity drift on this stream.
+    ///
+    /// # Panics
+    /// Panics with [`DriftConfig::validate`]'s message.
     pub fn with_drift(mut self, drift: Option<DriftConfig>) -> Self {
         if let Some(d) = &drift {
-            assert!(
-                d.period > 0.0 && d.period.is_finite(),
-                "drift period must be positive"
-            );
+            d.validate().unwrap_or_else(|e| panic!("{e}"));
         }
         self.drift = drift;
         self

@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use hybridcast_sim::ensure;
 use hybridcast_sim::rng::{streams, RngFactory};
 
 use crate::catalog::Catalog;
@@ -82,17 +83,52 @@ impl ScenarioConfig {
         }
     }
 
+    /// Every range a value of this config must lie in, as a typed error
+    /// that names the field — for a config that arrives from outside the
+    /// program. Each condition is its consumer's own check (the consumers
+    /// panic with the same text). `arrivals: false` leaves the arrival
+    /// process (`arrival_rate`, `drift`, `batch_mean`, `nonstationary`)
+    /// unread: the daemon's clients are its arrival process.
+    pub fn validate(&self, arrivals: bool) -> Result<(), String> {
+        let field = |name: &'static str| move |e: String| format!("scenario.{name}: {e}");
+        ensure(self.num_items > 0, "scenario needs at least one item")
+            .map_err(field("num_items"))?;
+        self.popularity
+            .validate(self.num_items)
+            .map_err(field("popularity"))?;
+        self.lengths
+            .validate(self.num_items)
+            .map_err(field("lengths"))?;
+        self.classes.validate().map_err(field("classes"))?;
+        if !arrivals {
+            return Ok(());
+        }
+        ensure(
+            self.arrival_rate > 0.0 && self.arrival_rate.is_finite(),
+            "arrival rate must be positive",
+        )
+        .map_err(field("arrival_rate"))?;
+        if let Some(drift) = &self.drift {
+            drift.validate().map_err(field("drift"))?;
+        }
+        if let Some(mean) = self.batch_mean {
+            RequestGenerator::validate_batch_mean(mean).map_err(field("batch_mean"))?;
+        }
+        if let Some(ns) = &self.nonstationary {
+            ns.validate().map_err(field("nonstationary"))?;
+        }
+        Ok(())
+    }
+
     /// Materializes the scenario: builds the catalog (lengths drawn from the
     /// `LENGTHS` stream) and wires the class set and arrival process.
+    ///
+    /// # Panics
+    /// Panics with [`validate`](Self::validate)'s message for the catalog
+    /// and the classes; the arrival process is checked where a request
+    /// stream is made from it.
     pub fn build(&self) -> Scenario {
-        assert!(self.num_items > 0, "scenario needs at least one item");
-        assert!(
-            self.arrival_rate > 0.0 && self.arrival_rate.is_finite(),
-            "arrival rate must be positive"
-        );
-        if let Some(ns) = &self.nonstationary {
-            ns.validate();
-        }
+        self.validate(false).unwrap_or_else(|e| panic!("{e}"));
         let factory = RngFactory::new(self.seed);
         let mut len_rng = factory.stream(streams::LENGTHS);
         let catalog = Catalog::build(
