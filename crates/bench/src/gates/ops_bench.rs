@@ -32,7 +32,7 @@ const MAX_OVERHEAD: f64 = 1.05;
 
 struct RunResult {
     recording: bool,
-    cpu_us_per_request: f64,
+    cpu_us_per_request: Option<f64>,
     answered: u64,
     accepted: u64,
     conservation_ok: bool,
@@ -94,10 +94,11 @@ pub fn run(host: &Host) -> Report {
         // Interleave: off, on, off, on, ...
         let run = run_one(if i % 2 == 1 { &on_setup } else { &off_setup }, rps);
         println!(
-            "| {i} | {} | {} | {:.2} | {} | {} | {} |",
+            "| {i} | {} | {} | {} | {} | {} | {} |",
             run.recording,
             run.answered,
-            run.cpu_us_per_request,
+            run.cpu_us_per_request
+                .map_or_else(|| "n/a".into(), |c| format!("{c:.2}")),
             run.trace_records
                 .map(|r| r.to_string())
                 .unwrap_or_else(|| "-".into()),
@@ -111,8 +112,9 @@ pub fn run(host: &Host) -> Report {
 
     let cpu_runs = |recording: bool| -> Vec<f64> {
         runs.iter()
-            .filter(|r| r.recording == recording && r.cpu_us_per_request > 0.0)
-            .map(|r| r.cpu_us_per_request)
+            .filter(|r| r.recording == recording)
+            .filter_map(|r| r.cpu_us_per_request)
+            .filter(|&c| c > 0.0)
             .collect()
     };
     let (off_runs, on_runs) = (cpu_runs(false), cpu_runs(true));

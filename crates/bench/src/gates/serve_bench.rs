@@ -76,12 +76,13 @@ pub fn run(host: &Host) -> Report {
         let (a50, a99) = q(0);
         let (c50, c99) = q(2);
         println!(
-            "| {:.0} | {:.0} | {} | {} | {shed_pct:.1} | {a50}/{a99} | {c50}/{c99} | {:.1} | {} | {} |",
+            "| {:.0} | {:.0} | {} | {} | {shed_pct:.1} | {a50}/{a99} | {c50}/{c99} | {} | {} | {} |",
             run.target_rps,
             r.achieved_rps,
             r.answered,
             r.unanswered,
-            run.cpu_us_per_request(),
+            run.cpu_us_per_request()
+                .map_or_else(|| "n/a".into(), |c| format!("{c:.1}")),
             run.summary.conservation_ok,
             run.sustained,
         );

@@ -11,7 +11,8 @@
 //!   guarded emission monomorphizes away (what every experiment binary
 //!   executes);
 //! * **windowed** — `simulate_telemetry` with the full per-class windowed
-//!   recorder (counters, gauges, two P² estimators per class per window).
+//!   recorder (counters, gauges, one delay histogram per class, cleared
+//!   at each window close).
 //!
 //! Acceptance gate (checked in-process, non-zero exit on failure):
 //! `windowed ≤ 1.10 × off`, taken on the minimum wall time over the

@@ -46,20 +46,21 @@ pub struct Run {
     pub report: LoadgenReport,
     /// What the daemon's books say.
     pub summary: ServeSummary,
-    /// Process CPU seconds spent while the load ran.
-    pub cpu_secs: f64,
+    /// Process CPU seconds spent while the load ran; `None` when
+    /// `/proc/self/stat` could not be read or parsed.
+    pub cpu_secs: Option<f64>,
     /// Every request answered and ≥ 90% of the target rate offered.
     pub sustained: bool,
 }
 
 impl Run {
-    /// Process CPU microseconds per answered request (0 with no answers).
-    pub fn cpu_us_per_request(&self) -> f64 {
-        if self.report.answered > 0 {
-            self.cpu_secs * 1e6 / self.report.answered as f64
-        } else {
-            0.0
-        }
+    /// Process CPU microseconds per answered request; `None` with no
+    /// answers or no CPU reading — never a measured-looking 0.
+    pub fn cpu_us_per_request(&self) -> Option<f64> {
+        let answered = self.report.answered;
+        self.cpu_secs
+            .filter(|_| answered > 0)
+            .map(|secs| secs * 1e6 / answered as f64)
     }
 }
 
@@ -84,16 +85,22 @@ pub fn sustained_rps(runs: &[Run]) -> f64 {
     highest_sustained(runs.iter().map(|r| (r.target_rps, r.sustained)))
 }
 
-/// `utime + stime` of this process in seconds.
-fn cpu_seconds() -> f64 {
-    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+/// `utime + stime` of this process in seconds; `None` when
+/// `/proc/self/stat` is unreadable.
+fn cpu_seconds() -> Option<f64> {
+    stat_cpu_seconds(&std::fs::read_to_string("/proc/self/stat").ok()?)
+}
+
+/// `utime + stime` in seconds from a `/proc/<pid>/stat` line; `None`
+/// when either field is missing or not a number.
+fn stat_cpu_seconds(stat: &str) -> Option<f64> {
     // Field 2 (comm) may contain spaces and parens; split on the *last*
     // closing paren. After it, state is token 0 and utime/stime (1-indexed
     // stat fields 14/15) are tokens 11/12.
-    let after = stat.rsplit_once(')').map(|(_, t)| t).unwrap_or("");
+    let (_, after) = stat.rsplit_once(')')?;
     let fields: Vec<&str> = after.split_whitespace().collect();
-    let ticks = |i: usize| -> f64 { fields.get(i).and_then(|f| f.parse().ok()).unwrap_or(0.0) };
-    (ticks(11) + ticks(12)) / 100.0
+    let ticks = |i: usize| fields.get(i)?.parse::<f64>().ok();
+    Some((ticks(11)? + ticks(12)?) / 100.0)
 }
 
 /// Starts a fresh daemon, offers it `rps` for `setup.duration_secs`, shuts
@@ -128,7 +135,7 @@ pub fn run_one(setup: &Setup, rps: f64) -> Run {
         grace_ms: 10_000,
     })
     .expect("loadgen runs");
-    let cpu_secs = cpu_seconds() - cpu0;
+    let cpu_secs = cpu0.zip(cpu_seconds()).map(|(start, end)| end - start);
     server.shutdown();
     let summary = server.join().expect("clean shutdown");
     Run {
@@ -155,6 +162,18 @@ mod tests {
         assert!(sustained(40_000.0, 36_000.0, 0), "exactly 90% counts");
         assert!(!sustained(40_000.0, 35_999.0, 0), "client fell behind");
         assert!(!sustained(40_000.0, 40_000.0, 1), "one silent drop");
+    }
+
+    #[test]
+    fn an_unparsable_stat_line_is_no_cpu_reading_not_zero() {
+        let stat = "4242 (my (odd) bin) S 1 4242 4242 0 -1 4194304 100 0 0 0 250 50 0 0";
+        assert_eq!(stat_cpu_seconds(stat), Some(3.0));
+        assert_eq!(
+            stat_cpu_seconds("4242 (bin) S 1 4242 4242 0 -1 0 100 0 0 0 x 50"),
+            None
+        );
+        assert_eq!(stat_cpu_seconds("4242 (bin) S 1"), None);
+        assert_eq!(stat_cpu_seconds(""), None);
     }
 
     #[test]

@@ -28,8 +28,9 @@ pub struct AveragedReport {
     pub overall_delay: f64,
     /// Time-averaged distinct items in the pull queue (`E[L_pull]`).
     pub mean_queue_items: f64,
-    /// 95th-percentile access delay per class (P² estimate, averaged
-    /// across replications).
+    /// 95th-percentile access delay per class (histogram quantile, within
+    /// relative 2⁻⁷), averaged across replications; NaN, never 0, when a
+    /// replication's class served nothing.
     pub per_class_p95: Vec<f64>,
     /// 95% CI half-width of the overall mean delay across replications
     /// (0 with a single replication).
@@ -62,7 +63,7 @@ impl AveragedReport {
                 out.per_class_pull_delay[c] += cls.pull_delay.mean / n;
                 out.per_class_cost[c] += cls.prioritized_cost / n;
                 out.per_class_blocking[c] += cls.blocking_probability / n;
-                out.per_class_p95[c] += cls.delay_p95 / n;
+                out.per_class_p95[c] += cls.delay_p95.unwrap_or(f64::NAN) / n;
             }
             out.total_cost += r.total_prioritized_cost / n;
             out.overall_delay += r.overall_delay.mean / n;
@@ -154,6 +155,18 @@ mod tests {
         }
         let single = averaged_run(&scenario, &hybrid, &RunScale::quick());
         assert_eq!(single.overall_delay_ci95, 0.0);
+    }
+
+    #[test]
+    fn a_class_that_served_nothing_averages_to_nan_not_zero() {
+        let mut starved = HybridConfig::paper(0, 0.5);
+        starved.bandwidth = hybridcast_core::bandwidth::BandwidthConfig::per_class(0.9, 2.0);
+        let r = averaged_run(&ScenarioConfig::icpp2005(0.6), &starved, &RunScale::quick());
+        assert!(
+            r.per_class_p95.iter().all(|p| p.is_nan()),
+            "{:?}",
+            r.per_class_p95
+        );
     }
 
     #[test]

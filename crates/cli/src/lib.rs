@@ -495,6 +495,23 @@ mod tests {
         assert_eq!(ok, "\u{1F600}");
     }
 
+    /// The parser recurses once per nesting level: 100 000 levels used to
+    /// overflow the stack and abort the process. Nesting is capped at 128.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let deep = format!(r#"{{"scenario": {}}}"#, nested(100_000));
+        let err = ExperimentConfig::from_json(&deep).unwrap_err();
+        assert!(
+            err.contains("invalid config") && err.contains("depth 128"),
+            "{err}"
+        );
+        let value: serde_json::Value =
+            serde_json::from_str(&nested(128)).expect("128 levels parse");
+        assert_eq!(value.as_array().map(Vec::len), Some(1));
+        assert!(serde_json::from_str::<serde_json::Value>(&nested(129)).is_err());
+    }
+
     #[test]
     fn parse_time_is_linear_in_document_size() {
         let mut doc = String::from("[");

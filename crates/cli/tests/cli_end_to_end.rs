@@ -518,3 +518,31 @@ fn missing_file_is_reported() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot read"));
 }
+
+/// A config nested 50 000 deep overflowed the parser's stack and aborted
+/// both front ends (exit 134). It is an invalid config naming the depth
+/// limit, exit 1 — from `summary` and from the daemon's `--config` parser,
+/// which `hybridcast serve` shares with `hybridcastd`.
+#[test]
+fn deeply_nested_config_is_an_invalid_config_not_a_stack_overflow() {
+    let depth = 50_000;
+    let doc = format!(
+        r#"{{"scenario": {}{}}}"#,
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let path = std::env::temp_dir().join(format!("hybridcast-deep-{}.json", std::process::id()));
+    std::fs::write(&path, doc).expect("temp config written");
+    let path_arg = path.to_str().expect("utf-8 temp path");
+    for args in [
+        vec!["summary", path_arg],
+        vec!["serve", "--config", path_arg],
+    ] {
+        let out = bin().args(&args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr: {stderr}");
+        assert!(stderr.contains("depth 128"), "{args:?}: stderr: {stderr}");
+        assert!(!stderr.contains("overflowed"), "{args:?}: stderr: {stderr}");
+    }
+    let _ = std::fs::remove_file(&path);
+}

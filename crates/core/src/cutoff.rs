@@ -405,6 +405,28 @@ mod tests {
         }
     }
 
+    /// The same starved K = 0 point as a report: a class that served
+    /// nothing has no delay quantiles, and says so as `null`, never as a
+    /// measured `0.0`.
+    #[test]
+    fn starved_classes_report_null_quantiles() {
+        use crate::bandwidth::BandwidthConfig;
+        let scenario = ScenarioConfig::icpp2005(0.6).build();
+        let mut cfg = HybridConfig::paper(0, 0.5);
+        cfg.bandwidth = BandwidthConfig::per_class(0.9, 2.0);
+        let report = simulate(
+            &scenario,
+            &cfg,
+            &quick_optimizer(Objective::MeanDelay).params,
+        );
+        assert_eq!(report.total_served(), 0);
+        let json = serde_json::to_string(&report).expect("report serializes");
+        for key in ["delay_p50", "delay_p95", "delay_p99"] {
+            let null = format!("\"{key}\":null");
+            assert_eq!(json.matches(&null).count(), 3, "{key} per class: {json}");
+        }
+    }
+
     /// All-unmeasurable grids must still return a sweep (NaN/∞ ordering
     /// instead of the old `partial_cmp(..).expect(..)` panic).
     #[test]

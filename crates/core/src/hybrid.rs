@@ -336,7 +336,7 @@ impl HybridScheduler {
                 catalog: &self.catalog,
                 classes: &self.classes,
                 now,
-                mean_queue_len: self.queue_avg.time_average(now).unwrap_or(0.0),
+                mean_queue_len: self.mean_queue_len(now),
             };
             let selected = if self.indexed && self.policy.index_usable(&ctx) {
                 self.queue.select_max_indexed()?
@@ -418,6 +418,8 @@ impl HybridScheduler {
 
     /// The online time-averaged pull-queue length estimate at `now`.
     pub fn mean_queue_len(&self, now: SimTime) -> f64 {
+        // `None` only at now = 0, before any time has passed: E[L] is then
+        // the queue's initial length, 0.
         self.queue_avg.time_average(now).unwrap_or(0.0)
     }
 }

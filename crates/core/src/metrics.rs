@@ -10,11 +10,15 @@
 //!   classes to give the objective the cutoff optimizer minimizes.
 //!
 //! [`MetricsCollector`] accumulates these online; [`SimReport`] is the
-//! serializable snapshot the experiment harness consumes.
+//! serializable snapshot the experiment harness consumes. Each class's
+//! delay tail (p50/p95/p99) comes from one fixed-memory
+//! [`Histogram`](hybridcast_sim::quantile::Histogram), within relative 2⁻⁷
+//! of the exact order statistic, and is `None` when the class served
+//! nothing.
 
 use serde::{Deserialize, Serialize};
 
-use hybridcast_sim::quantile::P2Quantile;
+use hybridcast_sim::quantile::Histogram;
 use hybridcast_sim::stats::{SummaryStats, TimeWeighted, Welford};
 use hybridcast_sim::time::SimTime;
 use hybridcast_workload::classes::{ClassId, ClassSet};
@@ -34,9 +38,7 @@ struct ClassAccum {
     delay: Welford,
     push_delay: Welford,
     pull_delay: Welford,
-    delay_p50: P2Quantile,
-    delay_p95: P2Quantile,
-    delay_p99: P2Quantile,
+    delay_quantiles: Histogram,
     generated: u64,
     served: u64,
     blocked: u64,
@@ -48,9 +50,7 @@ impl ClassAccum {
             delay: Welford::new(),
             push_delay: Welford::new(),
             pull_delay: Welford::new(),
-            delay_p50: P2Quantile::new(0.5),
-            delay_p95: P2Quantile::new(0.95),
-            delay_p99: P2Quantile::new(0.99),
+            delay_quantiles: Histogram::default(),
             generated: 0,
             served: 0,
             blocked: 0,
@@ -121,9 +121,7 @@ impl MetricsCollector {
         let delay = (completed - arrival).as_f64();
         let acc = &mut self.per_class[class.index()];
         acc.delay.push(delay);
-        acc.delay_p50.push(delay);
-        acc.delay_p95.push(delay);
-        acc.delay_p99.push(delay);
+        acc.delay_quantiles.record(delay);
         match kind {
             TxKind::Push => acc.push_delay.push(delay),
             TxKind::Pull => acc.pull_delay.push(delay),
@@ -193,12 +191,6 @@ impl MetricsCollector {
         }
     }
 
-    /// Running time-average of the number of distinct queued items — the
-    /// simulator's online `E[L_pull]` estimate fed to Eq. 6 policies.
-    pub fn mean_queue_items(&self, now: SimTime) -> f64 {
-        self.queue_items.time_average(now).unwrap_or(0.0)
-    }
-
     /// Produces the final serializable report.
     pub fn report(&self, classes: &ClassSet, end: SimTime) -> SimReport {
         let per_class: Vec<ClassReport> = classes
@@ -219,9 +211,9 @@ impl MetricsCollector {
                         0.0
                     },
                     delay: acc.delay.summary(),
-                    delay_p50: acc.delay_p50.estimate().unwrap_or(0.0),
-                    delay_p95: acc.delay_p95.estimate().unwrap_or(0.0),
-                    delay_p99: acc.delay_p99.estimate().unwrap_or(0.0),
+                    delay_p50: acc.delay_quantiles.quantile(0.5),
+                    delay_p95: acc.delay_quantiles.quantile(0.95),
+                    delay_p99: acc.delay_quantiles.quantile(0.99),
                     push_delay: acc.push_delay.summary(),
                     pull_delay: acc.pull_delay.summary(),
                     prioritized_cost: c.priority * mean_delay,
@@ -241,6 +233,8 @@ impl MetricsCollector {
             per_class,
             overall_delay: overall.summary(),
             total_prioritized_cost: total_cost,
+            // `Simulation::validate` holds horizon > warmup ≥ 0, so `end` > 0
+            // and both averages exist.
             mean_queue_items: self.queue_items.time_average(end).unwrap_or(0.0),
             mean_queue_requests: self.queue_requests.time_average(end).unwrap_or(0.0),
             peak_queue_requests: self.queue_requests.peak(),
@@ -274,12 +268,13 @@ pub struct ClassReport {
     pub blocking_probability: f64,
     /// Access-time statistics (push + pull combined), broadcast units.
     pub delay: SummaryStats,
-    /// Streaming median access time (P² estimate).
-    pub delay_p50: f64,
-    /// Streaming 95th-percentile access time (P² estimate).
-    pub delay_p95: f64,
-    /// Streaming 99th-percentile access time (P² estimate).
-    pub delay_p99: f64,
+    /// Median access time, within relative 2⁻⁷ of the exact order
+    /// statistic (`sim::quantile`); `None` when the class served nothing.
+    pub delay_p50: Option<f64>,
+    /// 95th-percentile access time (same bound; `None` when nothing served).
+    pub delay_p95: Option<f64>,
+    /// 99th-percentile access time (same bound; `None` when nothing served).
+    pub delay_p99: Option<f64>,
     /// Access-time statistics for push-satisfied requests.
     pub push_delay: SummaryStats,
     /// Access-time statistics for pull-satisfied requests.
@@ -475,14 +470,12 @@ mod tests {
         }
         let r = m.report(&classes, t(1000.0));
         let c = r.class(ClassId(0));
-        assert!(
-            c.delay_p50 > 400.0 && c.delay_p50 < 600.0,
-            "p50 {}",
-            c.delay_p50
-        );
-        assert!(c.delay_p95 > c.delay_p50);
-        assert!(c.delay_p99 > c.delay_p95);
-        assert!(c.delay_p99 <= 1000.0);
+        // 500 sits on a bucket edge (width 2 in [256, 512)); the exact p95
+        // and p99, 950 and 990, report the edges below them (width 4)
+        assert_eq!(c.delay_p50, Some(500.0));
+        assert_eq!(c.delay_p95, Some(948.0));
+        assert_eq!(c.delay_p99, Some(988.0));
+        assert_eq!(r.class(ClassId(1)).delay_p50, None, "served nothing");
     }
 
     #[test]

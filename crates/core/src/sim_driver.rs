@@ -1060,6 +1060,10 @@ impl<'a> Simulation<'a> {
             horizon > warmup,
             format_args!("horizon {horizon} must exceed warmup {warmup}"),
         )?;
+        ensure(
+            warmup >= 0.0,
+            format_args!("warmup {warmup} must be non-negative"),
+        )?;
         let (cutoff, catalog_len) = (self.hybrid.cutoff, self.scenario.catalog.len());
         ensure(
             cutoff <= catalog_len,
@@ -1956,6 +1960,14 @@ mod tests {
             .validate()
             .unwrap_err();
         assert_eq!(err, "horizon 4000 must exceed warmup 4000");
+        let early = SimParams {
+            warmup: -1.0,
+            ..params
+        };
+        let err = Simulation::new(&scenario, &cfg, &early)
+            .validate()
+            .unwrap_err();
+        assert_eq!(err, "warmup -1 must be non-negative");
 
         let deep = HybridConfig::paper(51, 0.5);
         let err = Simulation::new(&scenario, &deep, &params)

@@ -243,8 +243,9 @@ pub struct ClassOutcome {
     pub blocking_probability: f64,
     /// Mean access time, broadcast units.
     pub delay_mean: f64,
-    /// 95th-percentile access time (P² estimate).
-    pub delay_p95: f64,
+    /// 95th-percentile access time, within relative 2⁻⁷ (`None` when
+    /// the class served nothing).
+    pub delay_p95: Option<f64>,
 }
 
 /// One fully-priced grid point.

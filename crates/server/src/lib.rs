@@ -18,7 +18,7 @@
 //!   backpressure (never silent drops), per-request deadlines, graceful
 //!   drain on SIGTERM, and live windowed-QoS JSONL streaming;
 //! * [`loadgen`] — an open-loop Poisson/Zipf traffic generator
-//!   (epoll-multiplexed, streaming P² quantiles past 4096 samples/class);
+//!   (epoll-multiplexed, per-worker tallies merged exactly at the end);
 //! * [`signal`] — SIGTERM/SIGINT → shutdown flag (with [`poll`], one of
 //!   the crate's two unsafe islands);
 //! * [`cli`] — the daemon's and the load generator's command lines, shared

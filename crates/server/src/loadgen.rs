@@ -14,23 +14,23 @@
 //! regardless of how connections land on workers.
 //!
 //! Replies are matched to send timestamps by the echoed `seq` and
-//! recorded as per-class round-trip latencies. Quantiles come from a
-//! [`Percentiles`] per class: exact order statistics below 4096 samples,
-//! streaming P² estimators from there — a million-reply run costs O(1)
-//! memory per class instead of a gigabyte of samples.
+//! recorded as per-class round-trip latencies in a fixed-memory
+//! [`Histogram`] (quantiles within relative 2⁻⁷) — a million-reply run
+//! costs 40 KiB per class instead of a gigabyte of samples. Each worker
+//! keeps its own tally; histograms merge exactly, so [`run_loadgen`]
+//! adds the workers' tallies up once they are joined.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
 use hybridcast_sim::dist::{Discrete, Exponential, Zipf};
-use hybridcast_sim::quantile::Percentiles;
+use hybridcast_sim::quantile::Histogram;
 use hybridcast_sim::rng::{RngFactory, Xoshiro256};
 
 use crate::frame::{Frame, FrameBatch, ReplyStatus, RequestFrame};
@@ -137,29 +137,27 @@ pub struct ClassLoadReport {
     pub rtt_ms: LatencyQuantiles,
 }
 
-/// Latency quantiles: exact order statistics below
-/// [`EXACT_CAP`](hybridcast_sim::quantile::EXACT_CAP) samples, streaming
-/// P² estimates from there.
+/// Latency statistics of one class's served replies; quantiles within
+/// relative 2⁻⁷ of the exact order statistics (`sim::quantile`).
 ///
-/// Quantiles are `Option` because they can legitimately be unknown: an
-/// empty sample has no order statistics, and the P² estimators need at
-/// least five observations before they produce an estimate. `None`
-/// serializes as JSON `null` and renders as `n/a` — never as a
-/// fabricated `0.0` that reads like a measured zero-millisecond RTT.
+/// Everything but the count is `Option`: an empty sample has no mean,
+/// quantiles or maximum. `None` serializes as JSON `null` and renders as
+/// `n/a` — never as a fabricated `0.0` that reads like a measured
+/// zero-millisecond RTT.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct LatencyQuantiles {
     /// Sample count.
     pub count: u64,
     /// Mean.
-    pub mean: f64,
-    /// Median, if enough samples were observed to estimate it.
+    pub mean: Option<f64>,
+    /// Median.
     pub p50: Option<f64>,
-    /// 95th percentile, if estimable.
+    /// 95th percentile.
     pub p95: Option<f64>,
-    /// 99th percentile, if estimable.
+    /// 99th percentile.
     pub p99: Option<f64>,
     /// Maximum.
-    pub max: f64,
+    pub max: Option<f64>,
 }
 
 /// Renders an optional quantile for text reports: `n/a` when absent.
@@ -170,37 +168,34 @@ pub fn fmt_quantile_ms(q: Option<f64>) -> String {
     }
 }
 
-/// Per-class RTT accumulator: count/sum/max here, quantiles from the
-/// shared exact-then-P² [`Percentiles`].
+/// Per-class RTT accumulator: the histogram holds count, maximum and
+/// quantiles, the sum gives the mean.
 #[derive(Default)]
 struct RttAccum {
-    quantiles: Percentiles,
-    count: u64,
+    hist: Histogram,
     sum: f64,
-    max: f64,
 }
 
 impl RttAccum {
     fn push(&mut self, x: f64) {
-        self.count += 1;
+        self.hist.record(x);
         self.sum += x;
-        if x > self.max {
-            self.max = x;
-        }
-        self.quantiles.push(x);
     }
 
-    fn quantiles(self) -> LatencyQuantiles {
-        // An estimator with nothing to estimate reports `None`, never a
-        // made-up 0.0 that reads like a measured zero-latency run.
-        let [p50, p95, p99] = self.quantiles.estimates();
+    fn merge(&mut self, other: &RttAccum) {
+        self.hist.merge(&other.hist);
+        self.sum += other.sum;
+    }
+
+    fn quantiles(&self) -> LatencyQuantiles {
+        let count = self.hist.count();
         LatencyQuantiles {
-            count: self.count,
-            mean: self.sum / self.count.max(1) as f64,
-            p50,
-            p95,
-            p99,
-            max: self.max,
+            count,
+            mean: (count > 0).then(|| self.sum / count as f64),
+            p50: self.hist.quantile(0.5),
+            p95: self.hist.quantile(0.95),
+            p99: self.hist.quantile(0.99),
+            max: self.hist.max(),
         }
     }
 }
@@ -232,32 +227,41 @@ pub struct LoadgenReport {
     pub per_class: Vec<ClassLoadReport>,
 }
 
-/// One reply as observed by a worker (batched into the shared tally).
-struct Obs {
-    class: u8,
-    status: ReplyStatus,
-    rtt_ms: f64,
-}
-
-/// The cross-worker result sink. P² estimators don't merge, so there is
-/// exactly one [`RttAccum`] per class; workers flush observation batches
-/// under one short lock per poll iteration instead of per reply.
+/// One worker's per-class results: requests sent, replies by status, and
+/// the RTTs of served replies. Each worker owns its tally outright;
+/// [`run_loadgen`] merges them after the join.
 struct Tally {
+    sent: Vec<u64>,
     by_status: Vec<[u64; 5]>,
     rtt: Vec<RttAccum>,
 }
 
 impl Tally {
-    fn absorb(&mut self, batch: &mut Vec<Obs>) {
-        for obs in batch.drain(..) {
-            let c = obs.class as usize;
-            if c >= self.by_status.len() {
-                continue;
+    fn new(classes: usize) -> Self {
+        Tally {
+            sent: vec![0; classes],
+            by_status: vec![[0; 5]; classes],
+            rtt: (0..classes).map(|_| RttAccum::default()).collect(),
+        }
+    }
+
+    /// A reply to a request of `class` (always one this worker drew from
+    /// the class law, so in range).
+    fn record(&mut self, class: u8, status: ReplyStatus, rtt_ms: f64) {
+        let c = class as usize;
+        self.by_status[c][status.as_u8() as usize] += 1;
+        if status.is_served() {
+            self.rtt[c].push(rtt_ms);
+        }
+    }
+
+    fn merge(&mut self, other: &Tally) {
+        for c in 0..self.sent.len() {
+            self.sent[c] += other.sent[c];
+            for (mine, theirs) in self.by_status[c].iter_mut().zip(other.by_status[c]) {
+                *mine += theirs;
             }
-            self.by_status[c][obs.status.as_u8() as usize] += 1;
-            if obs.status.is_served() {
-                self.rtt[c].push(obs.rtt_ms);
-            }
+            self.rtt[c].merge(&other.rtt[c]);
         }
     }
 }
@@ -268,57 +272,44 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let factory = RngFactory::new(cfg.seed);
     let ncls = cfg.class_shares.len();
-    let tally = Arc::new(Mutex::new(Tally {
-        by_status: vec![[0u64; 5]; ncls],
-        rtt: (0..ncls).map(|_| RttAccum::default()).collect(),
-    }));
     let nworkers = cfg.connections.min(MAX_WORKERS);
     let start = Instant::now();
     let mut workers = Vec::new();
     for w in 0..nworkers {
         let cfg = cfg.clone();
-        let tally = Arc::clone(&tally);
         // Worker `w` drives global connections {i : i % nworkers == w}.
         let conn_ids: Vec<usize> = (w..cfg.connections).step_by(nworkers).collect();
         workers.push(thread::spawn(move || {
-            worker_loop(&cfg, &factory, &conn_ids, &tally)
+            worker_loop(&cfg, &factory, &conn_ids)
         }));
     }
-    let mut sent = 0u64;
-    let mut per_class_sent = vec![0u64; ncls];
+    let mut tally = Tally::new(ncls);
     for w in workers {
-        let conn_sent = w
+        let worker = w
             .join()
             .map_err(|_| io::Error::other("loadgen worker panicked"))??;
-        for (cls, n) in conn_sent.iter().enumerate() {
-            per_class_sent[cls] += n;
-            sent += n;
-        }
+        tally.merge(&worker);
     }
     let elapsed = start
         .elapsed()
         .as_secs_f64()
         .min(cfg.duration_secs.max(1e-9));
 
-    let tally = Arc::try_unwrap(tally)
-        .map_err(|_| io::Error::other("tally still shared"))?
-        .into_inner()
-        .expect("tally lock");
-    let mut rtts = tally.rtt;
+    let sent: u64 = tally.sent.iter().sum();
     let per_class: Vec<ClassLoadReport> = (0..ncls)
         .map(|c| {
             let s = &tally.by_status[c];
             let answered: u64 = s.iter().sum();
             ClassLoadReport {
                 class: c as u8,
-                sent: per_class_sent[c],
+                sent: tally.sent[c],
                 served_push: s[0],
                 served_pull: s[1],
                 shed: s[2],
                 timed_out: s[3],
                 uplink_lost: s[4],
-                unanswered: per_class_sent[c].saturating_sub(answered),
-                rtt_ms: std::mem::take(&mut rtts[c]).quantiles(),
+                unanswered: tally.sent[c].saturating_sub(answered),
+                rtt_ms: tally.rtt[c].quantiles(),
             }
         })
         .collect();
@@ -344,8 +335,6 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
         per_class,
     })
 }
-
-type Sent = Vec<u64>;
 
 /// One multiplexed connection: its own seeded streams (keyed by global
 /// index), open-loop schedule, pending map, outbound buffer, and reply
@@ -428,7 +417,7 @@ impl ConnDriver {
     }
 
     /// Reads and decodes every available reply, matching against pending.
-    fn pump_replies(&mut self, obs: &mut Vec<Obs>) {
+    fn pump_replies(&mut self, tally: &mut Tally) {
         let mut chunk = [0u8; 16 * 1024];
         loop {
             match (&self.stream).read(&mut chunk) {
@@ -449,11 +438,7 @@ impl ConnDriver {
             match self.batch.decode_next() {
                 Ok(Some(Frame::Reply(rep))) => {
                     if let Some((sent_at, class)) = self.pending.remove(&rep.seq) {
-                        obs.push(Obs {
-                            class,
-                            status: rep.status,
-                            rtt_ms: sent_at.elapsed().as_secs_f64() * 1e3,
-                        });
+                        tally.record(class, rep.status, sent_at.elapsed().as_secs_f64() * 1e3);
                     }
                 }
                 Ok(Some(_)) => continue, // the server never sends these
@@ -467,12 +452,7 @@ impl ConnDriver {
     }
 }
 
-fn worker_loop(
-    cfg: &LoadgenConfig,
-    factory: &RngFactory,
-    conn_ids: &[usize],
-    tally: &Mutex<Tally>,
-) -> io::Result<Sent> {
+fn worker_loop(cfg: &LoadgenConfig, factory: &RngFactory, conn_ids: &[usize]) -> io::Result<Tally> {
     let samplers = Samplers {
         gaps: Exponential::new(cfg.rps / cfg.connections as f64),
         items: Zipf::new(cfg.num_items, cfg.zipf_theta),
@@ -507,9 +487,8 @@ fn worker_loop(
 
     let start = Instant::now();
     let window = cfg.duration_secs;
-    let mut sent = vec![0u64; cfg.class_shares.len()];
+    let mut tally = Tally::new(cfg.class_shares.len());
     let mut events = [EpollEvent::zeroed(); 64];
-    let mut obs: Vec<Obs> = Vec::new();
 
     // Send window: pace, flush, poll, read — all on this one thread.
     loop {
@@ -522,7 +501,7 @@ fn worker_loop(
             if conn.dead {
                 continue;
             }
-            conn.enqueue_due(cfg, &samplers, now, window, &mut sent);
+            conn.enqueue_due(cfg, &samplers, now, window, &mut tally.sent);
             conn.flush();
             if conn.next_at < earliest {
                 earliest = conn.next_at;
@@ -549,11 +528,8 @@ fn worker_loop(
                 conn.flush();
             }
             if ev.ready() & EPOLLIN != 0 {
-                conn.pump_replies(&mut obs);
+                conn.pump_replies(&mut tally);
             }
-        }
-        if !obs.is_empty() {
-            tally.lock().expect("tally lock").absorb(&mut obs);
         }
     }
 
@@ -581,20 +557,14 @@ fn worker_loop(
                 conns[slot].flush();
             }
             if ev.ready() & EPOLLIN != 0 {
-                conns[slot].pump_replies(&mut obs);
+                conns[slot].pump_replies(&mut tally);
             }
-        }
-        if !obs.is_empty() {
-            tally.lock().expect("tally lock").absorb(&mut obs);
         }
     }
     for conn in &conns {
         let _ = conn.stream.shutdown(Shutdown::Both);
     }
-    if !obs.is_empty() {
-        tally.lock().expect("tally lock").absorb(&mut obs);
-    }
-    Ok(sent)
+    Ok(tally)
 }
 
 #[cfg(test)]
@@ -604,8 +574,8 @@ mod tests {
     #[test]
     fn quantiles_are_exact_order_statistics() {
         let mut acc = RttAccum::default();
-        // Fed out of order: the exact path selects, it does not assume
-        // sorted input.
+        // Fed out of order; integers below 256 sit on histogram bucket
+        // edges, so their order statistics come back exactly.
         for i in (1..=100).rev() {
             acc.push(i as f64);
         }
@@ -614,15 +584,15 @@ mod tests {
         assert_eq!(q.p50, Some(50.0));
         assert_eq!(q.p95, Some(95.0));
         assert_eq!(q.p99, Some(99.0));
-        assert_eq!(q.max, 100.0);
-        assert!((q.mean - 50.5).abs() < 1e-12);
+        assert_eq!(q.max, Some(100.0));
+        assert_eq!(q.mean, Some(50.5));
     }
 
     #[test]
     fn empty_sample_reports_unknown_quantiles_not_zeros() {
         let q = RttAccum::default().quantiles();
         assert_eq!(q.count, 0);
-        assert_eq!(q.max, 0.0);
+        assert_eq!((q.mean, q.max), (None, None));
         assert_eq!(q.p50, None);
         assert_eq!(q.p95, None);
         assert_eq!(q.p99, None);
@@ -632,6 +602,7 @@ mod tests {
         // "unknown" from "zero milliseconds".
         let json = serde_json::to_string(&q).expect("serializes");
         assert!(json.contains("\"p50\":null"), "{json}");
+        assert!(json.contains("\"max\":null"), "{json}");
     }
 
     #[test]
@@ -649,56 +620,47 @@ mod tests {
         assert!(LoadgenConfig::default().validate().is_ok());
     }
 
+    /// The limit is eight significant bits: below it a sample is a bucket
+    /// edge and exact, above it the histogram reports the edge under it.
     #[test]
     fn accumulator_is_exact_below_the_limit() {
         let mut acc = RttAccum::default();
-        for i in 1..=100 {
+        for i in 1..=255 {
             acc.push(i as f64);
         }
         let q = acc.quantiles();
-        assert_eq!(q.count, 100);
-        assert_eq!(q.p50, Some(50.0));
-        assert_eq!(q.p99, Some(99.0));
-        assert_eq!(q.max, 100.0);
-    }
-
-    #[test]
-    fn accumulator_switches_to_p2_and_stays_close() {
-        let mut acc = RttAccum::default();
-        // Deterministic shuffle of 1..=20000 via an LCG permutation.
-        let n = 20_000u64;
-        let mut x = 1u64;
-        for _ in 0..n {
-            x = (x * 48271) % 0x7fff_ffff;
-            acc.push((x % n + 1) as f64);
-        }
-        let q = acc.quantiles();
-        assert_eq!(q.count, n);
-        // P² tolerance: a few percent on a well-behaved sample.
-        let (p50, p95, p99) = (
-            q.p50.expect("converged"),
-            q.p95.expect("converged"),
-            q.p99.expect("converged"),
+        assert_eq!(
+            (q.p50, q.p99, q.max),
+            (Some(128.0), Some(253.0), Some(255.0))
         );
-        assert!((p50 - 0.50 * n as f64).abs() < 0.05 * n as f64, "{p50}");
-        assert!((p95 - 0.95 * n as f64).abs() < 0.05 * n as f64, "{p95}");
-        assert!((p99 - 0.99 * n as f64).abs() < 0.05 * n as f64, "{p99}");
+        for i in 256..=1_000 {
+            acc.push(i as f64);
+        }
+        // exact p99 of 1..=1000 is 990; in [512, 1024) buckets are 4 wide
+        assert_eq!(acc.quantiles().p99, Some(988.0));
     }
 
+    /// Two workers' tallies merged equal one tally that saw every reply.
     #[test]
-    fn unfed_p2_reports_none_not_zero() {
-        // An engaged-but-unfed estimator has no estimate. The old
-        // `unwrap_or(0.0)` turned this into a reported zero-millisecond
-        // quantile; it must surface as `None` instead. (P² drops
-        // non-finite samples, so a buffer of them engages it unfed.)
-        let mut acc = RttAccum::default();
-        for _ in 0..hybridcast_sim::quantile::EXACT_CAP {
-            acc.push(f64::NAN);
+    fn worker_tallies_merge_into_the_whole_run() {
+        let (mut a, mut b, mut whole) = (Tally::new(3), Tally::new(3), Tally::new(3));
+        for i in 0..1_000u32 {
+            let (class, rtt) = ((i % 3) as u8, 0.1 + f64::from(i % 97) * 1.7);
+            let status = if i % 10 == 0 {
+                ReplyStatus::Shed
+            } else {
+                ReplyStatus::ServedPull
+            };
+            let worker = if i % 4 == 0 { &mut a } else { &mut b };
+            worker.sent[class as usize] += 1;
+            worker.record(class, status, rtt);
+            whole.sent[class as usize] += 1;
+            whole.record(class, status, rtt);
         }
-        let q = acc.quantiles();
-        assert_eq!(q.p50, None);
-        assert_eq!(q.p95, None);
-        assert_eq!(q.p99, None);
-        assert_eq!(fmt_quantile_ms(q.p99), "n/a");
+        a.merge(&b);
+        assert_eq!((&a.sent, &a.by_status), (&whole.sent, &whole.by_status));
+        for (merged, one) in a.rtt.iter().zip(&whole.rtt) {
+            assert!(merged.hist == one.hist);
+        }
     }
 }

@@ -28,6 +28,10 @@ extern "C" {
 /// Installs the flag-setting handler for SIGTERM and SIGINT.
 pub fn install() {
     let handler = on_signal as extern "C" fn(i32) as *const () as usize;
+    // SAFETY: `signal(2)` is given valid signal numbers (SIGTERM, SIGINT)
+    // and, as its `sighandler_t`, the address of `on_signal`: an
+    // `extern "C" fn(i32)` that lives for the whole program and only
+    // stores to an atomic, so it is async-signal-safe.
     unsafe {
         signal(SIGTERM, handler);
         signal(SIGINT, handler);
@@ -53,7 +57,6 @@ mod tests {
         // `install`/real signals are exercised by the CI smoke job; here we
         // only pin the programmatic path (tests share the process-global
         // flag, so never *clear* it from another test's perspective).
-        assert!(!requested() || requested()); // no-op read
         request();
         assert!(requested());
     }

@@ -186,6 +186,57 @@ fn ingress_bound_sheds_explicitly_and_loses_nothing() {
     );
 }
 
+/// Loadgen with several workers (one per connection up to four), so the
+/// per-worker tallies go through the merge: every class that was served
+/// reports known quantiles, ordered and below its maximum, over exactly
+/// its served replies.
+#[test]
+fn loadgen_merges_worker_tallies_into_ordered_quantiles() {
+    let mut cfg = base_config();
+    cfg.hybrid = HybridConfig {
+        cutoff: 30, // mixed push/pull
+        pull: PullPolicyKind::importance(0.5),
+        ..HybridConfig::default()
+    };
+    cfg.serve.unit_millis = 0.5;
+    let server = ServerHandle::start(cfg).expect("server starts");
+    let report = run_loadgen(&LoadgenConfig {
+        addr: server.addr().to_string(),
+        rps: 2_000.0,
+        connections: 4,
+        duration_secs: 0.5,
+        seed: 11,
+        grace_ms: 5_000,
+        ..LoadgenConfig::default()
+    })
+    .expect("loadgen runs");
+    server.shutdown();
+    let summary = server.join().expect("clean shutdown");
+
+    assert_eq!(report.unanswered, 0, "{report:?}");
+    assert!(report.served > 0, "{report:?}");
+    for class in &report.per_class {
+        let rtt = &class.rtt_ms;
+        assert_eq!(rtt.count, class.served_push + class.served_pull);
+        if rtt.count == 0 {
+            continue;
+        }
+        let known = |q: Option<f64>| q.expect("served class has quantiles");
+        let (p50, p95, p99, max) = (
+            known(rtt.p50),
+            known(rtt.p95),
+            known(rtt.p99),
+            known(rtt.max),
+        );
+        assert!(
+            p50 <= p95 && p95 <= p99 && p99 <= max,
+            "class {}: {rtt:?}",
+            class.class
+        );
+    }
+    assert!(summary.conservation_ok, "conservation: {summary:?}");
+}
+
 /// (c) Graceful shutdown: queued pulls drain, every outstanding request
 /// gets a reply, and the telemetry JSONL closes with a conservation-clean
 /// summary line.

@@ -12,8 +12,8 @@
 //!   discrete sampling;
 //! * [`stats`] — Welford moments, time-weighted averages and MSER
 //!   warm-up truncation;
-//! * [`quantile`] — the P² streaming quantile estimator (tail latencies in
-//!   O(1) memory).
+//! * [`quantile`] — a fixed-memory log-linear histogram with exact merge
+//!   (tail latencies within 2⁻⁷ relative error).
 //!
 //! Nothing here knows about broadcast scheduling; it is a small, reusable
 //! DES toolkit.
@@ -89,7 +89,7 @@ pub mod prelude {
     pub use crate::dist::{AliasTable, Discrete, Exponential, PoissonCount, Zipf};
     pub use crate::engine::{Engine, RunStats, StopReason};
     pub use crate::event::EventQueue;
-    pub use crate::quantile::P2Quantile;
+    pub use crate::quantile::Histogram;
     pub use crate::rng::{streams as rng_streams, RngFactory, Xoshiro256};
     pub use crate::stats::{mser_truncation, SummaryStats, TimeWeighted, Welford};
     pub use crate::time::{SimDuration, SimTime};

@@ -149,6 +149,8 @@ impl Welford {
             mean: self.mean(),
             std_dev: self.std_dev(),
             ci95: self.ci95_halfwidth(),
+            // Empty only as `count: 0`, the documented empty snapshot
+            // (`SummaryStats::default()`): readers gate on `count`.
             min: self.min().unwrap_or(0.0),
             max: self.max().unwrap_or(0.0),
         }

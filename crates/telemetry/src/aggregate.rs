@@ -33,7 +33,8 @@ pub struct AggregatedClassWindow {
     pub uplink_latency_mean: Option<SummaryStats>,
     /// Mean access delay (replications with ≥1 completion only).
     pub delay_mean: Option<SummaryStats>,
-    /// P² 95th-percentile access delay (ditto).
+    /// 95th-percentile access delay, histogram quantile within relative
+    /// 2⁻⁷ (ditto).
     pub delay_p95: Option<SummaryStats>,
 }
 

@@ -6,10 +6,10 @@
 //! containing its timestamp; gauges (queue depth, push-set size K) are
 //! integrated piecewise-constantly inside each window, so their per-window
 //! mean is exact regardless of how bursty the updates are. Delay
-//! quantiles are exact order statistics for windows with fewer than 4096
-//! completions per class; hotter windows engage fresh P² estimators
-//! ([`Percentiles`]), so memory stays bounded and a window's p50/p95 always
-//! reflects only completions inside it.
+//! quantiles come from one fixed-memory [`Histogram`] per class, cleared
+//! at each window close, so a window's p50/p95/p99 reflect only the
+//! completions inside it and use the same algorithm, with the same 2⁻⁷
+//! relative error bound, as the run's `SimReport`.
 //!
 //! Unlike `MetricsCollector`, the recorder applies **no warm-up gating**:
 //! the whole point of the time axis is to make transients visible.
@@ -17,7 +17,7 @@
 use serde::{Deserialize, Serialize};
 
 use hybridcast_sim::ensure;
-use hybridcast_sim::quantile::Percentiles;
+use hybridcast_sim::quantile::Histogram;
 use hybridcast_sim::time::SimTime;
 use hybridcast_workload::catalog::Catalog;
 use hybridcast_workload::classes::ClassSet;
@@ -109,14 +109,14 @@ impl GaugeTrack {
     }
 }
 
-/// Per-class accumulators for the current window.
+/// Per-class counters for the current window; the class's delay
+/// histogram sits beside them in [`WindowRecorder`], so a window close
+/// resets these to zero and clears the histogram in place.
 ///
 /// Delay/stretch means use plain sums rather than `Welford` accumulators:
-/// only the mean and max are reported per window, and the slimmer update
-/// keeps the per-completion cost inside the overhead budget
-/// (`BENCH_telemetry`). Delay quantiles come from a [`Percentiles`]:
-/// exact selection at window close below its cap, P² beyond.
-#[derive(Debug, Clone)]
+/// only the mean is reported per window, and the slimmer update keeps the
+/// per-completion cost inside the overhead budget (`BENCH_telemetry`).
+#[derive(Debug, Clone, Default)]
 struct ClassAccum {
     arrivals: u64,
     served: u64,
@@ -127,42 +127,13 @@ struct ClassAccum {
     uplink_delivered: u64,
     uplink_latency_sum: f64,
     delay_sum: f64,
-    delay_max: f64,
-    delays: Percentiles,
     stretch_sum: f64,
 }
 
 impl ClassAccum {
-    fn new() -> Self {
-        ClassAccum {
-            arrivals: 0,
-            served: 0,
-            served_push: 0,
-            served_pull: 0,
-            blocked: 0,
-            uplink_lost: 0,
-            uplink_delivered: 0,
-            uplink_latency_sum: 0.0,
-            delay_sum: 0.0,
-            delay_max: f64::NEG_INFINITY,
-            delays: Percentiles::default(),
-            stretch_sum: 0.0,
-        }
-    }
-
-    /// Clears for the next window, keeping the delay buffer's capacity.
-    fn reset(&mut self) {
-        let mut delays = std::mem::take(&mut self.delays);
-        delays.clear();
-        *self = ClassAccum {
-            delays,
-            ..ClassAccum::new()
-        };
-    }
-
-    fn snapshot(&self, width: f64) -> ClassWindow {
+    fn snapshot(&self, delays: &Histogram, width: f64) -> ClassWindow {
         let n = self.served;
-        let [p50, p95, p99] = self.delays.estimates();
+        let [p50, p95, p99] = [0.5, 0.95, 0.99].map(|q| delays.quantile(q));
         ClassWindow {
             arrivals: self.arrivals,
             served: self.served,
@@ -177,7 +148,7 @@ impl ClassAccum {
             delay_p50: p50,
             delay_p95: p95,
             delay_p99: p99,
-            delay_max: (n > 0).then_some(self.delay_max),
+            delay_max: delays.max(),
             stretch_mean: (n > 0).then(|| self.stretch_sum / n as f64),
             blocking_ratio: if self.arrivals > 0 {
                 self.blocked as f64 / self.arrivals as f64
@@ -219,12 +190,13 @@ pub struct ClassWindow {
     pub uplink_latency_mean: Option<f64>,
     /// Mean access delay of completions in the window.
     pub delay_mean: Option<f64>,
-    /// Median access delay (exact below 4096 completions, P² from there).
+    /// Median access delay, within relative 2⁻⁷ of the exact order
+    /// statistic (`sim::quantile`).
     pub delay_p50: Option<f64>,
-    /// 95th-percentile access delay (exact below 4096 completions, P² from there).
+    /// 95th-percentile access delay (same bound).
     pub delay_p95: Option<f64>,
-    /// 99th-percentile access delay (exact below 4096 completions, P² from there;
-    /// `None` for series recorded before the field existed).
+    /// 99th-percentile access delay (same bound; `None` for series
+    /// recorded before the field existed).
     #[serde(default)]
     pub delay_p99: Option<f64>,
     /// Worst access delay.
@@ -310,6 +282,8 @@ pub struct WindowRecorder {
     index: u64,
     start: f64,
     per_class: Vec<ClassAccum>,
+    /// Per-class delays of the current window, in `per_class` order.
+    delays: Vec<Histogram>,
     queue_items: GaugeTrack,
     queue_requests: GaugeTrack,
     push_k: GaugeTrack,
@@ -332,7 +306,8 @@ impl WindowRecorder {
         let names: Vec<String> = classes.iter().map(|(_, c)| c.name.clone()).collect();
         WindowRecorder {
             window: cfg.window,
-            per_class: names.iter().map(|_| ClassAccum::new()).collect(),
+            per_class: vec![ClassAccum::default(); names.len()],
+            delays: names.iter().map(|_| Histogram::default()).collect(),
             classes: names,
             lengths: catalog.items().iter().map(|i| i.length).collect(),
             index: 0,
@@ -354,7 +329,12 @@ impl WindowRecorder {
     #[inline(never)]
     fn close_window(&mut self, end: f64) {
         let width = end - self.start;
-        let per_class = self.per_class.iter().map(|c| c.snapshot(width)).collect();
+        let per_class = self
+            .per_class
+            .iter()
+            .zip(&self.delays)
+            .map(|(c, d)| c.snapshot(d, width))
+            .collect();
         let (qi_mean, qi_max) = self.queue_items.close(end, width);
         let (qr_mean, qr_max) = self.queue_requests.close(end, width);
         let (k_mean, _) = self.push_k.close(end, width);
@@ -373,8 +353,9 @@ impl WindowRecorder {
             pull_tx: self.pull_tx,
             churn_departures: self.churn_departures,
         });
-        for c in &mut self.per_class {
-            c.reset();
+        for (c, d) in self.per_class.iter_mut().zip(&mut self.delays) {
+            *c = ClassAccum::default();
+            d.clear();
         }
         self.push_tx = 0;
         self.pull_tx = 0;
@@ -454,10 +435,7 @@ impl Sink for WindowRecorder {
                 }
                 let delay = time.since(arrival).as_f64();
                 acc.delay_sum += delay;
-                if delay > acc.delay_max {
-                    acc.delay_max = delay;
-                }
-                acc.delays.push(delay);
+                self.delays[class.index()].record(delay);
                 let len = self.lengths[item.0 as usize] as f64;
                 acc.stretch_sum += delay / len.max(1.0);
             }

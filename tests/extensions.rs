@@ -40,23 +40,62 @@ fn tail_percentiles_are_reported_and_ordered() {
         &HybridConfig::paper(40, 0.25),
         &SimParams::quick(),
     );
+    let p95 = |c: &ClassReport| c.delay_p95.expect("every class served");
     for c in &r.per_class {
-        assert!(c.delay_p50 > 0.0);
-        assert!(
-            c.delay_p50 <= c.delay_p95,
-            "{}: p50 {} p95 {}",
-            c.name,
-            c.delay_p50,
-            c.delay_p95
-        );
-        assert!(c.delay_p95 <= c.delay_p99);
+        let (p50, p99) = (c.delay_p50.unwrap(), c.delay_p99.unwrap());
+        assert!(p50 > 0.0);
+        assert!(p50 <= p95(c), "{}: p50 {p50} p95 {}", c.name, p95(c));
+        assert!(p95(c) <= p99);
         // the median sits near (below, for a right-skewed law) the mean
-        assert!(c.delay_p50 < c.delay.mean * 1.5);
+        assert!(p50 < c.delay.mean * 1.5);
         // p99 within the observed extremes
-        assert!(c.delay_p99 <= c.delay.max + 1e-9);
+        assert!(p99 <= c.delay.max);
     }
     // premium tails beat junior tails on the pull-differentiated component
-    assert!(r.per_class[0].delay_p95 <= r.per_class[2].delay_p95 * 1.1);
+    assert!(p95(&r.per_class[0]) <= p95(&r.per_class[2]) * 1.1);
+}
+
+/// The quantile contract end to end: every p50/p95/p99 a `SimReport`
+/// prints is within relative 2⁻⁷ of the exact ceil-rank order statistic
+/// of the delays the run actually served (arrivals at or after warmup),
+/// and inside their [min, max].
+#[test]
+fn reported_quantiles_match_the_served_delays() {
+    use hybridcast::sim::quantile::MAX_RELATIVE_ERROR;
+    let scenario = ScenarioConfig::icpp2005(0.6).build();
+    let (hybrid, params) = (HybridConfig::paper(40, 0.25), SimParams::quick());
+    let mut sink = VecSink::new();
+    let report = Simulation::new(&scenario, &hybrid, &params)
+        .run(&mut sink)
+        .report;
+    let mut delays = vec![Vec::new(); report.per_class.len()];
+    for event in sink.events() {
+        if let TelemetryEvent::RequestServed {
+            time,
+            class,
+            arrival,
+            ..
+        } = *event
+        {
+            if arrival.as_f64() >= params.warmup {
+                delays[class.index()].push(time.since(arrival).as_f64());
+            }
+        }
+    }
+    for (c, mut d) in report.per_class.iter().zip(delays) {
+        assert_eq!(d.len() as u64, c.served, "{}", c.name);
+        d.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let exact = |q: f64| d[((q * d.len() as f64).ceil() as usize).clamp(1, d.len()) - 1];
+        for (q, got) in [(0.5, c.delay_p50), (0.95, c.delay_p95), (0.99, c.delay_p99)] {
+            let (got, want) = (got.expect("served"), exact(q));
+            assert!(
+                (got - want).abs() <= want * MAX_RELATIVE_ERROR,
+                "{} p{q}: {got} vs exact {want}",
+                c.name
+            );
+            assert!(d[0] <= got && got <= d[d.len() - 1], "{} p{q}", c.name);
+        }
+    }
 }
 
 #[test]
