@@ -255,7 +255,8 @@ impl HybridScheduler {
 
     /// Publishes `item`'s fresh score to the queue's heap index. Eq. 1
     /// structure: a request changes the score of the one item it targets,
-    /// so this single O(log n) push keeps the whole index current.
+    /// so moving that item's one heap record, O(log n), keeps the whole
+    /// index current.
     fn reindex(&mut self, item: ItemId) {
         if !self.indexed {
             return;

@@ -76,13 +76,14 @@ impl<'a> From<&PullContext<'a>> for IndexContext<'a> {
 /// changes (a request arrives, the entry is served/dropped) can opt into
 /// the *incremental score* capability: `score_is_local` returns `true`
 /// and [`PullPolicy::rescore`] recomputes the entry's score without a
-/// clock. The scheduler then maintains a lazy max-heap over these scores
-/// ([`crate::queue::PullQueue::reindex`] /
-/// [`crate::queue::PullQueue::select_max_indexed`]) and selection costs
-/// O(log n) instead of a full scan. `rescore` must order entries exactly
-/// like `score` whenever [`PullPolicy::index_usable`] holds — including
-/// ties (equal `rescore` values ⇔ equal `score` values); time-dependent
-/// policies keep the default scan path. See "Scheduler complexity" in
+/// clock. The scheduler then keeps a max-heap with one record per queued
+/// item over these scores ([`crate::queue::PullQueue::reindex`] /
+/// [`crate::queue::PullQueue::select_max_indexed`]): each queue event
+/// costs O(log n) and selection is a peek instead of a full scan.
+/// `rescore` must order entries exactly like `score` whenever
+/// [`PullPolicy::index_usable`] holds — including ties (equal `rescore`
+/// values ⇔ equal `score` values); time-dependent policies keep the
+/// default scan path. See "Scheduler complexity" in
 /// `DESIGN.md` for the per-policy arguments.
 pub trait PullPolicy: std::fmt::Debug + Send {
     /// Short identifier for reports ("importance", "rxw", ...).

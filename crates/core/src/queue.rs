@@ -16,18 +16,17 @@
 //!
 //! * [`PullQueue::select_max`] — the original linear scan over the active
 //!   items; policies see the full [`PendingItem`]. O(active) per slot.
-//! * [`PullQueue::select_max_indexed`] — a lazy-deletion max-heap over
-//!   `(score, generation, item)` maintained by [`PullQueue::reindex`] at
-//!   insert/remove time. O(log n) amortized per slot; usable whenever the
-//!   policy's score depends only on queue-event-local state (see the
-//!   `score_is_local` capability on `PullPolicy` and the "Scheduler
-//!   complexity" section of `DESIGN.md`).
+//! * [`PullQueue::select_max_indexed`] — an O(1) peek at a binary
+//!   max-heap holding exactly one `(score, item)` record per indexed item,
+//!   with each slot's position in it. [`PullQueue::reindex`] moves an
+//!   item's record in place and every extraction swap-removes it, O(log n)
+//!   each. Usable whenever the policy's score depends only on
+//!   queue-event-local state (see the `score_is_local` capability on
+//!   `PullPolicy` and the "Scheduler complexity" section of `DESIGN.md`).
 //!
 //! The index exploits the paper's Eq. 1 structure: a request arrival
-//! changes the score of *one* item, so the heap absorbs one push per
+//! changes the score of *one* item, so the heap absorbs one sift per
 //! insert instead of rescoring the whole queue per slot.
-
-use std::collections::BinaryHeap;
 
 use hybridcast_sim::time::SimTime;
 use hybridcast_workload::catalog::ItemId;
@@ -43,16 +42,11 @@ pub struct PendingItem {
     pub total_priority: f64,
     /// Arrival time of the oldest pending request.
     pub first_arrival: SimTime,
-    /// Arrival time of the newest pending request.
-    pub last_arrival: SimTime,
     /// Every pending request: `(arrival, class)`.
     pub requesters: Vec<(SimTime, ClassId)>,
     /// Dense pending-request count per class, indexed by `ClassId`; the
     /// length is `1 + max class index seen` on this entry.
     class_counts: Vec<u32>,
-    /// Per-class sum of requester arrival times, same indexing as
-    /// `class_counts`.
-    class_arrival_sums: Vec<f64>,
     /// Sum of all requester arrival times `Σ A_j` — gives O(1) total-wait
     /// scores (`R_i·now − Σ A_j`) and mean-delay attribution.
     arrival_sum: f64,
@@ -64,10 +58,8 @@ impl PendingItem {
             item: req.item,
             total_priority: 0.0,
             first_arrival: req.arrival,
-            last_arrival: req.arrival,
             requesters: Vec::with_capacity(4),
             class_counts: Vec::new(),
-            class_arrival_sums: Vec::new(),
             arrival_sum: 0.0,
         };
         entry.push_request(req, priority);
@@ -80,7 +72,6 @@ impl PendingItem {
         self.item = req.item;
         self.total_priority = 0.0;
         self.first_arrival = req.arrival;
-        self.last_arrival = req.arrival;
         self.arrival_sum = 0.0;
         self.push_request(req, priority);
     }
@@ -89,17 +80,14 @@ impl PendingItem {
     fn push_request(&mut self, req: &Request, priority: f64) {
         self.total_priority += priority;
         // Uplink latency can deliver requests out of arrival order; keep
-        // first/last as true extremes.
+        // the true oldest.
         self.first_arrival = self.first_arrival.min(req.arrival);
-        self.last_arrival = self.last_arrival.max(req.arrival);
         self.requesters.push((req.arrival, req.class));
         let c = req.class.index();
         if c >= self.class_counts.len() {
             self.class_counts.resize(c + 1, 0);
-            self.class_arrival_sums.resize(c + 1, 0.0);
         }
         self.class_counts[c] += 1;
-        self.class_arrival_sums[c] += req.arrival.as_f64();
         self.arrival_sum += req.arrival.as_f64();
     }
 
@@ -107,7 +95,6 @@ impl PendingItem {
     fn clear(&mut self) {
         self.requesters.clear();
         self.class_counts.clear();
-        self.class_arrival_sums.clear();
     }
 
     /// Number of pending requests `R_i`.
@@ -150,13 +137,6 @@ impl PendingItem {
         }
     }
 
-    /// Per-class sums of requester arrival times, indexed by class; may be
-    /// shorter than the total number of classes (classes never seen on
-    /// this entry are absent, i.e. zero).
-    pub fn class_arrival_sums(&self) -> &[f64] {
-        &self.class_arrival_sums
-    }
-
     /// Sum of all requester arrival times `Σ A_j`. The total accumulated
     /// wait at time `t` is `count()·t − arrival_sum()` without walking
     /// `requesters`.
@@ -165,102 +145,17 @@ impl PendingItem {
     }
 }
 
-/// One heap record of the score index. Ordering: higher score first, then
-/// lower item id — exactly the scan's tie-break.
-#[derive(Debug, Clone, Copy)]
-struct IndexEntry {
-    score: f64,
-    gen: u64,
-    item: u32,
+/// Heap order of two index records: `a` sits above `b` iff it has the
+/// higher score, or the same score and the lower item id — exactly the
+/// scan's tie-break. Scores are NaN-free (asserted at reindex) and −0.0 is
+/// normalized to 0.0 there, so `total_cmp` agrees with the scan's `<=`.
+#[inline]
+fn above(a: (f64, u32), b: (f64, u32)) -> bool {
+    a.0.total_cmp(&b.0).then_with(|| b.1.cmp(&a.1)) == std::cmp::Ordering::Greater
 }
 
-impl PartialEq for IndexEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for IndexEntry {}
-
-impl PartialOrd for IndexEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for IndexEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Scores are NaN-free (asserted at reindex) and −0.0 is normalized
-        // to 0.0 there, so total_cmp agrees with the scan's `<=` ordering.
-        self.score
-            .total_cmp(&other.score)
-            .then_with(|| other.item.cmp(&self.item))
-    }
-}
-
-/// Lazy-deletion max-heap over per-item scores.
-///
-/// Every mutation of a slot bumps its generation, orphaning any heap
-/// record for that slot; stale records are discarded when they surface at
-/// the top. `live` counts slots whose newest record is still in the heap,
-/// which lets selection assert full coverage cheaply.
-#[derive(Debug, Clone, Default)]
-struct ScoreIndex {
-    heap: BinaryHeap<IndexEntry>,
-    /// Per-slot generation counter; a heap record is current iff its `gen`
-    /// matches.
-    gens: Vec<u64>,
-    /// Per-slot flag: the slot has a current heap record.
-    current: Vec<bool>,
-    /// Number of slots with a current heap record.
-    live: usize,
-}
-
-impl ScoreIndex {
-    fn new(num_items: usize) -> Self {
-        ScoreIndex {
-            heap: BinaryHeap::new(),
-            gens: vec![0; num_items],
-            current: vec![false; num_items],
-            live: 0,
-        }
-    }
-
-    /// Orphans any current record for `idx` (slot content changed).
-    #[inline]
-    fn invalidate(&mut self, idx: usize) {
-        self.gens[idx] += 1;
-        if self.current[idx] {
-            self.current[idx] = false;
-            self.live -= 1;
-        }
-    }
-
-    /// Publishes `score` as the current record for `idx`.
-    fn set(&mut self, idx: usize, score: f64, item: u32) {
-        self.invalidate(idx);
-        self.current[idx] = true;
-        self.live += 1;
-        self.heap.push(IndexEntry {
-            score,
-            gen: self.gens[idx],
-            item,
-        });
-    }
-
-    /// Drops every stale record; O(heap). Called when stale records
-    /// outnumber live ones, so the cost amortizes against the pushes that
-    /// created them.
-    fn compact(&mut self) {
-        let gens = &self.gens;
-        let kept: Vec<IndexEntry> = self
-            .heap
-            .drain()
-            .filter(|e| gens[e.item as usize] == e.gen)
-            .collect();
-        self.heap = BinaryHeap::from(kept);
-    }
-}
+/// Position of a slot that has no index record.
+const UNINDEXED: u32 = u32::MAX;
 
 /// The pull queue: per-item request aggregation with linear-scan *and*
 /// heap-indexed selection (see the module docs for when each applies).
@@ -276,8 +171,12 @@ pub struct PullQueue {
     inserted: u64,
     served_items: u64,
     served_requests: u64,
-    /// The incremental score index (empty unless `reindex` is used).
-    index: ScoreIndex,
+    /// The score index: a binary max-heap (in [`above`] order) of one
+    /// `(score, item)` record per reindexed active item; empty unless
+    /// `reindex` is used.
+    heap: Vec<(f64, u32)>,
+    /// Per-slot position of its record in `heap`, or [`UNINDEXED`].
+    pos: Vec<u32>,
     /// Recycled entries whose buffers are reused by `insert`.
     pool: Vec<PendingItem>,
 }
@@ -297,19 +196,19 @@ impl PullQueue {
             inserted: 0,
             served_items: 0,
             served_requests: 0,
-            index: ScoreIndex::new(num_items),
+            heap: Vec::new(),
+            pos: vec![UNINDEXED; num_items],
             pool: Vec::new(),
         }
     }
 
     /// Appends `req` (with its requester's priority weight `q_j`) to the
-    /// queue, creating the item entry on first request. Any indexed score
-    /// for the item becomes stale; callers maintaining the index must
-    /// [`PullQueue::reindex`] the item afterwards.
+    /// queue, creating the item entry on first request. The index is left
+    /// alone; callers maintaining it must [`PullQueue::reindex`] the item
+    /// afterwards.
     pub fn insert(&mut self, req: &Request, priority: f64) {
         debug_assert!(priority > 0.0, "priority weights are positive");
-        let idx = req.item.index();
-        match &mut self.slots[idx] {
+        match &mut self.slots[req.item.index()] {
             Some(entry) => entry.push_request(req, priority),
             slot @ None => {
                 *slot = Some(match self.pool.pop() {
@@ -322,7 +221,6 @@ impl PullQueue {
                 self.active += 1;
             }
         }
-        self.index.invalidate(idx);
         self.total_requests += 1;
         self.inserted += 1;
     }
@@ -369,7 +267,8 @@ impl PullQueue {
 
     /// Publishes `score` as `item`'s current index score. Must be called
     /// after every [`PullQueue::insert`] touching `item` for
-    /// [`PullQueue::select_max_indexed`] to be usable.
+    /// [`PullQueue::select_max_indexed`] to be usable. The score may move
+    /// either way; the item's one record is sifted from where it is.
     ///
     /// # Panics
     /// Panics (debug) if `item` has no pending requests or `score` is NaN.
@@ -381,44 +280,67 @@ impl PullQueue {
         );
         // Fold −0.0 into 0.0 so total_cmp ties exactly where the scan's
         // `<=` ties.
-        let score = if score == 0.0 { 0.0 } else { score };
-        self.index.set(item.index(), score, item.0);
-        // Lazy deletion leaves one stale record per superseded score; once
-        // they dominate the heap, sweep them out.
-        if self.index.heap.len() > 2 * self.active + 64 {
-            self.index.compact();
+        let record = (if score == 0.0 { 0.0 } else { score }, item.0);
+        let at = match self.pos[item.index()] {
+            UNINDEXED => {
+                self.heap.push(record);
+                self.heap.len() - 1
+            }
+            at => at as usize,
+        };
+        self.sift(at, record);
+    }
+
+    /// Stores `record` at heap position `at` or wherever heap order puts it
+    /// from there: up past every parent it beats, or else down past every
+    /// child that beats it. Every record it passes gets its new position.
+    fn sift(&mut self, mut at: usize, record: (f64, u32)) {
+        let start = at;
+        while at > 0 && above(record, self.heap[(at - 1) / 2]) {
+            let parent = (at - 1) / 2;
+            self.place(at, self.heap[parent]);
+            at = parent;
         }
+        if at == start {
+            loop {
+                let left = 2 * at + 1;
+                let Some(&left_record) = self.heap.get(left) else {
+                    break;
+                };
+                let (child, child_record) = match self.heap.get(left + 1) {
+                    Some(&right) if above(right, left_record) => (left + 1, right),
+                    _ => (left, left_record),
+                };
+                if !above(child_record, record) {
+                    break;
+                }
+                self.place(at, child_record);
+                at = child;
+            }
+        }
+        self.place(at, record);
+    }
+
+    /// Writes `record` at heap position `at` and points its slot there.
+    #[inline]
+    fn place(&mut self, at: usize, record: (f64, u32)) {
+        self.heap[at] = record;
+        self.pos[record.1 as usize] = at as u32;
     }
 
     /// The indexed counterpart of [`PullQueue::select_max`]: the item with
     /// the highest indexed score, ties broken toward the lower item id —
-    /// decision-identical to a scan of the same scores. O(log n) amortized.
+    /// decision-identical to a scan of the same scores. O(1).
     ///
-    /// Requires every active item to have a current index score (insert →
-    /// reindex discipline); selection coverage is asserted in debug builds.
-    pub fn select_max_indexed(&mut self) -> Option<ItemId> {
+    /// Requires every active item to have an index score (insert →
+    /// reindex discipline); coverage is asserted in debug builds.
+    pub fn select_max_indexed(&self) -> Option<ItemId> {
         debug_assert_eq!(
-            self.index.live, self.active,
+            self.heap.len(),
+            self.active,
             "indexed selection requires every active item to be reindexed"
         );
-        while let Some(top) = self.index.heap.peek() {
-            if self.index.gens[top.item as usize] == top.gen {
-                return Some(ItemId(top.item));
-            }
-            self.index.heap.pop();
-        }
-        None
-    }
-
-    /// Number of items with a current index score (= active items when the
-    /// insert → reindex discipline is followed).
-    pub fn indexed_len(&self) -> usize {
-        self.index.live
-    }
-
-    #[cfg(test)]
-    fn index_heap_len(&self) -> usize {
-        self.index.heap.len()
+        self.heap.first().map(|&(_, item)| ItemId(item))
     }
 
     /// Removes `item` from the queue, returning its aggregated entry. Used
@@ -427,15 +349,28 @@ impl PullQueue {
     /// # Panics
     /// Panics if `item` has no pending requests.
     pub fn remove(&mut self, item: ItemId) -> PendingItem {
-        let entry = self.slots[item.index()]
-            .take()
-            .unwrap_or_else(|| panic!("{item} is not in the pull queue"));
-        self.index.invalidate(item.index());
+        self.take(item.index())
+            .unwrap_or_else(|| panic!("{item} is not in the pull queue"))
+    }
+
+    /// Extracts slot `idx`'s entry, if any, with its index record.
+    fn take(&mut self, idx: usize) -> Option<PendingItem> {
+        let entry = self.slots[idx].take()?;
+        let at = std::mem::replace(&mut self.pos[idx], UNINDEXED);
+        if at != UNINDEXED {
+            let last = self.heap.pop().expect("an indexed slot has a record");
+            if (at as usize) < self.heap.len() {
+                self.sift(at as usize, last);
+            }
+        }
         self.active -= 1;
         self.total_requests -= entry.count();
+        // Every extraction is credited, cutoff migration included: without
+        // that the lifetime ledger `inserted = extracted + pending` breaks
+        // after every cutoff move.
         self.served_items += 1;
         self.served_requests += entry.count() as u64;
-        entry
+        Some(entry)
     }
 
     /// Number of distinct items with pending requests.
@@ -460,21 +395,8 @@ impl PullQueue {
     /// `k` — used when the cutoff moves up and those items join the push
     /// set (their requesters will be satisfied by the broadcast instead).
     pub fn drain_below(&mut self, k: usize) -> Vec<PendingItem> {
-        let mut out = Vec::new();
-        for idx in 0..k.min(self.slots.len()) {
-            if let Some(entry) = self.slots[idx].take() {
-                self.index.invalidate(idx);
-                self.active -= 1;
-                self.total_requests -= entry.count();
-                // Migration is an extraction too: without this credit the
-                // lifetime ledger `inserted = extracted + pending` breaks
-                // after every cutoff move.
-                self.served_items += 1;
-                self.served_requests += entry.count() as u64;
-                out.push(entry);
-            }
-        }
-        out
+        let k = k.min(self.slots.len());
+        (0..k).filter_map(|idx| self.take(idx)).collect()
     }
 
     /// Removes and returns every queued entry whose item satisfies `pred`
@@ -483,19 +405,8 @@ impl PullQueue {
     pub fn drain_matching<F: FnMut(ItemId) -> bool>(&mut self, mut pred: F) -> Vec<PendingItem> {
         let mut out = Vec::new();
         for idx in 0..self.slots.len() {
-            let matches = self.slots[idx]
-                .as_ref()
-                .map(|e| pred(e.item))
-                .unwrap_or(false);
-            if matches {
-                let entry = self.slots[idx].take().expect("checked Some");
-                self.index.invalidate(idx);
-                self.active -= 1;
-                self.total_requests -= entry.count();
-                // Same ledger credit as in `drain_below`.
-                self.served_items += 1;
-                self.served_requests += entry.count() as u64;
-                out.push(entry);
+            if self.slots[idx].as_ref().is_some_and(|e| pred(e.item)) {
+                out.extend(self.take(idx));
             }
         }
         out
@@ -518,14 +429,16 @@ impl PullQueue {
 
     /// Shadow recount of every incrementally-maintained aggregate: walks
     /// all entries and recomputes `R_i` (count), `Q_i` (total priority),
-    /// the per-class counts/arrival sums, the queue-wide request total and
-    /// the lifetime conservation identity
-    /// `inserted = extracted_requests + total_requests` from scratch,
-    /// comparing each against its cached counterpart. `priority_of` maps a
-    /// requester's class to its priority weight `q_j` (normally
-    /// `|q| ClassSet::priority(q)`).
+    /// the per-class counts, the queue-wide request total and the lifetime
+    /// conservation identity `inserted = extracted_requests +
+    /// total_requests` from scratch, comparing each against its cached
+    /// counterpart. `priority_of` maps a requester's class to its priority
+    /// weight `q_j` (normally `|q| ClassSet::priority(q)`). Once the score
+    /// index is in use (its heap is non-empty) it is audited too: every
+    /// active slot has exactly one record, each position and its record
+    /// point at each other, and the heap order holds.
     ///
-    /// O(total requests) — this is the testing harness's queue oracle, run
+    /// O(total requests + catalog) — this is the testing harness's queue oracle, run
     /// at audit points (faults, retunes, horizon), not on the hot path.
     /// Returns every discrepancy found, empty when the queue is
     /// consistent.
@@ -551,15 +464,10 @@ impl PullQueue {
                 .iter()
                 .map(|r| r.0)
                 .fold(e.requesters[0].0, SimTime::min);
-            let last = e
-                .requesters
-                .iter()
-                .map(|r| r.0)
-                .fold(e.requesters[0].0, SimTime::max);
-            if e.first_arrival != first || e.last_arrival != last {
+            if e.first_arrival != first {
                 bad.push(format!(
-                    "item {idx}: arrival extremes ({}, {}) vs recount ({first}, {last})",
-                    e.first_arrival, e.last_arrival
+                    "item {idx}: first_arrival {} vs recount {first}",
+                    e.first_arrival
                 ));
             }
             let arrival_sum: f64 = e.requesters.iter().map(|r| r.0.as_f64()).sum();
@@ -578,29 +486,17 @@ impl PullQueue {
             }
             let width = e.class_counts.len();
             let mut counts = vec![0u32; width];
-            let mut sums = vec![0.0f64; width];
-            for &(t, c) in &e.requesters {
+            for &(_, c) in &e.requesters {
                 if c.index() >= width {
                     bad.push(format!("item {idx}: class {c} beyond aggregate width"));
                     continue;
                 }
                 counts[c.index()] += 1;
-                sums[c.index()] += t.as_f64();
             }
             if counts != e.class_counts {
                 bad.push(format!(
                     "item {idx}: class_counts {:?} vs recount {counts:?}",
                     e.class_counts
-                ));
-            }
-            if !sums
-                .iter()
-                .zip(&e.class_arrival_sums)
-                .all(|(a, b)| close(*a, *b))
-            {
-                bad.push(format!(
-                    "item {idx}: class_arrival_sums {:?} vs recount {sums:?}",
-                    e.class_arrival_sums
                 ));
             }
             let count_sum: u32 = e.class_counts.iter().sum();
@@ -627,6 +523,40 @@ impl PullQueue {
                 "conservation: inserted {} ≠ extracted {} + pending {}",
                 self.inserted, self.served_requests, self.total_requests
             ));
+        }
+        let indexed = !self.heap.is_empty();
+        let mut records = vec![0u32; self.slots.len()];
+        for (at, &(score, item)) in self.heap.iter().enumerate() {
+            let Some(n) = records.get_mut(item as usize) else {
+                bad.push(format!("index record {at} names unknown item {item}"));
+                continue;
+            };
+            *n += 1;
+            if self.pos[item as usize] as usize != at {
+                bad.push(format!(
+                    "index record {at} is item {item}, whose position is {}",
+                    self.pos[item as usize]
+                ));
+            }
+            if at > 0 && above(self.heap[at], self.heap[(at - 1) / 2]) {
+                bad.push(format!(
+                    "index record {at} (item {item}, score {score}) beats its parent"
+                ));
+            }
+        }
+        for (idx, (slot, &n)) in self.slots.iter().zip(&records).enumerate() {
+            let expected = u32::from(indexed && slot.is_some());
+            if n != expected {
+                bad.push(format!(
+                    "item {idx}: {n} index records, expected {expected}"
+                ));
+            }
+            if n == 0 && self.pos[idx] != UNINDEXED {
+                bad.push(format!(
+                    "item {idx}: position {} but no index record",
+                    self.pos[idx]
+                ));
+            }
         }
         bad
     }
@@ -656,7 +586,6 @@ mod tests {
         assert_eq!(e.count(), 2);
         assert!((e.total_priority - 4.0).abs() < 1e-12);
         assert_eq!(e.first_arrival, SimTime::new(1.0));
-        assert_eq!(e.last_arrival, SimTime::new(2.0));
         assert!((e.arrival_sum() - 3.0).abs() < 1e-12);
     }
 
@@ -703,10 +632,6 @@ mod tests {
         q.insert(&req(4.0, 3, 2), 1.0);
         q.insert(&req(2.0, 3, 1), 2.0);
         let e = q.get(ItemId(3)).unwrap();
-        // class 0 never seen → sums vector stops at the max class index
-        assert_eq!(e.class_arrival_sums().len(), 3);
-        assert!((e.class_arrival_sums()[2] - 5.0).abs() < 1e-12);
-        assert!((e.class_arrival_sums()[1] - 2.0).abs() < 1e-12);
         assert!((e.arrival_sum() - 7.0).abs() < 1e-12);
         // a wider caller buffer is zero-filled beyond the seen classes
         let mut counts = [9usize; 5];
@@ -749,7 +674,7 @@ mod tests {
             let s = e.count() as f64;
             q.reindex(ItemId(i), s);
         }
-        assert_eq!(q.indexed_len(), 3);
+        assert_eq!(q.heap.len(), 3);
         let scan = q.select_max(|e| e.count() as f64);
         let indexed = q.select_max_indexed();
         assert_eq!(indexed, scan);
@@ -771,38 +696,6 @@ mod tests {
         q.insert(&req(1.0, 3, 0), 1.0);
         q.reindex(ItemId(3), -0.0);
         assert_eq!(q.select_max_indexed(), Some(ItemId(3)));
-    }
-
-    #[test]
-    fn indexed_select_skips_stale_records() {
-        let mut q = PullQueue::new(10);
-        q.insert(&req(1.0, 2, 0), 1.0);
-        q.reindex(ItemId(2), 5.0);
-        q.insert(&req(2.0, 6, 0), 1.0);
-        q.reindex(ItemId(6), 1.0);
-        // item 2 leaves; its heap record is stale and must be skipped
-        let _ = q.remove(ItemId(2));
-        assert_eq!(q.select_max_indexed(), Some(ItemId(6)));
-        // a re-inserted item picks up its fresh score, not the stale 5.0
-        q.insert(&req(3.0, 2, 0), 1.0);
-        q.reindex(ItemId(2), 0.5);
-        assert_eq!(q.select_max_indexed(), Some(ItemId(6)));
-    }
-
-    #[test]
-    fn index_heap_compacts_under_churn() {
-        let mut q = PullQueue::new(4);
-        for round in 0..10_000u32 {
-            let i = round % 4;
-            q.insert(&req(round as f64, i, 0), 1.0);
-            q.reindex(ItemId(i), (round % 17) as f64);
-            if round % 3 == 0 {
-                let sel = q.select_max_indexed().unwrap();
-                q.remove(sel);
-            }
-        }
-        // lazy deletion is bounded: stale records never dominate for long
-        assert!(q.index_heap_len() <= 2 * q.len() + 64 + 1);
     }
 
     #[test]
@@ -878,7 +771,7 @@ mod tests {
         let below = q.drain_below(5);
         assert_eq!(below.len(), 2);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.indexed_len(), 1);
+        assert_eq!(q.heap.len(), 1);
         q.insert(&req(2.0, 2, 0), 1.0);
         q.reindex(ItemId(2), 1.0);
         let odd = q.drain_matching(|it| it.0 % 2 == 1);
@@ -886,7 +779,7 @@ mod tests {
         assert_eq!(odd[0].item, ItemId(7));
         assert_eq!(q.len(), 1);
         assert_eq!(q.get(ItemId(2)).unwrap().count(), 1);
-        // the drained items' records are stale; selection still works
+        // the drained items' records left the heap with them
         assert_eq!(q.select_max_indexed(), Some(ItemId(2)));
     }
 
@@ -978,5 +871,55 @@ mod tests {
         let bad = q.verify_shadow(|c| 3.0 - c.index() as f64);
         assert!(bad.iter().any(|m| m.contains("total_requests")), "{bad:?}");
         assert!(bad.iter().any(|m| m.contains("conservation")), "{bad:?}");
+    }
+
+    /// Three indexed items, audited clean, for the index corruption tests.
+    fn indexed_queue() -> PullQueue {
+        let mut q = PullQueue::new(5);
+        for (i, score) in [(1u32, 2.0), (2, 3.0), (4, 1.0)] {
+            q.insert(&req(1.0, i, 0), 1.0);
+            q.reindex(ItemId(i), score);
+        }
+        assert!(q.verify_shadow(|_| 1.0).is_empty());
+        q
+    }
+
+    #[test]
+    fn shadow_recount_flags_a_duplicated_or_missing_index_record() {
+        let mut q = indexed_queue();
+        q.heap.push(q.heap[1]);
+        let bad = q.verify_shadow(|_| 1.0);
+        assert!(bad.iter().any(|m| m.contains("2 index records")), "{bad:?}");
+        let mut q = indexed_queue();
+        let (_, item) = q.heap.pop().unwrap();
+        let bad = q.verify_shadow(|_| 1.0);
+        let lost = format!("item {item}: 0 index records, expected 1");
+        assert!(bad.contains(&lost), "{bad:?}");
+    }
+
+    #[test]
+    fn shadow_recount_flags_crossed_index_positions() {
+        let mut q = indexed_queue();
+        q.pos.swap(1, 4);
+        let bad = q.verify_shadow(|_| 1.0);
+        assert!(
+            bad.iter().any(|m| m.contains("whose position is")),
+            "{bad:?}"
+        );
+        let mut q = indexed_queue();
+        q.pos[3] = 0;
+        let bad = q.verify_shadow(|_| 1.0);
+        assert!(bad.iter().any(|m| m.contains("no index record")), "{bad:?}");
+    }
+
+    #[test]
+    fn shadow_recount_flags_a_broken_heap_order() {
+        let mut q = indexed_queue();
+        q.heap[0].0 = -1.0;
+        let bad = q.verify_shadow(|_| 1.0);
+        assert!(
+            bad.iter().any(|m| m.contains("beats its parent")),
+            "{bad:?}"
+        );
     }
 }

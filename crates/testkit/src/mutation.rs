@@ -214,12 +214,6 @@ impl PullPolicy for NegatedPolicy {
     fn rescore(&self, entry: &PendingItem, ctx: &IndexContext<'_>) -> Option<f64> {
         self.inner.rescore(entry, ctx).map(|s| -s)
     }
-
-    // Keep the lazy-heap fast path out of the way: a planted bug should
-    // exercise the plain scan, not interact with index invalidation.
-    fn index_usable(&self, _ctx: &PullContext<'_>) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
