@@ -12,8 +12,10 @@ use std::fs;
 use std::path::Path;
 
 use hybridcast_core::prelude::{
-    AdaptiveConfig, ControllerConfig, FaultSpec, HybridConfig, PlantedControllerBugs, SloConfig,
+    AdaptiveConfig, BandwidthConfig, ChannelLayout, ControllerConfig, FaultSpec, HybridConfig,
+    PlantedControllerBugs, SloConfig,
 };
+use hybridcast_core::uplink::UplinkConfig;
 use hybridcast_testkit::corpus::{
     golden_churn_cases, golden_churn_json, golden_dir, golden_run_json,
 };
@@ -119,7 +121,7 @@ fn main() {
                 seed: 0,
                 scenario: ScenarioConfig::icpp2005(0.6),
                 hybrid: HybridConfig {
-                    uplink: Some(hybridcast_core::uplink::UplinkConfig::default()),
+                    uplink: Some(UplinkConfig::default()),
                     ..HybridConfig::paper(40, 0.5)
                 },
                 horizon: 2_000.0,
@@ -211,6 +213,29 @@ fn main() {
                     }),
                 }),
                 faults: Vec::new(),
+            },
+        ),
+        (
+            // Several transmitters on one scheduler: a broadcast channel
+            // and three pull channels drawing from one queue, a lossy
+            // uplink, per-class admission tight enough to drop items, and
+            // listeners walking off mid-run.
+            "split-three-pull",
+            FuzzCase {
+                seed: 0,
+                scenario: ScenarioConfig::icpp2005(0.6).with_seed(29),
+                hybrid: HybridConfig {
+                    bandwidth: BandwidthConfig::per_class(16.0, 2.0),
+                    uplink: Some(UplinkConfig::default()),
+                    channels: ChannelLayout::Split { pull_channels: 3 },
+                    ..HybridConfig::paper(30, 0.5)
+                },
+                horizon: 2_002.5,
+                adaptive: None,
+                faults: vec![FaultSpec::MassDeparture {
+                    time: 1_200.0,
+                    fraction: 0.4,
+                }],
             },
         ),
     ];

@@ -250,7 +250,7 @@ mod tests {
         let corpus = committed_corpus_dir();
         let cases = load_corpus(&corpus).expect("committed corpus loads");
         let retunes = load_corpus(&corpus.join("retune")).expect("retune cases load");
-        assert_eq!((cases.len(), retunes.len()), (10, 4));
+        assert_eq!((cases.len(), retunes.len()), (11, 4));
         for (name, case) in cases.iter().chain(&retunes) {
             assert_eq!(
                 golden_run_json(case),
