@@ -26,6 +26,7 @@
 use hybridcast_sim::ensure;
 use hybridcast_workload::catalog::Catalog;
 
+use crate::pull::length_pow::LengthPow;
 use crate::pull::stretch::StretchOptimal;
 use crate::pull::{IndexContext, PullContext, PullPolicy};
 use crate::queue::PendingItem;
@@ -43,7 +44,7 @@ enum Form {
 #[derive(Debug, Clone, Copy)]
 pub struct ImportanceFactor {
     alpha: f64,
-    exponent: f64,
+    len_pow: LengthPow,
     form: Form,
 }
 
@@ -77,7 +78,7 @@ impl ImportanceFactor {
         Self::validate(alpha, exponent).unwrap_or_else(|e| panic!("{e}"));
         ImportanceFactor {
             alpha,
-            exponent,
+            len_pow: LengthPow::new(exponent),
             form,
         }
     }
@@ -97,7 +98,7 @@ impl ImportanceFactor {
     ///   `E[L_pull] = 0` collapses every score, handled by
     ///   [`ImportanceFactor::index_usable`].
     fn local_score(&self, entry: &PendingItem, catalog: &Catalog) -> f64 {
-        let len_pow = (catalog.length(entry.item) as f64).powf(self.exponent);
+        let len_pow = self.len_pow.of(catalog.length(entry.item));
         match self.form {
             Form::Observed => {
                 self.alpha * (entry.count() as f64 / len_pow)

@@ -19,6 +19,7 @@
 
 pub mod fcfs;
 pub mod importance;
+mod length_pow;
 pub mod lwf;
 pub mod mrf;
 pub mod priority;

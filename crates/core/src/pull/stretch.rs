@@ -8,13 +8,14 @@
 
 use hybridcast_sim::ensure;
 
+use crate::pull::length_pow::LengthPow;
 use crate::pull::{IndexContext, PullContext, PullPolicy};
 use crate::queue::PendingItem;
 
 /// Stretch-optimal: score `S_i = R_i / L_i^exponent`.
 #[derive(Debug, Clone, Copy)]
 pub struct StretchOptimal {
-    exponent: f64,
+    len_pow: LengthPow,
 }
 
 impl StretchOptimal {
@@ -24,7 +25,9 @@ impl StretchOptimal {
     /// Panics unless `exponent` is finite and positive.
     pub fn new(exponent: f64) -> Self {
         Self::validate(exponent).unwrap_or_else(|e| panic!("{e}"));
-        StretchOptimal { exponent }
+        StretchOptimal {
+            len_pow: LengthPow::new(exponent),
+        }
     }
 
     /// What a stretch exponent must satisfy, as a typed error.
@@ -37,13 +40,16 @@ impl StretchOptimal {
 
     /// The length exponent in use.
     pub fn exponent(&self) -> f64 {
-        self.exponent
+        self.len_pow.exponent()
     }
 
     /// The stretch value of `entry` given its catalog length.
     pub fn stretch(&self, entry: &PendingItem, ctx: &PullContext<'_>) -> f64 {
-        let len = ctx.catalog.length(entry.item) as f64;
-        entry.count() as f64 / len.powf(self.exponent)
+        self.local_stretch(entry, &ctx.into())
+    }
+
+    fn local_stretch(&self, entry: &PendingItem, ctx: &IndexContext<'_>) -> f64 {
+        entry.count() as f64 / self.len_pow.of(ctx.catalog.length(entry.item))
     }
 }
 
@@ -63,8 +69,7 @@ impl PullPolicy for StretchOptimal {
     }
 
     fn rescore(&self, entry: &PendingItem, ctx: &IndexContext<'_>) -> Option<f64> {
-        let len = ctx.catalog.length(entry.item) as f64;
-        Some(entry.count() as f64 / len.powf(self.exponent))
+        Some(self.local_stretch(entry, ctx))
     }
 }
 

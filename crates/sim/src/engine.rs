@@ -87,7 +87,7 @@ impl<E> Engine<E> {
         self.processed
     }
 
-    /// Pending event count.
+    /// Pending event count, a staged event included.
     #[inline]
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -105,6 +105,25 @@ impl<E> Engine<E> {
             at
         );
         self.queue.push(at, event);
+    }
+
+    /// Schedules `event` at the absolute instant `at` in the queue's one
+    /// staged slot beside its heap (see [`EventQueue::stage`]): the
+    /// delivery order is exactly what [`schedule_at`](Self::schedule_at)
+    /// would give, without the heap push and pop. Meant for an event the
+    /// handler re-arms every time it fires, such as the next arrival.
+    ///
+    /// # Panics
+    /// Panics if `at` precedes the current clock, or if an event is
+    /// already staged.
+    pub fn stage_at(&mut self, at: SimTime, event: E) {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: now={}, requested={}",
+            self.now,
+            at
+        );
+        self.queue.stage(at, event);
     }
 
     /// Schedules `event` to fire `delay` after the current clock.
@@ -286,6 +305,65 @@ mod tests {
         eng.run(|_, _| seen += 1);
         assert_eq!(seen, 4);
         assert_eq!(eng.events_processed(), 4);
+    }
+
+    #[test]
+    fn staged_events_interleave_like_scheduled_ones() {
+        // An event re-staged on every delivery fires in the same order as
+        // the same event re-scheduled on the heap.
+        let order = |stage: bool| {
+            let mut eng = Engine::new();
+            eng.schedule_at(SimTime::new(1.0), Ev::Tick(100));
+            eng.schedule_at(SimTime::new(2.0), Ev::Tick(101));
+            if stage {
+                eng.stage_at(SimTime::new(1.0), Ev::Tick(0));
+            } else {
+                eng.schedule_at(SimTime::new(1.0), Ev::Tick(0));
+            }
+            let mut seen = Vec::new();
+            eng.run_until(SimTime::new(3.0), |e, ev| {
+                let Ev::Tick(n) = ev;
+                seen.push(n);
+                if n < 100 {
+                    let next = Ev::Tick(n + 1);
+                    let at = e.now() + SimDuration::new(0.5);
+                    if stage {
+                        e.stage_at(at, next);
+                    } else {
+                        e.schedule_at(at, next);
+                    }
+                }
+            });
+            (seen, eng.drain_pending().len())
+        };
+        assert_eq!(order(true), order(false));
+        assert_eq!(order(true).0, vec![100, 0, 1, 101, 2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "past")]
+    fn staging_into_the_past_panics() {
+        let mut eng = Engine::new();
+        eng.schedule_at(SimTime::new(2.0), Ev::Tick(0));
+        eng.run(|e, _| {
+            e.stage_at(SimTime::new(1.0), Ev::Tick(1));
+        });
+    }
+
+    #[test]
+    fn drain_pending_includes_the_staged_event() {
+        let mut eng = Engine::new();
+        eng.schedule_at(SimTime::new(3.0), Ev::Tick(3));
+        eng.stage_at(SimTime::new(2.0), Ev::Tick(2));
+        eng.schedule_at(SimTime::new(1.0), Ev::Tick(1));
+        assert_eq!(eng.pending(), 3);
+        let times: Vec<f64> = eng
+            .drain_pending()
+            .iter()
+            .map(|(t, _)| t.as_f64())
+            .collect();
+        assert_eq!(times, vec![1.0, 2.0, 3.0]);
+        assert_eq!(eng.pending(), 0);
     }
 
     #[test]

@@ -1,6 +1,10 @@
 //! Model-based property tests for the simulation substrate: the event
-//! queue against a sorted-vector reference, the engine against hand
+//! queue against a sorted-vector reference and (with its staged slot in
+//! use) against a one-heap reference, the engine against hand
 //! scheduling, and the quantile histogram against the observed extremes.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
 
@@ -58,6 +62,61 @@ proptest! {
         for w in rest.windows(2) {
             prop_assert!(w[0] <= w[1]);
         }
+    }
+
+    /// With the staged slot in use the queue still delivers exactly what
+    /// one heap of every event would: `(time, order of scheduling)`. Times
+    /// come from a 4-value set so ties between the staged event and heap
+    /// entries are common. Op 0 pushes, op 1 stages (pushes when the slot
+    /// is taken), op 2 pops; every accessor is checked after every op.
+    #[test]
+    fn staged_event_queue_matches_one_heap(
+        ops in proptest::collection::vec((0u8..3, 0u32..4), 1..300),
+    ) {
+        let mut q = EventQueue::new();
+        let mut reference: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::new();
+        let mut staged: Option<usize> = None;
+        for (id, (op, t)) in ops.into_iter().enumerate() {
+            let time = SimTime::new(t as f64);
+            match op {
+                0 => {
+                    q.push(time, id);
+                    reference.push(Reverse((t, id)));
+                }
+                1 if staged.is_none() => {
+                    q.stage(time, id);
+                    staged = Some(id);
+                    reference.push(Reverse((t, id)));
+                }
+                1 => {
+                    q.push(time, id);
+                    reference.push(Reverse((t, id)));
+                }
+                _ => {
+                    let want = reference.pop().map(|Reverse((t, i))| (t, i));
+                    let got = q.pop().map(|(t, i)| (t.as_f64() as u32, i));
+                    prop_assert_eq!(got, want);
+                    if got.is_some() && got.map(|(_, i)| i) == staged {
+                        staged = None;
+                    }
+                }
+            }
+            prop_assert_eq!(q.len(), reference.len());
+            prop_assert_eq!(q.is_empty(), reference.is_empty());
+            prop_assert_eq!(
+                q.peek_time(),
+                reference.peek().map(|Reverse((t, _))| SimTime::new(*t as f64))
+            );
+        }
+        let mut rest = Vec::new();
+        while let Some((t, i)) = q.pop() {
+            rest.push((t.as_f64() as u32, i));
+        }
+        let mut want = Vec::new();
+        while let Some(Reverse(entry)) = reference.pop() {
+            want.push(entry);
+        }
+        prop_assert_eq!(rest, want);
     }
 
     /// Welford matches the naive two-pass mean/variance on any input.
