@@ -4,15 +4,14 @@
 //! be caught by the oracle built to catch it.
 
 use hybridcast_core::bandwidth::BandwidthConfig;
-use hybridcast_core::config::AssignmentStrategy;
 use hybridcast_core::prelude::{
-    AdaptiveConfig, ChannelLayout, ControllerConfig, CutoffOptimizer, HybridConfig, NullSink,
-    Objective, PlantedControllerBugs, SimParams, Simulation,
+    AdaptiveConfig, ControllerConfig, CutoffOptimizer, HybridConfig, NullSink, Objective,
+    PlantedControllerBugs, SimParams,
 };
 use hybridcast_core::uplink::UplinkConfig;
 use hybridcast_testkit::{
-    check_dominance, committed_corpus_dir, fuzz, generate_case, load_corpus, replay_corpus,
-    run_case, FuzzCase, MutatingSink, Mutation, NegatedPolicy, OracleSink, ALL_MUTATIONS,
+    check_dominance, committed_corpus_dir, fuzz, generate_case, replay_corpus, run_case, FuzzCase,
+    MutatingSink, Mutation, NegatedPolicy, OracleSink, ALL_MUTATIONS,
 };
 use hybridcast_workload::scenario::ScenarioConfig;
 
@@ -283,55 +282,6 @@ fn committed_corpus_replays_bit_identically() {
             "corpus entry {name_a} replayed differently"
         );
         assert!(out_a.passed(), "corpus entry {name_a}: {}", out_a.to_json());
-    }
-}
-
-/// Runs `case` with the channel layout swapped to `channels`, returning
-/// the full harness report (census, retunes, audit trail and all).
-fn run_with_layout(case: &FuzzCase, channels: ChannelLayout) -> hybridcast_core::prelude::SimRun {
-    let (scenario, params) = (case.scenario.build(), case.params());
-    let mut hybrid = case.hybrid.clone();
-    hybrid.channels = channels;
-    Simulation {
-        hybrid: &hybrid,
-        ..case.simulation(&scenario, &params)
-    }
-    .run(&mut NullSink)
-}
-
-#[test]
-fn one_channel_sharded_layout_is_bit_identical_on_the_replay_corpus() {
-    // The acceptance property for the sharded refactor: routing through
-    // `ShardedScheduler` with C = 1 must not perturb a single bit of the
-    // report — same RNG draws, same schedule, same census — for every
-    // committed corpus case and every assignment strategy.
-    let cases = load_corpus(&committed_corpus_dir()).expect("corpus must load");
-    let fuzzed: Vec<FuzzCase> = (100..112).map(generate_case).collect();
-    for (name, case) in cases
-        .iter()
-        .map(|(n, c)| (n.as_str(), c))
-        .chain(fuzzed.iter().map(|c| ("generated", c)))
-    {
-        let baseline = run_with_layout(case, ChannelLayout::Interleaved);
-        for assignment in [
-            AssignmentStrategy::Range,
-            AssignmentStrategy::Hash,
-            AssignmentStrategy::PatternAware,
-        ] {
-            let sharded = run_with_layout(
-                case,
-                ChannelLayout::Sharded {
-                    channels: 1,
-                    assignment,
-                },
-            );
-            assert!(
-                baseline == sharded,
-                "case {name} (seed {}) diverges under a 1-channel sharded \
-                 layout with {assignment:?} assignment",
-                case.seed
-            );
-        }
     }
 }
 
