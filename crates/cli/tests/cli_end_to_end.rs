@@ -249,6 +249,22 @@ fn candidate_cutoffs_beyond_the_catalog_are_an_invalid_config() {
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
+/// A split layout needs a pull channel: the config check names the field
+/// as the config enters, before any run starts.
+#[test]
+fn split_layout_without_pull_channels_is_an_invalid_config() {
+    let mut cfg: serde_json::Value = serde_json::from_str(&quick_config()).unwrap();
+    cfg["hybrid"]["channels"] = serde_json::json!({"kind": "split", "pull_channels": 0});
+    let out = output_with_stdin(&["simulate", "-"], &cfg.to_string(), &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("invalid config: hybrid.channels: split layout needs ≥ 1 pull channel"),
+        "stderr: {stderr}"
+    );
+    assert!(out.stdout.is_empty());
+}
+
 #[test]
 fn warmup_past_the_horizon_is_an_invalid_config() {
     let mut cfg: serde_json::Value = serde_json::from_str(&quick_config()).unwrap();

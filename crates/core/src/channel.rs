@@ -52,7 +52,7 @@ use hybridcast_workload::scenario::Scenario;
 use crate::config::HybridConfig;
 use crate::hybrid::{Disposition, HybridScheduler, Transmission};
 use crate::metrics::TxKind;
-use crate::sharded::{ChannelPlan, ShardedScheduler};
+use crate::sharded::{build_shards, ChannelPlan};
 use crate::uplink::{UplinkChannel, UplinkOutcome, UPLINK_STREAM};
 
 /// How a request left the channel.
@@ -352,13 +352,13 @@ pub fn channel_cores<T, S: Sink>(
 ) -> (Vec<ChannelCore<T, S>>, ChannelPlan) {
     let num_classes = scenario.classes.len();
     let num_items = scenario.catalog.len();
-    let sharded = ShardedScheduler::new(
-        scenario.catalog.clone(),
-        scenario.classes.clone(),
+    let (schedulers, plan) = build_shards(
+        &scenario.catalog,
+        &scenario.classes,
         hybrid,
         &scenario.factory,
+        None,
     );
-    let (schedulers, plan) = sharded.into_parts();
     let cores = schedulers
         .into_iter()
         .zip(UPLINK_STREAM..)

@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use hybridcast_sim::ensure;
+
 use crate::bandwidth::BandwidthConfig;
 use crate::pull::PullPolicyKind;
 use crate::push::PushKind;
@@ -59,13 +61,62 @@ pub enum ChannelLayout {
     },
 }
 
+/// What one transmitter of the downlink airs, and from which shard (one
+/// `HybridScheduler` over its slice of the catalog).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// The paper's alternation: a push slot, then pull slots
+    /// (`next_transmission`).
+    Hybrid(u32),
+    /// Broadcast only (`next_push_transmission`).
+    Push(u32),
+    /// On demand only (`next_pull_transmission`).
+    Pull(u32),
+}
+
+impl Role {
+    /// The shard this transmitter draws from.
+    pub fn shard(self) -> u32 {
+        match self {
+            Role::Hybrid(s) | Role::Push(s) | Role::Pull(s) => s,
+        }
+    }
+
+    /// `true` if this transmitter serves pull requests.
+    pub fn pulls(self) -> bool {
+        !matches!(self, Role::Push(_))
+    }
+}
+
 impl ChannelLayout {
+    /// The transmitter plan: one role per transmitter, in slot order. A
+    /// shard's slots are contiguous, and `Split`'s slot 0 is its
+    /// broadcast channel.
+    pub fn transmitters(&self) -> Vec<Role> {
+        match *self {
+            ChannelLayout::Interleaved => vec![Role::Hybrid(0)],
+            ChannelLayout::Split { pull_channels } => std::iter::once(Role::Push(0))
+                .chain((0..pull_channels).map(|_| Role::Pull(0)))
+                .collect(),
+            ChannelLayout::Sharded { .. } => (0..self.shard_count()).map(Role::Hybrid).collect(),
+        }
+    }
+
     /// Number of concurrently running sharded sub-schedulers (`1` for the
     /// single-scheduler layouts).
     pub fn shard_count(&self) -> u32 {
         match self {
             ChannelLayout::Sharded { channels, .. } => (*channels).max(1),
             _ => 1,
+        }
+    }
+
+    /// How items are assigned to the shards (the default strategy on the
+    /// single-scheduler layouts, where every item lands on shard 0).
+    pub fn assignment(&self) -> AssignmentStrategy {
+        match self {
+            ChannelLayout::Sharded { assignment, .. } => *assignment,
+            _ => AssignmentStrategy::default(),
         }
     }
 }
@@ -130,8 +181,15 @@ impl HybridConfig {
         if let Some(uplink) = &self.uplink {
             uplink.validate().map_err(field("uplink"))?;
         }
-        if let ChannelLayout::Sharded { channels, .. } = self.channels {
-            ChannelPlan::validate_channels(channels).map_err(field("channels"))?;
+        match self.channels {
+            ChannelLayout::Sharded { channels, .. } => {
+                ChannelPlan::validate_channels(channels).map_err(field("channels"))?;
+            }
+            ChannelLayout::Split { pull_channels } => {
+                ensure(pull_channels >= 1, "split layout needs ≥ 1 pull channel")
+                    .map_err(field("channels"))?;
+            }
+            ChannelLayout::Interleaved => {}
         }
         Ok(())
     }

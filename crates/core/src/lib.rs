@@ -98,7 +98,7 @@ pub mod prelude {
     pub use crate::pull::{PullContext, PullPolicy, PullPolicyKind};
     pub use crate::push::{PushKind, PushScheduler};
     pub use crate::queue::{PendingItem, PullQueue};
-    pub use crate::sharded::{ChannelPlan, ShardedScheduler};
+    pub use crate::sharded::ChannelPlan;
     pub use crate::sim_driver::{
         simulate, simulate_telemetry, AdaptiveConfig, AdaptiveReport, FaultSpec, PendingCensus,
         RetuneRecord, SimParams, SimRun, Simulation,

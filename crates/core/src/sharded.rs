@@ -2,13 +2,12 @@
 //! self-contained hybrid sub-schedulers.
 //!
 //! The paper assumes a single downlink. To scale past one scheduler
-//! thread, [`ShardedScheduler`] splits the catalog by an item→channel
-//! map ([`ChannelPlan`]) and runs one full [`HybridScheduler`] — own
-//! push set, pull queue, cutoff `K_c`, and `1/C` bandwidth partition —
-//! per channel. Requests route to the owning shard; each channel's
-//! transmission timeline is driven independently through the same
-//! `next_transmission` / `complete_transmission` surface the
-//! single-channel scheduler exposes, just indexed by channel.
+//! thread, [`build_shards`] splits the catalog by an item→channel map
+//! ([`ChannelPlan`]) and builds one full [`HybridScheduler`] — own push
+//! set, pull queue, cutoff `K_c`, and `1/C` bandwidth partition — per
+//! channel. Requests route to the owning shard; each channel's
+//! transmission timeline is driven independently by its host (the
+//! simulation driver, or one daemon core per channel).
 //!
 //! The assignment objective is the Kenyon–Schabanel–Young cost
 //! `Σ_c L_c²/2` with `L_c = Σ_{i∈c} √(pᵢ·lᵢ)` (see
@@ -32,12 +31,10 @@ use hybridcast_sim::rng::RngFactory;
 use hybridcast_sim::time::SimTime;
 use hybridcast_workload::catalog::{Catalog, ItemId};
 use hybridcast_workload::classes::ClassSet;
-use hybridcast_workload::requests::Request;
 
-use crate::config::{AssignmentStrategy, ChannelLayout, HybridConfig};
-use crate::hybrid::{Disposition, HybridScheduler, Transmission};
+use crate::config::{AssignmentStrategy, HybridConfig};
+use crate::hybrid::HybridScheduler;
 use crate::pull::PullPolicy;
-use crate::queue::PendingItem;
 
 /// Local-search passes over the whole catalog before the optimizer
 /// settles (each pass is O(D·C); convergence is almost always ≤ 3).
@@ -206,75 +203,59 @@ fn argmin(loads: &[f64]) -> usize {
     best
 }
 
-/// `C` independent hybrid sub-schedulers behind one routing facade.
+/// The scheduler shards of `config.channels`, in shard order, plus the
+/// plan that routes items to them — the one construction path of the
+/// simulator's and the daemon's schedulers.
 ///
-/// At `C = 1` construction delegates verbatim to [`HybridScheduler::new`]
-/// — same RNG streams, same push schedule, same admission sequence — so
-/// the sharded path is bit-identical to the single-channel scheduler
-/// (property-tested over the replay corpus in the testkit). At `C > 1`
-/// each shard gets `1/C` of the admission capacity, the slice of the
-/// push prefix `0..K` its channel owns, and (for shards past the first)
-/// an independent replication of the RNG factory.
-pub struct ShardedScheduler {
-    shards: Vec<HybridScheduler>,
-    plan: ChannelPlan,
-}
-
-impl std::fmt::Debug for ShardedScheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedScheduler")
-            .field("channels", &self.plan.channels)
-            .field("strategy", &self.plan.strategy)
-            .field("loads", &self.plan.loads)
-            .finish()
-    }
-}
-
-impl ShardedScheduler {
-    /// Builds the sharded server. `config.channels` decides the shape:
-    /// [`ChannelLayout::Sharded`] spreads the catalog over its channel
-    /// count; the single-scheduler layouts build one shard.
-    ///
-    /// # Panics
-    /// Panics if `config.cutoff > catalog.len()` (same contract as
-    /// [`HybridScheduler::new`]).
-    pub fn new(
-        catalog: Catalog,
-        classes: ClassSet,
-        config: &HybridConfig,
-        factory: &RngFactory,
-    ) -> Self {
-        let (channels, strategy) = match config.channels {
-            ChannelLayout::Sharded {
-                channels,
-                assignment,
-            } => (channels.max(1), assignment),
-            _ => (1, AssignmentStrategy::default()),
-        };
-        let plan = ChannelPlan::build(&catalog, channels, strategy);
-        if channels == 1 {
-            let shard = HybridScheduler::new(catalog, classes, config, factory);
-            return ShardedScheduler {
-                shards: vec![shard],
-                plan,
-            };
-        }
-
-        let mut shard_config = config.clone();
-        shard_config.cutoff = 0;
-        shard_config.bandwidth.total_capacity = config.bandwidth.total_capacity / channels as f64;
-        let mut shards = Vec::with_capacity(channels as usize);
-        for c in 0..channels {
+/// [`Sharded`](crate::config::ChannelLayout::Sharded) spreads the catalog over its `C` channels;
+/// the other layouts build one shard that owns every item. Each shard gets
+/// `1/C` of the admission capacity, the slice of the push prefix `0..K`
+/// its channel owns, and (past the first) an independent replication of
+/// the RNG factory. At `C = 1` that is exactly [`HybridScheduler::new`]:
+/// every push schedule built over the prefix `0..K` is the one built for
+/// cutoff `K`. `policy` replaces the pull policy `config.pull` builds; a
+/// boxed policy can't be distributed across shards.
+///
+/// # Panics
+/// Panics if `config.cutoff > catalog.len()` (same contract as
+/// [`HybridScheduler::new`]), or if `policy` is set on a layout with more
+/// than one shard.
+pub fn build_shards(
+    catalog: &Catalog,
+    classes: &ClassSet,
+    config: &HybridConfig,
+    factory: &RngFactory,
+    mut policy: Option<Box<dyn PullPolicy>>,
+) -> (Vec<HybridScheduler>, ChannelPlan) {
+    assert!(
+        config.cutoff <= catalog.len(),
+        "cutoff {} exceeds catalog size {}",
+        config.cutoff,
+        catalog.len()
+    );
+    let channels = config.channels.shard_count();
+    assert!(
+        policy.is_none() || channels == 1,
+        "a custom pull policy requires a single channel"
+    );
+    let plan = ChannelPlan::build(catalog, channels, config.channels.assignment());
+    let mut shard_config = config.clone();
+    shard_config.cutoff = 0;
+    shard_config.bandwidth.total_capacity = config.bandwidth.total_capacity / channels as f64;
+    let shards = (0..channels)
+        .map(|c| {
             let shard_factory = if c == 0 {
                 *factory
             } else {
                 factory.replication(c as u64)
             };
-            let mut shard = HybridScheduler::new(
+            let policy = policy.take().unwrap_or_else(|| config.pull.build());
+            let mut shard = HybridScheduler::with_policy(
                 catalog.clone(),
                 classes.clone(),
                 &shard_config,
                 &shard_factory,
+                policy,
             );
             // This channel's slice of the global push prefix 0..K.
             let push_items: Vec<ItemId> = plan
@@ -283,176 +264,22 @@ impl ShardedScheduler {
                 .filter(|it| it.index() < config.cutoff)
                 .collect();
             shard.set_push_set(&push_items, SimTime::ZERO);
-            shards.push(shard);
-        }
-        ShardedScheduler { shards, plan }
-    }
-
-    /// Like [`ShardedScheduler::new`] but with a caller-supplied pull
-    /// policy. A boxed policy can't be distributed across shards, so this
-    /// is only available on a single-channel layout.
-    ///
-    /// # Panics
-    /// Panics if `config.channels` shards into more than one channel, or
-    /// if `config.cutoff > catalog.len()`.
-    pub fn with_policy(
-        catalog: Catalog,
-        classes: ClassSet,
-        config: &HybridConfig,
-        factory: &RngFactory,
-        policy: Box<dyn PullPolicy>,
-    ) -> Self {
-        assert_eq!(
-            config.channels.shard_count(),
-            1,
-            "a custom pull policy requires a single channel"
-        );
-        let plan = ChannelPlan::build(&catalog, 1, AssignmentStrategy::default());
-        let shard = HybridScheduler::with_policy(catalog, classes, config, factory, policy);
-        ShardedScheduler {
-            shards: vec![shard],
-            plan,
-        }
-    }
-
-    /// Splits the sharded scheduler into its per-channel sub-schedulers
-    /// plus the plan that routed them — for hosts (like the daemon) that
-    /// drive each channel on its own thread.
-    pub fn into_parts(self) -> (Vec<HybridScheduler>, ChannelPlan) {
-        (self.shards, self.plan)
-    }
-
-    /// Number of channels.
-    pub fn channels(&self) -> u32 {
-        self.plan.channels
-    }
-
-    /// The item→channel plan.
-    pub fn plan(&self) -> &ChannelPlan {
-        &self.plan
-    }
-
-    /// All sub-schedulers, in channel order.
-    pub fn shards(&self) -> impl Iterator<Item = &HybridScheduler> {
-        self.shards.iter()
-    }
-
-    /// `true` if `item` belongs to its owning shard's push set.
-    #[inline]
-    pub fn is_push_item(&self, item: ItemId) -> bool {
-        self.shards[self.plan.channel_of(item) as usize].is_push_item(item)
-    }
-
-    /// The item database (identical across shards).
-    pub fn catalog(&self) -> &Catalog {
-        self.shards[0].catalog()
-    }
-
-    /// The service classes (identical across shards).
-    pub fn classes(&self) -> &ClassSet {
-        self.shards[0].classes()
-    }
-
-    /// The global push-set size `K = Σ_c K_c`.
-    pub fn cutoff(&self) -> usize {
-        self.shards.iter().map(|s| s.cutoff()).sum()
-    }
-
-    /// Single-channel delegate of [`HybridScheduler::push_membership`].
-    ///
-    /// # Panics
-    /// Panics on a multi-channel layout (the cutoff controller and fault
-    /// injector that need this run single-channel only).
-    pub fn push_membership(&self) -> &[bool] {
-        assert_eq!(self.shards.len(), 1, "push_membership needs one channel");
-        self.shards[0].push_membership()
-    }
-
-    /// Single-channel delegate of [`HybridScheduler::set_push_set`].
-    ///
-    /// # Panics
-    /// Panics on a multi-channel layout.
-    pub fn set_push_set(&mut self, items: &[ItemId], now: SimTime) -> Vec<PendingItem> {
-        assert_eq!(self.shards.len(), 1, "set_push_set needs one channel");
-        self.shards[0].set_push_set(items, now)
-    }
-
-    /// Single-channel delegate of [`HybridScheduler::rebalance_bandwidth`].
-    ///
-    /// # Panics
-    /// Panics on a multi-channel layout.
-    pub fn rebalance_bandwidth(&mut self, shares: &[f64]) {
-        assert_eq!(
-            self.shards.len(),
-            1,
-            "bandwidth rebalancing needs one channel"
-        );
-        self.shards[0].rebalance_bandwidth(shares);
-    }
-
-    /// Re-inserts a former broadcast waiter into its owning shard's pull
-    /// queue (see [`HybridScheduler::requeue_waiter`]).
-    pub fn requeue_waiter(&mut self, req: &Request, now: SimTime) {
-        let channel = self.plan.channel_of(req.item);
-        self.shards[channel as usize].requeue_waiter(req, now);
-    }
-
-    /// The sub-scheduler for `channel` (read-only).
-    pub fn shard(&self, channel: u32) -> &HybridScheduler {
-        &self.shards[channel as usize]
-    }
-
-    /// The sub-scheduler for `channel`.
-    pub fn shard_mut(&mut self, channel: u32) -> &mut HybridScheduler {
-        &mut self.shards[channel as usize]
-    }
-
-    /// Routes one incoming request to its owning shard; returns the
-    /// channel it landed on and what that shard did with it.
-    pub fn on_request(&mut self, req: &Request) -> (u32, Disposition) {
-        let channel = self.plan.channel_of(req.item);
-        (channel, self.shards[channel as usize].on_request(req))
-    }
-
-    /// Decides `channel`'s next downlink slot starting at `now` — the
-    /// single-channel [`HybridScheduler::next_transmission`] surface,
-    /// per channel.
-    pub fn next_transmission(
-        &mut self,
-        channel: u32,
-        now: SimTime,
-    ) -> (Option<Transmission>, Vec<PendingItem>) {
-        self.shards[channel as usize].next_transmission(now)
-    }
-
-    /// Completes a transmission on `channel`, returning the served batch.
-    pub fn complete_transmission(&mut self, channel: u32, tx: Transmission) -> Option<PendingItem> {
-        self.shards[channel as usize].complete_transmission(tx)
-    }
-
-    /// Returns a fully-attributed batch to `channel`'s entry pool.
-    pub fn recycle(&mut self, channel: u32, entry: PendingItem) {
-        self.shards[channel as usize].recycle(entry);
-    }
-
-    /// Total queued pull requests across all shards.
-    pub fn total_queued_requests(&self) -> usize {
-        self.shards.iter().map(|s| s.queue().total_requests()).sum()
-    }
-
-    /// Total distinct queued items across all shards.
-    pub fn total_queued_items(&self) -> usize {
-        self.shards.iter().map(|s| s.queue().len()).sum()
-    }
+            shard
+        })
+        .collect();
+    (shards, plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ChannelLayout;
+    use crate::hybrid::Disposition;
     use crate::metrics::TxKind;
     use hybridcast_workload::classes::ClassId;
     use hybridcast_workload::lengths::LengthModel;
     use hybridcast_workload::popularity::PopularityModel;
+    use hybridcast_workload::requests::Request;
 
     fn catalog(n: usize) -> Catalog {
         let factory = RngFactory::new(4);
@@ -473,17 +300,22 @@ mod tests {
         }
     }
 
-    fn sharded(channels: u32, assignment: AssignmentStrategy, cutoff: usize) -> ShardedScheduler {
+    fn sharded(
+        channels: u32,
+        assignment: AssignmentStrategy,
+        cutoff: usize,
+    ) -> (Vec<HybridScheduler>, ChannelPlan) {
         let mut cfg = HybridConfig::paper(cutoff, 0.5);
         cfg.channels = ChannelLayout::Sharded {
             channels,
             assignment,
         };
-        ShardedScheduler::new(
-            catalog(20),
-            ClassSet::paper_default(),
+        build_shards(
+            &catalog(20),
+            &ClassSet::paper_default(),
             &cfg,
             &RngFactory::new(4),
+            None,
         )
     }
 
@@ -542,32 +374,27 @@ mod tests {
 
     #[test]
     fn requests_route_to_the_owning_shard() {
-        let mut s = sharded(4, AssignmentStrategy::Hash, 0);
+        let (mut shards, plan) = sharded(4, AssignmentStrategy::Hash, 0);
         for item in 0..20u32 {
-            let (channel, disp) = s.on_request(&req(1.0, item, 0));
+            let channel = plan.channel_of(ItemId(item));
             assert_eq!(channel, item % 4, "hash assignment routes by id mod C");
-            assert_eq!(disp, Disposition::Queued);
-            assert_eq!(
-                s.shard(channel)
-                    .queue()
-                    .get(ItemId(item))
-                    .map(|e| e.count()),
-                Some(1)
-            );
+            let shard = &mut shards[channel as usize];
+            assert_eq!(shard.on_request(&req(1.0, item, 0)), Disposition::Queued);
+            assert_eq!(shard.queue().get(ItemId(item)).map(|e| e.count()), Some(1));
         }
-        assert_eq!(s.total_queued_requests(), 20);
-        assert_eq!(s.total_queued_items(), 20);
+        let queued = |f: fn(&HybridScheduler) -> usize| shards.iter().map(f).sum::<usize>();
+        assert_eq!(queued(|s| s.queue().total_requests()), 20);
+        assert_eq!(queued(|s| s.queue().len()), 20);
     }
 
     #[test]
     fn shard_push_sets_slice_the_global_prefix() {
-        let s = sharded(4, AssignmentStrategy::PatternAware, 8);
+        let (shards, plan) = sharded(4, AssignmentStrategy::PatternAware, 8);
         let mut push_total = 0;
-        for c in 0..4 {
-            let shard = s.shard(c);
+        for (c, shard) in (0..).zip(&shards) {
             for item in 0..20u32 {
                 let id = ItemId(item);
-                let owned = s.plan().channel_of(id) == c;
+                let owned = plan.channel_of(id) == c;
                 let in_prefix = (item as usize) < 8;
                 assert_eq!(
                     shard.is_push_item(id),
@@ -582,22 +409,23 @@ mod tests {
 
     #[test]
     fn channels_run_independent_timelines() {
-        let mut s = sharded(2, AssignmentStrategy::Hash, 4);
+        let (mut shards, plan) = sharded(2, AssignmentStrategy::Hash, 4);
         // Channel 1 owns odd items; queue a pull request for item 5.
-        s.on_request(&req(0.5, 5, 0));
-        let (tx0, _) = s.next_transmission(0, SimTime::new(1.0));
+        assert_eq!(plan.channel_of(ItemId(5)), 1);
+        shards[1].on_request(&req(0.5, 5, 0));
+        let (tx0, _) = shards[0].next_transmission(SimTime::new(1.0));
         let tx0 = tx0.expect("channel 0 has a push set");
         assert_eq!(tx0.kind, TxKind::Push);
-        let (tx1, _) = s.next_transmission(1, SimTime::new(1.0));
+        let (tx1, _) = shards[1].next_transmission(SimTime::new(1.0));
         let tx1 = tx1.expect("channel 1 has work");
         assert_eq!(tx1.kind, TxKind::Push, "push slot comes first");
-        s.complete_transmission(0, tx0);
-        s.complete_transmission(1, tx1);
-        let (tx1b, _) = s.next_transmission(1, SimTime::new(3.0));
+        shards[0].complete_transmission(tx0);
+        shards[1].complete_transmission(tx1);
+        let (tx1b, _) = shards[1].next_transmission(SimTime::new(3.0));
         let tx1b = tx1b.expect("pull slot after the push");
         assert_eq!(tx1b.kind, TxKind::Pull);
         assert_eq!(tx1b.item, ItemId(5));
-        let batch = s.complete_transmission(1, tx1b).expect("served batch");
+        let batch = shards[1].complete_transmission(tx1b).expect("served batch");
         assert_eq!(batch.count(), 1);
     }
 
@@ -614,23 +442,26 @@ mod tests {
         let plain_cfg = HybridConfig::paper(5, 0.5);
         let factory = RngFactory::new(77);
         let classes = ClassSet::paper_default;
-        let mut sharded = ShardedScheduler::new(catalog(20), classes(), &cfg, &factory);
+        let (mut shards, plan) = build_shards(&catalog(20), &classes(), &cfg, &factory, None);
+        assert_eq!(shards.len(), 1);
+        assert!(plan.assignment().iter().all(|&c| c == 0));
+        let sharded = &mut shards[0];
         let mut plain = HybridScheduler::new(catalog(20), classes(), &plain_cfg, &factory);
         for item in [7u32, 9, 12, 7, 19] {
-            let (_, d1) = sharded.on_request(&req(0.1, item, item as u8 % 3));
+            let d1 = sharded.on_request(&req(0.1, item, item as u8 % 3));
             let d2 = plain.on_request(&req(0.1, item, item as u8 % 3));
             assert_eq!(d1, d2);
         }
         let mut t = 0.0;
         for _ in 0..40 {
-            let (a, da) = sharded.next_transmission(0, SimTime::new(t));
+            let (a, da) = sharded.next_transmission(SimTime::new(t));
             let (b, db) = plain.next_transmission(SimTime::new(t));
             assert_eq!(da.len(), db.len());
             match (a, b) {
                 (Some(a), Some(b)) => {
                     assert_eq!((a.item, a.kind, a.duration), (b.item, b.kind, b.duration));
                     t = a.completes_at().as_f64();
-                    let sa = sharded.complete_transmission(0, a);
+                    let sa = sharded.complete_transmission(a);
                     let sb = plain.complete_transmission(b);
                     assert_eq!(sa.map(|e| e.count()), sb.map(|e| e.count()));
                 }

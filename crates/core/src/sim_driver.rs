@@ -1,8 +1,8 @@
 //! The end-to-end event-driven simulation (§5 of the paper).
 //!
-//! Wires a [`Scenario`] (catalog + classes + Poisson request stream) to a
-//! [`HybridScheduler`] on top of the `hybridcast-sim` engine and measures
-//! per-class QoS:
+//! Wires a [`Scenario`] (catalog + classes + Poisson request stream) to
+//! the [`HybridScheduler`] shards of a channel layout on top of the
+//! `hybridcast-sim` engine and measures per-class QoS:
 //!
 //! * **arrival events** feed the scheduler; requests for push items park in
 //!   a per-item waiting room, requests for pull items join the pull queue;
@@ -36,11 +36,11 @@ use hybridcast_workload::scenario::Scenario;
 
 use crate::adaptive::{ControllerConfig, CutoffController};
 use crate::churn::{ChurnConfig, ChurnOutcome, ChurnState, NO_CLIENT};
-use crate::config::{ChannelLayout, HybridConfig};
-use crate::hybrid::Transmission;
+use crate::config::{HybridConfig, Role};
+use crate::hybrid::{HybridScheduler, Transmission};
 use crate::metrics::{MetricsCollector, SimReport, TxKind};
 use crate::pull::PullPolicy;
-use crate::sharded::ShardedScheduler;
+use crate::sharded::{build_shards, ChannelPlan};
 use crate::uplink::{UplinkChannel, UplinkOutcome, UPLINK_STREAM};
 use hybridcast_analysis::hybrid_model::HybridDelayModel;
 use hybridcast_telemetry::{
@@ -409,15 +409,19 @@ const _: () = assert!(std::mem::size_of::<PushWaiter>() == 16);
 const _: () = assert!(std::mem::size_of::<Event>() <= 24);
 
 struct Driver<'s, S: Sink> {
-    scheduler: ShardedScheduler,
+    /// One scheduler per shard, in shard order (see [`build_shards`]).
+    shards: Vec<HybridScheduler>,
+    /// The item→shard map.
+    plan: ChannelPlan,
+    /// The transmitter plan: slot `i` airs for `roles[i]`.
+    roles: Vec<Role>,
     metrics: MetricsCollector,
     gen: Box<dyn RequestSource>,
     /// Per push-item waiting room of listening clients.
     push_waiters: Vec<Vec<PushWaiter>>,
     /// What each transmitter has on the air; `None` is an idle
-    /// transmitter. Interleaved and sharded: one slot per channel. Split:
-    /// slot 0 is the broadcast channel, slots `1..` the pull channels. A
-    /// slot is `Some` exactly while its `Event::Complete` is pending.
+    /// transmitter. A slot is `Some` exactly while its `Event::Complete`
+    /// is pending.
     on_air: Vec<Option<Transmission>>,
     /// Present when running with periodic cutoff re-optimization.
     adaptive: Option<AdaptiveState>,
@@ -425,9 +429,6 @@ struct Driver<'s, S: Sink> {
     uplink: Option<UplinkChannel>,
     /// Present when the finite-population churn model is attached.
     churn: Option<ChurnState>,
-    /// Split layout: a dedicated broadcast channel plus a pool of pull
-    /// channels, instead of push/pull-alternating channel timelines.
-    split: bool,
     /// Scratch buffer for per-class counts of dropped entries.
     class_counts_buf: Vec<usize>,
     /// The configured uplink success probability, restored when an
@@ -458,8 +459,8 @@ struct Driver<'s, S: Sink> {
 
 impl<S: Sink> Driver<'_, S> {
     fn record_queue(&mut self, now: SimTime) {
-        let items = self.scheduler.total_queued_items();
-        let requests = self.scheduler.total_queued_requests();
+        let items: usize = self.shards.iter().map(|s| s.queue().len()).sum();
+        let requests: usize = self.shards.iter().map(|s| s.queue().total_requests()).sum();
         self.metrics.queue_changed(now, items, requests);
         emit(self.sink, || TelemetryEvent::QueueGauge {
             time: now,
@@ -472,13 +473,13 @@ impl<S: Sink> Driver<'_, S> {
         &mut self,
         dropped: Vec<crate::queue::PendingItem>,
         now: SimTime,
-        channel: u32,
+        shard: u32,
     ) {
         if dropped.is_empty() {
             return;
         }
         self.class_counts_buf
-            .resize(self.scheduler.classes().len(), 0);
+            .resize(self.shards[0].classes().len(), 0);
         for entry in dropped {
             self.metrics.record_blocked_item();
             entry.class_counts(&mut self.class_counts_buf);
@@ -505,14 +506,13 @@ impl<S: Sink> Driver<'_, S> {
             if let Some(churn) = &mut self.churn {
                 churn.blocked(self.sink, now, &entry);
             }
-            self.scheduler.recycle(channel, entry);
+            self.shards[shard as usize].recycle(entry);
         }
     }
 
-    /// The channel an arriving request's item is served on (a one-channel
-    /// plan routes everything to 0).
-    fn channel_for(&self, item: ItemId) -> u32 {
-        self.scheduler.plan().channel_of(item)
+    /// `true` if `item` belongs to its owning shard's push set.
+    fn is_push_item(&self, item: ItemId) -> bool {
+        self.shards[self.plan.channel_of(item) as usize].is_push_item(item)
     }
 
     /// Puts `tx` on the air in the idle `slot` and arms its completion.
@@ -523,63 +523,55 @@ impl<S: Sink> Driver<'_, S> {
         self.on_air[slot] = Some(tx);
     }
 
-    /// Interleaved/sharded: one push/pull-alternating channel timeline,
-    /// whose slot is the channel itself.
-    fn dispatch(&mut self, eng: &mut Engine<Event>, now: SimTime, channel: u32) {
-        debug_assert!(!self.split);
-        let (tx, dropped) = self.scheduler.next_transmission(channel, now);
-        self.record_dropped(dropped, now, channel);
-        self.record_queue(now);
-        if let Some(tx) = tx {
-            if let (Some(churn), Some(batch)) = (&mut self.churn, &tx.served) {
-                churn.on_air(tx.item, batch.count());
+    /// Asks the idle `slot`'s shard for what its role airs next and puts
+    /// it on the air; `false` when there is nothing to air.
+    fn dispatch(&mut self, eng: &mut Engine<Event>, now: SimTime, slot: usize) -> bool {
+        let role = self.roles[slot];
+        let shard = &mut self.shards[role.shard() as usize];
+        let tx = match role {
+            Role::Push(_) => shard.next_push_transmission(now),
+            Role::Hybrid(s) | Role::Pull(s) => {
+                let (tx, dropped) = match role {
+                    Role::Hybrid(_) => shard.next_transmission(now),
+                    _ => shard.next_pull_transmission(now),
+                };
+                self.record_dropped(dropped, now, s);
+                self.record_queue(now);
+                tx
             }
-            self.start(eng, channel as usize, tx);
+        };
+        let Some(tx) = tx else {
+            return false;
+        };
+        if let (Some(churn), Some(batch)) = (&mut self.churn, &tx.served) {
+            churn.on_air(tx.item, batch.count());
         }
+        self.start(eng, slot, tx);
+        true
     }
 
-    /// Split layout: keep the dedicated broadcast channel (slot 0)
-    /// spinning.
-    fn dispatch_push_channel(&mut self, eng: &mut Engine<Event>, now: SimTime) {
-        if let Some(tx) = self.scheduler.shard_mut(0).next_push_transmission(now) {
-            self.start(eng, 0, tx);
-        }
-    }
-
-    /// Split layout: try to occupy the idle pull channel `slot`; `false`
-    /// when everything admissible was blocked or dropped.
-    fn dispatch_pull_channel(
-        &mut self,
-        eng: &mut Engine<Event>,
-        now: SimTime,
-        slot: usize,
-    ) -> bool {
-        let (tx, dropped) = self.scheduler.shard_mut(0).next_pull_transmission(now);
-        self.record_dropped(dropped, now, 0);
-        self.record_queue(now);
-        match tx {
-            Some(tx) => {
-                self.start(eng, slot, tx);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Work became available on `channel`: start whatever transmitters the
-    /// layout allows.
-    fn kick(&mut self, eng: &mut Engine<Event>, now: SimTime, channel: u32) {
-        if self.split {
-            for slot in 1..self.on_air.len() {
-                if self.scheduler.shard(0).queue().is_empty() {
-                    break;
+    /// Work became available on `shard`: fill its idle `Hybrid` and `Pull`
+    /// slots, in slot order. A `Pull` slot is filled only while the queue
+    /// holds work, and the first one that gets nothing ends the kick.
+    fn kick(&mut self, eng: &mut Engine<Event>, now: SimTime, shard: u32) {
+        let first = self.roles.partition_point(|r| r.shard() < shard);
+        for slot in first..self.roles.len() {
+            match self.roles[slot] {
+                r if r.shard() != shard => break,
+                Role::Push(_) => {}
+                Role::Hybrid(_) => {
+                    if self.on_air[slot].is_none() {
+                        self.dispatch(eng, now, slot);
+                    }
                 }
-                if self.on_air[slot].is_none() && !self.dispatch_pull_channel(eng, now, slot) {
-                    break;
+                Role::Pull(s) => {
+                    if self.shards[s as usize].queue().is_empty()
+                        || (self.on_air[slot].is_none() && !self.dispatch(eng, now, slot))
+                    {
+                        break;
+                    }
                 }
             }
-        } else if self.on_air[channel as usize].is_none() {
-            self.dispatch(eng, now, channel);
         }
     }
 
@@ -597,15 +589,15 @@ impl<S: Sink> Driver<'_, S> {
             item: req.item,
             class: req.class,
         });
-        if self.scheduler.is_push_item(req.item) {
+        if self.is_push_item(req.item) {
             // Push requests never need the uplink: the client just
             // keeps listening and catches the cyclic broadcast.
             // Single-tuner model: the client's tuner cycles
             // deterministically over the channels; landing off the
             // item's home channel costs one missed broadcast (a
             // conflict). Degenerates to "never mistuned" at C = 1.
-            let home = self.channel_for(req.item);
-            let tuned = (self.tuner_counter % self.scheduler.channels() as u64) as u32;
+            let home = self.plan.channel_of(req.item);
+            let tuned = (self.tuner_counter % self.plan.channels() as u64) as u32;
             self.tuner_counter += 1;
             self.push_waiters[req.item.index()].push(PushWaiter {
                 arrival: req.arrival,
@@ -697,7 +689,7 @@ impl<S: Sink> Driver<'_, S> {
                 // flight; a now-push item just parks as a listener. (By
                 // delivery time the client has already looked up its
                 // item's home channel, so no tuner conflict here.)
-                if self.scheduler.is_push_item(req.item) {
+                if self.is_push_item(req.item) {
                     self.push_waiters[req.item.index()].push(PushWaiter {
                         arrival: req.arrival,
                         client,
@@ -709,14 +701,13 @@ impl<S: Sink> Driver<'_, S> {
                 }
             }
             Event::Complete(slot) => {
-                let tx = self.on_air[slot as usize]
+                let slot = slot as usize;
+                let tx = self.on_air[slot]
                     .take()
                     .expect("a pending completion's slot holds its transmission");
-                let channel = if self.split { 0 } else { slot };
-                let kind = tx.kind;
-                let start = tx.start;
-                let item = tx.item;
-                let duration = tx.duration;
+                let role = self.roles[slot];
+                let shard = role.shard() as usize;
+                let (kind, start, item, duration) = (tx.kind, tx.start, tx.item, tx.duration);
                 match kind {
                     TxKind::Push => {
                         emit(self.sink, || TelemetryEvent::PushTx {
@@ -747,7 +738,7 @@ impl<S: Sink> Driver<'_, S> {
                         self.push_waiters[item.index()] = waiters;
                     }
                     TxKind::Pull => {
-                        if let Some(batch) = self.scheduler.complete_transmission(channel, tx) {
+                        if let Some(batch) = self.shards[shard].complete_transmission(tx) {
                             for (i, &(arrival, class)) in batch.requesters.iter().enumerate() {
                                 let client = match &self.churn {
                                     Some(churn) => churn.in_flight(i),
@@ -762,20 +753,16 @@ impl<S: Sink> Driver<'_, S> {
                                 requests: batch.count() as u32,
                                 class: batch.dominant_class().unwrap_or(ClassId(0)),
                             });
-                            self.scheduler.recycle(channel, batch);
+                            self.shards[shard].recycle(batch);
                         }
-                        if self.split {
-                            self.kick(eng, now, 0);
-                        } else {
-                            self.dispatch(eng, now, channel);
-                        }
-                        return;
                     }
                 }
-                if self.split {
-                    self.dispatch_push_channel(eng, now);
+                // A push transmitter keeps broadcasting; any other slot
+                // hands its shard's work to whichever of its slots is idle.
+                if let Role::Push(_) = role {
+                    self.dispatch(eng, now, slot);
                 } else {
-                    self.dispatch(eng, now, channel);
+                    self.kick(eng, now, role.shard());
                 }
             }
             Event::Retune => self.retune(eng, now),
@@ -803,7 +790,7 @@ impl<S: Sink> Driver<'_, S> {
                     if leaving == 0 {
                         continue;
                     }
-                    let channel = self.scheduler.plan().channel_of(ItemId(idx as u32));
+                    let channel = self.plan.channel_of(ItemId(idx as u32));
                     for w in waiters.drain(..leaving) {
                         self.departed[w.class.index()] += 1;
                         self.departed_by_channel[channel as usize] += 1;
@@ -811,7 +798,7 @@ impl<S: Sink> Driver<'_, S> {
                 }
             }
             FaultAction::ForceCutoff(k) => {
-                let k = k.min(self.scheduler.catalog().len());
+                let k = k.min(self.shards[0].catalog().len());
                 let target: Vec<ItemId> = (0..k).map(|i| ItemId(i as u32)).collect();
                 self.apply_push_target(eng, &target, now);
                 self.kick(eng, now, 0);
@@ -826,9 +813,8 @@ impl<S: Sink> Driver<'_, S> {
         if !self.audit_queue {
             return;
         }
-        let classes = self.scheduler.classes().clone();
-        for (channel, shard) in self.scheduler.shards().enumerate() {
-            let findings = shard.queue().verify_shadow(|c| classes.priority(c));
+        for (channel, shard) in self.shards.iter().enumerate() {
+            let findings = shard.queue().verify_shadow(|c| shard.classes().priority(c));
             self.audit.extend(
                 findings
                     .into_iter()
@@ -841,13 +827,14 @@ impl<S: Sink> Driver<'_, S> {
     /// carry an arrival time in the past (uplink latency), so the queue
     /// statistics are stamped at `now`.
     fn deliver(&mut self, eng: &mut Engine<Event>, now: SimTime, req: &Request, client: ClientId) {
-        debug_assert!(!self.scheduler.is_push_item(req.item));
-        self.scheduler.requeue_waiter(req, now);
+        debug_assert!(!self.is_push_item(req.item));
+        let shard = self.plan.channel_of(req.item);
+        self.shards[shard as usize].requeue_waiter(req, now);
         if let Some(churn) = &mut self.churn {
             churn.queued(req.item, client);
         }
         self.record_queue(now);
-        self.kick(eng, now, self.channel_for(req.item));
+        self.kick(eng, now, shard);
     }
 
     /// Executes one periodic re-optimization (and arms the next): seal the
@@ -856,9 +843,10 @@ impl<S: Sink> Driver<'_, S> {
     /// one is configured, otherwise from the analytic model's argmin over
     /// the candidate grid on the window's popularity and load estimates;
     /// everything around it — push-set order, ledger, window reset,
-    /// migration, audit — is the same either way.
+    /// migration, audit — is the same either way. Cutoff moves run on one
+    /// shard ([`Simulation::validate`]).
     fn retune(&mut self, eng: &mut Engine<Event>, now: SimTime) {
-        let from_k = self.scheduler.cutoff();
+        let from_k = self.shards[0].cutoff();
         let Some(state) = &mut self.adaptive else {
             return;
         };
@@ -897,7 +885,7 @@ impl<S: Sink> Driver<'_, S> {
                     .iter()
                     .map(|&i| (counts[i] as f64 + smoothing) / smoothed_total)
                     .collect();
-                let catalog = self.scheduler.catalog().items();
+                let catalog = self.shards[0].catalog().items();
                 let lengths: Vec<u32> = order.iter().map(|&i| catalog[i].length).collect();
                 let lambda_est = total as f64 / state.config.period;
                 let best_k = state
@@ -908,7 +896,7 @@ impl<S: Sink> Driver<'_, S> {
                         let cost = HybridDelayModel::from_parts(
                             probs.clone(),
                             lengths.clone(),
-                            self.scheduler.classes(),
+                            self.shards[0].classes(),
                             lambda_est,
                             k,
                         )
@@ -941,7 +929,7 @@ impl<S: Sink> Driver<'_, S> {
             .collect();
         self.apply_push_target(eng, &target, now);
         if let Some(shares) = &shares {
-            self.scheduler.rebalance_bandwidth(shares);
+            self.shards[0].rebalance_bandwidth(shares);
         }
         self.audit_now(now);
     }
@@ -950,8 +938,8 @@ impl<S: Sink> Driver<'_, S> {
     /// across the new boundary (shared by the adaptive controller and the
     /// fault injector's forced cutoff). No-op when the set is unchanged.
     fn apply_push_target(&mut self, eng: &mut Engine<Event>, target: &[ItemId], now: SimTime) {
-        let from_k = self.scheduler.cutoff();
-        let was_member: Vec<bool> = self.scheduler.push_membership().to_vec();
+        let from_k = self.shards[0].cutoff();
+        let was_member: Vec<bool> = self.shards[0].push_membership().to_vec();
         let unchanged = target.len() == from_k && target.iter().all(|it| was_member[it.index()]);
         if unchanged {
             return;
@@ -962,7 +950,7 @@ impl<S: Sink> Driver<'_, S> {
             to_k: target.len() as u32,
         });
         // Apply the move and migrate state across the boundary.
-        let moved_to_push = self.scheduler.set_push_set(target, now);
+        let moved_to_push = self.shards[0].set_push_set(target, now);
         for entry in moved_to_push {
             // These items are broadcast now; their requesters wait for the
             // next cycle like any other push listener.
@@ -977,7 +965,7 @@ impl<S: Sink> Driver<'_, S> {
         }
         // Items that left the push set: convert parked listeners into pull
         // requests, preserving their original arrival times.
-        let now_member: Vec<bool> = self.scheduler.push_membership().to_vec();
+        let now_member: Vec<bool> = self.shards[0].push_membership().to_vec();
         for idx in 0..now_member.len() {
             if was_member[idx] && !now_member[idx] {
                 let waiters = std::mem::take(&mut self.push_waiters[idx]);
@@ -987,15 +975,17 @@ impl<S: Sink> Driver<'_, S> {
                         item: ItemId(idx as u32),
                         class: w.class,
                     };
-                    self.scheduler.requeue_waiter(&req, now);
+                    self.shards[0].requeue_waiter(&req, now);
                 }
             }
         }
         self.record_queue(now);
-        // Split layout: an empty push set left the broadcast channel idle;
-        // a push set with members puts it back on the air.
-        if self.split && self.on_air[0].is_none() {
-            self.dispatch_push_channel(eng, now);
+        // No arrival kicks a push transmitter: an empty push set left it
+        // idle, and a push set with members puts it back on the air.
+        for slot in 0..self.roles.len() {
+            if matches!(self.roles[slot], Role::Push(_)) && self.on_air[slot].is_none() {
+                self.dispatch(eng, now, slot);
+            }
         }
     }
 }
@@ -1068,6 +1058,7 @@ impl<'a> Simulation<'a> {
     /// instead of a mid-run panic. Front ends taking configs from outside
     /// the program call this first.
     pub fn validate(&self) -> Result<(), String> {
+        self.hybrid.validate()?;
         let SimParams {
             horizon, warmup, ..
         } = *self.params;
@@ -1118,14 +1109,10 @@ impl<'a> Simulation<'a> {
                 "a custom pull policy requires a single channel",
             )?;
         }
-        ensure(
-            self.hybrid.channels != ChannelLayout::Split { pull_channels: 0 },
-            "split layout needs ≥ 1 pull channel",
-        )?;
         if let Some(churn) = self.churn {
             churn.validate(self.scenario.classes.len())?;
             ensure(
-                self.hybrid.channels == ChannelLayout::Interleaved,
+                self.hybrid.channels.transmitters() == [Role::Hybrid(0)],
                 "the churn model runs on the paper's single interleaved channel",
             )?;
             ensure(
@@ -1175,35 +1162,26 @@ impl<'a> Simulation<'a> {
         } else {
             Box::new(SurgeSource::new(source, surge_windows))
         };
-        let shard_count = hybrid.channels.shard_count();
         let factory = scenario.factory.replication(params.replication);
-        let scheduler = match self.policy {
-            Some(policy) => ShardedScheduler::with_policy(
-                scenario.catalog.clone(),
-                scenario.classes.clone(),
-                hybrid,
-                &factory,
-                policy,
-            ),
-            None => ShardedScheduler::new(
-                scenario.catalog.clone(),
-                scenario.classes.clone(),
-                hybrid,
-                &factory,
-            ),
-        };
+        let (shards, plan) = build_shards(
+            &scenario.catalog,
+            &scenario.classes,
+            hybrid,
+            &factory,
+            self.policy,
+        );
+        let shard_count = shards.len();
+        let roles = hybrid.channels.transmitters();
         let num_items = scenario.catalog.len();
         let num_classes = scenario.classes.len();
-        let transmitters = match hybrid.channels {
-            ChannelLayout::Split { pull_channels } => 1 + pull_channels as usize,
-            _ => shard_count as usize,
-        };
         let mut driver = Driver {
-            scheduler,
+            shards,
+            plan,
             metrics: MetricsCollector::new(num_classes, SimTime::new(params.warmup)),
             gen: source,
             push_waiters: vec![Vec::new(); num_items],
-            on_air: (0..transmitters).map(|_| None).collect(),
+            on_air: roles.iter().map(|_| None).collect(),
+            roles,
             adaptive: adaptive.map(|cfg| AdaptiveState {
                 controller: cfg.controller.as_ref().map(|ctrl| {
                     let weights: Vec<f64> = scenario
@@ -1225,11 +1203,10 @@ impl<'a> Simulation<'a> {
             churn: self
                 .churn
                 .map(|cfg| ChurnState::new(cfg, scenario, &factory)),
-            split: matches!(hybrid.channels, ChannelLayout::Split { .. }),
             class_counts_buf: Vec::new(),
             base_uplink_prob: hybrid.uplink.map(|cfg| cfg.success_prob),
             departed: vec![0; num_classes],
-            departed_by_channel: vec![0; shard_count as usize],
+            departed_by_channel: vec![0; shard_count],
             tuner_counter: 0,
             conflicts: 0,
             push_served_raw: 0,
@@ -1276,15 +1253,12 @@ impl<'a> Simulation<'a> {
                 }
             }
         }
-        // The downlink boots at t = 0: every push/pull-alternating channel
-        // (or, in the split layout, the dedicated broadcast channel) starts
-        // transmitting immediately; in pure-pull mode the server waits for
-        // the first request, as split pull channels always do.
-        if driver.split {
-            driver.dispatch_push_channel(&mut engine, SimTime::ZERO);
-        } else {
-            for c in 0..shard_count {
-                driver.dispatch(&mut engine, SimTime::ZERO, c);
+        // The downlink boots at t = 0: every `Hybrid` and `Push`
+        // transmitter starts transmitting immediately; in pure-pull mode
+        // they wait for the first request, as `Pull` transmitters always do.
+        for slot in 0..driver.roles.len() {
+            if !matches!(driver.roles[slot], Role::Pull(_)) {
+                driver.dispatch(&mut engine, SimTime::ZERO, slot);
             }
         }
 
@@ -1295,30 +1269,29 @@ impl<'a> Simulation<'a> {
         // Horizon census: park every still-outstanding request somewhere so
         // the conservation identity closes exactly (see [`PendingCensus`]),
         // with a per-channel marginal so it also closes channel by channel.
-        let mut census = PendingCensus::new(num_classes, shard_count as usize);
+        let mut census = PendingCensus::new(num_classes, shard_count);
         for (_, ev) in engine.drain_pending() {
             if let Event::Deliver(req, _) = ev {
                 census.uplink_in_flight[req.class.index()] += 1;
-                census.per_channel[driver.channel_for(req.item) as usize] += 1;
+                census.per_channel[driver.plan.channel_of(req.item) as usize] += 1;
             }
         }
-        for (slot, tx) in driver.on_air.iter().enumerate() {
-            let channel = if driver.split { 0 } else { slot };
+        for (role, tx) in driver.roles.iter().zip(&driver.on_air) {
             if let Some(batch) = tx.as_ref().and_then(|tx| tx.served.as_ref()) {
                 for &(_, class) in &batch.requesters {
                     census.in_service[class.index()] += 1;
-                    census.per_channel[channel] += 1;
+                    census.per_channel[role.shard() as usize] += 1;
                 }
             }
         }
         for (idx, waiters) in driver.push_waiters.iter().enumerate() {
-            let channel = driver.channel_for(ItemId(idx as u32));
+            let channel = driver.plan.channel_of(ItemId(idx as u32));
             for w in waiters {
                 census.waiting_push[w.class.index()] += 1;
                 census.per_channel[channel as usize] += 1;
             }
         }
-        for (channel, shard) in driver.scheduler.shards().enumerate() {
+        for (channel, shard) in driver.shards.iter().enumerate() {
             for entry in shard.queue().iter() {
                 for &(_, class) in &entry.requesters {
                     census.queued[class.index()] += 1;
@@ -1332,7 +1305,7 @@ impl<'a> Simulation<'a> {
         }
 
         let mut report = driver.metrics.report(&scenario.classes, horizon);
-        report.channels = shard_count;
+        report.channels = shard_count as u32;
         report.conflicts = driver.conflicts;
         report.conflict_rate = if driver.conflicts > 0 {
             driver.conflicts as f64 / (driver.conflicts + driver.push_served_raw) as f64
@@ -1343,7 +1316,7 @@ impl<'a> Simulation<'a> {
             report,
             census,
             retunes: driver.adaptive.map(|s| s.retunes).unwrap_or_default(),
-            final_k: driver.scheduler.cutoff(),
+            final_k: driver.shards.iter().map(HybridScheduler::cutoff).sum(),
             queue_audit: driver.audit,
             churn: driver.churn.map(|c| c.outcome(&scenario.classes)),
         }
@@ -1382,6 +1355,7 @@ pub fn simulate_telemetry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ChannelLayout;
     use hybridcast_workload::requests::ReplaySource;
     use hybridcast_workload::scenario::ScenarioConfig;
 
@@ -1826,7 +1800,6 @@ mod tests {
 
     #[test]
     fn split_layout_parallelizes_the_pull_side() {
-        use crate::config::ChannelLayout;
         let scenario = ScenarioConfig::icpp2005(0.6).build();
         let interleaved = HybridConfig::paper(40, 0.25);
         let split = |n: u32| HybridConfig {
@@ -1878,7 +1851,6 @@ mod tests {
 
     #[test]
     fn split_layout_conserves_requests() {
-        use crate::config::ChannelLayout;
         let scenario = ScenarioConfig::icpp2005(0.6).build();
         let cfg = HybridConfig {
             channels: ChannelLayout::Split { pull_channels: 3 },
@@ -2272,6 +2244,37 @@ mod tests {
             assert_eq!(
                 r, base,
                 "C = 1 must replay the plain scheduler ({strategy:?})"
+            );
+        }
+    }
+
+    #[test]
+    fn one_channel_sharded_churn_run_is_bit_identical_to_interleaved() {
+        use crate::config::AssignmentStrategy;
+        let scenario = ScenarioConfig::icpp2005(0.6).build();
+        let params = SimParams::quick();
+        // Tolerances tight enough that subscribers do leave.
+        let churn = ChurnConfig {
+            tolerance: vec![20.0, 30.0, 40.0],
+            ..ChurnConfig::default()
+        };
+        let churn_run = |cfg: &HybridConfig| {
+            Simulation {
+                churn: Some(&churn),
+                ..Simulation::new(&scenario, cfg, &params)
+            }
+            .run(&mut NullSink)
+        };
+        let base = churn_run(&HybridConfig::paper(40, 0.5));
+        assert!(base.churn.as_ref().is_some_and(|c| c.departures > 0));
+        for strategy in [
+            AssignmentStrategy::Range,
+            AssignmentStrategy::Hash,
+            AssignmentStrategy::PatternAware,
+        ] {
+            assert!(
+                churn_run(&sharded(1, strategy)) == base,
+                "a churn run on C = 1 must replay the interleaved one ({strategy:?})"
             );
         }
     }

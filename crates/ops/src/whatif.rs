@@ -116,14 +116,10 @@ impl OverrideSpec {
     /// The effective `(cutoff, channels, assignment)` this spec resolves
     /// to over `base`.
     pub fn effective(&self, base: &HybridConfig) -> (usize, u32, AssignmentStrategy) {
-        let base_assignment = match base.channels {
-            ChannelLayout::Sharded { assignment, .. } => assignment,
-            _ => AssignmentStrategy::default(),
-        };
         (
             self.cutoff.unwrap_or(base.cutoff),
             self.channels.unwrap_or_else(|| base.channels.shard_count()),
-            self.assignment.unwrap_or(base_assignment),
+            self.assignment.unwrap_or(base.channels.assignment()),
         )
     }
 

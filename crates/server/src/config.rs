@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use hybridcast_core::config::{ChannelLayout, HybridConfig};
+use hybridcast_core::config::{HybridConfig, Role};
 use hybridcast_telemetry::TelemetryConfig;
 use hybridcast_workload::scenario::ScenarioConfig;
 
@@ -118,21 +118,19 @@ impl ServeConfig {
         // The arrival process is the clients': its fields are not read.
         problems.extend(self.scenario.validate(false).err());
         problems.extend(self.hybrid.validate().err());
-        match self.hybrid.channels {
-            ChannelLayout::Split { .. } => problems.push(
+        let channels = self.hybrid.channels.shard_count();
+        let transmitters = self.hybrid.channels.transmitters();
+        if transmitters.iter().any(|r| !matches!(r, Role::Hybrid(_))) {
+            problems.push(
                 "hybrid.channels: the daemon serves the paper's single interleaved \
                  downlink; the split layout is simulation-only"
                     .into(),
-            ),
-            ChannelLayout::Sharded { channels, .. } => {
-                if channels as usize > self.scenario.num_items {
-                    problems.push(format!(
-                        "hybrid.channels: {channels} channels exceed the catalog size {}",
-                        self.scenario.num_items
-                    ));
-                }
-            }
-            ChannelLayout::Interleaved => {}
+            );
+        } else if channels as usize > self.scenario.num_items {
+            problems.push(format!(
+                "hybrid.channels: {channels} channels exceed the catalog size {}",
+                self.scenario.num_items
+            ));
         }
         if self.hybrid.cutoff > self.scenario.num_items {
             problems.push(format!(
@@ -183,6 +181,7 @@ impl ServeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hybridcast_core::config::ChannelLayout;
     use hybridcast_core::pull::PullPolicyKind;
 
     #[test]

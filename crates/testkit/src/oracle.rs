@@ -57,8 +57,8 @@
 
 use hybridcast_core::bandwidth::BandwidthConfig;
 use hybridcast_core::prelude::{
-    simulate, ChannelLayout, ChannelPlan, HybridConfig, NullSink, PullPolicy, SimParams, SimRun,
-    Simulation, Sink, TelemetryEvent,
+    simulate, ChannelPlan, HybridConfig, NullSink, PullPolicy, SimParams, SimRun, Simulation, Sink,
+    TelemetryEvent,
 };
 use hybridcast_core::push::PushKind;
 use hybridcast_workload::catalog::ItemId;
@@ -399,14 +399,10 @@ impl OracleSink {
                     .push(format!("pushed an item outside the push set: {stray:?}"));
             }
         }
-        // 7. Channel accounting: concurrent pulls never exceed capacity.
-        let capacity = match case.hybrid.channels {
-            ChannelLayout::Interleaved => 1,
-            ChannelLayout::Split { pull_channels } => pull_channels as u64,
-            // Each broadcast channel interleaves its own pulls, so up to C
-            // pull transmissions may be in flight at once.
-            ChannelLayout::Sharded { channels, .. } => channels.max(1) as u64,
-        };
+        // 7. Channel accounting: concurrent pulls never exceed the number
+        // of transmitters that can pull.
+        let transmitters = case.hybrid.channels.transmitters();
+        let capacity = transmitters.iter().filter(|r| r.pulls()).count() as u64;
         self.check_channel_accounting(capacity);
         // 8. Channel-marginal conservation: the census's per-channel view
         // must re-sum to the per-class view, exactly.
@@ -427,33 +423,23 @@ impl OracleSink {
         }
         // 9. KSY partition sanity: the plan is deterministic from the
         // case, so rebuild it and price it against the offline bound.
-        if let ChannelLayout::Sharded {
-            channels,
-            assignment,
-            ..
-        } = case.hybrid.channels
-        {
-            let catalog = case.scenario.build().catalog;
-            let plan = ChannelPlan::build(&catalog, channels.max(1), assignment);
-            if let Some(bad) = plan
-                .assignment()
-                .iter()
-                .find(|&&c| c as u32 >= channels.max(1))
-            {
-                self.violations
-                    .push(format!("plan routes an item to phantom channel {bad}"));
-            }
-            let (cost, lb) = (plan.cost(), plan.lower_bound());
-            if !(cost.is_finite() && lb.is_finite()) || cost < lb - 1e-9 * lb.max(1.0) {
-                self.violations.push(format!(
-                    "KSY bound violated: partition cost {cost} under the \
-                     balanced lower bound {lb}"
-                ));
-            }
-            if plan.gap().is_some_and(|g| !g.is_finite() || g < -1e-9) {
-                self.violations
-                    .push(format!("KSY gap is not a sane ratio: {:?}", plan.gap()));
-            }
+        let catalog = case.scenario.build().catalog;
+        let channels = case.hybrid.channels.shard_count();
+        let plan = ChannelPlan::build(&catalog, channels, case.hybrid.channels.assignment());
+        if let Some(bad) = plan.assignment().iter().find(|&&c| c as u32 >= channels) {
+            self.violations
+                .push(format!("plan routes an item to phantom channel {bad}"));
+        }
+        let (cost, lb) = (plan.cost(), plan.lower_bound());
+        if !(cost.is_finite() && lb.is_finite()) || cost < lb - 1e-9 * lb.max(1.0) {
+            self.violations.push(format!(
+                "KSY bound violated: partition cost {cost} under the \
+                 balanced lower bound {lb}"
+            ));
+        }
+        if plan.gap().is_some_and(|g| !g.is_finite() || g < -1e-9) {
+            self.violations
+                .push(format!("KSY gap is not a sane ratio: {:?}", plan.gap()));
         }
         // 10–12. The controller oracles: regret, telemetry freshness +
         // service frequency, band/hysteresis discipline.
