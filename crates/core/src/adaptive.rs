@@ -6,7 +6,7 @@
 //! [`CutoffController`] steers `K` (and, optionally, the per-class
 //! bandwidth partitions) from the *measured* prioritized cost of each
 //! window, delivered by the driver as a
-//! [`FeedbackSnapshot`](hybridcast_telemetry::FeedbackSnapshot).
+//! [`FeedbackSnapshot`].
 //!
 //! The control law is hysteresis-banded perturb-and-observe hill climbing:
 //!

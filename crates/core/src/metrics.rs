@@ -12,7 +12,7 @@
 //! [`MetricsCollector`] accumulates these online; [`SimReport`] is the
 //! serializable snapshot the experiment harness consumes. Each class's
 //! delay tail (p50/p95/p99) comes from one fixed-memory
-//! [`Histogram`](hybridcast_sim::quantile::Histogram), within relative 2⁻⁷
+//! [`Histogram`], within relative 2⁻⁷
 //! of the exact order statistic, and is `None` when the class served
 //! nothing.
 

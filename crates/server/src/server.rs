@@ -11,7 +11,7 @@
 //!          └ event loop N ┘    batch per tick       └───────────┘
 //! ```
 //!
-//! * **Event loops** ([`crate::event_loop`]) own the connections — socket,
+//! * **Event loops** (`event_loop`) own the connections — socket,
 //!   read buffer, outbound reply queue — and nothing else touches them:
 //!   nonblocking, edge-triggered epoll, stateful per-connection read
 //!   buffers feeding a batched frame decoder, and `writev`-coalesced reply
@@ -26,7 +26,7 @@
 //!   occupies the downlink for `L × unit_millis` wall milliseconds. It
 //!   drains the shard rings round-robin and encodes each resolution into
 //!   an outbox it alone owns, one batch per loop, addressed by the
-//!   request's `Copy` [`ConnId`]; **once per tick** it hands each
+//!   request's `Copy` `ConnId`; **once per tick** it hands each
 //!   non-empty batch to that loop's mailbox — one lock and one waker ring
 //!   per loop however many replies. An idle daemon parks on the
 //!   [`Doorbell`] instead of broadcasting to nobody.

@@ -5,7 +5,7 @@
 //! seeded, serializable [`FuzzCase`]; a run under the harness streams its
 //! telemetry through invariant oracles ([`OracleSink`]) and closes the
 //! books against the horizon census; failures are greedily shrunk
-//! ([`shrink`]) to a minimal reproducing configuration and archived in a
+//! ([`shrink`](fn@shrink)) to a minimal reproducing configuration and archived in a
 //! replayable corpus. A mutation-smoke suite plants known bugs
 //! ([`Mutation`]) and asserts each oracle actually catches them.
 //!
@@ -16,7 +16,7 @@
 //!   corners (`K = 0`, `K = D`, one item, one class);
 //! * [`oracle`] — stream-level and cross-cutting invariants, plus the
 //!   statistical priority-dominance check;
-//! * [`shrink`] — greedy fixpoint minimization (the vendored proptest has
+//! * [`shrink`](mod@shrink) — greedy fixpoint minimization (the vendored proptest has
 //!   no shrinking, so the testkit brings its own);
 //! * [`mutation`] — hand-seeded bugs for oracle validation;
 //! * [`corpus`] — the fuzz loop and the committed-corpus replay path;
