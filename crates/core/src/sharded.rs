@@ -119,16 +119,6 @@ impl ChannelPlan {
         &self.loads
     }
 
-    /// The items assigned to `channel`, in id order.
-    pub fn items_on(&self, channel: u32) -> Vec<ItemId> {
-        self.channel_of
-            .iter()
-            .enumerate()
-            .filter(|&(_, &ch)| ch as u32 == channel)
-            .map(|(i, _)| ItemId(i as u32))
-            .collect()
-    }
-
     /// This plan's KSY cost `Σ_c L_c²/2`.
     pub fn cost(&self) -> f64 {
         ksy::partition_cost(&self.loads)
@@ -207,14 +197,15 @@ fn argmin(loads: &[f64]) -> usize {
 /// plan that routes items to them — the one construction path of the
 /// simulator's and the daemon's schedulers.
 ///
-/// [`Sharded`](crate::config::ChannelLayout::Sharded) spreads the catalog over its `C` channels;
-/// the other layouts build one shard that owns every item. Each shard gets
-/// `1/C` of the admission capacity, the slice of the push prefix `0..K`
-/// its channel owns, and (past the first) an independent replication of
-/// the RNG factory. At `C = 1` that is exactly [`HybridScheduler::new`]:
-/// every push schedule built over the prefix `0..K` is the one built for
-/// cutoff `K`. `policy` replaces the pull policy `config.pull` builds; a
-/// boxed policy can't be distributed across shards.
+/// [`Sharded`](crate::config::ChannelLayout::Sharded) spreads the
+/// catalog over its `C` channels; the other layouts build one shard that
+/// owns every item. Each shard gets `1/C` of the admission capacity, the
+/// slice of the push prefix `0..K` its channel owns, and (past the first)
+/// an independent replication of the RNG factory. At `C = 1` that is
+/// exactly [`HybridScheduler::new`]: every push schedule built over the
+/// prefix `0..K` is the one built for cutoff `K`. `policy` replaces the
+/// pull policy `config.pull` builds; a boxed policy can't be distributed
+/// across shards.
 ///
 /// # Panics
 /// Panics if `config.cutoff > catalog.len()` (same contract as
@@ -242,8 +233,14 @@ pub fn build_shards(
     let mut shard_config = config.clone();
     shard_config.cutoff = 0;
     shard_config.bandwidth.total_capacity = config.bandwidth.total_capacity / channels as f64;
+    // Each channel's slice of the global push prefix 0..K, in id order.
+    let mut push_slices = vec![Vec::new(); channels as usize];
+    for item in (0..config.cutoff as u32).map(ItemId) {
+        push_slices[plan.channel_of(item) as usize].push(item);
+    }
     let shards = (0..channels)
-        .map(|c| {
+        .zip(&push_slices)
+        .map(|(c, push_items)| {
             let shard_factory = if c == 0 {
                 *factory
             } else {
@@ -257,13 +254,7 @@ pub fn build_shards(
                 &shard_factory,
                 policy,
             );
-            // This channel's slice of the global push prefix 0..K.
-            let push_items: Vec<ItemId> = plan
-                .items_on(c)
-                .into_iter()
-                .filter(|it| it.index() < config.cutoff)
-                .collect();
-            shard.set_push_set(&push_items, SimTime::ZERO);
+            shard.set_push_set(push_items, SimTime::ZERO);
             shard
         })
         .collect();
@@ -329,8 +320,12 @@ mod tests {
             let plan = ChannelPlan::build(&catalog(20), 4, strategy);
             assert_eq!(plan.assignment().len(), 20);
             assert!(plan.assignment().iter().all(|&c| c < 4));
-            let total: usize = (0..4).map(|c| plan.items_on(c).len()).sum();
-            assert_eq!(total, 20, "{strategy:?} partition must cover the catalog");
+            for c in 0..4 {
+                assert!(
+                    plan.assignment().contains(&c),
+                    "{strategy:?} leaves channel {c} empty"
+                );
+            }
         }
     }
 
