@@ -5,9 +5,9 @@
 //! seeded, serializable [`FuzzCase`]; a run under the harness streams its
 //! telemetry through invariant oracles ([`OracleSink`]) and closes the
 //! books against the horizon census; failures are greedily shrunk
-//! ([`shrink`](fn@shrink)) to a minimal reproducing configuration and archived in a
-//! replayable corpus. A mutation-smoke suite plants known bugs
-//! ([`Mutation`]) and asserts each oracle actually catches them.
+//! ([`shrink`](fn@shrink)) to a minimal reproducing configuration and
+//! archived in a replayable corpus. A mutation-smoke suite plants known
+//! bugs ([`Mutation`]) and asserts each oracle actually catches them.
 //!
 //! The crate splits into:
 //!
@@ -16,8 +16,8 @@
 //!   corners (`K = 0`, `K = D`, one item, one class);
 //! * [`oracle`] — stream-level and cross-cutting invariants, plus the
 //!   statistical priority-dominance check;
-//! * [`shrink`](mod@shrink) — greedy fixpoint minimization (the vendored proptest has
-//!   no shrinking, so the testkit brings its own);
+//! * [`shrink`](mod@shrink) — greedy fixpoint minimization (the vendored
+//!   proptest has no shrinking, so the testkit brings its own);
 //! * [`mutation`] — hand-seeded bugs for oracle validation;
 //! * [`corpus`] — the fuzz loop and the committed-corpus replay path;
 //! * [`trace_corpus`] — committed binary serving traces, double-replayed
