@@ -126,7 +126,7 @@ impl ServeConfig {
                  downlink; the split layout is simulation-only"
                     .into(),
             );
-        } else if channels as usize > self.scenario.num_items {
+        } else if channels > 1 && channels as usize > self.scenario.num_items {
             problems.push(format!(
                 "hybrid.channels: {channels} channels exceed the catalog size {}",
                 self.scenario.num_items
