@@ -12,7 +12,7 @@ use hybridcast_core::push::PushKind;
 use hybridcast_core::sim_driver::AdaptiveConfig;
 use hybridcast_workload::scenario::ScenarioConfig;
 
-use crate::runner::{averaged_run, grid_run};
+use crate::runner::{grid_run, AveragedReport};
 use crate::scale::RunScale;
 use crate::series::{FigureData, Series};
 
@@ -60,8 +60,8 @@ pub fn delay_vs_cutoff(
     scale: &RunScale,
 ) -> FigureData {
     let scenario = scenario_for(theta, lambda);
-    let results = grid_run(ks.to_vec(), |&k| {
-        averaged_run(&scenario, &HybridConfig::paper(k, alpha), scale)
+    let results = grid_run(ks.to_vec(), scale, |&k| {
+        (scenario.clone(), HybridConfig::paper(k, alpha))
     });
     let xs: Vec<f64> = results.iter().map(|(k, _)| *k as f64).collect();
     let mut series = Vec::new();
@@ -116,8 +116,8 @@ pub fn cost_dynamics(
     scale: &RunScale,
 ) -> FigureData {
     let scenario = scenario_for(theta, lambda);
-    let results = grid_run(ks.to_vec(), |&k| {
-        averaged_run(&scenario, &HybridConfig::paper(k, alpha), scale)
+    let results = grid_run(ks.to_vec(), scale, |&k| {
+        (scenario.clone(), HybridConfig::paper(k, alpha))
     });
     let xs: Vec<f64> = results.iter().map(|(k, _)| *k as f64).collect();
     let mut series = Vec::new();
@@ -167,8 +167,8 @@ pub fn cost_vs_alpha(
             .iter()
             .flat_map(|&a| ks.iter().map(move |&k| (a, k)))
             .collect();
-        let results = grid_run(cells, |&(a, k)| {
-            averaged_run(&scenario, &HybridConfig::paper(k, a), scale)
+        let results = grid_run(cells, scale, |&(a, k)| {
+            (scenario.clone(), HybridConfig::paper(k, a))
         });
         let ys: Vec<f64> = alphas
             .iter()
@@ -205,8 +205,8 @@ pub fn analytic_vs_sim(
     scale: &RunScale,
 ) -> FigureData {
     let scenario_cfg = scenario_for(theta, lambda);
-    let results = grid_run(ks.to_vec(), |&k| {
-        averaged_run(&scenario_cfg, &HybridConfig::paper(k, alpha), scale)
+    let results = grid_run(ks.to_vec(), scale, |&k| {
+        (scenario_cfg.clone(), HybridConfig::paper(k, alpha))
     });
     let xs: Vec<f64> = results.iter().map(|(k, _)| *k as f64).collect();
 
@@ -254,7 +254,7 @@ pub fn analytic_vs_sim(
 pub fn blocking_vs_bandwidth(shares_a: &[f64], k: usize, scale: &RunScale) -> FigureData {
     let base = ScenarioConfig::icpp2005(0.6);
     let cells: Vec<f64> = shares_a.to_vec();
-    let results = grid_run(cells, |&share_a| {
+    let results = grid_run(cells, scale, |&share_a| {
         let rest = 1.0 - share_a;
         let classes = base
             .classes
@@ -268,7 +268,7 @@ pub fn blocking_vs_bandwidth(shares_a: &[f64], k: usize, scale: &RunScale) -> Fi
             bandwidth: BandwidthConfig::per_class(6.0, 2.0),
             ..HybridConfig::paper(k, 0.5)
         };
-        averaged_run(&scenario, &hybrid, scale)
+        (scenario, hybrid)
     });
     let xs: Vec<f64> = results.iter().map(|(s, _)| *s).collect();
     let mut series: Vec<Series> = CLASS_NAMES
@@ -378,17 +378,14 @@ pub fn adaptive_vs_static(thetas: &[f64], alpha: f64, scale: &RunScale) -> Figur
         .run(&mut NullSink);
         adaptive_cost.push(out.report.total_prioritized_cost);
         final_ks.push(out.final_k as f64);
-        let costs: Vec<f64> = ks
-            .iter()
-            .map(|&k| {
-                hybridcast_core::sim_driver::simulate(
-                    &scenario,
-                    &HybridConfig::paper(k, alpha),
-                    &params,
-                )
-                .total_prioritized_cost
-            })
-            .collect();
+        let one_run = RunScale {
+            replications: 1,
+            ..*scale
+        };
+        let statics = grid_run(ks.clone(), &one_run, |&k| {
+            (scenario_for(theta, 5.0), HybridConfig::paper(k, alpha))
+        });
+        let costs: Vec<f64> = statics.iter().map(|(_, r)| r.total_cost).collect();
         static_best.push(costs.iter().copied().fold(f64::INFINITY, f64::min));
         static_worst.push(costs.iter().copied().fold(f64::NEG_INFINITY, f64::max));
     }
@@ -480,10 +477,12 @@ pub fn drift_tracking(shifts: &[usize], scale: &RunScale) -> FigureData {
 /// per-attempt uplink success probability; series show pull-request loss
 /// and the delay penalty of retry latency.
 pub fn uplink_stress(probs: &[f64], k: usize, scale: &RunScale) -> FigureData {
+    use hybridcast_core::experiment::evaluate;
+    use hybridcast_core::metrics::SimReport;
     use hybridcast_core::sim_driver::simulate;
     use hybridcast_core::uplink::UplinkConfig;
-    let scenario = scenario_for(0.6, 5.0);
-    let results = grid_run(probs.to_vec(), |&p| {
+    let scenario = scenario_for(0.6, 5.0).build();
+    let run = |&p: &f64, r| {
         let hybrid = HybridConfig {
             uplink: (p < 1.0).then_some(UplinkConfig {
                 slot_time: 0.5,
@@ -493,31 +492,23 @@ pub fn uplink_stress(probs: &[f64], k: usize, scale: &RunScale) -> FigureData {
             }),
             ..HybridConfig::paper(k, 0.25)
         };
-        averaged_run(&scenario, &hybrid, scale)
-    });
-    // uplink loss needs the raw reports; re-run one replication for counts
-    let loss: Vec<f64> = probs
-        .iter()
-        .map(|&p| {
-            let hybrid = HybridConfig {
-                uplink: (p < 1.0).then_some(UplinkConfig {
-                    slot_time: 0.5,
-                    success_prob: p,
-                    max_attempts: 4,
-                    backoff_slots: 2.0,
-                }),
-                ..HybridConfig::paper(k, 0.25)
-            };
-            let r = simulate(&scenario.build(), &hybrid, &scale.params(0));
-            let lost: u64 = r.uplink_lost.iter().sum();
-            let generated: u64 = r.per_class.iter().map(|c| c.generated).sum();
-            if generated == 0 {
-                0.0
-            } else {
-                lost as f64 / generated as f64
-            }
-        })
-        .collect();
+        simulate(&scenario, &hybrid, &scale.params(r))
+    };
+    // The averaged figures, plus the uplink loss of replication 0.
+    let reduce = |_: &f64, reports: Vec<SimReport>| {
+        let lost: u64 = reports[0].uplink_lost.iter().sum();
+        let generated: u64 = reports[0].per_class.iter().map(|c| c.generated).sum();
+        let loss = if generated == 0 {
+            0.0
+        } else {
+            lost as f64 / generated as f64
+        };
+        (AveragedReport::from_reports(&reports), loss)
+    };
+    let (results, loss): (Vec<AveragedReport>, Vec<f64>) =
+        evaluate(probs, scale.replications, run, reduce)
+            .into_iter()
+            .unzip();
     let xs: Vec<f64> = probs.to_vec();
     FigureData {
         id: "uplink".into(),
@@ -528,12 +519,12 @@ pub fn uplink_stress(probs: &[f64], k: usize, scale: &RunScale) -> FigureData {
             Series::new(
                 "overall delay",
                 xs.clone(),
-                results.iter().map(|(_, r)| r.overall_delay).collect(),
+                results.iter().map(|r| r.overall_delay).collect(),
             ),
             Series::new(
                 "Class-A delay",
                 xs.clone(),
-                results.iter().map(|(_, r)| r.per_class_delay[0]).collect(),
+                results.iter().map(|r| r.per_class_delay[0]).collect(),
             ),
             Series::new("uplink loss fraction", xs, loss),
         ],
@@ -611,11 +602,10 @@ pub fn policy_shootout(theta: f64, k: usize, alpha: f64, scale: &RunScale) -> Fi
     });
     let labels: Vec<String> = kinds.iter().map(|p| format!("{p:?}")).collect();
     let scenario = ScenarioConfig::icpp2005(theta);
-    let results = grid_run(kinds.clone(), |kind| {
-        averaged_run(
-            &scenario,
-            &HybridConfig::paper(k, alpha).with_pull(*kind),
-            scale,
+    let results = grid_run(kinds.clone(), scale, |kind| {
+        (
+            scenario.clone(),
+            HybridConfig::paper(k, alpha).with_pull(*kind),
         )
     });
     let xs: Vec<f64> = (0..results.len()).map(|i| i as f64).collect();
@@ -692,12 +682,12 @@ pub fn channel_ablation(ks: &[usize], scale: &RunScale) -> FigureData {
     ];
     let mut series = Vec::new();
     for (label, layout) in layouts {
-        let results = grid_run(ks.to_vec(), |&k| {
+        let results = grid_run(ks.to_vec(), scale, |&k| {
             let hybrid = HybridConfig {
                 channels: layout,
                 ..HybridConfig::paper(k, 0.25)
             };
-            averaged_run(&scenario, &hybrid, scale)
+            (scenario.clone(), hybrid)
         });
         series.push(Series::new(
             label,
@@ -748,14 +738,13 @@ pub fn channel_ablation(ks: &[usize], scale: &RunScale) -> FigureData {
 pub fn stretch_ablation(theta: f64, k: usize, scale: &RunScale) -> FigureData {
     let exponents = [0.5, 1.0, 1.5, 2.0, 3.0];
     let scenario = ScenarioConfig::icpp2005(theta);
-    let results = grid_run(exponents.to_vec(), |&exponent| {
-        averaged_run(
-            &scenario,
-            &HybridConfig::paper(k, 0.5).with_pull(PullPolicyKind::Importance {
+    let results = grid_run(exponents.to_vec(), scale, |&exponent| {
+        (
+            scenario.clone(),
+            HybridConfig::paper(k, 0.5).with_pull(PullPolicyKind::Importance {
                 alpha: 0.5,
                 exponent,
             }),
-            scale,
         )
     });
     let xs: Vec<f64> = exponents.to_vec();
@@ -795,12 +784,12 @@ pub fn push_ablation(theta: f64, ks: &[usize], scale: &RunScale) -> FigureData {
     let scenario = ScenarioConfig::icpp2005(theta);
     let mut series = Vec::new();
     for (label, kind) in kinds {
-        let results = grid_run(ks.to_vec(), |&k| {
+        let results = grid_run(ks.to_vec(), scale, |&k| {
             let hybrid = HybridConfig {
                 push: kind,
                 ..HybridConfig::paper(k, 0.5)
             };
-            averaged_run(&scenario, &hybrid, scale)
+            (scenario.clone(), hybrid)
         });
         series.push(Series::new(
             label,

@@ -44,6 +44,7 @@
 //! `quick` or single-core run records the honest measurements and reports
 //! the gate as skipped.
 
+use hybridcast_core::experiment::{evaluate, rank};
 use hybridcast_core::prelude::{
     AdaptiveConfig, ControllerConfig, FaultSpec, HybridConfig, NullSink, PlantedControllerBugs,
     SimParams, Simulation, SloConfig,
@@ -157,21 +158,12 @@ fn static_score(
 }
 
 /// Offline grid search minimizing the backlog-aware score on a stationary
-/// scenario; returns `(best_k, best_score)`.
-fn offline_best_k(
-    cfg: &ScenarioConfig,
-    grid: &[usize],
-    params: &SimParams,
-    alpha: f64,
-) -> (usize, f64) {
+/// scenario; returns the best `K`.
+fn offline_best_k(cfg: &ScenarioConfig, grid: &[usize], params: &SimParams, alpha: f64) -> usize {
     let scenario = cfg.build();
-    grid.iter()
-        .map(|&k| {
-            let s = static_score(&scenario, &HybridConfig::paper(k, alpha), params, &[]);
-            (k, s)
-        })
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("scores are finite"))
-        .expect("grid is non-empty")
+    let run = |&k: &usize, _| static_score(&scenario, &HybridConfig::paper(k, alpha), params, &[]);
+    let scores = evaluate(grid, 1, run, |_, mut runs| runs.remove(0));
+    grid[rank(&scores)[0]]
 }
 
 /// Runs the gate.
@@ -215,7 +207,7 @@ pub fn run(host: &Host) -> Report {
         let regimes = spec.ns.regimes(&base_cfg, horizon);
         let regime_ks: Vec<usize> = regimes
             .iter()
-            .map(|r| offline_best_k(&r.scenario, &grid, &offline_params, alpha).0)
+            .map(|r| offline_best_k(&r.scenario, &grid, &offline_params, alpha))
             .collect();
         let k_static = regime_ks[0];
         let hybrid = HybridConfig::paper(k_static, alpha);
@@ -329,13 +321,14 @@ pub fn run(host: &Host) -> Report {
     let replay_score =
         |k: usize| backlog_aware_cost(&replay(&HybridConfig::paper(k, alpha), None).report);
     let coarse: Vec<usize> = vec![0, 5, 10, 15, 25, 50, 100];
-    let (mut best_trace_k, mut best_trace_cost) = (0usize, f64::INFINITY);
-    for &k in &coarse {
-        let cost = replay_score(k);
-        if cost < best_trace_cost {
-            (best_trace_k, best_trace_cost) = (k, cost);
-        }
-    }
+    let coarse_costs = evaluate(
+        &coarse,
+        1,
+        |&k, _| replay_score(k),
+        |_, mut runs| runs.remove(0),
+    );
+    let best = rank(&coarse_costs)[0];
+    let (best_trace_k, best_trace_cost) = (coarse[best], coarse_costs[best]);
     // Static K for the trace: the pre-crowd regime's offline optimum,
     // re-swept on this seed's stationary base for honesty.
     let trace_static_k = offline_best_k(
@@ -347,8 +340,7 @@ pub fn run(host: &Host) -> Report {
         &grid,
         &offline_params,
         alpha,
-    )
-    .0;
+    );
     let trace_hybrid = HybridConfig::paper(trace_static_k, alpha);
     let trace_static_cost = replay_score(trace_static_k);
     let trace_out = replay(&trace_hybrid, Some(&adaptive_config()));

@@ -1,7 +1,7 @@
 //! Replication-engine and parallel-sweep benchmark: wall-clock scaling of
-//! `run_replicated` vs its sequential fold, and of the parallel cutoff
-//! sweep vs the serial path — with the aggregation equivalences checked
-//! in-process.
+//! `run_replicated` and of the parallel cutoff sweep against plain
+//! in-order loops over the same runs — with the aggregation equivalences
+//! checked in-process.
 //!
 //! ```text
 //! cargo run --release -p hybridcast-bench --bin bench -- replication_sweep [quick]
@@ -11,10 +11,11 @@
 //!
 //! * `replication_rows` — for each `R ∈ {1, 2, 4, 8}`: serial and parallel
 //!   wall-clock, speedup, and whether the parallel reduction was
-//!   bit-identical to the sequential fold (it must be — order-preserving
+//!   bit-identical to the in-order loop's (it must be — order-preserving
 //!   collect + fixed-order reduce);
-//! * `sweep` — serial vs parallel grid sweep over `K ∈ {10, …, 90}` on the
-//!   icpp2005 scenario: wall-clock, speedup, `best_k` agreement;
+//! * `sweep` — the in-order loop vs the parallel grid sweep over
+//!   `K ∈ {10, …, 90}` on the icpp2005 scenario: wall-clock, speedup,
+//!   `best_k` agreement;
 //! * the speedup acceptance gate (≥ 4× at `R = 8`) is only enforced where
 //!   the hardware can express it (full mode, ≥ 4 cores); a smaller host
 //!   records its honest ≈1× and reports the gate as skipped.
@@ -22,13 +23,22 @@
 use std::time::Instant;
 
 use hybridcast_core::config::HybridConfig;
-use hybridcast_core::cutoff::{CutoffOptimizer, Objective};
-use hybridcast_core::experiment::{run_replicated, run_replicated_serial};
-use hybridcast_core::sim_driver::SimParams;
-use hybridcast_workload::scenario::ScenarioConfig;
+use hybridcast_core::cutoff::{CutoffOptimizer, CutoffPoint, CutoffSweep, Objective};
+use hybridcast_core::experiment::{rank, run_replicated, ReplicatedReport};
+use hybridcast_core::metrics::SimReport;
+use hybridcast_core::sim_driver::{simulate, SimParams};
+use hybridcast_workload::scenario::{Scenario, ScenarioConfig};
 use serde_json::json;
 
 use crate::report::{Host, Needs, Report};
+
+/// The in-order reference: replications `base, …, base + r − 1` of `cfg`,
+/// one after another on this thread.
+fn in_order(scenario: &Scenario, cfg: &HybridConfig, params: &SimParams, r: u64) -> Vec<SimReport> {
+    let base = params.replication;
+    let run = |i| simulate(scenario, cfg, &params.with_replication(base + i));
+    (0..r).map(run).collect()
+}
 
 /// Runs the gate.
 pub fn run(host: &Host) -> Report {
@@ -42,7 +52,7 @@ pub fn run(host: &Host) -> Report {
     let cfg = HybridConfig::paper(40, 0.5);
 
     println!("# BENCH_experiments — parallel replication & sweep engine ({host})\n");
-    println!("## run_replicated: parallel fan-out vs sequential fold\n");
+    println!("## run_replicated: parallel fan-out vs the in-order loop\n");
     println!("| R | serial ms | parallel ms | speedup | bit-identical |");
     println!("|---|-----------|-------------|---------|---------------|");
 
@@ -54,7 +64,7 @@ pub fn run(host: &Host) -> Report {
         // poison the first measurement.
         let _ = run_replicated(&scenario, &cfg, &params, r);
         let t0 = Instant::now();
-        let serial = run_replicated_serial(&scenario, &cfg, &params, r);
+        let serial = ReplicatedReport::from_reports(&in_order(&scenario, &cfg, &params, r));
         let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
         let t1 = Instant::now();
         let parallel = run_replicated(&scenario, &cfg, &params, r);
@@ -80,12 +90,24 @@ pub fn run(host: &Host) -> Report {
         }));
     }
 
-    println!("\n## cutoff sweep: parallel grid vs serial\n");
+    println!("\n## cutoff sweep: parallel grid vs the in-order loop\n");
     let ks: Vec<usize> = (10..=90).step_by(10).collect();
-    let opt = CutoffOptimizer::new(Objective::TotalPrioritizedCost, params);
+    let objective = Objective::TotalPrioritizedCost;
+    let opt = CutoffOptimizer::new(objective, params);
     let _ = opt.sweep(&scenario, &cfg, ks.clone());
     let t0 = Instant::now();
-    let serial_sweep = opt.sweep_serial(&scenario, &cfg, ks.clone());
+    let mut points = Vec::new();
+    for &k in &ks {
+        let reports = in_order(&scenario, &cfg.with_cutoff(k), &params, 1);
+        points.push(CutoffPoint::from_reports(objective, k, &reports));
+    }
+    let best_index = rank(&points.iter().map(|p| p.objective).collect::<Vec<_>>())[0];
+    let serial_sweep = CutoffSweep {
+        objective,
+        replications: 1,
+        best_index,
+        points,
+    };
     let sweep_serial_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = Instant::now();
     let parallel_sweep = opt.sweep(&scenario, &cfg, ks.clone());

@@ -1,5 +1,5 @@
 //! What-if sweep benchmark: the trace-driven counterfactual grid fanned
-//! out over rayon, gated on the determinism contract.
+//! out through core's evaluator, gated on the determinism contract.
 //!
 //! ```text
 //! cargo run --release -p hybridcast-bench --bin bench -- whatif_sweep [quick]
@@ -9,13 +9,13 @@
 //! popularity skewed toward low item ids) is swept under a cutoff ×
 //! channels × assignment grid three ways, and the runs must agree:
 //!
-//! * **serial** — [`run_whatif`]'s in-order evaluation, run **twice**:
-//!   the same trace under the same grid must produce string-equal
-//!   reports (the replay-twice gate);
-//! * **parallel** — the same grid points evaluated under rayon with an
-//!   order-preserving collect, which must serialize bit-identically to
-//!   the serial points (the same aggregation equivalence
-//!   `replication_sweep` enforces for the replication engine);
+//! * **parallel** — [`run_whatif`], which fans the grid out across
+//!   threads, run **twice**: the same trace under the same grid must
+//!   produce string-equal reports (the replay-twice gate);
+//! * **serial** — a plain in-order loop of [`evaluate_point`] over the
+//!   same grid points, which the parallel points must serialize
+//!   bit-identically to (the same reference check `replication_sweep`
+//!   makes for the replication engine);
 //! * **oracle** — the recommended config, re-replayed standalone, must
 //!   reproduce its reported books bit-for-bit.
 //!
@@ -30,7 +30,6 @@ use hybridcast_core::config::{AssignmentStrategy, HybridConfig};
 use hybridcast_ops::trace::{Trace, TraceMeta, TraceRecord, VERSION};
 use hybridcast_ops::whatif::{evaluate_point, run_whatif, WhatIfGrid};
 use hybridcast_workload::scenario::{Scenario, ScenarioConfig};
-use rayon::prelude::*;
 use serde_json::json;
 
 use crate::report::{Host, Needs, Report};
@@ -107,26 +106,26 @@ pub fn run(host: &Host) -> Report {
         records
     );
 
-    // Serial leg, twice: the replay-twice gate.
+    // Serial leg: the in-order reference, one point after another.
     let t0 = Instant::now();
-    let first = run_whatif(&scenario, &base, &trace, &grid, false).expect("clean trace");
+    let mut serial_points = Vec::new();
+    for spec in &specs {
+        if let Ok(point) = evaluate_point(&scenario, &base, &trace, spec) {
+            serial_points.push(point);
+        }
+    }
     let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
+
+    // Parallel leg, twice: the replay-twice gate, and the parallel points
+    // must serialize bit-identically to the serial ones.
+    let t1 = Instant::now();
+    let first = run_whatif(&scenario, &base, &trace, &grid, false).expect("clean trace");
+    let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
     let second = run_whatif(&scenario, &base, &trace, &grid, false).expect("clean trace");
     let first_json = serde_json::to_string(&first).expect("report serializes");
     let replay_twice_identical = first_json == serde_json::to_string(&second).expect("serializes");
-
-    // Parallel leg: rayon fan-out with an order-preserving collect must
-    // serialize bit-identically to the serial points.
-    let t1 = Instant::now();
-    let parallel: Vec<_> = specs
-        .clone()
-        .into_par_iter()
-        .map(|spec| evaluate_point(&scenario, &base, &trace, &spec))
-        .collect();
-    let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let parallel_points: Vec<_> = parallel.into_iter().filter_map(Result::ok).collect();
-    let parallel_identical = serde_json::to_string(&parallel_points).expect("serializes")
-        == serde_json::to_string(&first.points).expect("serializes");
+    let parallel_identical = serde_json::to_string(&first.points).expect("serializes")
+        == serde_json::to_string(&serial_points).expect("serializes");
     let speedup = serial_ms / parallel_ms;
 
     // Oracle: the recommendation, re-replayed standalone, reproduces its

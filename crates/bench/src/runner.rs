@@ -1,12 +1,13 @@
-//! Replication-averaged simulation runs, parallelized with rayon.
+//! Replication-averaged simulation runs over a grid of configurations,
+//! fanned out through core's one evaluator.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use hybridcast_core::config::HybridConfig;
-use hybridcast_core::metrics::SimReport;
+use hybridcast_core::experiment::evaluate;
+use hybridcast_core::metrics::{ClassReport, SimReport};
 use hybridcast_core::sim_driver::simulate;
-use hybridcast_workload::scenario::ScenarioConfig;
+use hybridcast_workload::scenario::{Scenario, ScenarioConfig};
 
 use crate::scale::RunScale;
 
@@ -14,11 +15,13 @@ use crate::scale::RunScale;
 /// (scenario, scheduler) configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AveragedReport {
-    /// Mean access delay per class (broadcast units), class A first.
+    /// Mean access delay per class (broadcast units), class A first; NaN,
+    /// never 0, when a replication's class served nothing.
     pub per_class_delay: Vec<f64>,
     /// Mean *pull-only* delay per class.
     pub per_class_pull_delay: Vec<f64>,
-    /// Prioritized cost `q_c·E[delay_c]` per class.
+    /// Prioritized cost `q_c·E[delay_c]` per class; NaN, never 0, when a
+    /// replication's class served nothing.
     pub per_class_cost: Vec<f64>,
     /// Blocking probability per class.
     pub per_class_blocking: Vec<f64>,
@@ -40,81 +43,86 @@ pub struct AveragedReport {
 }
 
 impl AveragedReport {
-    fn from_reports(reports: &[SimReport]) -> Self {
+    /// Averages one configuration's per-replication reports (in
+    /// replication order).
+    pub fn from_reports(reports: &[SimReport]) -> Self {
         assert!(!reports.is_empty());
         let n = reports.len() as f64;
-        let classes = reports[0].per_class.len();
-        let mut out = AveragedReport {
-            per_class_delay: vec![0.0; classes],
-            per_class_pull_delay: vec![0.0; classes],
-            per_class_cost: vec![0.0; classes],
-            per_class_blocking: vec![0.0; classes],
-            total_cost: 0.0,
-            overall_delay: 0.0,
-            mean_queue_items: 0.0,
-            per_class_p95: vec![0.0; classes],
-            overall_delay_ci95: 0.0,
-            replications: reports.len() as u64,
+        let mean = |value: &dyn Fn(&SimReport) -> f64| {
+            reports.iter().fold(0.0, |sum, r| sum + value(r) / n)
         };
+        let per_class = |value: &dyn Fn(&ClassReport) -> f64| -> Vec<f64> {
+            let classes = 0..reports[0].per_class.len();
+            classes.map(|c| mean(&|r| value(&r.per_class[c]))).collect()
+        };
+        // A class that served nothing has no delay: NaN, never 0.
+        let served =
+            |cls: &ClassReport, value: f64| if cls.delay.count > 0 { value } else { f64::NAN };
         let mut overall = hybridcast_sim::stats::Welford::new();
         for r in reports {
-            for (c, cls) in r.per_class.iter().enumerate() {
-                out.per_class_delay[c] += cls.delay.mean / n;
-                out.per_class_pull_delay[c] += cls.pull_delay.mean / n;
-                out.per_class_cost[c] += cls.prioritized_cost / n;
-                out.per_class_blocking[c] += cls.blocking_probability / n;
-                out.per_class_p95[c] += cls.delay_p95.unwrap_or(f64::NAN) / n;
-            }
-            out.total_cost += r.total_prioritized_cost / n;
-            out.overall_delay += r.overall_delay.mean / n;
-            out.mean_queue_items += r.mean_queue_items / n;
             overall.push(r.overall_delay.mean);
         }
-        out.overall_delay_ci95 = overall.ci95_halfwidth();
-        out
+        AveragedReport {
+            per_class_delay: per_class(&|cls| served(cls, cls.delay.mean)),
+            per_class_pull_delay: per_class(&|cls| cls.pull_delay.mean),
+            per_class_cost: per_class(&|cls| served(cls, cls.prioritized_cost)),
+            per_class_blocking: per_class(&|cls| cls.blocking_probability),
+            total_cost: mean(&|r| r.total_prioritized_cost),
+            overall_delay: mean(&|r| r.overall_delay.mean),
+            mean_queue_items: mean(&|r| r.mean_queue_items),
+            per_class_p95: per_class(&|cls| cls.delay_p95.unwrap_or(f64::NAN)),
+            overall_delay_ci95: overall.ci95_halfwidth(),
+            replications: reports.len() as u64,
+        }
     }
 }
 
-/// Simulates `hybrid` over `scenario` for `scale.replications` independent
-/// replications (in parallel) and averages the reports.
-pub fn averaged_run(
-    scenario: &ScenarioConfig,
-    hybrid: &HybridConfig,
-    scale: &RunScale,
-) -> AveragedReport {
-    let built = scenario.build();
-    let reports: Vec<SimReport> = (0..scale.replications)
-        .into_par_iter()
-        .map(|r| simulate(&built, hybrid, &scale.params(r)))
-        .collect();
-    AveragedReport::from_reports(&reports)
-}
-
-/// Runs a whole grid of configurations in parallel, preserving input order.
-pub fn grid_run<T: Send>(
+/// Simulates every cell's `(scenario, hybrid)` configuration for
+/// `scale.replications` independent replications — every (cell,
+/// replication) run through one [`evaluate`] — and averages each cell's
+/// reports, preserving input order.
+pub fn grid_run<T>(
     cells: Vec<T>,
-    f: impl Fn(&T) -> AveragedReport + Sync,
+    scale: &RunScale,
+    config: impl Fn(&T) -> (ScenarioConfig, HybridConfig),
 ) -> Vec<(T, AveragedReport)> {
-    cells
-        .into_par_iter()
+    let configs: Vec<(Scenario, HybridConfig)> = cells
+        .iter()
         .map(|cell| {
-            let rep = f(&cell);
-            (cell, rep)
+            let (scenario, hybrid) = config(cell);
+            (scenario.build(), hybrid)
         })
-        .collect()
+        .collect();
+    let run = |(scenario, hybrid): &(Scenario, HybridConfig), r| {
+        simulate(scenario, hybrid, &scale.params(r))
+    };
+    let reduce = |_: &_, reports: Vec<SimReport>| AveragedReport::from_reports(&reports);
+    let reports = evaluate(&configs, scale.replications, run, reduce);
+    cells.into_iter().zip(reports).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One configuration's replication-averaged report.
+    fn averaged(
+        scenario: &ScenarioConfig,
+        hybrid: &HybridConfig,
+        scale: &RunScale,
+    ) -> AveragedReport {
+        grid_run(vec![()], scale, |_| (scenario.clone(), hybrid.clone()))
+            .remove(0)
+            .1
+    }
+
     #[test]
-    fn averaged_run_is_deterministic() {
+    fn grid_run_is_deterministic() {
         let scenario = ScenarioConfig::icpp2005(0.6);
         let hybrid = HybridConfig::paper(40, 0.5);
         let scale = RunScale::quick();
-        let a = averaged_run(&scenario, &hybrid, &scale);
-        let b = averaged_run(&scenario, &hybrid, &scale);
+        let a = averaged(&scenario, &hybrid, &scale);
+        let b = averaged(&scenario, &hybrid, &scale);
         assert_eq!(a, b);
         assert_eq!(a.replications, 1);
         assert!(a.overall_delay > 0.0);
@@ -129,7 +137,7 @@ mod tests {
             replications: 2,
             ..RunScale::quick()
         };
-        let r = averaged_run(&scenario, &hybrid, &scale);
+        let r = averaged(&scenario, &hybrid, &scale);
         assert_eq!(r.replications, 2);
         // cost must equal Σ q_c·delay_c of the averaged values
         let manual: f64 = [3.0, 2.0, 1.0]
@@ -148,12 +156,12 @@ mod tests {
             replications: 3,
             ..RunScale::quick()
         };
-        let r = averaged_run(&scenario, &hybrid, &scale);
+        let r = averaged(&scenario, &hybrid, &scale);
         assert!(r.overall_delay_ci95 > 0.0);
         for c in 0..3 {
             assert!(r.per_class_p95[c] >= r.per_class_delay[c] * 0.5);
         }
-        let single = averaged_run(&scenario, &hybrid, &RunScale::quick());
+        let single = averaged(&scenario, &hybrid, &RunScale::quick());
         assert_eq!(single.overall_delay_ci95, 0.0);
     }
 
@@ -161,23 +169,46 @@ mod tests {
     fn a_class_that_served_nothing_averages_to_nan_not_zero() {
         let mut starved = HybridConfig::paper(0, 0.5);
         starved.bandwidth = hybridcast_core::bandwidth::BandwidthConfig::per_class(0.9, 2.0);
-        let r = averaged_run(&ScenarioConfig::icpp2005(0.6), &starved, &RunScale::quick());
-        assert!(
-            r.per_class_p95.iter().all(|p| p.is_nan()),
-            "{:?}",
-            r.per_class_p95
-        );
+        let scale = RunScale {
+            replications: 2,
+            ..RunScale::quick()
+        };
+        let r = averaged(&ScenarioConfig::icpp2005(0.6), &starved, &scale);
+        for (what, values) in [
+            ("per_class_p95", &r.per_class_p95),
+            ("per_class_delay", &r.per_class_delay),
+            ("per_class_cost", &r.per_class_cost),
+        ] {
+            assert!(values.iter().all(|v| v.is_nan()), "{what}: {values:?}");
+        }
     }
 
+    /// The evaluator against the nested in-order loop: every cell, every
+    /// replication, one after another on this thread.
     #[test]
     fn grid_preserves_order() {
         let scenario = ScenarioConfig::icpp2005(0.6);
-        let scale = RunScale::quick();
-        let ks = vec![20usize, 60];
-        let results = grid_run(ks, |&k| {
-            averaged_run(&scenario, &HybridConfig::paper(k, 0.5), &scale)
+        let scale = RunScale {
+            replications: 2,
+            ..RunScale::quick()
+        };
+        let ks = vec![20usize, 60, 40];
+        let results = grid_run(ks.clone(), &scale, |&k| {
+            (scenario.clone(), HybridConfig::paper(k, 0.5))
         });
-        assert_eq!(results[0].0, 20);
-        assert_eq!(results[1].0, 60);
+        let built = scenario.build();
+        let mut reference = Vec::new();
+        for &k in &ks {
+            let mut reports = Vec::new();
+            for r in 0..scale.replications {
+                reports.push(simulate(
+                    &built,
+                    &HybridConfig::paper(k, 0.5),
+                    &scale.params(r),
+                ));
+            }
+            reference.push((k, AveragedReport::from_reports(&reports)));
+        }
+        assert_eq!(results, reference);
     }
 }

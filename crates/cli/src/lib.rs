@@ -137,6 +137,18 @@ impl ExperimentConfig {
         Ok(())
     }
 
+    /// The `optimize`/`model` cutoff grid is non-empty and inside the
+    /// catalog: a typed error naming `optimize_ks`, not a sweep panic.
+    pub fn validate_grid(&self) -> Result<(), String> {
+        let (ks, items) = (self.ks(), self.scenario.num_items);
+        match ks.iter().find(|&&k| k > items) {
+            _ if ks.is_empty() => Err("the cutoff grid needs at least one K".to_string()),
+            Some(k) => Err(format!("cutoff {k} exceeds catalog size {items}")),
+            None => Ok(()),
+        }
+        .map_err(|e| format!("invalid config: optimize_ks: {e}"))
+    }
+
     /// Renders the config as pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("config serializes")

@@ -547,6 +547,9 @@ fn run() -> Result<(), String> {
         let adaptive_run = cmd == "adaptive" || (cmd == "simulate" && adaptive);
         cfg.validate_run(adaptive_run, cmd == "churn")?;
     }
+    if matches!(cmd, "optimize" | "model") {
+        cfg.validate_grid()?;
+    }
     match cmd {
         "simulate" | "adaptive" if adaptive => {
             let out = run_adaptive(&cfg);

@@ -249,6 +249,39 @@ fn candidate_cutoffs_beyond_the_catalog_are_an_invalid_config() {
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
+/// The `optimize` grid is checked where the config enters: a cutoff past
+/// the catalog, or no cutoff at all, is exit 1 naming `optimize_ks` —
+/// not a panic inside a sweep worker (exit 101).
+#[test]
+fn optimize_ks_beyond_the_catalog_is_an_invalid_config() {
+    let mut cfg: serde_json::Value = serde_json::from_str(&quick_config()).unwrap();
+    cfg["optimize_ks"] = serde_json::json!([20, 200]);
+    let out = output_with_stdin(&["optimize", "-"], &cfg.to_string(), &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("invalid config: optimize_ks: cutoff 200 exceeds catalog size 100"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn empty_optimize_ks_is_an_invalid_config() {
+    let mut cfg: serde_json::Value = serde_json::from_str(&quick_config()).unwrap();
+    cfg["optimize_ks"] = serde_json::json!([]);
+    let out = output_with_stdin(&["optimize", "-"], &cfg.to_string(), &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("invalid config: optimize_ks: the cutoff grid needs at least one K"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty());
+}
+
 /// A split layout needs a pull channel: the config check names the field
 /// as the config enters, before any run starts.
 #[test]

@@ -1,4 +1,4 @@
-//! Online cutoff control from measured feedback (ROADMAP item 4).
+//! Online cutoff control from measured feedback.
 //!
 //! The paper retunes the cutoff `K` by re-running its analytic model over
 //! the last window's popularity estimate — an *open-loop* controller that

@@ -3,8 +3,8 @@
 //! "Periodically the algorithm is executed for different cutoff-points and
 //! obtains the optimal cutoff-point which minimizes the overall access time"
 //! (§3). [`CutoffOptimizer`] sweeps `K` over a grid, simulates each value
-//! (fanning the grid across threads; each point optionally averaged over
-//! independent replications), and picks the argmin of a configurable
+//! through [`crate::experiment::evaluate`] (each point optionally averaged
+//! over independent replications), and picks the argmin of a configurable
 //! objective — the paper's headline objective is the **total prioritized
 //! cost** `Σ_c q_c·E[delay_c]` (§5.3).
 //!
@@ -12,18 +12,19 @@
 //! not a free lunch — it is an unmeasurable configuration. The empty
 //! [`hybridcast_sim::stats::Welford`] reports a mean of `0.0`, which
 //! silently wins any argmin; [`Objective::evaluate`] therefore maps
-//! zero-served reports to `+∞`, and the argmin orders non-finite values
-//! last via `total_cmp` instead of panicking.
+//! zero-served reports to `+∞`, and the argmin
+//! ([`crate::experiment::rank`]) orders non-finite values last via
+//! `total_cmp` instead of panicking.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use hybridcast_workload::scenario::Scenario;
 
 use crate::config::HybridConfig;
+use crate::experiment::{evaluate, rank};
 use crate::metrics::SimReport;
 use crate::sim_driver::{simulate, SimParams};
-use hybridcast_sim::stats::Welford;
+use hybridcast_sim::stats::{SummaryStats, Welford};
 
 /// What the sweep minimizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,39 +47,36 @@ impl Objective {
     /// perfect delay, and must never win the argmin.
     pub fn evaluate(&self, report: &SimReport) -> f64 {
         match self {
-            Objective::TotalPrioritizedCost => {
-                // The sum silently drops any class with no completions —
-                // a zero-served class makes the total incomparable.
-                if report.per_class.iter().any(|c| c.delay.count == 0) {
-                    f64::INFINITY
-                } else {
-                    report.total_prioritized_cost
-                }
-            }
-            Objective::MeanDelay => {
-                if report.overall_delay.count == 0 {
-                    f64::INFINITY
-                } else {
-                    report.overall_delay.mean
-                }
-            }
-            Objective::PremiumDelay => {
-                let premium = &report.per_class[0];
-                if premium.delay.count == 0 {
-                    f64::INFINITY
-                } else {
-                    premium.delay.mean
-                }
-            }
+            Objective::TotalPrioritizedCost => total_cost(report),
+            Objective::MeanDelay => measured(&report.overall_delay),
+            Objective::PremiumDelay => measured(&report.per_class[0].delay),
         }
+        .unwrap_or(f64::INFINITY)
     }
+}
+
+/// The mean of `s`, or `None` when it counted nothing: an empty
+/// accumulator's `0.0` mean is an absence of evidence, not a perfect delay.
+fn measured(s: &SummaryStats) -> Option<f64> {
+    (s.count > 0).then_some(s.mean)
+}
+
+/// `Σ_c q_c × E[delay_c]`, or `None` when any class served nothing: the
+/// sum silently drops a class with no completions, which makes the total
+/// incomparable.
+fn total_cost(report: &SimReport) -> Option<f64> {
+    let every_class = report.per_class.iter().all(|c| c.delay.count > 0);
+    every_class.then_some(report.total_prioritized_cost)
 }
 
 /// One evaluated cutoff: the objective plus a compact per-K summary.
 ///
-/// Deliberately does *not* retain the full [`SimReport`] — a sweep over a
-/// large grid (each point possibly replicated) would otherwise hold every
-/// per-class histogram and quantile estimator of every run alive at once.
+/// Deliberately does *not* retain the full [`SimReport`] — a sweep keeps
+/// only these scalars per point, so the finished curve stays cheap to
+/// hold and serialize however large the grid.
+///
+/// A delay that some replication did not measure is `None` (`null` in
+/// JSON), never `0.0` — the rule that makes [`Objective::evaluate`] `+∞`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CutoffPoint {
     /// The cutoff `K`.
@@ -90,11 +88,11 @@ pub struct CutoffPoint {
     /// single replication or a non-finite objective).
     pub objective_ci95: f64,
     /// `Σ_c q_c × E[delay_c]`, averaged across replications.
-    pub total_prioritized_cost: f64,
+    pub total_prioritized_cost: Option<f64>,
     /// Overall mean access delay, averaged across replications.
-    pub overall_delay: f64,
+    pub overall_delay: Option<f64>,
     /// Per-class mean access delay, averaged across replications.
-    pub per_class_delay: Vec<f64>,
+    pub per_class_delay: Vec<Option<f64>>,
     /// Per-class blocking probability, averaged across replications.
     pub per_class_blocking: Vec<f64>,
     /// Requests served, summed across replications.
@@ -106,46 +104,48 @@ pub struct CutoffPoint {
 impl CutoffPoint {
     /// Reduces the per-replication reports for one `K` (in replication
     /// order) into a point.
-    fn from_reports(objective: Objective, k: usize, reports: &[SimReport]) -> Self {
-        assert!(!reports.is_empty());
+    ///
+    /// # Panics
+    /// Panics if `reports` is empty.
+    pub fn from_reports(objective: Objective, k: usize, reports: &[SimReport]) -> Self {
+        assert!(!reports.is_empty(), "need at least one replication");
         let n = reports.len() as f64;
-        let classes = reports[0].per_class.len();
-        let mut obj = Welford::new();
-        let mut unmeasurable = false;
-        let mut point = CutoffPoint {
-            k,
-            objective: 0.0,
-            objective_ci95: 0.0,
-            total_prioritized_cost: 0.0,
-            overall_delay: 0.0,
-            per_class_delay: vec![0.0; classes],
-            per_class_blocking: vec![0.0; classes],
-            served: 0,
-            blocked: 0,
+        // The mean over the runs of a per-run value, `None` when any run
+        // did not measure it.
+        let mean = |value: &dyn Fn(&SimReport) -> Option<f64>| {
+            reports
+                .iter()
+                .try_fold(0.0, |sum, r| Some(sum + value(r)? / n))
         };
-        for r in reports {
-            let value = objective.evaluate(r);
-            if value.is_finite() {
-                obj.push(value);
-            } else {
-                unmeasurable = true;
-            }
-            point.total_prioritized_cost += r.total_prioritized_cost / n;
-            point.overall_delay += r.overall_delay.mean / n;
-            for (c, cls) in r.per_class.iter().enumerate() {
-                point.per_class_delay[c] += cls.delay.mean / n;
-                point.per_class_blocking[c] += cls.blocking_probability / n;
-            }
-            point.served += r.total_served();
-            point.blocked += r.total_blocked();
-        }
-        if unmeasurable {
-            point.objective = f64::INFINITY;
+        let values: Vec<f64> = reports.iter().map(|r| objective.evaluate(r)).collect();
+        let (objective, objective_ci95) = if values.iter().all(|v| v.is_finite()) {
+            let mut obj = Welford::new();
+            values.iter().for_each(|&v| obj.push(v));
+            (obj.mean(), obj.ci95_halfwidth())
         } else {
-            point.objective = obj.mean();
-            point.objective_ci95 = obj.ci95_halfwidth();
+            (f64::INFINITY, 0.0)
+        };
+        let classes = 0..reports[0].per_class.len();
+        CutoffPoint {
+            k,
+            objective,
+            objective_ci95,
+            total_prioritized_cost: mean(&total_cost),
+            overall_delay: mean(&|r| measured(&r.overall_delay)),
+            per_class_delay: classes
+                .clone()
+                .map(|c| mean(&|r| measured(&r.per_class[c].delay)))
+                .collect(),
+            per_class_blocking: classes
+                .map(|c| {
+                    let blocking =
+                        |sum, r: &SimReport| sum + r.per_class[c].blocking_probability / n;
+                    reports.iter().fold(0.0, blocking)
+                })
+                .collect(),
+            served: reports.iter().map(SimReport::total_served).sum(),
+            blocked: reports.iter().map(SimReport::total_blocked).sum(),
         }
-        point
     }
 }
 
@@ -211,37 +211,11 @@ impl CutoffOptimizer {
         self
     }
 
-    /// Evaluates one cutoff: `replications` runs, reduced in order.
-    fn evaluate_point(&self, scenario: &Scenario, base: &HybridConfig, k: usize) -> CutoffPoint {
-        let cfg = base.with_cutoff(k);
-        let reports: Vec<SimReport> = (0..self.replications)
-            .map(|i| {
-                simulate(
-                    scenario,
-                    &cfg,
-                    &self.params.with_replication(self.params.replication + i),
-                )
-            })
-            .collect();
-        CutoffPoint::from_reports(self.objective, k, &reports)
-    }
-
-    /// Argmin over finished points: non-finite objectives order last
-    /// (`total_cmp`), first minimum wins on exact ties.
-    fn best_index(points: &[CutoffPoint]) -> usize {
-        points
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.objective.total_cmp(&b.objective))
-            .map(|(i, _)| i)
-            .expect("non-empty")
-    }
-
-    /// Evaluates every cutoff in `ks`, fanning the grid across the thread
-    /// pool, and returns the sweep. Each point is simulated with the same
-    /// seeds the sequential path uses and the results are collected in
-    /// grid order, so the sweep — `best_k` included — is **bit-identical**
-    /// to [`CutoffOptimizer::sweep_serial`].
+    /// Evaluates every cutoff in `ks` through [`evaluate`] — every
+    /// (K, replication) run fanned across the thread pool, each point
+    /// reduced in replication order — and picks the [`rank`] argmin:
+    /// non-finite objectives order last, the first minimum in grid order
+    /// wins on exact ties.
     ///
     /// # Panics
     /// Panics if `ks` is empty or contains a value beyond the catalog size.
@@ -252,53 +226,23 @@ impl CutoffOptimizer {
         ks: impl IntoIterator<Item = usize>,
     ) -> CutoffSweep {
         let ks: Vec<usize> = ks.into_iter().collect();
-        let points: Vec<CutoffPoint> = ks
-            .into_par_iter()
-            .map(|k| self.evaluate_point(scenario, base, k))
-            .collect();
-        self.finish(points)
-    }
-
-    /// Single-threaded twin of [`CutoffOptimizer::sweep`], for speedup
-    /// baselines and equivalence checks.
-    ///
-    /// # Panics
-    /// Panics if `ks` is empty or contains a value beyond the catalog size.
-    pub fn sweep_serial(
-        &self,
-        scenario: &Scenario,
-        base: &HybridConfig,
-        ks: impl IntoIterator<Item = usize>,
-    ) -> CutoffSweep {
-        let points: Vec<CutoffPoint> = ks
-            .into_iter()
-            .map(|k| self.evaluate_point(scenario, base, k))
-            .collect();
-        self.finish(points)
-    }
-
-    fn finish(&self, points: Vec<CutoffPoint>) -> CutoffSweep {
-        assert!(!points.is_empty(), "cutoff sweep needs at least one K");
+        assert!(!ks.is_empty(), "cutoff sweep needs at least one K");
+        let params = &self.params;
+        let run = |&k: &usize, i| {
+            let params = params.with_replication(params.replication + i);
+            simulate(scenario, &base.with_cutoff(k), &params)
+        };
+        let reduce = |&k: &usize, reports: Vec<SimReport>| {
+            CutoffPoint::from_reports(self.objective, k, &reports)
+        };
+        let points = evaluate(&ks, self.replications, run, reduce);
+        let objectives: Vec<f64> = points.iter().map(|p| p.objective).collect();
         CutoffSweep {
             objective: self.objective,
             replications: self.replications,
-            best_index: Self::best_index(&points),
+            best_index: rank(&objectives)[0],
             points,
         }
-    }
-
-    /// Convenience: sweep `K` from `lo` to `hi` in steps of `step`.
-    pub fn sweep_range(
-        &self,
-        scenario: &Scenario,
-        base: &HybridConfig,
-        lo: usize,
-        hi: usize,
-        step: usize,
-    ) -> CutoffSweep {
-        assert!(step > 0, "step must be positive");
-        assert!(lo <= hi, "need lo ≤ hi");
-        self.sweep(scenario, base, (lo..=hi).step_by(step))
     }
 }
 
@@ -306,6 +250,26 @@ impl CutoffOptimizer {
 mod tests {
     use super::*;
     use hybridcast_workload::scenario::ScenarioConfig;
+
+    /// The in-order reference for [`CutoffOptimizer::sweep`]: every K, every
+    /// replication, one after another on this thread.
+    fn in_order_points(
+        opt: &CutoffOptimizer,
+        scenario: &Scenario,
+        base: &HybridConfig,
+        ks: &[usize],
+    ) -> Vec<CutoffPoint> {
+        let mut points = Vec::new();
+        for &k in ks {
+            let mut reports = Vec::new();
+            for i in 0..opt.replications {
+                let params = opt.params.with_replication(opt.params.replication + i);
+                reports.push(simulate(scenario, &base.with_cutoff(k), &params));
+            }
+            points.push(CutoffPoint::from_reports(opt.objective, k, &reports));
+        }
+        points
+    }
 
     fn quick_optimizer(obj: Objective) -> CutoffOptimizer {
         CutoffOptimizer::new(
@@ -322,8 +286,11 @@ mod tests {
     fn sweep_covers_requested_grid() {
         let scenario = ScenarioConfig::icpp2005(0.6).build();
         let base = HybridConfig::paper(0, 0.5);
-        let sweep = quick_optimizer(Objective::TotalPrioritizedCost)
-            .sweep_range(&scenario, &base, 20, 80, 20);
+        let sweep = quick_optimizer(Objective::TotalPrioritizedCost).sweep(
+            &scenario,
+            &base,
+            (20..=80).step_by(20),
+        );
         let ks: Vec<usize> = sweep.points.iter().map(|p| p.k).collect();
         assert_eq!(ks, vec![20, 40, 60, 80]);
         assert!(ks.contains(&sweep.best_k()));
@@ -388,8 +355,14 @@ mod tests {
             Objective::MeanDelay,
             Objective::TotalPrioritizedCost,
         ] {
-            let sweep = quick_optimizer(objective).sweep(&scenario, &base, [0usize, 40]);
-            let starved = &sweep.points[0];
+            let sweep = quick_optimizer(objective).with_replications(2).sweep(
+                &scenario,
+                &base,
+                [0usize, 40],
+            );
+            let [starved, served] = &sweep.points[..] else {
+                panic!("two grid points");
+            };
             assert_eq!(starved.k, 0);
             assert_eq!(starved.served, 0, "K = 0 must serve nothing");
             assert!(
@@ -397,6 +370,18 @@ mod tests {
                 "{objective:?}: zero-served K must evaluate to +inf, got {}",
                 starved.objective
             );
+            // Unmeasured delays are `None` (JSON `null`), never `0.0`.
+            assert_eq!(starved.total_prioritized_cost, None);
+            assert_eq!(starved.overall_delay, None);
+            assert_eq!(starved.per_class_delay, vec![None; 3]);
+            let json = serde_json::to_string(starved).expect("point serializes");
+            assert!(
+                json.contains(r#""total_prioritized_cost":null,"overall_delay":null,"per_class_delay":[null,null,null]"#),
+                "{json}"
+            );
+            assert!(served.total_prioritized_cost.is_some());
+            assert!(served.overall_delay.is_some());
+            assert!(served.per_class_delay.iter().all(Option::is_some));
             assert_eq!(
                 sweep.best_k(),
                 40,
@@ -446,9 +431,9 @@ mod tests {
         let scenario = ScenarioConfig::icpp2005(0.6).build();
         let base = HybridConfig::paper(0, 0.5);
         let opt = quick_optimizer(Objective::TotalPrioritizedCost);
-        let par = opt.sweep(&scenario, &base, [20usize, 40, 60, 80]);
-        let ser = opt.sweep_serial(&scenario, &base, [20usize, 40, 60, 80]);
-        assert_eq!(par, ser);
+        let ks = [20usize, 40, 60, 80];
+        let par = opt.sweep(&scenario, &base, ks);
+        assert_eq!(par.points, in_order_points(&opt, &scenario, &base, &ks));
     }
 
     #[test]
@@ -463,9 +448,11 @@ mod tests {
             assert!(p.objective_ci95 > 0.0, "K={}: spread across seeds", p.k);
             assert_eq!(p.per_class_delay.len(), 3);
         }
-        // replicated parallel == replicated serial, bit for bit
-        let ser = opt.sweep_serial(&scenario, &base, [20usize, 60]);
-        assert_eq!(sweep, ser);
+        // replicated parallel == the in-order loop, bit for bit
+        assert_eq!(
+            sweep.points,
+            in_order_points(&opt, &scenario, &base, &[20, 60])
+        );
     }
 
     #[test]

@@ -19,15 +19,18 @@
 //!
 //! ## Determinism & parallelism
 //!
-//! Replications fan out across threads with `rayon`, but the *reduction*
-//! is always the sequential left-fold over reports in replication order
-//! (`r = 0, 1, …, R−1`): `rayon`'s order-preserving `collect` hands back
-//! the per-replication reports in input order regardless of thread
-//! schedule, so the aggregated report from [`run_replicated`] is
-//! **bit-identical** to the one from [`run_replicated_serial`]. Merge-order
-//! invariance of the underlying Welford reduction (up to ulp-scale noise
-//! for variances) is property-tested in
-//! `crates/core/tests/replication_equivalence.rs`.
+//! Every configuration search in the workspace — this module's
+//! replications, [`crate::cutoff::CutoffOptimizer::sweep`], the what-if
+//! grid, the figure grids and the bench gates — runs through one
+//! evaluator, [`evaluate`]: (point, replication) jobs fan out across
+//! threads through one order-preserving `collect`, and each point's
+//! results are then reduced in replication order (`r = 0, 1, …, R−1`).
+//! The reduction never sees the thread schedule, so an aggregated report
+//! is **bit-identical** to a plain in-order loop over the same runs — the
+//! tests and the `replication_sweep` gate check exactly that. The searches
+//! share one argmin, [`rank`]. Merge-order invariance of the underlying
+//! Welford reduction (up to ulp-scale noise for variances) is
+//! property-tested in `crates/core/tests/replication_equivalence.rs`.
 //!
 //! ## Seed derivation
 //!
@@ -116,122 +119,92 @@ impl ReplicatedReport {
             reports.iter().all(|r| r.per_class.len() == classes),
             "replications must share one class set"
         );
-
-        let mut overall = Welford::new();
-        let mut total_cost = Welford::new();
-        let mut pooled_overall = Welford::new();
-        struct Acc {
-            delay: Welford,
-            pull_delay: Welford,
-            blocking: Welford,
-            cost: Welford,
-            pooled: Welford,
-            generated: u64,
-            served: u64,
-            blocked: u64,
-        }
-        let mut per_class: Vec<Acc> = (0..classes)
-            .map(|_| Acc {
-                delay: Welford::new(),
-                pull_delay: Welford::new(),
-                blocking: Welford::new(),
-                cost: Welford::new(),
-                pooled: Welford::new(),
-                generated: 0,
-                served: 0,
-                blocked: 0,
+        let per_class = (0..classes)
+            .map(|c| {
+                let runs = || reports.iter().map(move |r| &r.per_class[c]);
+                let served = || runs().filter(|cls| cls.delay.count > 0);
+                let pulled = || runs().filter(|cls| cls.pull_delay.count > 0);
+                ReplicatedClassReport {
+                    name: reports[0].per_class[c].name.clone(),
+                    priority: reports[0].per_class[c].priority,
+                    delay: across(served().map(|cls| cls.delay.mean)),
+                    pull_delay: across(pulled().map(|cls| cls.pull_delay.mean)),
+                    blocking_probability: across(runs().map(|cls| cls.blocking_probability)),
+                    prioritized_cost: across(served().map(|cls| cls.prioritized_cost)),
+                    pooled_delay: pooled(runs().map(|cls| &cls.delay)),
+                    generated: runs().map(|cls| cls.generated).sum(),
+                    served: runs().map(|cls| cls.served).sum(),
+                    blocked: runs().map(|cls| cls.blocked).sum(),
+                }
             })
             .collect();
-
-        for r in reports {
-            if r.overall_delay.count > 0 {
-                overall.push(r.overall_delay.mean);
-            }
-            total_cost.push(r.total_prioritized_cost);
-            pooled_overall.merge(&Welford::from_summary(&r.overall_delay));
-            for (acc, cls) in per_class.iter_mut().zip(&r.per_class) {
-                if cls.delay.count > 0 {
-                    acc.delay.push(cls.delay.mean);
-                    acc.cost.push(cls.prioritized_cost);
-                }
-                if cls.pull_delay.count > 0 {
-                    acc.pull_delay.push(cls.pull_delay.mean);
-                }
-                acc.blocking.push(cls.blocking_probability);
-                acc.pooled.merge(&Welford::from_summary(&cls.delay));
-                acc.generated += cls.generated;
-                acc.served += cls.served;
-                acc.blocked += cls.blocked;
-            }
-        }
-
+        let measured = reports.iter().filter(|r| r.overall_delay.count > 0);
         ReplicatedReport {
             replications: reports.len() as u64,
-            per_class: per_class
-                .into_iter()
-                .zip(&reports[0].per_class)
-                .map(|(acc, cls)| ReplicatedClassReport {
-                    name: cls.name.clone(),
-                    priority: cls.priority,
-                    delay: acc.delay.summary(),
-                    pull_delay: acc.pull_delay.summary(),
-                    blocking_probability: acc.blocking.summary(),
-                    prioritized_cost: acc.cost.summary(),
-                    pooled_delay: acc.pooled.summary(),
-                    generated: acc.generated,
-                    served: acc.served,
-                    blocked: acc.blocked,
-                })
-                .collect(),
-            overall_delay: overall.summary(),
-            total_prioritized_cost: total_cost.summary(),
-            pooled_overall_delay: pooled_overall.summary(),
+            per_class,
+            overall_delay: across(measured.map(|r| r.overall_delay.mean)),
+            total_prioritized_cost: across(reports.iter().map(|r| r.total_prioritized_cost)),
+            pooled_overall_delay: pooled(reports.iter().map(|r| &r.overall_delay)),
         }
     }
 }
 
+/// Across-replication statistics: one observation per value, in order.
+fn across(values: impl Iterator<Item = f64>) -> SummaryStats {
+    let mut acc = Welford::new();
+    values.for_each(|v| acc.push(v));
+    acc.summary()
+}
+
+/// Per-request statistics pooled over the snapshots, merged in order.
+fn pooled<'a>(snapshots: impl Iterator<Item = &'a SummaryStats>) -> SummaryStats {
+    let mut acc = Welford::new();
+    snapshots.for_each(|s| acc.merge(&Welford::from_summary(s)));
+    acc.summary()
+}
+
+/// Runs every `(point, replication)` job and reduces each point's results.
+///
+/// The jobs — `replications` of them per point, point-major — go through
+/// one order-preserving parallel map: `run(point, i)` receives the
+/// replication index `i ∈ 0..replications`, and callers add their own base
+/// (`params.replication + i`). `reduce` then sees each point's results in
+/// replication order, points in input order, so the output is a pure
+/// function of the inputs whatever the thread schedule.
+pub fn evaluate<P: Sync, R: Send, O>(
+    points: &[P],
+    replications: u64,
+    run: impl Fn(&P, u64) -> R + Sync,
+    mut reduce: impl FnMut(&P, Vec<R>) -> O,
+) -> Vec<O> {
+    let jobs = points
+        .iter()
+        .flat_map(|p| (0..replications).map(move |i| (p, i)));
+    let results: Vec<R> = jobs.into_par_iter().map(|(p, i)| run(p, i)).collect();
+    let mut results = results.into_iter();
+    points
+        .iter()
+        .map(|p| reduce(p, results.by_ref().take(replications as usize).collect()))
+        .collect()
+}
+
+/// Indices of `costs` in ascending [`f64::total_cmp`] order, grid order
+/// breaking ties: `rank(costs)[0]` is the argmin every configuration
+/// search reports. `+∞` ranks after every finite cost, and NaN — of
+/// either sign, where `total_cmp` alone would put a negative NaN first —
+/// after `+∞`.
+pub fn rank(costs: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (costs[a], costs[b]);
+        a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(&b))
+    });
+    order
+}
+
 /// Runs replications `base, base+1, …, base+r−1` (where `base =
-/// params.replication`) across the thread pool and returns the reports in
-/// replication order.
-pub fn replicate(
-    scenario: &Scenario,
-    hybrid: &HybridConfig,
-    params: &SimParams,
-    r: u64,
-) -> Vec<SimReport> {
-    (0..r)
-        .into_par_iter()
-        .map(|i| {
-            simulate(
-                scenario,
-                hybrid,
-                &params.with_replication(params.replication + i),
-            )
-        })
-        .collect()
-}
-
-/// Sequential twin of [`replicate`] — same seeds, same order, one thread.
-pub fn replicate_serial(
-    scenario: &Scenario,
-    hybrid: &HybridConfig,
-    params: &SimParams,
-    r: u64,
-) -> Vec<SimReport> {
-    (0..r)
-        .map(|i| {
-            simulate(
-                scenario,
-                hybrid,
-                &params.with_replication(params.replication + i),
-            )
-        })
-        .collect()
-}
-
-/// Fans `r` independent replications across threads and reduces them into
-/// a CI-aggregated report. Bit-identical to [`run_replicated_serial`]
-/// (order-preserving collect + fixed-order fold).
+/// params.replication`) across the thread pool and reduces them into a
+/// CI-aggregated report.
 ///
 /// # Panics
 /// Panics if `r == 0`.
@@ -242,36 +215,16 @@ pub fn run_replicated(
     r: u64,
 ) -> ReplicatedReport {
     assert!(r >= 1, "need at least one replication");
-    ReplicatedReport::from_reports(&replicate(scenario, hybrid, params, r))
-}
-
-/// [`replicate`] with the windowed telemetry recorder attached to every
-/// replication: returns the per-replication `(report, series)` pairs in
-/// replication order. Recording is purely observational, so the reports
-/// are bit-identical to [`replicate`]'s.
-pub fn replicate_with_telemetry(
-    scenario: &Scenario,
-    hybrid: &HybridConfig,
-    params: &SimParams,
-    r: u64,
-    telemetry: TelemetryConfig,
-) -> Vec<(SimReport, TimeSeries)> {
-    (0..r)
-        .into_par_iter()
-        .map(|i| {
-            simulate_telemetry(
-                scenario,
-                hybrid,
-                &params.with_replication(params.replication + i),
-                telemetry,
-            )
-        })
-        .collect()
+    let run = |p: &SimParams, i| simulate(scenario, hybrid, &p.with_replication(p.replication + i));
+    let reduce = |_: &_, reports: Vec<SimReport>| ReplicatedReport::from_reports(&reports);
+    evaluate(&[*params], r, run, reduce).remove(0)
 }
 
 /// [`run_replicated`] plus a window-aligned [`AggregatedSeries`]: every
 /// replication records the same fixed windows, and each per-window QoS
-/// value becomes an across-replication summary with a 95% CI.
+/// value becomes an across-replication summary with a 95% CI. Recording
+/// is purely observational, so the report is bit-identical to
+/// [`run_replicated`]'s.
 ///
 /// # Panics
 /// Panics if `r == 0`.
@@ -283,28 +236,22 @@ pub fn run_replicated_with_telemetry(
     telemetry: TelemetryConfig,
 ) -> (ReplicatedReport, AggregatedSeries) {
     assert!(r >= 1, "need at least one replication");
-    let runs = replicate_with_telemetry(scenario, hybrid, params, r, telemetry);
-    let reports: Vec<SimReport> = runs.iter().map(|(rep, _)| rep.clone()).collect();
-    let series: Vec<TimeSeries> = runs.into_iter().map(|(_, s)| s).collect();
-    (
-        ReplicatedReport::from_reports(&reports),
-        AggregatedSeries::from_series(&series),
-    )
-}
-
-/// Single-threaded reference reduction, for speedup baselines and
-/// equivalence checks.
-///
-/// # Panics
-/// Panics if `r == 0`.
-pub fn run_replicated_serial(
-    scenario: &Scenario,
-    hybrid: &HybridConfig,
-    params: &SimParams,
-    r: u64,
-) -> ReplicatedReport {
-    assert!(r >= 1, "need at least one replication");
-    ReplicatedReport::from_reports(&replicate_serial(scenario, hybrid, params, r))
+    let run = |p: &SimParams, i| {
+        simulate_telemetry(
+            scenario,
+            hybrid,
+            &p.with_replication(p.replication + i),
+            telemetry,
+        )
+    };
+    let reduce = |_: &_, runs: Vec<(SimReport, TimeSeries)>| {
+        let (reports, series): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
+        (
+            ReplicatedReport::from_reports(&reports),
+            AggregatedSeries::from_series(&series),
+        )
+    };
+    evaluate(&[*params], r, run, reduce).remove(0)
 }
 
 #[cfg(test)]
@@ -320,12 +267,68 @@ mod tests {
         )
     }
 
+    /// The in-order reference: replications `base, base+1, …` one after
+    /// another on this thread.
+    fn in_order(
+        scenario: &Scenario,
+        cfg: &HybridConfig,
+        params: &SimParams,
+        r: u64,
+    ) -> Vec<SimReport> {
+        (0..r)
+            .map(|i| {
+                simulate(
+                    scenario,
+                    cfg,
+                    &params.with_replication(params.replication + i),
+                )
+            })
+            .collect()
+    }
+
+    /// `evaluate` against the nested in-order loop it replaces, on a
+    /// trivial job whose result names its (point, replication).
+    #[test]
+    fn evaluate_matches_the_nested_in_order_loop() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for (n_points, replications) in [(1usize, 1u64), (7, 3), (4 * cores + 5, 3)] {
+            let points: Vec<u64> = (0..n_points as u64).map(|p| p * 1_000).collect();
+            let run = |&p: &u64, i: u64| p + i;
+            let reduce = |&p: &u64, results: Vec<u64>| (p, results);
+            let mut reference = Vec::new();
+            for p in &points {
+                let mut results = Vec::new();
+                for i in 0..replications {
+                    results.push(run(p, i));
+                }
+                reference.push(reduce(p, results));
+            }
+            assert_eq!(
+                evaluate(&points, replications, run, reduce),
+                reference,
+                "{n_points} points x {replications} replications"
+            );
+        }
+    }
+
+    #[test]
+    fn rank_orders_by_total_cmp_with_grid_order_breaking_ties() {
+        assert_eq!(rank(&[]), Vec::<usize>::new());
+        assert_eq!(rank(&[3.0, 1.0, 2.0, 1.0]), vec![1, 3, 2, 0]);
+        // +∞ after every finite cost, NaN of either sign after +∞, ties in
+        // grid order.
+        let costs = [f64::NAN, f64::INFINITY, 5.0, f64::INFINITY, -f64::NAN, 5.0];
+        assert_eq!(rank(&costs)[..4], [2, 5, 1, 3]);
+        assert_eq!(rank(&[f64::NAN, f64::INFINITY])[0], 1);
+        assert_eq!(rank(&[-f64::NAN, f64::NEG_INFINITY, 0.0]), vec![1, 2, 0]);
+    }
+
     #[test]
     fn parallel_matches_serial_bit_for_bit() {
         let (scenario, cfg, params) = setup();
         let par = run_replicated(&scenario, &cfg, &params, 4);
-        let ser = run_replicated_serial(&scenario, &cfg, &params, 4);
-        assert_eq!(par, ser);
+        let reference = ReplicatedReport::from_reports(&in_order(&scenario, &cfg, &params, 4));
+        assert_eq!(par, reference);
     }
 
     #[test]
@@ -352,7 +355,7 @@ mod tests {
     #[test]
     fn pooled_mean_is_bit_identical_to_manual_merge() {
         let (scenario, cfg, params) = setup();
-        let reports = replicate_serial(&scenario, &cfg, &params, 3);
+        let reports = in_order(&scenario, &cfg, &params, 3);
         let rep = ReplicatedReport::from_reports(&reports);
         let mut manual = Welford::new();
         for r in &reports {
@@ -377,8 +380,8 @@ mod tests {
     #[test]
     fn base_replication_offsets_the_family() {
         let (scenario, cfg, params) = setup();
-        let block0 = replicate_serial(&scenario, &cfg, &params, 3);
-        let block1 = replicate_serial(&scenario, &cfg, &params.with_replication(1), 3);
+        let block0 = in_order(&scenario, &cfg, &params, 3);
+        let block1 = in_order(&scenario, &cfg, &params.with_replication(1), 3);
         // overlapping indices produce identical runs; shifted ones differ
         assert_eq!(block0[1], block1[0]);
         assert_eq!(block0[2], block1[1]);

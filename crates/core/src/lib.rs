@@ -90,8 +90,7 @@ pub mod prelude {
     pub use crate::config::{AssignmentStrategy, ChannelLayout, HybridConfig};
     pub use crate::cutoff::{CutoffOptimizer, CutoffPoint, CutoffSweep, Objective};
     pub use crate::experiment::{
-        run_replicated, run_replicated_serial, run_replicated_with_telemetry,
-        ReplicatedClassReport, ReplicatedReport,
+        run_replicated, run_replicated_with_telemetry, ReplicatedClassReport, ReplicatedReport,
     };
     pub use crate::hybrid::{Disposition, HybridScheduler, Transmission};
     pub use crate::metrics::{ClassReport, MetricsCollector, SimReport, TxKind};

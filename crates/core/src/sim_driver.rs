@@ -2203,7 +2203,9 @@ mod tests {
     fn replicated_runs_differ_but_agree_statistically() {
         let scenario = ScenarioConfig::icpp2005(0.6).build();
         let cfg = HybridConfig::paper(40, 0.5);
-        let reports = crate::experiment::replicate(&scenario, &cfg, &SimParams::quick(), 3);
+        let reports: Vec<SimReport> = (0..3)
+            .map(|i| simulate(&scenario, &cfg, &SimParams::quick().with_replication(i)))
+            .collect();
         assert_eq!(reports.len(), 3);
         let means: Vec<f64> = reports.iter().map(|r| r.overall_delay.mean).collect();
         assert_ne!(means[0], means[1]);

@@ -40,12 +40,11 @@
 //! what lets the testkit oracle demand that the *recommended* config,
 //! re-replayed standalone, reproduce its reported cost bit-for-bit.
 
-use std::cmp::Ordering;
-
 use serde::Serialize;
 
 use hybridcast_core::adaptive::ControllerConfig;
 use hybridcast_core::config::{AssignmentStrategy, ChannelLayout, HybridConfig};
+use hybridcast_core::experiment::{evaluate, rank};
 use hybridcast_core::metrics::SimReport;
 use hybridcast_core::sharded::{ChannelPlan, PlanPrice};
 use hybridcast_core::sim_driver::{AdaptiveConfig, Simulation};
@@ -399,12 +398,14 @@ pub fn evaluate_point(
     })
 }
 
-/// Runs the full what-if sweep serially in grid order.
+/// Runs every grid point through [`evaluate`] (in parallel, reassembled
+/// in grid order) and ranks them by cost with [`rank`].
 ///
 /// Errors when the trace's catalog size or class count disagrees with
 /// the replay scenario and `allow_mismatch` is false — under such a
 /// mismatch every item/class id in the trace would be silently
-/// reinterpreted, so proceeding must be an explicit decision.
+/// reinterpreted, so proceeding must be an explicit decision — and when
+/// a grid cutoff exceeds the catalog, before any point runs.
 pub fn run_whatif(
     scenario: &Scenario,
     base: &HybridConfig,
@@ -430,10 +431,17 @@ pub fn run_whatif(
             mismatches.join("\n  ")
         ));
     }
+    let items = scenario.catalog.len();
+    if let Some(k) = grid.cutoffs.iter().find(|&&k| k > items) {
+        return Err(format!("grid cutoff {k} exceeds catalog size {items}"));
+    }
+    let specs = grid.points();
+    let run = |spec: &OverrideSpec, _| evaluate_point(scenario, base, trace, spec);
+    let evaluated = evaluate(&specs, 1, run, |_, mut runs| runs.remove(0));
     let mut points = Vec::new();
     let mut skipped = Vec::new();
-    for spec in grid.points() {
-        match evaluate_point(scenario, base, trace, &spec) {
+    for (spec, result) in specs.iter().zip(evaluated) {
+        match result {
             Ok(point) => points.push(point),
             Err(reason) => skipped.push(SkippedPoint {
                 label: spec.label(base),
@@ -441,14 +449,7 @@ pub fn run_whatif(
             }),
         }
     }
-    let mut ranking: Vec<usize> = (0..points.len()).collect();
-    ranking.sort_by(|&a, &b| {
-        points[a]
-            .cost
-            .partial_cmp(&points[b].cost)
-            .unwrap_or(Ordering::Equal)
-            .then(a.cmp(&b))
-    });
+    let ranking = rank(&points.iter().map(|p| p.cost).collect::<Vec<_>>());
     let recommendation = ranking.first().map(|&i| points[i].clone());
     Ok(WhatIfReport {
         trace_config_hash: hex64(trace.meta.config_hash),
@@ -622,6 +623,31 @@ mod tests {
         assert_eq!(
             serde_json::to_string(winner).unwrap(),
             serde_json::to_string(&again).unwrap()
+        );
+    }
+
+    /// A grid cutoff past the catalog is the caller's error, reported
+    /// before any point runs — not a simulator panic inside a worker.
+    #[test]
+    fn grid_cutoff_beyond_the_catalog_is_refused() {
+        let scenario = scenario();
+        let items = scenario.catalog.len();
+        let grid = WhatIfGrid {
+            cutoffs: vec![20, items + 100],
+            channels: vec![1],
+            ..WhatIfGrid::default()
+        };
+        let err = run_whatif(
+            &scenario,
+            &HybridConfig::default(),
+            &trace(50),
+            &grid,
+            false,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            format!("grid cutoff {} exceeds catalog size {items}", items + 100)
         );
     }
 

@@ -56,6 +56,7 @@
 //! [`check_dominance`] and runs over replications, not per fuzz case.
 
 use hybridcast_core::bandwidth::BandwidthConfig;
+use hybridcast_core::experiment::{evaluate, rank};
 use hybridcast_core::prelude::{
     simulate, ChannelPlan, HybridConfig, NullSink, PullPolicy, SimParams, SimRun, Simulation, Sink,
     TelemetryEvent,
@@ -180,19 +181,13 @@ impl OracleSink {
         let mut grid = vec![lo, lo + span / 4, lo + span / 2, lo + 3 * span / 4, hi];
         grid.sort_unstable();
         grid.dedup();
-        let mut best = f64::INFINITY;
-        let mut best_k = lo;
-        for k in grid {
-            let hybrid = HybridConfig {
-                cutoff: k,
-                ..case.hybrid.clone()
-            };
-            let cost = simulate(&scenario, &hybrid, &case.params()).total_prioritized_cost;
-            if cost < best {
-                best = cost;
-                best_k = k;
-            }
-        }
+        let run = |&k: &usize, _| {
+            let hybrid = case.hybrid.with_cutoff(k);
+            simulate(&scenario, &hybrid, &case.params()).total_prioritized_cost
+        };
+        let costs = evaluate(&grid, 1, run, |_, mut runs| runs.remove(0));
+        let i = rank(&costs)[0];
+        let (best, best_k) = (costs[i], grid[i]);
         const FACTOR: f64 = 3.0;
         if best > 1e-6 && controller_cost > FACTOR * best {
             self.violations.push(format!(

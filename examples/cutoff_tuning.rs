@@ -23,18 +23,24 @@ fn main() {
             replication: 0,
         },
     );
-    let sweep = optimizer.sweep_range(&scenario, &base, 10, 90, 10);
+    let sweep = optimizer.sweep(&scenario, &base, (10..=90).step_by(10));
 
     println!("cutoff sweep (theta = {theta}, alpha = {alpha}):\n");
     println!(
         "{:>4} {:>12} {:>12} {:>12} {:>12}",
         "K", "total cost", "A delay", "C delay", "served"
     );
+    // A class that served nothing has no delay to print.
+    let delay = |d: Option<f64>| d.map_or("n/a".into(), |d| format!("{d:.2}"));
     for p in &sweep.points {
         let marker = if p.k == sweep.best_k() { " <-- K*" } else { "" };
         println!(
-            "{:>4} {:>12.2} {:>12.2} {:>12.2} {:>12}{marker}",
-            p.k, p.objective, p.per_class_delay[0], p.per_class_delay[2], p.served,
+            "{:>4} {:>12.2} {:>12} {:>12} {:>12}{marker}",
+            p.k,
+            p.objective,
+            delay(p.per_class_delay[0]),
+            delay(p.per_class_delay[2]),
+            p.served,
         );
     }
     println!(
