@@ -17,6 +17,7 @@
 
 use std::fmt::Write as _;
 
+use hybridcast_sim::stats::SummaryStats;
 use hybridcast_telemetry::{AggregatedSeries, TimeSeries};
 
 use crate::series::{FigureData, Series};
@@ -30,207 +31,141 @@ fn or_nan(v: Option<f64>) -> f64 {
     v.unwrap_or(f64::NAN)
 }
 
+/// `f` over every window index of `xs`.
+fn col(xs: &[f64], f: impl Fn(usize) -> f64) -> Vec<f64> {
+    (0..xs.len()).map(f).collect()
+}
+
+/// The four panels over windows centred at `xs`: the delay panel's
+/// `(title, series)`, then `class(c, i)` = class `c`'s (blocking ratio,
+/// throughput) and `load(i)` = (queued items, queued requests, push-set
+/// `K`) in window `i`.
+fn panels(
+    xs: &[f64],
+    classes: &[String],
+    (delay_title, delay): (&str, Vec<Series>),
+    notes: String,
+    class: impl Fn(usize, usize) -> (f64, f64),
+    load: impl Fn(usize) -> [f64; 3],
+) -> Vec<FigureData> {
+    let per_class = |pick: fn((f64, f64)) -> f64| -> Vec<Series> {
+        let ys = |c| col(xs, |i| pick(class(c, i)));
+        let named = classes.iter().enumerate();
+        named
+            .map(|(c, name)| Series::new(name.clone(), xs.to_vec(), ys(c)))
+            .collect()
+    };
+    let load = ["queued items", "queued requests", "push-set K"]
+        .into_iter()
+        .enumerate()
+        .map(|(j, label)| Series::new(label, xs.to_vec(), col(xs, |i| load(i)[j])))
+        .collect();
+    let panel = |id: &str, title: &str, y_label: &str, series| FigureData {
+        id: id.into(),
+        title: title.into(),
+        x_label: "time (broadcast units)".into(),
+        y_label: y_label.into(),
+        series,
+        notes: notes.clone(),
+    };
+    vec![
+        panel("dash-delay", delay_title, "delay", delay),
+        panel(
+            "dash-blocking",
+            "Blocking ratio per class",
+            "blocked / arrivals",
+            per_class(|(blocking, _)| blocking),
+        ),
+        panel(
+            "dash-throughput",
+            "Service throughput per class",
+            "served / unit",
+            per_class(|(_, throughput)| throughput),
+        ),
+        panel(
+            "dash-load",
+            "Server load: pull queue and push-set size",
+            "count",
+            load,
+        ),
+    ]
+}
+
 /// The four QoS panels of one run's telemetry series.
 pub fn dashboard_figures(series: &TimeSeries, run_label: &str) -> Vec<FigureData> {
     let xs = midpoints(series.windows.iter().map(|w| (w.start, w.end)));
-    let notes = format!("{run_label} — window {} broadcast units", series.window);
-
-    let mut delay = Vec::new();
-    let mut blocking = Vec::new();
-    let mut throughput = Vec::new();
-    for (c, name) in series.classes.iter().enumerate() {
-        let col = |f: &dyn Fn(usize) -> f64| -> Vec<f64> { (0..xs.len()).map(f).collect() };
-        delay.push(Series::new(
-            name.clone(),
-            xs.clone(),
-            col(&|i| or_nan(series.windows[i].per_class[c].delay_mean)),
-        ));
-        delay.push(Series::new(
-            format!("{name} p95"),
-            xs.clone(),
-            col(&|i| or_nan(series.windows[i].per_class[c].delay_p95)),
-        ));
-        blocking.push(Series::new(
-            name.clone(),
-            xs.clone(),
-            col(&|i| series.windows[i].per_class[c].blocking_ratio),
-        ));
-        throughput.push(Series::new(
-            name.clone(),
-            xs.clone(),
-            col(&|i| series.windows[i].per_class[c].throughput),
-        ));
-    }
-
-    let load = vec![
-        Series::new(
-            "queued items",
-            xs.clone(),
-            series.windows.iter().map(|w| w.queue_items_mean).collect(),
-        ),
-        Series::new(
-            "queued requests",
-            xs.clone(),
-            series
-                .windows
-                .iter()
-                .map(|w| w.queue_requests_mean)
+    let class_at = |c: usize, i: usize| &series.windows[i].per_class[c];
+    let delay = series.classes.iter().enumerate().flat_map(|(c, name)| {
+        [
+            (
+                name.clone(),
+                col(&xs, |i| or_nan(class_at(c, i).delay_mean)),
+            ),
+            (
+                format!("{name} p95"),
+                col(&xs, |i| or_nan(class_at(c, i).delay_p95)),
+            ),
+        ]
+    });
+    panels(
+        &xs,
+        &series.classes,
+        (
+            "Access delay per class (mean and p95)",
+            delay
+                .map(|(label, ys)| Series::new(label, xs.clone(), ys))
                 .collect(),
         ),
-        Series::new(
-            "push-set K",
-            xs.clone(),
-            series.windows.iter().map(|w| w.push_set_k).collect(),
-        ),
-    ];
-
-    vec![
-        FigureData {
-            id: "dash-delay".into(),
-            title: "Access delay per class (mean and p95)".into(),
-            x_label: "time (broadcast units)".into(),
-            y_label: "delay".into(),
-            series: delay,
-            notes: notes.clone(),
+        format!("{run_label} — window {} broadcast units", series.window),
+        |c, i| (class_at(c, i).blocking_ratio, class_at(c, i).throughput),
+        |i| {
+            let w = &series.windows[i];
+            [w.queue_items_mean, w.queue_requests_mean, w.push_set_k]
         },
-        FigureData {
-            id: "dash-blocking".into(),
-            title: "Blocking ratio per class".into(),
-            x_label: "time (broadcast units)".into(),
-            y_label: "blocked / arrivals".into(),
-            series: blocking,
-            notes: notes.clone(),
-        },
-        FigureData {
-            id: "dash-throughput".into(),
-            title: "Service throughput per class".into(),
-            x_label: "time (broadcast units)".into(),
-            y_label: "served / unit".into(),
-            series: throughput,
-            notes: notes.clone(),
-        },
-        FigureData {
-            id: "dash-load".into(),
-            title: "Server load: pull queue and push-set size".into(),
-            x_label: "time (broadcast units)".into(),
-            y_label: "count".into(),
-            series: load,
-            notes,
-        },
-    ]
+    )
 }
 
 /// The dashboard panels for a replicated run: across-replication means,
 /// with a dashed ±95% CI band around each class's mean delay.
 pub fn aggregated_dashboard_figures(series: &AggregatedSeries, run_label: &str) -> Vec<FigureData> {
     let xs = midpoints(series.windows.iter().map(|w| (w.start, w.end)));
-    let notes = format!(
-        "{run_label} — window {} broadcast units, {} replications (means ± 95% CI)",
-        series.window, series.replications
-    );
-
-    let mut delay = Vec::new();
-    let mut blocking = Vec::new();
-    let mut throughput = Vec::new();
-    for (c, name) in series.classes.iter().enumerate() {
-        let delay_at = |i: usize| series.windows[i].per_class[c].delay_mean.as_ref();
-        delay.push(Series::new(
-            name.clone(),
-            xs.clone(),
-            (0..xs.len())
-                .map(|i| delay_at(i).map(|s| s.mean).unwrap_or(f64::NAN))
-                .collect(),
-        ));
-        delay.push(Series::new(
-            format!("{name} +CI"),
-            xs.clone(),
-            (0..xs.len())
-                .map(|i| delay_at(i).map(|s| s.mean + s.ci95).unwrap_or(f64::NAN))
-                .collect(),
-        ));
-        delay.push(Series::new(
-            format!("{name} -CI"),
-            xs.clone(),
-            (0..xs.len())
-                .map(|i| delay_at(i).map(|s| s.mean - s.ci95).unwrap_or(f64::NAN))
-                .collect(),
-        ));
-        blocking.push(Series::new(
-            name.clone(),
-            xs.clone(),
-            (0..xs.len())
-                .map(|i| series.windows[i].per_class[c].blocking_ratio.mean)
-                .collect(),
-        ));
-        throughput.push(Series::new(
-            name.clone(),
-            xs.clone(),
-            (0..xs.len())
-                .map(|i| series.windows[i].per_class[c].throughput.mean)
-                .collect(),
-        ));
-    }
-
-    let load = vec![
-        Series::new(
-            "queued items",
-            xs.clone(),
-            series
-                .windows
-                .iter()
-                .map(|w| w.queue_items_mean.mean)
+    let class_at = |c: usize, i: usize| &series.windows[i].per_class[c];
+    let delay = series.classes.iter().enumerate().flat_map(|(c, name)| {
+        let band = |f: fn(&SummaryStats) -> f64| {
+            col(&xs, |i| or_nan(class_at(c, i).delay_mean.as_ref().map(f)))
+        };
+        [
+            (name.clone(), band(|s| s.mean)),
+            (format!("{name} +CI"), band(|s| s.mean + s.ci95)),
+            (format!("{name} -CI"), band(|s| s.mean - s.ci95)),
+        ]
+    });
+    panels(
+        &xs,
+        &series.classes,
+        (
+            "Access delay per class (mean ± 95% CI)",
+            delay
+                .map(|(label, ys)| Series::new(label, xs.clone(), ys))
                 .collect(),
         ),
-        Series::new(
-            "queued requests",
-            xs.clone(),
-            series
-                .windows
-                .iter()
-                .map(|w| w.queue_requests_mean.mean)
-                .collect(),
+        format!(
+            "{run_label} — window {} broadcast units, {} replications (means ± 95% CI)",
+            series.window, series.replications
         ),
-        Series::new(
-            "push-set K",
-            xs.clone(),
-            series.windows.iter().map(|w| w.push_set_k.mean).collect(),
-        ),
-    ];
-
-    vec![
-        FigureData {
-            id: "dash-delay".into(),
-            title: "Access delay per class (mean ± 95% CI)".into(),
-            x_label: "time (broadcast units)".into(),
-            y_label: "delay".into(),
-            series: delay,
-            notes: notes.clone(),
+        |c, i| {
+            let class = class_at(c, i);
+            (class.blocking_ratio.mean, class.throughput.mean)
         },
-        FigureData {
-            id: "dash-blocking".into(),
-            title: "Blocking ratio per class".into(),
-            x_label: "time (broadcast units)".into(),
-            y_label: "blocked / arrivals".into(),
-            series: blocking,
-            notes: notes.clone(),
+        |i| {
+            let w = &series.windows[i];
+            [
+                w.queue_items_mean.mean,
+                w.queue_requests_mean.mean,
+                w.push_set_k.mean,
+            ]
         },
-        FigureData {
-            id: "dash-throughput".into(),
-            title: "Service throughput per class".into(),
-            x_label: "time (broadcast units)".into(),
-            y_label: "served / unit".into(),
-            series: throughput,
-            notes: notes.clone(),
-        },
-        FigureData {
-            id: "dash-load".into(),
-            title: "Server load: pull queue and push-set size".into(),
-            x_label: "time (broadcast units)".into(),
-            y_label: "count".into(),
-            series: load,
-            notes,
-        },
-    ]
+    )
 }
 
 /// Stacks the panels into one SVG document, one [`crate::svg`] chart per

@@ -29,6 +29,7 @@ use std::time::Instant;
 use hybridcast_core::config::{AssignmentStrategy, HybridConfig};
 use hybridcast_ops::trace::{Trace, TraceMeta, TraceRecord, VERSION};
 use hybridcast_ops::whatif::{evaluate_point, run_whatif, WhatIfGrid};
+use hybridcast_sim::rng::splitmix64;
 use hybridcast_workload::scenario::{Scenario, ScenarioConfig};
 use serde_json::json;
 
@@ -42,13 +43,7 @@ fn synthesize(scenario: &Scenario, seed: u64, n: u32) -> Trace {
     let num_items = scenario.catalog.len() as u32;
     let num_classes = scenario.classes.len() as u8;
     let mut state = seed;
-    let mut next = move || -> u64 {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
+    let mut next = move || splitmix64(&mut state);
     let mut arrival = 0.0f64;
     let records = (0..n)
         .map(|i| {

@@ -298,6 +298,40 @@ fn split_layout_without_pull_channels_is_an_invalid_config() {
     assert!(out.stdout.is_empty());
 }
 
+/// The split layout replays in both modes: the daemon runs its
+/// transmitter plan as the simulator does.
+#[test]
+fn replay_accepts_a_split_config_in_both_modes() {
+    let out = bin()
+        .args(["serve", "--init-config"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let mut cfg: serde_json::Value = serde_json::from_slice(&out.stdout).expect("config JSON");
+    cfg["hybrid"]["channels"] = serde_json::json!({"kind": "split", "pull_channels": 2});
+    cfg["serve"]["unit_millis"] = 1.0.into(); // the smoke trace's
+    let path = std::env::temp_dir().join(format!("hybridcast-split-{}.json", std::process::id()));
+    std::fs::write(&path, cfg.to_string()).expect("config written");
+    let trace = concat!(env!("CARGO_MANIFEST_DIR"), "/../testkit/traces/smoke.hct");
+    for mode in ["sim", "daemon"] {
+        let config = path.to_str().expect("utf-8 path");
+        let out = bin()
+            .args([
+                "replay", "--trace", trace, "--config", config, "--mode", mode,
+            ])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{mode}: {stderr}");
+        let json: serde_json::Value = serde_json::from_slice(&out.stdout).expect("JSON on stdout");
+        if mode == "daemon" {
+            assert_eq!(json["conservation_ok"].as_bool(), Some(true), "{json}");
+            assert_eq!(json["accepted"].as_u64(), Some(1000), "{json}");
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn warmup_past_the_horizon_is_an_invalid_config() {
     let mut cfg: serde_json::Value = serde_json::from_str(&quick_config()).unwrap();

@@ -3,8 +3,8 @@
 //! A [`HybridScheduler`] decides *what airs next*; a [`ChannelCore`] wraps
 //! one and owns everything about *who is waiting for it*: the live-request
 //! slab, one push-waiter and one pull-waiter list per catalog item, the
-//! deadline and uplink-delivery heaps, the in-flight transmission with
-//! the batch it will satisfy, and the books. It is **time-passive** — it
+//! deadline and uplink-delivery heaps, what each of its transmitters has
+//! on the air with the batch it will satisfy, and the books. It is **time-passive** — it
 //! never reads a clock. A driver tells it what time it is:
 //!
 //! * `hybridcastd` (`T = (seq, Conn)`, `S = WindowRecorder`) calls
@@ -49,10 +49,11 @@ use hybridcast_workload::classes::ClassId;
 use hybridcast_workload::requests::Request;
 use hybridcast_workload::scenario::Scenario;
 
-use crate::config::HybridConfig;
+use crate::config::{HybridConfig, Role};
 use crate::hybrid::{Disposition, HybridScheduler, Transmission};
 use crate::metrics::TxKind;
 use crate::sharded::{build_shards, ChannelPlan};
+use crate::transmitters::{self, Transmitters};
 use crate::uplink::{UplinkChannel, UplinkOutcome, UPLINK_STREAM};
 
 /// How a request left the channel.
@@ -341,10 +342,10 @@ struct Inflight {
 
 type DueHeap = BinaryHeap<Reverse<(SimTime, Handle)>>;
 
-/// One core per broadcast channel of `hybrid`'s layout (a single one
-/// outside the sharded layout), each over its own scheduler shard — built
-/// exactly like the simulator's — and its own uplink lane, plus the plan
-/// that routes items to them. `sink` makes each channel's sink.
+/// One core per shard of `hybrid`'s layout, each over its own scheduler —
+/// built exactly like the simulator's — with that shard's transmitters and
+/// its own uplink lane, plus the plan that routes items to them. `sink`
+/// makes each channel's sink.
 pub fn channel_cores<T, S: Sink>(
     scenario: &Scenario,
     hybrid: &HybridConfig,
@@ -359,10 +360,12 @@ pub fn channel_cores<T, S: Sink>(
         &scenario.factory,
         None,
     );
+    let transmitters = hybrid.channels.transmitters();
     let cores = schedulers
         .into_iter()
+        .zip(transmitters.chunk_by(|a, b| a.shard() == b.shard()))
         .zip(UPLINK_STREAM..)
-        .map(|(scheduler, lane)| ChannelCore {
+        .map(|((scheduler, roles), lane)| ChannelCore {
             scheduler,
             uplink: hybrid
                 .uplink
@@ -375,7 +378,8 @@ pub fn channel_cores<T, S: Sink>(
             spare: Vec::new(),
             timeouts: BinaryHeap::new(),
             deliveries: BinaryHeap::new(),
-            inflight: None,
+            roles: roles.to_vec(),
+            on_air: roles.iter().map(|_| None).collect(),
             cursor: SimTime::ZERO,
             books: Books::new(num_classes),
         });
@@ -406,7 +410,10 @@ pub struct ChannelCore<T, S: Sink> {
     timeouts: DueHeap,
     /// Requests in flight on the uplink.
     deliveries: DueHeap,
-    inflight: Option<Inflight>,
+    /// This shard's transmitters: slot `i` airs for `roles[i]`.
+    roles: Vec<Role>,
+    /// What each slot has on the air, with the batch it will satisfy.
+    on_air: Vec<Option<Inflight>>,
     /// Monotone high-water mark of scheduler/sink time. Ingest stamps are
     /// taken upstream and due events fire at their (possibly already
     /// past) due times, so raw stamps can trail events already processed;
@@ -580,23 +587,29 @@ impl<T, S: Sink> ChannelCore<T, S> {
         }
     }
 
-    /// Earliest instant anything is due: the in-flight completion, a
+    /// Earliest instant anything is due: a transmission's completion, a
     /// deadline, or an uplink delivery.
     pub fn next_due(&self) -> Option<SimTime> {
         let head = |heap: &DueHeap| heap.peek().map(|Reverse((due, _))| *due);
-        let completion = self.inflight.as_ref().map(|i| i.tx.completes_at());
-        [completion, head(&self.timeouts), head(&self.deliveries)]
+        let completions = self.on_air.iter().flatten().map(|i| i.tx.completes_at());
+        [head(&self.timeouts), head(&self.deliveries)]
             .into_iter()
             .flatten()
+            .chain(completions)
             .min()
     }
 
     /// Fires everything due at or before `now`: uplink deliveries, then
-    /// deadlines, then the in-flight completion. A late `now` is fine —
-    /// each event is processed at its own due time, clamped through the
-    /// cursor. Returns the due stamp of the completion it fired, if any,
-    /// so a wall-clock driver can see how late it ran.
-    pub fn advance(&mut self, now: SimTime, mut out: impl FnMut(Resolution<T>)) -> Option<SimTime> {
+    /// deadlines, then transmission completions in (due, slot) order. A
+    /// late `now` is fine — each event is processed at its own due time,
+    /// clamped through the cursor. `fired` gets each completion's due
+    /// stamp, so a wall-clock driver can see how late it ran.
+    pub fn advance(
+        &mut self,
+        now: SimTime,
+        mut out: impl FnMut(Resolution<T>),
+        mut fired: impl FnMut(SimTime),
+    ) {
         while let Some(&Reverse((due, handle))) = self.deliveries.peek() {
             if due > now {
                 break;
@@ -625,39 +638,22 @@ impl<T, S: Sink> ChannelCore<T, S> {
                 self.resolve(req, Outcome::TimedOut, wait, &mut out);
             }
         }
-        let due = self.inflight.as_ref()?.tx.completes_at();
-        now.reached(due).then(|| {
-            self.complete(&mut out);
-            due
-        })
+        while let Some((due, slot)) = (self.on_air.iter().enumerate())
+            .filter_map(|(slot, i)| Some((i.as_ref()?.tx.completes_at(), slot)))
+            .filter(|&(due, _)| due <= now)
+            .min()
+        {
+            self.complete(slot, &mut out);
+            fired(due);
+        }
     }
 
-    /// Starts the next transmission at `now` if the downlink is idle and
-    /// anyone is waiting; queue entries the bandwidth check rejects on the
-    /// way are shed.
+    /// Offers every idle transmitter a transmission at `now`, by the role
+    /// rules of the `transmitters` module (each role airs only while its
+    /// demand lasts); queue entries the bandwidth check rejects on the way
+    /// are shed.
     pub fn dispatch(&mut self, now: SimTime, mut out: impl FnMut(Resolution<T>)) {
-        let demand = !self.scheduler.queue().is_empty() || self.live_push > 0;
-        if self.inflight.is_some() || !demand {
-            return;
-        }
-        let now = self.tick(now);
-        let (tx, dropped) = self.scheduler.next_transmission(now);
-        for entry in dropped {
-            let mut batch = std::mem::take(&mut self.pull_waiters[entry.item.index()]);
-            for handle in batch.drain(..) {
-                self.shed(handle, now, &mut out);
-            }
-            self.spare.push(batch);
-            self.scheduler.recycle(entry);
-        }
-        if let Some(tx) = tx {
-            let batch = match tx.kind {
-                TxKind::Pull => std::mem::take(&mut self.pull_waiters[tx.item.index()]),
-                TxKind::Push => Vec::new(),
-            };
-            self.gauge(now);
-            self.inflight = Some(Inflight { tx, batch });
-        }
+        self.kick(&mut out, now, self.roles[0].shard());
     }
 
     /// Sheds every request still live, lowest id first — the driver's
@@ -685,10 +681,8 @@ impl<T, S: Sink> ChannelCore<T, S> {
         self.resolve(req, Outcome::Shed, wait, out);
     }
 
-    fn complete(&mut self, out: &mut impl FnMut(Resolution<T>)) {
-        let Some(inf) = self.inflight.take() else {
-            return;
-        };
+    fn complete(&mut self, slot: usize, out: &mut impl FnMut(Resolution<T>)) {
+        let inf = self.on_air[slot].take().expect("a due slot is on the air");
         let at = inf.tx.completes_at();
         let (item, kind, start, duration) =
             (inf.tx.item, inf.tx.kind, inf.tx.start, inf.tx.duration);
@@ -760,6 +754,44 @@ impl<T, S: Sink> ChannelCore<T, S> {
             ServiceKind::Pull => Outcome::ServedPull,
         };
         self.resolve(req, outcome, at.since(arrival).as_f64(), out);
+    }
+}
+
+impl<T, S: Sink, O: FnMut(Resolution<T>)> Transmitters<O> for ChannelCore<T, S> {
+    fn roles(&self) -> &[Role] {
+        &self.roles
+    }
+
+    fn idle(&self, slot: usize) -> bool {
+        self.on_air[slot].is_none()
+    }
+
+    /// Someone listens to the push cycle while a push waiter is live.
+    fn demand(&self, _shard: u32) -> (bool, bool) {
+        (!self.scheduler.queue().is_empty(), self.live_push > 0)
+    }
+
+    fn air(&mut self, out: &mut O, now: SimTime, slot: usize, role: Role) -> bool {
+        let now = self.tick(now);
+        let (tx, dropped) = transmitters::next(role, &mut self.scheduler, now);
+        for entry in dropped {
+            let mut batch = std::mem::take(&mut self.pull_waiters[entry.item.index()]);
+            for handle in batch.drain(..) {
+                self.shed(handle, now, out);
+            }
+            self.spare.push(batch);
+            self.scheduler.recycle(entry);
+        }
+        let Some(tx) = tx else {
+            return false;
+        };
+        let batch = match tx.kind {
+            TxKind::Pull => std::mem::take(&mut self.pull_waiters[tx.item.index()]),
+            TxKind::Push => Vec::new(),
+        };
+        self.gauge(now);
+        self.on_air[slot] = Some(Inflight { tx, batch });
+        true
     }
 }
 
@@ -855,7 +887,7 @@ mod tests {
         out: &mut impl FnMut(Resolution<T>),
     ) {
         while let Some(due) = core.next_due().filter(|&due| due <= until) {
-            core.advance(due, &mut *out);
+            core.advance(due, &mut *out, |_| {});
             core.dispatch(due, &mut *out);
         }
     }
@@ -879,7 +911,7 @@ mod tests {
         }
         for _ in 0..drain {
             let Some(due) = core.next_due() else { break };
-            core.advance(due, &mut out);
+            core.advance(due, &mut out, |_| {});
             core.dispatch(due, &mut out);
             now = now.max(due);
         }
@@ -975,7 +1007,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         for tick in 1..400 {
             now = SimTime::new(tick as f64 * 25.0);
-            core.advance(now, &mut out);
+            core.advance(now, &mut out, |_| {});
             core.dispatch(now, &mut out);
             while next < REQUESTS && next as f64 * BASE.gap <= now.as_f64() {
                 ingest(core, &BASE, next, tag(next), &mut out);

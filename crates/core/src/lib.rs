@@ -77,6 +77,7 @@ pub mod queue;
 pub mod shard;
 pub mod sharded;
 pub mod sim_driver;
+mod transmitters;
 pub mod uplink;
 
 /// One-stop imports for scheduler users.

@@ -37,10 +37,12 @@ use hybridcast_workload::scenario::Scenario;
 use crate::adaptive::{ControllerConfig, CutoffController};
 use crate::churn::{ChurnConfig, ChurnOutcome, ChurnState, NO_CLIENT};
 use crate::config::{HybridConfig, Role};
+use crate::experiment::rank;
 use crate::hybrid::{HybridScheduler, Transmission};
 use crate::metrics::{MetricsCollector, SimReport, TxKind};
 use crate::pull::PullPolicy;
 use crate::sharded::{build_shards, ChannelPlan};
+use crate::transmitters::{self, Transmitters};
 use crate::uplink::{UplinkChannel, UplinkOutcome, UPLINK_STREAM};
 use hybridcast_analysis::hybrid_model::HybridDelayModel;
 use hybridcast_telemetry::{
@@ -515,66 +517,6 @@ impl<S: Sink> Driver<'_, S> {
         self.shards[self.plan.channel_of(item) as usize].is_push_item(item)
     }
 
-    /// Puts `tx` on the air in the idle `slot` and arms its completion.
-    fn start(&mut self, eng: &mut Engine<Event>, slot: usize, tx: Transmission) {
-        debug_assert!(self.on_air[slot].is_none(), "slot {slot} is busy");
-        self.metrics.on_transmission(tx.kind);
-        eng.schedule_at(tx.completes_at(), Event::Complete(slot as u32));
-        self.on_air[slot] = Some(tx);
-    }
-
-    /// Asks the idle `slot`'s shard for what its role airs next and puts
-    /// it on the air; `false` when there is nothing to air.
-    fn dispatch(&mut self, eng: &mut Engine<Event>, now: SimTime, slot: usize) -> bool {
-        let role = self.roles[slot];
-        let shard = &mut self.shards[role.shard() as usize];
-        let tx = match role {
-            Role::Push(_) => shard.next_push_transmission(now),
-            Role::Hybrid(s) | Role::Pull(s) => {
-                let (tx, dropped) = match role {
-                    Role::Hybrid(_) => shard.next_transmission(now),
-                    _ => shard.next_pull_transmission(now),
-                };
-                self.record_dropped(dropped, now, s);
-                self.record_queue(now);
-                tx
-            }
-        };
-        let Some(tx) = tx else {
-            return false;
-        };
-        if let (Some(churn), Some(batch)) = (&mut self.churn, &tx.served) {
-            churn.on_air(tx.item, batch.count());
-        }
-        self.start(eng, slot, tx);
-        true
-    }
-
-    /// Work became available on `shard`: fill its idle `Hybrid` and `Pull`
-    /// slots, in slot order. A `Pull` slot is filled only while the queue
-    /// holds work, and the first one that gets nothing ends the kick.
-    fn kick(&mut self, eng: &mut Engine<Event>, now: SimTime, shard: u32) {
-        let first = self.roles.partition_point(|r| r.shard() < shard);
-        for slot in first..self.roles.len() {
-            match self.roles[slot] {
-                r if r.shard() != shard => break,
-                Role::Push(_) => {}
-                Role::Hybrid(_) => {
-                    if self.on_air[slot].is_none() {
-                        self.dispatch(eng, now, slot);
-                    }
-                }
-                Role::Pull(s) => {
-                    if self.shards[s as usize].queue().is_empty()
-                        || (self.on_air[slot].is_none() && !self.dispatch(eng, now, slot))
-                    {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
     /// One request enters the system: a broadcast listener parks in its
     /// item's waiting room, a pull request crosses the uplink (when one is
     /// modeled) and joins the queue.
@@ -705,8 +647,7 @@ impl<S: Sink> Driver<'_, S> {
                 let tx = self.on_air[slot]
                     .take()
                     .expect("a pending completion's slot holds its transmission");
-                let role = self.roles[slot];
-                let shard = role.shard() as usize;
+                let shard = self.roles[slot].shard() as usize;
                 let (kind, start, item, duration) = (tx.kind, tx.start, tx.item, tx.duration);
                 match kind {
                     TxKind::Push => {
@@ -757,13 +698,7 @@ impl<S: Sink> Driver<'_, S> {
                         }
                     }
                 }
-                // A push transmitter keeps broadcasting; any other slot
-                // hands its shard's work to whichever of its slots is idle.
-                if let Role::Push(_) = role {
-                    self.dispatch(eng, now, slot);
-                } else {
-                    self.kick(eng, now, role.shard());
-                }
+                self.completed(eng, now, slot);
             }
             Event::Retune => self.retune(eng, now),
             Event::Fault(action) => self.apply_fault(eng, now, action),
@@ -888,12 +823,11 @@ impl<S: Sink> Driver<'_, S> {
                 let catalog = self.shards[0].catalog().items();
                 let lengths: Vec<u32> = order.iter().map(|&i| catalog[i].length).collect();
                 let lambda_est = total as f64 / state.config.period;
-                let best_k = state
-                    .config
-                    .candidate_ks
+                let ks = &state.config.candidate_ks;
+                let costs: Vec<f64> = ks
                     .iter()
                     .map(|&k| {
-                        let cost = HybridDelayModel::from_parts(
+                        HybridDelayModel::from_parts(
                             probs.clone(),
                             lengths.clone(),
                             self.shards[0].classes(),
@@ -902,12 +836,10 @@ impl<S: Sink> Driver<'_, S> {
                         )
                         .with_alpha(state.alpha)
                         .delays()
-                        .total_prioritized_cost;
-                        (k, cost)
+                        .total_prioritized_cost
                     })
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are finite"))
-                    .map(|(k, _)| k)
-                    .expect("candidate grid is non-empty");
+                    .collect();
+                let best_k = ks[rank(&costs)[0]];
                 let record = RetuneRecord {
                     time: now.as_f64(),
                     from_k,
@@ -980,13 +912,39 @@ impl<S: Sink> Driver<'_, S> {
             }
         }
         self.record_queue(now);
-        // No arrival kicks a push transmitter: an empty push set left it
-        // idle, and a push set with members puts it back on the air.
-        for slot in 0..self.roles.len() {
-            if matches!(self.roles[slot], Role::Push(_)) && self.on_air[slot].is_none() {
-                self.dispatch(eng, now, slot);
-            }
+        self.push_set_moved(eng, now);
+    }
+}
+
+impl<S: Sink> Transmitters<Engine<Event>> for Driver<'_, S> {
+    fn roles(&self) -> &[Role] {
+        &self.roles
+    }
+
+    fn idle(&self, slot: usize) -> bool {
+        self.on_air[slot].is_none()
+    }
+
+    fn demand(&self, shard: u32) -> (bool, bool) {
+        (!self.shards[shard as usize].queue().is_empty(), true)
+    }
+
+    fn air(&mut self, eng: &mut Engine<Event>, now: SimTime, slot: usize, role: Role) -> bool {
+        let (tx, dropped) = transmitters::next(role, &mut self.shards[role.shard() as usize], now);
+        if role.pulls() {
+            self.record_dropped(dropped, now, role.shard());
+            self.record_queue(now);
         }
+        let Some(tx) = tx else {
+            return false;
+        };
+        if let (Some(churn), Some(batch)) = (&mut self.churn, &tx.served) {
+            churn.on_air(tx.item, batch.count());
+        }
+        self.metrics.on_transmission(tx.kind);
+        eng.schedule_at(tx.completes_at(), Event::Complete(slot as u32));
+        self.on_air[slot] = Some(tx);
+        true
     }
 }
 
@@ -1112,7 +1070,7 @@ impl<'a> Simulation<'a> {
         if let Some(churn) = self.churn {
             churn.validate(self.scenario.classes.len())?;
             ensure(
-                self.hybrid.channels.transmitters() == [Role::Hybrid(0)],
+                self.hybrid.channels.transmitters().len() == 1,
                 "the churn model runs on the paper's single interleaved channel",
             )?;
             ensure(
@@ -1253,14 +1211,9 @@ impl<'a> Simulation<'a> {
                 }
             }
         }
-        // The downlink boots at t = 0: every `Hybrid` and `Push`
-        // transmitter starts transmitting immediately; in pure-pull mode
+        // `Hybrid` and `Push` transmitters start at once; in pure-pull mode
         // they wait for the first request, as `Pull` transmitters always do.
-        for slot in 0..driver.roles.len() {
-            if !matches!(driver.roles[slot], Role::Pull(_)) {
-                driver.dispatch(&mut engine, SimTime::ZERO, slot);
-            }
-        }
+        driver.boot(&mut engine);
 
         let horizon = SimTime::new(params.horizon);
         engine.run_until(horizon, |eng, ev| driver.handle(eng, ev));

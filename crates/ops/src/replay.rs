@@ -353,7 +353,7 @@ fn replay_channel(
 ) {
     // Fires what is due at `due`, then offers the downlink.
     fn fire(core: &mut ChannelCore<(), NullSink>, due: SimTime) {
-        core.advance(due, |_| {});
+        core.advance(due, |_| {}, |_| {});
         core.dispatch(due, |_| {});
     }
     let mut now = SimTime::ZERO;

@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use hybridcast_core::config::{HybridConfig, Role};
+use hybridcast_core::config::HybridConfig;
 use hybridcast_telemetry::TelemetryConfig;
 use hybridcast_workload::scenario::ScenarioConfig;
 
@@ -119,14 +119,7 @@ impl ServeConfig {
         problems.extend(self.scenario.validate(false).err());
         problems.extend(self.hybrid.validate().err());
         let channels = self.hybrid.channels.shard_count();
-        let transmitters = self.hybrid.channels.transmitters();
-        if transmitters.iter().any(|r| !matches!(r, Role::Hybrid(_))) {
-            problems.push(
-                "hybrid.channels: the daemon serves the paper's single interleaved \
-                 downlink; the split layout is simulation-only"
-                    .into(),
-            );
-        } else if channels > 1 && channels as usize > self.scenario.num_items {
+        if channels > 1 && channels as usize > self.scenario.num_items {
             problems.push(format!(
                 "hybrid.channels: {channels} channels exceed the catalog size {}",
                 self.scenario.num_items
@@ -209,11 +202,13 @@ mod tests {
     }
 
     #[test]
-    fn split_layout_is_rejected() {
+    fn split_layout_is_accepted() {
         let mut cfg = ServeConfig::default();
         cfg.hybrid.channels = ChannelLayout::Split { pull_channels: 2 };
+        cfg.validate().unwrap();
+        cfg.hybrid.channels = ChannelLayout::Split { pull_channels: 0 };
         let err = cfg.validate().unwrap_err();
-        assert!(err.contains("interleaved"), "{err}");
+        assert!(err.contains("split layout needs ≥ 1 pull channel"), "{err}");
     }
 
     #[test]

@@ -696,17 +696,13 @@ impl Core {
         }
     }
 
-    /// Fires what is due now and books how late the completion ran, if
-    /// one fired.
+    /// Fires what is due now and books how late each completion ran.
     fn advance(&mut self) {
-        let now = self.clock.now();
-        let fired = self
-            .core
-            .advance(now, reply(self.unit_millis, &mut self.outbox));
-        if let Some(due) = fired {
-            self.slot_late_ms
-                .push(now.since(due).as_f64() * self.unit_millis);
-        }
+        let (now, unit_millis, late) = (self.clock.now(), self.unit_millis, &mut self.slot_late_ms);
+        let out = reply(unit_millis, &mut self.outbox);
+        self.core.advance(now, out, |due| {
+            late.push(now.since(due).as_f64() * unit_millis)
+        });
     }
 
     /// Closes out this channel's telemetry (flushing the window tail to

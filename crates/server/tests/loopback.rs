@@ -447,6 +447,96 @@ fn sharded_daemon_conserves_per_channel_and_globally() {
     let _ = std::fs::remove_file(&results);
 }
 
+/// The split layout on the daemon: one scheduler thread airs a dedicated
+/// broadcast transmitter and two pull transmitters. Under a loadgen run
+/// the books conserve globally and per class, both kinds of transmitter
+/// serve, and the recorded trace replays to bit-identical books.
+#[test]
+fn split_daemon_serves_push_and_pull_and_replays_bit_identically() {
+    use hybridcast_core::config::ChannelLayout;
+    use hybridcast_ops::{replay_daemon, Trace};
+    let trace_path =
+        std::env::temp_dir().join(format!("hybridcast-serve-split-{}.hct", std::process::id()));
+    let mut cfg = base_config();
+    cfg.hybrid = HybridConfig {
+        cutoff: 30,
+        pull: PullPolicyKind::importance(0.5),
+        channels: ChannelLayout::Split { pull_channels: 2 },
+        ..HybridConfig::default()
+    };
+    cfg.serve.unit_millis = 0.5;
+    cfg.serve.trace_path = Some(trace_path.display().to_string());
+    let replay_cfg = cfg.clone();
+    let server = ServerHandle::start(cfg).expect("the daemon serves the split layout");
+    let report = run_loadgen(&LoadgenConfig {
+        addr: server.addr().to_string(),
+        rps: 2_000.0,
+        connections: 2,
+        duration_secs: 0.5,
+        seed: 13,
+        grace_ms: 5_000,
+        ..LoadgenConfig::default()
+    })
+    .expect("loadgen runs");
+    server.shutdown();
+    let summary = server.join().expect("clean shutdown");
+
+    assert_eq!(report.unanswered, 0, "{report:?}");
+    assert_eq!(summary.channels, 1, "one shard, one scheduler thread");
+    assert!(summary.conservation_ok, "conservation: {summary:?}");
+    let answered = |served, shed, timed_out, lost| served + shed + timed_out + lost;
+    assert_eq!(
+        summary.accepted,
+        answered(
+            summary.served(),
+            summary.shed,
+            summary.timed_out,
+            summary.uplink_lost
+        )
+    );
+    for class in &summary.per_class {
+        let served = class.served_push + class.served_pull;
+        assert_eq!(
+            class.accepted,
+            answered(served, class.shed, class.timed_out, class.uplink_lost),
+            "{}: {class:?}",
+            class.name
+        );
+    }
+    let per_class: u64 = summary.per_class.iter().map(|c| c.accepted).sum();
+    assert_eq!(per_class, summary.accepted);
+    assert!(
+        summary.served_push > 0 && summary.served_pull > 0,
+        "{summary:?}"
+    );
+    assert_eq!(
+        summary.slot_late_ms.count,
+        summary.push_tx + summary.pull_tx,
+        "one lateness sample per transmission, on every transmitter"
+    );
+
+    let trace = Trace::read(&trace_path).expect("trace reads");
+    assert!(!trace.records.is_empty());
+    let scenario = replay_cfg.scenario.build();
+    let replay = || {
+        replay_daemon(
+            &scenario,
+            &replay_cfg.hybrid,
+            trace.meta.unit_millis,
+            &trace,
+        )
+    };
+    let (first, second) = (replay(), replay());
+    assert_eq!(
+        serde_json::to_string(&first).expect("books serialize"),
+        serde_json::to_string(&second).expect("books serialize"),
+        "daemon-mode replay must be bit-identical across runs"
+    );
+    assert!(first.conservation_ok, "replay conservation: {first:?}");
+    assert!(first.served_push > 0 && first.served_pull > 0, "{first:?}");
+    let _ = std::fs::remove_file(&trace_path);
+}
+
 /// Requests one push slot answers come back in the order they went in:
 /// three requests for item 1, filed while item 0 is on the air, are all
 /// served by item 1's next slot and reach the connection as seq 0, 1, 2.

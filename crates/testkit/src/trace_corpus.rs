@@ -26,6 +26,7 @@ use hybridcast_ops::trace::{Trace, TraceMeta, TraceRecord, VERSION};
 use hybridcast_ops::{
     fnv1a64, plan_digest, replay_daemon, replay_simulator, sim_params_for, ReplayBooks,
 };
+use hybridcast_sim::rng::splitmix64;
 use hybridcast_workload::scenario::ScenarioConfig;
 
 /// The sidecar configuration a corpus trace replays under: everything
@@ -94,14 +95,7 @@ pub fn synthesize_trace(case: &TraceCase, seed: u64, n: u32) -> Trace {
         default_deadline_ms: 0,
     };
     let mut state = seed;
-    let mut next = move || -> u64 {
-        // SplitMix64: tiny, dependency-free, stable across platforms.
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
+    let mut next = move || splitmix64(&mut state);
     let mut arrival = 0.0f64;
     let mut records = Vec::with_capacity(n as usize);
     for i in 0..n {
@@ -340,6 +334,28 @@ mod tests {
         let sidecar =
             fs::read_to_string(committed_trace_dir().join("smoke.json")).expect("sidecar");
         assert_eq!(sidecar, case.to_json(), "sidecar matches smoke_case()");
+    }
+
+    /// `Split { 2 }` replays through its own transmitters (one broadcast
+    /// slot, two pull slots), not as one interleaved downlink.
+    #[test]
+    fn split_replay_runs_its_own_transmitters() {
+        use hybridcast_core::config::ChannelLayout;
+        let trace = Trace::read(&committed_trace_dir().join("smoke.hct")).expect("smoke trace");
+        let books = |channels| {
+            let mut case = smoke_case();
+            case.hybrid.channels = channels;
+            replay_twice(&case, &trace).expect("deterministic and conserving")
+        };
+        let split = books(ChannelLayout::Split { pull_channels: 2 });
+        let interleaved = books(ChannelLayout::Interleaved);
+        assert_eq!(smoke_case().hybrid.cutoff, 30);
+        assert!(split.served_push > 0 && split.served_pull > 0, "{split:?}");
+        assert_ne!(
+            serde_json::to_string(&split).expect("books serialize"),
+            serde_json::to_string(&interleaved).expect("books serialize"),
+            "the split layout is not the interleaved one"
+        );
     }
 
     #[test]

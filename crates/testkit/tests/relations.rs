@@ -2,9 +2,13 @@
 //! that must produce the same [`SimRun`], bit for bit. Each row of the
 //! table derives both sides of its relation from one case; the table runs
 //! every row over the committed corpus plus a band of generated cases.
+//! The daemon's replay books answer to the same kind of relation, over
+//! the committed smoke trace and synthesized ones.
 
 use hybridcast_core::config::AssignmentStrategy;
 use hybridcast_core::prelude::{ChannelLayout, FaultSpec, NullSink, SimRun};
+use hybridcast_ops::{replay_daemon, Trace};
+use hybridcast_testkit::trace_corpus::{committed_trace_dir, smoke_case, synthesize_trace};
 use hybridcast_testkit::{committed_corpus_dir, generate_case, load_corpus, FuzzCase};
 
 /// Runs `case` as the harness does (adaptive block, faults, queue audit).
@@ -107,5 +111,32 @@ fn relation_table_holds_on_the_corpus_and_generated_cases() {
                 );
             }
         }
+    }
+}
+
+/// With nothing to push, the daemon's split layout idles its broadcast
+/// transmitter (nobody listens) and its one pull transmitter is the
+/// interleaved downlink: the same replay books, bit for bit.
+#[test]
+fn daemon_replay_split_1_at_k_0_equals_interleaved_at_k_0() {
+    let smoke = Trace::read(&committed_trace_dir().join("smoke.hct")).expect("smoke trace");
+    let mut case = smoke_case();
+    case.hybrid.cutoff = 0;
+    let synthesized = (0..8).map(|seed| synthesize_trace(&case, seed, 400));
+    let scenario = case.scenario.build();
+    for (i, trace) in std::iter::once(smoke).chain(synthesized).enumerate() {
+        let books = |channels| {
+            let hybrid = hybridcast_core::config::HybridConfig {
+                channels,
+                ..case.hybrid.clone()
+            };
+            let books = replay_daemon(&scenario, &hybrid, case.unit_millis, &trace);
+            serde_json::to_string(&books).expect("books serialize")
+        };
+        assert_eq!(
+            books(ChannelLayout::Interleaved),
+            books(ChannelLayout::Split { pull_channels: 1 }),
+            "trace {i} (0 = smoke.hct)"
+        );
     }
 }
