@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 /// One priority class of the queue.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PriorityClass {
+pub(crate) struct PriorityClass {
     /// Arrival rate λ_j.
     pub lambda: f64,
     /// Service rate μ_j.
@@ -35,7 +35,7 @@ impl CobhamQueue {
     ///
     /// # Panics
     /// Panics if `classes` is empty or any rate is non-positive.
-    pub fn new(classes: Vec<PriorityClass>) -> Self {
+    pub(crate) fn new(classes: Vec<PriorityClass>) -> Self {
         assert!(!classes.is_empty(), "need at least one class");
         for (i, c) in classes.iter().enumerate() {
             assert!(
@@ -79,24 +79,14 @@ impl CobhamQueue {
         (0..=i).map(|j| self.rho(j)).sum()
     }
 
-    /// Total utilization `ρ = σ_max`.
-    pub fn total_rho(&self) -> f64 {
-        self.sigma_through(self.classes.len() - 1)
-    }
-
-    /// `true` when the total load is below capacity.
-    pub fn is_stable(&self) -> bool {
-        self.total_rho() < 1.0
-    }
-
     /// Mean residual service `E[S₀] = Σ_j ρ_j/μ_j` (paper Eq. 15).
-    pub fn mean_residual(&self) -> f64 {
+    pub(crate) fn mean_residual(&self) -> f64 {
         self.classes.iter().map(|c| (c.lambda / c.mu) / c.mu).sum()
     }
 
     /// Queueing wait of class `i` (zero-based), paper Eq. 18.
     /// `None` when class `i` is saturated (`σ_i ≥ 1`).
-    pub fn class_wait(&self, i: usize) -> Option<f64> {
+    pub(crate) fn class_wait(&self, i: usize) -> Option<f64> {
         let sigma_prev = if i == 0 {
             0.0
         } else {
@@ -174,7 +164,7 @@ mod tests {
         let mu = 1.0;
         let q = CobhamQueue::with_common_service(&lambdas, mu);
         let lhs: f64 = (0..3).map(|i| q.rho(i) * q.class_wait(i).unwrap()).sum();
-        let rho = q.total_rho();
+        let rho: f64 = (0..3).map(|i| q.rho(i)).sum();
         let rhs = rho * q.mean_residual() / (1.0 - rho);
         assert!((lhs - rhs).abs() < 1e-12, "{lhs} vs {rhs}");
 
@@ -204,7 +194,6 @@ mod tests {
         assert!(q.class_wait(0).is_some(), "premium class still stable");
         assert_eq!(q.class_wait(1), None, "σ₂ = 1.1 ≥ 1");
         assert_eq!(q.aggregate_wait(), None);
-        assert!(!q.is_stable());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! computed by the numerically stable recursion
 //! `B(E, 0) = 1; B(E, j) = E·B(E, j−1) / (j + E·B(E, j−1))`.
-//! [`erlang_b_fractional`] linearly interpolates between integer server
+//! `erlang_b_fractional` linearly interpolates between integer server
 //! counts so partition sizes need not divide evenly.
 //!
 //! This is the analytic counterpart of the CLAIM-BLOCK experiment: it
@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// # Panics
 /// Panics if `erlangs` is negative or not finite.
-pub fn erlang_b(erlangs: f64, servers: u32) -> f64 {
+pub(crate) fn erlang_b(erlangs: f64, servers: u32) -> f64 {
     assert!(
         erlangs >= 0.0 && erlangs.is_finite(),
         "offered load must be non-negative and finite (got {erlangs})"
@@ -47,7 +47,7 @@ pub fn erlang_b(erlangs: f64, servers: u32) -> f64 {
 ///
 /// # Panics
 /// Panics if `servers` is negative or not finite.
-pub fn erlang_b_fractional(erlangs: f64, servers: f64) -> f64 {
+pub(crate) fn erlang_b_fractional(erlangs: f64, servers: f64) -> f64 {
     assert!(
         servers >= 0.0 && servers.is_finite(),
         "server count must be non-negative and finite (got {servers})"

@@ -10,10 +10,8 @@
 //! Two caveats force interpretation choices (both documented in DESIGN.md):
 //!
 //! 1. §5.1 *defines* `μ₁ = Σ_{i≤K} P_i·L_i`, which makes the first term
-//!    identically `½`. We expose that literal form
-//!    ([`HybridDelayModel::push_wait_paper`]) and a *physical* form — the
-//!    flat-cycle expected completion wait `½·Σ_{j<K} L_j + E[L | push]`
-//!    ([`HybridDelayModel::push_wait_physical`]).
+//!    identically `½`. The model uses a *physical* form instead — the
+//!    flat-cycle expected completion wait `½·Σ_{j<K} L_j + E[L | push]`.
 //! 2. The pull term's `E[W_pull]` comes from Cobham's request-level queue
 //!    (§4.2.2). At the paper's own parameters (λ′ = 5 requests per
 //!    broadcast unit) that queue is deeply saturated — yet the real system
@@ -171,7 +169,7 @@ impl HybridDelayModel {
     }
 
     /// `Σ_{i≤K} P_i` — probability a request hits the push set.
-    pub fn push_mass(&self) -> f64 {
+    pub(crate) fn push_mass(&self) -> f64 {
         self.probs[..self.k].iter().sum()
     }
 
@@ -181,7 +179,7 @@ impl HybridDelayModel {
     }
 
     /// The paper's `μ₁ = Σ_{i≤K} P_i·L_i` (a popularity-weighted length).
-    pub fn mu1_paper(&self) -> f64 {
+    pub(crate) fn mu1_paper(&self) -> f64 {
         self.probs[..self.k]
             .iter()
             .zip(&self.lengths[..self.k])
@@ -190,7 +188,7 @@ impl HybridDelayModel {
     }
 
     /// The paper's `μ₂ = Σ_{i>K} P_i·L_i`.
-    pub fn mu2_paper(&self) -> f64 {
+    pub(crate) fn mu2_paper(&self) -> f64 {
         self.probs[self.k..]
             .iter()
             .zip(&self.lengths[self.k..])
@@ -199,13 +197,13 @@ impl HybridDelayModel {
     }
 
     /// Flat broadcast cycle length `Σ_{j<K} L_j`.
-    pub fn cycle_length(&self) -> f64 {
+    pub(crate) fn cycle_length(&self) -> f64 {
         self.lengths[..self.k].iter().map(|&l| l as f64).sum()
     }
 
     /// Mean push slot length (unweighted — every item appears once per
     /// cycle under flat scheduling).
-    pub fn mean_push_slot(&self) -> f64 {
+    pub(crate) fn mean_push_slot(&self) -> f64 {
         if self.k == 0 {
             0.0
         } else {
@@ -221,16 +219,6 @@ impl HybridDelayModel {
             0.0
         } else {
             self.mu2_paper() / mass
-        }
-    }
-
-    /// Eq. 19's first term as printed: `(1/2μ₁)·Σ_{i≤K} L_i·P_i`, which is
-    /// `½` whenever the push set is non-empty (0 when it is empty).
-    pub fn push_wait_paper(&self) -> f64 {
-        if self.k == 0 {
-            0.0
-        } else {
-            0.5
         }
     }
 
@@ -255,7 +243,7 @@ impl HybridDelayModel {
     /// pull transmissions interleaved into it: while the `K` push items
     /// take `Σ L_j` of air time, the server also serves `ν·T_c` pull items,
     /// so `T_c = cycle / (1 − ν·E[L_pull item])`.
-    pub fn effective_cycle_time(&self) -> f64 {
+    pub(crate) fn effective_cycle_time(&self) -> f64 {
         let cycle = self.cycle_length();
         if self.k == 0 {
             return 0.0;
@@ -275,7 +263,7 @@ impl HybridDelayModel {
     /// The physical flat-schedule wait: a uniformly-phased client waits
     /// half the (pull-stretched) cycle, then receives its item:
     /// `½·T_c + E[L_i | i ≤ K]` (probability-weighted item length).
-    pub fn push_wait_physical(&self) -> f64 {
+    pub(crate) fn push_wait_physical(&self) -> f64 {
         if self.k == 0 {
             return 0.0;
         }
@@ -309,7 +297,7 @@ impl HybridDelayModel {
 
     /// Pull service capacity in items per broadcast unit across all pull
     /// channels.
-    pub fn pull_capacity(&self) -> f64 {
+    pub(crate) fn pull_capacity(&self) -> f64 {
         let slot = self.slot_time();
         if slot == 0.0 {
             return 0.0;
@@ -388,7 +376,7 @@ impl HybridDelayModel {
     /// an item stays queued `W`; its first request waits `W`, later
     /// requests (arriving Poisson during the window) wait `W/2` on average,
     /// and every request then rides the item's own transmission.
-    pub fn rotation_request_wait(&self) -> f64 {
+    pub(crate) fn rotation_request_wait(&self) -> f64 {
         let w = self.rotation_wait();
         let lam_pull = self.lambda * self.pull_mass();
         if lam_pull <= 0.0 {
@@ -408,7 +396,7 @@ impl HybridDelayModel {
     /// Per-class pull waits: the rotation aggregate redistributed by
     /// Cobham's priority ratios (premium items are extracted from the
     /// rotation first under low α).
-    pub fn per_class_pull_wait(&self) -> Vec<f64> {
+    pub(crate) fn per_class_pull_wait(&self) -> Vec<f64> {
         let n = self.class_shares.len();
         if self.pull_mass() <= 0.0 {
             return vec![0.0; n];
@@ -526,12 +514,6 @@ mod tests {
         assert!((m.push_mass() + m.pull_mass() - 1.0).abs() < 1e-9);
         assert_eq!(model(0.6, 5.0, 0).push_mass(), 0.0);
         assert!((model(0.6, 5.0, 100).push_mass() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn paper_push_term_is_half() {
-        assert_eq!(model(0.6, 5.0, 40).push_wait_paper(), 0.5);
-        assert_eq!(model(0.6, 5.0, 0).push_wait_paper(), 0.0);
     }
 
     #[test]

@@ -1,14 +1,11 @@
 //! # hybridcast-analysis — queueing-theoretic models of the hybrid
 //! scheduler (§4 of the paper)
 //!
-//! * [`mm1`] — M/M/1 closed forms (validation bedrock);
 //! * [`birth_death`] — §4.1's alternating push/pull chain: the closed-form
 //!   idle probability `p(0,0) = 1 − ρ − ρ/f` plus a numerically exact
 //!   truncated-chain solution for `E[L_pull]`;
 //! * [`cobham`] — §4.2.2's non-preemptive multi-class priority waits
 //!   (Cobham's formula, the paper's Eq. 15–18);
-//! * [`cobham_mg1`] — the M/G/1 generalization with Pollaczek–Khinchine
-//!   residuals, exact for the discrete item-length law;
 //! * [`erlang`] — Erlang-B blocking for the per-class bandwidth
 //!   partitions (analytic counterpart of the CLAIM-BLOCK experiment);
 //! * [`two_class`] — §4.2.1's two-class chain solved numerically (the
@@ -35,23 +32,19 @@
 
 pub mod birth_death;
 pub mod cobham;
-pub mod cobham_mg1;
 pub mod erlang;
 pub mod hybrid_model;
 pub mod ksy;
-pub mod mm1;
 pub mod two_class;
 
 /// One-stop imports for model users.
 pub mod prelude {
-    pub use crate::birth_death::{BirthDeathModel, BirthDeathSolution};
-    pub use crate::cobham::{CobhamQueue, PriorityClass};
-    pub use crate::cobham_mg1::{CobhamMg1, Mg1Class};
-    pub use crate::erlang::{erlang_b, erlang_b_fractional, PartitionBlockingModel};
+    pub use crate::birth_death::BirthDeathModel;
+    pub use crate::cobham::CobhamQueue;
+    pub use crate::erlang::PartitionBlockingModel;
     pub use crate::hybrid_model::{HybridDelayModel, ModelDelays};
     pub use crate::ksy::{
         channel_loads, gap_to_lower_bound, ksy_weight, partition_cost, partition_lower_bound,
     };
-    pub use crate::mm1::Mm1;
-    pub use crate::two_class::{TwoClassQueue, TwoClassSolution};
+    pub use crate::two_class::TwoClassQueue;
 }

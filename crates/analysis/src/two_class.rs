@@ -66,11 +66,6 @@ impl TwoClassQueue {
         (self.lambda1 + self.lambda2) / self.mu
     }
 
-    /// `true` when ρ < 1.
-    pub fn is_stable(&self) -> bool {
-        self.rho() < 1.0
-    }
-
     /// Solves the chain truncated at `cap` items *per class*.
     ///
     /// # Panics

@@ -14,7 +14,7 @@
 //! of recording off. Min-of-runs on an interleaved schedule filters the
 //! usual CI noise; when runs of one variant still spread wider than that
 //! 5% margin the gate is skipped as `unresolvable`
-//! ([`Report::ratio_gate`]), as it is on a single-core host (no overlap
+//! (`Report::ratio_gate`), as it is on a single-core host (no overlap
 //! between loadgen and daemon, wildly noisy CPU attribution). The numbers
 //! are recorded either way.
 //!

@@ -19,7 +19,7 @@
 //! repetitions (minimum is the standard robust estimator against
 //! scheduler noise); when one variant's repetitions spread wider than the
 //! 10% margin the verdict is `skipped (unresolvable …)` instead
-//! ([`Report::ratio_gate`]). The run also re-checks the observational
+//! (`Report::ratio_gate`). The run also re-checks the observational
 //! guarantee: both variants must return bit-identical reports. Results
 //! land in `results/BENCH_telemetry.json`.
 

@@ -10,7 +10,7 @@
 //! stime deltas, `USER_HZ = 100`) and covers daemon and loadgen, since
 //! both live in this process.
 //!
-//! A gate passes a [`Setup`] with the fields it really varies; the rest of
+//! A gate passes a `Setup` with the fields it really varies; the rest of
 //! the daemon and of the load (fast 0.2 ms downlink so the front end is
 //! the bottleneck, `K = 40`, importance(0.5), the paper's class shares
 //! over a 100-item Zipf(0.6) catalog) is fixed here.
@@ -22,7 +22,7 @@ use hybridcast_server::{ServeConfig, ServeSummary, ServerHandle};
 
 /// What a gate varies about the daemon and the load offered to it.
 #[derive(Debug, Clone)]
-pub struct Setup {
+pub(crate) struct Setup {
     /// Front-end event-loop threads.
     pub loop_threads: usize,
     /// Downlink layout (interleaved, or sharded over `C` channels).
@@ -39,7 +39,7 @@ pub struct Setup {
 
 /// One daemon lifetime at one target rate.
 #[derive(Debug, Clone)]
-pub struct Run {
+pub(crate) struct Run {
     /// Offered rate, requests per second.
     pub target_rps: f64,
     /// What the client saw.
@@ -56,7 +56,7 @@ pub struct Run {
 impl Run {
     /// Process CPU microseconds per answered request; `None` with no
     /// answers or no CPU reading — never a measured-looking 0.
-    pub fn cpu_us_per_request(&self) -> Option<f64> {
+    pub(crate) fn cpu_us_per_request(&self) -> Option<f64> {
         let answered = self.report.answered;
         self.cpu_secs
             .filter(|_| answered > 0)
@@ -81,7 +81,7 @@ fn highest_sustained(rungs: impl IntoIterator<Item = (f64, bool)>) -> f64 {
 }
 
 /// The highest sustained target among finished runs, 0 when none was.
-pub fn sustained_rps(runs: &[Run]) -> f64 {
+pub(crate) fn sustained_rps(runs: &[Run]) -> f64 {
     highest_sustained(runs.iter().map(|r| (r.target_rps, r.sustained)))
 }
 
@@ -105,7 +105,7 @@ fn stat_cpu_seconds(stat: &str) -> Option<f64> {
 
 /// Starts a fresh daemon, offers it `rps` for `setup.duration_secs`, shuts
 /// it down and joins it.
-pub fn run_one(setup: &Setup, rps: f64) -> Run {
+pub(crate) fn run_one(setup: &Setup, rps: f64) -> Run {
     let mut cfg = ServeConfig::default();
     cfg.serve.addr = "127.0.0.1:0".into();
     cfg.serve.results_path = None;
@@ -148,7 +148,7 @@ pub fn run_one(setup: &Setup, rps: f64) -> Run {
 }
 
 /// One fresh daemon per rung of `targets`.
-pub fn climb(setup: &Setup, targets: &[f64]) -> Vec<Run> {
+pub(crate) fn climb(setup: &Setup, targets: &[f64]) -> Vec<Run> {
     targets.iter().map(|&rps| run_one(setup, rps)).collect()
 }
 

@@ -4,8 +4,8 @@
 //!
 //! Every gate under [`crate::gates`] is a `fn(&Host) -> Report`. It never
 //! looks at the command line or the machine itself: [`main`] is the only
-//! reader of `quick` and of `available_parallelism`, and [`Report::gate`]
-//! and its timed-ratio form [`Report::ratio_gate`] are the only place
+//! reader of `quick` and of `available_parallelism`, and `Report::gate`
+//! and its timed-ratio form `Report::ratio_gate` are the only place
 //! where "needs ≥ N cores", "full mode only" or "the runs are too noisy
 //! to resolve this margin" turns into a verdict. `results/BENCH_<bench>.json` is
 //!
@@ -32,7 +32,7 @@ pub struct Host {
 
 impl Host {
     /// `quick` in quick mode, `full` otherwise.
-    pub fn pick<T>(&self, quick: T, full: T) -> T {
+    pub(crate) fn pick<T>(&self, quick: T, full: T) -> T {
         if self.quick {
             quick
         } else {
@@ -53,7 +53,7 @@ impl std::fmt::Display for Host {
 
 /// What a gate needs from the host before its threshold binds.
 #[derive(Debug, Clone, Copy)]
-pub struct Needs {
+pub(crate) struct Needs {
     /// Fewest cores on which the measurement means anything.
     pub cores: usize,
     /// Quick runs are too short (or skip the row) to judge.
@@ -62,10 +62,10 @@ pub struct Needs {
 
 impl Needs {
     /// Binds on every host in every mode.
-    pub const NOTHING: Needs = Needs::cores(1);
+    pub(crate) const NOTHING: Needs = Needs::cores(1);
 
     /// Binds on hosts with at least `cores` cores.
-    pub const fn cores(cores: usize) -> Needs {
+    pub(crate) const fn cores(cores: usize) -> Needs {
         Needs {
             cores,
             full_only: false,
@@ -73,7 +73,7 @@ impl Needs {
     }
 
     /// Binds in full mode on hosts with at least `cores` cores.
-    pub const fn full(cores: usize) -> Needs {
+    pub(crate) const fn full(cores: usize) -> Needs {
         Needs {
             cores,
             full_only: true,
@@ -83,7 +83,7 @@ impl Needs {
 
 /// The fastest of a variant's timed runs — what a min-of-runs ratio gate
 /// compares (`INFINITY` for no runs).
-pub fn min_of(runs: &[f64]) -> f64 {
+pub(crate) fn min_of(runs: &[f64]) -> f64 {
     runs.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
@@ -100,7 +100,7 @@ pub struct Report {
 impl Report {
     /// A report for `results/BENCH_<bench>.json` carrying the gate's own
     /// `body` (a JSON object).
-    pub fn new(bench: &'static str, host: &Host, body: Value) -> Report {
+    pub(crate) fn new(bench: &'static str, host: &Host, body: Value) -> Report {
         let Value::Object(body) = body else {
             panic!("report body must be a JSON object");
         };
@@ -116,7 +116,7 @@ impl Report {
     /// Records and prints one gate: `skipped` (with the reason) when the
     /// host does not meet `needs`, otherwise `pass` or `fail` by `met`.
     /// `measured` is recorded either way.
-    pub fn gate(
+    pub(crate) fn gate(
         &mut self,
         needs: Needs,
         name: &str,
@@ -133,7 +133,7 @@ impl Report {
     /// `threshold − 1` allows between variants, so such a run is `skipped`
     /// as `unresolvable` — neither a pass nor a fail — with `measured`
     /// still recorded.
-    pub fn ratio_gate(
+    pub(crate) fn ratio_gate(
         &mut self,
         needs: Needs,
         name: &str,
@@ -200,12 +200,12 @@ impl Report {
     }
 
     /// 0, or 1 when a gate failed; skipped gates do not count against a run.
-    pub fn exit_code(&self) -> i32 {
+    pub(crate) fn exit_code(&self) -> i32 {
         i32::from(self.failed)
     }
 
     /// The result document: envelope first, then the body keys.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         let mut doc = json!({
             "bench": self.bench,
             "mode": self.host.mode(),
@@ -221,7 +221,7 @@ impl Report {
 
     /// Writes `BENCH_<bench>.json` under [`crate::results_dir`] and returns
     /// the exit code.
-    pub fn finish(&self) -> i32 {
+    pub(crate) fn finish(&self) -> i32 {
         let dir = crate::results_dir();
         let path = dir.join(format!("BENCH_{}.json", self.bench));
         let text = serde_json::to_string_pretty(&self.to_json()).expect("report serializes");
@@ -234,7 +234,7 @@ impl Report {
 }
 
 /// A gate the `bench` binary can run, under the name it is asked for by.
-pub type GateFn = (&'static str, fn(&Host) -> Report);
+pub(crate) type GateFn = (&'static str, fn(&Host) -> Report);
 
 /// `bench <gate> [quick]`: runs the named gate on this host and returns
 /// the process exit code (2 on a usage error).

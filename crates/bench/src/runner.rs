@@ -14,7 +14,7 @@ use crate::scale::RunScale;
 /// Replication-averaged per-class and aggregate figures for one
 /// (scenario, scheduler) configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AveragedReport {
+pub(crate) struct AveragedReport {
     /// Mean access delay per class (broadcast units), class A first; NaN,
     /// never 0, when a replication's class served nothing.
     pub per_class_delay: Vec<f64>,
@@ -81,7 +81,7 @@ impl AveragedReport {
 /// `scale.replications` independent replications — every (cell,
 /// replication) run through one [`evaluate`] — and averages each cell's
 /// reports, preserving input order.
-pub fn grid_run<T>(
+pub(crate) fn grid_run<T>(
     cells: Vec<T>,
     scale: &RunScale,
     config: impl Fn(&T) -> (ScenarioConfig, HybridConfig),

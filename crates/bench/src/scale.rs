@@ -43,7 +43,7 @@ impl RunScale {
     }
 
     /// Parses `--scale full|quick` style strings.
-    pub fn from_flag(s: &str) -> Option<Self> {
+    pub(crate) fn from_flag(s: &str) -> Option<Self> {
         match s {
             "full" => Some(Self::full()),
             "quick" => Some(Self::quick()),

@@ -48,7 +48,7 @@ pub struct FigureData {
 impl FigureData {
     /// Renders a GitHub-flavoured markdown table (x in the first column,
     /// one column per series).
-    pub fn to_markdown(&self) -> String {
+    pub(crate) fn to_markdown(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "### {} — {}\n", self.id, self.title);
         if !self.notes.is_empty() {
@@ -83,7 +83,7 @@ impl FigureData {
     }
 
     /// Renders CSV with an `x` column followed by one column per series.
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = String::new();
         let _ = write!(out, "x");
         for s in &self.series {
@@ -110,7 +110,7 @@ impl FigureData {
 
     /// Writes `<dir>/<id>.json` and `<dir>/<id>.csv`; creates `dir` if
     /// needed.
-    pub fn write_to(&self, dir: &Path) -> std::io::Result<()> {
+    pub(crate) fn write_to(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         std::fs::write(
             dir.join(format!("{}.json", self.id)),

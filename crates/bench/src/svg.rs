@@ -16,9 +16,9 @@ const COLORS: [&str; 10] = [
 ];
 
 /// Width of one rendered chart (also the dashboard panel width).
-pub const PANEL_W: f64 = 860.0;
+pub(crate) const PANEL_W: f64 = 860.0;
 /// Height of one rendered chart (also the dashboard panel height).
-pub const PANEL_H: f64 = 520.0;
+pub(crate) const PANEL_H: f64 = 520.0;
 
 const W: f64 = PANEL_W;
 const H: f64 = PANEL_H;
@@ -63,7 +63,7 @@ fn fmt_tick(v: f64) -> String {
 }
 
 /// Renders `fig` as a complete SVG document.
-pub fn to_svg(fig: &FigureData) -> String {
+pub(crate) fn to_svg(fig: &FigureData) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -78,7 +78,7 @@ pub fn to_svg(fig: &FigureData) -> String {
 /// [`PANEL_W`]×[`PANEL_H`] fragment that composes into multi-panel
 /// documents (the run dashboard stacks one per QoS dimension inside
 /// translated `<g>` groups).
-pub fn to_svg_fragment(fig: &FigureData) -> String {
+pub(crate) fn to_svg_fragment(fig: &FigureData) -> String {
     let mut xs_min = f64::INFINITY;
     let mut xs_max = f64::NEG_INFINITY;
     let mut ys_min = f64::INFINITY;

@@ -12,7 +12,7 @@ pub fn scale_from_args(default: RunScale) -> RunScale {
 }
 
 /// [`scale_from_args`] over an explicit argument list (testable).
-pub fn parse_scale(args: impl IntoIterator<Item = String>, default: RunScale) -> RunScale {
+pub(crate) fn parse_scale(args: impl IntoIterator<Item = String>, default: RunScale) -> RunScale {
     let mut scale = default;
     let mut it = args.into_iter();
     while let Some(flag) = it.next() {

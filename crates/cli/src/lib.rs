@@ -99,6 +99,10 @@ const KNOWN_KEYS: &[&str] = &[
     "telemetry",
 ];
 
+/// The most telemetry windows one run may cut (`params.horizon /
+/// telemetry`).
+const MAX_TELEMETRY_WINDOWS: f64 = 1e6;
+
 impl ExperimentConfig {
     /// Parses a config from JSON text. Unknown top-level keys are an
     /// error: a typo'd key silently falling back to a default would
@@ -129,10 +133,27 @@ impl ExperimentConfig {
     fn validate_values(&self) -> Result<(), String> {
         self.scenario.validate(true)?;
         self.hybrid.validate()?;
-        if let Some(window) = self.telemetry {
-            TelemetryConfig { window }
-                .validate()
-                .map_err(|e| format!("telemetry: {e}"))?;
+        self.validate_telemetry()
+    }
+
+    /// The telemetry window, when set, is positive and cuts the run's
+    /// horizon into at most 10⁶ windows: the recorder keeps every window
+    /// it closes, so a far shorter window exhausts memory instead of
+    /// finishing.
+    pub fn validate_telemetry(&self) -> Result<(), String> {
+        let Some(window) = self.telemetry else {
+            return Ok(());
+        };
+        TelemetryConfig { window }
+            .validate()
+            .map_err(|e| format!("telemetry: {e}"))?;
+        let windows = self.params.horizon / window;
+        if windows > MAX_TELEMETRY_WINDOWS {
+            return Err(format!(
+                "telemetry: a {window}-unit window cuts the {}-unit horizon into {windows:.0} \
+                 windows; at most {MAX_TELEMETRY_WINDOWS} fit one run",
+                self.params.horizon
+            ));
         }
         Ok(())
     }
@@ -166,7 +187,7 @@ impl ExperimentConfig {
     }
 
     /// The telemetry recorder config, when telemetry is enabled.
-    pub fn telemetry_config(&self) -> Option<TelemetryConfig> {
+    pub(crate) fn telemetry_config(&self) -> Option<TelemetryConfig> {
         self.telemetry.map(TelemetryConfig::new)
     }
 
@@ -490,6 +511,18 @@ mod tests {
         let cfg = ExperimentConfig::from_json(&minimal.to_string()).unwrap();
         assert_eq!(cfg.adaptive, None);
         assert_eq!(cfg.ks(), (10..=90).step_by(10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_telemetry_window_cutting_the_horizon_into_too_many_windows_is_rejected() {
+        let mut cfg = ExperimentConfig::default();
+        cfg.telemetry = Some(cfg.params.horizon / 1e6);
+        cfg.validate_telemetry().unwrap();
+        cfg.telemetry = Some(0.001);
+        let err = cfg.validate_telemetry().unwrap_err();
+        assert!(err.starts_with("telemetry: "), "{err}");
+        let err = ExperimentConfig::from_json(&cfg.to_json()).unwrap_err();
+        assert!(err.starts_with("invalid config: telemetry: "), "{err}");
     }
 
     #[test]

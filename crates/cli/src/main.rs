@@ -533,6 +533,8 @@ fn run() -> Result<(), String> {
     }
     if telemetry.is_some() {
         cfg.telemetry = telemetry;
+        cfg.validate_telemetry()
+            .map_err(|e| format!("invalid config: {e}"))?;
     }
     if let Some(layout) = channels {
         cfg.hybrid.channels = layout;

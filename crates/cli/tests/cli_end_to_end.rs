@@ -629,3 +629,80 @@ fn deeply_nested_config_is_an_invalid_config_not_a_stack_overflow() {
     }
     let _ = std::fs::remove_file(&path);
 }
+
+/// Out-of-range daemon config values stop `serve --config` (the parser and
+/// entry point `hybridcastd` shares) with exit 1 and an error naming the
+/// field, before it binds — never a panic, never a daemon that starts. A
+/// telemetry window under one wall millisecond used to pass validation
+/// and then close windows without bound, so each child runs against a
+/// deadline and is killed if it outlives it.
+#[test]
+fn out_of_range_daemon_config_values_exit_1_naming_the_field() {
+    let out = bin()
+        .args(["serve", "--init-config"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let mut base: serde_json::Value =
+        serde_json::from_slice(&out.stdout).expect("--init-config emits JSON");
+    base["serve"]["addr"] = "127.0.0.1:0".into();
+    base["serve"]["results_path"] = serde_json::Value::Null;
+    type Edit = fn(&mut serde_json::Value);
+    let cases: [(&str, Edit, &str); 4] = [
+        (
+            "no-classes",
+            |c| c["scenario"]["classes"]["classes"] = serde_json::json!([]),
+            "scenario.classes",
+        ),
+        (
+            "alpha",
+            |c| c["hybrid"]["pull"]["alpha"] = 7.0.into(),
+            "alpha",
+        ),
+        (
+            "window",
+            |c| c["serve"]["telemetry_window"] = 1e-300.into(),
+            "serve.telemetry_window",
+        ),
+        (
+            "unit",
+            |c| c["serve"]["unit_millis"] = 1e-300.into(),
+            "serve.unit_millis",
+        ),
+    ];
+    for (name, edit, field) in cases {
+        let mut cfg = base.clone();
+        edit(&mut cfg);
+        let path = std::env::temp_dir().join(format!(
+            "hybridcast-serve-{name}-{}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, cfg.to_string()).expect("temp config written");
+        let mut child = bin()
+            .args(["serve", "--config", path.to_str().expect("utf-8 temp path")])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary spawns");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("child polls") {
+                break Some(status);
+            }
+            if std::time::Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                break None;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        };
+        let _ = std::fs::remove_file(&path);
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().expect("stderr piped"), &mut stderr)
+            .expect("stderr reads");
+        let status = status.unwrap_or_else(|| panic!("{name}: still running after 20 s: {stderr}"));
+        assert_eq!(status.code(), Some(1), "{name}: stderr: {stderr}");
+        assert!(stderr.contains(field), "{name}: stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: stderr: {stderr}");
+    }
+}

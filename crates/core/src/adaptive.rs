@@ -3,7 +3,7 @@
 //! The paper retunes the cutoff `K` by re-running its analytic model over
 //! the last window's popularity estimate — an *open-loop* controller that
 //! is only as good as the model. This module closes the loop: the
-//! [`CutoffController`] steers `K` (and, optionally, the per-class
+//! `CutoffController` steers `K` (and, optionally, the per-class
 //! bandwidth partitions) from the *measured* prioritized cost of each
 //! window, delivered by the driver as a
 //! [`FeedbackSnapshot`].
@@ -205,7 +205,7 @@ impl PlantedControllerBugs {
 /// recorded (field for field) in the run's
 /// [`RetuneRecord`](crate::sim_driver::RetuneRecord) trajectory.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ControllerDecision {
+pub(crate) struct ControllerDecision {
     /// The cutoff to apply (clamped; may equal the current cutoff).
     pub target_k: usize,
     /// Measured prioritized cost of the decided window (`None` when the
@@ -229,7 +229,7 @@ pub struct ControllerDecision {
 /// state machine: feed it one [`FeedbackSnapshot`] per window via
 /// [`decide`](Self::decide); it never touches scheduler or RNG state.
 #[derive(Debug, Clone)]
-pub struct CutoffController {
+pub(crate) struct CutoffController {
     cfg: ControllerConfig,
     /// Per-class cost weights (the classes' priorities).
     weights: Vec<f64>,
@@ -269,14 +269,9 @@ impl CutoffController {
         }
     }
 
-    /// The configuration this controller runs under.
-    pub fn config(&self) -> &ControllerConfig {
-        &self.cfg
-    }
-
     /// Decides the next cutoff from the window just sealed. `current_k`
     /// is the cutoff in force; `catalog_size` bounds the clamp.
-    pub fn decide(
+    pub(crate) fn decide(
         &mut self,
         current_k: usize,
         window: FeedbackSnapshot,

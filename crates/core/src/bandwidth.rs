@@ -242,7 +242,7 @@ impl BandwidthManager {
     /// under [`BandwidthPolicy::PerClass`]; a no-op otherwise.
     /// Outstanding grants keep their reservations — a shrunken partition
     /// may transiently sit above its new capacity until they drain.
-    pub fn set_shares(&mut self, shares: &[f64]) {
+    pub(crate) fn set_shares(&mut self, shares: &[f64]) {
         if !matches!(self.policy, BandwidthPolicy::PerClass) {
             return;
         }

@@ -369,7 +369,7 @@ pub fn channel_cores<T, S: Sink>(
             scheduler,
             uplink: hybrid
                 .uplink
-                .map(|cfg| UplinkChannel::new(cfg, scenario.factory.stream(lane), num_classes)),
+                .map(|cfg| UplinkChannel::new(cfg, scenario.factory.stream(lane))),
             sink: sink(),
             live: Slab::new(),
             push_waiters: vec![Vec::new(); num_items],
@@ -520,7 +520,7 @@ impl<T, S: Sink> ChannelCore<T, S> {
         if let Some(due) = deadline {
             self.timeouts.push(Reverse((due, handle)));
         }
-        match self.uplink.as_mut().map(|up| up.transmit(class)) {
+        match self.uplink.as_mut().map(UplinkChannel::transmit) {
             Some(UplinkOutcome::Lost) => {
                 emit(&mut self.sink, || TelemetryEvent::UplinkLoss {
                     time,

@@ -10,7 +10,7 @@
 //! * **across-replication statistics** of the per-replication mean delay,
 //!   pull delay, blocking probability, and prioritized cost: mean,
 //!   variance, and a 95% CI half-width (Student-t below 30 replications,
-//!   see [`hybridcast_sim::stats::critical_value_95`]) — the honest "error
+//!   see [`Welford::ci95_halfwidth`]) — the honest "error
 //!   bar" on every reported number;
 //! * **pooled per-request statistics** over all `R·n_r` served requests,
 //!   obtained by reconstructing each replication's [`Welford`] accumulator

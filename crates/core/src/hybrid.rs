@@ -128,7 +128,7 @@ impl HybridScheduler {
     ///
     /// # Panics
     /// Panics if `config.cutoff > catalog.len()`.
-    pub fn with_policy(
+    pub(crate) fn with_policy(
         catalog: Catalog,
         classes: ClassSet,
         config: &HybridConfig,
@@ -175,7 +175,7 @@ impl HybridScheduler {
     ///
     /// # Panics
     /// Panics if `items` contains duplicates or out-of-range ids.
-    pub fn set_push_set(&mut self, items: &[ItemId], now: SimTime) -> Vec<PendingItem> {
+    pub(crate) fn set_push_set(&mut self, items: &[ItemId], now: SimTime) -> Vec<PendingItem> {
         let mut member = vec![false; self.catalog.len()];
         for it in items {
             assert!(
@@ -197,7 +197,7 @@ impl HybridScheduler {
     }
 
     /// Current push-set membership, one flag per catalog item.
-    pub fn push_membership(&self) -> &[bool] {
+    pub(crate) fn push_membership(&self) -> &[bool] {
         &self.push_member
     }
 
@@ -208,7 +208,7 @@ impl HybridScheduler {
 
     /// `true` if `item` belongs to the push set.
     #[inline]
-    pub fn is_push_item(&self, item: ItemId) -> bool {
+    pub(crate) fn is_push_item(&self, item: ItemId) -> bool {
         self.push_member[item.index()]
     }
 
@@ -235,7 +235,7 @@ impl HybridScheduler {
     /// Repartitions per-class bandwidth to `shares` (see
     /// [`BandwidthManager::set_shares`]) — the online controller's
     /// rebalance mode steers capacity toward measured demand this way.
-    pub fn rebalance_bandwidth(&mut self, shares: &[f64]) {
+    pub(crate) fn rebalance_bandwidth(&mut self, shares: &[f64]) {
         self.bandwidth.set_shares(shares);
     }
 
@@ -279,7 +279,7 @@ impl HybridScheduler {
     /// cutoff move evicted its item from the push set. The request keeps
     /// its original arrival time (its wait so far still counts); the
     /// queue-length average is stamped at `now`.
-    pub fn requeue_waiter(&mut self, req: &Request, now: SimTime) {
+    pub(crate) fn requeue_waiter(&mut self, req: &Request, now: SimTime) {
         debug_assert!(
             !self.is_push_item(req.item),
             "requeue target must be a pull item"
@@ -377,7 +377,7 @@ impl HybridScheduler {
 
     /// Split-layout dispatch: the next slot of the dedicated broadcast
     /// channel (`None` when the push set is empty).
-    pub fn next_push_transmission(&mut self, now: SimTime) -> Option<Transmission> {
+    pub(crate) fn next_push_transmission(&mut self, now: SimTime) -> Option<Transmission> {
         let item = self.push.next(now)?;
         let duration = SimDuration::new(self.catalog.length(item) as f64);
         Some(Transmission {
@@ -393,7 +393,7 @@ impl HybridScheduler {
     /// Split-layout dispatch: the next transmission of one dedicated pull
     /// channel (`None` when the queue is empty or fully blocked), together
     /// with any entries dropped by admission control.
-    pub fn next_pull_transmission(
+    pub(crate) fn next_pull_transmission(
         &mut self,
         now: SimTime,
     ) -> (Option<Transmission>, Vec<PendingItem>) {

@@ -82,28 +82,24 @@ pub mod uplink;
 
 /// One-stop imports for scheduler users.
 pub mod prelude {
-    pub use crate::adaptive::{
-        ControllerConfig, ControllerDecision, CutoffController, PlantedControllerBugs, SloConfig,
-    };
+    pub use crate::adaptive::{ControllerConfig, PlantedControllerBugs, SloConfig};
     pub use crate::bandwidth::{BandwidthConfig, BandwidthManager, BandwidthPolicy, Grant};
     pub use crate::churn::{ChurnConfig, ChurnReport};
     pub use crate::clock::WallClock;
     pub use crate::config::{AssignmentStrategy, ChannelLayout, HybridConfig};
     pub use crate::cutoff::{CutoffOptimizer, CutoffPoint, CutoffSweep, Objective};
-    pub use crate::experiment::{
-        run_replicated, run_replicated_with_telemetry, ReplicatedClassReport, ReplicatedReport,
-    };
-    pub use crate::hybrid::{Disposition, HybridScheduler, Transmission};
+    pub use crate::experiment::{run_replicated, run_replicated_with_telemetry, ReplicatedReport};
+    pub use crate::hybrid::{Disposition, HybridScheduler};
     pub use crate::metrics::{ClassReport, MetricsCollector, SimReport, TxKind};
     pub use crate::pull::{PullContext, PullPolicy, PullPolicyKind};
     pub use crate::push::{PushKind, PushScheduler};
     pub use crate::queue::{PendingItem, PullQueue};
     pub use crate::sharded::ChannelPlan;
     pub use crate::sim_driver::{
-        simulate, simulate_telemetry, AdaptiveConfig, AdaptiveReport, FaultSpec, PendingCensus,
-        RetuneRecord, SimParams, SimRun, Simulation,
+        simulate, simulate_telemetry, AdaptiveConfig, AdaptiveReport, FaultSpec, SimParams, SimRun,
+        Simulation,
     };
-    pub use crate::uplink::{UplinkChannel, UplinkConfig, UplinkOutcome};
+    pub use crate::uplink::UplinkConfig;
     pub use hybridcast_telemetry::{
         AggregatedSeries, FeedbackSnapshot, FeedbackWindow, NullSink, Sink, TelemetryConfig,
         TelemetryEvent, TimeSeries, VecSink, WindowRecorder,

@@ -131,7 +131,7 @@ impl MetricsCollector {
 
     /// A pending request (arrived at `arrival`) was dropped by admission
     /// control.
-    pub fn record_blocked(&mut self, class: ClassId, arrival: SimTime) {
+    pub(crate) fn record_blocked(&mut self, class: ClassId, arrival: SimTime) {
         if self.measured(arrival) {
             self.per_class[class.index()].blocked += 1;
         }
@@ -145,7 +145,11 @@ impl MetricsCollector {
     /// warmup boundary — then the batch may straddle it and the caller
     /// must fall back to per-request attribution. In steady state this
     /// replaces the O(requesters) walk with an O(classes) update.
-    pub fn record_blocked_batch(&mut self, counts: &[usize], first_arrival: SimTime) -> bool {
+    pub(crate) fn record_blocked_batch(
+        &mut self,
+        counts: &[usize],
+        first_arrival: SimTime,
+    ) -> bool {
         if !self.measured(first_arrival) {
             return false;
         }
@@ -156,7 +160,7 @@ impl MetricsCollector {
     }
 
     /// A whole queued item (with all its requests) was dropped.
-    pub fn record_blocked_item(&mut self) {
+    pub(crate) fn record_blocked_item(&mut self) {
         self.blocked_items += 1;
     }
 
@@ -164,27 +168,27 @@ impl MetricsCollector {
     /// are channel statistics, not delay samples, so they are counted over
     /// the whole run (no warmup gating) — matching the run-wide
     /// [`SimReport::uplink_lost`] totals.
-    pub fn record_uplink_lost(&mut self, class: ClassId) {
+    pub(crate) fn record_uplink_lost(&mut self, class: ClassId) {
         self.uplink_lost[class.index()] += 1;
     }
 
     /// A pull request of `class` cleared the contended uplink after
     /// `latency` broadcast units. Like losses, deliveries are channel
     /// statistics counted over the whole run (no warmup gating).
-    pub fn record_uplink_delivered(&mut self, class: ClassId, latency: f64) {
+    pub(crate) fn record_uplink_delivered(&mut self, class: ClassId, latency: f64) {
         self.uplink_delivered[class.index()] += 1;
         self.uplink_latency[class.index()].push(latency);
     }
 
     /// The pull queue now holds `items` distinct items / `requests` pending
     /// requests.
-    pub fn queue_changed(&mut self, now: SimTime, items: usize, requests: usize) {
+    pub(crate) fn queue_changed(&mut self, now: SimTime, items: usize, requests: usize) {
         self.queue_items.set(now, items as f64);
         self.queue_requests.set(now, requests as f64);
     }
 
     /// A transmission of `kind` started.
-    pub fn on_transmission(&mut self, kind: TxKind) {
+    pub(crate) fn on_transmission(&mut self, kind: TxKind) {
         match kind {
             TxKind::Push => self.push_transmissions += 1,
             TxKind::Pull => self.pull_transmissions += 1,

@@ -20,7 +20,7 @@
 //!
 //! which reduces to Eq. 1 when `E[L_pull]·p_i = 1`. Both forms are
 //! implemented — [`ImportanceFactor::eq1`] scores with the observed `R_i`
-//! (what a real server knows), [`ImportanceFactor::eq6`] with the online
+//! (what a real server knows), `ImportanceFactor::eq6` with the online
 //! estimate of `E[L_pull]` carried in [`PullContext::mean_queue_len`].
 
 use hybridcast_sim::ensure;
@@ -61,7 +61,7 @@ impl ImportanceFactor {
     ///
     /// # Panics
     /// Panics unless `alpha ∈ [0, 1]` and `exponent > 0`.
-    pub fn eq6(alpha: f64, exponent: f64) -> Self {
+    pub(crate) fn eq6(alpha: f64, exponent: f64) -> Self {
         Self::validated(alpha, exponent, Form::Expected)
     }
 

@@ -18,7 +18,7 @@ use crate::queue::PendingItem;
 /// stays on the linear scan — but each scanned entry is now O(1) instead
 /// of O(requesters).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Lwf;
+pub(crate) struct Lwf;
 
 impl PullPolicy for Lwf {
     fn name(&self) -> &'static str {

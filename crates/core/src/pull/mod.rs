@@ -10,7 +10,7 @@
 //! | policy | score | reference |
 //! |--------|-------|-----------|
 //! | [`fcfs::Fcfs`] | oldest pending request first | classic |
-//! | [`lwf::Lwf`] | largest total accumulated wait | Dykeman & Ammar |
+//! | `lwf::Lwf` | largest total accumulated wait | Dykeman & Ammar |
 //! | [`mrf::Mrf`] | most pending requests first | classic |
 //! | [`rxw::Rxw`] | requests × wait | Aksoy & Franklin '99 |
 //! | [`stretch::StretchOptimal`] | `R_i / L_i²` | Wu et al. (max-request min-service-time) |

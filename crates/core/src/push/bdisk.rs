@@ -52,7 +52,7 @@ impl BroadcastDisks {
     ///
     /// # Panics
     /// Panics if `num_disks == 0`.
-    pub fn over_items(items: Vec<ItemId>, num_disks: usize) -> Self {
+    pub(crate) fn over_items(items: Vec<ItemId>, num_disks: usize) -> Self {
         assert!(num_disks >= 1, "need at least one disk");
         let k = items.len();
         if k == 0 {

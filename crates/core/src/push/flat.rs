@@ -26,21 +26,13 @@ impl FlatRoundRobin {
     }
 
     /// A flat schedule over an arbitrary ordered item list.
-    pub fn over_items(items: Vec<ItemId>) -> Self {
+    pub(crate) fn over_items(items: Vec<ItemId>) -> Self {
         FlatRoundRobin { items, cursor: 0 }
     }
 
     /// The item the next call to `next` will return (if any).
     pub fn peek(&self) -> Option<ItemId> {
         self.items.get(self.cursor).copied()
-    }
-
-    /// How many whole slots until `item` is broadcast (0 = next slot).
-    /// `None` if `item` is not in the push set.
-    pub fn slots_until(&self, item: ItemId) -> Option<usize> {
-        let pos = self.items.iter().position(|&i| i == item)?;
-        let k = self.items.len();
-        Some((pos + k - self.cursor) % k)
     }
 }
 
@@ -89,16 +81,6 @@ mod tests {
     }
 
     #[test]
-    fn slots_until_wraps_correctly() {
-        let mut s = FlatRoundRobin::new(4);
-        assert_eq!(s.slots_until(ItemId(2)), Some(2));
-        s.next(SimTime::ZERO); // cursor → 1
-        assert_eq!(s.slots_until(ItemId(0)), Some(3));
-        assert_eq!(s.slots_until(ItemId(1)), Some(0));
-        assert_eq!(s.slots_until(ItemId(9)), None);
-    }
-
-    #[test]
     fn reset_restarts_the_cycle() {
         let mut s = FlatRoundRobin::new(3);
         s.next(SimTime::ZERO);
@@ -112,8 +94,6 @@ mod tests {
         let mut s = FlatRoundRobin::over_items(vec![ItemId(7), ItemId(2), ItemId(9)]);
         let order: Vec<u32> = (0..6).map(|_| s.next(SimTime::ZERO).unwrap().0).collect();
         assert_eq!(order, vec![7, 2, 9, 7, 2, 9]);
-        assert_eq!(s.slots_until(ItemId(9)), Some(2));
-        assert_eq!(s.slots_until(ItemId(3)), None);
     }
 
     #[test]

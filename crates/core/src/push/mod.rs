@@ -6,7 +6,7 @@
 //!
 //! * [`bdisk::BroadcastDisks`] — Acharya et al., SIGMOD '95: popularity
 //!   tiers spin at different speeds;
-//! * [`srr::SquareRootRule`] — Hameed & Vaidya, WINET '99: items appear
+//! * `srr::SquareRootRule` — Hameed & Vaidya, WINET '99: items appear
 //!   with frequency ∝ `√(p_i / l_i)`, realized online by a greedy rule.
 //!
 //! A push scheduler only decides the *order* of broadcast slots; the hybrid
@@ -73,7 +73,11 @@ impl PushKind {
     /// Instantiates the scheduler over an arbitrary item list (hottest
     /// first) — used by the re-ranking adaptive controller, where the push
     /// set is no longer a rank prefix.
-    pub fn build_over(&self, catalog: &Catalog, items: Vec<ItemId>) -> Box<dyn PushScheduler> {
+    pub(crate) fn build_over(
+        &self,
+        catalog: &Catalog,
+        items: Vec<ItemId>,
+    ) -> Box<dyn PushScheduler> {
         for it in &items {
             assert!(
                 it.index() < catalog.len(),
@@ -92,9 +96,13 @@ impl PushKind {
 }
 
 /// Measures the empirical broadcast frequency of each push item over
-/// `slots` scheduler invocations — shared helper for scheduler tests and
-/// the push ablation.
-pub fn empirical_frequencies(sched: &mut dyn PushScheduler, k: usize, slots: usize) -> Vec<f64> {
+/// `slots` scheduler invocations — shared helper for scheduler tests.
+#[cfg(test)]
+pub(crate) fn empirical_frequencies(
+    sched: &mut dyn PushScheduler,
+    k: usize,
+    slots: usize,
+) -> Vec<f64> {
     let mut counts = vec![0usize; k];
     let mut now = SimTime::ZERO;
     for s in 0..slots {

@@ -20,7 +20,7 @@ use crate::push::PushScheduler;
 
 /// Online square-root-rule scheduler.
 #[derive(Debug, Clone)]
-pub struct SquareRootRule {
+pub(crate) struct SquareRootRule {
     /// The scheduled items, in priority order.
     items: Vec<ItemId>,
     /// `p_i / l_i` per push item.
@@ -39,7 +39,7 @@ impl SquareRootRule {
     }
 
     /// Builds the rule over an arbitrary item list (hottest first).
-    pub fn over_items(catalog: &Catalog, items: Vec<ItemId>) -> Self {
+    pub(crate) fn over_items(catalog: &Catalog, items: Vec<ItemId>) -> Self {
         let k = items.len();
         let urgency_weight: Vec<f64> = items
             .iter()

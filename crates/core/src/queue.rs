@@ -124,7 +124,7 @@ impl PendingItem {
     /// # Panics
     /// Panics if `counts` is shorter than the highest class index seen on
     /// this entry.
-    pub fn class_counts(&self, counts: &mut [usize]) {
+    pub(crate) fn class_counts(&self, counts: &mut [usize]) {
         assert!(
             counts.len() >= self.class_counts.len(),
             "need {} class slots, got {}",
@@ -140,7 +140,7 @@ impl PendingItem {
     /// Sum of all requester arrival times `Σ A_j`. The total accumulated
     /// wait at time `t` is `count()·t − arrival_sum()` without walking
     /// `requesters`.
-    pub fn arrival_sum(&self) -> f64 {
+    pub(crate) fn arrival_sum(&self) -> f64 {
         self.arrival_sum
     }
 }
@@ -422,15 +422,10 @@ impl PullQueue {
         self.served_items
     }
 
-    /// Lifetime count of requests cleared by extractions.
-    pub fn extracted_requests(&self) -> u64 {
-        self.served_requests
-    }
-
     /// Shadow recount of every incrementally-maintained aggregate: walks
     /// all entries and recomputes `R_i` (count), `Q_i` (total priority),
     /// the per-class counts, the queue-wide request total and the lifetime
-    /// conservation identity `inserted = extracted_requests +
+    /// conservation identity `inserted = requests cleared by extractions +
     /// total_requests` from scratch, comparing each against its cached
     /// counterpart. `priority_of` maps a requester's class to its priority
     /// weight `q_j` (normally `|q| ClassSet::priority(q)`). Once the score
@@ -708,7 +703,7 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.total_requests(), 0);
         assert_eq!(q.extracted_items(), 1);
-        assert_eq!(q.extracted_requests(), 2);
+        assert_eq!(q.served_requests, 2);
     }
 
     #[test]
@@ -800,10 +795,7 @@ mod tests {
             }
         }
         // conservation: inserted == extracted + still pending
-        assert_eq!(
-            q.inserted(),
-            q.extracted_requests() + q.total_requests() as u64
-        );
+        assert_eq!(q.inserted(), q.served_requests + q.total_requests() as u64);
         // active count equals number of Some slots seen by iter
         assert_eq!(q.len(), q.iter().count());
         // total_requests equals the sum of per-item counts

@@ -2,7 +2,7 @@
 //! self-contained hybrid sub-schedulers.
 //!
 //! The paper assumes a single downlink. To scale past one scheduler
-//! thread, [`build_shards`] splits the catalog by an item→channel map
+//! thread, `build_shards` splits the catalog by an item→channel map
 //! ([`ChannelPlan`]) and builds one full [`HybridScheduler`] — own push
 //! set, pull queue, cutoff `K_c`, and `1/C` bandwidth partition — per
 //! channel. Requests route to the owning shard; each channel's
@@ -56,7 +56,7 @@ pub struct ChannelPlan {
 impl ChannelPlan {
     /// The channel counts [`build`](Self::build) accepts, as a typed
     /// error.
-    pub fn validate_channels(channels: u32) -> Result<(), String> {
+    pub(crate) fn validate_channels(channels: u32) -> Result<(), String> {
         ensure(
             (1..=256).contains(&channels),
             format_args!("sharded channel count must be in 1..=256, got {channels}"),
@@ -211,7 +211,7 @@ fn argmin(loads: &[f64]) -> usize {
 /// Panics if `config.cutoff > catalog.len()` (same contract as
 /// [`HybridScheduler::new`]), or if `policy` is set on a layout with more
 /// than one shard.
-pub fn build_shards(
+pub(crate) fn build_shards(
     catalog: &Catalog,
     classes: &ClassSet,
     config: &HybridConfig,

@@ -306,7 +306,7 @@ pub struct AdaptiveConfig {
     #[serde(default)]
     pub rerank: bool,
     /// When set, the *measured-feedback* controller
-    /// ([`crate::adaptive::CutoffController`]) replaces the model-argmin
+    /// (`adaptive::CutoffController`) replaces the model-argmin
     /// retune: `K` moves by hysteresis-banded hill climbing on the
     /// windowed prioritized cost instead of by re-solving the analytic
     /// model. `None` (the default, and what every pre-existing config
@@ -551,7 +551,7 @@ impl<S: Sink> Driver<'_, S> {
             return;
         }
         match &mut self.uplink {
-            Some(channel) => match channel.transmit(req.class) {
+            Some(channel) => match channel.transmit() {
                 UplinkOutcome::Delivered(latency) => {
                     self.metrics
                         .record_uplink_delivered(req.class, latency.as_f64());
@@ -1157,7 +1157,7 @@ impl<'a> Simulation<'a> {
             }),
             uplink: hybrid
                 .uplink
-                .map(|cfg| UplinkChannel::new(cfg, factory.stream(UPLINK_STREAM), num_classes)),
+                .map(|cfg| UplinkChannel::new(cfg, factory.stream(UPLINK_STREAM))),
             churn: self
                 .churn
                 .map(|cfg| ChurnState::new(cfg, scenario, &factory)),

@@ -12,10 +12,10 @@
 //! Protocol surface, deliberately tiny: `GET` only, three paths
 //! (`/healthz`, `/stats`, `/config`), every response `HTTP/1.0` with
 //! `Connection: close`. Robustness bounds: request heads over
-//! [`MAX_REQUEST_BYTES`] get `431` and the connection closed; malformed
+//! `MAX_REQUEST_BYTES` get `431` and the connection closed; malformed
 //! request lines get `400`; non-GET methods `405`; unknown paths `404`;
 //! connections idle past a 2 s deadline are dropped; at most
-//! [`MAX_CONNS`] connections are tracked and surplus accepts are closed
+//! `MAX_CONNS` connections are tracked and surplus accepts are closed
 //! immediately — a misbehaving peer can never leak a connection.
 
 use std::io::{self, Read, Write};
@@ -28,9 +28,9 @@ use std::time::{Duration, Instant};
 use crate::hub::OpsHub;
 
 /// Largest request head (request line + headers) accepted.
-pub const MAX_REQUEST_BYTES: usize = 4096;
+pub(crate) const MAX_REQUEST_BYTES: usize = 4096;
 /// Most connections tracked at once; surplus accepts are closed at once.
-pub const MAX_CONNS: usize = 64;
+pub(crate) const MAX_CONNS: usize = 64;
 /// A connection must complete its request and drain its response within
 /// this budget.
 const CONN_DEADLINE: Duration = Duration::from_secs(2);
@@ -39,7 +39,7 @@ const IDLE_SLEEP: Duration = Duration::from_millis(5);
 
 /// Parses an HTTP request head, returning the path or the error status to
 /// answer with. Pure (unit-tested separately from the socket loop).
-pub fn parse_request(head: &str) -> Result<&str, u16> {
+pub(crate) fn parse_request(head: &str) -> Result<&str, u16> {
     let line = head.split(['\r', '\n']).next().unwrap_or("");
     let mut parts = line.split(' ').filter(|p| !p.is_empty());
     let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())

@@ -92,7 +92,7 @@ struct Totals {
     uplink_lost: u64,
     live: u64,
     shed_rate: f64,
-    conflict_rate: f64,
+    uplink_loss_rate: f64,
     /// `accepted == answered + live` across all channels — the live form
     /// of the conservation identity (in-flight requests are not yet
     /// answered).
@@ -143,7 +143,7 @@ impl OpsHub {
     }
 
     /// The `/healthz` body.
-    pub fn healthz_json(&self) -> String {
+    pub(crate) fn healthz_json(&self) -> String {
         let body = serde_json::json!({
             "status": "ok",
             "uptime_seconds": self.started.elapsed().as_secs_f64(),
@@ -154,13 +154,13 @@ impl OpsHub {
     }
 
     /// The `/config` body (the daemon's canonical config JSON).
-    pub fn config_json(&self) -> String {
+    pub(crate) fn config_json(&self) -> String {
         self.config_json.clone()
     }
 
     /// The `/stats` body: identity, aggregate totals, and per-channel
     /// snapshots with their latest closed QoS window.
-    pub fn stats_json(&self) -> String {
+    pub(crate) fn stats_json(&self) -> String {
         let snaps = self.locked();
         let mut totals = Totals {
             accepted: 0,
@@ -171,7 +171,7 @@ impl OpsHub {
             uplink_lost: 0,
             live: 0,
             shed_rate: 0.0,
-            conflict_rate: 0.0,
+            uplink_loss_rate: 0.0,
             conservation_ok: true,
         };
         let mut answered = 0u64;
@@ -202,7 +202,7 @@ impl OpsHub {
                     map.insert(
                         2,
                         (
-                            "conflict_rate".to_string(),
+                            "uplink_loss_rate".to_string(),
                             serde_json::json!(rate(s.uplink_lost, s.accepted)),
                         ),
                     );
@@ -211,7 +211,7 @@ impl OpsHub {
             })
             .collect();
         totals.shed_rate = rate(totals.shed, totals.accepted);
-        totals.conflict_rate = rate(totals.uplink_lost, totals.accepted);
+        totals.uplink_loss_rate = rate(totals.uplink_lost, totals.accepted);
         totals.conservation_ok = totals.accepted == answered + totals.live;
         let body = serde_json::json!({
             "uptime_seconds": self.started.elapsed().as_secs_f64(),
@@ -275,7 +275,7 @@ mod tests {
         assert_eq!(v["totals"]["accepted"].as_u64(), Some(15));
         assert_eq!(v["totals"]["live"].as_u64(), Some(4));
         assert_eq!(v["totals"]["conservation_ok"].as_bool(), Some(true));
-        assert_eq!(v["per_channel"][1]["conflict_rate"].as_f64(), Some(0.2));
+        assert_eq!(v["per_channel"][1]["uplink_loss_rate"].as_f64(), Some(0.2));
         assert_eq!(v["identity"]["channels"].as_u64(), Some(2));
     }
 

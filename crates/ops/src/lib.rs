@@ -35,11 +35,11 @@ pub use digest::{config_hash, fnv1a64, hex64, plan_digest};
 pub use http::OpsServer;
 pub use hub::{ChannelSnapshot, OpsHub};
 pub use replay::{
-    replay_daemon, replay_requests, replay_simulator, route_stats, sim_params_for,
-    structural_mismatches, ReplayBooks, RouteStats,
+    replay_daemon, replay_requests, replay_simulator, sim_params_for, structural_mismatches,
+    ReplayBooks,
 };
 pub use trace::{Trace, TraceBuffer, TraceMeta, TraceRecord, TraceSink};
 pub use whatif::{
-    backlog_aware_cost, evaluate_point, render_table, run_whatif, whatif_hash, OverrideSpec,
-    PointReport, WhatIfGrid, WhatIfReport,
+    backlog_aware_cost, evaluate_point, render_table, run_whatif, whatif_hash, PointReport,
+    WhatIfGrid, WhatIfReport,
 };

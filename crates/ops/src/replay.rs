@@ -258,7 +258,7 @@ pub fn replay_requests(scenario: &Scenario, trace: &Trace) -> Vec<Request> {
 /// Computes the [`RouteStats`] replaying `trace` under `plan` would
 /// incur, without running the replay — the what-if report's per-point
 /// re-route accounting.
-pub fn route_stats(trace: &Trace, scenario: &Scenario, plan: &ChannelPlan) -> RouteStats {
+pub(crate) fn route_stats(trace: &Trace, scenario: &Scenario, plan: &ChannelPlan) -> RouteStats {
     let mut stats = RouteStats::default();
     for rec in &trace.records {
         route_record(rec, scenario, plan, &mut stats);

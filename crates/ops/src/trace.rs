@@ -45,17 +45,17 @@ use std::sync::{Arc, Mutex};
 use serde::{Deserialize, Serialize};
 
 /// File magic: "HCT1" — HybridCast Trace, format 1.
-pub const MAGIC: [u8; 4] = *b"HCT1";
+pub(crate) const MAGIC: [u8; 4] = *b"HCT1";
 /// Current format version, embedded in the header.
 pub const VERSION: u16 = 1;
 /// Header payload length in bytes.
-pub const HEADER_LEN: usize = 39;
+pub(crate) const HEADER_LEN: usize = 39;
 /// Record payload length in bytes.
-pub const RECORD_LEN: usize = 18;
+pub(crate) const RECORD_LEN: usize = 18;
 /// Bytes a [`TraceBuffer`] accumulates locally before taking the shared
 /// sink's lock (bounded buffering: a core never holds more than one
 /// flush-unit of unwritten records).
-pub const FLUSH_BYTES: usize = 32 * 1024;
+pub(crate) const FLUSH_BYTES: usize = 32 * 1024;
 
 /// Self-describing trace metadata, written as the file header.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -244,7 +244,7 @@ impl TraceSink {
 
 /// A scheduler core's private record buffer over the shared sink.
 ///
-/// Encoding is lock-free; the sink lock is taken once per [`FLUSH_BYTES`]
+/// Encoding is lock-free; the sink lock is taken once per `FLUSH_BYTES`
 /// of encoded records. On a sink write error the buffer disables itself
 /// (recording is observability, not correctness — the daemon keeps
 /// serving) and remembers the error for the seal-time report.

@@ -114,7 +114,7 @@ impl OverrideSpec {
 
     /// The effective `(cutoff, channels, assignment)` this spec resolves
     /// to over `base`.
-    pub fn effective(&self, base: &HybridConfig) -> (usize, u32, AssignmentStrategy) {
+    pub(crate) fn effective(&self, base: &HybridConfig) -> (usize, u32, AssignmentStrategy) {
         (
             self.cutoff.unwrap_or(base.cutoff),
             self.channels.unwrap_or_else(|| base.channels.shard_count()),
@@ -126,7 +126,7 @@ impl OverrideSpec {
     /// Touching either channel axis rebuilds the layout as
     /// [`ChannelLayout::Sharded`] (`C = 1` stays bit-identical to the
     /// paper's interleaved single channel — the testkit asserts it).
-    pub fn apply(&self, base: &HybridConfig) -> HybridConfig {
+    pub(crate) fn apply(&self, base: &HybridConfig) -> HybridConfig {
         let mut hybrid = base.clone();
         if let Some(k) = self.cutoff {
             hybrid.cutoff = k;
@@ -320,7 +320,7 @@ pub struct WhatIfReport {
 /// The controller configuration adaptive what-if points replay under:
 /// the measured-feedback hill climber over the full catalog band, with
 /// the same window the cost model penalizes starvation by.
-pub fn whatif_adaptive_config(scenario: &Scenario) -> AdaptiveConfig {
+pub(crate) fn whatif_adaptive_config(scenario: &Scenario) -> AdaptiveConfig {
     AdaptiveConfig {
         period: STARVATION_PERIOD,
         candidate_ks: vec![0], // unused on the controller path

@@ -41,7 +41,8 @@ pub struct ServeParams {
     /// On shutdown, keep draining queued pull work for at most this many
     /// wall ms before shedding whatever is left.
     pub drain_timeout_ms: u64,
-    /// Telemetry window width in broadcast units.
+    /// Telemetry window width in broadcast units; at least one wall
+    /// millisecond (`telemetry_window × unit_millis ≥ 1`).
     pub telemetry_window: f64,
     /// Where the windowed QoS series streams to (JSONL); `None` disables.
     pub results_path: Option<String>,
@@ -114,6 +115,14 @@ impl ServeConfig {
         let window = self.serve.telemetry_window;
         if let Err(e) = (TelemetryConfig { window }).validate() {
             problems.push(format!("serve.telemetry_window: {e}"));
+        } else if self.serve.unit_millis > 0.0 && window * self.serve.unit_millis < 1.0 {
+            // The recorder closes one window per `window` units it is
+            // behind: a sub-millisecond window closes millions a second.
+            problems.push(format!(
+                "serve.telemetry_window × serve.unit_millis must be at least 1 wall \
+                 millisecond, got {window} × {} ms",
+                self.serve.unit_millis
+            ));
         }
         // The arrival process is the clients': its fields are not read.
         problems.extend(self.scenario.validate(false).err());
@@ -246,6 +255,28 @@ mod tests {
         assert!(err.contains("loop_threads"), "{err}");
         assert!(err.contains("conn_outbound_kib"), "{err}");
         assert!(err.contains("cutoff"), "{err}");
+    }
+
+    #[test]
+    fn a_telemetry_window_under_one_wall_millisecond_is_rejected() {
+        let mut cfg = ServeConfig::default();
+        cfg.serve.telemetry_window = 1e-300;
+        let err = cfg.validate().unwrap_err();
+        assert!(
+            err.contains("serve.telemetry_window × serve.unit_millis"),
+            "{err}"
+        );
+        cfg.serve.telemetry_window = 500.0;
+        cfg.serve.unit_millis = 1e-300;
+        let err = cfg.validate().unwrap_err();
+        assert!(
+            err.contains("serve.telemetry_window × serve.unit_millis"),
+            "{err}"
+        );
+        cfg.serve.unit_millis = 0.004; // 2 ms windows
+        cfg.validate().unwrap();
+        cfg.serve.unit_millis = 0.001; // 0.5 ms windows
+        assert!(cfg.validate().is_err());
     }
 
     /// Scenario and scheduler values are checked as the config enters —

@@ -101,7 +101,7 @@ impl ReplyStatus {
     }
 
     /// Parses a wire value.
-    pub fn from_u8(v: u8) -> Result<Self, String> {
+    pub(crate) fn from_u8(v: u8) -> Result<Self, String> {
         Ok(match v {
             0 => ReplyStatus::ServedPush,
             1 => ReplyStatus::ServedPull,

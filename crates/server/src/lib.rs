@@ -47,4 +47,4 @@ pub use cli::{daemon_main, loadgen_main};
 pub use config::{ServeConfig, ServeParams};
 pub use frame::{ReplyFrame, ReplyStatus, RequestFrame};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
-pub use server::{serve, ClassCounters, ServeSummary, ServerHandle};
+pub use server::{serve, ServeSummary, ServerHandle};

@@ -3,13 +3,13 @@
 //! The event-driven front end needs exactly four kernel facilities the
 //! standard library does not expose: an epoll instance, an eventfd waker,
 //! vectored writes, and raw-fd close; the scheduler cores add a fifth, a
-//! per-thread timer slack ([`tighten_timer_slack`]). In the same spirit as
+//! per-thread timer slack (`tighten_timer_slack`). In the same spirit as
 //! [`crate::signal`] (the workspace vendors no `libc` crate), the shim
 //! declares the C entry points directly — every constant used is stable
 //! Linux ABI on the x86-64/aarch64 targets this builds and runs on. This
 //! module and [`crate::signal`] are the only unsafe islands in the
 //! workspace; everything above them is safe Rust over [`Epoll`],
-//! [`EventFd`], [`writev_fd`] and [`tighten_timer_slack`].
+//! `EventFd`, `writev_fd` and `tighten_timer_slack`.
 //!
 //! Why no async runtime: the daemon needs readiness notification for a
 //! few thousand sockets feeding one scheduler thread — a single
@@ -30,15 +30,15 @@ type c_uint = u32;
 /// Readable.
 pub const EPOLLIN: u32 = 0x001;
 /// Writable.
-pub const EPOLLOUT: u32 = 0x004;
+pub(crate) const EPOLLOUT: u32 = 0x004;
 /// Error condition (always reported, never needs registering).
-pub const EPOLLERR: u32 = 0x008;
+pub(crate) const EPOLLERR: u32 = 0x008;
 /// Hangup (always reported).
-pub const EPOLLHUP: u32 = 0x010;
+pub(crate) const EPOLLHUP: u32 = 0x010;
 /// Peer shut down its write half.
-pub const EPOLLRDHUP: u32 = 0x2000;
+pub(crate) const EPOLLRDHUP: u32 = 0x2000;
 /// Edge-triggered delivery.
-pub const EPOLLET: u32 = 1 << 31;
+pub(crate) const EPOLLET: u32 = 1 << 31;
 
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
@@ -48,9 +48,9 @@ const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
 
 /// `EMFILE`: the per-process fd table is exhausted.
-pub const ERR_EMFILE: i32 = 24;
+pub(crate) const ERR_EMFILE: i32 = 24;
 /// `ENFILE`: the system-wide fd table is exhausted.
-pub const ERR_ENFILE: i32 = 23;
+pub(crate) const ERR_ENFILE: i32 = 23;
 
 const SOL_SOCKET: c_int = 1;
 const SO_RCVBUF: c_int = 8;
@@ -75,7 +75,7 @@ impl EpollEvent {
     }
 
     /// The ready bitmask (copied out of the possibly-packed struct).
-    pub fn ready(&self) -> u32 {
+    pub(crate) fn ready(&self) -> u32 {
         let e = *self;
         e.events
     }
@@ -119,7 +119,7 @@ extern "C" {
 /// to coalesce wake-ups — a seventh of a 0.35 ms broadcast slot, paid by
 /// every transmission a scheduler core parks on. Best effort: a kernel
 /// that refuses leaves the default slack in place.
-pub fn tighten_timer_slack() {
+pub(crate) fn tighten_timer_slack() {
     // SAFETY: this option takes one `unsigned long` by value (`usize` on
     // the LP64 targets this builds for), reads and writes no user memory,
     // and changes nothing but the calling thread's own slack.
@@ -155,12 +155,12 @@ pub fn set_recv_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
 /// Largest iovec batch one [`writev_fd`] call submits. Linux's `IOV_MAX`
 /// is 1024; 64 keeps the stack array small while still coalescing a full
 /// reply burst into a handful of syscalls.
-pub const MAX_IOV: usize = 64;
+pub(crate) const MAX_IOV: usize = 64;
 
 /// Vectored write of up to [`MAX_IOV`] buffers in one syscall. Returns
 /// the number of bytes accepted (possibly short — the caller resumes from
 /// the unwritten tail).
-pub fn writev_fd(fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
+pub(crate) fn writev_fd(fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
     let n = bufs.len().min(MAX_IOV);
     if n == 0 {
         return Ok(0);
@@ -220,12 +220,12 @@ impl Epoll {
     }
 
     /// Changes the interest set of an already-registered `fd`.
-    pub fn modify(&self, fd: RawFd, events: u32, cookie: u64) -> io::Result<()> {
+    pub(crate) fn modify(&self, fd: RawFd, events: u32, cookie: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, events, cookie)
     }
 
     /// Deregisters `fd`.
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
@@ -265,7 +265,7 @@ impl Drop for Epoll {
 /// A nonblocking `eventfd(2)` used as a cross-thread waker: writers
 /// [`EventFd::ring`] it, the epoll loop registers it readable and
 /// [`EventFd::drain`]s on wake.
-pub struct EventFd {
+pub(crate) struct EventFd {
     fd: RawFd,
 }
 
@@ -282,7 +282,7 @@ impl EventFd {
     }
 
     /// The raw fd (for epoll registration).
-    pub fn fd(&self) -> RawFd {
+    pub(crate) fn fd(&self) -> RawFd {
         self.fd
     }
 
@@ -317,7 +317,7 @@ impl Drop for EventFd {
 
 /// `true` for the fd-exhaustion accept errors (`EMFILE`/`ENFILE`) that
 /// must trigger bounded accept backoff instead of a hot spin.
-pub fn is_fd_exhaustion(err: &io::Error) -> bool {
+pub(crate) fn is_fd_exhaustion(err: &io::Error) -> bool {
     matches!(err.raw_os_error(), Some(ERR_EMFILE) | Some(ERR_ENFILE))
 }
 

@@ -11,9 +11,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// POSIX `SIGINT` (ctrl-c).
-pub const SIGINT: i32 = 2;
+pub(crate) const SIGINT: i32 = 2;
 /// POSIX `SIGTERM`.
-pub const SIGTERM: i32 = 15;
+pub(crate) const SIGTERM: i32 = 15;
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
@@ -26,7 +26,7 @@ extern "C" {
 }
 
 /// Installs the flag-setting handler for SIGTERM and SIGINT.
-pub fn install() {
+pub(crate) fn install() {
     let handler = on_signal as extern "C" fn(i32) as *const () as usize;
     // SAFETY: `signal(2)` is given valid signal numbers (SIGTERM, SIGINT)
     // and, as its `sighandler_t`, the address of `on_signal`: an
@@ -39,7 +39,7 @@ pub fn install() {
 }
 
 /// `true` once a termination signal was received (or [`request`] called).
-pub fn requested() -> bool {
+pub(crate) fn requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
 }
 

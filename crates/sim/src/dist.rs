@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 /// Walker alias table over `n` outcomes: O(1) weighted sampling.
 #[derive(Debug, Clone)]
-pub struct AliasTable {
+pub(crate) struct AliasTable {
     prob: Vec<f64>,
     alias: Vec<u32>,
 }
@@ -72,16 +72,6 @@ impl AliasTable {
             prob[s as usize] = 1.0;
         }
         AliasTable { prob, alias }
-    }
-
-    /// Number of outcomes.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// `true` if the table has no outcomes (unreachable by construction).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
     }
 
     /// Draws an outcome index in `0..len()`.

@@ -56,7 +56,6 @@ pub struct RunStats {
 pub struct Engine<E> {
     now: SimTime,
     queue: EventQueue<E>,
-    processed: u64,
 }
 
 impl<E> Default for Engine<E> {
@@ -71,7 +70,6 @@ impl<E> Engine<E> {
         Engine {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            processed: 0,
         }
     }
 
@@ -79,12 +77,6 @@ impl<E> Engine<E> {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Events delivered so far over the engine's lifetime.
-    #[inline]
-    pub fn events_processed(&self) -> u64 {
-        self.processed
     }
 
     /// Pending event count, a staged event included.
@@ -142,7 +134,6 @@ impl<E> Engine<E> {
             Some((t, ev)) => {
                 debug_assert!(t >= self.now, "event queue returned a past event");
                 self.now = t;
-                self.processed += 1;
                 handler(self, ev);
                 true
             }
@@ -304,7 +295,6 @@ mod tests {
         assert_eq!(seen, 2);
         eng.run(|_, _| seen += 1);
         assert_eq!(seen, 4);
-        assert_eq!(eng.events_processed(), 4);
     }
 
     #[test]
@@ -384,8 +374,7 @@ mod tests {
         assert_eq!(ids, vec![3, 4, 5, 6]);
         assert!(rest.windows(2).all(|w| w[0].0 <= w[1].0));
         assert_eq!(eng.pending(), 0);
-        // the clock and the processed counter are untouched
+        // the clock is untouched
         assert_eq!(eng.now(), SimTime::new(2.0));
-        assert_eq!(eng.events_processed(), 2);
     }
 }

@@ -153,11 +153,6 @@ impl<E> EventQueue<E> {
         self.heap.clear();
         self.staged = None;
     }
-
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
 }
 
 #[cfg(test)]
@@ -217,12 +212,10 @@ mod tests {
         q.push(SimTime::ZERO, 1);
         q.push(SimTime::ZERO, 2);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_total(), 2);
         q.clear();
         assert!(q.is_empty());
-        // the sequence counter keeps counting across clears
         q.push(SimTime::ZERO, 3);
-        assert_eq!(q.scheduled_total(), 3);
+        assert_eq!(q.len(), 1);
     }
 
     fn drain<E>(q: &mut EventQueue<E>) -> Vec<E> {
@@ -270,7 +263,6 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::new(5.0)));
         q.push(SimTime::new(6.0), 1);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_total(), 2);
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);

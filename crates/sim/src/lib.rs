@@ -30,7 +30,7 @@
 //! let mu = 1.0;    // services per unit time
 //! let factory = RngFactory::new(7);
 //! let mut arr_rng = factory.stream(rng_streams::ARRIVALS);
-//! let mut svc_rng = factory.stream(rng_streams::SCRATCH);
+//! let mut svc_rng = factory.stream(rng_streams::LENGTHS);
 //! let arr = Exponential::new(lam);
 //! let svc = Exponential::new(mu);
 //!
@@ -86,8 +86,8 @@ pub fn ensure(ok: bool, what: impl std::fmt::Display) -> Result<(), String> {
 
 /// One-stop imports for simulation authors.
 pub mod prelude {
-    pub use crate::dist::{AliasTable, Discrete, Exponential, PoissonCount, Zipf};
-    pub use crate::engine::{Engine, RunStats, StopReason};
+    pub use crate::dist::{Discrete, Exponential, PoissonCount, Zipf};
+    pub use crate::engine::Engine;
     pub use crate::event::EventQueue;
     pub use crate::quantile::Histogram;
     pub use crate::rng::{streams as rng_streams, RngFactory, Xoshiro256};

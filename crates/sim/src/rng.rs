@@ -134,8 +134,6 @@ pub mod streams {
     pub const BANDWIDTH: u64 = 4;
     /// Item lengths at catalog construction.
     pub const LENGTHS: u64 = 5;
-    /// Anything ad-hoc in tests/examples.
-    pub const SCRATCH: u64 = 1000;
 }
 
 impl RngFactory {
@@ -144,11 +142,6 @@ impl RngFactory {
         RngFactory {
             master: master_seed,
         }
-    }
-
-    /// The master seed this factory derives from.
-    pub fn master_seed(&self) -> u64 {
-        self.master
     }
 
     /// The generator for stream `id`.

@@ -89,12 +89,12 @@ impl Welford {
     }
 
     /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 
     /// Standard error of the mean.
-    pub fn std_err(&self) -> f64 {
+    pub(crate) fn std_err(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
@@ -175,7 +175,7 @@ const Z_95: f64 = 1.959_963_984_540_054;
 ///
 /// With `n < 2` there is no variance estimate at all; the returned value is
 /// irrelevant (the standard error is 0) but kept finite.
-pub fn critical_value_95(n: u64) -> f64 {
+pub(crate) fn critical_value_95(n: u64) -> f64 {
     if n < 2 {
         Z_95
     } else if n < 30 {

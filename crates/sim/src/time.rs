@@ -52,12 +52,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration((self.0 - earlier.0).max(0.0))
     }
-
-    /// `true` if this instant is at or past `other`.
-    #[inline]
-    pub fn reached(self, other: SimTime) -> bool {
-        self.0 >= other.0
-    }
 }
 
 impl SimDuration {
@@ -291,13 +285,6 @@ mod tests {
     fn sum_of_durations() {
         let total: SimDuration = (1..=4).map(|i| SimDuration::new(i as f64)).sum();
         assert_eq!(total.as_f64(), 10.0);
-    }
-
-    #[test]
-    fn reached_is_inclusive() {
-        assert!(SimTime::new(2.0).reached(SimTime::new(2.0)));
-        assert!(SimTime::new(3.0).reached(SimTime::new(2.0)));
-        assert!(!SimTime::new(1.0).reached(SimTime::new(2.0)));
     }
 
     #[test]

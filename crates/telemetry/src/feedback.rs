@@ -89,15 +89,9 @@ impl FeedbackSnapshot {
         (self.served[c] > 0).then(|| self.delay_sum[c] / self.served[c] as f64)
     }
 
-    /// The first class with demand but zero service this window — the
-    /// service-frequency (SLO) alarm the controller's rescue path watches.
-    pub fn starved_class(&self) -> Option<usize> {
-        self.underserved_class(0.0)
-    }
-
     /// The first class whose window completions fall at or below
     /// `min_ratio` of its window demand. `min_ratio = 0` is the classic
-    /// full-starvation alarm ([`starved_class`](Self::starved_class));
+    /// full-starvation alarm;
     /// positive ratios also flag a class whose backlog is *growing* — the
     /// queue serves some requests but falls behind by more than
     /// `1 − min_ratio` of each window's arrivals.
@@ -176,7 +170,7 @@ mod tests {
         let cost = snap.prioritized_cost(&[3.0, 1.0], 100.0).unwrap();
         assert!((cost - 19.0).abs() < 1e-12);
         assert_eq!(snap.mean_delay(0), Some(3.0));
-        assert_eq!(snap.starved_class(), None);
+        assert_eq!(snap.underserved_class(0.0), None);
     }
 
     #[test]
@@ -186,7 +180,7 @@ mod tests {
         w.note_served(0, 1.0);
         w.note_arrival(1); // demand, no service: fully starved
         let snap = w.take();
-        assert_eq!(snap.starved_class(), Some(1));
+        assert_eq!(snap.underserved_class(0.0), Some(1));
         let cost = snap.prioritized_cost(&[1.0, 2.0, 5.0], 50.0).unwrap();
         // class 2 had no traffic: contributes nothing
         assert!((cost - (1.0 + 2.0 * 50.0)).abs() < 1e-12);
@@ -222,6 +216,6 @@ mod tests {
         let mut w = FeedbackWindow::new(2);
         let snap = w.take();
         assert_eq!(snap.prioritized_cost(&[1.0, 1.0], 10.0), None);
-        assert_eq!(snap.starved_class(), None);
+        assert_eq!(snap.underserved_class(0.0), None);
     }
 }

@@ -30,10 +30,8 @@ pub mod feedback;
 pub mod sink;
 pub mod window;
 
-pub use aggregate::{AggregatedClassWindow, AggregatedSeries, AggregatedWindow};
+pub use aggregate::AggregatedSeries;
 pub use event::{ServiceKind, TelemetryEvent};
 pub use feedback::{FeedbackSnapshot, FeedbackWindow};
 pub use sink::{emit, NullSink, Sink, VecSink};
-pub use window::{
-    ClassWindow, TelemetryConfig, TimeSeries, WindowRecorder, WindowStats, DEFAULT_WINDOW,
-};
+pub use window::{TelemetryConfig, TimeSeries, WindowRecorder, WindowStats, DEFAULT_WINDOW};

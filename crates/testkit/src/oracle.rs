@@ -530,7 +530,7 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
 
 /// [`run_case`] with a pull-policy override factory — the seam the
 /// mutation smoke test uses to plant sign-flipped scoring mutants.
-pub fn run_case_with_policy(
+pub(crate) fn run_case_with_policy(
     case: &FuzzCase,
     policy: impl Fn() -> Option<Box<dyn PullPolicy>>,
 ) -> CaseOutcome {

@@ -216,7 +216,7 @@ const TRANSFORMS: &[Transform] = &[
 /// for the input case (and for any case that reproduces the failure).
 /// Terminates at a fixpoint: no single transform can simplify further
 /// without losing the failure.
-pub fn shrink(case: &FuzzCase, mut still_fails: impl FnMut(&FuzzCase) -> bool) -> FuzzCase {
+pub(crate) fn shrink(case: &FuzzCase, mut still_fails: impl FnMut(&FuzzCase) -> bool) -> FuzzCase {
     let mut current = case.clone();
     // Each transform either strips a feature (idempotent) or halves a
     // bounded quantity, so the loop terminates; the cap is a backstop.

@@ -16,16 +16,13 @@
 //! `crates/testkit/traces/` byte-for-byte, and a test pins the committed
 //! bytes to the generator's output.
 
-use std::fs;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
 use hybridcast_core::config::HybridConfig;
 use hybridcast_ops::trace::{Trace, TraceMeta, TraceRecord, VERSION};
-use hybridcast_ops::{
-    fnv1a64, plan_digest, replay_daemon, replay_simulator, sim_params_for, ReplayBooks,
-};
+use hybridcast_ops::{fnv1a64, plan_digest, replay_daemon};
 use hybridcast_sim::rng::splitmix64;
 use hybridcast_workload::scenario::ScenarioConfig;
 
@@ -48,7 +45,8 @@ impl TraceCase {
     }
 
     /// Parses a sidecar file.
-    pub fn from_json(json: &str) -> Result<Self, String> {
+    #[cfg(test)]
+    fn from_json(json: &str) -> Result<Self, String> {
         serde_json::from_str(json).map_err(|e| format!("trace case parse error: {e}"))
     }
 
@@ -59,17 +57,6 @@ impl TraceCase {
     pub fn config_hash(&self) -> u64 {
         fnv1a64(self.to_json().as_bytes())
     }
-}
-
-/// One loaded corpus entry.
-#[derive(Debug, Clone)]
-pub struct TraceCorpusEntry {
-    /// File stem shared by the `.hct`/`.json` pair.
-    pub name: String,
-    /// The sidecar replay configuration.
-    pub case: TraceCase,
-    /// The parsed binary trace.
-    pub trace: Trace,
 }
 
 /// The committed trace-corpus directory (`crates/testkit/traces/`).
@@ -115,89 +102,6 @@ pub fn synthesize_trace(case: &TraceCase, seed: u64, n: u32) -> Trace {
         });
     }
     Trace { meta, records }
-}
-
-/// Loads every `.hct`/`.json` pair under `dir` (sorted by name),
-/// verifying each trace's header hash against its sidecar.
-pub fn load_trace_corpus(dir: &Path) -> Result<Vec<TraceCorpusEntry>, String> {
-    let entries = fs::read_dir(dir)
-        .map_err(|e| format!("cannot read trace corpus dir {}: {e}", dir.display()))?;
-    let mut out = Vec::new();
-    for entry in entries {
-        let path = entry
-            .map_err(|e| format!("trace corpus dir error: {e}"))?
-            .path();
-        if path.extension().and_then(|e| e.to_str()) != Some("hct") {
-            continue;
-        }
-        let name = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or_default()
-            .to_string();
-        let sidecar = path.with_extension("json");
-        let case_text = fs::read_to_string(&sidecar)
-            .map_err(|e| format!("trace {name} has no sidecar {}: {e}", sidecar.display()))?;
-        let case = TraceCase::from_json(&case_text).map_err(|e| format!("{name}: {e}"))?;
-        let trace = Trace::read(&path).map_err(|e| format!("{name}: {e}"))?;
-        if trace.meta.config_hash != case.config_hash() {
-            return Err(format!(
-                "{name}: trace header hash {:016x} does not match sidecar hash {:016x} — \
-                 the pair is out of sync",
-                trace.meta.config_hash,
-                case.config_hash()
-            ));
-        }
-        out.push(TraceCorpusEntry { name, case, trace });
-    }
-    if out.is_empty() {
-        return Err(format!("no *.hct traces under {}", dir.display()));
-    }
-    out.sort_by(|a, b| a.name.cmp(&b.name));
-    Ok(out)
-}
-
-/// Replays `trace` twice through the daemon discipline and twice through
-/// the simulator, asserting the determinism contract (bit-identical
-/// serialized output per mode) and conservation. Returns the daemon
-/// books on success.
-pub fn replay_twice(case: &TraceCase, trace: &Trace) -> Result<ReplayBooks, String> {
-    let scenario = case.scenario.build();
-    let first = replay_daemon(&scenario, &case.hybrid, case.unit_millis, trace);
-    let second = replay_daemon(&scenario, &case.hybrid, case.unit_millis, trace);
-    let a = serde_json::to_string(&first).expect("books serialize");
-    let b = serde_json::to_string(&second).expect("books serialize");
-    if a != b {
-        return Err("daemon-mode replay is not deterministic: books differ across runs".into());
-    }
-    if !first.conservation_ok {
-        return Err(format!("daemon-mode replay books do not conserve: {a}"));
-    }
-    if first.records != trace.records.len() as u64 {
-        return Err(format!(
-            "daemon-mode replay consumed {} records, trace holds {}",
-            first.records,
-            trace.records.len()
-        ));
-    }
-    let params = sim_params_for(trace);
-    let sim_a = replay_simulator(&scenario, &case.hybrid, &params, trace);
-    let sim_b = replay_simulator(&scenario, &case.hybrid, &params, trace);
-    let sa = serde_json::to_string(&sim_a).expect("report serializes");
-    let sb = serde_json::to_string(&sim_b).expect("report serializes");
-    if sa != sb {
-        return Err("sim-mode replay is not deterministic: reports differ across runs".into());
-    }
-    Ok(first)
-}
-
-/// Replays every committed corpus trace, returning `(name, books)` in
-/// name order; any determinism or conservation violation is an error.
-pub fn replay_trace_corpus(dir: &Path) -> Result<Vec<(String, ReplayBooks)>, String> {
-    load_trace_corpus(dir)?
-        .into_iter()
-        .map(|e| replay_twice(&e.case, &e.trace).map(|books| (e.name, books)))
-        .collect()
 }
 
 /// The corpus's standard smoke case: the paper's catalog under the
@@ -269,6 +173,102 @@ pub fn golden_books_json(case: &TraceCase, trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hybridcast_ops::{replay_simulator, sim_params_for, ReplayBooks};
+    use std::fs;
+
+    /// One loaded corpus entry.
+    #[derive(Debug, Clone)]
+    struct TraceCorpusEntry {
+        /// File stem shared by the `.hct`/`.json` pair.
+        name: String,
+        /// The sidecar replay configuration.
+        case: TraceCase,
+        /// The parsed binary trace.
+        trace: Trace,
+    }
+
+    /// Loads every `.hct`/`.json` pair under `dir` (sorted by name),
+    /// verifying each trace's header hash against its sidecar.
+    fn load_trace_corpus(dir: &Path) -> Result<Vec<TraceCorpusEntry>, String> {
+        let entries = fs::read_dir(dir)
+            .map_err(|e| format!("cannot read trace corpus dir {}: {e}", dir.display()))?;
+        let mut out = Vec::new();
+        for entry in entries {
+            let path = entry
+                .map_err(|e| format!("trace corpus dir error: {e}"))?
+                .path();
+            if path.extension().and_then(|e| e.to_str()) != Some("hct") {
+                continue;
+            }
+            let name = path
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .unwrap_or_default()
+                .to_string();
+            let sidecar = path.with_extension("json");
+            let case_text = fs::read_to_string(&sidecar)
+                .map_err(|e| format!("trace {name} has no sidecar {}: {e}", sidecar.display()))?;
+            let case = TraceCase::from_json(&case_text).map_err(|e| format!("{name}: {e}"))?;
+            let trace = Trace::read(&path).map_err(|e| format!("{name}: {e}"))?;
+            if trace.meta.config_hash != case.config_hash() {
+                return Err(format!(
+                    "{name}: trace header hash {:016x} does not match sidecar hash {:016x} — \
+                     the pair is out of sync",
+                    trace.meta.config_hash,
+                    case.config_hash()
+                ));
+            }
+            out.push(TraceCorpusEntry { name, case, trace });
+        }
+        if out.is_empty() {
+            return Err(format!("no *.hct traces under {}", dir.display()));
+        }
+        out.sort_by(|a, b| a.name.cmp(&b.name));
+        Ok(out)
+    }
+
+    /// Replays `trace` twice through the daemon discipline and twice through
+    /// the simulator, asserting the determinism contract (bit-identical
+    /// serialized output per mode) and conservation. Returns the daemon
+    /// books on success.
+    fn replay_twice(case: &TraceCase, trace: &Trace) -> Result<ReplayBooks, String> {
+        let scenario = case.scenario.build();
+        let first = replay_daemon(&scenario, &case.hybrid, case.unit_millis, trace);
+        let second = replay_daemon(&scenario, &case.hybrid, case.unit_millis, trace);
+        let a = serde_json::to_string(&first).expect("books serialize");
+        let b = serde_json::to_string(&second).expect("books serialize");
+        if a != b {
+            return Err("daemon-mode replay is not deterministic: books differ across runs".into());
+        }
+        if !first.conservation_ok {
+            return Err(format!("daemon-mode replay books do not conserve: {a}"));
+        }
+        if first.records != trace.records.len() as u64 {
+            return Err(format!(
+                "daemon-mode replay consumed {} records, trace holds {}",
+                first.records,
+                trace.records.len()
+            ));
+        }
+        let params = sim_params_for(trace);
+        let sim_a = replay_simulator(&scenario, &case.hybrid, &params, trace);
+        let sim_b = replay_simulator(&scenario, &case.hybrid, &params, trace);
+        let sa = serde_json::to_string(&sim_a).expect("report serializes");
+        let sb = serde_json::to_string(&sim_b).expect("report serializes");
+        if sa != sb {
+            return Err("sim-mode replay is not deterministic: reports differ across runs".into());
+        }
+        Ok(first)
+    }
+
+    /// Replays every committed corpus trace, returning `(name, books)` in
+    /// name order; any determinism or conservation violation is an error.
+    fn replay_trace_corpus(dir: &Path) -> Result<Vec<(String, ReplayBooks)>, String> {
+        load_trace_corpus(dir)?
+            .into_iter()
+            .map(|e| replay_twice(&e.case, &e.trace).map(|books| (e.name, books)))
+            .collect()
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hct-corpus-{tag}-{}", std::process::id()));

@@ -2,7 +2,7 @@
 //! function of `(config, override, trace bytes)`.
 //!
 //! Extends the trace corpus's determinism contract
-//! ([`crate::trace_corpus::replay_twice`]) to *overridden* replays — the
+//! (`replay_twice` in its tests) to *overridden* replays — the
 //! seam the what-if harness stands on. Three oracles:
 //!
 //! * [`replay_override_twice`] — the same trace under the same override
@@ -29,7 +29,7 @@ use crate::trace_corpus::TraceCase;
 /// differ arbitrarily from the recording config), asserting the
 /// determinism contract per engine and conservation of the daemon
 /// books. Returns the daemon books on success.
-pub fn replay_override_twice(
+pub(crate) fn replay_override_twice(
     case: &TraceCase,
     hybrid: &HybridConfig,
     trace: &Trace,
@@ -62,7 +62,7 @@ pub fn replay_override_twice(
 /// and under the unsharded interleaved layout, in both engines; any
 /// serialized difference is an error. `C = 1` sharding must be a pure
 /// refactor of the paper's single channel.
-pub fn sharded_c1_matches_unsharded(case: &TraceCase, trace: &Trace) -> Result<(), String> {
+pub(crate) fn sharded_c1_matches_unsharded(case: &TraceCase, trace: &Trace) -> Result<(), String> {
     let scenario = case.scenario.build();
     let unsharded = HybridConfig {
         channels: ChannelLayout::Interleaved,
@@ -96,7 +96,7 @@ pub fn sharded_c1_matches_unsharded(case: &TraceCase, trace: &Trace) -> Result<(
 /// Runs the full what-if sweep and asserts the recommendation oracle:
 /// the winning point, re-evaluated standalone, must serialize
 /// byte-identically to what the sweep reported. Returns the report.
-pub fn whatif_recommendation_oracle(
+pub(crate) fn whatif_recommendation_oracle(
     case: &TraceCase,
     trace: &Trace,
     grid: &WhatIfGrid,

@@ -4,7 +4,7 @@
 //! popularity rank: item 0 is the most requested. The hybrid scheduler's
 //! cutoff `K` splits this ordering — `0..K` is the push set, `K..D` the pull
 //! set — so the popularity-weighted aggregates the paper's analysis needs
-//! ([`Catalog::weighted_length`], [`Catalog::mass`]) are prefix/suffix sums
+//! (`Catalog::weighted_length`, [`Catalog::mass`]) are prefix/suffix sums
 //! over the same ordering.
 
 use serde::{Deserialize, Serialize};
@@ -171,15 +171,9 @@ impl Catalog {
 
     /// Popularity-weighted total length `Σ_{i∈range} P_i · L_i` — the
     /// paper's `μ₁` (over `0..K`) and `μ₂` (over `K..D`) quantities (§5.1).
-    pub fn weighted_length(&self, range: std::ops::Range<usize>) -> f64 {
+    pub(crate) fn weighted_length(&self, range: std::ops::Range<usize>) -> f64 {
         assert!(range.end <= self.items.len());
         self.cum_weighted_len[range.end] - self.cum_weighted_len[range.start]
-    }
-
-    /// Plain (unweighted) total length of ranks `range` — the flat broadcast
-    /// cycle length when `range = 0..K`.
-    pub fn total_length(&self, range: std::ops::Range<usize>) -> f64 {
-        self.items[range].iter().map(|it| it.length as f64).sum()
     }
 
     /// Mean length of the items in `range`, *conditioned on a request
@@ -245,13 +239,6 @@ mod tests {
         let m = c.conditional_mean_length(1..3).unwrap();
         assert!((m - 2.2).abs() < 1e-12);
         assert_eq!(c.conditional_mean_length(1..1), None);
-    }
-
-    #[test]
-    fn total_length_is_unweighted() {
-        let c = small_catalog();
-        assert_eq!(c.total_length(0..3), 7.0);
-        assert_eq!(c.total_length(0..1), 2.0);
     }
 
     #[test]

@@ -101,19 +101,6 @@ impl LengthModel {
         }
     }
 
-    /// The exact expected length under this model, if known without
-    /// sampling (`Custom` returns its empirical mean).
-    pub fn expected_mean(&self) -> f64 {
-        match self {
-            LengthModel::Fixed { length } => *length as f64,
-            LengthModel::Uniform { min, max } => (*min as f64 + *max as f64) / 2.0,
-            LengthModel::MeanTargeted { mean, .. } => *mean,
-            LengthModel::Custom { lengths } => {
-                lengths.iter().map(|&l| l as f64).sum::<f64>() / lengths.len() as f64
-            }
-        }
-    }
-
     fn validate_range(min: u32, max: u32) -> Result<(), String> {
         ensure(
             min >= 1,
@@ -289,20 +276,6 @@ mod tests {
         }
         .generate(3, &mut rng);
         assert_eq!(lens, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn expected_means() {
-        assert_eq!(LengthModel::Fixed { length: 4 }.expected_mean(), 4.0);
-        assert_eq!(LengthModel::Uniform { min: 1, max: 5 }.expected_mean(), 3.0);
-        assert_eq!(LengthModel::paper_default().expected_mean(), 2.0);
-        assert_eq!(
-            LengthModel::Custom {
-                lengths: vec![1, 3]
-            }
-            .expected_mean(),
-            2.0
-        );
     }
 
     #[test]

@@ -41,9 +41,9 @@ pub mod scenario;
 pub mod prelude {
     pub use crate::catalog::{Catalog, Item, ItemId};
     pub use crate::classes::{ClassId, ClassSet, ServiceClass};
-    pub use crate::clients::{Client, ClientId, ClientPool};
+    pub use crate::clients::{ClientId, ClientPool};
     pub use crate::lengths::LengthModel;
-    pub use crate::nonstationary::{NonstationaryConfig, Regime};
+    pub use crate::nonstationary::NonstationaryConfig;
     pub use crate::popularity::PopularityModel;
     pub use crate::requests::{
         DriftConfig, ReplaySource, Request, RequestGenerator, RequestSource,

@@ -100,17 +100,9 @@ pub struct Regime {
     pub scenario: ScenarioConfig,
 }
 
-impl Regime {
-    /// The segment's share of total request volume: duration × rate,
-    /// normalized by the caller.
-    pub fn volume(&self) -> f64 {
-        (self.end - self.start) * self.scenario.arrival_rate
-    }
-}
-
 impl NonstationaryConfig {
     /// Checks structural validity: the first violated constraint, as a
-    /// typed error ([`wrap`](Self::wrap) panics with its text).
+    /// typed error (`wrap` panics with its text).
     pub fn validate(&self) -> Result<(), String> {
         match *self {
             NonstationaryConfig::FlashCrowd {
@@ -259,7 +251,7 @@ impl NonstationaryConfig {
     /// factory (shared structure such as the permutation); `replication`
     /// is the per-replication factory (sampling noise such as θ-switch
     /// redraws).
-    pub fn wrap(
+    pub(crate) fn wrap(
         &self,
         inner: Box<dyn RequestSource>,
         num_items: usize,

@@ -302,7 +302,7 @@ impl RequestGenerator {
     ///
     /// # Panics
     /// Panics unless `mean_batch > 1`.
-    pub fn with_batching(mut self, mean_batch: f64) -> Self {
+    pub(crate) fn with_batching(mut self, mean_batch: f64) -> Self {
         Self::validate_batch_mean(mean_batch).unwrap_or_else(|e| panic!("{e}"));
         // epoch rate = λ / B; gap sampler is re-scaled accordingly
         self.gap = Exponential::new(self.gap.rate() / mean_batch);
@@ -318,7 +318,7 @@ impl RequestGenerator {
 
     /// What [`with_batching`](Self::with_batching) requires of its mean
     /// burst size, as a typed error.
-    pub fn validate_batch_mean(mean_batch: f64) -> Result<(), String> {
+    pub(crate) fn validate_batch_mean(mean_batch: f64) -> Result<(), String> {
         ensure(
             mean_batch > 1.0 && mean_batch.is_finite(),
             format_args!("mean batch size must exceed 1 (got {mean_batch})"),
@@ -329,7 +329,7 @@ impl RequestGenerator {
     ///
     /// # Panics
     /// Panics with [`DriftConfig::validate`]'s message.
-    pub fn with_drift(mut self, drift: Option<DriftConfig>) -> Self {
+    pub(crate) fn with_drift(mut self, drift: Option<DriftConfig>) -> Self {
         if let Some(d) = &drift {
             d.validate().unwrap_or_else(|e| panic!("{e}"));
         }

@@ -179,7 +179,7 @@ impl Scenario {
     }
 
     /// A request stream for replication `r` — independent draws, same laws.
-    pub fn request_stream_replication(&self, r: u64) -> RequestGenerator {
+    pub(crate) fn request_stream_replication(&self, r: u64) -> RequestGenerator {
         let mut g = RequestGenerator::new(
             &self.catalog,
             &self.classes,
@@ -208,17 +208,6 @@ impl Scenario {
             ),
         }
     }
-
-    /// The pull-set arrival rate `λ = λ′ · Σ_{i>K} P_i` for cutoff `k`
-    /// (paper §4.1).
-    pub fn pull_rate(&self, k: usize) -> f64 {
-        self.arrival_rate * self.catalog.mass(k..self.catalog.len())
-    }
-
-    /// The push-set request rate `λ′ · Σ_{i≤K} P_i`.
-    pub fn push_rate(&self, k: usize) -> f64 {
-        self.arrival_rate * self.catalog.mass(0..k)
-    }
 }
 
 #[cfg(test)]
@@ -241,19 +230,6 @@ mod tests {
         let s1 = cfg.build();
         let s2 = cfg.build();
         assert_eq!(s1.catalog, s2.catalog);
-    }
-
-    #[test]
-    fn pull_and_push_rates_partition_lambda() {
-        let s = ScenarioConfig::icpp2005(0.6).build();
-        for k in [0, 10, 50, 100] {
-            let total = s.pull_rate(k) + s.push_rate(k);
-            assert!((total - 5.0).abs() < 1e-9, "k={k}: {total}");
-        }
-        // larger K moves rate from pull to push
-        assert!(s.pull_rate(10) > s.pull_rate(50));
-        assert_eq!(s.pull_rate(100), 0.0);
-        assert_eq!(s.push_rate(0), 0.0);
     }
 
     #[test]
