@@ -26,17 +26,18 @@
 //!
 //! Cost model: one broadcast answers every request outstanding for *that
 //! item*, so a transmission costs O(requests it answers) — it walks the
-//! aired item's waiter list and nobody else's — and every per-request
-//! step (file, look up, answer) is an index into a dense table: O(1), no
-//! hashing.
+//! aired item's waiter list and nobody else's. Filing, looking up and
+//! answering a request is an index into a dense table, no hashing, plus
+//! O(log live) for its timers: deadlines and uplink deliveries sit in
+//! indexed heaps that every exit cancels, so they never hold more than the
+//! live requests and [`next_due`](ChannelCore::next_due) never wakes a
+//! driver for a request already answered.
 //!
 //! One deliberate asymmetry with the simulator: a request that times out
 //! while queued leaves its aggregated entry in the pull queue (the queue
 //! has no per-requester removal), so the scheduler may still air the
 //! item. The stale requester is skipped at completion.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::AddAssign;
 
 use serde::Serialize;
@@ -50,6 +51,7 @@ use hybridcast_workload::requests::Request;
 use hybridcast_workload::scenario::Scenario;
 
 use crate::config::{HybridConfig, Role};
+use crate::heap::{IndexedHeap, Record};
 use crate::hybrid::{Disposition, HybridScheduler, Transmission};
 use crate::metrics::TxKind;
 use crate::sharded::{build_shards, ChannelPlan};
@@ -263,12 +265,26 @@ struct Handle {
     slot: u32,
 }
 
+/// The timers' order: soonest due first, ties to the lower id.
+impl Record for (SimTime, Handle) {
+    fn above(&self, other: &Self) -> bool {
+        self < other
+    }
+
+    fn slot(&self) -> usize {
+        self.1.slot as usize
+    }
+}
+
 /// The live-request table: a slab whose freed slots are reused, so filing,
-/// finding and answering a request are each one index.
+/// finding and answering a request are each one index. Its timers file
+/// requests by slot, and a request leaves them as it leaves the table.
 struct Slab<T> {
     slots: Vec<Option<LiveReq<T>>>,
     free: Vec<u32>,
     next_id: u64,
+    timeouts: IndexedHeap<(SimTime, Handle)>,
+    deliveries: IndexedHeap<(SimTime, Handle)>,
 }
 
 impl<T> Slab<T> {
@@ -277,6 +293,8 @@ impl<T> Slab<T> {
             slots: Vec::new(),
             free: Vec::new(),
             next_id: 0,
+            timeouts: IndexedHeap::new(0),
+            deliveries: IndexedHeap::new(0),
         }
     }
 
@@ -318,6 +336,8 @@ impl<T> Slab<T> {
 
     fn remove(&mut self, handle: Handle) -> Option<LiveReq<T>> {
         self.get_mut(handle)?;
+        self.timeouts.remove(handle.slot as usize);
+        self.deliveries.remove(handle.slot as usize);
         self.free.push(handle.slot);
         self.slots[handle.slot as usize].take()
     }
@@ -339,8 +359,6 @@ struct Inflight {
     /// scheduler removed from its queue). Push: empty.
     batch: Vec<Handle>,
 }
-
-type DueHeap = BinaryHeap<Reverse<(SimTime, Handle)>>;
 
 /// One core per shard of `hybrid`'s layout, each over its own scheduler —
 /// built exactly like the simulator's — with that shard's transmitters and
@@ -376,8 +394,6 @@ pub fn channel_cores<T, S: Sink>(
             live_push: 0,
             pull_waiters: vec![Vec::new(); num_items],
             spare: Vec::new(),
-            timeouts: BinaryHeap::new(),
-            deliveries: BinaryHeap::new(),
             roles: roles.to_vec(),
             on_air: roles.iter().map(|_| None).collect(),
             cursor: SimTime::ZERO,
@@ -407,9 +423,6 @@ pub struct ChannelCore<T, S: Sink> {
     /// buffer; there are never more than the peak number of items waited
     /// on at once.
     spare: Vec<Vec<Handle>>,
-    timeouts: DueHeap,
-    /// Requests in flight on the uplink.
-    deliveries: DueHeap,
     /// This shard's transmitters: slot `i` airs for `roles[i]`.
     roles: Vec<Role>,
     /// What each slot has on the air, with the batch it will satisfy.
@@ -518,7 +531,7 @@ impl<T, S: Sink> ChannelCore<T, S> {
         });
         let handle = self.live.insert(tag, item, class, stamp);
         if let Some(due) = deadline {
-            self.timeouts.push(Reverse((due, handle)));
+            self.live.timeouts.set((due, handle));
         }
         match self.uplink.as_mut().map(UplinkChannel::transmit) {
             Some(UplinkOutcome::Lost) => {
@@ -531,7 +544,7 @@ impl<T, S: Sink> ChannelCore<T, S> {
                 self.resolve(req, Outcome::UplinkLost, 0.0, &mut out);
             }
             Some(UplinkOutcome::Delivered(latency)) => {
-                self.deliveries.push(Reverse((stamp + latency, handle)));
+                self.live.deliveries.set((stamp + latency, handle));
             }
             None => self.route(handle, item, class, stamp),
         }
@@ -588,15 +601,18 @@ impl<T, S: Sink> ChannelCore<T, S> {
     }
 
     /// Earliest instant anything is due: a transmission's completion, a
-    /// deadline, or an uplink delivery.
+    /// live request's deadline, or an uplink delivery. Exact: something
+    /// fires there.
     pub fn next_due(&self) -> Option<SimTime> {
-        let head = |heap: &DueHeap| heap.peek().map(|Reverse((due, _))| *due);
+        let mut next = self.live.timeouts.peek().map(|(due, _)| due);
+        let delivery = self.live.deliveries.peek().map(|(due, _)| due);
         let completions = self.on_air.iter().flatten().map(|i| i.tx.completes_at());
-        [head(&self.timeouts), head(&self.deliveries)]
-            .into_iter()
-            .flatten()
-            .chain(completions)
-            .min()
+        for due in delivery.into_iter().chain(completions) {
+            if next.is_none_or(|next| due < next) {
+                next = Some(due);
+            }
+        }
+        next
     }
 
     /// Fires everything due at or before `now`: uplink deliveries, then
@@ -610,14 +626,10 @@ impl<T, S: Sink> ChannelCore<T, S> {
         mut out: impl FnMut(Resolution<T>),
         mut fired: impl FnMut(SimTime),
     ) {
-        while let Some(&Reverse((due, handle))) = self.deliveries.peek() {
-            if due > now {
-                break;
-            }
-            self.deliveries.pop();
-            let Some(req) = self.live.get_mut(handle) else {
-                continue; // timed out while on the uplink
-            };
+        let due_by = |(due, _): &(SimTime, Handle)| *due <= now;
+        while let Some((due, handle)) = self.live.deliveries.peek().filter(due_by) {
+            self.live.deliveries.remove(handle.slot as usize);
+            let req = self.live.get_mut(handle).expect("a live request");
             let (item, class, ingest) = (req.item, req.class, req.ingest);
             let time = self.tick(due);
             emit(&mut self.sink, || TelemetryEvent::UplinkDelivered {
@@ -628,15 +640,10 @@ impl<T, S: Sink> ChannelCore<T, S> {
             });
             self.route(handle, item, class, due);
         }
-        while let Some(&Reverse((due, handle))) = self.timeouts.peek() {
-            if due > now {
-                break;
-            }
-            self.timeouts.pop();
-            if let Some(req) = self.live.remove(handle) {
-                let wait = due.since(req.ingest).as_f64();
-                self.resolve(req, Outcome::TimedOut, wait, &mut out);
-            }
+        while let Some((due, handle)) = self.live.timeouts.peek().filter(due_by) {
+            let req = self.live.remove(handle).expect("a live request");
+            let wait = due.since(req.ingest).as_f64();
+            self.resolve(req, Outcome::TimedOut, wait, &mut out);
         }
         while let Some((due, slot)) = (self.on_air.iter().enumerate())
             .filter_map(|(slot, i)| Some((i.as_ref()?.tx.completes_at(), slot)))
@@ -660,25 +667,10 @@ impl<T, S: Sink> ChannelCore<T, S> {
     /// drain budget ran out.
     pub fn shed_remaining(&mut self, now: SimTime, mut out: impl FnMut(Resolution<T>)) {
         for handle in self.live.handles() {
-            self.shed(handle, now, &mut out);
+            self.answer(handle, now, None, &mut out);
         }
         self.push_waiters.iter_mut().for_each(Vec::clear);
         self.pull_waiters.iter_mut().for_each(Vec::clear);
-    }
-
-    fn shed(&mut self, handle: Handle, now: SimTime, out: &mut impl FnMut(Resolution<T>)) {
-        let Some(req) = self.live.remove(handle) else {
-            return; // already timed out
-        };
-        let (item, class) = (req.item, req.class);
-        let time = self.tick(now);
-        emit(&mut self.sink, || TelemetryEvent::RequestBlocked {
-            time,
-            item,
-            class,
-        });
-        let wait = now.since(req.ingest).as_f64();
-        self.resolve(req, Outcome::Shed, wait, out);
     }
 
     fn complete(&mut self, slot: usize, out: &mut impl FnMut(Resolution<T>)) {
@@ -704,7 +696,7 @@ impl<T, S: Sink> ChannelCore<T, S> {
                     if arrival > start {
                         return self.live.get_mut(handle).is_some();
                     }
-                    self.serve(handle, at, ServiceKind::Push, out);
+                    self.answer(handle, at, Some(ServiceKind::Push), out);
                     false
                 });
                 self.push_waiters[item.index()] = waiters;
@@ -721,7 +713,7 @@ impl<T, S: Sink> ChannelCore<T, S> {
                 });
                 let mut batch = inf.batch;
                 for handle in batch.drain(..) {
-                    self.serve(handle, at, ServiceKind::Pull, out);
+                    self.answer(handle, at, Some(ServiceKind::Pull), out);
                 }
                 self.spare.push(batch);
                 self.scheduler.recycle(entry);
@@ -730,28 +722,34 @@ impl<T, S: Sink> ChannelCore<T, S> {
         }
     }
 
-    fn serve(
+    /// Answers `handle` at `at`, served by a `kind` transmission or shed
+    /// (`None`); a handle already answered (timed out) is skipped.
+    fn answer(
         &mut self,
         handle: Handle,
         at: SimTime,
-        kind: ServiceKind,
+        kind: Option<ServiceKind>,
         out: &mut impl FnMut(Resolution<T>),
     ) {
         let Some(req) = self.live.remove(handle) else {
-            return; // timed out before the transmission landed
+            return;
         };
         let (item, class, arrival) = (req.item, req.class, req.ingest);
         let time = self.tick(at);
-        emit(&mut self.sink, || TelemetryEvent::RequestServed {
-            time,
-            item,
-            class,
-            kind,
-            arrival,
+        emit(&mut self.sink, || match kind {
+            Some(kind) => TelemetryEvent::RequestServed {
+                time,
+                item,
+                class,
+                kind,
+                arrival,
+            },
+            None => TelemetryEvent::RequestBlocked { time, item, class },
         });
         let outcome = match kind {
-            ServiceKind::Push => Outcome::ServedPush,
-            ServiceKind::Pull => Outcome::ServedPull,
+            Some(ServiceKind::Push) => Outcome::ServedPush,
+            Some(ServiceKind::Pull) => Outcome::ServedPull,
+            None => Outcome::Shed,
         };
         self.resolve(req, outcome, at.since(arrival).as_f64(), out);
     }
@@ -777,7 +775,7 @@ impl<T, S: Sink, O: FnMut(Resolution<T>)> Transmitters<O> for ChannelCore<T, S> 
         for entry in dropped {
             let mut batch = std::mem::take(&mut self.pull_waiters[entry.item.index()]);
             for handle in batch.drain(..) {
-                self.shed(handle, now, out);
+                self.answer(handle, now, None, out);
             }
             self.spare.push(batch);
             self.scheduler.recycle(entry);
@@ -804,6 +802,8 @@ mod tests {
     use hybridcast_sim::time::SimDuration;
     use hybridcast_telemetry::{NullSink, VecSink};
     use hybridcast_workload::scenario::ScenarioConfig;
+
+    mod timers;
 
     const REQUESTS: u64 = 600;
 
@@ -1068,7 +1068,12 @@ mod tests {
     /// Whoever is answered, in what order and after what wait must not
     /// depend on how the request table is stored: these digests were
     /// recorded at the commit before it became a slab with per-item waiter
-    /// lists, when it was two hash maps and one flat push-waiter list.
+    /// lists, when it was two hash maps and one flat push-waiter list. The
+    /// 20-step row was re-recorded when the timers began to cancel eagerly:
+    /// a drain step no longer goes to the deadline of a request already
+    /// answered, so the 20 steps reach one deadline more (174 shed / 101
+    /// timed out became 173 / 102). The full-drain row, recorded before
+    /// that change, pins that nothing else moved.
     #[test]
     fn reply_streams_match_the_recorded_digests() {
         fn digest_of(run: impl FnOnce(&mut dyn FnMut(Resolution<u64>))) -> u64 {
@@ -1077,15 +1082,21 @@ mod tests {
             digest.0
         }
         let lossy = digest_of(|out| drive(&mut core(|| NullSink), &BASE, |i| i, 20, out));
+        let drained = digest_of(|out| drive(&mut core(|| NullSink), &BASE, |i| i, usize::MAX, out));
         let late = digest_of(|out| {
             drive_late(&mut core(|| NullSink), |i| i, out);
         });
         let mut churn: ChannelCore<u64, NullSink> = core_of(HybridConfig::default(), || NullSink);
         let churned = digest_of(|out| drive(&mut churn, &CHURN, |i| i, usize::MAX, out));
         assert_eq!(
-            [lossy, late, churned].map(|d| format!("{d:016x}")),
-            ["c82562e3946eefa9", "15acca59731b9c41", "1654aaa8f6ceaf52"],
-            "virtual-time, late-tick and churn scripts"
+            [lossy, drained, late, churned].map(|d| format!("{d:016x}")),
+            [
+                "26f6b356968e0c56",
+                "36471f3f5771d2a6",
+                "15acca59731b9c41",
+                "1654aaa8f6ceaf52"
+            ],
+            "virtual-time (20-step and full drain), late-tick and churn scripts"
         );
         let books = churn.books();
         assert!(books.total.conserves() && churn.live() == 0, "{books:?}");

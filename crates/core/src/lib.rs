@@ -69,6 +69,7 @@ pub mod clock;
 pub mod config;
 pub mod cutoff;
 pub mod experiment;
+mod heap;
 pub mod hybrid;
 pub mod metrics;
 pub mod pull;

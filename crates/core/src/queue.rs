@@ -33,6 +33,8 @@ use hybridcast_workload::catalog::ItemId;
 use hybridcast_workload::classes::ClassId;
 use hybridcast_workload::requests::Request;
 
+use crate::heap::{IndexedHeap, Record};
+
 /// One queued item with all its pending requests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PendingItem {
@@ -145,17 +147,18 @@ impl PendingItem {
     }
 }
 
-/// Heap order of two index records: `a` sits above `b` iff it has the
-/// higher score, or the same score and the lower item id — exactly the
-/// scan's tie-break. Scores are NaN-free (asserted at reindex) and −0.0 is
-/// normalized to 0.0 there, so `total_cmp` agrees with the scan's `<=`.
-#[inline]
-fn above(a: (f64, u32), b: (f64, u32)) -> bool {
-    a.0.total_cmp(&b.0).then_with(|| b.1.cmp(&a.1)) == std::cmp::Ordering::Greater
-}
+/// The score index's order: the higher score, then the lower item id — the
+/// scan's tie-break (`reindex` keeps out NaN and folds −0.0 into 0.0, so
+/// `total_cmp` agrees with the scan's `<=`). Filed by item.
+impl Record for (f64, u32) {
+    fn above(&self, b: &Self) -> bool {
+        self.0.total_cmp(&b.0).then_with(|| b.1.cmp(&self.1)) == std::cmp::Ordering::Greater
+    }
 
-/// Position of a slot that has no index record.
-const UNINDEXED: u32 = u32::MAX;
+    fn slot(&self) -> usize {
+        self.1 as usize
+    }
+}
 
 /// The pull queue: per-item request aggregation with linear-scan *and*
 /// heap-indexed selection (see the module docs for when each applies).
@@ -171,12 +174,9 @@ pub struct PullQueue {
     inserted: u64,
     served_items: u64,
     served_requests: u64,
-    /// The score index: a binary max-heap (in [`above`] order) of one
-    /// `(score, item)` record per reindexed active item; empty unless
-    /// `reindex` is used.
-    heap: Vec<(f64, u32)>,
-    /// Per-slot position of its record in `heap`, or [`UNINDEXED`].
-    pos: Vec<u32>,
+    /// The score index: one `(score, item)` record per reindexed active
+    /// item, highest score on top; empty unless `reindex` is used.
+    index: IndexedHeap<(f64, u32)>,
     /// Recycled entries whose buffers are reused by `insert`.
     pool: Vec<PendingItem>,
 }
@@ -196,8 +196,7 @@ impl PullQueue {
             inserted: 0,
             served_items: 0,
             served_requests: 0,
-            heap: Vec::new(),
-            pos: vec![UNINDEXED; num_items],
+            index: IndexedHeap::new(num_items),
             pool: Vec::new(),
         }
     }
@@ -280,52 +279,8 @@ impl PullQueue {
         );
         // Fold −0.0 into 0.0 so total_cmp ties exactly where the scan's
         // `<=` ties.
-        let record = (if score == 0.0 { 0.0 } else { score }, item.0);
-        let at = match self.pos[item.index()] {
-            UNINDEXED => {
-                self.heap.push(record);
-                self.heap.len() - 1
-            }
-            at => at as usize,
-        };
-        self.sift(at, record);
-    }
-
-    /// Stores `record` at heap position `at` or wherever heap order puts it
-    /// from there: up past every parent it beats, or else down past every
-    /// child that beats it. Every record it passes gets its new position.
-    fn sift(&mut self, mut at: usize, record: (f64, u32)) {
-        let start = at;
-        while at > 0 && above(record, self.heap[(at - 1) / 2]) {
-            let parent = (at - 1) / 2;
-            self.place(at, self.heap[parent]);
-            at = parent;
-        }
-        if at == start {
-            loop {
-                let left = 2 * at + 1;
-                let Some(&left_record) = self.heap.get(left) else {
-                    break;
-                };
-                let (child, child_record) = match self.heap.get(left + 1) {
-                    Some(&right) if above(right, left_record) => (left + 1, right),
-                    _ => (left, left_record),
-                };
-                if !above(child_record, record) {
-                    break;
-                }
-                self.place(at, child_record);
-                at = child;
-            }
-        }
-        self.place(at, record);
-    }
-
-    /// Writes `record` at heap position `at` and points its slot there.
-    #[inline]
-    fn place(&mut self, at: usize, record: (f64, u32)) {
-        self.heap[at] = record;
-        self.pos[record.1 as usize] = at as u32;
+        let score = if score == 0.0 { 0.0 } else { score };
+        self.index.set((score, item.0));
     }
 
     /// The indexed counterpart of [`PullQueue::select_max`]: the item with
@@ -336,11 +291,11 @@ impl PullQueue {
     /// reindex discipline); coverage is asserted in debug builds.
     pub fn select_max_indexed(&self) -> Option<ItemId> {
         debug_assert_eq!(
-            self.heap.len(),
+            self.index.heap.len(),
             self.active,
             "indexed selection requires every active item to be reindexed"
         );
-        self.heap.first().map(|&(_, item)| ItemId(item))
+        self.index.peek().map(|(_, item)| ItemId(item))
     }
 
     /// Removes `item` from the queue, returning its aggregated entry. Used
@@ -356,13 +311,7 @@ impl PullQueue {
     /// Extracts slot `idx`'s entry, if any, with its index record.
     fn take(&mut self, idx: usize) -> Option<PendingItem> {
         let entry = self.slots[idx].take()?;
-        let at = std::mem::replace(&mut self.pos[idx], UNINDEXED);
-        if at != UNINDEXED {
-            let last = self.heap.pop().expect("an indexed slot has a record");
-            if (at as usize) < self.heap.len() {
-                self.sift(at as usize, last);
-            }
-        }
+        self.index.remove(idx);
         self.active -= 1;
         self.total_requests -= entry.count();
         // Every extraction is credited, cutoff migration included: without
@@ -519,21 +468,22 @@ impl PullQueue {
                 self.inserted, self.served_requests, self.total_requests
             ));
         }
-        let indexed = !self.heap.is_empty();
+        let (heap, pos) = (&self.index.heap, &self.index.pos);
+        let indexed = !heap.is_empty();
         let mut records = vec![0u32; self.slots.len()];
-        for (at, &(score, item)) in self.heap.iter().enumerate() {
+        for (at, &(score, item)) in heap.iter().enumerate() {
             let Some(n) = records.get_mut(item as usize) else {
                 bad.push(format!("index record {at} names unknown item {item}"));
                 continue;
             };
             *n += 1;
-            if self.pos[item as usize] as usize != at {
+            if pos[item as usize] != Some(at as u32) {
                 bad.push(format!(
-                    "index record {at} is item {item}, whose position is {}",
-                    self.pos[item as usize]
+                    "index record {at} is item {item}, whose position is {:?}",
+                    pos[item as usize]
                 ));
             }
-            if at > 0 && above(self.heap[at], self.heap[(at - 1) / 2]) {
+            if at > 0 && heap[at].above(&heap[(at - 1) / 2]) {
                 bad.push(format!(
                     "index record {at} (item {item}, score {score}) beats its parent"
                 ));
@@ -546,10 +496,10 @@ impl PullQueue {
                     "item {idx}: {n} index records, expected {expected}"
                 ));
             }
-            if n == 0 && self.pos[idx] != UNINDEXED {
+            if n == 0 && pos[idx].is_some() {
                 bad.push(format!(
-                    "item {idx}: position {} but no index record",
-                    self.pos[idx]
+                    "item {idx}: position {:?} but no index record",
+                    pos[idx]
                 ));
             }
         }
@@ -669,7 +619,7 @@ mod tests {
             let s = e.count() as f64;
             q.reindex(ItemId(i), s);
         }
-        assert_eq!(q.heap.len(), 3);
+        assert_eq!(q.index.heap.len(), 3);
         let scan = q.select_max(|e| e.count() as f64);
         let indexed = q.select_max_indexed();
         assert_eq!(indexed, scan);
@@ -766,7 +716,7 @@ mod tests {
         let below = q.drain_below(5);
         assert_eq!(below.len(), 2);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.heap.len(), 1);
+        assert_eq!(q.index.heap.len(), 1);
         q.insert(&req(2.0, 2, 0), 1.0);
         q.reindex(ItemId(2), 1.0);
         let odd = q.drain_matching(|it| it.0 % 2 == 1);
@@ -879,11 +829,11 @@ mod tests {
     #[test]
     fn shadow_recount_flags_a_duplicated_or_missing_index_record() {
         let mut q = indexed_queue();
-        q.heap.push(q.heap[1]);
+        q.index.heap.push(q.index.heap[1]);
         let bad = q.verify_shadow(|_| 1.0);
         assert!(bad.iter().any(|m| m.contains("2 index records")), "{bad:?}");
         let mut q = indexed_queue();
-        let (_, item) = q.heap.pop().unwrap();
+        let (_, item) = q.index.heap.pop().unwrap();
         let bad = q.verify_shadow(|_| 1.0);
         let lost = format!("item {item}: 0 index records, expected 1");
         assert!(bad.contains(&lost), "{bad:?}");
@@ -892,14 +842,14 @@ mod tests {
     #[test]
     fn shadow_recount_flags_crossed_index_positions() {
         let mut q = indexed_queue();
-        q.pos.swap(1, 4);
+        q.index.pos.swap(1, 4);
         let bad = q.verify_shadow(|_| 1.0);
         assert!(
             bad.iter().any(|m| m.contains("whose position is")),
             "{bad:?}"
         );
         let mut q = indexed_queue();
-        q.pos[3] = 0;
+        q.index.pos[3] = Some(0);
         let bad = q.verify_shadow(|_| 1.0);
         assert!(bad.iter().any(|m| m.contains("no index record")), "{bad:?}");
     }
@@ -907,7 +857,7 @@ mod tests {
     #[test]
     fn shadow_recount_flags_a_broken_heap_order() {
         let mut q = indexed_queue();
-        q.heap[0].0 = -1.0;
+        q.index.heap[0].0 = -1.0;
         let bad = q.verify_shadow(|_| 1.0);
         assert!(
             bad.iter().any(|m| m.contains("beats its parent")),

@@ -44,11 +44,13 @@ use hybridcast_workload::scenario::Scenario;
 
 use crate::trace::{Trace, TraceRecord};
 
-/// After the last recorded arrival, a channel may air at most
-/// `catalog × this + live × 2` further transmissions before the remainder
-/// is shed — a deterministic stand-in for the daemon's wall-clock drain
-/// budget (only reachable when deadline-less requests can never be served,
-/// e.g. a pull request under `pull_per_push = 0`).
+/// After the last recorded arrival, a channel may take at most
+/// `catalog × this + live × 2 + 64` further steps to its next due instant
+/// before the remainder is shed — a deterministic stand-in for the
+/// daemon's wall-clock drain budget. Each step fires at least one event
+/// that is due: an uplink delivery, a live request's deadline or a
+/// transmission's completion. Only reachable when deadline-less requests
+/// can never be served, e.g. a pull request under `pull_per_push = 0`.
 const DRAIN_CYCLES: usize = 8;
 
 /// Per-class replay books.
@@ -296,16 +298,41 @@ pub fn replay_daemon(
     // recorded channel byte: identical when replaying under the recording
     // config (the daemon routed by plan too), and the well-defined
     // re-route when an override changed the channel count or catalog.
+    // Each record goes straight to its channel's core, which fires every
+    // event due by its arrival exactly when due and then ingests it: each
+    // core sees its own records in recorded order, and the cores share
+    // nothing, so interleaving them changes no core's books.
     let mut stats = RouteStats::default();
-    let mut grouped: Vec<Vec<TraceRecord>> = vec![Vec::new(); cores.len()];
+    let mut lanes: Vec<_> = cores.into_iter().map(|c| (c, SimTime::ZERO)).collect();
     for rec in &trace.records {
-        let routed = route_record(rec, scenario, &plan, &mut stats);
-        grouped[routed.channel as usize].push(routed);
+        let rec = route_record(rec, scenario, &plan, &mut stats);
+        let (core, now) = &mut lanes[rec.channel as usize];
+        let t = SimTime::new(rec.arrival);
+        while let Some(due) = core.next_due().filter(|&due| due <= t) {
+            fire(core, due);
+        }
+        let deadline = (rec.deadline_ms > 0)
+            .then(|| t + SimDuration::new(rec.deadline_ms as f64 / unit_millis));
+        let (item, class) = (ItemId(rec.item), ClassId(rec.class));
+        core.ingest((), item, class, t, deadline, |_| {});
+        core.dispatch(t, |_| {});
+        *now = (*now).max(t);
     }
     let mut per_channel = Vec::new();
     let mut total = Books::new(scenario.classes.len());
-    for (c, mut core) in cores.into_iter().enumerate() {
-        replay_channel(&mut core, &grouped[c], unit_millis, scenario.catalog.len());
+    for (c, (mut core, mut now)) in lanes.into_iter().enumerate() {
+        // End of trace: keep the schedule running until every live request
+        // resolves, bounded deterministically (see DRAIN_CYCLES); what is
+        // left could never be served under this config and is shed,
+        // exactly like the daemon's drain-budget expiry.
+        let mut budget = core.live() * 2 + scenario.catalog.len() * DRAIN_CYCLES + 64;
+        while core.live() > 0 && budget > 0 {
+            let Some(due) = core.next_due() else { break };
+            fire(&mut core, due);
+            now = now.max(due);
+            budget -= 1;
+        }
+        core.shed_remaining(now, |_| {});
         per_channel.push(core.books().counters(c as u32, core.live() == 0));
         total += core.books();
     }
@@ -342,51 +369,11 @@ pub fn replay_daemon(
     }
 }
 
-/// The virtual-time driver: one channel's records through its
-/// [`ChannelCore`], every due event fired exactly when due. Nobody reads
+/// Fires what is due at `due`, then offers the downlink. Nobody reads
 /// the resolutions — the books are the output.
-fn replay_channel(
-    core: &mut ChannelCore<(), NullSink>,
-    records: &[TraceRecord],
-    unit_millis: f64,
-    catalog_len: usize,
-) {
-    // Fires what is due at `due`, then offers the downlink.
-    fn fire(core: &mut ChannelCore<(), NullSink>, due: SimTime) {
-        core.advance(due, |_| {}, |_| {});
-        core.dispatch(due, |_| {});
-    }
-    let mut now = SimTime::ZERO;
-    for rec in records {
-        let t = SimTime::new(rec.arrival);
-        while let Some(due) = core.next_due().filter(|&due| due <= t) {
-            fire(core, due);
-        }
-        let deadline = (rec.deadline_ms > 0)
-            .then(|| t + SimDuration::new(rec.deadline_ms as f64 / unit_millis));
-        core.ingest(
-            (),
-            ItemId(rec.item),
-            ClassId(rec.class),
-            t,
-            deadline,
-            |_| {},
-        );
-        core.dispatch(t, |_| {});
-        now = now.max(t);
-    }
-    // End of trace: keep the schedule running until every live request
-    // resolves, bounded deterministically (see DRAIN_CYCLES); what is left
-    // could never be served under this config and is shed, exactly like
-    // the daemon's drain-budget expiry.
-    let mut budget = core.live() * 2 + catalog_len * DRAIN_CYCLES + 64;
-    while core.live() > 0 && budget > 0 {
-        let Some(due) = core.next_due() else { break };
-        fire(core, due);
-        now = now.max(due);
-        budget -= 1;
-    }
-    core.shed_remaining(now, |_| {});
+fn fire(core: &mut ChannelCore<(), NullSink>, due: SimTime) {
+    core.advance(due, |_| {}, |_| {});
+    core.dispatch(due, |_| {});
 }
 
 #[cfg(test)]
@@ -545,6 +532,28 @@ mod tests {
         let report = replay_simulator(&scenario(), &HybridConfig::default(), &params, &trace);
         let generated: Vec<u64> = report.per_class.iter().map(|c| c.generated).collect();
         assert_eq!(generated, vec![24, 24, 24 + 48]);
+    }
+
+    /// A trace out of arrival order (several cores' records interleaved)
+    /// gives the stream of the same records in order.
+    #[test]
+    fn replay_requests_come_in_arrival_order_either_way() {
+        let sorted = synthetic_trace(1, 60);
+        let mut shuffled = sorted.clone();
+        shuffled.records.swap(3, 40);
+        shuffled.records.swap(17, 18);
+        assert!(!shuffled.records.is_sorted_by(|a, b| a.arrival <= b.arrival));
+        let stream = replay_requests(&scenario(), &sorted);
+        assert_eq!(replay_requests(&scenario(), &shuffled), stream);
+        assert!(stream.is_sorted_by(|a, b| a.arrival <= b.arrival));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite stamps")]
+    fn a_nan_stamp_is_refused_in_sim_mode() {
+        let mut trace = synthetic_trace(1, 10);
+        trace.records[4].arrival = f64::NAN;
+        replay_requests(&scenario(), &trace);
     }
 
     #[test]
